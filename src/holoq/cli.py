@@ -44,7 +44,7 @@ from .reports import (
     render_json,
     render_markdown,
 )
-from .sphere import sphere_suite
+from .sphere import MAX_RADIAL_ORDER, sphere_suite
 
 SUITES = ("sphere", "hypergeom", "numeric", "critical-n4", "conformal")
 
@@ -130,6 +130,9 @@ def _load_config(args) -> RunConfig:
         raise UsageError(f"unknown suites {unknown}; choose from {list(SUITES)} or all")
     if config.format not in ("json", "md", "both"):
         raise UsageError(f"format must be json, md or both, got {config.format!r}")
+    if not isinstance(config.nmax, int) or not 1 <= config.nmax <= MAX_RADIAL_ORDER:
+        raise UsageError(
+            f"--Nmax must be an integer in 1..{MAX_RADIAL_ORDER}, got {config.nmax!r}")
     if config.grid < 16 or config.grid % 2:
         raise UsageError("grid size must be an even number >= 16")
     if config.instances < 1:

@@ -39,6 +39,9 @@ class CurvatureBundle:
     Psq: np.ndarray = field(init=False)
     dJ: tuple = field(init=False)
     lapJ: np.ndarray = field(init=False)
+    # (j, k) -> field_poly pair of T*_{2j}(v_{2k}), filled by
+    # holographic.family_poly on first use.
+    family_polys: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         ch, phi, n = self.chart, np.asarray(self.phi, dtype=float), self.chart.n
@@ -147,12 +150,39 @@ def apply_primitive(b: CurvatureBundle, name: str, f):
     raise ValueError(f"unknown primitive {name!r}")
 
 
+def _add(acc, x):
+    """acc + x, where None stands for a field that is zero by structure."""
+    if x is None:
+        return acc
+    return x if acc is None else acc + x
+
+
+def _sub(acc, x):
+    if x is None:
+        return acc
+    return -x if acc is None else acc - x
+
+
+def _mul(x, y):
+    return None if x is None or y is None else x * y
+
+
+def _total(fields):
+    acc = None
+    for x in fields:
+        acc = _add(acc, x)
+    return acc
+
+
 def oracle_curvature(chart: TorusChart, phi, route: str = "chain"):
     """Recompute Schouten data from Christoffel symbols of g_ij = e^{2 phi} d_ij.
 
     Works index by index in the full n-dimensional chart; fields are constant
-    along the inactive axes so their partials vanish. Returns a dict with
-    scal, J, Psq and the active 2x2 block of Schouten components.
+    along the inactive axes so their partials vanish. Those vanishing partials,
+    and every Christoffel symbol and product built only from them, are held as
+    None and skipped, which leaves the surviving sums in their index order.
+    Returns a dict with scal, J, Psq and the active 2x2 block of Schouten
+    components.
 
     The "chain" route feeds the Christoffel assembly with derivatives of phi
     (the half log of the metric components), so the comparison against
@@ -165,49 +195,52 @@ def oracle_curvature(chart: TorusChart, phi, route: str = "chain"):
     n = chart.n
     E = np.exp(2.0 * phi)
     Einv = 1.0 / E
-    zero = chart.zeros()
     if route == "chain":
-        lam = [d1(chart, phi, 0), d1(chart, phi, 1)] + [zero] * (n - 2)
+        lam = [d1(chart, phi, 0), d1(chart, phi, 1)] + [None] * (n - 2)
     elif route == "metric":
-        lam = [0.5 * Einv * d1(chart, E, 0), 0.5 * Einv * d1(chart, E, 1)] + [zero] * (n - 2)
+        lam = [0.5 * Einv * d1(chart, E, 0), 0.5 * Einv * d1(chart, E, 1)] + [None] * (n - 2)
     else:
         raise ValueError(f"unknown oracle route {route!r}")
 
     def gamma(k, i, j):
-        out = 0.0
+        out = None
         if k == j:
-            out = out + lam[i]
+            out = _add(out, lam[i])
         if k == i:
-            out = out + lam[j]
+            out = _add(out, lam[j])
         if i == j:
-            out = out - lam[k]
-        if isinstance(out, float):
-            return zero
+            out = _sub(out, lam[k])
         return out
 
+    def deriv(f, axis):
+        return None if f is None else d1(chart, f, axis)
+
     G = [[[gamma(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)]
-    trace = [sum(G[l][l][k] for l in range(n)) for k in range(n)]
+    trace = [_total(G[l][l][k] for l in range(n)) for k in range(n)]
 
     ric = [[None] * n for _ in range(n)]
     for j in range(n):
         for k in range(j, n):
-            term = 0.0
+            term = None
             for l in range(2):
-                term = term + d1(chart, G[l][j][k], l)
+                term = _add(term, deriv(G[l][j][k], l))
             if j < 2:
-                term = term - d1(chart, trace[k], j)
+                term = _sub(term, deriv(trace[k], j))
             for m in range(n):
-                term = term + trace[m] * G[m][j][k]
+                term = _add(term, _mul(trace[m], G[m][j][k]))
                 for l in range(n):
-                    term = term - G[l][j][m] * G[m][l][k]
-            ric[j][k] = term if not isinstance(term, float) else zero
-            ric[k][j] = ric[j][k]
+                    term = _sub(term, _mul(G[l][j][m], G[m][l][k]))
+            ric[j][k] = ric[k][j] = term
 
-    scal = Einv * sum(ric[j][j] for j in range(n))
+    scal = Einv * _total(ric[j][j] for j in range(n))
     J = scal / (2.0 * (n - 1.0))
-    P = [[(ric[j][k] - (J * E if j == k else 0.0)) / (n - 2.0) for k in range(n)]
-         for j in range(n)]
-    Psq = Einv ** 2 * sum(P[j][k] ** 2 for j in range(n) for k in range(n))
+
+    def schouten(j, k):
+        p = _sub(ric[j][k], J * E if j == k else None)
+        return None if p is None else p / (n - 2.0)
+
+    P = [[schouten(j, k) for k in range(n)] for j in range(n)]
+    Psq = Einv ** 2 * _total(p ** 2 for row in P for p in row if p is not None)
     return {
         "scal": scal,
         "J": J,

@@ -5,7 +5,10 @@ first-order stages; a stage is an affine combination of the named grid
 primitives with constant or polynomial coefficients. Evaluation turns the
 action on a fixed input field into a polynomial with field coefficients over
 a scalar denominator, so removable singularities can be divided out exactly
-and parameter derivatives read off by the quotient rule.
+and parameter derivatives read off by the quotient rule. That (numerator,
+denominator) pair does not depend on the parameter: build it once with
+field_poly and evaluate it at any number of points with pair_value and
+pair_derivative.
 """
 
 from __future__ import annotations
@@ -158,37 +161,49 @@ class LambdaOperator:
                 den = den * rat.den
         return num, den
 
-    def _reduced(self, bundle, f, lam, residue_tol):
-        lam = Fraction(lam)
-        num, den = self.field_poly(bundle, f)
-        info = {"reduced": 0, "residue_norm": 0.0}
-        while den(lam) == 0:
-            linear = LambdaPoly((-lam, Fraction(1)))
-            den, rem = den.divmod(linear)
-            if not rem.is_zero():
-                raise AssertionError("exact scalar division left a remainder")
-            num, residue = num.divide_linear(lam)
-            res_norm = float(np.max(np.abs(residue))) if not isinstance(residue, float) else 0.0
-            scale = max(num.max_norm(), 1.0)
-            if res_norm > residue_tol * scale:
-                raise PoleError(lam, res_norm)
-            info["reduced"] += 1
-            info["residue_norm"] = max(info["residue_norm"], res_norm)
-        return num, den, lam, info
-
     def apply_at(self, bundle: CurvatureBundle, f, lam, residue_tol=1e-9):
         """Evaluate at a rational parameter value, dividing out removable poles."""
-        num, den, lam, info = self._reduced(bundle, f, lam, residue_tol)
-        return num.eval(lam) / float(den(lam)), info
+        return pair_value(self.field_poly(bundle, f), lam, residue_tol)
 
     def derivative_at(self, bundle: CurvatureBundle, f, lam, residue_tol=1e-9):
         """Parameter derivative at a rational value via the quotient rule."""
-        num, den, lam, info = self._reduced(bundle, f, lam, residue_tol)
-        d = float(den(lam))
-        dprime = float(den.derivative()(lam))
-        n_val = num.eval(lam)
-        nprime = num.derivative().eval(lam)
-        return (nprime * d - n_val * dprime) / (d * d), info
+        return pair_derivative(self.field_poly(bundle, f), lam, residue_tol)
+
+
+def _reduced(pair, lam, residue_tol):
+    """Divide the removable poles at lam out of a (num, den) pair."""
+    num, den = pair
+    lam = Fraction(lam)
+    info = {"reduced": 0, "residue_norm": 0.0}
+    while den(lam) == 0:
+        linear = LambdaPoly((-lam, Fraction(1)))
+        den, rem = den.divmod(linear)
+        if not rem.is_zero():
+            raise AssertionError("exact scalar division left a remainder")
+        num, residue = num.divide_linear(lam)
+        res_norm = float(np.max(np.abs(residue))) if not isinstance(residue, float) else 0.0
+        scale = max(num.max_norm(), 1.0)
+        if res_norm > residue_tol * scale:
+            raise PoleError(lam, res_norm)
+        info["reduced"] += 1
+        info["residue_norm"] = max(info["residue_norm"], res_norm)
+    return num, den, lam, info
+
+
+def pair_value(pair, lam, residue_tol=1e-9):
+    """Value of a field_poly (num, den) pair at a rational parameter value."""
+    num, den, lam, info = _reduced(pair, lam, residue_tol)
+    return num.eval(lam) / float(den(lam)), info
+
+
+def pair_derivative(pair, lam, residue_tol=1e-9):
+    """Parameter derivative of a field_poly (num, den) pair, by the quotient rule."""
+    num, den, lam, info = _reduced(pair, lam, residue_tol)
+    d = float(den(lam))
+    dprime = float(den.derivative()(lam))
+    n_val = num.eval(lam)
+    nprime = num.derivative().eval(lam)
+    return (nprime * d - n_val * dprime) / (d * d), info
 
 
 def build_T(n: int, N: int) -> LambdaOperator:

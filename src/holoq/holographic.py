@@ -24,7 +24,7 @@ from .conformal import (
     oracle_curvature,
     schouten_div_grad,
 )
-from .families import PoleError, build_P, build_T
+from .families import PoleError, build_P, build_T, pair_derivative, pair_value
 from .grid import TorusChart
 from .lambda_algebra import LAMBDA, LambdaPoly, binomial, pochhammer
 from .presets import preset_phi
@@ -41,6 +41,19 @@ def holo_coeffs(b: CurvatureBundle) -> dict:
     """Expansion coefficients by order index: {0: 1, 1: v2, 2: v4}."""
     ones = np.ones(b.chart.shape)
     return {0: ones, 1: -b.J / 2, 2: (b.J**2 - b.Psq) / 8}
+
+
+def family_poly(b: CurvatureBundle, j: int, k: int):
+    """T*_{2j}(lam)(v_{2k}) as a field_poly (num, den) pair in lam.
+
+    The pair does not depend on lam, so it is built once per bundle and
+    kept there; evaluate it with pair_value or pair_derivative.
+    """
+    pair = b.family_polys.get((j, k))
+    if pair is None:
+        pair = build_T(b.n, j).adjoint().field_poly(b, holo_coeffs(b)[k])
+        b.family_polys[(j, k)] = pair
+    return pair
 
 
 def holo_coeffs_from_expansion(h2_trace, h2_sq_trace, h4_trace):
@@ -78,9 +91,8 @@ def q4_holographic(b: CurvatureBundle):
     """Quarter identity route: Q4/4 = 4 v4 + 2 T2*(n/2 - 2)(v2)."""
     if b.n < 4:
         raise ValueError("holographic route needs background dimension >= 4")
-    v = holo_coeffs(b)
-    t2v2, _ = build_T(b.n, 1).adjoint().apply_at(b, v[1], Fraction(b.n, 2) - 2)
-    return 4 * (4 * v[2] + 2 * t2v2)
+    t2v2, _ = pair_value(family_poly(b, 1, 1), Fraction(b.n, 2) - 2)
+    return 4 * (4 * holo_coeffs(b)[2] + 2 * t2v2)
 
 
 def q6_holographic(model) -> Fraction:
@@ -147,10 +159,9 @@ def _report(check_id, equation, params, residual, base_tol, scale, details=None,
 
 def _t_star_values(b: CurvatureBundle, N: int, mu: Fraction):
     """[T*_{2j}(mu)(v_{2N-2j}) for j = 0..N] with T0 the identity."""
-    v = holo_coeffs(b)
-    out = [v[N]]
+    out = [holo_coeffs(b)[N]]
     for j in range(1, N + 1):
-        val, _ = build_T(b.n, j).adjoint().apply_at(b, v[N - j], mu)
+        val, _ = pair_value(family_poly(b, j, N - j), mu)
         out.append(val)
     return out
 
@@ -184,8 +195,8 @@ def example_2_3_checks(b: CurvatureBundle, lam: Fraction, tol: float = 1e-6):
     g_field = (float(lam) * (2 * b.Psq - b.J**2)
                + (n - 2) * (b.J**2 - b.Psq) - b.lapJ)
     v = holo_coeffs(b)
-    t4, _ = build_T(n, 2).adjoint().apply_at(b, v[0], lam)
-    t2, _ = build_T(n, 1).adjoint().apply_at(b, v[1], lam)
+    t4, _ = pair_value(family_poly(b, 2, 0), lam)
+    t2, _ = pair_value(family_poly(b, 1, 1), lam)
     reports = []
     t0 = time.perf_counter()
     lhs_i = 8 * t4 + 6 * t2 + 4 * v[2]
@@ -308,12 +319,10 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5):
     v = holo_coeffs(b)
     zero = Fraction(0)
     q4 = q4_direct(b)
-    t2_op = build_T(4, 1).adjoint()
-    t4_op = build_T(4, 2).adjoint()
     p4 = build_P(4, 2)
 
     t0 = time.perf_counter()
-    t2v2, _ = t2_op.apply_at(b, v[1], zero)
+    t2v2, _ = pair_value(family_poly(b, 1, 1), zero)
     lhs_a = 4 * v[2] + 2 * t2v2
     rhs_a = q4 / 4
     scale = max(np.max(np.abs(lhs_a)), np.max(np.abs(q4)))
@@ -363,8 +372,8 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5):
                            seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    t2_dot, _ = t2_op.derivative_at(b, v[1], zero)
-    t4_dot, _ = t4_op.derivative_at(b, ones, zero)
+    t2_dot, _ = pair_derivative(family_poly(b, 1, 1), zero)
+    t4_dot, _ = pair_derivative(family_poly(b, 2, 0), zero)
     lhs_e_field = 8 * (2 * t2_dot + 4 * t4_dot)
     lhs_e = float(lhs_e_field[point])
     rhs_e = -qc[2] - q4_pt
@@ -425,9 +434,8 @@ def _curvature_reports(n: int, size: int, preset: str, seed: int, tol: float,
     t0 = time.perf_counter()
     gaps = []
     for s in (size // 2, size):
-        chs, phis = _phi_on(n, s, preset, seed, phi)
-        bs = curvature(chs, phis)
-        om = oracle_curvature(chs, bs.phi, route="metric")
+        bs = b if s == size else curvature(*_phi_on(n, s, preset, seed, phi))
+        om = oracle_curvature(bs.chart, bs.phi, route="metric")
         gaps.append(float(np.max(np.abs(bs.J - om["J"]))))
     ratio = gaps[0] / max(gaps[1], 1e-300)
     passed = ratio >= 8.0 or max(gaps) <= 1e-11

@@ -88,6 +88,13 @@ class TestExitCodes:
             run(["verify", "bogus"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("nmax", ["0", "-1", "9"])
+    def test_usage_bad_nmax(self, nmax, tmp_path, capsys):
+        assert run(["verify", "sphere", "--n", "3", "--Nmax", nmax,
+                    "--out", str(tmp_path / "r")]) == EXIT_USAGE
+        assert "--Nmax must be an integer in 1..8" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_usage_bad_einstein_j(self):
         assert run(["verify", "sphere", "--n", "3",
                     "--einstein-j", "x"]) == EXIT_USAGE
@@ -117,6 +124,12 @@ class TestConfigFile:
         body = json.loads((tmp_path / "b.json").read_text())
         assert body["config"]["suites"] == ["sphere"]
         assert body["config"]["n"] == [3]
+
+    def test_nmax_of_wrong_type(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suites": ["sphere"], "n": [3], "nmax": "3"}))
+        assert run(["verify", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == EXIT_USAGE
 
     def test_bad_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

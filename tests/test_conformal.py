@@ -13,7 +13,7 @@ from holoq.conformal import (
     oracle_curvature,
     schouten_div_grad,
 )
-from holoq.grid import TorusChart
+from holoq.grid import TorusChart, d1
 from holoq.presets import preset_phi
 
 
@@ -68,6 +68,80 @@ class TestCurvature:
             oracle = oracle_curvature(b.chart, b.phi, route="metric")
             gaps.append(np.max(np.abs(b.J - oracle["J"])))
         assert gaps[0] / max(gaps[1], 1e-30) > 8 or gaps[1] < 1e-11
+
+
+def dense_oracle_curvature(chart, phi, route="chain"):
+    """The oracle as first written: every Christoffel symbol and every product
+    is an array, including the ones that are zero by structure."""
+    phi = np.asarray(phi, dtype=float)
+    n = chart.n
+    E = np.exp(2.0 * phi)
+    Einv = 1.0 / E
+    zero = chart.zeros()
+    if route == "chain":
+        lam = [d1(chart, phi, 0), d1(chart, phi, 1)] + [zero] * (n - 2)
+    else:
+        lam = [0.5 * Einv * d1(chart, E, 0), 0.5 * Einv * d1(chart, E, 1)] + [zero] * (n - 2)
+
+    def gamma(k, i, j):
+        out = 0.0
+        if k == j:
+            out = out + lam[i]
+        if k == i:
+            out = out + lam[j]
+        if i == j:
+            out = out - lam[k]
+        if isinstance(out, float):
+            return zero
+        return out
+
+    G = [[[gamma(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)]
+    trace = [sum(G[l][l][k] for l in range(n)) for k in range(n)]
+
+    ric = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            term = 0.0
+            for l in range(2):
+                term = term + d1(chart, G[l][j][k], l)
+            if j < 2:
+                term = term - d1(chart, trace[k], j)
+            for m in range(n):
+                term = term + trace[m] * G[m][j][k]
+                for l in range(n):
+                    term = term - G[l][j][m] * G[m][l][k]
+            ric[j][k] = term if not isinstance(term, float) else zero
+            ric[k][j] = ric[j][k]
+
+    scal = Einv * sum(ric[j][j] for j in range(n))
+    J = scal / (2.0 * (n - 1.0))
+    P = [[(ric[j][k] - (J * E if j == k else 0.0)) / (n - 2.0) for k in range(n)]
+         for j in range(n)]
+    Psq = Einv ** 2 * sum(P[j][k] ** 2 for j in range(n) for k in range(n))
+    return {
+        "scal": scal,
+        "J": J,
+        "Psq": Psq,
+        "P_active": [[P[i][k] for k in range(2)] for i in range(2)],
+    }
+
+
+class TestOracle:
+    @pytest.mark.parametrize("route", ["chain", "metric"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_dense_reference_bitwise(self, n, route):
+        # Skipping structural zeros keeps every surviving addition in order,
+        # so only the sign of an exact zero may differ, which array_equal
+        # ignores.
+        ch = TorusChart(n, (32, 32))
+        phi = preset_phi(ch, "trig2", seed=7)
+        got = oracle_curvature(ch, phi, route=route)
+        ref = dense_oracle_curvature(ch, phi, route=route)
+        for key in ("scal", "J", "Psq"):
+            assert np.array_equal(got[key], ref[key]), key
+        for i in range(2):
+            for k in range(2):
+                assert np.array_equal(got["P_active"][i][k], ref["P_active"][i][k]), (i, k)
 
 
 class TestOperators:

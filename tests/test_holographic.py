@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from holoq.conformal import curvature
+from holoq.families import LambdaOperator, PoleError, build_T, pair_derivative, pair_value
 from holoq.grid import TorusChart
 from holoq.holographic import (
+    DEFAULT_LAMBDAS,
     EinsteinModel,
     UnsupportedModeError,
     conformal_covariance_q4,
     critical_n4_suite,
     critical_suite_n4,
     einstein_checks,
+    _abscissae,
     example_2_3_checks,
     expansion_traces,
+    family_poly,
     holo_coeffs,
     holo_coeffs_from_expansion,
     master_check_numeric,
@@ -96,6 +100,68 @@ class TestEinsteinModel:
         for n, J in ((4, Fraction(2)), (6, Fraction(3)), (6, Fraction(1, 3)), (8, Fraction(4))):
             for rep in einstein_checks(n, J):
                 assert rep.passed, rep.id
+
+
+# The (j, k) pairs of T*_{2j}(v_{2k}) that the numeric suite evaluates.
+SUITE_PAIRS = ((1, 0), (1, 1), (2, 0))
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except PoleError as exc:
+        return exc
+
+
+class TestFamilyPolys:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_cached_pair_matches_apply_at_bitwise(self, n):
+        b = bundle(n=n, size=32)
+        points = set(DEFAULT_LAMBDAS)
+        for N in (1, 2):
+            for a in _abscissae(n, N, N + 1):
+                points |= {a, a + n - 2 * N}
+        for j, k in SUITE_PAIRS:
+            op = build_T(n, j).adjoint()
+            pair = family_poly(b, j, k)
+            for lam in sorted(points):
+                got = _outcome(lambda: pair_value(pair, lam))
+                want = _outcome(lambda: op.apply_at(b, holo_coeffs(b)[k], lam))
+                if isinstance(want, PoleError):
+                    assert isinstance(got, PoleError), (j, k, lam)
+                    continue
+                assert np.array_equal(got[0], want[0]), (j, k, lam)
+                assert got[1] == want[1], (j, k, lam)
+
+    def test_removable_pole(self):
+        b = bundle(n=4, size=32)
+        op = build_T(4, 2).adjoint()
+        ones = holo_coeffs(b)[0]
+        got, info = pair_value(family_poly(b, 2, 0), Fraction(0))
+        want, want_info = op.apply_at(b, ones, Fraction(0))
+        assert info["reduced"] == want_info["reduced"] >= 1
+        assert np.array_equal(got, want)
+        slope, _ = pair_derivative(family_poly(b, 2, 0), Fraction(0))
+        assert np.array_equal(slope, op.derivative_at(b, ones, Fraction(0))[0])
+
+    def test_genuine_pole_raises(self):
+        # T*_2 at n = 4 has its pole at lam = 1, and v2 = -J/2 leaves a residue.
+        b = bundle(n=4, size=32)
+        with pytest.raises(PoleError):
+            pair_value(family_poly(b, 1, 1), Fraction(1))
+
+    def test_numeric_suite_builds_each_pair_once(self, monkeypatch):
+        calls = []
+        original = LambdaOperator.field_poly
+
+        def spy(self, b, f):
+            calls.append(b.n)
+            return original(self, b, f)
+
+        monkeypatch.setattr(LambdaOperator, "field_poly", spy)
+        numeric_suite(n_values=(4, 6), size=32)
+        assert 0 < calls.count(4) <= 3
+        assert 0 < calls.count(6) <= 3
 
 
 class TestMasterRelation:
