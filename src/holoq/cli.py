@@ -98,6 +98,10 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(n_tasks, os.cpu_count() or 1))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_config(args) -> RunConfig:
     base = RunConfig()
     if args.config:
@@ -130,13 +134,13 @@ def _load_config(args) -> RunConfig:
         raise UsageError(f"unknown suites {unknown}; choose from {list(SUITES)} or all")
     if config.format not in ("json", "md", "both"):
         raise UsageError(f"format must be json, md or both, got {config.format!r}")
-    if not isinstance(config.nmax, int) or not 1 <= config.nmax <= MAX_RADIAL_ORDER:
+    if not _is_int(config.nmax) or not 1 <= config.nmax <= MAX_RADIAL_ORDER:
         raise UsageError(
             f"--Nmax must be an integer in 1..{MAX_RADIAL_ORDER}, got {config.nmax!r}")
-    if config.grid < 16 or config.grid % 2:
-        raise UsageError("grid size must be an even number >= 16")
-    if config.instances < 1:
-        raise UsageError("instances must be >= 1")
+    if not _is_int(config.grid) or config.grid < 16 or config.grid % 2:
+        raise UsageError(f"grid size must be an even integer >= 16, got {config.grid!r}")
+    if not _is_int(config.instances) or config.instances < 1:
+        raise UsageError(f"instances must be an integer >= 1, got {config.instances!r}")
     if config.einstein_j is not None:
         try:
             Fraction(config.einstein_j)

@@ -109,9 +109,14 @@ class FormalSeries:
             raise ValueError("composition requires a series of valuation >= 1")
         n = min(self.order, inner.order)
         inner = inner.truncate(n)
-        acc = FormalSeries.zero(n)
-        for c in reversed(self.coeffs[: n + 1]):
-            acc = acc * inner + _promote(c, n)
+        # sum_k c_k inner^k: the powers stay in inner's ring, so only the
+        # scalar products c_k * inner^k touch the coefficient ring of self
+        acc = _promote(self.coeffs[0], n)
+        power = FormalSeries.one(n)
+        for c in self.coeffs[1: n + 1]:
+            power = power * inner
+            if not _is_zero(c):
+                acc = acc + power * c
         return acc
 
     def compose_monomial(self, k):
@@ -169,7 +174,7 @@ class FormalSeries:
 
 
 def _is_zero(c):
-    return c == 0 if not isinstance(c, (int, Fraction)) else c == 0
+    return c == 0
 
 
 def _eq(a, b):

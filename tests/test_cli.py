@@ -131,6 +131,14 @@ class TestConfigFile:
         assert run(["verify", "--config", str(cfg_path),
                     "--out", str(tmp_path / "r")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("field", [{"grid": "64"}, {"instances": "5"}])
+    def test_grid_or_instances_of_wrong_type(self, tmp_path, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict({"suites": ["sphere"], "n": [3]}, **field)))
+        out = tmp_path / "r"
+        assert run(["verify", "--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
+        assert not (tmp_path / "r.json").exists()
+
     def test_bad_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")

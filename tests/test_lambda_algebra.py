@@ -1,4 +1,5 @@
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -230,3 +231,140 @@ class TestInterpolate:
             assert got == target
             for x in xs:
                 assert got(Fraction(x)) == target(Fraction(x))
+
+
+# Plain Fraction-list reference for the integer-content core: lists of
+# Fractions in ascending order with no trailing zeros.
+
+def ref_strip(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return ref_strip(out)
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_strip(out)
+
+
+def ref_divmod(a, b):
+    rem = list(a)
+    d = len(b) - 1
+    q = [Fraction(0)] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        f = rem[i] / b[-1]
+        q[i - d] = f
+        for j, c in enumerate(b):
+            rem[i - d + j] -= f * c
+    return ref_strip(q), ref_strip(rem)
+
+
+def ref_monic(a):
+    return [c / a[-1] for c in a] if a else []
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_eval_float(a, x):
+    acc = 0.0
+    for c in reversed(a):
+        acc = acc * x + float(c)
+    return acc
+
+
+wide_fracs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+coeff_lists = st.lists(wide_fracs, max_size=6).map(ref_strip)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestAgainstFractionReference:
+    @given(coeff_lists, coeff_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_add_mul_divmod(self, a, b):
+        p, q = LambdaPoly(a), LambdaPoly(b)
+        assert list(p.coeffs) == a
+        assert list((p + q).coeffs) == ref_add(a, b)
+        assert list((p - q).coeffs) == ref_add(a, [-c for c in b])
+        assert list((p * q).coeffs) == ref_mul(a, b)
+        if b:
+            quot, rem = p.divmod(q)
+            ref_q, ref_r = ref_divmod(a, b)
+            assert list(quot.coeffs) == ref_q
+            assert list(rem.coeffs) == ref_r
+
+    @given(coeff_lists, coeff_lists, coeff_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_gcd_with_planted_factor(self, a, b, g):
+        p, q = ref_mul(a, g), ref_mul(b, g)
+        assert list(poly_gcd(LambdaPoly(p), LambdaPoly(q)).coeffs) == ref_gcd(p, q)
+
+    @given(coeff_lists, coeff_lists, coeff_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_rat_normal_form(self, a, b, g):
+        num, den = ref_mul(a, g), ref_mul(b, g)
+        if not den:
+            return
+        r = LambdaRat(LambdaPoly(num), LambdaPoly(den))
+        common = ref_gcd(num, den)
+        ref_num, ref_den = ref_divmod(num, common)[0], ref_divmod(den, common)[0]
+        lead = ref_den[-1]
+        ref_num, ref_den = [c / lead for c in ref_num], [c / lead for c in ref_den]
+        if not ref_num:
+            ref_den = [Fraction(1)]
+        assert list(r.num.coeffs) == ref_num
+        assert list(r.den.coeffs) == ref_den
+
+    @given(coeff_lists, st.floats(min_value=-1e3, max_value=1e3))
+    @settings(max_examples=120, deadline=None)
+    def test_float_eval_bitwise(self, a, x):
+        assert bits(LambdaPoly(a)(x)) == bits(ref_eval_float(a, x))
+
+    @given(coeff_lists, wide_fracs)
+    @settings(max_examples=60, deadline=None)
+    def test_exact_eval_and_shift(self, a, x):
+        p = LambdaPoly(a)
+        ref = Fraction(0)
+        for c in reversed(a):
+            ref = ref * x + c
+        assert p(x) == ref
+        assert p.shift(x)(Fraction(0)) == ref
+        assert p.shift(x).shift(-x) == p
+
+    def test_canonical_form(self):
+        """Unreduced input gives the same structure, hash and coeffs."""
+        p = LambdaPoly([Fraction(2, 4), 0])
+        q = LambdaPoly([Fraction(1, 2)])
+        assert p == q and hash(p) == hash(q)
+        assert p.coeffs == q.coeffs == (Fraction(1, 2),)
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert p == Fraction(1, 2) and Fraction(1, 2) == p
+        assert LambdaPoly([3, 0]) == 3 and 3 == LambdaPoly([3])
+        assert LambdaPoly([Fraction(6, 4), 3]) == LambdaPoly([Fraction(1, 2), 1]) * 3
+        assert LambdaPoly([Fraction(1, 3), Fraction(1, 6)]).leading() == Fraction(1, 6)
+
+    def test_coeffs_read_only(self):
+        p = LambdaPoly([1, 2])
+        with pytest.raises(AttributeError):
+            p.coeffs = (Fraction(0),)
