@@ -9,12 +9,14 @@ Layers, bottom up:
   hypergeom       terminating hypergeometric sums and classical identities
   sphere          exact round-sphere model: v-coefficients, T/P families on
                   constants, residue polynomials, master relations
-  grid, conformal periodic 2-torus charts, conformally flat metrics in
-                  background dimension n, discrete curvature and operators
+  grid, presets,  periodic 2-torus charts and stencils, seeded test metrics,
+  conformal       conformally flat metrics in background dimension n,
+                  discrete curvature and operators
   families        lambda-dependent operator families T2, T4, P_2N on grids
   holographic     holographic coefficients, Q-curvature routes, master checks,
                   the critical n=4 suite, conformal covariance
-  reports, cli    check reports, deterministic JSON/markdown output, driver
+  reports, cli    check verdicts, run configuration, deterministic
+                  JSON/markdown output, command line
 """
 
 __version__ = "0.1.0"

@@ -11,18 +11,16 @@ Subcommands:
 Exit codes: 0 every check passed, 1 at least one check failed, 2 usage or
 configuration error. A failing run still writes its reports.
 
-Suites run in a thread pool; HOLOQ_THREADS caps the worker count. Report
-assembly is single-threaded and sorted by check id, so reruns with the same
-configuration and seed produce byte-identical JSON apart from the timestamp.
+Suites run one after another. Reports are sorted by check id, so reruns
+with the same configuration and seed produce byte-identical JSON apart from
+the timestamp.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -38,6 +36,7 @@ from .holographic import (
 from .hypergeom import hypergeom_suite
 from .presets import preset_phi
 from .reports import (
+    CheckReport,
     QuantitiesReport,
     RunConfig,
     all_passed,
@@ -85,23 +84,6 @@ def _parse_lambdas(text: str):
     return parts
 
 
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("HOLOQ_THREADS")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise UsageError(f"HOLOQ_THREADS must be an integer, got {cap!r}")
-        if cap < 1:
-            raise UsageError("HOLOQ_THREADS must be >= 1")
-        return min(cap, max(1, n_tasks))
-    return max(1, min(n_tasks, os.cpu_count() or 1))
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _load_config(args) -> RunConfig:
     base = RunConfig()
     if args.config:
@@ -134,18 +116,13 @@ def _load_config(args) -> RunConfig:
         raise UsageError(f"unknown suites {unknown}; choose from {list(SUITES)} or all")
     if config.format not in ("json", "md", "both"):
         raise UsageError(f"format must be json, md or both, got {config.format!r}")
-    if not _is_int(config.nmax) or not 1 <= config.nmax <= MAX_RADIAL_ORDER:
+    if not 1 <= config.nmax <= MAX_RADIAL_ORDER:
         raise UsageError(
             f"--Nmax must be an integer in 1..{MAX_RADIAL_ORDER}, got {config.nmax!r}")
-    if not _is_int(config.grid) or config.grid < 16 or config.grid % 2:
+    if config.grid < 16 or config.grid % 2:
         raise UsageError(f"grid size must be an even integer >= 16, got {config.grid!r}")
-    if not _is_int(config.instances) or config.instances < 1:
+    if config.instances < 1:
         raise UsageError(f"instances must be an integer >= 1, got {config.instances!r}")
-    if config.einstein_j is not None:
-        try:
-            Fraction(config.einstein_j)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"cannot parse --einstein-j value {config.einstein_j!r}")
     return config
 
 
@@ -174,48 +151,31 @@ def _load_phi(config: RunConfig):
     return phi, [note]
 
 
-def _suite_jobs(config: RunConfig, phi):
-    names = list(SUITES) if "all" in config.suites else []
-    for s in config.suites:
-        if s != "all" and s not in names:
-            names.append(s)
+def _run_suites(config: RunConfig, phi):
+    names = list(SUITES) if "all" in config.suites else list(dict.fromkeys(config.suites))
     num_tol = config.tol if config.tol is not None else 1e-6
     crit_tol = config.tol if config.tol is not None else 1e-5
-    jobs = []
-    for name in names:
-        if name == "sphere":
-            n_values = config.n or range(3, 13)
-            jobs.append((name, lambda nv=n_values: sphere_suite(nv, nmax=config.nmax)))
-        elif name == "hypergeom":
-            jobs.append((name, lambda: hypergeom_suite(
-                instances=config.instances, seed=config.seed)))
-        elif name == "numeric":
-            n_values = config.n or (4, 6)
-            jobs.append((name, lambda nv=n_values: numeric_suite(
-                n_values=nv, size=config.grid, preset=config.preset,
-                seed=config.seed, lambdas=config.lambda_values(),
-                tol=num_tol, phi=phi)))
-        elif name == "critical-n4":
-            jobs.append((name, lambda: critical_n4_suite(
-                size=config.grid, preset=config.preset, seed=config.seed,
-                tol=crit_tol, phi=phi)))
-        elif name == "conformal":
-            jobs.append((name, lambda: conformal_suite(
-                size=config.grid, preset=config.preset, seed=config.seed,
-                tol=crit_tol, phi=phi)))
-    return jobs
-
-
-def _run_suites(config: RunConfig, phi):
-    jobs = _suite_jobs(config, phi)
     checks = []
-    with ThreadPoolExecutor(max_workers=_worker_count(len(jobs))) as pool:
-        futures = [(name, pool.submit(thunk)) for name, thunk in jobs]
-        for name, fut in futures:
-            try:
-                checks.extend(fut.result())
-            except ValueError as exc:
-                raise UsageError(f"suite {name}: {exc}")
+    for name in names:
+        try:
+            if name == "sphere":
+                checks.extend(sphere_suite(config.n or range(3, 13), nmax=config.nmax))
+            elif name == "hypergeom":
+                checks.extend(hypergeom_suite(instances=config.instances, seed=config.seed))
+            elif name == "numeric":
+                checks.extend(numeric_suite(
+                    n_values=config.n or (4, 6), size=config.grid, preset=config.preset,
+                    seed=config.seed, lambdas=config.lambda_values(), tol=num_tol, phi=phi))
+            elif name == "critical-n4":
+                checks.extend(critical_n4_suite(
+                    size=config.grid, preset=config.preset, seed=config.seed,
+                    tol=crit_tol, phi=phi))
+            elif name == "conformal":
+                checks.extend(conformal_suite(
+                    size=config.grid, preset=config.preset, seed=config.seed,
+                    tol=crit_tol, phi=phi))
+        except ValueError as exc:
+            raise UsageError(f"suite {name}: {exc}")
     if config.einstein_j is not None:
         J = Fraction(config.einstein_j)
         for n in config.n or (4, 6, 8):
@@ -266,34 +226,28 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if all_passed(checks) else EXIT_FAIL
 
 
-def _checks_from_body(body: dict):
-    from .reports import CheckReport
-
-    checks = []
-    for c in body.get("checks", []):
-        checks.append(CheckReport(
-            id=c["id"], equation=c.get("equation", ""),
-            params=c.get("params", {}), passed=c["passed"],
-            exact=c.get("exact"), residual=c.get("residual"),
-            tol=c.get("tol"), scale=c.get("scale"),
-            details=c.get("details", {})))
-    return checks
+def _read_run(path):
+    """(checks, config, timestamp) of a stored JSON run."""
+    try:
+        with open(path) as fh:
+            body = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read run file {path}: {exc}")
+    if not isinstance(body, dict):
+        raise UsageError(f"malformed run file {path}: not a JSON object")
+    try:
+        checks = [CheckReport.from_dict(c) for c in body.get("checks", [])]
+        cfg = body.get("config")
+        config = RunConfig.from_dict(dict(cfg, n=cfg.get("n") or None)) if cfg else None
+        timestamp = body.get("meta", {}).get("timestamp", "")
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed run file {path}: {exc}")
+    return checks, config, timestamp
 
 
 def cmd_report(args) -> int:
     if args.source:
-        try:
-            with open(args.source) as fh:
-                body = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read run file {args.source}: {exc}")
-        checks = _checks_from_body(body)
-        config = None
-        if body.get("config"):
-            cfg = dict(body["config"])
-            cfg["n"] = cfg.get("n") or None
-            config = RunConfig.from_dict(cfg)
-        timestamp = body.get("meta", {}).get("timestamp", "")
+        checks, config, timestamp = _read_run(args.source)
     else:
         checks, config, timestamp = [], None, \
             datetime.now(timezone.utc).isoformat(timespec="seconds")

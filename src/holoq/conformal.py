@@ -3,7 +3,7 @@
 The conformal factor depends on two coordinates; the remaining n - 2 flat
 directions ride along. curvature() evaluates the closed-form Schouten data,
 oracle_curvature() recomputes it from Christoffel symbols of the metric
-components, and the two are compared in tests. Differential operators are
+components, and the numeric suite compares the two. Differential operators are
 written in conservative form so their weighted adjoints are exact at the
 matrix level, not just to truncation order.
 """
@@ -111,24 +111,8 @@ def grad_pair_J(b: CurvatureBundle, f, form: str = "commutator"):
     raise ValueError(f"unknown form {form!r}")
 
 
-def grad_pair_direct_transpose(b: CurvatureBundle, g):
-    """Exact weighted transpose of the direct-form gradient pairing."""
-    ch = b.chart
-    acc = 0.0
-    for i in range(2):
-        acc = acc + d1(ch, b.em2 * b.dJ[i] * b.enphi * g, i)
-    return -acc / b.enphi
-
-
-def integrate(b: CurvatureBundle, f) -> float:
-    return float(np.sum(f * b.W))
-
-
 def inner(b: CurvatureBundle, f, g) -> float:
     return float(np.sum(f * g * b.W))
-
-
-PRIMITIVES = ("id", "lap", "mJ", "mPsq", "mLapJ", "pdiv", "gJ")
 
 
 def apply_primitive(b: CurvatureBundle, name: str, f):

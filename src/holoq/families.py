@@ -57,10 +57,6 @@ class FieldPoly:
             out[k] = out[k] + c
         return FieldPoly(out)
 
-    def scale(self, c):
-        c = float(c)
-        return FieldPoly([c * arr for arr in self.coeffs])
-
     def mul_poly(self, p: LambdaPoly):
         if not self.coeffs:
             return FieldPoly()
@@ -161,16 +157,21 @@ class LambdaOperator:
                 den = den * rat.den
         return num, den
 
-    def apply_at(self, bundle: CurvatureBundle, f, lam, residue_tol=1e-9):
+    def apply_at(self, bundle: CurvatureBundle, f, lam):
         """Evaluate at a rational parameter value, dividing out removable poles."""
-        return pair_value(self.field_poly(bundle, f), lam, residue_tol)
+        return pair_value(self.field_poly(bundle, f), lam)
 
-    def derivative_at(self, bundle: CurvatureBundle, f, lam, residue_tol=1e-9):
+    def derivative_at(self, bundle: CurvatureBundle, f, lam):
         """Parameter derivative at a rational value via the quotient rule."""
-        return pair_derivative(self.field_poly(bundle, f), lam, residue_tol)
+        return pair_derivative(self.field_poly(bundle, f), lam)
 
 
-def _reduced(pair, lam, residue_tol):
+# A pole is removable when the numerator's residue there is below this
+# fraction of the reduced numerator's size.
+RESIDUE_TOL = 1e-9
+
+
+def _reduced(pair, lam):
     """Divide the removable poles at lam out of a (num, den) pair."""
     num, den = pair
     lam = Fraction(lam)
@@ -183,22 +184,22 @@ def _reduced(pair, lam, residue_tol):
         num, residue = num.divide_linear(lam)
         res_norm = float(np.max(np.abs(residue))) if not isinstance(residue, float) else 0.0
         scale = max(num.max_norm(), 1.0)
-        if res_norm > residue_tol * scale:
+        if res_norm > RESIDUE_TOL * scale:
             raise PoleError(lam, res_norm)
         info["reduced"] += 1
         info["residue_norm"] = max(info["residue_norm"], res_norm)
     return num, den, lam, info
 
 
-def pair_value(pair, lam, residue_tol=1e-9):
+def pair_value(pair, lam):
     """Value of a field_poly (num, den) pair at a rational parameter value."""
-    num, den, lam, info = _reduced(pair, lam, residue_tol)
+    num, den, lam, info = _reduced(pair, lam)
     return num.eval(lam) / float(den(lam)), info
 
 
-def pair_derivative(pair, lam, residue_tol=1e-9):
+def pair_derivative(pair, lam):
     """Parameter derivative of a field_poly (num, den) pair, by the quotient rule."""
-    num, den, lam, info = _reduced(pair, lam, residue_tol)
+    num, den, lam, info = _reduced(pair, lam)
     d = float(den(lam))
     dprime = float(den.derivative()(lam))
     n_val = num.eval(lam)
@@ -232,10 +233,6 @@ def build_T(n: int, N: int) -> LambdaOperator:
         "higher orders are covered by the exact sphere closed forms")
 
 
-def identity_operator(n: int) -> LambdaOperator:
-    return LambdaOperator(n, [(Fraction(1), (((Fraction(1), "id"),),))])
-
-
 def build_P(n: int, N: int) -> LambdaOperator:
     """Polynomial normalization of the order-2N family.
 
@@ -249,8 +246,3 @@ def build_P(n: int, N: int) -> LambdaOperator:
         raise AssertionError("normalized family failed to clear denominators")
     return op
 
-
-def gjms(n: int, N: int, bundle: CurvatureBundle, f):
-    """The conformally covariant power-of-Laplacian operator of order 2N."""
-    value, _ = build_P(n, N).apply_at(bundle, f, Fraction(n, 2) - N)
-    return value

@@ -1,8 +1,8 @@
 """Periodic 2-torus charts and 4th-order centered difference stencils.
 
 Fields are float64 arrays on a uniform [0, 2pi)^2 grid. The first-derivative
-stencil is exactly antisymmetric under the grid transpose and the second-
-derivative stencil exactly symmetric, which the adjoint machinery relies on.
+stencil is exactly antisymmetric under the grid transpose, which the adjoint
+machinery relies on; second derivatives are nested first derivatives.
 """
 
 from __future__ import annotations
@@ -55,18 +55,12 @@ def d1(chart: TorusChart, f, axis: int):
             - 8.0 * _shift(f, -1, axis) + _shift(f, -2, axis)) / (12.0 * h)
 
 
-def d2(chart: TorusChart, f, axis: int):
-    """4th-order second derivative: (-f2 + 16 f1 - 30 f + 16 f-1 - f-2) / 12h^2."""
-    h = chart.spacing(axis)
-    return (-_shift(f, 2, axis) + 16.0 * _shift(f, 1, axis) - 30.0 * f
-            + 16.0 * _shift(f, -1, axis) - _shift(f, -2, axis)) / (12.0 * h * h)
-
-
 def hessian(chart: TorusChart, f):
     """Nested first-derivative Hessian [[f_11, f_12], [f_12, f_22]].
 
     Both curvature routes use this same composition so their comparison is
-    not polluted by the (equally 4th-order) D2-versus-D1oD1 truncation gap.
+    not polluted by the truncation gap between a direct second-derivative
+    stencil and nested first derivatives.
     """
     g0 = d1(chart, f, 0)
     g1 = d1(chart, f, 1)

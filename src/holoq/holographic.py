@@ -26,9 +26,9 @@ from .conformal import (
 )
 from .families import PoleError, build_P, build_T, pair_derivative, pair_value
 from .grid import TorusChart
-from .lambda_algebra import LAMBDA, LambdaPoly, binomial, pochhammer
+from .lambda_algebra import LAMBDA, binomial, interpolate, pochhammer
 from .presets import preset_phi
-from .reports import CheckReport
+from .reports import CheckReport, exact_report, tolerance_report
 
 DEFAULT_LAMBDAS = (Fraction(0), Fraction(1, 3), Fraction(5), Fraction(-2), Fraction(7, 2))
 
@@ -54,33 +54,6 @@ def family_poly(b: CurvatureBundle, j: int, k: int):
         pair = build_T(b.n, j).adjoint().field_poly(b, holo_coeffs(b)[k])
         b.family_polys[(j, k)] = pair
     return pair
-
-
-def holo_coeffs_from_expansion(h2_trace, h2_sq_trace, h4_trace):
-    """Coefficients from metric-expansion traces.
-
-    v2 = tr(h2)/2 and v4 = tr(h4)/2 - tr(h2^2)/4 + tr(h2)^2/8, with h2 = -P
-    in mixed indices. The sign of the first-order term is calibrated so the
-    round-sphere traces reproduce the closed-form coefficient -n/4; the
-    second-order formula needs no adjustment.
-    """
-    v2 = h2_trace / 2
-    v4 = h4_trace / 2 - h2_sq_trace / 4 + h2_trace**2 / 8
-    return v2, v4
-
-
-def expansion_traces(b: CurvatureBundle):
-    """Traces of h2 = -P and h4 = P^2/4 with indices raised by the metric."""
-    p_mixed = [[b.em2 * b.P[i][k] for k in range(2)] for i in range(2)]
-    p_in = b.em2 * b.p_inactive
-    t_p = p_mixed[0][0] + p_mixed[1][1] + (b.n - 2) * p_in
-    t_p2 = (sum(p_mixed[i][k] * p_mixed[k][i] for i in range(2) for k in range(2))
-            + (b.n - 2) * p_in**2)
-    return -t_p, t_p2, t_p2 / 4
-
-
-def q2(b: CurvatureBundle):
-    return b.J
 
 
 def q4_direct(b: CurvatureBundle):
@@ -142,19 +115,8 @@ class EinsteinModel:
         num = mu * ((mu + 2) * self.J**2 + (2 * mu - self.n + 2) * self.schouten_norm_sq())
         return c * num / (8 * (self.n - 2 - 2 * mu) * (self.n - 4 - 2 * mu))
 
-    def q2(self) -> Fraction:
-        return self.J
-
     def q4(self) -> Fraction:
         return self.J**2 * (self.n**2 - 4) / (2 * self.n)
-
-
-def _report(check_id, equation, params, residual, base_tol, scale, details=None, seconds=0.0):
-    scale = max(1.0, float(scale))
-    tol = base_tol * scale
-    return CheckReport(id=check_id, equation=equation, params=params,
-                       passed=bool(residual <= tol), residual=float(residual),
-                       tol=tol, scale=scale, details=details or {}, seconds=seconds)
 
 
 def _t_star_values(b: CurvatureBundle, N: int, mu: Fraction):
@@ -178,10 +140,10 @@ def master_check_numeric(b: CurvatureBundle, N: int, lam: Fraction,
     s1 = sum(j * t for j, t in enumerate(terms))
     residual_field = N * float(lam) * s0 + float(lam - b.n + 2 * N) * s1
     scale = max([np.max(np.abs(t)) for t in terms] + [np.max(np.abs(s0)), np.max(np.abs(s1))])
-    return _report(f"master3-n{b.n}-N{N}-l{lam}", "master-3",
-                   {"n": b.n, "N": N, "lambda": lam},
-                   np.max(np.abs(residual_field)), tol, scale,
-                   seconds=time.perf_counter() - t0)
+    return tolerance_report(f"master3-n{b.n}-N{N}-l{lam}", "master-3",
+                            {"n": b.n, "N": N, "lambda": lam},
+                            np.max(np.abs(residual_field)), tol, scale,
+                            seconds=time.perf_counter() - t0)
 
 
 def example_2_3_checks(b: CurvatureBundle, lam: Fraction, tol: float = 1e-6):
@@ -202,18 +164,18 @@ def example_2_3_checks(b: CurvatureBundle, lam: Fraction, tol: float = 1e-6):
     lhs_i = 8 * t4 + 6 * t2 + 4 * v[2]
     rhs_i = float(f - 2) * g_field / float(d_val)
     scale = max(np.max(np.abs(lhs_i)), np.max(np.abs(rhs_i)), np.max(np.abs(g_field)))
-    reports.append(_report(f"ex23-i-n{n}-l{lam}", "example-2.3-i",
-                           {"n": n, "lambda": lam},
-                           np.max(np.abs(lhs_i - rhs_i)), tol, scale,
-                           seconds=time.perf_counter() - t0))
+    reports.append(tolerance_report(f"ex23-i-n{n}-l{lam}", "example-2.3-i",
+                                    {"n": n, "lambda": lam},
+                                    np.max(np.abs(lhs_i - rhs_i)), tol, scale,
+                                    seconds=time.perf_counter() - t0))
     t0 = time.perf_counter()
     lhs_ii = t4 + t2 + v[2]
     rhs_ii = -float(lam - n + 4) * g_field / float(8 * d_val)
     scale = max(np.max(np.abs(lhs_ii)), np.max(np.abs(rhs_ii)), np.max(np.abs(g_field)))
-    reports.append(_report(f"ex23-ii-n{n}-l{lam}", "example-2.3-ii",
-                           {"n": n, "lambda": lam},
-                           np.max(np.abs(lhs_ii - rhs_ii)), tol, scale,
-                           seconds=time.perf_counter() - t0))
+    reports.append(tolerance_report(f"ex23-ii-n{n}-l{lam}", "example-2.3-ii",
+                                    {"n": n, "lambda": lam},
+                                    np.max(np.abs(lhs_ii - rhs_ii)), tol, scale,
+                                    seconds=time.perf_counter() - t0))
     return reports
 
 
@@ -231,18 +193,12 @@ def _abscissae(n: int, N: int, count: int):
 
 
 def _float_interpolate(xs, ys):
-    """Exact Lagrange weights applied to float sample values."""
+    """Exact Lagrange basis polynomials applied to float sample values."""
     coeffs = [0.0] * len(xs)
-    for k, (xk, yk) in enumerate(zip(xs, ys)):
-        basis = LambdaPoly((Fraction(1),))
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == k:
-                continue
-            basis = basis * LambdaPoly((-xj, Fraction(1)))
-            denom *= xk - xj
+    for k, yk in enumerate(ys):
+        basis = interpolate([(x, int(j == k)) for j, x in enumerate(xs)])
         for p, c in enumerate(basis.coeffs):
-            coeffs[p] += float(c / denom) * yk
+            coeffs[p] += float(c) * yk
     return coeffs
 
 
@@ -287,27 +243,27 @@ def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6, point=None):
     scale = meta["scale"]
     n = b.n
     f = Fraction(n, 2)
-    reports = [_report(f"qres-van-n{n}-N{N}", "Q-van", {"n": n, "N": N},
-                       abs(qc[0]), tol, scale,
-                       details={"coeffs": qc}, seconds=time.perf_counter() - t0)]
+    reports = [tolerance_report(f"qres-van-n{n}-N{N}", "Q-van", {"n": n, "N": N},
+                                abs(qc[0]), tol, scale,
+                                details={"coeffs": qc}, seconds=time.perf_counter() - t0)]
     if N == 1:
         j_at_point = float(b.J[meta["point"]])
-        reports.append(_report(f"qres-slope-n{n}", "Q-pol", {"n": n, "N": 1},
-                               abs(qc[1] - j_at_point), tol, scale,
-                               details={"slope": qc[1], "J_at_point": j_at_point}))
-    reports.append(_report(f"vdeg-n{n}-N{N}", "V-pol-deg", {"n": n, "N": N},
-                           abs(vc[N]), tol, scale, details={"coeffs": vc}))
+        reports.append(tolerance_report(f"qres-slope-n{n}", "Q-pol", {"n": n, "N": 1},
+                                        abs(qc[1] - j_at_point), tol, scale,
+                                        details={"slope": qc[1], "J_at_point": j_at_point}))
+    reports.append(tolerance_report(f"vdeg-n{n}-N{N}", "V-pol-deg", {"n": n, "N": N},
+                                    abs(vc[N]), tol, scale, details={"coeffs": vc}))
     if n == 2 * N:
-        reports.append(_report(f"vcrit-n{n}-N{N}", "V-van", {"n": n, "N": N},
-                               max(abs(c) for c in vc), tol, scale))
+        reports.append(tolerance_report(f"vcrit-n{n}-N{N}", "V-van", {"n": n, "N": N},
+                                        max(abs(c) for c in vc), tol, scale))
     # Proportionality between the two polynomials: 4^{N-1} (N-1)! lam V(lam)
     # equals (n/2 - N) qres(lam); compare coefficientwise.
     const = float(4 ** (N - 1) * factorial(N - 1))
     lhs = [0.0] + [const * c for c in vc]
     rhs = [float(f - N) * c for c in qc] + [0.0]
     resid = max(abs(a - c) for a, c in zip(lhs, rhs))
-    reports.append(_report(f"master1-n{n}-N{N}", "master-1", {"n": n, "N": N},
-                           resid, tol, scale))
+    reports.append(tolerance_report(f"master1-n{n}-N{N}", "master-1", {"n": n, "N": N},
+                                    resid, tol, scale))
     return reports
 
 
@@ -326,10 +282,10 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5):
     lhs_a = 4 * v[2] + 2 * t2v2
     rhs_a = q4 / 4
     scale = max(np.max(np.abs(lhs_a)), np.max(np.abs(q4)))
-    reports.append(_report("crit-a", "holo-crit", {"n": 4},
-                           np.max(np.abs(lhs_a - rhs_a)), tol, scale,
-                           details={"equivalent_form": "q4 = 16 v4 - lap J"},
-                           seconds=time.perf_counter() - t0))
+    reports.append(tolerance_report("crit-a", "holo-crit", {"n": 4},
+                                    np.max(np.abs(lhs_a - rhs_a)), tol, scale,
+                                    details={"equivalent_form": "q4 = 16 v4 - lap J"},
+                                    seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     ones = np.ones(b.chart.shape)
@@ -338,24 +294,24 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5):
     lhs_b = 4 * (p_dot_star - p_dot)
     rhs_b = 32 * 2 * t2v2
     scale = max(np.max(np.abs(lhs_b)), np.max(np.abs(rhs_b)), np.max(np.abs(b.lapJ)))
-    reports.append(_report("crit-b", "gj-derivative", {"n": 4},
-                           np.max(np.abs(lhs_b - rhs_b)), tol, scale,
-                           details={"closed_form": "both sides -8 lap J",
-                                    "closed_form_residual":
-                                        float(np.max(np.abs(lhs_b + 8 * b.lapJ)))},
-                           seconds=time.perf_counter() - t0))
+    reports.append(tolerance_report("crit-b", "gj-derivative", {"n": 4},
+                                    np.max(np.abs(lhs_b - rhs_b)), tol, scale,
+                                    details={"closed_form": "both sides -8 lap J",
+                                             "closed_form_residual":
+                                                 float(np.max(np.abs(lhs_b + 8 * b.lapJ)))},
+                                    seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     res_plain = float(np.max(np.abs(p_dot - q4)))
     res_star = float(np.max(np.abs(p_dot_star - q4)))
     scale = max(np.max(np.abs(q4)), np.max(np.abs(p_dot)))
     matched = "unstarred" if res_plain <= res_star else "starred"
-    reports.append(_report("crit-c", "property-2", {"n": 4},
-                           min(res_plain, res_star), tol, scale,
-                           details={"unstarred_residual": res_plain,
-                                    "starred_residual": res_star,
-                                    "matched": matched},
-                           seconds=time.perf_counter() - t0))
+    reports.append(tolerance_report("crit-c", "property-2", {"n": 4},
+                                    min(res_plain, res_star), tol, scale,
+                                    details={"unstarred_residual": res_plain,
+                                             "starred_residual": res_star,
+                                             "matched": matched},
+                                    seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     qc, vc, meta = qres_and_v_polys(b, 2)
@@ -365,11 +321,11 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5):
     res_plus = abs(slope - q4_pt)
     res_minus = abs(slope + q4_pt)
     sign = "+" if res_plus <= res_minus else "-"
-    reports.append(_report("crit-d", "qres-derivative", {"n": 4},
-                           min(res_plus, res_minus), tol, meta["scale"],
-                           details={"slope": slope, "q4_at_point": q4_pt,
-                                    "matched_sign": sign},
-                           seconds=time.perf_counter() - t0))
+    reports.append(tolerance_report("crit-d", "qres-derivative", {"n": 4},
+                                    min(res_plus, res_minus), tol, meta["scale"],
+                                    details={"slope": slope, "q4_at_point": q4_pt,
+                                             "matched_sign": sign},
+                                    seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     t2_dot, _ = pair_derivative(family_poly(b, 1, 1), zero)
@@ -378,11 +334,11 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5):
     lhs_e = float(lhs_e_field[point])
     rhs_e = -qc[2] - q4_pt
     scale = max(np.max(np.abs(lhs_e_field)), abs(rhs_e), meta["scale"])
-    reports.append(_report("crit-e", "harmonic-sum", {"n": 4},
-                           abs(lhs_e - rhs_e), tol, scale,
-                           details={"harmonic_sum": "1 (single term)",
-                                    "qres_coeffs": qc},
-                           seconds=time.perf_counter() - t0))
+    reports.append(tolerance_report("crit-e", "harmonic-sum", {"n": 4},
+                                    abs(lhs_e - rhs_e), tol, scale,
+                                    details={"harmonic_sum": "1 (single term)",
+                                             "qres_coeffs": qc},
+                                    seconds=time.perf_counter() - t0))
     return reports
 
 
@@ -398,22 +354,20 @@ def conformal_covariance_q4(chart: TorusChart, phi, omega,
     p4_omega, _ = build_P(4, 2).apply_at(base, omega, Fraction(0))
     rhs = q4_direct(base) + p4_omega
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), np.max(np.abs(p4_omega)))
-    return _report("conformal-covariance-q4", "q-transform", {"n": 4},
-                   np.max(np.abs(lhs - rhs)), tol, scale,
-                   seconds=time.perf_counter() - t0)
+    return tolerance_report("conformal-covariance-q4", "q-transform", {"n": 4},
+                            np.max(np.abs(lhs - rhs)), tol, scale,
+                            seconds=time.perf_counter() - t0)
 
 
 def _phi_on(n: int, size: int, preset: str, seed: int, phi):
-    """Conformal factor at the requested resolution: preset sample, or for a
-    user-supplied field the fine array itself and its 2:1 subsample."""
+    """Chart of the given size and the conformal factor on it: the preset
+    sampled there, or the supplied field, which must have that shape."""
     ch = TorusChart(n, (size, size))
     if phi is None:
         return ch, preset_phi(ch, preset, seed=seed)
-    if phi.shape == ch.shape:
-        return ch, phi
-    if (phi.shape[0] // 2, phi.shape[1] // 2) == ch.shape:
-        return ch, phi[::2, ::2]
-    raise ValueError(f"phi shape {phi.shape} does not match grid {ch.shape}")
+    if phi.shape != ch.shape:
+        raise ValueError(f"phi shape {phi.shape} does not match grid {ch.shape}")
+    return ch, phi
 
 
 def _curvature_reports(n: int, size: int, preset: str, seed: int, tol: float,
@@ -427,14 +381,15 @@ def _curvature_reports(n: int, size: int, preset: str, seed: int, tol: float,
               max(np.max(np.abs(b.P[i][k] - oracle["P_active"][i][k]))
                   for i in range(2) for k in range(2)))
     scale = max(np.max(np.abs(oracle["J"])), np.max(np.abs(oracle["Psq"])))
-    reports.append(_report(f"curv-oracle-n{n}", "schouten-formula",
-                           {"n": n, "grid": size, "preset": preset},
-                           gap, tol, scale, seconds=time.perf_counter() - t0))
+    reports.append(tolerance_report(f"curv-oracle-n{n}", "schouten-formula",
+                                    {"n": n, "grid": size, "preset": preset},
+                                    gap, tol, scale, seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
+    coarse_phi = None if phi is None else phi[::2, ::2]
     gaps = []
     for s in (size // 2, size):
-        bs = b if s == size else curvature(*_phi_on(n, s, preset, seed, phi))
+        bs = b if s == size else curvature(*_phi_on(n, s, preset, seed, coarse_phi))
         om = oracle_curvature(bs.chart, bs.phi, route="metric")
         gaps.append(float(np.max(np.abs(bs.J - om["J"]))))
     ratio = gaps[0] / max(gaps[1], 1e-300)
@@ -448,7 +403,12 @@ def _curvature_reports(n: int, size: int, preset: str, seed: int, tol: float,
     return b, reports
 
 
-def _adjoint_reports(b: CurvatureBundle, seed: int, tol: float):
+# The weighted adjoints are exact at the matrix level, so their residuals are
+# rounding-limited and get a bound of their own, independent of --tol.
+ADJOINT_TOL = 1e-8
+
+
+def _adjoint_reports(b: CurvatureBundle, seed: int):
     rng = np.random.default_rng(seed + 211)
     f = rng.standard_normal(b.chart.shape)
     g = rng.standard_normal(b.chart.shape)
@@ -465,15 +425,14 @@ def _adjoint_reports(b: CurvatureBundle, seed: int, tol: float):
         t0 = time.perf_counter()
         res = abs(thunk())
         scale = abs(inner(b, f, g)) + 1.0
-        reports.append(_report(f"adjoint-{name}-n{n}", "self-adjointness",
-                               {"n": n}, res, tol, scale,
-                               seconds=time.perf_counter() - t0))
+        reports.append(tolerance_report(f"adjoint-{name}-n{n}", "self-adjointness",
+                                        {"n": n}, res, ADJOINT_TOL, scale,
+                                        seconds=time.perf_counter() - t0))
     return reports
 
 
 def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
-                  seed: int = 7, lambdas=DEFAULT_LAMBDAS, tol: float = 1e-6,
-                  adjoint_tol: float = 1e-8, phi=None):
+                  seed: int = 7, lambdas=DEFAULT_LAMBDAS, tol: float = 1e-6, phi=None):
     """Criterion checks for torus metrics: curvature routes, adjoints,
     Q-curvature duality, master relations, displayed identities, and the
     sampled polynomial invariants. phi, when given, replaces the preset at
@@ -484,14 +443,14 @@ def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
             raise ValueError("numeric suite needs n >= 4 for the fourth-order terms")
         b, curv_reports = _curvature_reports(n, size, preset, seed, tol, phi=phi)
         reports.extend(curv_reports)
-        reports.extend(_adjoint_reports(b, seed, adjoint_tol))
+        reports.extend(_adjoint_reports(b, seed))
 
         t0 = time.perf_counter()
         dual_gap = np.max(np.abs(q4_holographic(b) - q4_direct(b)))
         scale = np.max(np.abs(q4_direct(b)))
-        reports.append(_report(f"q4-dual-n{n}", "holo-Q4", {"n": n},
-                               dual_gap, tol, scale,
-                               seconds=time.perf_counter() - t0))
+        reports.append(tolerance_report(f"q4-dual-n{n}", "holo-Q4", {"n": n},
+                                        dual_gap, tol, scale,
+                                        seconds=time.perf_counter() - t0))
 
         t0 = time.perf_counter()
         forms_gap = np.max(np.abs(grad_pair_J(b, b.J, "commutator")
@@ -499,9 +458,9 @@ def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
         # h-limited wiring guard, not a criterion check: the two forms agree
         # only to the stencil truncation (about 1e-4 at 32^2), while a wrong
         # sign or factor would show up at the size of |dJ|^2 itself.
-        reports.append(_report(f"gradj-forms-n{n}", "pairing-forms", {"n": n},
-                               forms_gap, 1e-3, np.max(np.abs(b.J)),
-                               seconds=time.perf_counter() - t0))
+        reports.append(tolerance_report(f"gradj-forms-n{n}", "pairing-forms", {"n": n},
+                                        forms_gap, 1e-3, np.max(np.abs(b.J)),
+                                        seconds=time.perf_counter() - t0))
 
         f = Fraction(n, 2)
         for N in (1, 2):
@@ -524,28 +483,16 @@ def critical_n4_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
                       tol: float = 1e-5, phi=None):
     """Critical-case checks at n = 4 plus the vanishing of the sampled
     volume polynomial and the transformation law."""
-    ch = TorusChart(4, (size, size))
-    if phi is None:
-        base_phi = preset_phi(ch, preset, seed=seed)
-    elif phi.shape == ch.shape:
-        base_phi = phi
-    else:
-        raise ValueError(f"phi shape {phi.shape} does not match grid {ch.shape}")
-    b = curvature(ch, base_phi)
+    b = curvature(*_phi_on(4, size, preset, seed, phi))
     reports = critical_suite_n4(b, tol=tol)
     reports.extend(poly_checks(b, 2, tol=tol))
     # Unlike the identity checks above, the transformation-law residual is
     # limited by the h^4 Leibniz error of the stencils, so for preset input
     # it runs on the doubled grid to clear the same tolerance. A supplied
     # field cannot be upsampled and is checked at its own resolution.
-    if phi is None:
-        fine = TorusChart(4, (2 * size, 2 * size))
-        phi_fine = preset_phi(fine, preset, seed=seed)
-        omega = preset_phi(fine, "trig3", seed=seed + 5)
-        reports.append(conformal_covariance_q4(fine, phi_fine, omega, tol=tol))
-    else:
-        omega = preset_phi(ch, "trig3", seed=seed + 5)
-        reports.append(conformal_covariance_q4(ch, base_phi, omega, tol=tol))
+    ch, base = _phi_on(4, size if phi is not None else 2 * size, preset, seed, phi)
+    omega = preset_phi(ch, "trig3", seed=seed + 5)
+    reports.append(conformal_covariance_q4(ch, base, omega, tol=tol))
     return reports
 
 
@@ -554,12 +501,7 @@ def conformal_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
     """Transformation-law checks at n = 4 for a zero, a constant, and a
     generic band-limited shift. Preset input runs on the doubled grid for
     the same reason as in critical_n4_suite."""
-    if phi is None:
-        ch = TorusChart(4, (2 * size, 2 * size))
-        base = preset_phi(ch, preset, seed=seed)
-    else:
-        ch = TorusChart(4, phi.shape)
-        base = phi
+    ch, base = _phi_on(4, size if phi is not None else 2 * size, preset, seed, phi)
     shifts = [
         ("zero", ch.zeros()),
         ("const", 0.3 * np.ones(ch.shape)),
@@ -578,35 +520,25 @@ def einstein_checks(n: int, J: Fraction):
     from .sphere import SphereContext, sphere_Q
 
     model = EinsteinModel(n, J)
+    params = {"n": n, "J": model.J, "mode": "constant-curvature"}
+    # (id, equation, lhs, rhs, extra details) of each lhs == rhs identity
+    identities = [
+        ("einstein-v2", "v2", model.v(1), -model.J / 2, {}),
+        ("einstein-v4", "v4", model.v(2), (model.J**2 - model.schouten_norm_sq()) / 8, {}),
+        ("einstein-q4", "holo-Q4",
+         4 * (4 * model.v(2) + 2 * model.t2_star_const(Fraction(n, 2) - 2, model.v(1))),
+         model.q4(), {}),
+    ]
     reports = []
-
-    def exact(check_id, equation, lhs, rhs, details=None):
-        return CheckReport(id=check_id, equation=equation,
-                           params={"n": n, "J": model.J,
-                                   "mode": "constant-curvature",
-                                   "extension": True},
-                           passed=lhs == rhs, exact=True,
-                           details=dict(details or {}, lhs=lhs, rhs=rhs))
-
-    reports.append(exact("einstein-v2", "v2", model.v(1), -model.J / 2))
-    reports.append(exact("einstein-v4", "v4",
-                         model.v(2), (model.J**2 - model.schouten_norm_sq()) / 8))
-    reports.append(exact("einstein-q4", "holo-Q4",
-                         4 * (4 * model.v(2) + 2 * model.t2_star_const(
-                             Fraction(n, 2) - 2, model.v(1))),
-                         model.q4()))
     if n >= 6:
         q6 = q6_holographic(model)
         details = {}
         if model.J == Fraction(n, 2):
             sphere_value = sphere_Q(SphereContext(n), 3)
             details["sphere_value"] = sphere_value
-            reports.append(exact("einstein-q6-sphere", "holo-Q6", q6, sphere_value))
-        reports.append(CheckReport(id="einstein-q6", equation="holo-Q6",
-                                   params={"n": n, "J": model.J,
-                                           "mode": "constant-curvature"},
-                                   passed=True, exact=True,
-                                   details=dict(details, value=q6)))
+            identities.append(("einstein-q6-sphere", "holo-Q6", q6, sphere_value, {}))
+        reports.append(exact_report("einstein-q6", "holo-Q6", params, True,
+                                    dict(details, value=q6)))
 
     star_consts = {1: model.t2_star_const, 2: model.t4_star_const}
     for N in (1, 2):
@@ -620,6 +552,9 @@ def einstein_checks(n: int, J: Fraction):
             s0 = sum(terms)
             s1 = sum(j * t for j, t in enumerate(terms))
             residual = N * lam * s0 + (lam - n + 2 * N) * s1
-            reports.append(exact(f"einstein-master3-N{N}-l{lam}", "master-3",
-                                 residual, Fraction(0), {"lambda": str(lam)}))
-    return reports
+            identities.append((f"einstein-master3-N{N}-l{lam}", "master-3",
+                               residual, Fraction(0), {"lambda": str(lam)}))
+    extension = dict(params, extension=True)
+    return reports + [exact_report(check_id, equation, extension, lhs == rhs,
+                                   dict(extra, lhs=lhs, rhs=rhs))
+                      for check_id, equation, lhs, rhs, extra in identities]

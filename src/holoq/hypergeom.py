@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, binomial, pochhammer
-from .reports import CheckReport
+from .reports import CheckReport, exact_report
 from .series import FormalSeries, binomial_series
 
 
@@ -66,6 +66,11 @@ def _is_nonpos_int(x) -> bool:
     return isinstance(x, Fraction) and x.denominator == 1 and x <= 0
 
 
+def _poch_ok(x, m) -> bool:
+    """True if (x)_j is nonzero for every j <= m."""
+    return not (_is_nonpos_int(x) and x > -m)
+
+
 def termination_index(spec: HyperSpec) -> int:
     """Smallest m with an upper parameter equal to -m."""
     ms = [-int(u) for u in spec.upper if _is_nonpos_int(u)]
@@ -82,10 +87,7 @@ def hyper_terminating(spec: HyperSpec):
     """
     m = termination_index(spec)
     for l in spec.lower:
-        if isinstance(l, int):
-            l = Fraction(l)
-        if isinstance(l, Fraction) and l.denominator == 1 and -m < l <= 0:
-            # (l)_j hits zero at term j = -l + 1 <= m
+        if not _poch_ok(l, m):
             raise LowerPochhammerZeroError(l, int(-l) + 1)
     term = Fraction(1)
     total = Fraction(1)
@@ -100,21 +102,9 @@ def hyper_terminating(spec: HyperSpec):
     return total
 
 
-def balance(spec: HyperSpec):
-    """sum(lower) - sum(upper); 1 means Saalschutzian, 2 means 2-balanced."""
-    s = 0
-    for l in spec.lower:
-        s = s + l
-    for u in spec.upper:
-        s = s - u
-    return s
-
-
 def hyper_2f1_series(a, b, c, order: int) -> FormalSeries:
     """Gauss series for 2F1(a, b; c; s) through the given order."""
-    if isinstance(c, int):
-        c = Fraction(c)
-    if isinstance(c, Fraction) and c.denominator == 1 and -order < c <= 0:
+    if not _poch_ok(c, order):
         raise LowerPochhammerZeroError(c, int(-c) + 1)
     coeffs = [Fraction(1)]
     term = Fraction(1)
@@ -131,16 +121,9 @@ def _pair(x):
     return str(x)
 
 
-def _report(check_id, equation, params, lhs, rhs) -> CheckReport:
-    eq = (lhs - rhs) == 0
-    return CheckReport(
-        id=check_id,
-        equation=equation,
-        params={k: _pair(v) for k, v in params.items()},
-        passed=bool(eq),
-        exact=True,
-        details={"lhs": _pair(lhs), "rhs": _pair(rhs)},
-    )
+def _report(check_id, equation, params, lhs, rhs):
+    return exact_report(check_id, equation, {k: _pair(v) for k, v in params.items()},
+                        (lhs - rhs) == 0, {"lhs": _pair(lhs), "rhs": _pair(rhs)})
 
 
 def check_pfaff_saalschutz(m: int, a, b, c) -> CheckReport:
@@ -207,14 +190,9 @@ def check_quadratic_transform(a, b, order: int) -> CheckReport:
             if not (lhs.coeffs[k] - rhs.coeffs[k]) == 0:
                 mismatch = k
                 break
-    return CheckReport(
-        id=f"quadratic-transform[a={_pair(a)},b={_pair(b)},order={order}]",
-        equation="quadratic-transform",
-        params={"a": _pair(a), "b": _pair(b), "order": order},
-        passed=ok,
-        exact=True,
-        details={} if ok else {"first_mismatch_power": mismatch},
-    )
+    return exact_report(f"quadratic-transform[a={_pair(a)},b={_pair(b)},order={order}]",
+                        "quadratic-transform", {"a": _pair(a), "b": _pair(b), "order": order},
+                        ok, {} if ok else {"first_mismatch_power": mismatch})
 
 
 def _rand_fraction(rng, allow_zero=True):
@@ -222,15 +200,6 @@ def _rand_fraction(rng, allow_zero=True):
         f = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
         if allow_zero or f != 0:
             return f
-
-
-def _poch_ok(x, m):
-    """True if (x)_j is nonzero for every j <= m."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction) and x.denominator == 1 and -m < x <= 0:
-        return False
-    return True
 
 
 def random_ps_instances(count: int, seed: int, mmax: int = 10):
@@ -284,12 +253,9 @@ def _tally_report(check_id, equation, instances, runner, params) -> CheckReport:
         rep = runner(*inst)
         if not rep.passed:
             failures.append(rep.params)
-    return CheckReport(
-        id=check_id, equation=equation,
-        params=dict(params, count=len(instances)),
-        passed=not failures, exact=True,
-        details={"failures": failures} if failures else {"failures": 0},
-        seconds=time.perf_counter() - t0)
+    return exact_report(check_id, equation, dict(params, count=len(instances)),
+                        not failures, {"failures": failures or 0},
+                        seconds=time.perf_counter() - t0)
 
 
 def section4_instances():
@@ -298,11 +264,9 @@ def section4_instances():
 
     t0 = time.perf_counter()
     val = hyper_terminating(HyperSpec((-2, 3, -1), (3, -3)))
-    reports.append(CheckReport(
-        id="hg-eval-3f2", equation="T-star eval",
-        params={"upper": ["-2", "3", "-1"], "lower": ["3", "-3"]},
-        passed=val == Fraction(1, 3), exact=True,
-        details={"value": str(val)}, seconds=time.perf_counter() - t0))
+    reports.append(exact_report(
+        "hg-eval-3f2", "T-star eval", {"upper": ["-2", "3", "-1"], "lower": ["3", "-3"]},
+        val == Fraction(1, 3), {"value": str(val)}, seconds=time.perf_counter() - t0))
 
     # Reduced-sum identity specialized at n=4, N=2, lambda=7: the weighted
     # binomial sum equals the closed product with corrected leading factor
@@ -315,12 +279,9 @@ def section4_instances():
     rhs = pochhammer(f - N + 1, N) / math.factorial(N) \
         * (lam - n + 2 * N) * pochhammer(lam - n + 1, N - 1) \
         / pochhammer(lam - f + 1, N)
-    reports.append(CheckReport(
-        id="hg-claim-red", equation="claim-red",
-        params={"n": n, "N": N, "lambda": str(lam)},
-        passed=lhs == rhs, exact=True,
-        details={"lhs": str(lhs), "rhs": str(rhs)},
-        seconds=time.perf_counter() - t0))
+    reports.append(exact_report(
+        "hg-claim-red", "claim-red", {"n": n, "N": N, "lambda": str(lam)},
+        lhs == rhs, {"lhs": str(lhs), "rhs": str(rhs)}, seconds=time.perf_counter() - t0))
 
     rep = check_pfaff_saalschutz(1, Fraction(3), Fraction(6), Fraction(5))
     rep.id = "hg-ps-named"

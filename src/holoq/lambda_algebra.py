@@ -16,8 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction
-
 
 def _frac(x):
     # ints and Fractions only; floats are rejected to keep the core exact
@@ -104,10 +102,6 @@ class LambdaPoly:
         """Coefficients as Fractions, ascending order, no trailing zeros."""
         den = self._den
         return tuple(Fraction(c, den) for c in self._num)
-
-    @staticmethod
-    def const(c) -> "LambdaPoly":
-        return LambdaPoly([_frac(c)])
 
     @staticmethod
     def x() -> "LambdaPoly":
@@ -442,10 +436,6 @@ class LambdaRat:
             raise ZeroDivisionError(f"evaluation at pole lambda = {x}")
         return self.num(x) / d
 
-    def derivative(self) -> "LambdaRat":
-        return LambdaRat(self.num.derivative() * self.den - self.num * self.den.derivative(),
-                         self.den * self.den)
-
     def shift(self, c) -> "LambdaRat":
         return LambdaRat(self.num.shift(c), self.den.shift(c))
 
@@ -534,10 +524,3 @@ def interpolate(points) -> LambdaPoly:
             denom *= (xi - xj)
         total = total + basis * (yi / denom)
     return total
-
-
-def divides(a: LambdaPoly, b: LambdaPoly) -> bool:
-    """True if polynomial a divides b exactly (a nonzero)."""
-    if a.is_zero():
-        return b.is_zero()
-    return b.divmod(a)[1].is_zero()

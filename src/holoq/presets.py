@@ -23,24 +23,12 @@ _PRESETS = {
     "trig3": dict(modes=((1, 0), (1, 1), (1, -1)), amplitude=0.08),
 }
 
-MAX_AMPLITUDE = 1.0
 
-
-def preset_names():
-    return tuple(_PRESETS)
-
-
-def preset_phi(chart: TorusChart, name: str, seed: int = 7, amplitude=None):
+def preset_phi(chart: TorusChart, name: str, seed: int = 7):
     """Sample the named preset on the chart; deterministic in (name, seed)."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
-    spec = _PRESETS[name]
-    amp = spec["amplitude"] if amplitude is None else float(amplitude)
-    if amp < 0 or amp > MAX_AMPLITUDE:
-        raise ValueError(f"preset amplitude {amp} outside [0, {MAX_AMPLITUDE}]")
-    modes = spec["modes"]
-    if len(modes) > 4:
-        raise ValueError("presets are limited to 4 modes")
+    modes, amp = _PRESETS[name]["modes"], _PRESETS[name]["amplitude"]
     rng = np.random.default_rng(seed)
     # Draw one (coefficient, phase) pair per mode before touching the mesh so
     # the function is independent of resolution.

@@ -29,6 +29,81 @@ def jsonable(x):
     return repr(x)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _of(kind):
+    return lambda x: isinstance(x, kind)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _is_rational(x) -> bool:
+    """An exact rational written as a string, such as '7/2'."""
+    if not isinstance(x, str):
+        return False
+    try:
+        Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _list_of(ok):
+    return lambda x: isinstance(x, list) and all(ok(v) for v in x)
+
+
+def _or_null(ok):
+    return lambda x: x is None or ok(x)
+
+
+# Field -> (type test, what the test accepts) for RunConfig and for a
+# stored CheckReport. Config files, command-line overrides and stored runs
+# all pass through these tables.
+_CONFIG_TYPES = {
+    "suites": (_list_of(_of(str)), "a list of strings"),
+    "n": (_or_null(_list_of(_is_int)), "null or a list of integers"),
+    "nmax": (_is_int, "an integer"),
+    "grid": (_is_int, "an integer"),
+    "preset": (_of(str), "a string"),
+    "seed": (_is_int, "an integer"),
+    "lambdas": (_list_of(_is_rational), "a list of exact rationals as strings"),
+    "tol": (_or_null(_is_number), "null or a number"),
+    "out": (_or_null(_of(str)), "null or a string"),
+    "format": (_of(str), "a string"),
+    "instances": (_is_int, "an integer"),
+    "einstein_j": (_or_null(_is_rational), "null or an exact rational as a string"),
+    "phi_file": (_or_null(_of(str)), "null or a string"),
+}
+
+_CHECK_TYPES = {
+    "id": (_of(str), "a string"),
+    "equation": (_of(str), "a string"),
+    "params": (_of(dict), "an object"),
+    "passed": (_of(bool), "a boolean"),
+    "exact": (_or_null(_of(bool)), "null or a boolean"),
+    "residual": (_or_null(_is_number), "null or a number"),
+    "tol": (_or_null(_is_number), "null or a number"),
+    "scale": (_or_null(_is_number), "null or a number"),
+    "details": (_of(dict), "an object"),
+}
+
+
+def _check_fields(d, table: dict, what: str):
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object, got {type(d).__name__}")
+    bad = set(d) - set(table)
+    if bad:
+        raise ValueError(f"unknown {what} keys: {sorted(bad)}")
+    for name, value in d.items():
+        ok, expected = table[name]
+        if not ok(value):
+            raise ValueError(f"{what} field {name!r} must be {expected}, got {value!r}")
+
+
 @dataclass
 class CheckReport:
     """Outcome of one identity check.
@@ -49,6 +124,15 @@ class CheckReport:
     details: dict = field(default_factory=dict)
     seconds: float = 0.0
 
+    @staticmethod
+    def from_dict(d: dict) -> "CheckReport":
+        """Inverse of body(), for a check read back from a stored run."""
+        _check_fields(d, _CHECK_TYPES, "check")
+        missing = {"id", "passed"} - set(d)
+        if missing:
+            raise ValueError(f"check without {sorted(missing)}")
+        return CheckReport(**{"equation": "", **d})
+
     def body(self) -> dict:
         d = {
             "id": self.id,
@@ -67,6 +151,25 @@ class CheckReport:
         if self.details:
             d["details"] = jsonable(self.details)
         return d
+
+
+def exact_report(check_id, equation, params, passed, details=None,
+                 seconds=0.0) -> CheckReport:
+    """Verdict of an exact (rational-arithmetic) check."""
+    return CheckReport(id=check_id, equation=equation, params=params,
+                       passed=bool(passed), exact=True, details=details or {},
+                       seconds=seconds)
+
+
+def tolerance_report(check_id, equation, params, residual, base_tol, scale,
+                     details=None, seconds=0.0) -> CheckReport:
+    """Verdict of a numerical check: tol = base_tol * max(1, scale), and the
+    check passes when residual <= tol."""
+    scale = max(1.0, float(scale))
+    tol = base_tol * scale
+    return CheckReport(id=check_id, equation=equation, params=params,
+                       passed=bool(residual <= tol), residual=float(residual),
+                       tol=tol, scale=scale, details=details or {}, seconds=seconds)
 
 
 @dataclass
@@ -108,10 +211,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        bad = set(d) - known
-        if bad:
-            raise ValueError(f"unknown config keys: {sorted(bad)}")
+        _check_fields(d, _CONFIG_TYPES, "config")
         return RunConfig(**d)
 
     def merged(self, overrides: dict) -> "RunConfig":

@@ -36,10 +36,6 @@ class FormalSeries:
     def one(order):
         return FormalSeries([Fraction(1)], order)
 
-    @staticmethod
-    def x(order):
-        return FormalSeries([0, Fraction(1)], order)
-
     def __getitem__(self, k):
         if k < 0:
             raise IndexError("negative series index")
@@ -94,12 +90,6 @@ class FormalSeries:
     def __rmul__(self, other):
         return self * other
 
-    def shift(self, k):
-        """Multiply by s^k."""
-        if k < 0:
-            raise ValueError("shift exponent must be nonnegative")
-        return FormalSeries([0] * k + self.coeffs, self.order + k)
-
     def compose(self, inner):
         """Substitute s -> inner(s); inner must have valuation >= 1."""
         if not isinstance(inner, FormalSeries):
@@ -128,28 +118,6 @@ class FormalSeries:
         for j, c in enumerate(self.coeffs):
             out[k * j] = c
         return FormalSeries(out, n)
-
-    def inverse(self):
-        """Multiplicative inverse; constant term must be invertible (nonzero)."""
-        c0 = self.coeffs[0]
-        if _is_zero(c0):
-            raise ZeroDivisionError("cannot invert a series with zero constant term")
-        n = self.order
-        inv0 = _invert(c0)
-        out = [inv0] + [0] * n
-        for k in range(1, n + 1):
-            s = 0
-            for j in range(1, k + 1):
-                a = self.coeffs[j]
-                if not _is_zero(a):
-                    s = s + a * out[k - j]
-            out[k] = -inv0 * s if not _is_zero(s) else 0
-        return FormalSeries(out, n)
-
-    def __truediv__(self, other):
-        if isinstance(other, FormalSeries):
-            return self * other.inverse()
-        return FormalSeries([c / other for c in self.coeffs], self.order)
 
     def agrees_with(self, other, through=None) -> bool:
         """Coefficientwise equality through the given order (default: min)."""
@@ -183,12 +151,6 @@ def _eq(a, b):
     return a == b
 
 
-def _invert(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(1) / c
-    return 1 / c  # LambdaPoly/LambdaRat support rtruediv
-
-
 def _promote(c, order):
     s = FormalSeries.zero(order)
     s.coeffs[0] = c
@@ -199,14 +161,6 @@ def _as_series(x, order):
     if isinstance(x, FormalSeries):
         return x
     return _promote(x, order)
-
-
-def geometric(ratio_coeff, order):
-    """1/(1 - c s) through the given order."""
-    out = [Fraction(1)]
-    for _ in range(order):
-        out.append(out[-1] * ratio_coeff)
-    return FormalSeries(out, order)
 
 
 def binomial_series(alpha, order):

@@ -26,7 +26,7 @@ from .lambda_algebra import (
     binomial,
     pochhammer,
 )
-from .reports import CheckReport, QuantitiesReport
+from .reports import exact_report
 
 MAX_RADIAL_ORDER = 8
 
@@ -44,14 +44,6 @@ class SphereContext:
     @property
     def f(self) -> Fraction:
         return Fraction(self.n, 2)
-
-    @property
-    def J(self) -> Fraction:
-        return Fraction(self.n, 2)
-
-    @property
-    def schouten_norm_sq(self) -> Fraction:
-        return Fraction(self.n, 4)
 
 
 def master_constant(N: int) -> Fraction:
@@ -139,13 +131,12 @@ def _direct_sums(ctx: SphereContext, N: int):
 
 
 def _sum_closed(ctx: SphereContext, N: int) -> LambdaRat:
-    f, n = ctx.f, ctx.n
-    pref = Fraction((-1) ** N) * pochhammer(f - N + 1, N) / (4 ** N * math.factorial(N))
-    num = (LAMBDA - n + 2 * N) * pochhammer(LAMBDA - n + 1, N - 1)
-    return LambdaRat(pref * num, pochhammer(LAMBDA - f + 1, N))
+    """Closed form of S0: (-1/4)^N times the claim-red right side."""
+    return Fraction(-1, 4) ** N * claim_red_rhs(ctx, N)
 
 
 def _weighted_closed(ctx: SphereContext, N: int) -> LambdaRat:
+    """Closed form of S1."""
     f, n = ctx.f, ctx.n
     pref = Fraction((-1) ** (N - 1)) * pochhammer(f - N + 1, N) / \
         (4 ** N * math.factorial(N - 1))
@@ -153,28 +144,38 @@ def _weighted_closed(ctx: SphereContext, N: int) -> LambdaRat:
     return LambdaRat(pref * num, pochhammer(LAMBDA - f + 1, N))
 
 
-def sphere_sum_Tstar_v(ctx: SphereContext, N: int) -> LambdaRat:
-    """Closed form of sum_j T*_{2j}(lambda)(v_{2N-2j}); checked against the
-    direct sum before returning."""
-    direct = _direct_sums(ctx, N)[0]
-    closed = _sum_closed(ctx, N)
-    if not (direct - closed).is_zero():
-        raise AssertionError(f"sum-1 closed form disagrees with direct sum (n={ctx.n}, N={N})")
-    return closed
-
-
-def sphere_weighted_sum(ctx: SphereContext, N: int) -> LambdaRat:
-    """Closed form of sum_j j T*_{2j}(lambda)(v_{2N-2j}), checked directly."""
-    direct = _direct_sums(ctx, N)[1]
-    closed = _weighted_closed(ctx, N)
-    if not (direct - closed).is_zero():
-        raise AssertionError(f"weighted sum closed form disagrees (n={ctx.n}, N={N})")
-    return closed
-
-
 def _shift_factor(ctx: SphereContext, N: int) -> LambdaPoly:
     """(lambda + n/2 - 2N + 1)_N as a polynomial."""
     return pochhammer(LAMBDA + ctx.f - 2 * N + 1, N)
+
+
+def _qres(ctx: SphereContext, N: int, S0: LambdaRat) -> LambdaPoly:
+    """Product form of Qres_{2N}, cross-checked against its assembly from
+    the closed S0."""
+    f, n = ctx.f, ctx.n
+    prod = LambdaPoly([1])
+    for j in range(1, N):
+        prod = prod * (LAMBDA - N - j)
+    closed = Fraction((-1) ** (N - 1)) * pochhammer(f - N + 1, N) * LAMBDA * prod
+    assembly = Fraction(-(4 ** N) * math.factorial(N)) * _shift_factor(ctx, N) * \
+        S0.shift(n - 2 * N)
+    if not assembly.is_polynomial():
+        raise AssertionError(f"qres assembly is not polynomial (n={n}, N={N})")
+    if not (assembly.as_poly() - closed).is_zero():
+        raise AssertionError(f"qres product form disagrees with assembly (n={n}, N={N})")
+    return closed
+
+
+def _v_poly(ctx: SphereContext, N: int, S0: LambdaRat, S1: LambdaRat) -> LambdaPoly:
+    """V_{2N} assembled from the closed S0 and S1."""
+    n = ctx.n
+    v = _shift_factor(ctx, N) * (2 * N * S0.shift(n - 2 * N) + 2 * S1.shift(n - 2 * N))
+    if not v.is_polynomial():
+        raise AssertionError(f"V-polynomial assembly is not polynomial (n={n}, N={N})")
+    vp = v.as_poly()
+    if vp.degree > N - 1:
+        raise AssertionError(f"V-polynomial degree {vp.degree} exceeds {N - 1} (n={n}, N={N})")
+    return vp
 
 
 def sphere_qres(ctx: SphereContext, N: int) -> LambdaPoly:
@@ -184,18 +185,7 @@ def sphere_qres(ctx: SphereContext, N: int) -> LambdaPoly:
     (lambda-N-j), cross-checked against the defining assembly
     -2^{2N} N! (lambda+n/2-2N+1)_N * S0(lambda+n-2N).
     """
-    f, n = ctx.f, ctx.n
-    prod = LambdaPoly([1])
-    for j in range(1, N):
-        prod = prod * (LAMBDA - N - j)
-    closed = Fraction((-1) ** (N - 1)) * pochhammer(f - N + 1, N) * LAMBDA * prod
-    assembly = Fraction(-(4 ** N) * math.factorial(N)) * _shift_factor(ctx, N) * \
-        _sum_closed(ctx, N).shift(n - 2 * N)
-    if not assembly.is_polynomial():
-        raise AssertionError(f"qres assembly is not polynomial (n={n}, N={N})")
-    if not (assembly.as_poly() - closed).is_zero():
-        raise AssertionError(f"qres product form disagrees with assembly (n={n}, N={N})")
-    return closed
+    return _qres(ctx, N, _sum_closed(ctx, N))
 
 
 def sphere_v_poly(ctx: SphereContext, N: int) -> LambdaPoly:
@@ -203,16 +193,7 @@ def sphere_v_poly(ctx: SphereContext, N: int) -> LambdaPoly:
 
     Degree is at most N-1; identically zero in the critical case 2N = n.
     """
-    n = ctx.n
-    S0 = _sum_closed(ctx, N).shift(n - 2 * N)
-    S1 = _weighted_closed(ctx, N).shift(n - 2 * N)
-    v = _shift_factor(ctx, N) * (2 * N * S0 + 2 * S1)
-    if not v.is_polynomial():
-        raise AssertionError(f"V-polynomial assembly is not polynomial (n={n}, N={N})")
-    vp = v.as_poly()
-    if vp.degree > N - 1:
-        raise AssertionError(f"V-polynomial degree {vp.degree} exceeds {N - 1} (n={n}, N={N})")
-    return vp
+    return _v_poly(ctx, N, _sum_closed(ctx, N), _weighted_closed(ctx, N))
 
 
 def claim_red_lhs(ctx: SphereContext, N: int) -> LambdaRat:
@@ -254,11 +235,6 @@ def sphere_Q(ctx: SphereContext, N: int) -> Fraction:
     return closed
 
 
-def _exact_report(check_id, equation, params, ok, details=None) -> CheckReport:
-    return CheckReport(id=check_id, equation=equation, params=params,
-                       passed=bool(ok), exact=True, details=details or {})
-
-
 def sphere_checks(ctx: SphereContext, N: int):
     """All exact identity checks for one (n, N) pair."""
     n, f = ctx.n, ctx.f
@@ -267,39 +243,39 @@ def sphere_checks(ctx: SphereContext, N: int):
 
     S0d, S1d = _direct_sums(ctx, N)
     S0c, S1c = _sum_closed(ctx, N), _weighted_closed(ctx, N)
-    out.append(_exact_report(f"sphere-sum1[n={n},N={N}]", "sum-1", tag,
-                             (S0d - S0c).is_zero()))
-    out.append(_exact_report(f"sphere-weighted[n={n},N={N}]", "weighted-sum", tag,
-                             (S1d - S1c).is_zero()))
+    out.append(exact_report(f"sphere-sum1[n={n},N={N}]", "sum-1", tag,
+                            (S0d - S0c).is_zero()))
+    out.append(exact_report(f"sphere-weighted[n={n},N={N}]", "weighted-sum", tag,
+                            (S1d - S1c).is_zero()))
 
     # master-3: lambda N S0 + (lambda - n + 2N) S1 = 0
     m3 = LambdaRat(LAMBDA) * N * S0d + LambdaRat(LAMBDA - n + 2 * N) * S1d
-    out.append(_exact_report(f"sphere-master3[n={n},N={N}]", "master-3", tag,
-                             m3.is_zero()))
+    out.append(exact_report(f"sphere-master3[n={n},N={N}]", "master-3", tag,
+                            m3.is_zero()))
 
     # master-2: (lambda-n+2N)(2N S0 + 2 S1) = -2N(n-2N) S0
     m2l = LambdaRat(LAMBDA - n + 2 * N) * (2 * N * S0d + 2 * S1d)
     m2r = Fraction(-2 * N * (n - 2 * N)) * S0d
-    out.append(_exact_report(f"sphere-master2[n={n},N={N}]", "master-2", tag,
-                             (m2l - m2r).is_zero()))
+    out.append(exact_report(f"sphere-master2[n={n},N={N}]", "master-2", tag,
+                            (m2l - m2r).is_zero()))
 
-    qres = sphere_qres(ctx, N)
-    vpoly = sphere_v_poly(ctx, N)
+    qres = _qres(ctx, N, S0c)
+    vpoly = _v_poly(ctx, N, S0c, S1c)
 
     # master-1: 2^{2N-2} (N-1)! lambda V(lambda) = (n/2 - N) Qres(lambda)
     m1l = Fraction(4 ** (N - 1) * math.factorial(N - 1)) * LAMBDA * vpoly
     m1r = (f - N) * qres
-    out.append(_exact_report(f"sphere-master1[n={n},N={N}]", "master-1", tag,
-                             (m1l - m1r).is_zero()))
+    out.append(exact_report(f"sphere-master1[n={n},N={N}]", "master-1", tag,
+                            (m1l - m1r).is_zero()))
 
-    out.append(_exact_report(f"sphere-qres0[n={n},N={N}]", "qres-vanishes-at-0", tag,
-                             qres(Fraction(0)) == 0))
-    out.append(_exact_report(f"sphere-vdeg[n={n},N={N}]", "v-poly-degree", tag,
-                             vpoly.degree <= N - 1,
-                             {"degree": vpoly.degree}))
+    out.append(exact_report(f"sphere-qres0[n={n},N={N}]", "qres-vanishes-at-0", tag,
+                            qres(Fraction(0)) == 0))
+    out.append(exact_report(f"sphere-vdeg[n={n},N={N}]", "v-poly-degree", tag,
+                            vpoly.degree <= N - 1,
+                            {"degree": vpoly.degree}))
     if 2 * N == n:
-        out.append(_exact_report(f"sphere-vcrit[n={n},N={N}]", "v-poly-critical-zero",
-                                 tag, vpoly.is_zero()))
+        out.append(exact_report(f"sphere-vcrit[n={n},N={N}]", "v-poly-critical-zero",
+                                tag, vpoly.is_zero()))
 
     # claim-red, both directly and through the 3F2 form (the latter only
     # where its lower parameter n-N+1 stays off the nonpositive integers)
@@ -310,13 +286,13 @@ def sphere_checks(ctx: SphereContext, N: int):
         hyp = binomial(n, N) * hyper_terminating(
             HyperSpec((f, LAMBDA, Fraction(-N)), (LAMBDA - f + 1, Fraction(n - N + 1))))
         ok = ok and (LambdaRat(1) * hyp - lhs).is_zero()
-    out.append(_exact_report(f"sphere-claimred[n={n},N={N}]", "claim-red", tag, ok))
+    out.append(exact_report(f"sphere-claimred[n={n},N={N}]", "claim-red", tag, ok))
 
     # P on 1 versus T on 1 through the prefactor relation
     pref = Fraction(4 ** N * math.factorial(N) * (-1) ** N) * pochhammer(LAMBDA - f + 1, N)
     rel = sphere_T_on_one(ctx, N) * pref - sphere_P_on_one(ctx, N)
-    out.append(_exact_report(f"sphere-TP[n={n},N={N}]", "T-P-prefactor", tag,
-                             rel.is_zero()))
+    out.append(exact_report(f"sphere-TP[n={n},N={N}]", "T-P-prefactor", tag,
+                            rel.is_zero()))
     return out
 
 
@@ -330,10 +306,9 @@ def sphere_suite(n_values, nmax: int = 6):
         t0 = time.perf_counter()
         radial = radial_oracle(ctx, cap)
         ok = all((radial[j] - sphere_T_on_one(ctx, j)).is_zero() for j in range(cap + 1))
-        reports.append(CheckReport(
-            id=f"sphere-radial[n={n}]", equation="claim",
-            params={"n": n, "orders": cap}, passed=ok, exact=True,
-            seconds=time.perf_counter() - t0))
+        reports.append(exact_report(f"sphere-radial[n={n}]", "claim",
+                                    {"n": n, "orders": cap}, ok,
+                                    seconds=time.perf_counter() - t0))
         for N in range(1, cap + 1):
             t0 = time.perf_counter()
             checks = sphere_checks(ctx, N)
@@ -342,17 +317,3 @@ def sphere_suite(n_values, nmax: int = 6):
                 c.seconds = dt / len(checks)
             reports.extend(checks)
     return reports
-
-
-def sphere_quantities(n_values) -> list:
-    """Named exact values for reporting: Q-curvatures and v-coefficients."""
-    out = []
-    for n in n_values:
-        ctx = SphereContext(n)
-        vals = {}
-        for N in range(1, n // 2 + 1):
-            vals[f"Q{2 * N}"] = sphere_Q(ctx, N)
-        for N in range(1, min(n, 4) + 1):
-            vals[f"v{2 * N}"] = sphere_v(ctx, N)
-        out.append(QuantitiesReport(id=f"sphere[n={n}]", values=vals))
-    return out

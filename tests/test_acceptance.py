@@ -63,7 +63,7 @@ def test_criterion_3_numeric_geometry():
     identities at 1e-6, and an 8x refinement gate from the 32-point grid."""
     t0 = time.perf_counter()
     reports = numeric_suite(n_values=(4, 6), size=64, preset="trig1", seed=7,
-                            tol=1e-6, adjoint_tol=1e-8)
+                            tol=1e-6)
     elapsed = time.perf_counter() - t0
     assert _count(reports, "curv-oracle") == 2
     assert _count(reports, "curv-refine") == 2

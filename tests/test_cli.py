@@ -1,5 +1,6 @@
 """Driver behavior: config plumbing, exit codes, deterministic reports."""
 
+import hashlib
 import json
 import re
 
@@ -78,11 +79,6 @@ class TestExitCodes:
     def test_usage_bad_grid(self):
         assert run(["verify", "numeric", "--grid", "33"]) == EXIT_USAGE
 
-    def test_usage_bad_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLOQ_THREADS", "zero")
-        assert run(["verify", "sphere", "--n", "3",
-                    "--out", str(tmp_path / "r")]) == EXIT_USAGE
-
     def test_usage_bad_suite_argparse(self):
         with pytest.raises(SystemExit) as err:
             run(["verify", "bogus"])
@@ -101,16 +97,31 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def test_json_reports_byte_identical(self, tmp_path, monkeypatch):
+    def test_json_reports_byte_identical(self, tmp_path):
         out = str(tmp_path / "same")
         argv = ["verify", "numeric", "--n", "4", "--grid", "32",
                 "--out", out, "--format", "json"]
         assert run(argv) == EXIT_PASS
         first = strip_timestamp((tmp_path / "same.json").read_text())
-        monkeypatch.setenv("HOLOQ_THREADS", "1")
         assert run(argv) == EXIT_PASS
         second = strip_timestamp((tmp_path / "same.json").read_text())
         assert first == second
+
+    # sha256 of the canonical JSON with meta.timestamp blanked. Both configs
+    # are exact-only, so the digests depend on neither numpy nor libm; any
+    # change to a check id, equation, parameter, detail or verdict moves them.
+    @pytest.mark.parametrize("argv,digest", [
+        (["verify", "sphere", "--n", "3..8", "--Nmax", "4"],
+         "2434adb67fcf869e02b4e306f218f440c96ebf5fb61f88f0c318d9fd4d3df993"),
+        (["verify", "hypergeom", "--instances", "20", "--seed", "3"],
+         "6a359bcf0348343e5e06de3e49a01a232530b21c807acf76491b521e97c66e8c"),
+    ], ids=["sphere", "hypergeom"])
+    def test_canonical_json_digest(self, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["--out", "report", "--format", "json"]) == EXIT_PASS
+        raw = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""',
+                     (tmp_path / "report.json").read_bytes(), count=1)
+        assert hashlib.sha256(raw).hexdigest() == digest
 
 
 class TestConfigFile:
@@ -138,6 +149,37 @@ class TestConfigFile:
         out = tmp_path / "r"
         assert run(["verify", "--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("field,config", [
+        ("n", {"suites": ["sphere"], "n": "4"}),
+        ("seed", {"suites": ["hypergeom"], "seed": "7"}),
+        ("tol", {"suites": ["critical-n4"], "tol": "x"}),
+        ("seed", {"suites": ["sphere"], "n": [3], "seed": "7"}),
+        ("suites", {"suites": "sphere", "n": [3]}),
+        ("lambdas", {"suites": ["numeric"], "n": [4], "grid": 16, "lambdas": ["1/0"]}),
+    ], ids=["n-sphere", "seed-hypergeom", "tol-critical", "seed-sphere", "suites-string",
+            "lambda-unparsable"])
+    def test_field_of_wrong_type(self, tmp_path, capsys, field, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run(["verify", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == EXIT_USAGE
+        assert f"config field {field!r}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
+
+    @pytest.mark.parametrize("body", [
+        {"meta": {"timestamp": ""}, "config": {"grids": [64]}, "checks": []},
+        {"meta": {"timestamp": ""}, "config": None, "checks": [{"passed": True}]},
+        [{"id": "sphere-radial[n=3]", "passed": True}],
+        {"meta": {"timestamp": ""}, "config": None,
+         "checks": [{"id": "sphere-radial[n=3]", "passed": True, "tol": "x"}]},
+    ], ids=["unknown-config-key", "check-without-id", "top-level-list", "check-tol-string"])
+    def test_malformed_run_file(self, tmp_path, body):
+        source = tmp_path / "run.json"
+        source.write_text(json.dumps(body))
+        out = tmp_path / "again.md"
+        assert run(["report", "--from", str(source), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_bad_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

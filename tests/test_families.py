@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from holoq.conformal import curvature, inner, laplacian
-from holoq.families import PoleError, build_P, build_T, gjms, identity_operator
+from holoq.families import LambdaOperator, PoleError, build_P, build_T
 from holoq.grid import TorusChart
 from holoq.presets import preset_phi
 
@@ -32,7 +32,8 @@ class TestConstruction:
     def test_identity_operator(self):
         b = bundle()
         f = b.J + 2.0
-        out, info = identity_operator(4).apply_at(b, f, Fraction(1, 3))
+        identity = LambdaOperator(4, [(1, (((1, "id"),),))])
+        out, info = identity.apply_at(b, f, Fraction(1, 3))
         assert np.array_equal(out, f)
         assert info["reduced"] == 0
 
@@ -114,21 +115,23 @@ class TestAdjoints:
 
 
 class TestGJMS:
+    """P_2N at lambda = n/2 - N, the conformally covariant GJMS operator."""
+
     def test_order_two_yamabe_point(self):
         b = bundle(n=4)
         f = np.cos(b.chart.mesh()[0])
-        out = gjms(4, 1, b, f)
+        out, _ = build_P(4, 1).apply_at(b, f, Fraction(4, 2) - 1)
         direct = laplacian(b, f) - 1.0 * b.J * f
         assert np.max(np.abs(out - direct)) < 1e-12
 
     def test_order_four_kills_constants_critical(self):
         b = bundle(n=4)
-        out = gjms(4, 2, b, ones(b))
+        out, _ = build_P(4, 2).apply_at(b, ones(b), Fraction(4, 2) - 2)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_order_four_on_constants_subcritical(self):
         # At n=6 the critical normalization no longer applies and the
         # constant picks up the zeroth-order curvature term.
         b = bundle(n=6)
-        out = gjms(6, 2, b, ones(b))
+        out, _ = build_P(6, 2).apply_at(b, ones(b), Fraction(6, 2) - 2)
         assert np.max(np.abs(out)) > 1e-3

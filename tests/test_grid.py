@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from holoq.grid import TorusChart, d1, d2, hessian, load_field, save_field
-from holoq.presets import MAX_AMPLITUDE, preset_names, preset_phi
+from holoq.grid import TorusChart, d1, hessian, load_field, save_field
+from holoq.presets import preset_phi
 
 
 def chart(n=4, size=64):
@@ -21,30 +21,12 @@ class TestStencils:
             res = np.sum(d1(ch, u, axis) * v) + np.sum(u * d1(ch, v, axis))
             assert abs(res) < 1e-10
 
-    def test_d2_symmetric_exactly(self):
-        ch = chart()
-        rng = np.random.default_rng(4)
-        u = rng.standard_normal(ch.shape)
-        v = rng.standard_normal(ch.shape)
-        for axis in range(2):
-            res = np.sum(d2(ch, u, axis) * v) - np.sum(u * d2(ch, v, axis))
-            assert abs(res) < 1e-8
-
     def test_d1_fourth_order(self):
         errs = []
         for size in (32, 64):
             ch = chart(size=size)
             x1, _ = ch.mesh()
             errs.append(np.max(np.abs(d1(ch, np.sin(3 * x1), 0) - 3 * np.cos(3 * x1))))
-        ratio = errs[0] / errs[1]
-        assert 12 < ratio < 20
-
-    def test_d2_fourth_order(self):
-        errs = []
-        for size in (32, 64):
-            ch = chart(size=size)
-            _, x2 = ch.mesh()
-            errs.append(np.max(np.abs(d2(ch, np.cos(2 * x2), 1) + 4 * np.cos(2 * x2))))
         ratio = errs[0] / errs[1]
         assert 12 < ratio < 20
 
@@ -70,7 +52,8 @@ class TestStencils:
 
 class TestPresets:
     def test_names(self):
-        assert set(preset_names()) >= {"flat", "trig1", "trig2", "trig3"}
+        for name in ("flat", "trig1", "trig2", "trig3"):
+            assert preset_phi(chart(), name, seed=1).shape == chart().shape
 
     def test_flat_is_zero(self):
         assert np.all(preset_phi(chart(), "flat", seed=1) == 0.0)
@@ -87,12 +70,6 @@ class TestPresets:
         coarse = preset_phi(chart(size=32), "trig1", seed=7)
         fine = preset_phi(chart(size=64), "trig1", seed=7)
         assert np.allclose(fine[::2, ::2], coarse, rtol=0, atol=1e-13)
-
-    def test_amplitude_bound(self):
-        with pytest.raises(ValueError):
-            preset_phi(chart(), "trig1", seed=1, amplitude=MAX_AMPLITUDE * 1.5)
-        phi = preset_phi(chart(), "trig1", seed=1, amplitude=0.02)
-        assert np.max(np.abs(phi)) <= 0.05
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -18,14 +18,11 @@ from holoq.holographic import (
     einstein_checks,
     _abscissae,
     example_2_3_checks,
-    expansion_traces,
     family_poly,
     holo_coeffs,
-    holo_coeffs_from_expansion,
     master_check_numeric,
     numeric_suite,
     poly_checks,
-    q2,
     q4_direct,
     q4_holographic,
     q6_holographic,
@@ -51,22 +48,11 @@ class TestCoefficients:
         assert np.all(v[1] == 0.0)
         assert np.all(v[2] == 0.0)
 
-    def test_expansion_route_matches_closed_form(self):
-        b = bundle(n=6, preset="trig2")
-        v = holo_coeffs(b)
-        v2, v4 = holo_coeffs_from_expansion(*expansion_traces(b))
-        assert np.max(np.abs(v2 - v[1])) < 1e-12
-        assert np.max(np.abs(v4 - v[2])) < 1e-12
-
-    def test_expansion_route_zero_traces(self):
-        v2, v4 = holo_coeffs_from_expansion(0.0, 0.0, 0.0)
-        assert v2 == 0.0 and v4 == 0.0
-
 
 class TestQCurvature:
     def test_flat_vanishes(self):
         b = flat_bundle()
-        assert np.all(q2(b) == 0.0)
+        assert np.all(b.J == 0.0)
         assert np.all(q4_direct(b) == 0.0)
         assert np.max(np.abs(q4_holographic(b))) < 1e-15
 

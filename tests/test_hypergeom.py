@@ -7,7 +7,6 @@ from holoq.hypergeom import (
     HyperSpec,
     LowerPochhammerZeroError,
     NonTerminatingError,
-    balance,
     check_connection_terminating,
     check_pfaff_saalschutz,
     check_quadratic_transform,
@@ -64,18 +63,6 @@ class TestTerminatingSum:
         """A degree-0 symbolic upper still drives termination."""
         spec = HyperSpec(((LAMBDA - LAMBDA) - 1, F(5)), (F(3),))
         assert termination_index(spec) == 1
-
-
-class TestBalance:
-    def test_saalschutz_balance_is_one(self):
-        m, a, b, c = 3, F(1, 2), F(5, 3), F(7, 4)
-        spec = HyperSpec((F(-m), a, b), (c, 1 + a + b - c - m))
-        assert balance(spec) == 1
-
-    def test_two_balanced_symbolic_instance(self):
-        # upper (3, L, -2), lower (L-2, 5): the 2-balanced configuration
-        spec = HyperSpec((F(3), LAMBDA, F(-2)), (LAMBDA - 2, F(5)))
-        assert balance(spec) == 2
 
 
 class TestPfaffSaalschutz:

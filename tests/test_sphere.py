@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from holoq.lambda_algebra import LAMBDA, LambdaPoly, divides, pochhammer
+from holoq.lambda_algebra import LAMBDA, LambdaPoly, pochhammer
 from holoq.sphere import (
     SphereContext,
+    _direct_sums,
+    _sum_closed,
+    _weighted_closed,
     claim_red_lhs,
     claim_red_rhs,
     master_constant,
@@ -14,11 +17,9 @@ from holoq.sphere import (
     sphere_T_on_one,
     sphere_checks,
     sphere_qres,
-    sphere_sum_Tstar_v,
     sphere_suite,
     sphere_v,
     sphere_v_poly,
-    sphere_weighted_sum,
 )
 
 F = Fraction
@@ -31,7 +32,7 @@ class TestConstants:
 
     def test_sphere_data(self):
         ctx = SphereContext(6)
-        assert ctx.J == 3 and ctx.schouten_norm_sq == F(3, 2)
+        assert ctx.f == 3
 
     def test_master_constants(self):
         assert master_constant(1) == F(-1, 4)
@@ -67,7 +68,7 @@ class TestTOnOne:
                 prod = LambdaPoly([1])
                 for j in range(1, N + 1):
                     prod = prod * (LAMBDA - (ctx.f - j))
-                assert divides(den, prod)
+                assert prod.divmod(den)[1].is_zero()
 
     def test_prefactor_relation_to_P(self):
         ctx = SphereContext(5)
@@ -104,11 +105,15 @@ class TestRadialOracle:
 class TestSums:
     def test_direct_value_n6(self):
         """S0 at n=6, N=2, lambda=4 equals -1/16 (not -1/8)."""
-        S0 = sphere_sum_Tstar_v(SphereContext(6), 2)
+        ctx = SphereContext(6)
+        S0 = _sum_closed(ctx, 2)
+        assert S0 == _direct_sums(ctx, 2)[0]
         assert S0(F(4)) == F(-1, 16)
 
     def test_weighted_value_n6(self):
-        S1 = sphere_weighted_sum(SphereContext(6), 2)
+        ctx = SphereContext(6)
+        S1 = _weighted_closed(ctx, 2)
+        assert S1 == _direct_sums(ctx, 2)[1]
         assert S1(F(4)) == F(1, 4)
 
     def test_m1_relation_N1(self):
