@@ -1,0 +1,63 @@
+"""Micro-benchmarks of the numeric layers on a 128x128 torus at n = 4, the
+stencil, the curvature bundle, the Christoffel oracle, one operator-family
+polynomial and the residue/volume polynomial checks.
+
+    python -m pytest bench/bench_numeric.py -q
+
+Each benchmark also asserts its result, so a fast wrong answer fails.
+"""
+
+import numpy as np
+import pytest
+
+from holoq.conformal import curvature, oracle_curvature
+from holoq.grid import TorusChart, d1
+from holoq.holographic import family_poly, poly_checks
+from holoq.lambda_algebra import LAMBDA
+from holoq.presets import preset_phi
+
+SIZE = 128
+
+
+@pytest.fixture(scope="module")
+def chart_phi():
+    ch = TorusChart(4, (SIZE, SIZE))
+    return ch, preset_phi(ch, "trig1", seed=7)
+
+
+@pytest.fixture(scope="module")
+def bundle(chart_phi):
+    return curvature(*chart_phi)
+
+
+def test_d1(benchmark, chart_phi):
+    ch, phi = chart_phi
+    out = benchmark(d1, ch, phi, 0)
+    assert out.shape == phi.shape
+
+
+def test_curvature(benchmark, chart_phi):
+    b = benchmark(curvature, *chart_phi)
+    assert np.all(np.isfinite(b.J))
+
+
+def test_oracle_curvature(benchmark, chart_phi, bundle):
+    oracle = benchmark(oracle_curvature, *chart_phi)
+    assert np.max(np.abs(oracle["J"] - bundle.J)) < 1e-6 * max(1.0, np.max(np.abs(bundle.J)))
+
+
+def test_family_poly_t4_on_one(benchmark, bundle):
+    # T*_4(lam)(1), rebuilt each round: the cache on the bundle is cleared first
+    def build():
+        bundle.family_polys.clear()
+        return family_poly(bundle, 2, 0)
+
+    num, den = benchmark(build)
+    assert den == LAMBDA * (LAMBDA - 1) and len(num.coeffs) == 3
+
+
+def test_poly_checks(benchmark, bundle):
+    # the T*_{2j} pairs are cached after the first round; this times the
+    # lcm combination, the prefactor division, the Taylor shift and the checks
+    reports = benchmark(poly_checks, bundle, 2)
+    assert all(r.passed for r in reports)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .grid import TorusChart, load_field, save_field
 from .holographic import (
+    MIN_NUMERIC_N,
     conformal_suite,
     critical_n4_suite,
     einstein_checks,
@@ -123,6 +124,9 @@ def _load_config(args) -> RunConfig:
         raise UsageError(f"grid size must be an even integer >= 16, got {config.grid!r}")
     if config.instances < 1:
         raise UsageError(f"instances must be an integer >= 1, got {config.instances!r}")
+    numeric = "numeric" in config.suites or "all" in config.suites
+    if numeric and config.n and min(config.n) < MIN_NUMERIC_N:
+        raise UsageError(f"the numeric suite needs n >= {MIN_NUMERIC_N}, got {config.n}")
     return config
 
 
@@ -227,7 +231,7 @@ def cmd_verify(args) -> int:
 
 
 def _read_run(path):
-    """(checks, config, timestamp) of a stored JSON run."""
+    """(checks, config, timestamp, quantities) of a stored JSON run."""
     try:
         with open(path) as fh:
             body = json.load(fh)
@@ -240,19 +244,20 @@ def _read_run(path):
         cfg = body.get("config")
         config = RunConfig.from_dict(dict(cfg, n=cfg.get("n") or None)) if cfg else None
         timestamp = body.get("meta", {}).get("timestamp", "")
+        quantities = [QuantitiesReport.from_dict(q) for q in body.get("quantities", [])]
     except (AttributeError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed run file {path}: {exc}")
-    return checks, config, timestamp
+    return checks, config, timestamp, quantities
 
 
 def cmd_report(args) -> int:
     if args.source:
-        checks, config, timestamp = _read_run(args.source)
+        checks, config, timestamp, quantities = _read_run(args.source)
     else:
-        checks, config, timestamp = [], None, \
-            datetime.now(timezone.utc).isoformat(timespec="seconds")
+        checks, config, timestamp, quantities = [], None, \
+            datetime.now(timezone.utc).isoformat(timespec="seconds"), []
     render = render_json if args.format == "json" else render_markdown
-    text = render(checks, config, timestamp)
+    text = render(checks, config, timestamp, quantities)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -4,11 +4,12 @@ An operator is a sum of terms, each a rational coefficient times a word of
 first-order stages; a stage is an affine combination of the named grid
 primitives with constant or polynomial coefficients. Evaluation turns the
 action on a fixed input field into a polynomial with field coefficients over
-a scalar denominator, so removable singularities can be divided out exactly
-and parameter derivatives read off by the quotient rule. That (numerator,
-denominator) pair does not depend on the parameter: build it once with
-field_poly and evaluate it at any number of points with pair_value and
-pair_derivative.
+a scalar denominator, the lcm of the term denominators, so removable
+singularities can be divided out exactly and parameter derivatives read off
+by the quotient rule. That (numerator, denominator) pair does not depend on
+the parameter: build it once with field_poly and evaluate it at any number
+of points with pair_value and pair_derivative, or combine pairs over their
+common denominator with over_lcm.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import factorial
 import numpy as np
 
 from .conformal import CurvatureBundle, apply_primitive
-from .lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer
+from .lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer, poly_gcd
 
 ADJOINT_RULES = {
     "id": ((1, "id"),),
@@ -79,6 +80,15 @@ class FieldPoly:
     def derivative(self):
         return FieldPoly([k * arr for k, arr in enumerate(self.coeffs) if k >= 1])
 
+    def shift(self, c):
+        """Taylor shift: the polynomial p(parameter + c)."""
+        c = float(c)
+        out = list(self.coeffs)
+        for i in range(len(out) - 1):
+            for k in range(len(out) - 2, i - 1, -1):
+                out[k] = out[k] + c * out[k + 1]
+        return FieldPoly(out)
+
     def divide_linear(self, root):
         """Synthetic division by (parameter - root); returns (quotient, remainder)."""
         root = float(root)
@@ -91,8 +101,12 @@ class FieldPoly:
             carry = self.coeffs[k] + root * carry
         return FieldPoly(quot), carry
 
+    def norms(self):
+        """Max norm of each coefficient field, in ascending order."""
+        return [float(np.max(np.abs(arr))) for arr in self.coeffs]
+
     def max_norm(self):
-        return max((float(np.max(np.abs(arr))) for arr in self.coeffs), default=0.0)
+        return max(self.norms(), default=0.0)
 
 
 def _coeff_poly(c):
@@ -143,19 +157,10 @@ class LambdaOperator:
 
     def field_poly(self, bundle: CurvatureBundle, f):
         """Action on f as (numerator FieldPoly, scalar denominator poly)."""
-        f = np.asarray(f, dtype=float)
-        num = None
-        den = None
-        for rat, word in self.terms:
-            wp = _apply_word(bundle, word, FieldPoly([f])).mul_poly(rat.num)
-            if num is None:
-                num, den = wp, rat.den
-            elif rat.den == den:
-                num = num + wp
-            else:
-                num = num.mul_poly(rat.den) + wp.mul_poly(den)
-                den = den * rat.den
-        return num, den
+        f = FieldPoly([np.asarray(f, dtype=float)])
+        parts, den = over_lcm([(rat.num, (_apply_word(bundle, word, f), rat.den))
+                               for rat, word in self.terms])
+        return sum(parts, FieldPoly()), den
 
     def apply_at(self, bundle: CurvatureBundle, f, lam):
         """Evaluate at a rational parameter value, dividing out removable poles."""
@@ -164,6 +169,17 @@ class LambdaOperator:
     def derivative_at(self, bundle: CurvatureBundle, f, lam):
         """Parameter derivative at a rational value via the quotient rule."""
         return pair_derivative(self.field_poly(bundle, f), lam)
+
+
+def over_lcm(terms):
+    """Bring (weight, (num, den)) terms, each standing for weight * num / den,
+    to the lcm of their denominators. Returns ([weight * cofactor * num], lcm)
+    with each cofactor lcm / den exact; the sum of the list over the lcm is
+    the sum of the terms."""
+    lcm = LambdaPoly((1,))
+    for _, (_, den) in terms:
+        lcm = (lcm * den).divmod(poly_gcd(lcm, den))[0]
+    return [num.mul_poly(_coeff_poly(w) * lcm.divmod(den)[0]) for w, (num, den) in terms], lcm
 
 
 # A pole is removable when the numerator's residue there is below this

@@ -1,9 +1,10 @@
 """Holographic coefficients, Q-curvatures, and the numeric identity suites.
 
 The verifier side of the package: assembles the expansion coefficients and
-Q-curvature routes on torus metrics, checks the master relations and the
-degree/vanishing statements by exact-parameter sampling, and runs the
-critical four-dimensional identity suite.
+Q-curvature routes on torus metrics, checks the master relations, the
+displayed identities and the degree/vanishing statements as polynomial
+identities in the spectral parameter, with field coefficients, and runs
+the critical four-dimensional identity suite.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ from .conformal import (
     oracle_curvature,
     schouten_div_grad,
 )
-from .families import PoleError, build_P, build_T, pair_derivative, pair_value
+from .families import FieldPoly, build_P, build_T, over_lcm, pair_derivative, pair_value
 from .grid import TorusChart
-from .lambda_algebra import LAMBDA, binomial, interpolate, pochhammer
+from .lambda_algebra import LAMBDA, LambdaPoly, binomial, pochhammer
 from .presets import preset_phi
 from .reports import CheckReport, exact_report, tolerance_report
 
 DEFAULT_LAMBDAS = (Fraction(0), Fraction(1, 3), Fraction(5), Fraction(-2), Fraction(7, 2))
+
+# The numeric suite checks fourth-order families, which need n >= 4.
+MIN_NUMERIC_N = 4
 
 
 class UnsupportedModeError(RuntimeError):
@@ -119,151 +123,106 @@ class EinsteinModel:
         return self.J**2 * (self.n**2 - 4) / (2 * self.n)
 
 
-def _t_star_values(b: CurvatureBundle, N: int, mu: Fraction):
-    """[T*_{2j}(mu)(v_{2N-2j}) for j = 0..N] with T0 the identity."""
-    out = [holo_coeffs(b)[N]]
-    for j in range(1, N + 1):
-        val, _ = pair_value(family_poly(b, j, N - j), mu)
-        out.append(val)
-    return out
+def _t_star_pairs(b: CurvatureBundle, N: int):
+    """[T*_{2j}(lam)(v_{2N-2j}) for j = 0..N] as (num, den) pairs, T*_0 the identity."""
+    return [(FieldPoly([holo_coeffs(b)[N]]), LambdaPoly((1,)))] + [
+        family_poly(b, j, N - j) for j in range(1, N + 1)]
 
 
-def master_check_numeric(b: CurvatureBundle, N: int, lam: Fraction,
-                         tol: float = 1e-6) -> CheckReport:
-    """Residual of lam N S0 + (lam - n + 2N) S1 where S0, S1 are the
-    plain and index-weighted sums of T*_{2j}(lam) applied to the
-    complementary expansion coefficients."""
+def _cleared_checks(check_id, equation, params, terms, lambdas, tol):
+    """Checks that the sum of (weight, (num, den)) terms vanishes for every lam.
+
+    The terms are brought to the lcm of their denominators, and the cleared
+    numerator must vanish coefficientwise (check_id). It is also evaluated at
+    each lam as a spot check (check_id-l<lam>); being a polynomial, it has no
+    poles. The scale is the largest cleared term, bounded at lam by
+    sum_k |lam|^k |c_k| from its coefficient norms."""
     t0 = time.perf_counter()
-    lam = Fraction(lam)
-    terms = _t_star_values(b, N, lam)
-    s0 = sum(terms)
-    s1 = sum(j * t for j, t in enumerate(terms))
-    residual_field = N * float(lam) * s0 + float(lam - b.n + 2 * N) * s1
-    scale = max([np.max(np.abs(t)) for t in terms] + [np.max(np.abs(s0)), np.max(np.abs(s1))])
-    return tolerance_report(f"master3-n{b.n}-N{N}-l{lam}", "master-3",
-                            {"n": b.n, "N": N, "lambda": lam},
-                            np.max(np.abs(residual_field)), tol, scale,
-                            seconds=time.perf_counter() - t0)
-
-
-def example_2_3_checks(b: CurvatureBundle, lam: Fraction, tol: float = 1e-6):
-    """The two displayed fourth-order identities with explicit right sides."""
-    lam = Fraction(lam)
-    n = b.n
-    f = Fraction(n, 2)
-    d_val = (n - 2 - 2 * lam) * (n - 4 - 2 * lam)
-    if d_val == 0:
-        raise PoleError(lam, float("inf"))
-    g_field = (float(lam) * (2 * b.Psq - b.J**2)
-               + (n - 2) * (b.J**2 - b.Psq) - b.lapJ)
-    v = holo_coeffs(b)
-    t4, _ = pair_value(family_poly(b, 2, 0), lam)
-    t2, _ = pair_value(family_poly(b, 1, 1), lam)
-    reports = []
-    t0 = time.perf_counter()
-    lhs_i = 8 * t4 + 6 * t2 + 4 * v[2]
-    rhs_i = float(f - 2) * g_field / float(d_val)
-    scale = max(np.max(np.abs(lhs_i)), np.max(np.abs(rhs_i)), np.max(np.abs(g_field)))
-    reports.append(tolerance_report(f"ex23-i-n{n}-l{lam}", "example-2.3-i",
-                                    {"n": n, "lambda": lam},
-                                    np.max(np.abs(lhs_i - rhs_i)), tol, scale,
-                                    seconds=time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    lhs_ii = t4 + t2 + v[2]
-    rhs_ii = -float(lam - n + 4) * g_field / float(8 * d_val)
-    scale = max(np.max(np.abs(lhs_ii)), np.max(np.abs(rhs_ii)), np.max(np.abs(g_field)))
-    reports.append(tolerance_report(f"ex23-ii-n{n}-l{lam}", "example-2.3-ii",
-                                    {"n": n, "lambda": lam},
-                                    np.max(np.abs(lhs_ii - rhs_ii)), tol, scale,
-                                    seconds=time.perf_counter() - t0))
+    parts, _ = over_lcm(terms)
+    total = sum(parts, FieldPoly())
+    norms = [p.norms() for p in parts]
+    reports = [tolerance_report(check_id, equation, params, total.max_norm(), tol,
+                                max(max(ns, default=0.0) for ns in norms),
+                                details={"coeff_norms": total.norms()},
+                                seconds=time.perf_counter() - t0)]
+    for lam in map(Fraction, lambdas):
+        t0 = time.perf_counter()
+        scale = max(sum(c * abs(float(lam)) ** k for k, c in enumerate(ns)) for ns in norms)
+        reports.append(tolerance_report(f"{check_id}-l{lam}", equation,
+                                        {**params, "lambda": lam},
+                                        np.max(np.abs(total.eval(lam))), tol, scale,
+                                        seconds=time.perf_counter() - t0))
     return reports
 
 
-_ABSCISSA_POOL = (Fraction(-1), Fraction(2), Fraction(3), Fraction(-3), Fraction(4), Fraction(5))
+def master_check_numeric(b: CurvatureBundle, N: int, lambdas, tol: float = 1e-6):
+    """lam N S0 + (lam - n + 2N) S1 = 0, where S0, S1 are the plain and
+    index-weighted sums of T*_{2j}(lam) applied to the complementary
+    expansion coefficients: coefficientwise, and at each of lambdas."""
+    terms = [((N + j) * LAMBDA - j * (b.n - 2 * N), pair)
+             for j, pair in enumerate(_t_star_pairs(b, N))]
+    return _cleared_checks(f"master3-n{b.n}-N{N}", "master-3", {"n": b.n, "N": N},
+                           terms, lambdas, tol)
 
 
-def _abscissae(n: int, N: int, count: int):
-    f = Fraction(n, 2)
-    shift = n - 2 * N
-    excluded = {f - 1 - j - shift for j in range(N)}
-    picked = [a for a in _ABSCISSA_POOL if a not in excluded][:count]
-    if len(picked) < count:
-        raise ValueError("not enough pole-free abscissae in the pool")
-    return picked
+def example_2_3_checks(b: CurvatureBundle, lambdas, tol: float = 1e-6):
+    """The two displayed fourth-order identities with explicit right sides
+    g(lam) / ((n - 2 - 2 lam)(n - 4 - 2 lam)), checked as in master_check_numeric."""
+    n = b.n
+    g = (FieldPoly([(n - 2) * (b.J**2 - b.Psq) - b.lapJ, 2 * b.Psq - b.J**2]),
+         LambdaPoly((n - 2, -2)) * LambdaPoly((n - 4, -2)))
+    t4, t2 = family_poly(b, 2, 0), family_poly(b, 1, 1)
+    v4 = (FieldPoly([holo_coeffs(b)[2]]), LambdaPoly((1,)))
+    return (_cleared_checks(f"ex23-i-n{n}", "example-2.3-i", {"n": n},
+                            [(8, t4), (6, t2), (4, v4), (2 - Fraction(n, 2), g)], lambdas, tol)
+            + _cleared_checks(f"ex23-ii-n{n}", "example-2.3-ii", {"n": n},
+                              [(1, t4), (1, t2), (1, v4), ((LAMBDA - n + 4) / 8, g)],
+                              lambdas, tol))
 
 
-def _float_interpolate(xs, ys):
-    """Exact Lagrange basis polynomials applied to float sample values."""
-    coeffs = [0.0] * len(xs)
-    for k, yk in enumerate(ys):
-        basis = interpolate([(x, int(j == k)) for j, x in enumerate(xs)])
-        for p, c in enumerate(basis.coeffs):
-            coeffs[p] += float(c) * yk
-    return coeffs
-
-
-def _default_point(b: CurvatureBundle):
-    return np.unravel_index(int(np.argmax(np.abs(q4_direct(b)))), b.chart.shape)
-
-
-def qres_and_v_polys(b: CurvatureBundle, N: int, point=None):
-    """Sampled residue and volume polynomials at one grid point.
-
-    Returns (qres_coeffs, v_coeffs, meta): float coefficient lists of the
-    degree-N interpolants of
+def qres_and_v_polys(b: CurvatureBundle, N: int):
+    """Residue and volume polynomials in lam, with grid-field coefficients:
       qres(lam) = -4^N N! (lam + n/2 - 2N + 1)_N S0(lam + n - 2N)
       v(lam)    = (lam + n/2 - 2N + 1)_N (2N S0 + 2 S1)(lam + n - 2N)
-    """
-    f = Fraction(b.n, 2)
-    if point is None:
-        point = _default_point(b)
-    shift_poch = pochhammer(LAMBDA + f - 2 * N + 1, N)
-    pref = -Fraction(4) ** N * factorial(N)
-    xs = _abscissae(b.n, N, N + 1)
-    q_vals, v_vals, scale = [], [], 1.0
-    for lam in xs:
-        mu = lam + b.n - 2 * N
-        terms = _t_star_values(b, N, mu)
-        s0 = sum(terms)
-        s1 = sum(j * t for j, t in enumerate(terms))
-        q_field = float(pref * shift_poch(lam)) * s0
-        v_field = float(shift_poch(lam)) * (2 * N * s0 + 2 * s1)
-        scale = max([scale, np.max(np.abs(q_field)), np.max(np.abs(v_field))]
-                    + [np.max(np.abs(t)) for t in terms])
-        q_vals.append(float(q_field[point]))
-        v_vals.append(float(v_field[point]))
-    meta = {"point": tuple(int(i) for i in point), "abscissae": xs, "scale": scale}
-    return _float_interpolate(xs, q_vals), _float_interpolate(xs, v_vals), meta
+    In mu = lam + n - 2N the prefactor is (mu - n/2 + 1)_N, which the common
+    denominator of S0 and S1 divides. Returns (qres, v, remainder of that
+    division); the remainder is zero unless the families are wrong."""
+    parts, den = over_lcm([(1, pair) for pair in _t_star_pairs(b, N)])
+    quot, rem = pochhammer(LAMBDA - Fraction(b.n, 2) + 1, N).divmod(den)
+    shift = b.n - 2 * N
+    qres = sum(parts, FieldPoly()).mul_poly(quot * -(4**N * factorial(N))).shift(shift)
+    v = sum((p.mul_poly(quot * (2 * N + 2 * j)) for j, p in enumerate(parts)), FieldPoly())
+    return qres, v.shift(shift), rem
 
 
-def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6, point=None):
-    """Vanishing, degree, and proportionality checks on the sampled polynomials."""
+def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6):
+    """Vanishing, degree, and proportionality checks on the residue and volume
+    polynomials, each decided on whole coefficient fields."""
     t0 = time.perf_counter()
-    qc, vc, meta = qres_and_v_polys(b, N, point=point)
-    scale = meta["scale"]
+    qres, v, rem = qres_and_v_polys(b, N)
+    qn, vn = qres.norms(), v.norms()
+    scale = max(qn + vn)
     n = b.n
-    f = Fraction(n, 2)
-    reports = [tolerance_report(f"qres-van-n{n}-N{N}", "Q-van", {"n": n, "N": N},
-                                abs(qc[0]), tol, scale,
-                                details={"coeffs": qc}, seconds=time.perf_counter() - t0)]
+    params = {"n": n, "N": N}
+    reports = [exact_report(f"qres-den-n{n}-N{N}", "Q-pol", params, rem.is_zero(),
+                            {"remainder": rem}),
+               tolerance_report(f"qres-van-n{n}-N{N}", "Q-van", params, qn[0], tol, scale,
+                                details={"coeff_norms": qn}, seconds=time.perf_counter() - t0)]
     if N == 1:
-        j_at_point = float(b.J[meta["point"]])
-        reports.append(tolerance_report(f"qres-slope-n{n}", "Q-pol", {"n": n, "N": 1},
-                                        abs(qc[1] - j_at_point), tol, scale,
-                                        details={"slope": qc[1], "J_at_point": j_at_point}))
-    reports.append(tolerance_report(f"vdeg-n{n}-N{N}", "V-pol-deg", {"n": n, "N": N},
-                                    abs(vc[N]), tol, scale, details={"coeffs": vc}))
+        reports.append(tolerance_report(f"qres-slope-n{n}", "Q-pol", params,
+                                        np.max(np.abs(qres.coeffs[1] - b.J)), tol, scale,
+                                        details={"J_norm": float(np.max(np.abs(b.J)))}))
+    reports.append(tolerance_report(f"vdeg-n{n}-N{N}", "V-pol-deg", params, vn[N], tol, scale,
+                                    details={"coeff_norms": vn}))
     if n == 2 * N:
-        reports.append(tolerance_report(f"vcrit-n{n}-N{N}", "V-van", {"n": n, "N": N},
-                                        max(abs(c) for c in vc), tol, scale))
+        reports.append(tolerance_report(f"vcrit-n{n}-N{N}", "V-van", params, max(vn), tol,
+                                        scale))
     # Proportionality between the two polynomials: 4^{N-1} (N-1)! lam V(lam)
     # equals (n/2 - N) qres(lam); compare coefficientwise.
-    const = float(4 ** (N - 1) * factorial(N - 1))
-    lhs = [0.0] + [const * c for c in vc]
-    rhs = [float(f - N) * c for c in qc] + [0.0]
-    resid = max(abs(a - c) for a, c in zip(lhs, rhs))
-    reports.append(tolerance_report(f"master1-n{n}-N{N}", "master-1", {"n": n, "N": N},
-                                    resid, tol, scale))
+    gap = (v.mul_poly(LAMBDA * (4 ** (N - 1) * factorial(N - 1)))
+           + qres.mul_poly(LambdaPoly((N - Fraction(n, 2),))))
+    reports.append(tolerance_report(f"master1-n{n}-N{N}", "master-1", params,
+                                    gap.max_norm(), tol, scale))
     return reports
 
 
@@ -302,42 +261,30 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5):
                                     seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    res_plain = float(np.max(np.abs(p_dot - q4)))
-    res_star = float(np.max(np.abs(p_dot_star - q4)))
     scale = max(np.max(np.abs(q4)), np.max(np.abs(p_dot)))
-    matched = "unstarred" if res_plain <= res_star else "starred"
     reports.append(tolerance_report("crit-c", "property-2", {"n": 4},
-                                    min(res_plain, res_star), tol, scale,
-                                    details={"unstarred_residual": res_plain,
-                                             "starred_residual": res_star,
-                                             "matched": matched},
+                                    np.max(np.abs(p_dot - q4)), tol, scale,
+                                    details={"starred_residual":
+                                                 float(np.max(np.abs(p_dot_star - q4)))},
                                     seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    qc, vc, meta = qres_and_v_polys(b, 2)
-    point = meta["point"]
-    q4_pt = float(q4[point])
-    slope = qc[1]
-    res_plus = abs(slope - q4_pt)
-    res_minus = abs(slope + q4_pt)
-    sign = "+" if res_plus <= res_minus else "-"
+    qres, _, _ = qres_and_v_polys(b, 2)
+    q4_scale = max(np.max(np.abs(q4)), qres.max_norm())
     reports.append(tolerance_report("crit-d", "qres-derivative", {"n": 4},
-                                    min(res_plus, res_minus), tol, meta["scale"],
-                                    details={"slope": slope, "q4_at_point": q4_pt,
-                                             "matched_sign": sign},
+                                    np.max(np.abs(qres.coeffs[1] - q4)), tol, q4_scale,
+                                    details={"qres_coeff_norms": qres.norms()},
                                     seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     t2_dot, _ = pair_derivative(family_poly(b, 1, 1), zero)
     t4_dot, _ = pair_derivative(family_poly(b, 2, 0), zero)
-    lhs_e_field = 8 * (2 * t2_dot + 4 * t4_dot)
-    lhs_e = float(lhs_e_field[point])
-    rhs_e = -qc[2] - q4_pt
-    scale = max(np.max(np.abs(lhs_e_field)), abs(rhs_e), meta["scale"])
+    lhs_e = 8 * (2 * t2_dot + 4 * t4_dot)
+    rhs_e = -qres.coeffs[2] - q4
+    scale = max(np.max(np.abs(lhs_e)), np.max(np.abs(rhs_e)), q4_scale)
     reports.append(tolerance_report("crit-e", "harmonic-sum", {"n": 4},
-                                    abs(lhs_e - rhs_e), tol, scale,
-                                    details={"harmonic_sum": "1 (single term)",
-                                             "qres_coeffs": qc},
+                                    np.max(np.abs(lhs_e - rhs_e)), tol, scale,
+                                    details={"harmonic_sum": "1 (single term)"},
                                     seconds=time.perf_counter() - t0))
     return reports
 
@@ -435,12 +382,12 @@ def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
                   seed: int = 7, lambdas=DEFAULT_LAMBDAS, tol: float = 1e-6, phi=None):
     """Criterion checks for torus metrics: curvature routes, adjoints,
     Q-curvature duality, master relations, displayed identities, and the
-    sampled polynomial invariants. phi, when given, replaces the preset at
+    residue and volume polynomials. phi, when given, replaces the preset at
     the full grid size (its 2:1 subsample feeds the refinement check)."""
     reports = []
     for n in n_values:
-        if n < 4:
-            raise ValueError("numeric suite needs n >= 4 for the fourth-order terms")
+        if n < MIN_NUMERIC_N:
+            raise ValueError(f"numeric suite needs n >= {MIN_NUMERIC_N} for the fourth-order terms")
         b, curv_reports = _curvature_reports(n, size, preset, seed, tol, phi=phi)
         reports.extend(curv_reports)
         reports.extend(_adjoint_reports(b, seed))
@@ -462,26 +409,16 @@ def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
                                         forms_gap, 1e-3, np.max(np.abs(b.J)),
                                         seconds=time.perf_counter() - t0))
 
-        f = Fraction(n, 2)
         for N in (1, 2):
-            hard_poles = {f - 1 - j for j in range(N)}
-            for lam in lambdas:
-                lam = Fraction(lam)
-                if lam in hard_poles and not (n == 4 and N == 2 and lam == 0):
-                    continue
-                reports.append(master_check_numeric(b, N, lam, tol=tol))
+            reports.extend(master_check_numeric(b, N, lambdas, tol=tol))
             reports.extend(poly_checks(b, N, tol=tol))
-        for lam in lambdas:
-            lam = Fraction(lam)
-            if (n - 2 - 2 * lam) * (n - 4 - 2 * lam) == 0:
-                continue
-            reports.extend(example_2_3_checks(b, lam, tol=tol))
+        reports.extend(example_2_3_checks(b, lambdas, tol=tol))
     return reports
 
 
 def critical_n4_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
                       tol: float = 1e-5, phi=None):
-    """Critical-case checks at n = 4 plus the vanishing of the sampled
+    """Critical-case checks at n = 4 plus the vanishing of the
     volume polynomial and the transformation law."""
     b = curvature(*_phi_on(4, size, preset, seed, phi))
     reports = critical_suite_n4(b, tol=tol)
@@ -521,40 +458,25 @@ def einstein_checks(n: int, J: Fraction):
 
     model = EinsteinModel(n, J)
     params = {"n": n, "J": model.J, "mode": "constant-curvature"}
-    # (id, equation, lhs, rhs, extra details) of each lhs == rhs identity
+    # (id, equation, lhs, rhs) of each lhs == rhs identity
     identities = [
-        ("einstein-v2", "v2", model.v(1), -model.J / 2, {}),
-        ("einstein-v4", "v4", model.v(2), (model.J**2 - model.schouten_norm_sq()) / 8, {}),
+        ("einstein-v2", "v2", model.v(1), -model.J / 2),
+        ("einstein-v4", "v4", model.v(2), (model.J**2 - model.schouten_norm_sq()) / 8),
         ("einstein-q4", "holo-Q4",
          4 * (4 * model.v(2) + 2 * model.t2_star_const(Fraction(n, 2) - 2, model.v(1))),
-         model.q4(), {}),
+         model.q4()),
     ]
-    reports = []
     if n >= 6:
-        q6 = q6_holographic(model)
-        details = {}
-        if model.J == Fraction(n, 2):
-            sphere_value = sphere_Q(SphereContext(n), 3)
-            details["sphere_value"] = sphere_value
-            identities.append(("einstein-q6-sphere", "holo-Q6", q6, sphere_value, {}))
-        reports.append(exact_report("einstein-q6", "holo-Q6", params, True,
-                                    dict(details, value=q6)))
+        # Einstein metrics scale the sphere: Q_{2N} = (2J/n)^N Q_{2N}(S^n).
+        identities.append(("einstein-q6", "holo-Q6", q6_holographic(model),
+                           (2 * model.J / n) ** 3 * sphere_Q(SphereContext(n), 3)))
 
+    # master-3 as an identity of rational functions in the symbolic lam
     star_consts = {1: model.t2_star_const, 2: model.t4_star_const}
     for N in (1, 2):
-        hard_poles = {Fraction(n, 2) - 1 - j for j in range(N)}
-        for lam in DEFAULT_LAMBDAS:
-            lam = Fraction(lam)
-            if lam in hard_poles:
-                continue
-            terms = [model.v(N)]
-            terms += [star_consts[j](lam, model.v(N - j)) for j in range(1, N + 1)]
-            s0 = sum(terms)
-            s1 = sum(j * t for j, t in enumerate(terms))
-            residual = N * lam * s0 + (lam - n + 2 * N) * s1
-            identities.append((f"einstein-master3-N{N}-l{lam}", "master-3",
-                               residual, Fraction(0), {"lambda": str(lam)}))
+        terms = [model.v(N)] + [star_consts[j](LAMBDA, model.v(N - j)) for j in range(1, N + 1)]
+        residual = sum(((N + j) * LAMBDA - j * (n - 2 * N)) * t for j, t in enumerate(terms))
+        identities.append((f"einstein-master3-N{N}", "master-3", residual, 0))
     extension = dict(params, extension=True)
-    return reports + [exact_report(check_id, equation, extension, lhs == rhs,
-                                   dict(extra, lhs=lhs, rhs=rhs))
-                      for check_id, equation, lhs, rhs, extra in identities]
+    return [exact_report(check_id, equation, extension, lhs == rhs, {"lhs": lhs, "rhs": rhs})
+            for check_id, equation, lhs, rhs in identities]

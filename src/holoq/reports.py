@@ -60,9 +60,9 @@ def _or_null(ok):
     return lambda x: x is None or ok(x)
 
 
-# Field -> (type test, what the test accepts) for RunConfig and for a
-# stored CheckReport. Config files, command-line overrides and stored runs
-# all pass through these tables.
+# Field -> (type test, what the test accepts) for RunConfig, a stored
+# CheckReport and a stored QuantitiesReport. Config files, command-line
+# overrides and stored runs all pass through these tables.
 _CONFIG_TYPES = {
     "suites": (_list_of(_of(str)), "a list of strings"),
     "n": (_or_null(_list_of(_is_int)), "null or a list of integers"),
@@ -89,6 +89,11 @@ _CHECK_TYPES = {
     "tol": (_or_null(_is_number), "null or a number"),
     "scale": (_or_null(_is_number), "null or a number"),
     "details": (_of(dict), "an object"),
+}
+
+_QUANTITY_TYPES = {
+    "id": (_of(str), "a string"),
+    "values": (_of(dict), "an object"),
 }
 
 
@@ -178,6 +183,14 @@ class QuantitiesReport:
 
     id: str
     values: dict = field(default_factory=dict)
+
+    @staticmethod
+    def from_dict(d: dict) -> "QuantitiesReport":
+        """Inverse of body(), for quantities read back from a stored run."""
+        _check_fields(d, _QUANTITY_TYPES, "quantities")
+        if "id" not in d:
+            raise ValueError("quantities entry without 'id'")
+        return QuantitiesReport(**d)
 
     def body(self) -> dict:
         return {"id": self.id, "values": jsonable(self.values)}

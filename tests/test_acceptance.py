@@ -58,9 +58,10 @@ def test_criterion_2_hypergeometric():
 def test_criterion_3_numeric_geometry():
     """Torus metrics at n = 4 and n = 6 on the 64-point grid: curvature
     versus the independent oracle at 1e-6, adjoint pairings at 1e-8, the
-    two Q4 routes at 1e-6, the master relation for N = 1, 2 over the
-    standard spectral samples at 1e-6, the two displayed fourth-order
-    identities at 1e-6, and an 8x refinement gate from the 32-point grid."""
+    two Q4 routes at 1e-6, the master relation for N = 1, 2 and the two
+    displayed fourth-order identities at 1e-6, each coefficientwise in the
+    spectral parameter and at the five standard samples, the residue and
+    volume polynomials, and an 8x refinement gate from the 32-point grid."""
     t0 = time.perf_counter()
     reports = numeric_suite(n_values=(4, 6), size=64, preset="trig1", seed=7,
                             tol=1e-6)
@@ -69,8 +70,9 @@ def test_criterion_3_numeric_geometry():
     assert _count(reports, "curv-refine") == 2
     assert _count(reports, "adjoint-") == 6
     assert _count(reports, "q4-dual") == 2
-    assert _count(reports, "master3-") == 20
-    assert _count(reports, "ex23-") == 18
+    assert _count(reports, "master3-") == 24
+    assert _count(reports, "ex23-") == 24
+    assert _count(reports, "qres-den") == 4
     assert _count(reports, "master1-") == 4
     for r in reports:
         if r.id.startswith("curv-refine"):
@@ -80,7 +82,7 @@ def test_criterion_3_numeric_geometry():
 
 def test_criterion_4_critical_n4():
     """The five critical-case identities at n = 4 at 1e-5, the vanishing of
-    the sampled volume polynomial, and the conformal transformation law."""
+    the volume polynomial, and the conformal transformation law."""
     t0 = time.perf_counter()
     reports = critical_n4_suite(size=64, preset="trig1", seed=7, tol=1e-5)
     elapsed = time.perf_counter() - t0

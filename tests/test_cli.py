@@ -91,6 +91,20 @@ class TestExitCodes:
         assert "--Nmax must be an integer in 1..8" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "3", "--grid", "16"],
+        ["verify", "numeric", "--n", "3..5", "--grid", "16"],
+    ], ids=["all", "numeric"])
+    def test_usage_numeric_dimension_before_any_suite(self, argv, tmp_path, monkeypatch,
+                                                      capsys):
+        ran = []
+        monkeypatch.setattr("holoq.cli.sphere_suite", lambda *a, **k: ran.append("sphere"))
+        monkeypatch.setattr("holoq.cli.numeric_suite", lambda *a, **k: ran.append("numeric"))
+        assert run(argv + ["--out", str(tmp_path / "r")]) == EXIT_USAGE
+        assert "numeric suite needs n >= 4" in capsys.readouterr().err
+        assert ran == []
+        assert not list(tmp_path.glob("r.*"))
+
     def test_usage_bad_einstein_j(self):
         assert run(["verify", "sphere", "--n", "3",
                     "--einstein-j", "x"]) == EXIT_USAGE
@@ -173,7 +187,11 @@ class TestConfigFile:
         [{"id": "sphere-radial[n=3]", "passed": True}],
         {"meta": {"timestamp": ""}, "config": None,
          "checks": [{"id": "sphere-radial[n=3]", "passed": True, "tol": "x"}]},
-    ], ids=["unknown-config-key", "check-without-id", "top-level-list", "check-tol-string"])
+        {"meta": {"timestamp": ""}, "config": None, "checks": [],
+         "quantities": [{"id": "phi-input", "values": 3}]},
+        {"meta": {"timestamp": ""}, "config": None, "checks": [], "quantities": "phi-input"},
+    ], ids=["unknown-config-key", "check-without-id", "top-level-list", "check-tol-string",
+            "quantities-values-number", "quantities-string"])
     def test_malformed_run_file(self, tmp_path, body):
         source = tmp_path / "run.json"
         source.write_text(json.dumps(body))
@@ -233,6 +251,17 @@ class TestFieldCommand:
         body = json.loads((tmp_path / "r.json").read_text())
         notes = {q["id"]: q for q in body["quantities"]}
         assert "warning" in notes["phi-input"]["values"]
+
+    def test_rerender_keeps_quantities(self, tmp_path):
+        path = str(tmp_path / "phi.hqf")
+        run(["field", "export", "--n", "4", "--grid", "32", "--out", path])
+        out = str(tmp_path / "r")
+        assert run(["verify", "numeric", "--n", "4", "--grid", "32", "--phi-file", path,
+                    "--out", out, "--format", "json"]) == EXIT_PASS
+        again = tmp_path / "again.json"
+        assert run(["report", "--from", out + ".json", "--format", "json",
+                    "--out", str(again)]) == EXIT_PASS
+        assert again.read_bytes() == (tmp_path / "r.json").read_bytes()
 
     def test_grid_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "phi.hqf")

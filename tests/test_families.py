@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from holoq.conformal import curvature, inner, laplacian
-from holoq.families import LambdaOperator, PoleError, build_P, build_T
+from holoq.families import FieldPoly, LambdaOperator, PoleError, build_P, build_T
 from holoq.grid import TorusChart
+from holoq.lambda_algebra import LambdaPoly
 from holoq.presets import preset_phi
 
 
@@ -36,6 +37,15 @@ class TestConstruction:
         out, info = identity.apply_at(b, f, Fraction(1, 3))
         assert np.array_equal(out, f)
         assert info["reduced"] == 0
+
+
+class TestFieldPoly:
+    @pytest.mark.parametrize("c", [3, -2, Fraction(1, 2)])
+    def test_shift_matches_exact_shift(self, c):
+        coeffs = [Fraction(5), Fraction(-3), Fraction(1, 4), Fraction(2)]
+        shifted = FieldPoly([np.full(3, float(x)) for x in coeffs]).shift(c)
+        want = LambdaPoly(coeffs).shift(c).coeffs
+        assert [float(a[0]) for a in shifted.coeffs] == [float(x) for x in want]
 
 
 class TestEvaluation:

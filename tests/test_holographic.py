@@ -5,8 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from holoq import holographic
 from holoq.conformal import curvature
-from holoq.families import LambdaOperator, PoleError, build_T, pair_derivative, pair_value
+from holoq.families import (
+    FieldPoly,
+    LambdaOperator,
+    PoleError,
+    build_T,
+    pair_derivative,
+    pair_value,
+)
 from holoq.grid import TorusChart
 from holoq.holographic import (
     DEFAULT_LAMBDAS,
@@ -16,7 +24,6 @@ from holoq.holographic import (
     critical_n4_suite,
     critical_suite_n4,
     einstein_checks,
-    _abscissae,
     example_2_3_checks,
     family_poly,
     holo_coeffs,
@@ -28,6 +35,7 @@ from holoq.holographic import (
     q6_holographic,
     qres_and_v_polys,
 )
+from holoq.lambda_algebra import LAMBDA
 from holoq.presets import preset_phi
 
 
@@ -87,9 +95,25 @@ class TestEinsteinModel:
             for rep in einstein_checks(n, J):
                 assert rep.passed, rep.id
 
+    def test_q6_compared_with_scaled_sphere(self, monkeypatch):
+        # Q6 of an Einstein metric is (2J/n)^3 Q6(S^n); a T*_4 off by 1/1000
+        # moves the holographic route away from it. (At n = 6, T*_4 enters Q6
+        # at lam = 0, where it vanishes, so n = 8.)
+        checks = {r.id: r for r in einstein_checks(8, Fraction(7, 3))}
+        assert checks["einstein-q6"].passed
+        original = EinsteinModel.t4_star_const
+        monkeypatch.setattr(EinsteinModel, "t4_star_const",
+                            lambda self, mu, c: original(self, mu, c) * Fraction(1001, 1000))
+        checks = {r.id: r for r in einstein_checks(8, Fraction(7, 3))}
+        assert not checks["einstein-q6"].passed
+
 
 # The (j, k) pairs of T*_{2j}(v_{2k}) that the numeric suite evaluates.
 SUITE_PAIRS = ((1, 0), (1, 1), (2, 0))
+
+# Evaluation points besides DEFAULT_LAMBDAS: the poles at n = 4 (0, 1) and
+# n = 6 (1, 2), and points either side of them.
+EXTRA_POINTS = tuple(Fraction(x) for x in (-3, -1, 1, 2, 3, 4, 6))
 
 
 def _outcome(thunk):
@@ -103,10 +127,7 @@ class TestFamilyPolys:
     @pytest.mark.parametrize("n", [4, 6])
     def test_cached_pair_matches_apply_at_bitwise(self, n):
         b = bundle(n=n, size=32)
-        points = set(DEFAULT_LAMBDAS)
-        for N in (1, 2):
-            for a in _abscissae(n, N, N + 1):
-                points |= {a, a + n - 2 * N}
+        points = set(DEFAULT_LAMBDAS) | set(EXTRA_POINTS)
         for j, k in SUITE_PAIRS:
             op = build_T(n, j).adjoint()
             pair = family_poly(b, j, k)
@@ -130,6 +151,16 @@ class TestFamilyPolys:
         slope, _ = pair_derivative(family_poly(b, 2, 0), Fraction(0))
         assert np.array_equal(slope, op.derivative_at(b, ones, Fraction(0))[0])
 
+    def test_denominator_is_lcm(self):
+        # The terms of T*_4(1) at n = 4 have denominators lam (lam - 1), 1 and
+        # lam; their lcm leaves three numerator fields and a simple pole at 0.
+        b = bundle(n=4, size=32)
+        num, den = family_poly(b, 2, 0)
+        assert den == LAMBDA * (LAMBDA - 1)
+        assert len(num.coeffs) == 3
+        _, info = pair_value((num, den), Fraction(0))
+        assert info["reduced"] == 1
+
     def test_genuine_pole_raises(self):
         # T*_2 at n = 4 has its pole at lam = 1, and v2 = -J/2 leaves a residue.
         b = bundle(n=4, size=32)
@@ -150,48 +181,99 @@ class TestFamilyPolys:
         assert 0 < calls.count(6) <= 3
 
 
+def _all_pass(reports):
+    assert reports
+    for rep in reports:
+        assert rep.passed, (rep.id, rep.residual, rep.tol)
+
+
 class TestMasterRelation:
     def test_flat_exact_zero(self):
-        rep = master_check_numeric(flat_bundle(n=5), 1, Fraction(1, 3))
-        assert rep.passed and rep.residual == 0.0
+        reports = master_check_numeric(flat_bundle(n=5), 1, [Fraction(1, 3)])
+        assert [r.id for r in reports] == ["master3-n5-N1", "master3-n5-N1-l1/3"]
+        assert all(r.passed and r.residual == 0.0 for r in reports)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_first_order(self, n):
-        rep = master_check_numeric(bundle(n=n), 1, Fraction(1, 3))
-        assert rep.passed, rep.residual
+        _all_pass(master_check_numeric(bundle(n=n), 1, [Fraction(1, 3)]))
 
     @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 3), Fraction(5)])
     def test_second_order_n4(self, lam):
-        rep = master_check_numeric(bundle(n=4), 2, lam)
-        assert rep.passed, (str(lam), rep.residual)
+        _all_pass(master_check_numeric(bundle(n=4), 2, [lam]))
 
     def test_second_order_n6(self):
-        rep = master_check_numeric(bundle(n=6), 2, Fraction(7, 2))
-        assert rep.passed, rep.residual
+        # 2 and 1 are the poles of T*_4 at n = 6: the cleared polynomial has none.
+        reports = master_check_numeric(bundle(n=6), 2, [Fraction(7, 2), Fraction(2), Fraction(1)])
+        assert len(reports) == 4
+        _all_pass(reports)
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_displayed_identities(self, n):
-        lam = Fraction(5)
-        for rep in example_2_3_checks(bundle(n=n), lam):
-            assert rep.passed, (rep.id, rep.residual)
+        # n/2 - 1 and n/2 - 2 are the poles of the right-hand sides.
+        lambdas = [Fraction(5), Fraction(n, 2) - 1, Fraction(n, 2) - 2]
+        reports = example_2_3_checks(bundle(n=n), lambdas)
+        assert len(reports) == 8
+        _all_pass(reports)
+
+
+def _perturbed_bundle(n=4, size=32, eps=1e-3):
+    """A bundle whose cached T*_4(lam)(1) is off by eps * bump * prod(lam - l)
+    over DEFAULT_LAMBDAS, with the one-cell bump away from the point where
+    |Q4| peaks. Every sampled value and that grid point are left untouched."""
+    b = bundle(n=n, size=size)
+    peak = np.unravel_index(int(np.argmax(np.abs(q4_direct(b)))), b.chart.shape)
+    bump = np.zeros(b.chart.shape)
+    bump[(peak[0] + size // 2) % size, (peak[1] + size // 2) % size] = eps
+    vanishing = LAMBDA ** 0
+    for lam in DEFAULT_LAMBDAS:
+        vanishing = vanishing * (LAMBDA - lam)
+    num, den = family_poly(b, 2, 0)
+    b.family_polys[(2, 0)] = (num + FieldPoly([bump]).mul_poly(vanishing * den), den)
+    return b
+
+
+class TestCoefficientwise:
+    def test_perturbation_between_samples_detected(self):
+        b = _perturbed_bundle()
+        reports = (master_check_numeric(b, 2, DEFAULT_LAMBDAS)
+                   + example_2_3_checks(b, DEFAULT_LAMBDAS) + poly_checks(b, 2))
+        failed = {r.id for r in reports if not r.passed}
+        assert {"master3-n4-N2", "ex23-i-n4", "ex23-ii-n4", "vdeg-n4-N2", "vcrit-n4-N2",
+                "master1-n4-N2"} <= failed
+        # the spot checks at the samples do not see it
+        assert not any("-l" in check_id for check_id in failed)
+
+    def test_perturbation_fails_critical_suite(self):
+        # the perturbation is O(lam^2) at n = 4, so only the second Qres
+        # coefficient, which crit-e reads, moves
+        failed = {r.id for r in critical_suite_n4(_perturbed_bundle()) if not r.passed}
+        assert failed == {"crit-e"}
 
 
 class TestPolynomials:
     def test_first_order_slope_is_q2(self):
         b = bundle(n=5)
-        qc, vc, meta = qres_and_v_polys(b, 1)
-        assert abs(qc[0]) < 1e-8 * meta["scale"]
-        assert abs(qc[1] - float(b.J[meta["point"]])) < 1e-8 * meta["scale"]
+        qres, v, rem = qres_and_v_polys(b, 1)
+        assert rem.is_zero()
+        scale = max(qres.max_norm(), v.max_norm())
+        assert np.max(np.abs(qres.coeffs[0])) < 1e-8 * scale
+        assert np.max(np.abs(qres.coeffs[1] - b.J)) < 1e-8 * scale
 
     def test_flat_second_order_zero(self):
-        qc, vc, _ = qres_and_v_polys(flat_bundle(n=6), 2)
-        assert max(abs(c) for c in qc) == 0.0
-        assert max(abs(c) for c in vc) == 0.0
+        qres, v, _ = qres_and_v_polys(flat_bundle(n=6), 2)
+        assert qres.max_norm() == 0.0
+        assert v.max_norm() == 0.0
 
     @pytest.mark.parametrize("n,N", [(4, 1), (4, 2), (6, 1), (6, 2)])
     def test_invariants(self, n, N):
         for rep in poly_checks(bundle(n=n), N):
             assert rep.passed, (rep.id, rep.residual, rep.tol)
+
+    def test_indivisible_prefactor_fails(self, monkeypatch):
+        # a prefactor the common denominator does not divide is a failed check
+        monkeypatch.setattr(holographic, "pochhammer", lambda x, m: x ** m + 1)
+        checks = {r.id: r for r in poly_checks(bundle(n=4, size=32), 2)}
+        assert not checks["qres-den-n4-N2"].passed
 
 
 class TestCriticalSuite:
@@ -203,8 +285,23 @@ class TestCriticalSuite:
 
     def test_star_convention_recorded(self):
         reports = {r.id: r for r in critical_suite_n4(bundle(n=4, preset="trig2"))}
-        assert reports["crit-c"].details["matched"] == "unstarred"
-        assert reports["crit-d"].details["matched_sign"] == "+"
+        # crit-c is decided on the unstarred family; the starred residual is
+        # recorded and far from zero
+        assert reports["crit-c"].passed
+        assert reports["crit-c"].details["starred_residual"] > 1e3 * reports["crit-c"].tol
+        assert reports["crit-d"].passed
+
+    def test_slope_sign_pinned(self, monkeypatch):
+        original = holographic.qres_and_v_polys
+
+        def flipped(b, N):
+            qres, v, rem = original(b, N)
+            qres.coeffs[1] = -qres.coeffs[1]
+            return qres, v, rem
+
+        monkeypatch.setattr(holographic, "qres_and_v_polys", flipped)
+        reports = {r.id: r for r in critical_suite_n4(bundle(n=4))}
+        assert not reports["crit-d"].passed
 
     def test_flat_degenerate(self):
         for rep in critical_suite_n4(flat_bundle(n=4)):
