@@ -21,6 +21,6 @@ Layers, bottom up:
 
 __version__ = "0.1.0"
 
-from .lambda_algebra import LambdaPoly, LambdaRat, pochhammer, interpolate
+from .lambda_algebra import LambdaPoly, LambdaRat, pochhammer
 
-__all__ = ["LambdaPoly", "LambdaRat", "pochhammer", "interpolate", "__version__"]
+__all__ = ["LambdaPoly", "LambdaRat", "pochhammer", "__version__"]

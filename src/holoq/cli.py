@@ -156,7 +156,8 @@ def _load_phi(config: RunConfig):
 
 
 def _run_suites(config: RunConfig, phi):
-    names = list(SUITES) if "all" in config.suites else list(dict.fromkeys(config.suites))
+    # SUITES order, so a check that suites share is decided by the first one
+    names = [s for s in SUITES if s in config.suites or "all" in config.suites]
     num_tol = config.tol if config.tol is not None else 1e-6
     crit_tol = config.tol if config.tol is not None else 1e-5
     checks = []
@@ -173,11 +174,11 @@ def _run_suites(config: RunConfig, phi):
             elif name == "critical-n4":
                 checks.extend(critical_n4_suite(
                     size=config.grid, preset=config.preset, seed=config.seed,
-                    tol=crit_tol, phi=phi))
+                    tol=crit_tol, phi=phi, reported={c.id for c in checks}))
             elif name == "conformal":
                 checks.extend(conformal_suite(
                     size=config.grid, preset=config.preset, seed=config.seed,
-                    tol=crit_tol, phi=phi))
+                    tol=crit_tol, phi=phi, reported={c.id for c in checks}))
         except ValueError as exc:
             raise UsageError(f"suite {name}: {exc}")
     if config.einstein_j is not None:
@@ -247,6 +248,10 @@ def _read_run(path):
         quantities = [QuantitiesReport.from_dict(q) for q in body.get("quantities", [])]
     except (AttributeError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed run file {path}: {exc}")
+    ids = [c.id for c in checks]
+    if len(set(ids)) < len(ids):
+        repeated = next(i for i in ids if ids.count(i) > 1)
+        raise UsageError(f"malformed run file {path}: check id {repeated!r} repeats")
     return checks, config, timestamp, quantities
 
 

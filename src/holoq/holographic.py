@@ -29,7 +29,7 @@ from .families import FieldPoly, build_P, build_T, over_lcm, pair_derivative, pa
 from .grid import TorusChart
 from .lambda_algebra import LAMBDA, LambdaPoly, binomial, pochhammer
 from .presets import preset_phi
-from .reports import CheckReport, exact_report, tolerance_report
+from .reports import CheckReport, exact_report, refinement_report, tolerance_report
 
 DEFAULT_LAMBDAS = (Fraction(0), Fraction(1, 3), Fraction(5), Fraction(-2), Fraction(7, 2))
 
@@ -195,11 +195,12 @@ def qres_and_v_polys(b: CurvatureBundle, N: int):
     return qres, v.shift(shift), rem
 
 
-def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6):
+def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6, polys=None):
     """Vanishing, degree, and proportionality checks on the residue and volume
-    polynomials, each decided on whole coefficient fields."""
+    polynomials, each decided on whole coefficient fields. polys, when given,
+    is qres_and_v_polys(b, N) already built."""
     t0 = time.perf_counter()
-    qres, v, rem = qres_and_v_polys(b, N)
+    qres, v, rem = polys or qres_and_v_polys(b, N)
     qn, vn = qres.norms(), v.norms()
     scale = max(qn + vn)
     n = b.n
@@ -226,8 +227,9 @@ def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6):
     return reports
 
 
-def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5):
-    """The five fourth-order critical-case identity checks."""
+def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
+    """The five fourth-order critical-case identity checks. polys, when
+    given, is qres_and_v_polys(b, 2) already built."""
     if b.n != 4:
         raise ValueError("critical suite is defined at n = 4")
     reports = []
@@ -269,7 +271,7 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5):
                                     seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    qres, _, _ = qres_and_v_polys(b, 2)
+    qres = (polys or qres_and_v_polys(b, 2))[0]
     q4_scale = max(np.max(np.abs(q4)), qres.max_norm())
     reports.append(tolerance_report("crit-d", "qres-derivative", {"n": 4},
                                     np.max(np.abs(qres.coeffs[1] - q4)), tol, q4_scale,
@@ -289,41 +291,60 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5):
     return reports
 
 
-def conformal_covariance_q4(chart: TorusChart, phi, omega,
-                            tol: float = 1e-5) -> CheckReport:
-    """Transformation law e^{4w} Q4(phi + w) = Q4(phi) + P4(phi)(w) at n = 4."""
-    if chart.n != 4:
+def conformal_covariance_q4(base: CurvatureBundle, omega, tol: float = 1e-5,
+                            coarse: CurvatureBundle | None = None) -> CheckReport:
+    """Transformation law e^{4w} Q4(phi + w) = Q4(phi) + P4(phi)(w) at n = 4,
+    on the metric of base. A generic shift leaves a residual limited by the
+    h^4 Leibniz error of the stencils: given coarse, the same metric on half
+    the grid (omega subsampled to it), the law is gated by refinement rather
+    than by tol."""
+    if base.n != 4:
         raise ValueError("transformation law is checked at n = 4")
     t0 = time.perf_counter()
-    base = curvature(chart, phi)
-    shifted = curvature(chart, np.asarray(phi) + np.asarray(omega))
-    lhs = np.exp(4 * np.asarray(omega)) * q4_direct(shifted)
+    omega = np.asarray(omega)
+    shifted = curvature(base.chart, base.phi + omega) if np.any(omega) else base
+    lhs = np.exp(4 * omega) * q4_direct(shifted)
     p4_omega, _ = build_P(4, 2).apply_at(base, omega, Fraction(0))
     rhs = q4_direct(base) + p4_omega
+    gap = float(np.max(np.abs(lhs - rhs)))
+    if coarse is not None:
+        coarse_gap = conformal_covariance_q4(coarse, omega[::2, ::2]).residual
+        return refinement_report("conformal-covariance-q4", "q-transform", {"n": 4},
+                                 coarse_gap, gap, seconds=time.perf_counter() - t0)
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), np.max(np.abs(p4_omega)))
     return tolerance_report("conformal-covariance-q4", "q-transform", {"n": 4},
-                            np.max(np.abs(lhs - rhs)), tol, scale,
-                            seconds=time.perf_counter() - t0)
+                            gap, tol, scale, seconds=time.perf_counter() - t0)
 
 
-def _phi_on(n: int, size: int, preset: str, seed: int, phi):
-    """Chart of the given size and the conformal factor on it: the preset
-    sampled there, or the supplied field, which must have that shape."""
+def _metric(n: int, size: int, preset: str, seed: int, phi, half: bool = False):
+    """Metric of the preset sampled on the size grid, or of the supplied
+    field, which must have that shape; with half, the same metric on half
+    the grid, a supplied field subsampled 2:1."""
+    if half:
+        size, phi = size // 2, None if phi is None else phi[::2, ::2]
     ch = TorusChart(n, (size, size))
     if phi is None:
-        return ch, preset_phi(ch, preset, seed=seed)
+        return curvature(ch, preset_phi(ch, preset, seed=seed))
     if phi.shape != ch.shape:
         raise ValueError(f"phi shape {phi.shape} does not match grid {ch.shape}")
-    return ch, phi
+    return curvature(ch, phi)
+
+
+def _refinement_gaps(b: CurvatureBundle):
+    """Discretization-limited gaps on one grid: J against the metric-route
+    oracle, and the two forms of the pairing (dJ, dJ)."""
+    metric_J = oracle_curvature(b.chart, b.phi, route="metric")["J"]
+    return (float(np.max(np.abs(b.J - metric_J))),
+            float(np.max(np.abs(grad_pair_J(b, b.J, "commutator")
+                                - grad_pair_J(b, b.J, "direct")))))
 
 
 def _curvature_reports(n: int, size: int, preset: str, seed: int, tol: float,
                        phi=None):
     reports = []
     t0 = time.perf_counter()
-    ch, phi_fine = _phi_on(n, size, preset, seed, phi)
-    b = curvature(ch, phi_fine)
-    oracle = oracle_curvature(ch, b.phi)
+    b = _metric(n, size, preset, seed, phi)
+    oracle = oracle_curvature(b.chart, b.phi)
     gap = max(np.max(np.abs(b.J - oracle["J"])), np.max(np.abs(b.Psq - oracle["Psq"])),
               max(np.max(np.abs(b.P[i][k] - oracle["P_active"][i][k]))
                   for i in range(2) for k in range(2)))
@@ -332,21 +353,16 @@ def _curvature_reports(n: int, size: int, preset: str, seed: int, tol: float,
                                     {"n": n, "grid": size, "preset": preset},
                                     gap, tol, scale, seconds=time.perf_counter() - t0))
 
+    # The half-grid metric and the chain oracle go before the full-grid work.
     t0 = time.perf_counter()
-    coarse_phi = None if phi is None else phi[::2, ::2]
-    gaps = []
-    for s in (size // 2, size):
-        bs = b if s == size else curvature(*_phi_on(n, s, preset, seed, coarse_phi))
-        om = oracle_curvature(bs.chart, bs.phi, route="metric")
-        gaps.append(float(np.max(np.abs(bs.J - om["J"]))))
-    ratio = gaps[0] / max(gaps[1], 1e-300)
-    passed = ratio >= 8.0 or max(gaps) <= 1e-11
-    reports.append(CheckReport(
-        id=f"curv-refine-n{n}", equation="schouten-formula",
-        params={"n": n, "grids": [size // 2, size], "preset": preset},
-        passed=passed, residual=gaps[1], tol=max(gaps[0] / 8.0, 1e-11),
-        scale=1.0, details={"coarse_gap": gaps[0], "ratio": ratio},
-        seconds=time.perf_counter() - t0))
+    coarse = _refinement_gaps(_metric(n, size, preset, seed, phi, half=True))
+    del oracle
+    fine = _refinement_gaps(b)
+    reports.append(refinement_report(f"curv-refine-n{n}", "schouten-formula",
+                                     {"n": n, "grids": [size // 2, size], "preset": preset},
+                                     coarse[0], fine[0], seconds=time.perf_counter() - t0))
+    reports.append(refinement_report(f"gradj-forms-n{n}", "pairing-forms", {"n": n},
+                                     coarse[1], fine[1]))
     return b, reports
 
 
@@ -383,7 +399,7 @@ def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
     """Criterion checks for torus metrics: curvature routes, adjoints,
     Q-curvature duality, master relations, displayed identities, and the
     residue and volume polynomials. phi, when given, replaces the preset at
-    the full grid size (its 2:1 subsample feeds the refinement check)."""
+    the full grid size (its 2:1 subsample feeds the refinement checks)."""
     reports = []
     for n in n_values:
         if n < MIN_NUMERIC_N:
@@ -399,16 +415,6 @@ def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
                                         dual_gap, tol, scale,
                                         seconds=time.perf_counter() - t0))
 
-        t0 = time.perf_counter()
-        forms_gap = np.max(np.abs(grad_pair_J(b, b.J, "commutator")
-                                  - grad_pair_J(b, b.J, "direct")))
-        # h-limited wiring guard, not a criterion check: the two forms agree
-        # only to the stencil truncation (about 1e-4 at 32^2), while a wrong
-        # sign or factor would show up at the size of |dJ|^2 itself.
-        reports.append(tolerance_report(f"gradj-forms-n{n}", "pairing-forms", {"n": n},
-                                        forms_gap, 1e-3, np.max(np.abs(b.J)),
-                                        seconds=time.perf_counter() - t0))
-
         for N in (1, 2):
             reports.extend(master_check_numeric(b, N, lambdas, tol=tol))
             reports.extend(poly_checks(b, N, tol=tol))
@@ -417,38 +423,40 @@ def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
 
 
 def critical_n4_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
-                      tol: float = 1e-5, phi=None):
-    """Critical-case checks at n = 4 plus the vanishing of the
-    volume polynomial and the transformation law."""
-    b = curvature(*_phi_on(4, size, preset, seed, phi))
-    reports = critical_suite_n4(b, tol=tol)
-    reports.extend(poly_checks(b, 2, tol=tol))
-    # Unlike the identity checks above, the transformation-law residual is
-    # limited by the h^4 Leibniz error of the stencils, so for preset input
-    # it runs on the doubled grid to clear the same tolerance. A supplied
-    # field cannot be upsampled and is checked at its own resolution.
-    ch, base = _phi_on(4, size if phi is not None else 2 * size, preset, seed, phi)
-    omega = preset_phi(ch, "trig3", seed=seed + 5)
-    reports.append(conformal_covariance_q4(ch, base, omega, tol=tol))
+                      tol: float = 1e-5, phi=None, reported=frozenset()):
+    """Critical-case checks at n = 4, the N = 2 polynomial checks unless
+    reported (ids the run has decided) holds them, and the transformation
+    law under a generic shift."""
+    b = _metric(4, size, preset, seed, phi)
+    polys = qres_and_v_polys(b, 2)
+    reports = critical_suite_n4(b, tol=tol, polys=polys)
+    if "qres-den-n4-N2" not in reported:  # poly_checks reports its ids together
+        reports.extend(poly_checks(b, 2, tol=tol, polys=polys))
+    # b is the law's base on whichever of its grids (see conformal_suite) is the run's
+    fine = b if phi is not None else _metric(4, 2 * size, preset, seed, phi)
+    coarse = b if phi is None else _metric(4, size, preset, seed, phi, half=True)
+    omega = preset_phi(fine.chart, "trig3", seed=seed + 5)
+    reports.append(conformal_covariance_q4(fine, omega, coarse=coarse))
     return reports
 
 
 def conformal_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
-                    tol: float = 1e-5, phi=None):
-    """Transformation-law checks at n = 4 for a zero, a constant, and a
-    generic band-limited shift. Preset input runs on the doubled grid for
-    the same reason as in critical_n4_suite."""
-    ch, base = _phi_on(4, size if phi is not None else 2 * size, preset, seed, phi)
-    shifts = [
-        ("zero", ch.zeros()),
-        ("const", 0.3 * np.ones(ch.shape)),
-        ("generic", preset_phi(ch, "trig3", seed=seed + 5)),
-    ]
+                    tol: float = 1e-5, phi=None, reported=frozenset()):
+    """Transformation law at n = 4 under a zero, a constant and, unless
+    reported holds critical_n4_suite's id for it, a generic shift. Preset
+    input runs on the doubled grid; a supplied field cannot be upsampled
+    and runs at its own."""
+    law_size = size if phi is not None else 2 * size
+    base = _metric(4, law_size, preset, seed, phi)
     reports = []
-    for name, omega in shifts:
-        rep = conformal_covariance_q4(ch, base, omega, tol=tol)
+    for name, omega in (("zero", base.chart.zeros()), ("const", 0.3 * np.ones(base.chart.shape))):
+        rep = conformal_covariance_q4(base, omega, tol=tol)
         rep.id = f"conformal-{name}"
         reports.append(rep)
+    if "conformal-covariance-q4" not in reported:
+        omega = preset_phi(base.chart, "trig3", seed=seed + 5)
+        reports.append(conformal_covariance_q4(
+            base, omega, coarse=_metric(4, law_size, preset, seed, phi, half=True)))
     return reports
 
 

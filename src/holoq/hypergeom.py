@@ -321,15 +321,15 @@ def hypergeom_suite(instances: int = 200, seed: int = 1, order: int = 20):
     reports.append(rep)
 
     reports.append(_tally_report(
-        "hg-ps-batch", "Pfaff-Saalschutz",
+        "hg-ps-batch", "pfaff-saalschutz",
         random_ps_instances(instances, seed), check_pfaff_saalschutz,
         {"seed": seed, "mmax": 10}))
     reports.append(_tally_report(
-        "hg-shep-batch", "shep",
+        "hg-shep-batch", "sheppard",
         random_sheppard_instances(instances, seed + 1), check_sheppard,
         {"seed": seed + 1, "mmax": 10}))
     reports.append(_tally_report(
-        "hg-conn-batch", "connection",
+        "hg-conn-batch", "connection-terminating",
         random_connection_instances(max(1, instances // 4), seed + 2),
         check_connection_terminating,
         {"seed": seed + 2, "mmax": 10}))

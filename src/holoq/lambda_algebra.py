@@ -499,28 +499,3 @@ def binomial(n: int, k: int) -> Fraction:
     if k < 0 or k > n:
         return Fraction(0)
     return falling(Fraction(n), k) / pochhammer(Fraction(1), k)
-
-
-def interpolate(points) -> LambdaPoly:
-    """Exact Lagrange interpolation through (x_i, y_i) pairs of Fractions.
-
-    Raises ValueError on duplicate abscissae. Degree of the result is at
-    most len(points) - 1.
-    """
-    pts = [(_frac(x), _frac(y)) for x, y in points]
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissae in interpolation data")
-    total = LambdaPoly()
-    for i, (xi, yi) in enumerate(pts):
-        if yi == 0:
-            continue
-        basis = _ONE
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            basis = basis * LambdaPoly([-xj, 1])
-            denom *= (xi - xj)
-        total = total + basis * (yi / denom)
-    return total

@@ -177,6 +177,18 @@ def tolerance_report(check_id, equation, params, residual, base_tol, scale,
                        tol=tol, scale=scale, details=details or {}, seconds=seconds)
 
 
+def refinement_report(check_id, equation, params, coarse, fine, seconds=0.0) -> CheckReport:
+    """Verdict of a check limited by discretization, from its residuals on
+    the half grid (coarse) and the full grid (fine): it passes when halving
+    h shrinks the residual by a factor of at least 8, or when both residuals
+    are at rounding level (1e-11). The residual reported is the fine one."""
+    ratio = coarse / max(fine, 1e-300)
+    return CheckReport(id=check_id, equation=equation, params=params,
+                       passed=bool(ratio >= 8.0 or max(coarse, fine) <= 1e-11),
+                       residual=fine, tol=max(coarse / 8.0, 1e-11), scale=1.0,
+                       details={"coarse_gap": coarse, "ratio": ratio}, seconds=seconds)
+
+
 @dataclass
 class QuantitiesReport:
     """Named computed quantities (coefficients, curvatures) for emission."""

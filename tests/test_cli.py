@@ -1,13 +1,20 @@
 """Driver behavior: config plumbing, exit codes, deterministic reports."""
 
 import hashlib
+import itertools
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from holoq import cli
 from holoq.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, UsageError, _parse_lambdas, _parse_n, main
+from holoq.conformal import CurvatureBundle
 from holoq.grid import load_field
 from holoq.reports import RunConfig
 
@@ -128,7 +135,7 @@ class TestDeterminism:
         (["verify", "sphere", "--n", "3..8", "--Nmax", "4"],
          "2434adb67fcf869e02b4e306f218f440c96ebf5fb61f88f0c318d9fd4d3df993"),
         (["verify", "hypergeom", "--instances", "20", "--seed", "3"],
-         "6a359bcf0348343e5e06de3e49a01a232530b21c807acf76491b521e97c66e8c"),
+         "8da992287f0cbfaaf0227aed09307985c799cfa335f2aabe005ef7ae7d223705"),
     ], ids=["sphere", "hypergeom"])
     def test_canonical_json_digest(self, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)
@@ -224,6 +231,13 @@ class TestReportCommand:
     def test_missing_source(self):
         assert run(["report", "--from", "/nonexistent.json"]) == EXIT_USAGE
 
+    def test_repeated_id_rejected(self, tmp_path, capsys):
+        source = tmp_path / "run.json"
+        source.write_text(json.dumps({"meta": {"timestamp": ""}, "config": None,
+                                      "checks": [{"id": "crit-a", "passed": True}] * 2}))
+        assert run(["report", "--from", str(source)]) == EXIT_USAGE
+        assert "'crit-a'" in capsys.readouterr().err
+
 
 class TestFieldCommand:
     def test_export_info_round_trip(self, tmp_path, capsys):
@@ -268,3 +282,70 @@ class TestFieldCommand:
         run(["field", "export", "--n", "4", "--grid", "32", "--out", path])
         assert run(["verify", "numeric", "--n", "4", "--grid", "64",
                     "--phi-file", path]) == EXIT_USAGE
+
+
+TORUS_SUITES = ("numeric", "critical-n4", "conformal")
+
+
+def _check_ids(path):
+    return [c["id"] for c in json.loads(path.read_text())["checks"]]
+
+
+class TestSharedChecks:
+    """A check that several torus suites share is run and reported once."""
+
+    @pytest.mark.parametrize("suites", [
+        list(combo) for r in (1, 2, 3) for combo in itertools.combinations(TORUS_SUITES, r)
+    ] + [None], ids=lambda s: "+".join(s) if s else "all")
+    def test_no_id_repeats(self, tmp_path, suites):
+        argv = ["verify", "--grid", "32", "--out", str(tmp_path / "r"), "--format", "json"]
+        if suites:
+            # listed last-first: suites still run in their fixed order
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"suites": suites[::-1]}))
+            argv += ["--config", str(cfg)]
+        assert run(argv) == EXIT_PASS
+        ids = _check_ids(tmp_path / "r.json")
+        assert len(ids) == len(set(ids))
+
+    @pytest.mark.parametrize("suite,expected", [
+        ("critical-n4", {"crit-a", "crit-b", "crit-c", "crit-d", "crit-e", "qres-den-n4-N2",
+                         "qres-van-n4-N2", "vdeg-n4-N2", "vcrit-n4-N2", "master1-n4-N2",
+                         "conformal-covariance-q4"}),
+        ("conformal", {"conformal-zero", "conformal-const", "conformal-covariance-q4"}),
+    ])
+    def test_suite_alone_keeps_its_checks(self, tmp_path, suite, expected):
+        out = tmp_path / "r"
+        assert run(["verify", suite, "--grid", "32", "--out", str(out),
+                    "--format", "json"]) == EXIT_PASS
+        assert set(_check_ids(tmp_path / "r.json")) == expected
+
+    def test_each_metric_built_once_per_suite(self, tmp_path, monkeypatch):
+        built, current = [], [None]
+        post_init = CurvatureBundle.__post_init__
+
+        def spy(self):
+            post_init(self)
+            built.append((current[0], self.n, self.phi.shape,
+                          hashlib.sha256(self.phi.tobytes()).hexdigest()))
+
+        monkeypatch.setattr(CurvatureBundle, "__post_init__", spy)
+        for name in ("numeric_suite", "critical_n4_suite", "conformal_suite"):
+            def tagged(*args, _suite=getattr(cli, name), _name=name, **kwargs):
+                current[0] = _name
+                return _suite(*args, **kwargs)
+            monkeypatch.setattr(cli, name, tagged)
+        assert run(["verify", "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
+        assert len(built) <= 10
+        assert len(set(built)) == len(built)
+
+
+def test_tracer_installs():
+    """The benchmark tracer finds every holoq function it wraps."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import tracer; tracer.install(tracer.Tracer())"],
+                          cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -21,6 +21,7 @@ from holoq.holographic import (
     EinsteinModel,
     UnsupportedModeError,
     conformal_covariance_q4,
+    conformal_suite,
     critical_n4_suite,
     critical_suite_n4,
     einstein_checks,
@@ -314,32 +315,40 @@ class TestCriticalSuite:
 
 class TestConformalCovariance:
     def test_zero_shift_trivial(self):
-        ch = TorusChart(4, (32, 32))
-        phi = preset_phi(ch, "trig1", seed=7)
-        rep = conformal_covariance_q4(ch, phi, np.zeros(ch.shape))
+        rep = conformal_covariance_q4(bundle(size=32), np.zeros((32, 32)))
         assert rep.passed and rep.residual < 1e-14
 
     def test_constant_shift(self):
-        ch = TorusChart(4, (32, 32))
-        phi = preset_phi(ch, "trig1", seed=7)
-        rep = conformal_covariance_q4(ch, phi, 0.3 * np.ones(ch.shape))
+        rep = conformal_covariance_q4(bundle(size=32), 0.3 * np.ones((32, 32)))
         assert rep.passed, rep.residual
 
     def test_generic_shift(self):
-        ch = TorusChart(4, (128, 128))
-        phi = preset_phi(ch, "trig1", seed=7)
-        omega = preset_phi(ch, "trig3", seed=12)
-        rep = conformal_covariance_q4(ch, phi, omega)
+        b = bundle(size=128)
+        omega = preset_phi(b.chart, "trig3", seed=12)
+        rep = conformal_covariance_q4(b, omega)
         assert rep.passed, (rep.residual, rep.tol)
 
     def test_fourth_order_refinement(self):
         gaps = []
         for size in (48, 96):
-            ch = TorusChart(4, (size, size))
-            phi = preset_phi(ch, "trig1", seed=7)
-            omega = preset_phi(ch, "trig3", seed=12)
-            gaps.append(conformal_covariance_q4(ch, phi, omega).residual)
+            b = bundle(size=size)
+            omega = preset_phi(b.chart, "trig3", seed=12)
+            gaps.append(conformal_covariance_q4(b, omega).residual)
         assert gaps[0] / gaps[1] > 8.0
+
+    def test_refinement_gate_passes_coarse_grid(self):
+        # at 32^2 the residual exceeds a fixed 1e-5, yet it falls like h^4
+        b = bundle(size=32)
+        omega = preset_phi(b.chart, "trig3", seed=12)
+        rep = conformal_covariance_q4(b, omega, coarse=bundle(size=16))
+        assert rep.passed and rep.residual > 1e-5 and rep.details["ratio"] >= 8.0
+
+    def test_scaled_p4_fails_law(self, monkeypatch):
+        original = holographic.build_P
+        monkeypatch.setattr(holographic, "build_P",
+                            lambda n, N: original(n, N).scale(Fraction(1001, 1000)))
+        rep = {r.id: r for r in critical_n4_suite(size=32)}["conformal-covariance-q4"]
+        assert not rep.passed and rep.details["ratio"] < 2.0
 
 
 class TestSuites:
@@ -352,3 +361,36 @@ class TestSuites:
     def test_critical_suite_passes(self):
         for rep in critical_n4_suite():
             assert rep.passed, (rep.id, rep.residual, rep.tol)
+
+    def test_wrong_direct_pairing_fails_forms_check(self, monkeypatch):
+        original = holographic.grad_pair_J
+
+        def flipped(b, f, form="commutator"):
+            out = original(b, f, form)
+            return -out if form == "direct" else out
+
+        monkeypatch.setattr(holographic, "grad_pair_J", flipped)
+        reps = {r.id: r for r in numeric_suite(n_values=(4,), size=32)}
+        assert not reps["gradj-forms-n4"].passed
+        assert reps["gradj-forms-n4"].details["ratio"] < 2.0
+
+    def test_critical_suite_builds_polynomials_once(self, monkeypatch):
+        calls = []
+        original = holographic.qres_and_v_polys
+
+        def spy(b, N):
+            calls.append(N)
+            return original(b, N)
+
+        monkeypatch.setattr(holographic, "qres_and_v_polys", spy)
+        critical_n4_suite(size=16)
+        assert calls == [2]
+
+    def test_reported_checks_are_not_rerun(self):
+        alone = {r.id for r in critical_n4_suite(size=32)}
+        shared = {"qres-den-n4-N2", "conformal-covariance-q4"}
+        after = {r.id for r in critical_n4_suite(size=32, reported=shared)}
+        assert alone - after == {"qres-den-n4-N2", "qres-van-n4-N2", "vdeg-n4-N2",
+                                 "vcrit-n4-N2", "master1-n4-N2"}
+        ids = [r.id for r in conformal_suite(size=16, reported=shared)]
+        assert ids == ["conformal-zero", "conformal-const"]

@@ -1,4 +1,3 @@
-import random
 import struct
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from holoq.lambda_algebra import (
     LambdaRat,
     binomial,
     falling,
-    interpolate,
     pochhammer,
     poly_gcd,
 )
@@ -195,35 +193,6 @@ class TestPochhammer:
         assert falling(Fraction(5), 2) == 20
         assert binomial(6, 2) == 15
         assert binomial(4, 7) == 0
-
-
-class TestInterpolate:
-    def test_line_through_two_points(self):
-        p = interpolate([(0, 1), (1, 3)])
-        assert p == 2 * LAMBDA + 1
-
-    def test_recovers_cubic(self):
-        target = LAMBDA ** 3 - Fraction(1, 2) * LAMBDA + 4
-        pts = [(Fraction(x), target(Fraction(x))) for x in (-2, -1, 0, 1)]
-        assert interpolate(pts) == target
-
-    def test_duplicate_abscissae_raise(self):
-        with pytest.raises(ValueError):
-            interpolate([(1, 2), (1, 3)])
-
-    def test_random_round_trip(self):
-        """100 seeded instances: interpolation then evaluation is identity."""
-        rng = random.Random(20240817)
-        for _ in range(100):
-            deg = rng.randrange(0, 5)
-            target = LambdaPoly([Fraction(rng.randrange(-30, 31), rng.randrange(1, 7))
-                                 for _ in range(deg + 1)])
-            xs = rng.sample(range(-12, 13), deg + 1)
-            pts = [(Fraction(x), target(Fraction(x))) for x in xs]
-            got = interpolate(pts)
-            assert got == target
-            for x in xs:
-                assert got(Fraction(x)) == target(Fraction(x))
 
 
 # Plain Fraction-list reference for the integer-content core: lists of
