@@ -1,6 +1,7 @@
 """Micro-benchmarks of the numeric layers on a 128x128 torus at n = 4, the
 stencil, the curvature bundle, the Christoffel oracle, one operator-family
-polynomial and the residue/volume polynomial checks.
+polynomial and the residue/volume polynomial checks; and the oracle at n = 6
+on both routes, where four inactive axes share each index class.
 
     python -m pytest bench/bench_numeric.py -q
 
@@ -44,6 +45,14 @@ def test_curvature(benchmark, chart_phi):
 def test_oracle_curvature(benchmark, chart_phi, bundle):
     oracle = benchmark(oracle_curvature, *chart_phi)
     assert np.max(np.abs(oracle["J"] - bundle.J)) < 1e-6 * max(1.0, np.max(np.abs(bundle.J)))
+
+
+@pytest.mark.parametrize("route,rel_tol", [("chain", 1e-6), ("metric", 1e-4)])
+def test_oracle_curvature_n6(benchmark, route, rel_tol):
+    ch = TorusChart(6, (SIZE, SIZE))
+    b = curvature(ch, preset_phi(ch, "trig1", seed=7))
+    oracle = benchmark(oracle_curvature, ch, b.phi, route)
+    assert np.max(np.abs(oracle["J"] - b.J)) < rel_tol * max(1.0, np.max(np.abs(b.J)))
 
 
 def test_family_poly_t4_on_one(benchmark, bundle):

@@ -28,6 +28,7 @@ import numpy as np
 
 from .grid import TorusChart, load_field, save_field
 from .holographic import (
+    MIN_NUMERIC_GRID,
     MIN_NUMERIC_N,
     conformal_suite,
     critical_n4_suite,
@@ -47,6 +48,8 @@ from .reports import (
 from .sphere import MAX_RADIAL_ORDER, sphere_suite
 
 SUITES = ("sphere", "hypergeom", "numeric", "critical-n4", "conformal")
+# Dimensions of the numeric suite when --n is not given.
+NUMERIC_N = (4, 6)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -124,10 +127,27 @@ def _load_config(args) -> RunConfig:
         raise UsageError(f"grid size must be an even integer >= 16, got {config.grid!r}")
     if config.instances < 1:
         raise UsageError(f"instances must be an integer >= 1, got {config.instances!r}")
-    numeric = "numeric" in config.suites or "all" in config.suites
-    if numeric and config.n and min(config.n) < MIN_NUMERIC_N:
-        raise UsageError(f"the numeric suite needs n >= {MIN_NUMERIC_N}, got {config.n}")
+    if "numeric" in _selected(config):
+        if config.n and min(config.n) < MIN_NUMERIC_N:
+            raise UsageError(f"the numeric suite needs n >= {MIN_NUMERIC_N}, got {config.n}")
+        if config.grid < MIN_NUMERIC_GRID:
+            raise UsageError(
+                f"the numeric suite needs --grid >= {MIN_NUMERIC_GRID}, got {config.grid}")
     return config
+
+
+def _selected(config: RunConfig):
+    """The suites a run selects, in SUITES order."""
+    return [s for s in SUITES if s in config.suites or "all" in config.suites]
+
+
+def _torus_dimensions(config: RunConfig):
+    """The dimensions the selected torus suites run a field at."""
+    names = _selected(config)
+    dims = set(config.n or NUMERIC_N) if "numeric" in names else set()
+    if "critical-n4" in names or "conformal" in names:
+        dims.add(4)
+    return sorted(dims)
 
 
 def _load_phi(config: RunConfig):
@@ -145,6 +165,10 @@ def _load_phi(config: RunConfig):
     if chart.shape[0] != config.grid:
         raise UsageError(
             f"field file grid {chart.shape[0]} does not match --grid {config.grid}")
+    dims = _torus_dimensions(config)
+    if any(n != chart.n for n in dims):
+        raise UsageError(
+            f"field file dimension n={chart.n} does not match the torus suites' n={dims}")
     note = QuantitiesReport("phi-input", {
         "path": config.phi_file,
         "n": chart.n,
@@ -157,7 +181,7 @@ def _load_phi(config: RunConfig):
 
 def _run_suites(config: RunConfig, phi):
     # SUITES order, so a check that suites share is decided by the first one
-    names = [s for s in SUITES if s in config.suites or "all" in config.suites]
+    names = _selected(config)
     num_tol = config.tol if config.tol is not None else 1e-6
     crit_tol = config.tol if config.tol is not None else 1e-5
     checks = []
@@ -169,7 +193,7 @@ def _run_suites(config: RunConfig, phi):
                 checks.extend(hypergeom_suite(instances=config.instances, seed=config.seed))
             elif name == "numeric":
                 checks.extend(numeric_suite(
-                    n_values=config.n or (4, 6), size=config.grid, preset=config.preset,
+                    n_values=config.n or NUMERIC_N, size=config.grid, preset=config.preset,
                     seed=config.seed, lambdas=config.lambda_values(), tol=num_tol, phi=phi))
             elif name == "critical-n4":
                 checks.extend(critical_n4_suite(

@@ -151,40 +151,68 @@ def _mul(x, y):
     return None if x is None or y is None else x * y
 
 
-def _total(fields):
-    acc = None
-    for x in fields:
-        acc = _add(acc, x)
+def _iadd(acc, x):
+    """_add into acc's buffer, which the caller owns; x, if it starts the
+    sum, becomes that buffer. acc += x is bitwise acc + x."""
+    if x is None or acc is None:
+        return _add(acc, x)
+    acc += x
     return acc
 
 
-def oracle_curvature(chart: TorusChart, phi, route: str = "chain"):
-    """Recompute Schouten data from Christoffel symbols of g_ij = e^{2 phi} d_ij.
+def _isub(acc, x):
+    if x is None or acc is None:
+        return _sub(acc, x)
+    acc -= x
+    return acc
 
-    Works index by index in the full n-dimensional chart; fields are constant
-    along the inactive axes so their partials vanish. Those vanishing partials,
-    and every Christoffel symbol and product built only from them, are held as
-    None and skipped, which leaves the surviving sums in their index order.
-    Returns a dict with scal, J, Psq and the active 2x2 block of Schouten
-    components.
 
-    The "chain" route feeds the Christoffel assembly with derivatives of phi
-    (the half log of the metric components), so the comparison against
-    curvature() isolates the tensor-algebra reduction from stencil truncation.
-    The "metric" route differentiates the raw components e^{2 phi} instead;
-    its gap against curvature() is genuinely resolution-limited and is what
-    the refinement checks measure.
-    """
-    phi = np.asarray(phi, dtype=float)
+def _total(fields):
+    """The fields summed in order, None skipped. The sum gets a buffer of
+    its own at its first addition and is accumulated there, so no field
+    passed in is ever written."""
+    acc, owned = None, False
+    for x in fields:
+        if x is None:
+            continue
+        if owned:
+            acc += x
+        elif acc is None:
+            acc = x
+        else:
+            acc, owned = acc + x, True
+    return acc
+
+
+def _index_class(idx):
+    """Representative of an index tuple: its inactive axes (>= 2) relabelled
+    2, 3, ... in order of first appearance."""
+    names = {}
+    return tuple(i if i < 2 else names.setdefault(i, 2 + len(names)) for i in idx)
+
+
+def _by_class(build):
+    """build(*idx), evaluated once per index class at its representative
+    and shared by the class. The fields are constant along the isometric
+    inactive axes, so each entry of a class is built from the same terms in
+    the same order as its representative: the shared array is bitwise the
+    one each entry would get."""
+    built = {}
+
+    def get(*idx):
+        key = _index_class(idx)
+        if key not in built:
+            built[key] = build(*key)
+        return built[key]
+    return get
+
+
+def _ricci(chart: TorusChart, lam):
+    """Ricci tensor of g_ij = e^{2 phi} d_ij from lam = [d_0 phi, d_1 phi],
+    as an n x n list sharing one array per index class, None where it
+    vanishes by structure. The Christoffel symbols end with this call."""
     n = chart.n
-    E = np.exp(2.0 * phi)
-    Einv = 1.0 / E
-    if route == "chain":
-        lam = [d1(chart, phi, 0), d1(chart, phi, 1)] + [None] * (n - 2)
-    elif route == "metric":
-        lam = [0.5 * Einv * d1(chart, E, 0), 0.5 * Einv * d1(chart, E, 1)] + [None] * (n - 2)
-    else:
-        raise ValueError(f"unknown oracle route {route!r}")
+    lam = list(lam) + [None] * (n - 2)
 
     def gamma(k, i, j):
         out = None
@@ -199,31 +227,74 @@ def oracle_curvature(chart: TorusChart, phi, route: str = "chain"):
     def deriv(f, axis):
         return None if f is None else d1(chart, f, axis)
 
-    G = [[[gamma(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)]
+    christoffel = _by_class(gamma)
+    G = [[[christoffel(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)]
     trace = [_total(G[l][l][k] for l in range(n)) for k in range(n)]
 
+    # Every term is a fresh array (a derivative or a product), so the first
+    # one can hold the sum; no Christoffel array is written.
+    def entry(j, k):
+        term = None
+        for l in range(2):
+            term = _iadd(term, deriv(G[l][j][k], l))
+        if j < 2:
+            term = _isub(term, deriv(trace[k], j))
+        for m in range(n):
+            term = _iadd(term, _mul(trace[m], G[m][j][k]))
+            for l in range(n):
+                term = _isub(term, _mul(G[l][j][m], G[m][l][k]))
+        return term
+
+    entry = _by_class(entry)
     ric = [[None] * n for _ in range(n)]
     for j in range(n):
         for k in range(j, n):
-            term = None
-            for l in range(2):
-                term = _add(term, deriv(G[l][j][k], l))
-            if j < 2:
-                term = _sub(term, deriv(trace[k], j))
-            for m in range(n):
-                term = _add(term, _mul(trace[m], G[m][j][k]))
-                for l in range(n):
-                    term = _sub(term, _mul(G[l][j][m], G[m][l][k]))
-            ric[j][k] = ric[k][j] = term
+            ric[j][k] = ric[k][j] = entry(j, k)
+    return ric
+
+
+def oracle_curvature(chart: TorusChart, phi, route: str = "chain"):
+    """Recompute Schouten data from Christoffel symbols of g_ij = e^{2 phi} d_ij.
+
+    Works index by index in the full n-dimensional chart; fields are constant
+    along the inactive axes so their partials vanish. Those vanishing partials,
+    and every Christoffel symbol and product built only from them, are held as
+    None and skipped, which leaves the surviving sums in their index order.
+    Entries that differ only by a permutation of the inactive axes are built
+    once and shared (_by_class). Returns a dict with scal, J, Psq and the
+    active 2x2 block of Schouten components.
+
+    The "chain" route feeds the Christoffel assembly with derivatives of phi
+    (the half log of the metric components), so the comparison against
+    curvature() isolates the tensor-algebra reduction from stencil truncation.
+    The "metric" route differentiates the raw components e^{2 phi} instead;
+    its gap against curvature() is genuinely resolution-limited and is what
+    the refinement checks measure.
+    """
+    phi = np.asarray(phi, dtype=float)
+    n = chart.n
+    E = np.exp(2.0 * phi)
+    Einv = 1.0 / E
+    if route == "chain":
+        ric = _ricci(chart, [d1(chart, phi, 0), d1(chart, phi, 1)])
+    elif route == "metric":
+        ric = _ricci(chart, [0.5 * Einv * d1(chart, E, 0), 0.5 * Einv * d1(chart, E, 1)])
+    else:
+        raise ValueError(f"unknown oracle route {route!r}")
 
     scal = Einv * _total(ric[j][j] for j in range(n))
     J = scal / (2.0 * (n - 1.0))
+    JE = J * E
 
     def schouten(j, k):
-        p = _sub(ric[j][k], J * E if j == k else None)
+        p = _sub(ric[j][k], JE if j == k else None)
         return None if p is None else p / (n - 2.0)
 
-    P = [[schouten(j, k) for k in range(n)] for j in range(n)]
+    schouten = _by_class(schouten)
+    P = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            P[j][k] = P[k][j] = schouten(j, k)
     Psq = Einv ** 2 * _total(p ** 2 for row in P for p in row if p is not None)
     return {
         "scal": scal,

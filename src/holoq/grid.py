@@ -64,8 +64,8 @@ def hessian(chart: TorusChart, f):
     """
     g0 = d1(chart, f, 0)
     g1 = d1(chart, f, 1)
-    return [[d1(chart, g0, 0), d1(chart, g1, 0)],
-            [d1(chart, g1, 0), d1(chart, g1, 1)]]
+    mixed = d1(chart, g1, 0)
+    return [[d1(chart, g0, 0), mixed], [mixed, d1(chart, g1, 1)]]
 
 
 def save_field(path, chart: TorusChart, f) -> None:

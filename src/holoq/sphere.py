@@ -235,29 +235,45 @@ def sphere_Q(ctx: SphereContext, N: int) -> Fraction:
     return closed
 
 
+def _lap_clock():
+    """A clock whose every call returns the seconds since its previous call,
+    or since it was made."""
+    last = time.perf_counter()
+
+    def lap():
+        nonlocal last
+        now = time.perf_counter()
+        seconds, last = now - last, now
+        return seconds
+    return lap
+
+
 def sphere_checks(ctx: SphereContext, N: int):
-    """All exact identity checks for one (n, N) pair."""
+    """All exact identity checks for one (n, N) pair. A check's seconds run
+    from the end of the one before, so work shared by several checks counts
+    for the first of them."""
     n, f = ctx.n, ctx.f
     tag = {"n": n, "N": N}
     out = []
+    lap = _lap_clock()
 
     S0d, S1d = _direct_sums(ctx, N)
     S0c, S1c = _sum_closed(ctx, N), _weighted_closed(ctx, N)
     out.append(exact_report(f"sphere-sum1[n={n},N={N}]", "sum-1", tag,
-                            (S0d - S0c).is_zero()))
+                            (S0d - S0c).is_zero(), seconds=lap()))
     out.append(exact_report(f"sphere-weighted[n={n},N={N}]", "weighted-sum", tag,
-                            (S1d - S1c).is_zero()))
+                            (S1d - S1c).is_zero(), seconds=lap()))
 
     # master-3: lambda N S0 + (lambda - n + 2N) S1 = 0
     m3 = LambdaRat(LAMBDA) * N * S0d + LambdaRat(LAMBDA - n + 2 * N) * S1d
     out.append(exact_report(f"sphere-master3[n={n},N={N}]", "master-3", tag,
-                            m3.is_zero()))
+                            m3.is_zero(), seconds=lap()))
 
     # master-2: (lambda-n+2N)(2N S0 + 2 S1) = -2N(n-2N) S0
     m2l = LambdaRat(LAMBDA - n + 2 * N) * (2 * N * S0d + 2 * S1d)
     m2r = Fraction(-2 * N * (n - 2 * N)) * S0d
     out.append(exact_report(f"sphere-master2[n={n},N={N}]", "master-2", tag,
-                            (m2l - m2r).is_zero()))
+                            (m2l - m2r).is_zero(), seconds=lap()))
 
     qres = _qres(ctx, N, S0c)
     vpoly = _v_poly(ctx, N, S0c, S1c)
@@ -266,16 +282,16 @@ def sphere_checks(ctx: SphereContext, N: int):
     m1l = Fraction(4 ** (N - 1) * math.factorial(N - 1)) * LAMBDA * vpoly
     m1r = (f - N) * qres
     out.append(exact_report(f"sphere-master1[n={n},N={N}]", "master-1", tag,
-                            (m1l - m1r).is_zero()))
+                            (m1l - m1r).is_zero(), seconds=lap()))
 
     out.append(exact_report(f"sphere-qres0[n={n},N={N}]", "qres-vanishes-at-0", tag,
-                            qres(Fraction(0)) == 0))
+                            qres(Fraction(0)) == 0, seconds=lap()))
     out.append(exact_report(f"sphere-vdeg[n={n},N={N}]", "v-poly-degree", tag,
                             vpoly.degree <= N - 1,
-                            {"degree": vpoly.degree}))
+                            {"degree": vpoly.degree}, seconds=lap()))
     if 2 * N == n:
         out.append(exact_report(f"sphere-vcrit[n={n},N={N}]", "v-poly-critical-zero",
-                                tag, vpoly.is_zero()))
+                                tag, vpoly.is_zero(), seconds=lap()))
 
     # claim-red, both directly and through the 3F2 form (the latter only
     # where its lower parameter n-N+1 stays off the nonpositive integers)
@@ -286,13 +302,14 @@ def sphere_checks(ctx: SphereContext, N: int):
         hyp = binomial(n, N) * hyper_terminating(
             HyperSpec((f, LAMBDA, Fraction(-N)), (LAMBDA - f + 1, Fraction(n - N + 1))))
         ok = ok and (LambdaRat(1) * hyp - lhs).is_zero()
-    out.append(exact_report(f"sphere-claimred[n={n},N={N}]", "claim-red", tag, ok))
+    out.append(exact_report(f"sphere-claimred[n={n},N={N}]", "claim-red", tag, ok,
+                            seconds=lap()))
 
     # P on 1 versus T on 1 through the prefactor relation
     pref = Fraction(4 ** N * math.factorial(N) * (-1) ** N) * pochhammer(LAMBDA - f + 1, N)
     rel = sphere_T_on_one(ctx, N) * pref - sphere_P_on_one(ctx, N)
     out.append(exact_report(f"sphere-TP[n={n},N={N}]", "T-P-prefactor", tag,
-                            rel.is_zero()))
+                            rel.is_zero(), seconds=lap()))
     return out
 
 
@@ -310,10 +327,5 @@ def sphere_suite(n_values, nmax: int = 6):
                                     {"n": n, "orders": cap}, ok,
                                     seconds=time.perf_counter() - t0))
         for N in range(1, cap + 1):
-            t0 = time.perf_counter()
-            checks = sphere_checks(ctx, N)
-            dt = time.perf_counter() - t0
-            for c in checks:
-                c.seconds = dt / len(checks)
-            reports.extend(checks)
+            reports.extend(sphere_checks(ctx, N))
     return reports

@@ -98,19 +98,28 @@ class TestExitCodes:
         assert "--Nmax must be an integer in 1..8" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--n", "3", "--grid", "16"],
-        ["verify", "numeric", "--n", "3..5", "--grid", "16"],
-    ], ids=["all", "numeric"])
-    def test_usage_numeric_dimension_before_any_suite(self, argv, tmp_path, monkeypatch,
-                                                      capsys):
+    # The dimension bound and the grid floor of the numeric suite (its
+    # refinement gate needs a half grid of at least 16).
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--n", "3", "--grid", "32"], "numeric suite needs n >= 4"),
+        (["verify", "numeric", "--n", "3..5", "--grid", "32"], "numeric suite needs n >= 4"),
+        (["verify", "--grid", "16"], "numeric suite needs --grid >= 32"),
+        (["verify", "numeric", "--n", "4", "--grid", "30"], "numeric suite needs --grid >= 32"),
+    ], ids=["all", "numeric", "grid16-all", "grid30-numeric"])
+    def test_usage_numeric_dimension_before_any_suite(self, argv, message, tmp_path,
+                                                      monkeypatch, capsys):
         ran = []
         monkeypatch.setattr("holoq.cli.sphere_suite", lambda *a, **k: ran.append("sphere"))
         monkeypatch.setattr("holoq.cli.numeric_suite", lambda *a, **k: ran.append("numeric"))
         assert run(argv + ["--out", str(tmp_path / "r")]) == EXIT_USAGE
-        assert "numeric suite needs n >= 4" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert ran == []
         assert not list(tmp_path.glob("r.*"))
+
+    @pytest.mark.parametrize("suite", ["sphere", "hypergeom"])
+    def test_grid_16_without_numeric(self, suite, tmp_path):
+        assert run(["verify", suite, "--n", "3", "--instances", "2", "--grid", "16",
+                    "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
 
     def test_usage_bad_einstein_j(self):
         assert run(["verify", "sphere", "--n", "3",
@@ -276,6 +285,24 @@ class TestFieldCommand:
         assert run(["report", "--from", out + ".json", "--format", "json",
                     "--out", str(again)]) == EXIT_PASS
         assert again.read_bytes() == (tmp_path / "r.json").read_bytes()
+
+    @pytest.mark.parametrize("argv,dims", [
+        (["verify", "numeric", "--n", "4,6"], "[4, 6]"),
+        (["verify", "numeric", "--n", "6"], "[6]"),
+        (["verify", "--n", "6"], "[4, 6]"),
+    ], ids=["numeric-4,6", "numeric-6", "all-6"])
+    def test_dimension_mismatch_rejected(self, argv, dims, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "phi.hqf")
+        run(["field", "export", "--n", "4", "--grid", "32", "--out", path])
+        ran = []
+        monkeypatch.setattr("holoq.cli.sphere_suite", lambda *a, **k: ran.append("sphere"))
+        monkeypatch.setattr("holoq.cli.numeric_suite", lambda *a, **k: ran.append("numeric"))
+        assert run(argv + ["--grid", "32", "--phi-file", path,
+                           "--out", str(tmp_path / "r")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "n=4" in err and f"n={dims}" in err
+        assert ran == []
+        assert not list(tmp_path.glob("r.*"))
 
     def test_grid_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "phi.hqf")

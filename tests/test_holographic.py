@@ -1,5 +1,6 @@
 """Coefficient routes, Q-curvature duality, master relations, critical suite."""
 
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -373,6 +374,22 @@ class TestSuites:
         reps = {r.id: r for r in numeric_suite(n_values=(4,), size=32)}
         assert not reps["gradj-forms-n4"].passed
         assert reps["gradj-forms-n4"].details["ratio"] < 2.0
+
+    def test_numeric_suite_holds_one_metric_at_a_time(self, monkeypatch):
+        # The n = 4 bundle (with its family polynomials) is gone by reference
+        # counting when the n = 6 metric is built.
+        original = holographic._curvature_reports
+        bundles, alive = [], []
+
+        def spy(n, *args, **kwargs):
+            alive.append([ref() is not None for ref in bundles])
+            out = original(n, *args, **kwargs)
+            bundles.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(holographic, "_curvature_reports", spy)
+        numeric_suite(n_values=(4, 6), size=32)
+        assert alive == [[], [False]]
 
     def test_critical_suite_builds_polynomials_once(self, monkeypatch):
         calls = []

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,17 @@ class TestSuite:
             for N in (1, 2):
                 for rep in sphere_checks(ctx, N):
                     assert rep.passed, rep.id
+
+    def test_each_check_timed_where_built(self):
+        # laps of one clock: each check has its own time, and together they
+        # fit in the call
+        t0 = time.perf_counter()
+        reps = sphere_checks(SphereContext(8), 3)
+        wall = time.perf_counter() - t0
+        seconds = [r.seconds for r in reps]
+        assert all(s > 0 for s in seconds)
+        assert len(set(seconds)) > 1
+        assert sum(seconds) <= wall
 
     def test_suite_runs_and_passes(self):
         reps = sphere_suite([4, 7])
