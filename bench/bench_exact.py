@@ -1,5 +1,7 @@
 """Micro-benchmarks of the exact layers, on inputs the size the sphere and
-hypergeom suites use by default (n up to 12, N up to 6, series order 20-40).
+hypergeom suites use by default (n up to 12, N up to 6, series order 20-40),
+and of the family recursion on constants at the stress sphere run's sizes
+(n up to 24, N up to 8).
 
     python -m pytest bench -q
     python -m pytest bench -q --benchmark-json=bench.json
@@ -11,9 +13,11 @@ from fractions import Fraction
 
 import pytest
 
+from holoq.families import values_on_one
 from holoq.hypergeom import HyperSpec, hyper_2f1_series, hyper_terminating
 from holoq.lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer, poly_gcd
 from holoq.series import FormalSeries
+from holoq.sphere import SphereContext, sphere_T_on_one, sphere_v
 
 # Sphere n = 12, N = 6: f = n/2 = 6 and factors like (lambda - f + 1)_N,
 # (lambda - n + 1)_{N-1} and rational prefactors.
@@ -64,3 +68,13 @@ def test_compose_symbolic(benchmark, order):
     f = hyper_2f1_series(LAMBDA, Fraction(2), Fraction(4), order)
     out = benchmark(f.compose, u)
     assert out.order == order and out.coeffs[0] == 1
+
+
+def test_values_on_one_sphere(benchmark):
+    # the family recursion on constants, T_{2N}(lambda)(1) for n = 3..24 and
+    # N <= 8, the stress sphere run's range
+    contexts = [SphereContext(n) for n in range(3, 25)]
+    vs = [[sphere_v(ctx, k) for k in range(9)] for ctx in contexts]
+    values = benchmark(lambda: [values_on_one(ctx.n, v) for ctx, v in zip(contexts, vs)])
+    for ctx, row in zip(contexts, values):
+        assert row == [sphere_T_on_one(ctx, N) for N in range(9)], ctx.n

@@ -11,6 +11,7 @@ matrix level, not just to truncation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -60,7 +61,7 @@ class CurvatureBundle:
         g0, g1 = d1(ch, phi, 0), d1(ch, phi, 1)
         self.dphi = (g0, g1)
         self.gradsq = g0 * g0 + g1 * g1
-        hess = hessian(ch, phi)
+        hess = hessian(ch, self.dphi)
         lap0 = hess[0][0] + hess[1][1]
         self.J = -self.em2 * (lap0 + 0.5 * (n - 2.0) * self.gradsq)
 
@@ -86,14 +87,47 @@ def laplacian(b: CurvatureBundle, f):
     return b.emn * out
 
 
-def schouten_div_grad(b: CurvatureBundle, f):
-    """delta(P d f): minus the divergence of the Schouten-contracted gradient."""
+def divergence_form(b: CurvatureBundle, B, f):
+    """e^{-n phi} d_a(B^{ab} d_b f) for a symmetric field B = (B00, B01, B11),
+    self-adjoint in the weighted inner product since d1 is antisymmetric."""
     ch = b.chart
-    out = 0.0
-    for i in range(2):
-        flux = b.en4w * (b.P[i][0] * d1(ch, f, 0) + b.P[i][1] * d1(ch, f, 1))
-        out = out + d1(ch, flux, i)
-    return -b.emn * out
+    g0, g1 = d1(ch, f, 0), d1(ch, f, 1)
+    B00, B01, B11 = B
+    return b.emn * (d1(ch, B00 * g0 + B01 * g1, 0) + d1(ch, B01 * g0 + B11 * g1, 1))
+
+
+def holo_coeffs(b: CurvatureBundle, k: int):
+    """v_{2k}, the r^{2k} coefficient of det(1 - r^2 A/2), A = g^{-1} P:
+    -J/2 and (J^2 - |P|^2)/8 for k = 1, 2, and (-1/2)^k sigma_k(A) above,
+    from A's active 2x2 block and its inactive eigenvalue (multiplicity n - 2)."""
+    if k == 0:
+        return np.ones(b.chart.shape)
+    if k == 1:
+        return -b.J / 2
+    if k == 2:
+        return (b.J**2 - b.Psq) / 8
+    P, m = b.P, b.n - 2
+    a = b.em2 * b.p_inactive
+    trace = b.em2 * (P[0][0] + P[1][1])
+    det = b.em2**2 * (P[0][0] * P[1][1] - P[0][1] ** 2)
+    sigma = (comb(m, k) * a**k + comb(m, k - 1) * trace * a ** (k - 1)
+             + comb(m, k - 2) * det * a ** (k - 2))
+    return (-0.5) ** k * sigma
+
+
+def _flux(b: CurvatureBundle, k: int):
+    """(B00, B01, B11) of B_k = e^{(n-2) phi} sum_{m<=k} (m+1) 2^{-m} v_{2k-2m} Ahat^m,
+    Ahat = e^{-2 phi} P on the active block: the r^{2k} coefficient of
+    sqrt(det g_r) g_r^{-1}, g_r = g (1 - r^2 A/2)^2. Built per use, never kept."""
+    hat = (b.em2 * b.P[0][0], b.em2 * b.P[0][1], b.em2 * b.P[1][1])
+    power, B = (1.0, 0.0, 1.0), (0.0, 0.0, 0.0)
+    for m in range(k + 1):
+        if m:  # Ahat^m = Ahat^{m-1} Ahat, built symmetric
+            (p00, p01, p11), (h00, h01, h11) = power, hat
+            power = (p00 * h00 + p01 * h01, p00 * h01 + p01 * h11, p01 * h01 + p11 * h11)
+        w = (m + 1) / 2**m * (holo_coeffs(b, k - m) if m < k else 1.0)
+        B = tuple(x + w * p for x, p in zip(B, power))
+    return tuple(b.en2 * x for x in B)
 
 
 def grad_pair_J(b: CurvatureBundle, f, form: str = "commutator"):
@@ -116,21 +150,13 @@ def inner(b: CurvatureBundle, f, g) -> float:
 
 
 def apply_primitive(b: CurvatureBundle, name: str, f):
-    """Apply one named building-block operator to a field."""
-    if name == "id":
-        return f
-    if name == "lap":
-        return laplacian(b, f)
-    if name == "mJ":
-        return b.J * f
-    if name == "mPsq":
-        return b.Psq * f
-    if name == "mLapJ":
-        return b.lapJ * f
-    if name == "pdiv":
-        return schouten_div_grad(b, f)
-    if name == "gJ":
-        return grad_pair_J(b, f)
+    """Apply one self-adjoint primitive to a field: 'v<2k>' multiplies by
+    v_{2k}, 'D0' is the Laplacian, 'D<k>' the divergence form of B_k."""
+    kind, k = name[0], int(name[1:])
+    if kind == "v":
+        return holo_coeffs(b, k // 2) * f
+    if kind == "D":
+        return laplacian(b, f) if k == 0 else divergence_form(b, _flux(b, k), f)
     raise ValueError(f"unknown primitive {name!r}")
 
 

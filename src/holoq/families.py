@@ -1,15 +1,21 @@
 """One-parameter operator families rational in the spectral parameter.
 
-An operator is a sum of terms, each a rational coefficient times a word of
-first-order stages; a stage is an affine combination of the named grid
-primitives with constant or polynomial coefficients. Evaluation turns the
-action on a fixed input field into a polynomial with field coefficients over
-a scalar denominator, the lcm of the term denominators, so removable
-singularities can be divided out exactly and parameter derivatives read off
-by the quotient rule. That (numerator, denominator) pair does not depend on
-the parameter: build it once with field_poly and evaluate it at any number
-of points with pair_value and pair_derivative, or combine pairs over their
-common denominator with over_lcm.
+One recursion generates every T_{2N}(lambda). A conformally flat metric g has
+the exact Poincare-Einstein metric r^{-2}(dr^2 + g(1 - r^2 A/2)^2), A = g^{-1} P
+(Fefferman-Graham, The Ambient Metric, section 7). Its eigenvalue equation
+times the volume factor v(r) = det(1 - r^2 A/2), solved for
+u = sum_j r^{lambda+2j} T_{2j}(lambda) f, gives
+
+    T_{2N} = -[2N(2 lambda + 2N - n)]^{-1}
+             sum_{k=1..N} (c_{Nk}(lambda) v_{2k} + D_{k-1}) T_{2N-2k},
+
+D_k the conservative r^{2k} part of the tangential Laplacian. On tori an
+operator is a sum of words of these self-adjoint primitives with rational
+coefficients, so its adjoint reverses each word; on constants every D_k
+vanishes. field_poly gives the action on an input field as a polynomial in
+the parameter with field coefficients over one scalar denominator. Evaluate
+that pair with pair_value and pair_derivative, which divide removable poles
+out exactly, or combine pairs with over_lcm.
 """
 
 from __future__ import annotations
@@ -21,16 +27,6 @@ import numpy as np
 
 from .conformal import CurvatureBundle, apply_primitive
 from .lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer, poly_gcd
-
-ADJOINT_RULES = {
-    "id": ((1, "id"),),
-    "lap": ((1, "lap"),),
-    "mJ": ((1, "mJ"),),
-    "mPsq": ((1, "mPsq"),),
-    "mLapJ": ((1, "mLapJ"),),
-    "pdiv": ((1, "pdiv"),),
-    "gJ": ((-1, "gJ"), (-1, "mLapJ")),
-}
 
 
 class PoleError(ValueError):
@@ -109,58 +105,45 @@ class FieldPoly:
         return max(self.norms(), default=0.0)
 
 
-def _coeff_poly(c):
-    if isinstance(c, LambdaPoly):
-        return c
-    return LambdaPoly((Fraction(c),))
-
-
-def _apply_word(bundle: CurvatureBundle, word, fp: FieldPoly) -> FieldPoly:
-    for stage in reversed(word):
-        acc = FieldPoly()
-        for coeff, name in stage:
-            applied = FieldPoly([apply_primitive(bundle, name, arr) for arr in fp.coeffs])
-            acc = acc + applied.mul_poly(_coeff_poly(coeff))
-        fp = acc
-    return fp
-
-
-def _stage_adjoint(stage):
-    out = []
-    for coeff, name in stage:
-        for sign, adj_name in ADJOINT_RULES[name]:
-            out.append((_coeff_poly(coeff) * Fraction(sign), adj_name))
-    return tuple(out)
-
-
 class LambdaOperator:
-    """Sum of rational-coefficient words of grid-primitive stages."""
+    """Sum of words of self-adjoint grid primitives (see apply_primitive),
+    each with a coefficient rational in the parameter: terms maps a word,
+    its primitive names outermost first, to that coefficient."""
 
-    def __init__(self, n: int, terms):
-        self.n = n
-        self.terms = [(rat if isinstance(rat, LambdaRat) else LambdaRat(_coeff_poly(rat)),
-                       tuple(tuple(stage) for stage in word))
-                      for rat, word in terms]
+    def __init__(self, terms):
+        self.terms = {word: rat for word, rat in terms.items() if not rat.is_zero()}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for word, rat in other.terms.items():
+            terms[word] = terms[word] + rat if word in terms else rat
+        return LambdaOperator(terms)
 
     def adjoint(self) -> "LambdaOperator":
-        terms = [(rat, tuple(_stage_adjoint(stage) for stage in reversed(word)))
-                 for rat, word in self.terms]
-        return LambdaOperator(self.n, terms)
+        return LambdaOperator({word[::-1]: rat for word, rat in self.terms.items()})
 
     def scale(self, factor) -> "LambdaOperator":
-        if not isinstance(factor, LambdaRat):
-            factor = LambdaRat(_coeff_poly(factor))
-        return LambdaOperator(self.n, [(rat * factor, word) for rat, word in self.terms])
+        return LambdaOperator({word: rat * factor for word, rat in self.terms.items()})
 
     def is_polynomial(self) -> bool:
-        return all(rat.is_polynomial() for rat, _ in self.terms)
+        return all(rat.is_polynomial() for rat in self.terms.values())
 
     def field_poly(self, bundle: CurvatureBundle, f):
-        """Action on f as (numerator FieldPoly, scalar denominator poly)."""
-        f = FieldPoly([np.asarray(f, dtype=float)])
-        parts, den = over_lcm([(rat.num, (_apply_word(bundle, word, f), rat.den))
-                               for rat, word in self.terms])
-        return sum(parts, FieldPoly()), den
+        """Action on f as (numerator FieldPoly, scalar denominator poly).
+
+        Each word is applied to f once, words sharing a suffix share its
+        application, and the coefficients enter only at the end, over the
+        lcm of their denominators."""
+        applied = {(): np.asarray(f, dtype=float)}
+        for word in self.terms:
+            for i in range(len(word) - 1, -1, -1):
+                if word[i:] not in applied:
+                    applied[word[i:]] = apply_primitive(bundle, word[i], applied[word[i + 1:]])
+        den = _lcm(rat.den for rat in self.terms.values())
+        num = FieldPoly()
+        for word, rat in self.terms.items():
+            num = num + FieldPoly([applied[word]]).mul_poly(rat.num * den.divmod(rat.den)[0])
+        return num, den
 
     def apply_at(self, bundle: CurvatureBundle, f, lam):
         """Evaluate at a rational parameter value, dividing out removable poles."""
@@ -171,15 +154,20 @@ class LambdaOperator:
         return pair_derivative(self.field_poly(bundle, f), lam)
 
 
+def _lcm(dens):
+    lcm = LambdaPoly((1,))
+    for den in dens:
+        lcm = (lcm * den).divmod(poly_gcd(lcm, den))[0]
+    return lcm
+
+
 def over_lcm(terms):
     """Bring (weight, (num, den)) terms, each standing for weight * num / den,
     to the lcm of their denominators. Returns ([weight * cofactor * num], lcm)
     with each cofactor lcm / den exact; the sum of the list over the lcm is
     the sum of the terms."""
-    lcm = LambdaPoly((1,))
-    for _, (_, den) in terms:
-        lcm = (lcm * den).divmod(poly_gcd(lcm, den))[0]
-    return [num.mul_poly(_coeff_poly(w) * lcm.divmod(den)[0]) for w, (num, den) in terms], lcm
+    lcm = _lcm(den for _, (_, den) in terms)
+    return [num.mul_poly(lcm.divmod(den)[0] * w) for w, (num, den) in terms], lcm
 
 
 # A pole is removable when the numerator's residue there is below this
@@ -223,30 +211,46 @@ def pair_derivative(pair, lam):
     return (nprime * d - n_val * dprime) / (d * d), info
 
 
+def recursion_coefficients(n: int, N: int):
+    """The order-2N step of the recursion: the indicial factor
+    2N(2 lambda + 2N - n) and c_{Nk}(lambda) = 2(N-k)(2 lambda + 2N - 2k - n)
+    + 2k(lambda + 2N - 2k) for k = 1..N."""
+    indicial = (2 * LAMBDA + (2 * N - n)) * (2 * N)
+    cs = [(2 * LAMBDA + (2 * N - 2 * k - n)) * (2 * (N - k)) + (LAMBDA + (2 * N - 2 * k)) * (2 * k)
+          for k in range(1, N + 1)]
+    return indicial, cs
+
+
+def _recursion(n: int, N: int, one, step):
+    """[T_0, T_2, ..., T_{2N}] from T_0 = one and
+    T_{2M} = sum_k step(k, T_{2M-2k}, -c_{Mk}/indicial, -1/indicial), where
+    step(k, t, a, b) stands for (a v_{2k} + b D_{k-1}) composed with t."""
+    out = [one]
+    for M in range(1, N + 1):
+        indicial, cs = recursion_coefficients(n, M)
+        terms = [step(k, out[M - k], LambdaRat(-c, indicial), LambdaRat(-1, indicial))
+                 for k, c in enumerate(cs, 1)]
+        out.append(sum(terms[1:], terms[0]))
+    return out
+
+
 def build_T(n: int, N: int) -> LambdaOperator:
-    """The order-2N family member, rational in the parameter; N in {1, 2}."""
-    lam = LAMBDA
-    if N == 1:
-        den = LambdaPoly((Fraction(2 * (n - 2)), Fraction(-4)))
-        word = (((Fraction(1), "lap"), (-lam, "mJ")),)
-        return LambdaOperator(n, [(LambdaRat(LambdaPoly((Fraction(1),)), den), word)])
-    if N == 2:
-        p1 = LambdaPoly((Fraction(n - 2), Fraction(-2)))
-        p2 = LambdaPoly((Fraction(n - 4), Fraction(-2)))
-        den = p1 * p2 * Fraction(8)
-        c = LambdaPoly((Fraction(2 - n), Fraction(2)))
-        one = LambdaPoly((Fraction(1),))
-        stage_hi = ((Fraction(1), "lap"), (-lam - 2, "mJ"))
-        stage_lo = ((Fraction(1), "lap"), (-lam, "mJ"))
-        return LambdaOperator(n, [
-            (LambdaRat(one, den), (stage_hi, stage_lo)),
-            (LambdaRat(lam * c, den), (((Fraction(1), "mPsq"),),)),
-            (LambdaRat(c * Fraction(2), den), (((Fraction(1), "pdiv"),),)),
-            (LambdaRat(c, den), (((Fraction(1), "gJ"),),)),
-        ])
-    raise NotImplementedError(
-        f"operator family is only constructed for orders 2 and 4 (got N={N}); "
-        "higher orders are covered by the exact sphere closed forms")
+    """The order-2N family member on torus metrics, rational in the parameter."""
+    def step(k, t, a, b):
+        terms = {}
+        for word, rat in t.terms.items():
+            terms[(f"v{2 * k}",) + word] = a * rat
+            terms[(f"D{k - 1}",) + word] = b * rat
+        return LambdaOperator(terms)
+
+    return _recursion(n, N, LambdaOperator({(): LambdaRat.const(1)}), step)[N]
+
+
+def values_on_one(n: int, v) -> list:
+    """[T_{2j}(lambda)(1) for j = 0..len(v) - 1] on a metric whose holographic
+    coefficients v = [v_0, v_2, ...] are constants, so that every D_k kills
+    constants: the sphere and the constant-curvature model."""
+    return _recursion(n, len(v) - 1, LambdaRat.const(1), lambda k, t, a, b: t * (a * v[k]))
 
 
 def build_P(n: int, N: int) -> LambdaOperator:

@@ -55,15 +55,15 @@ def d1(chart: TorusChart, f, axis: int):
             - 8.0 * _shift(f, -1, axis) + _shift(f, -2, axis)) / (12.0 * h)
 
 
-def hessian(chart: TorusChart, f):
-    """Nested first-derivative Hessian [[f_11, f_12], [f_12, f_22]].
+def hessian(chart: TorusChart, grad):
+    """Nested first-derivative Hessian [[f_11, f_12], [f_12, f_22]] of a
+    field, from its gradient pair (d1(f, 0), d1(f, 1)).
 
     Both curvature routes use this same composition so their comparison is
     not polluted by the truncation gap between a direct second-derivative
     stencil and nested first derivatives.
     """
-    g0 = d1(chart, f, 0)
-    g1 = d1(chart, f, 1)
+    g0, g1 = grad
     mixed = d1(chart, g1, 0)
     return [[d1(chart, g0, 0), mixed], [mixed, d1(chart, g1, 1)]]
 

@@ -19,13 +19,22 @@ import numpy as np
 from .conformal import (
     CurvatureBundle,
     curvature,
+    divergence_form,
     grad_pair_J,
+    holo_coeffs,
     inner,
     laplacian,
     oracle_curvature,
-    schouten_div_grad,
 )
-from .families import FieldPoly, build_P, build_T, over_lcm, pair_derivative, pair_value
+from .families import (
+    FieldPoly,
+    build_P,
+    build_T,
+    over_lcm,
+    pair_derivative,
+    pair_value,
+    values_on_one,
+)
 from .grid import TorusChart
 from .lambda_algebra import LAMBDA, LambdaPoly, binomial, pochhammer
 from .presets import preset_phi
@@ -45,12 +54,6 @@ class UnsupportedModeError(RuntimeError):
     """Requested quantity is only available in sphere or constant mode."""
 
 
-def holo_coeffs(b: CurvatureBundle) -> dict:
-    """Expansion coefficients by order index: {0: 1, 1: v2, 2: v4}."""
-    ones = np.ones(b.chart.shape)
-    return {0: ones, 1: -b.J / 2, 2: (b.J**2 - b.Psq) / 8}
-
-
 def family_poly(b: CurvatureBundle, j: int, k: int):
     """T*_{2j}(lam)(v_{2k}) as a field_poly (num, den) pair in lam.
 
@@ -59,7 +62,7 @@ def family_poly(b: CurvatureBundle, j: int, k: int):
     """
     pair = b.family_polys.get((j, k))
     if pair is None:
-        pair = build_T(b.n, j).adjoint().field_poly(b, holo_coeffs(b)[k])
+        pair = build_T(b.n, j).adjoint().field_poly(b, holo_coeffs(b, k))
         b.family_polys[(j, k)] = pair
     return pair
 
@@ -73,7 +76,7 @@ def q4_holographic(b: CurvatureBundle):
     if b.n < 4:
         raise ValueError("holographic route needs background dimension >= 4")
     t2v2, _ = pair_value(family_poly(b, 1, 1), Fraction(b.n, 2) - 2)
-    return 4 * (4 * holo_coeffs(b)[2] + 2 * t2v2)
+    return 4 * (4 * holo_coeffs(b, 2) + 2 * t2v2)
 
 
 def q6_holographic(model) -> Fraction:
@@ -87,8 +90,8 @@ def q6_holographic(model) -> Fraction:
             "the sixth expansion coefficient is unavailable for torus metrics; "
             "use the sphere closed forms or the constant-curvature model")
     mu = Fraction(model.n, 2) - 3
-    rhs = (6 * model.v(3) + 4 * model.t2_star_const(mu, model.v(2))
-           + 2 * model.t4_star_const(mu, model.v(1)))
+    ts = values_on_one(model.n, [model.v(k) for k in range(3)])  # T* = T on constants
+    rhs = 6 * model.v(3) + 4 * ts[1](mu) * model.v(2) + 2 * ts[2](mu) * model.v(1)
     return -64 * rhs
 
 
@@ -116,20 +119,13 @@ class EinsteinModel:
     def schouten_norm_sq(self) -> Fraction:
         return self.J**2 / self.n
 
-    def t2_star_const(self, mu: Fraction, c: Fraction) -> Fraction:
-        return -mu * self.J * c / (2 * (self.n - 2 - 2 * mu))
-
-    def t4_star_const(self, mu: Fraction, c: Fraction) -> Fraction:
-        num = mu * ((mu + 2) * self.J**2 + (2 * mu - self.n + 2) * self.schouten_norm_sq())
-        return c * num / (8 * (self.n - 2 - 2 * mu) * (self.n - 4 - 2 * mu))
-
     def q4(self) -> Fraction:
         return self.J**2 * (self.n**2 - 4) / (2 * self.n)
 
 
 def _t_star_pairs(b: CurvatureBundle, N: int):
     """[T*_{2j}(lam)(v_{2N-2j}) for j = 0..N] as (num, den) pairs, T*_0 the identity."""
-    return [(FieldPoly([holo_coeffs(b)[N]]), LambdaPoly((1,)))] + [
+    return [(FieldPoly([holo_coeffs(b, N)]), LambdaPoly((1,)))] + [
         family_poly(b, j, N - j) for j in range(1, N + 1)]
 
 
@@ -176,7 +172,7 @@ def example_2_3_checks(b: CurvatureBundle, lambdas, tol: float = 1e-6):
     g = (FieldPoly([(n - 2) * (b.J**2 - b.Psq) - b.lapJ, 2 * b.Psq - b.J**2]),
          LambdaPoly((n - 2, -2)) * LambdaPoly((n - 4, -2)))
     t4, t2 = family_poly(b, 2, 0), family_poly(b, 1, 1)
-    v4 = (FieldPoly([holo_coeffs(b)[2]]), LambdaPoly((1,)))
+    v4 = (FieldPoly([holo_coeffs(b, 2)]), LambdaPoly((1,)))
     return (_cleared_checks(f"ex23-i-n{n}", "example-2.3-i", {"n": n},
                             [(8, t4), (6, t2), (4, v4), (2 - Fraction(n, 2), g)], lambdas, tol)
             + _cleared_checks(f"ex23-ii-n{n}", "example-2.3-ii", {"n": n},
@@ -237,14 +233,13 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     if b.n != 4:
         raise ValueError("critical suite is defined at n = 4")
     reports = []
-    v = holo_coeffs(b)
     zero = Fraction(0)
     q4 = q4_direct(b)
     p4 = build_P(4, 2)
 
     t0 = time.perf_counter()
     t2v2, _ = pair_value(family_poly(b, 1, 1), zero)
-    lhs_a = 4 * v[2] + 2 * t2v2
+    lhs_a = 4 * holo_coeffs(b, 2) + 2 * t2v2
     rhs_a = q4 / 4
     scale = max(np.max(np.abs(lhs_a)), np.max(np.abs(q4)))
     reports.append(tolerance_report("crit-a", "holo-crit", {"n": 4},
@@ -381,10 +376,12 @@ def _adjoint_reports(b: CurvatureBundle, seed: int):
     g = rng.standard_normal(b.chart.shape)
     n = b.n
     reports = []
+    # the divergence form's Schouten case, B = -e^{(n-4) phi} P
+    pdiv = tuple(-b.en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
     cases = {
         "lap": lambda: inner(b, laplacian(b, f), g) - inner(b, f, laplacian(b, g)),
-        "pdiv": lambda: (inner(b, schouten_div_grad(b, f), g)
-                         - inner(b, f, schouten_div_grad(b, g))),
+        "pdiv": lambda: (inner(b, divergence_form(b, pdiv, f), g)
+                         - inner(b, f, divergence_form(b, pdiv, g))),
         "gj": lambda: (inner(b, grad_pair_J(b, f), g) + inner(b, f, grad_pair_J(b, g))
                        + inner(b, f, b.lapJ * g)),
     }
@@ -477,12 +474,13 @@ def einstein_checks(n: int, J: Fraction):
 
     model = EinsteinModel(n, J)
     params = {"n": n, "J": model.J, "mode": "constant-curvature"}
+    ts = values_on_one(n, [model.v(k) for k in range(3)])
     # (id, equation, lhs, rhs) of each lhs == rhs identity
     identities = [
         ("einstein-v2", "v2", model.v(1), -model.J / 2),
         ("einstein-v4", "v4", model.v(2), (model.J**2 - model.schouten_norm_sq()) / 8),
         ("einstein-q4", "holo-Q4",
-         4 * (4 * model.v(2) + 2 * model.t2_star_const(Fraction(n, 2) - 2, model.v(1))),
+         4 * (4 * model.v(2) + 2 * ts[1](Fraction(n, 2) - 2) * model.v(1)),
          model.q4()),
     ]
     if n >= 6:
@@ -491,9 +489,8 @@ def einstein_checks(n: int, J: Fraction):
                            (2 * model.J / n) ** 3 * sphere_Q(SphereContext(n), 3)))
 
     # master-3 as an identity of rational functions in the symbolic lam
-    star_consts = {1: model.t2_star_const, 2: model.t4_star_const}
     for N in (1, 2):
-        terms = [model.v(N)] + [star_consts[j](LAMBDA, model.v(N - j)) for j in range(1, N + 1)]
+        terms = [model.v(N)] + [ts[j] * model.v(N - j) for j in range(1, N + 1)]
         residual = sum(((N + j) * LAMBDA - j * (n - 2 * N)) * t for j, t in enumerate(terms))
         identities.append((f"einstein-master3-N{N}", "master-3", residual, 0))
     extension = dict(params, extension=True)

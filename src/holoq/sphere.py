@@ -3,12 +3,13 @@
 Everything is rational arithmetic: holographic coefficients v_{2j}, the
 values of the operator families T_{2N}(lambda) and P_{2N}(lambda) on
 constants, the residue polynomial Qres_{2N}(lambda), the V-polynomial, and
-the master relations tying them together. The radial recursion gives an
-independent derivation of the T-values from the warped product
+the master relations tying them together. The T-values on constants are
+also derived from the Poincare-Einstein metric of the sphere,
 
     r^{-2} (dr^2 + (1 - r^2/4)^2 g_round),
 
-so the closed forms are cross-checked rather than assumed.
+by the recursion that generates every family (families.values_on_one), so
+the closed forms are cross-checked rather than assumed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .families import values_on_one
 from .hypergeom import HyperSpec, hyper_terminating
 from .lambda_algebra import (
     LAMBDA,
@@ -78,41 +80,11 @@ def sphere_P_on_one(ctx: SphereContext, N: int) -> LambdaPoly:
 
 
 def radial_oracle(ctx: SphereContext, order: int):
-    """Coefficients a_{2k}(lambda), k = 0..order, of the radial eigenfunction.
-
-    Solves -Delta u = lambda (n - lambda) u for u = sum_k a_k r^{lambda+k}
-    with the warped-product radial Laplacian
-
-        u -> r^{n+1} w^{-n} d/dr ( r^{1-n} w^{n} du/dr ),   w = 1 - r^2/4,
-
-    via the recursion a_K K(2 lambda + K - n) = - sum_i c_i a_{K-1-i}
-    (lambda + K - 1 - i), where c(r) = n w'/w. Independent of any closed
-    form for T_{2N}(lambda)(1); odd coefficients are checked to vanish.
-    """
+    """T_{2k}(lambda)(1), k = 0..order, by the family recursion on the
+    sphere's v_{2k}: independent of the closed form sphere_T_on_one."""
     if order < 0 or order > MAX_RADIAL_ORDER:
         raise ValueError(f"radial order must lie in 0..{MAX_RADIAL_ORDER}")
-    n = ctx.n
-    kmax = 2 * order
-    # c(r) = n w'/w = -(n/2) sum_m r^{2m+1} / 4^m, odd coefficients only
-    c = {}
-    for m in range(0, (kmax - 1) // 2 + 1):
-        c[2 * m + 1] = -ctx.f / Fraction(4 ** m)
-    a = [LambdaRat.const(1)]
-    for K in range(1, kmax + 1):
-        s = LambdaRat.const(0)
-        for i, ci in c.items():
-            if i > K - 1:
-                break
-            prev = a[K - 1 - i]
-            if prev.is_zero():
-                continue
-            s = s + ci * prev * LambdaRat(LAMBDA + (K - 1 - i))
-        den = LambdaPoly([Fraction(K * (K - n)), Fraction(2 * K)])  # K(2L + K - n)
-        aK = -(s / den) if not s.is_zero() else LambdaRat.const(0)
-        if K % 2 == 1 and not aK.is_zero():
-            raise AssertionError(f"odd radial coefficient a_{K} is nonzero")
-        a.append(aK)
-    return [a[2 * k] for k in range(order + 1)]
+    return values_on_one(ctx.n, [sphere_v(ctx, k) for k in range(order + 1)])
 
 
 def _direct_sums(ctx: SphereContext, N: int):

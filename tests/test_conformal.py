@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from holoq.conformal import (
+    CurvatureBundle,
+    _flux,
+    apply_primitive,
     curvature,
+    divergence_form,
     grad_pair_J,
+    holo_coeffs,
     inner,
     laplacian,
     oracle_curvature,
-    schouten_div_grad,
 )
 from holoq.grid import TorusChart, d1
 from holoq.presets import preset_phi
@@ -68,6 +72,55 @@ class TestCurvature:
             oracle = oracle_curvature(b.chart, b.phi, route="metric")
             gaps.append(np.max(np.abs(b.J - oracle["J"])))
         assert gaps[0] / max(gaps[1], 1e-30) > 8 or gaps[1] < 1e-11
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_fields_match_two_pass_hessian(self, n):
+        # The bundle hands its gradient to hessian; recomputing the gradient
+        # inside the Hessian, as the two-pass composition did, gives the
+        # same bits in every field.
+        b = bundle(n=n, preset="trig2")
+        ch, phi = b.chart, b.phi
+        g0, g1 = d1(ch, phi, 0), d1(ch, phi, 1)
+        hess = [[d1(ch, d1(ch, phi, 0), 0), d1(ch, d1(ch, phi, 1), 0)],
+                [d1(ch, d1(ch, phi, 1), 0), d1(ch, d1(ch, phi, 1), 1)]]
+        gradsq = g0 * g0 + g1 * g1
+        em2 = np.exp(-2.0 * phi)
+        J = -em2 * (hess[0][0] + hess[1][1] + 0.5 * (n - 2.0) * gradsq)
+        dp = [g0, g1]
+        P = [[-hess[i][k] + dp[i] * dp[k] - (0.5 * gradsq if i == k else 0.0)
+              for k in range(2)] for i in range(2)]
+        p_inactive = -0.5 * gradsq
+        frob = sum(P[i][k] ** 2 for i in range(2) for k in range(2))
+        Psq = em2 ** 2 * (frob + (n - 2.0) * p_inactive ** 2)
+        want = {"dphi": (g0, g1), "gradsq": gradsq, "J": J, "P": P,
+                "p_inactive": p_inactive, "Psq": Psq,
+                "dJ": (d1(ch, J, 0), d1(ch, J, 1))}
+        for name, value in want.items():
+            assert np.array_equal(np.asarray(getattr(b, name)), np.asarray(value)), name
+        rebuilt = CurvatureBundle(ch, phi)
+        for name in ("e2", "em2", "en2", "en4w", "emn", "enphi", "W", "lapJ"):
+            assert np.array_equal(getattr(b, name), getattr(rebuilt, name)), name
+        assert np.array_equal(b.lapJ, laplacian(b, J))
+
+
+class TestHoloCoeffs:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_elementary_symmetric_functions(self, n):
+        # v_{2k} = (-1/2)^k sigma_k(A), A = g^{-1} P, against the
+        # characteristic polynomial of the full n x n endomorphism per point.
+        b = bundle(n=n, size=16, preset="trig2")
+        A = np.zeros(b.chart.shape + (n, n))
+        for i in range(2):
+            for k in range(2):
+                A[..., i, k] = b.em2 * b.P[i][k]
+        for i in range(2, n):
+            A[..., i, i] = b.em2 * b.p_inactive
+        sigma = np.array([np.poly(a) for a in A.reshape(-1, n, n)])  # (-1)^k sigma_k
+        scale = max(np.max(np.abs(b.J)), 1.0) ** n
+        for k in range(n + 2):
+            want = (0.5 ** k * sigma[:, k] if k <= n else 0.0 * sigma[:, 0]).reshape(b.chart.shape)
+            assert np.max(np.abs(holo_coeffs(b, k) - want)) < 1e-12 * scale, k
+
 
 
 def dense_oracle_curvature(chart, phi, route="chain"):
@@ -179,13 +232,43 @@ class TestOperators:
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
     def test_schouten_div_grad_self_adjoint_exactly(self):
+        # the divergence form's Schouten case, B = -e^{(n-4) phi} P
         b = bundle(n=4, preset="trig1")
         rng = np.random.default_rng(10)
         f = rng.standard_normal(b.chart.shape)
         g = rng.standard_normal(b.chart.shape)
-        lhs = inner(b, schouten_div_grad(b, f), g)
-        rhs = inner(b, f, schouten_div_grad(b, g))
+        B = tuple(-b.en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
+        lhs = inner(b, divergence_form(b, B, f), g)
+        rhs = inner(b, f, divergence_form(b, B, g))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("name", ["v2", "v4", "v6", "D0", "D1", "D2", "D3"])
+    def test_primitives_self_adjoint_exactly(self, name):
+        b = bundle(n=7, preset="trig2")
+        rng = np.random.default_rng(12)
+        f = rng.standard_normal(b.chart.shape)
+        g = rng.standard_normal(b.chart.shape)
+        lhs = inner(b, apply_primitive(b, name, f), g)
+        rhs = inner(b, f, apply_primitive(b, name, g))
+        assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
+
+    def test_first_flux_is_schouten_and_pairing(self):
+        # D_1 f = -(1/2) div(J grad f) + div(e^{-2 phi} P grad f), which is
+        # -(1/2)(J lap f + (dJ, df)) - delta(P df) up to the stencils' h^4
+        gaps = []
+        for size in (32, 64):
+            b = bundle(n=5, preset="trig1", size=size)
+            x1, x2 = b.chart.mesh()
+            f = np.cos(x1) * np.sin(2 * x2)
+            B = tuple(-b.en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
+            closed = (-0.5 * (b.J * laplacian(b, f) + grad_pair_J(b, f, "direct"))
+                      - divergence_form(b, B, f))
+            gaps.append(rel(divergence_form(b, _flux(b, 1), f), closed))
+        assert gaps[1] < 1e-3 and gaps[0] / gaps[1] > 8
+
+    def test_unknown_primitive(self):
+        with pytest.raises(ValueError):
+            apply_primitive(bundle(size=16), "x1", np.ones((16, 16)))
 
     def test_grad_pair_adjoint_rule_exact(self):
         # The commutator form satisfies G* = -G - (lap J) exactly on the grid.

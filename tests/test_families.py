@@ -5,11 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holoq.conformal import curvature, inner, laplacian
-from holoq.families import FieldPoly, LambdaOperator, PoleError, build_P, build_T
+from holoq.conformal import curvature, divergence_form, grad_pair_J, inner, laplacian
+from holoq.families import (
+    FieldPoly,
+    LambdaOperator,
+    PoleError,
+    build_P,
+    build_T,
+    recursion_coefficients,
+    values_on_one,
+)
 from holoq.grid import TorusChart
-from holoq.lambda_algebra import LambdaPoly
+from holoq.lambda_algebra import LAMBDA, LambdaPoly, LambdaRat
 from holoq.presets import preset_phi
+from holoq.sphere import SphereContext, sphere_T_on_one, sphere_v
 
 
 def bundle(n=4, size=32, preset="trig1", seed=7):
@@ -21,22 +30,136 @@ def ones(b):
     return np.ones(b.chart.shape)
 
 
-class TestConstruction:
-    def test_unsupported_order(self):
-        with pytest.raises(NotImplementedError):
-            build_T(6, 3)
+# The families as first written out by hand, kept as references: T_2 and
+# T_4 as field polynomials over their denominators, with the stages
+# (lap - mu J) and the Schouten divergence and (dJ, d.) pairing terms.
 
-    @pytest.mark.parametrize("n,N", [(4, 1), (4, 2), (5, 1), (6, 2)])
+def reference_T2(b, f):
+    """T_2(lam) f = (lap f - lam J f) / (2(n - 2) - 4 lam)."""
+    return FieldPoly([laplacian(b, f), -b.J * f]), LambdaPoly((2 * (b.n - 2), -4))
+
+
+def _t4_den(n):
+    """8 (n - 2 - 2 lam)(n - 4 - 2 lam)."""
+    return LambdaPoly((n - 2, -2)) * LambdaPoly((n - 4, -2)) * 8
+
+
+def reference_T4(b, f):
+    """T_4(lam) f = [(lap - (lam+2) J)(lap - lam J) f + lam c |P|^2 f
+    + 2c delta(P df) + c (dJ, df)] / den, c = 2 lam + 2 - n."""
+    n, J = b.n, b.J
+    B = tuple(-b.en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
+    pdiv, gj, lap_f = divergence_form(b, B, f), grad_pair_J(b, f), laplacian(b, f)
+    return FieldPoly([
+        laplacian(b, lap_f) - 2 * J * lap_f + 2 * (2 - n) * pdiv + (2 - n) * gj,
+        -laplacian(b, J * f) - J * lap_f + 2 * J**2 * f + (2 - n) * b.Psq * f + 4 * pdiv + 2 * gj,
+        J**2 * f + 2 * b.Psq * f,
+    ]), _t4_den(n)
+
+
+def reference_T4_star_on_one(b):
+    """The adjoint of reference_T4 on the constant 1, with (dJ, d.)* =
+    -(dJ, d.) - lap J."""
+    n, J, lapJ = b.n, b.J, b.lapJ
+    return FieldPoly([(n - 4) * lapJ, 2 * J**2 + (2 - n) * b.Psq - 3 * lapJ,
+                      J**2 + 2 * b.Psq]), _t4_den(n)
+
+
+def pair_gap(got, want):
+    """Coefficientwise max of got_num want_den - want_num got_den, and the
+    size of its terms."""
+    (gn, gd), (wn, wd) = got, want
+    a, b = gn.mul_poly(wd), wn.mul_poly(gd)
+    return (a + b.mul_poly(LambdaPoly((-1,)))).max_norm(), max(a.max_norm(), b.max_norm())
+
+
+class TestConstruction:
+    def test_order_six_normalizes_to_polynomial(self):
+        # the generated T_6; build_P asserts that (-4)^3 3! (lam - n/2 + 1)_3
+        # clears its denominators
+        for n in (6, 7, 8):
+            assert build_P(n, 3).is_polynomial(), n
+
+    @pytest.mark.parametrize("n,N", [(4, 1), (4, 2), (5, 1), (6, 2), (9, 4)])
     def test_normalized_family_is_polynomial(self, n, N):
         assert build_P(n, N).is_polynomial()
 
     def test_identity_operator(self):
         b = bundle()
         f = b.J + 2.0
-        identity = LambdaOperator(4, [(1, (((1, "id"),),))])
+        identity = LambdaOperator({(): LambdaRat.const(1)})
         out, info = identity.apply_at(b, f, Fraction(1, 3))
         assert np.array_equal(out, f)
         assert info["reduced"] == 0
+
+    def test_words_are_primitives(self):
+        # T_{2N} is a sum of words of v_{2k} and D_{k-1}, k <= N, whose
+        # orders (2k for either) add up to 2N
+        for N in (1, 2, 3):
+            for word in build_T(7, N).terms:
+                assert sum(int(p[1:]) if p[0] == "v" else 2 * int(p[1:]) + 2
+                           for p in word) == 2 * N, word
+
+    def test_second_order_coefficients(self):
+        indicial, cs = recursion_coefficients(6, 1)
+        assert indicial == 2 * (2 * LAMBDA - 4) and cs == [2 * LAMBDA]
+
+    def test_adjoint_reverses_words(self):
+        op = build_T(6, 3)
+        adj = op.adjoint()
+        assert {w[::-1]: r for w, r in adj.terms.items()} == op.terms
+        assert adj.adjoint().terms == op.terms
+
+
+class TestReferences:
+    """The generated families against the hand-written T_2 and T_4."""
+
+    @pytest.mark.parametrize("preset", ["flat", "trig1", "trig2", "trig3"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_rounding_level_agreement(self, n, preset):
+        b = bundle(n=n, size=64, preset=preset)
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal(b.chart.shape)
+        v2 = -b.J / 2
+        t2, t4 = build_T(n, 1), build_T(n, 2)
+        cases = [(t2.field_poly(b, f), reference_T2(b, f)),
+                 (t2.adjoint().field_poly(b, v2), reference_T2(b, v2)),
+                 (t4.field_poly(b, ones(b)), reference_T4(b, ones(b))),
+                 (t4.adjoint().field_poly(b, ones(b)), reference_T4_star_on_one(b))]
+        for i, (got, want) in enumerate(cases):
+            gap, scale = pair_gap(got, want)
+            assert gap <= 1e-13 * max(scale, 1.0), (i, gap, scale)
+
+    def test_fourth_order_converges_on_generic_fields(self):
+        # The recursion's D_1 is the divergence form of B_1, which the
+        # stencils discretize differently from J lap + (dJ, d.): the two
+        # fourth-order families agree at O(h^4) on a generic field.
+        gaps = []
+        for size in (32, 64):
+            b = bundle(n=5, size=size)
+            f = preset_phi(b.chart, "trig3", seed=12)
+            gap, _ = pair_gap(build_T(5, 2).field_poly(b, f), reference_T4(b, f))
+            gaps.append(gap)
+        assert gaps[0] / gaps[1] > 8.0
+
+
+class TestValuesOnOne:
+    def test_sphere_closed_form(self):
+        for n in range(3, 17):
+            ctx = SphereContext(n)
+            values = values_on_one(n, [sphere_v(ctx, k) for k in range(9)])
+            for N, value in enumerate(values):
+                assert value == sphere_T_on_one(ctx, N), (n, N)
+
+    @pytest.mark.parametrize("n", [4, 6, 7])
+    def test_torus_family_on_flat_constants(self, n):
+        # On a flat torus v_{2k} = 0 and T_{2N}(1) = 0 for N >= 1
+        ch = TorusChart(n, (16, 16))
+        b = curvature(ch, np.zeros(ch.shape))
+        assert values_on_one(n, [Fraction(1)] + [Fraction(0)] * 3)[1:] == [0, 0, 0]
+        for N in (1, 2, 3):
+            num, _ = build_T(n, N).adjoint().field_poly(b, ones(b))
+            assert num.max_norm() == 0.0
 
 
 class TestFieldPoly:

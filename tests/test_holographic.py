@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holoq import holographic
+from holoq import families, holographic
 from holoq.conformal import curvature
 from holoq.families import (
     FieldPoly,
@@ -15,6 +15,7 @@ from holoq.families import (
     build_T,
     pair_derivative,
     pair_value,
+    values_on_one,
 )
 from holoq.grid import TorusChart
 from holoq.holographic import (
@@ -53,10 +54,10 @@ def flat_bundle(n=4, size=32):
 
 class TestCoefficients:
     def test_flat_values(self):
-        v = holo_coeffs(flat_bundle())
-        assert np.all(v[0] == 1.0)
-        assert np.all(v[1] == 0.0)
-        assert np.all(v[2] == 0.0)
+        b = flat_bundle(n=7)
+        assert np.all(holo_coeffs(b, 0) == 1.0)
+        for k in range(1, 8):
+            assert np.all(holo_coeffs(b, k) == 0.0), k
 
 
 class TestQCurvature:
@@ -98,16 +99,43 @@ class TestEinsteinModel:
                 assert rep.passed, rep.id
 
     def test_q6_compared_with_scaled_sphere(self, monkeypatch):
-        # Q6 of an Einstein metric is (2J/n)^3 Q6(S^n); a T*_4 off by 1/1000
-        # moves the holographic route away from it. (At n = 6, T*_4 enters Q6
-        # at lam = 0, where it vanishes, so n = 8.)
+        # Q6 of an Einstein metric is (2J/n)^3 Q6(S^n); a generated T*_4 off
+        # by 1/1000 moves the holographic route away from it. (At n = 6, T*_4
+        # enters Q6 at lam = 0, where it vanishes, so n = 8.)
         checks = {r.id: r for r in einstein_checks(8, Fraction(7, 3))}
         assert checks["einstein-q6"].passed
-        original = EinsteinModel.t4_star_const
-        monkeypatch.setattr(EinsteinModel, "t4_star_const",
-                            lambda self, mu, c: original(self, mu, c) * Fraction(1001, 1000))
+        original = holographic.values_on_one
+
+        def scaled(n, v):
+            out = original(n, v)
+            out[2] = out[2] * Fraction(1001, 1000)
+            return out
+
+        monkeypatch.setattr(holographic, "values_on_one", scaled)
         checks = {r.id: r for r in einstein_checks(8, Fraction(7, 3))}
         assert not checks["einstein-q6"].passed
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 11])
+    def test_reference_constants(self, n):
+        # the generated T*_2, T*_4 on constants against the constants as
+        # first written by hand, as rational functions of lam
+        for J in (Fraction(7, 3), Fraction(3), Fraction(-2), Fraction(1, 5), Fraction(n, 2)):
+            model = EinsteinModel(n, J)
+            values = values_on_one(n, [model.v(k) for k in range(3)])
+            c = model.v(1)
+            assert values[1] * c == reference_t2_star(model, LAMBDA, c), J
+            assert values[2] * c == reference_t4_star(model, LAMBDA, c), J
+
+
+def reference_t2_star(model, mu, c):
+    """T*_2(mu)(c) on a constant-curvature model, as first written by hand."""
+    return -mu * model.J * c / (2 * (model.n - 2 - 2 * mu))
+
+
+def reference_t4_star(model, mu, c):
+    """T*_4(mu)(c) on a constant-curvature model, as first written by hand."""
+    num = mu * ((mu + 2) * model.J**2 + (2 * mu - model.n + 2) * model.schouten_norm_sq())
+    return c * num / (8 * (model.n - 2 - 2 * mu) * (model.n - 4 - 2 * mu))
 
 
 # The (j, k) pairs of T*_{2j}(v_{2k}) that the numeric suite evaluates.
@@ -135,7 +163,7 @@ class TestFamilyPolys:
             pair = family_poly(b, j, k)
             for lam in sorted(points):
                 got = _outcome(lambda: pair_value(pair, lam))
-                want = _outcome(lambda: op.apply_at(b, holo_coeffs(b)[k], lam))
+                want = _outcome(lambda: op.apply_at(b, holo_coeffs(b, k), lam))
                 if isinstance(want, PoleError):
                     assert isinstance(got, PoleError), (j, k, lam)
                     continue
@@ -145,7 +173,7 @@ class TestFamilyPolys:
     def test_removable_pole(self):
         b = bundle(n=4, size=32)
         op = build_T(4, 2).adjoint()
-        ones = holo_coeffs(b)[0]
+        ones = holo_coeffs(b, 0)
         got, info = pair_value(family_poly(b, 2, 0), Fraction(0))
         want, want_info = op.apply_at(b, ones, Fraction(0))
         assert info["reduced"] == want_info["reduced"] >= 1
@@ -278,6 +306,30 @@ class TestPolynomials:
         assert not checks["qres-den-n4-N2"].passed
 
 
+class TestSixthOrder:
+    """N = 3 on tori, out of the generated T_6: every identity holds at
+    rounding level on both grids and its residual does not grow with the
+    grid, so nothing limits it but rounding (a discretization-limited
+    residual would be orders larger at 64^2 and shrink with h^4)."""
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_rounding_limited_on_both_grids(self, n):
+        residuals = {}
+        for size in (64, 128):
+            b = bundle(n=n, size=size, preset="trig2")
+            reports = master_check_numeric(b, 3, DEFAULT_LAMBDAS) + poly_checks(b, 3)
+            _all_pass(reports)
+            for rep in reports:
+                if rep.residual is not None:
+                    assert rep.residual <= 1e-13 * max(rep.scale, 1.0), (size, rep.id)
+                    residuals.setdefault(rep.id, []).append((rep.residual, rep.scale))
+        assert {f"master3-n{n}-N3", f"qres-van-n{n}-N3", f"vdeg-n{n}-N3",
+                f"master1-n{n}-N3"} <= set(residuals)
+        assert (f"vcrit-n{n}-N3" in residuals) == (n == 6)
+        for check_id, ((coarse, _), (fine, scale)) in residuals.items():
+            assert fine <= 4 * coarse + 1e-15 * max(scale, 1.0), check_id
+
+
 class TestCriticalSuite:
     def test_all_checks_pass(self):
         reports = critical_suite_n4(bundle(n=4))
@@ -345,8 +397,9 @@ class TestConformalCovariance:
         assert rep.passed and rep.residual > 1e-5 and rep.details["ratio"] >= 8.0
 
     def test_scaled_p4_fails_law(self, monkeypatch):
-        original = holographic.build_P
-        monkeypatch.setattr(holographic, "build_P",
+        # the generated T_4, and with it P_4 = build_P(4, 2), off by 1/1000
+        original = families.build_T
+        monkeypatch.setattr(families, "build_T",
                             lambda n, N: original(n, N).scale(Fraction(1001, 1000)))
         rep = {r.id: r for r in critical_n4_suite(size=32)}["conformal-covariance-q4"]
         assert not rep.passed and rep.details["ratio"] < 2.0
