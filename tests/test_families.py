@@ -75,8 +75,7 @@ def pair_gap(got, want):
 
 class TestConstruction:
     def test_order_six_normalizes_to_polynomial(self):
-        # the generated T_6; build_P asserts that (-4)^3 3! (lam - n/2 + 1)_3
-        # clears its denominators
+        # the generated T_6: (-4)^3 3! (lam - n/2 + 1)_3 clears its denominators
         for n in (6, 7, 8):
             assert build_P(n, 3).is_polynomial(), n
 

@@ -21,8 +21,8 @@ from holoq.grid import TorusChart
 from holoq.holographic import (
     DEFAULT_LAMBDAS,
     EinsteinModel,
-    UnsupportedModeError,
     conformal_covariance_q4,
+    constant_q,
     conformal_suite,
     critical_n4_suite,
     critical_suite_n4,
@@ -30,16 +30,17 @@ from holoq.holographic import (
     example_2_3_checks,
     family_poly,
     holo_coeffs,
+    holographic_q,
     master_check_numeric,
     numeric_suite,
     poly_checks,
     q4_direct,
-    q4_holographic,
-    q6_holographic,
     qres_and_v_polys,
+    torus_q,
 )
 from holoq.lambda_algebra import LAMBDA
 from holoq.presets import preset_phi
+from holoq.sphere import SphereContext, sphere_Q
 
 
 def bundle(n=4, size=64, preset="trig1", seed=7):
@@ -65,17 +66,39 @@ class TestQCurvature:
         b = flat_bundle()
         assert np.all(b.J == 0.0)
         assert np.all(q4_direct(b) == 0.0)
-        assert np.max(np.abs(q4_holographic(b))) < 1e-15
+        assert np.max(np.abs(torus_q(b, 2))) < 1e-15
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_dual_route_agreement(self, n):
         b = bundle(n=n)
-        gap = np.max(np.abs(q4_holographic(b) - q4_direct(b)))
+        gap = np.max(np.abs(torus_q(b, 2) - q4_direct(b)))
         assert gap < 1e-6 * max(1.0, np.max(np.abs(q4_direct(b))))
 
-    def test_q6_numeric_mode_unsupported(self):
-        with pytest.raises(UnsupportedModeError):
-            q6_holographic(bundle(n=6))
+    def test_prefactor(self):
+        # (-1)^N 4^{N-1} ((N-1)!)^2 on the weights 2N - 2j: at N = 3,
+        # -64 (6 v6 + 4 T*_2(v4) + 2 T*_4(v2))
+        assert holographic_q(3, [Fraction(1), Fraction(10), Fraction(100)]) == -64 * 246
+        assert holographic_q(1, [Fraction(-1, 2)]) == 1
+
+    @pytest.mark.parametrize("size", [64, 128])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_every_order_on_tori(self, n, size):
+        # Q_{2N}, 2N <= n, by the one formula: Q2 is J, Q4 the direct Q4, and
+        # every Q_{2N} is the Q-value of Qres_{2N}, Qres(N - n/2) = -(n/2 - N) Q
+        # below the critical order and Q = Qres'(0) at it
+        b = bundle(n=n, size=size, preset="trig2")
+        assert np.array_equal(torus_q(b, 1), b.J)
+        q4 = torus_q(b, 2)
+        assert np.max(np.abs(q4 - q4_direct(b))) <= 1e-13 * max(1.0, np.max(np.abs(q4)))
+        for N in range(1, min(3, n // 2) + 1):
+            q = torus_q(b, N)
+            qres = qres_and_v_polys(b, N)[0]
+            scale = max(1.0, np.max(np.abs(q)))
+            if 2 * N < n:
+                gap = qres.eval(N - Fraction(n, 2)) + (n / 2 - N) * q
+            else:
+                gap = qres.coeffs[1] - q
+            assert np.max(np.abs(gap)) <= 1e-13 * scale, N
 
 
 class TestEinsteinModel:
@@ -86,12 +109,23 @@ class TestEinsteinModel:
         assert model.v(2) == Fraction(3, 8)
 
     def test_sphere_specialization_q6(self):
-        assert q6_holographic(EinsteinModel(6, Fraction(3))) == 120
-        assert q6_holographic(EinsteinModel(8, Fraction(4))) == 720
+        assert einstein_q(EinsteinModel(6, Fraction(3)), 3) == 120
+        assert einstein_q(EinsteinModel(8, Fraction(4)), 3) == 720
 
     def test_off_sphere_value_is_rational(self):
-        q6 = q6_holographic(EinsteinModel(6, Fraction(1, 2)))
+        q6 = einstein_q(EinsteinModel(6, Fraction(1, 2)), 3)
         assert q6 == Fraction(40, 9) * Fraction(1, 8)
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_every_order_scales_the_sphere(self, n):
+        # Q_{2N} = (2J/n)^N Q_{2N}(S^n), exactly, for N <= 6 (2N <= n for even n)
+        for J in (Fraction(n, 2), Fraction(7, 3), Fraction(-2), Fraction(1, 5)):
+            model = EinsteinModel(n, J)
+            v = [model.v(k) for k in range(7)]
+            ts = values_on_one(n, v)
+            for N in range(1, (min(6, n // 2) if n % 2 == 0 else 6) + 1):
+                want = (2 * model.J / n) ** N * sphere_Q(SphereContext(n), N)
+                assert constant_q(n, ts, v, N) == want, (J, N)
 
     def test_checks_all_pass(self):
         for n, J in ((4, Fraction(2)), (6, Fraction(3)), (6, Fraction(1, 3)), (8, Fraction(4))):
@@ -125,6 +159,12 @@ class TestEinsteinModel:
             c = model.v(1)
             assert values[1] * c == reference_t2_star(model, LAMBDA, c), J
             assert values[2] * c == reference_t4_star(model, LAMBDA, c), J
+
+
+def einstein_q(model, N):
+    """Q_{2N} of the constant-curvature model by the holographic formula."""
+    v = [model.v(k) for k in range(N + 1)]
+    return constant_q(model.n, values_on_one(model.n, v), v, N)
 
 
 def reference_t2_star(model, mu, c):

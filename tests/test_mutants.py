@@ -89,13 +89,12 @@ def test_wrong_v_factor(monkeypatch, name):
 
 
 def test_indicial_off_by_one(monkeypatch):
-    # 2N(2 lam + 2N - n) becomes 2N(2 lam + 2N - n + 1). The mutated T_4 no
-    # longer normalizes to a polynomial, and build_P aborts critical-n4 with
-    # an AssertionError rather than a failed check, so that suite is left out.
+    # 2N(2 lam + 2N - n) becomes 2N(2 lam + 2N - n + 1)
     def mutate(M, indicial, cs):
         return indicial + 2 * M, cs
 
     monkeypatch.setattr(families, "recursion_coefficients", _mutated_coefficients(mutate))
-    failed = failed_checks(("sphere", "einstein", "numeric"))
+    failed = failed_checks()
     assert any(i.startswith("sphere-radial") for i in failed)
     assert any(i.startswith("einstein-") for i in failed)
+    assert any(i.startswith("crit-") for i in failed)

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from holoq import sphere
+from holoq.families import constant_terms
 from holoq.lambda_algebra import LAMBDA, LambdaPoly, pochhammer
 from holoq.sphere import (
     SphereContext,
-    _direct_sums,
     _sum_closed,
     _weighted_closed,
-    claim_red_lhs,
     claim_red_rhs,
     master_constant,
     radial_oracle,
@@ -103,18 +103,24 @@ class TestRadialOracle:
             radial_oracle(SphereContext(4), 9)
 
 
+def direct_terms(ctx, N):
+    """[T*_{2j}(v_{2N-2j}) for j = 0..N] from the closed T-values on 1."""
+    return constant_terms([sphere_T_on_one(ctx, j) for j in range(N + 1)],
+                          [sphere_v(ctx, k) for k in range(N + 1)], N)
+
+
 class TestSums:
     def test_direct_value_n6(self):
         """S0 at n=6, N=2, lambda=4 equals -1/16 (not -1/8)."""
         ctx = SphereContext(6)
         S0 = _sum_closed(ctx, 2)
-        assert S0 == _direct_sums(ctx, 2)[0]
+        assert S0 == sum(direct_terms(ctx, 2))
         assert S0(F(4)) == F(-1, 16)
 
     def test_weighted_value_n6(self):
         ctx = SphereContext(6)
         S1 = _weighted_closed(ctx, 2)
-        assert S1 == _direct_sums(ctx, 2)[1]
+        assert S1 == sum(j * t for j, t in enumerate(direct_terms(ctx, 2)))
         assert S1(F(4)) == F(1, 4)
 
     def test_m1_relation_N1(self):
@@ -127,7 +133,7 @@ class TestSums:
 
     def test_claim_red_values(self):
         ctx = SphereContext(6)
-        assert claim_red_lhs(ctx, 2)(F(4)) == -1
+        assert (F(-4) ** 2 * sum(direct_terms(ctx, 2)))(F(4)) == -1
         assert claim_red_rhs(ctx, 2)(F(4)) == -1
 
 
@@ -192,6 +198,17 @@ class TestSuite:
         assert all(s > 0 for s in seconds)
         assert len(set(seconds)) > 1
         assert sum(seconds) <= wall
+
+    def test_v_degree_failure_is_reported(self, monkeypatch):
+        # a closed S1 off by 1 gives V-polynomials of degree N: three failed
+        # checks, not an exception
+        original = sphere._weighted_closed
+        monkeypatch.setattr(sphere, "_weighted_closed", lambda ctx, N: original(ctx, N) + 1)
+        reps = {r.id: r for r in sphere_checks(SphereContext(6), 2)}
+        failed = {i for i, r in reps.items() if not r.passed}
+        assert failed == {"sphere-vdeg[n=6,N=2]", "sphere-weighted[n=6,N=2]",
+                          "sphere-master1[n=6,N=2]"}
+        assert reps["sphere-vdeg[n=6,N=2]"].details == {"degree": 2}
 
     def test_suite_runs_and_passes(self):
         reps = sphere_suite([4, 7])
