@@ -25,16 +25,13 @@ class CurvatureBundle:
     chart: TorusChart
     phi: np.ndarray
     n: int = field(init=False)
-    e2: np.ndarray = field(init=False)
     em2: np.ndarray = field(init=False)
     en2: np.ndarray = field(init=False)
     en4w: np.ndarray = field(init=False)
     emn: np.ndarray = field(init=False)
-    enphi: np.ndarray = field(init=False)
     W: np.ndarray = field(init=False)
-    dphi: tuple = field(init=False)
-    gradsq: np.ndarray = field(init=False)
     J: np.ndarray = field(init=False)
+    # P[1][0] is P[0][1], one array
     P: list = field(init=False)
     p_inactive: np.ndarray = field(init=False)
     Psq: np.ndarray = field(init=False)
@@ -50,25 +47,23 @@ class CurvatureBundle:
             raise ValueError(f"phi shape {phi.shape} does not match chart {ch.shape}")
         self.phi = phi
         self.n = n
-        self.e2 = np.exp(2.0 * phi)
         self.em2 = np.exp(-2.0 * phi)
         self.en2 = np.exp((n - 2.0) * phi)
         self.en4w = np.exp((n - 4.0) * phi)
         self.emn = np.exp(-float(n) * phi)
-        self.enphi = np.exp(float(n) * phi)
-        self.W = self.enphi * ch.cell_volume()
+        self.W = np.exp(float(n) * phi) * ch.cell_volume()
 
-        g0, g1 = d1(ch, phi, 0), d1(ch, phi, 1)
-        self.dphi = (g0, g1)
-        self.gradsq = g0 * g0 + g1 * g1
-        hess = hessian(ch, self.dphi)
+        dp = [d1(ch, phi, 0), d1(ch, phi, 1)]
+        gradsq = dp[0] * dp[0] + dp[1] * dp[1]
+        hess = hessian(ch, dp)
         lap0 = hess[0][0] + hess[1][1]
-        self.J = -self.em2 * (lap0 + 0.5 * (n - 2.0) * self.gradsq)
+        self.J = -self.em2 * (lap0 + 0.5 * (n - 2.0) * gradsq)
 
-        dp = [g0, g1]
-        self.P = [[-hess[i][k] + dp[i] * dp[k] - (0.5 * self.gradsq if i == k else 0.0)
+        # hess[1][0] is hess[0][1], so P is symmetric bit for bit
+        p01 = -hess[0][1] + dp[0] * dp[1]
+        self.P = [[-hess[i][k] + dp[i] * dp[k] - 0.5 * gradsq if i == k else p01
                    for k in range(2)] for i in range(2)]
-        self.p_inactive = -0.5 * self.gradsq
+        self.p_inactive = -0.5 * gradsq
         frob = sum(self.P[i][k] ** 2 for i in range(2) for k in range(2))
         self.Psq = self.em2 ** 2 * (frob + (n - 2.0) * self.p_inactive ** 2)
 

@@ -46,13 +46,19 @@ class FieldPoly:
     def __init__(self, coeffs=()):
         self.coeffs = list(coeffs)
 
-    def __add__(self, other):
-        long, short = (self.coeffs, other.coeffs) if len(self.coeffs) >= len(other.coeffs) \
-            else (other.coeffs, self.coeffs)
-        out = list(long)
-        for k, c in enumerate(short):
-            out[k] = out[k] + c
-        return FieldPoly(out)
+    def __iadd__(self, other):
+        """Add other into this polynomial's arrays, which the caller owns.
+        Coefficients past this polynomial's length are taken from other by
+        reference, so other must be owned by the caller too (a fresh product)
+        and not used after. acc += x is bitwise acc + x, and addition is
+        commutative, so a sum accumulated in term order has the bits of one
+        built out of place in that order."""
+        for k, c in enumerate(other.coeffs):
+            if k < len(self.coeffs):
+                self.coeffs[k] += c
+            else:
+                self.coeffs.append(c)
+        return self
 
     def mul_poly(self, p: LambdaPoly):
         if not self.coeffs:
@@ -125,9 +131,6 @@ class LambdaOperator:
     def scale(self, factor) -> "LambdaOperator":
         return LambdaOperator({word: rat * factor for word, rat in self.terms.items()})
 
-    def is_polynomial(self) -> bool:
-        return all(rat.is_polynomial() for rat in self.terms.values())
-
     def field_poly(self, bundle: CurvatureBundle, f):
         """Action on f as (numerator FieldPoly, scalar denominator poly).
 
@@ -147,7 +150,7 @@ class LambdaOperator:
         den = _lcm(rat.den for rat in self.terms.values())
         num = FieldPoly()
         for word, rat in terms.items():
-            num = num + FieldPoly([applied[word]]).mul_poly(rat.num * den.divmod(rat.den)[0])
+            num += FieldPoly([applied[word]]).mul_poly(rat.num * den.divmod(rat.den)[0])
         return num, den
 
     def apply_at(self, bundle: CurvatureBundle, f, lam):
@@ -168,11 +171,13 @@ def _lcm(dens):
 
 def over_lcm(terms):
     """Bring (weight, (num, den)) terms, each standing for weight * num / den,
-    to the lcm of their denominators. Returns ([weight * cofactor * num], lcm)
-    with each cofactor lcm / den exact; the sum of the list over the lcm is
-    the sum of the terms."""
+    to the lcm of their denominators. Returns (parts, lcm): parts yields
+    weight * cofactor * num for each term in order, with each cofactor
+    lcm / den exact, and builds each part only when it is consumed, so a
+    caller that sums them holds one at a time. The sum of the parts over the
+    lcm is the sum of the terms."""
     lcm = _lcm(den for _, (_, den) in terms)
-    return [num.mul_poly(lcm.divmod(den)[0] * w) for w, (num, den) in terms], lcm
+    return (num.mul_poly(lcm.divmod(den)[0] * w) for w, (num, den) in terms), lcm
 
 
 # A pole is removable when the numerator's residue there is below this

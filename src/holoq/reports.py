@@ -158,6 +158,21 @@ class CheckReport:
         return d
 
 
+class IdentityError(Exception):
+    """An identity that a value is built on does not hold, so the value is
+    not returned. The checks that read the value fail with the reason as
+    their details; the run goes on."""
+
+
+def attempt(build, *args):
+    """(build(*args), None), or (None, the reason) if an identity the value
+    is built on does not hold."""
+    try:
+        return build(*args), None
+    except IdentityError as err:
+        return None, str(err)
+
+
 def exact_report(check_id, equation, params, passed, details=None,
                  seconds=0.0) -> CheckReport:
     """Verdict of an exact (rational-arithmetic) check."""

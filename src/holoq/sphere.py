@@ -30,7 +30,7 @@ from .lambda_algebra import (
     binomial,
     pochhammer,
 )
-from .reports import exact_report
+from .reports import IdentityError, attempt, exact_report
 
 MAX_RADIAL_ORDER = 8
 
@@ -110,7 +110,7 @@ def _shift_factor(ctx: SphereContext, N: int) -> LambdaPoly:
 
 def _qres(ctx: SphereContext, N: int, S0: LambdaRat) -> LambdaPoly:
     """Product form of Qres_{2N}, cross-checked against its assembly from
-    the closed S0."""
+    the closed S0; IdentityError if they differ."""
     f, n = ctx.f, ctx.n
     prod = LambdaPoly([1])
     for j in range(1, N):
@@ -119,18 +119,19 @@ def _qres(ctx: SphereContext, N: int, S0: LambdaRat) -> LambdaPoly:
     assembly = Fraction(-(4 ** N) * math.factorial(N)) * _shift_factor(ctx, N) * \
         S0.shift(n - 2 * N)
     if not assembly.is_polynomial():
-        raise AssertionError(f"qres assembly is not polynomial (n={n}, N={N})")
+        raise IdentityError(f"qres assembly is not polynomial (n={n}, N={N})")
     if not (assembly.as_poly() - closed).is_zero():
-        raise AssertionError(f"qres product form disagrees with assembly (n={n}, N={N})")
+        raise IdentityError(f"qres product form disagrees with assembly (n={n}, N={N})")
     return closed
 
 
 def _v_poly(ctx: SphereContext, N: int, S0: LambdaRat, S1: LambdaRat) -> LambdaPoly:
-    """V_{2N} assembled from the closed S0 and S1."""
+    """V_{2N} assembled from the closed S0 and S1; IdentityError if the
+    assembly is not polynomial."""
     n = ctx.n
     v = _shift_factor(ctx, N) * (2 * N * S0.shift(n - 2 * N) + 2 * S1.shift(n - 2 * N))
     if not v.is_polynomial():
-        raise AssertionError(f"V-polynomial assembly is not polynomial (n={n}, N={N})")
+        raise IdentityError(f"V-polynomial assembly is not polynomial (n={n}, N={N})")
     return v.as_poly()
 
 
@@ -165,7 +166,8 @@ def sphere_Q(ctx: SphereContext, N: int) -> Fraction:
 
     Subcritical closed form (n/2)_N (n/2-N+1)_{N-1}; in the critical case
     2N = n the value is derived through the holographic route
-    n v_n = 2n c_{n/2} Q_n and checked against the continuation.
+    n v_n = 2n c_{n/2} Q_n and checked against the continuation
+    (IdentityError if they differ).
     """
     f = ctx.f
     if N < 1:
@@ -174,7 +176,7 @@ def sphere_Q(ctx: SphereContext, N: int) -> Fraction:
     if 2 * N == ctx.n:
         crit = sphere_v(ctx, N) / (2 * master_constant(N))
         if crit != closed:
-            raise AssertionError(f"critical sphere Q disagrees with continuation (n={ctx.n})")
+            raise IdentityError(f"critical sphere Q disagrees with continuation (n={ctx.n})")
         return crit
     return closed
 
@@ -224,23 +226,28 @@ def sphere_checks(ctx: SphereContext, N: int):
     out.append(exact_report(f"sphere-master2[n={n},N={N}]", "master-2", tag,
                             (m2l - m2r).is_zero(), seconds=lap()))
 
-    qres = _qres(ctx, N, S0c)
-    vpoly = _v_poly(ctx, N, S0c, S1c)
+    qres, qres_fault = attempt(_qres, ctx, N, S0c)
+    vpoly, v_fault = attempt(_v_poly, ctx, N, S0c, S1c)
+
+    def reading(name, equation, decide, *faults):
+        """exact_report of decide(), which returns (passed, details), or a
+        failed one with the reason where a value it reads was not built."""
+        reasons = [fault for fault in faults if fault]
+        passed, details = (False, {"reason": "; ".join(reasons)}) if reasons else decide()
+        return exact_report(f"{name}[n={n},N={N}]", equation, tag, passed, details,
+                            seconds=lap())
 
     # master-1: 2^{2N-2} (N-1)! lambda V(lambda) = (n/2 - N) Qres(lambda)
-    m1l = Fraction(4 ** (N - 1) * math.factorial(N - 1)) * LAMBDA * vpoly
-    m1r = (f - N) * qres
-    out.append(exact_report(f"sphere-master1[n={n},N={N}]", "master-1", tag,
-                            (m1l - m1r).is_zero(), seconds=lap()))
-
-    out.append(exact_report(f"sphere-qres0[n={n},N={N}]", "qres-vanishes-at-0", tag,
-                            qres(Fraction(0)) == 0, seconds=lap()))
-    out.append(exact_report(f"sphere-vdeg[n={n},N={N}]", "v-poly-degree", tag,
-                            vpoly.degree <= N - 1,
-                            {"degree": vpoly.degree}, seconds=lap()))
+    out.append(reading("sphere-master1", "master-1", lambda: (
+        (Fraction(4 ** (N - 1) * math.factorial(N - 1)) * LAMBDA * vpoly
+         - (f - N) * qres).is_zero(), None), v_fault, qres_fault))
+    out.append(reading("sphere-qres0", "qres-vanishes-at-0",
+                       lambda: (qres(Fraction(0)) == 0, None), qres_fault))
+    out.append(reading("sphere-vdeg", "v-poly-degree",
+                       lambda: (vpoly.degree <= N - 1, {"degree": vpoly.degree}), v_fault))
     if 2 * N == n:
-        out.append(exact_report(f"sphere-vcrit[n={n},N={N}]", "v-poly-critical-zero",
-                                tag, vpoly.is_zero(), seconds=lap()))
+        out.append(reading("sphere-vcrit", "v-poly-critical-zero",
+                           lambda: (vpoly.is_zero(), None), v_fault))
 
     # claim-red, sum_j binom(n, N-j) (-1)^j (n/2)_j (lambda)_j / ((lambda-n/2+1)_j j!)
     # = (-4)^N S0, both directly and through the 3F2 form (the latter only

@@ -1,5 +1,7 @@
 """Coefficient routes, Q-curvature duality, master relations, critical suite."""
 
+import dataclasses
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -13,6 +15,8 @@ from holoq.families import (
     LambdaOperator,
     PoleError,
     build_T,
+    master3_weights,
+    over_lcm,
     pair_derivative,
     pair_value,
     values_on_one,
@@ -38,7 +42,7 @@ from holoq.holographic import (
     qres_and_v_polys,
     torus_q,
 )
-from holoq.lambda_algebra import LAMBDA
+from holoq.lambda_algebra import LAMBDA, pochhammer
 from holoq.presets import preset_phi
 from holoq.sphere import SphereContext, sphere_Q
 
@@ -298,7 +302,9 @@ def _perturbed_bundle(n=4, size=32, eps=1e-3):
     for lam in DEFAULT_LAMBDAS:
         vanishing = vanishing * (LAMBDA - lam)
     num, den = family_poly(b, 2, 0)
-    b.family_polys[(2, 0)] = (num + FieldPoly([bump]).mul_poly(vanishing * den), den)
+    perturbed = FieldPoly([c.copy() for c in num.coeffs])
+    perturbed += FieldPoly([bump]).mul_poly(vanishing * den)
+    b.family_polys[(2, 0)] = (perturbed, den)
     return b
 
 
@@ -344,6 +350,120 @@ class TestPolynomials:
         monkeypatch.setattr(holographic, "pochhammer", lambda x, m: x ** m + 1)
         checks = {r.id: r for r in poly_checks(bundle(n=4, size=32), 2)}
         assert not checks["qres-den-n4-N2"].passed
+
+
+def _added(p, q):
+    """p + q out of place, with the longer operand's tail shared: FieldPoly
+    addition before sums were accumulated in place."""
+    long, short = (p.coeffs, q.coeffs) if len(p.coeffs) >= len(q.coeffs) \
+        else (q.coeffs, p.coeffs)
+    out = list(long)
+    for k, c in enumerate(short):
+        out[k] = out[k] + c
+    return FieldPoly(out)
+
+
+def _summed(polys):
+    total = FieldPoly()
+    for p in polys:
+        total = _added(total, p)
+    return total
+
+
+def reference_cleared_sum(terms):
+    """Every cleared term built first, then summed out of place."""
+    parts = list(over_lcm(terms)[0])
+    return _summed(parts), [p.norms() for p in parts]
+
+
+def reference_cleared_checks(check_id, equation, params, terms, lambdas, tol):
+    """_cleared_checks from reference_cleared_sum."""
+    total, norms = reference_cleared_sum(terms)
+    reports = [holographic.tolerance_report(
+        check_id, equation, params, total.max_norm(), tol,
+        max(max(ns, default=0.0) for ns in norms), details={"coeff_norms": total.norms()})]
+    for lam in map(Fraction, lambdas):
+        scale = max(sum(c * abs(float(lam)) ** k for k, c in enumerate(ns)) for ns in norms)
+        reports.append(holographic.tolerance_report(
+            f"{check_id}-l{lam}", equation, {**params, "lambda": lam},
+            np.max(np.abs(total.eval(lam))), tol, scale))
+    return reports
+
+
+def reference_qres_and_v_polys(b, N):
+    """qres_and_v_polys from every cleared term at once, summed out of place."""
+    parts, den = over_lcm([(1, pair) for pair in holographic._t_star_pairs(b, N)])
+    parts = list(parts)
+    quot, rem = pochhammer(LAMBDA - Fraction(b.n, 2) + 1, N).divmod(den)
+    shift = b.n - 2 * N
+    qres = _summed(parts).mul_poly(quot * -(4**N * holographic.factorial(N))).shift(shift)
+    v = _summed(p.mul_poly(quot * (2 * N + 2 * j)) for j, p in enumerate(parts))
+    return qres, v.shift(shift), rem
+
+
+def _same_bits(got: FieldPoly, want: FieldPoly):
+    return len(got.coeffs) == len(want.coeffs) and all(
+        np.array_equal(g, w) for g, w in zip(got.coeffs, want.coeffs))
+
+
+def _verdicts(reports):
+    return [dataclasses.replace(r, seconds=0.0) for r in reports]
+
+
+class TestStreamedSums:
+    """The cleared sums are accumulated in place one term at a time; they
+    have the bits of the sums of all terms built at once, and never write
+    into the arrays the bundle caches."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_bitwise_equal_to_summing_all_parts(self, n, monkeypatch):
+        b = bundle(n=n, size=32, preset="trig2")
+        for N in (1, 2, 3):
+            terms = list(zip(master3_weights(n, N), holographic._t_star_pairs(b, N)))
+            total, norms = holographic._cleared_sum(terms)
+            want_total, want_norms = reference_cleared_sum(terms)
+            assert _same_bits(total, want_total) and norms == want_norms, N
+            got = qres_and_v_polys(b, N)
+            want = reference_qres_and_v_polys(b, N)
+            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), N
+            assert got[2] == want[2], N
+        checks = [lambda N=N: master_check_numeric(b, N, DEFAULT_LAMBDAS) for N in (1, 2, 3)]
+        checks += [lambda: example_2_3_checks(b, DEFAULT_LAMBDAS)]
+        checks += [lambda N=N: poly_checks(b, N) for N in (1, 2, 3)]
+        streamed = [_verdicts(check()) for check in checks]
+        monkeypatch.setattr(holographic, "_cleared_checks", reference_cleared_checks)
+        monkeypatch.setattr(holographic, "qres_and_v_polys", reference_qres_and_v_polys)
+        assert streamed == [_verdicts(check()) for check in checks]
+
+    def test_master1_gap_is_the_whole_gap(self):
+        # the gap a lam V + c qres reduced coefficientwise reads the norm of
+        # the whole gap, built out of place; c vanishes at n = 2N
+        for n, N in ((4, 2), (5, 2), (6, 3), (7, 3)):
+            b = bundle(n=n, size=32, preset="trig2")
+            qres, v, _ = qres_and_v_polys(b, N)
+            whole = _added(v.mul_poly(LAMBDA * (4 ** (N - 1) * holographic.factorial(N - 1))),
+                           qres.mul_poly(holographic.LambdaPoly((N - Fraction(n, 2),))))
+            rep = {r.id: r for r in poly_checks(b, N)}[f"master1-n{n}-N{N}"]
+            assert rep.residual == whole.max_norm(), (n, N)
+
+    def test_bundle_cache_is_not_written(self):
+        b = bundle(n=6, size=32, preset="trig2")
+        for j in (1, 2, 3):
+            for k in range(4 - j):
+                family_poly(b, j, k)
+        cached = {key: [c.copy() for c in num.coeffs] for key, (num, _) in b.family_polys.items()}
+        fields = {name: np.copy(value) for name, value in vars(b).items()
+                  if isinstance(value, np.ndarray)}
+        for N in (1, 2, 3):
+            master_check_numeric(b, N, DEFAULT_LAMBDAS)
+            poly_checks(b, N)
+        example_2_3_checks(b, DEFAULT_LAMBDAS)
+        assert set(b.family_polys) == set(cached)
+        for key, (num, _) in b.family_polys.items():
+            assert len(num.coeffs) == len(cached[key]), key
+            assert all(np.array_equal(c, w) for c, w in zip(num.coeffs, cached[key])), key
+        for name, value in fields.items():
+            assert np.array_equal(getattr(b, name), value), name
 
 
 class TestSixthOrder:
@@ -483,6 +603,24 @@ class TestSuites:
         monkeypatch.setattr(holographic, "_curvature_reports", spy)
         numeric_suite(n_values=(4, 6), size=32)
         assert alive == [[], [False]]
+
+    def test_numeric_suite_memory_peak(self):
+        # tracemalloc counts numpy's buffers, so the peak is deterministic.
+        # At 128^2 (128 KiB a grid array) the suite peaks at 5.5 MiB in the
+        # N = 2 polynomial checks; with every cleared term held until its
+        # sum was built, and five more bundle fields, it was 7.0 MiB.
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            numeric_suite(n_values=(4, 6), size=128)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 6 * 2**20, peak / 2**20
 
     def test_critical_suite_builds_polynomials_once(self, monkeypatch):
         calls = []

@@ -5,7 +5,9 @@ import pytest
 
 from holoq import sphere
 from holoq.families import constant_terms
-from holoq.lambda_algebra import LAMBDA, LambdaPoly, pochhammer
+from holoq.holographic import einstein_checks
+from holoq.lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer
+from holoq.reports import IdentityError
 from holoq.sphere import (
     SphereContext,
     _sum_closed,
@@ -216,3 +218,58 @@ class TestSuite:
         ids = [r.id for r in reps]
         assert any(i.startswith("sphere-radial") for i in ids)
         assert any("master3" in i for i in ids)
+
+
+class TestFailurePaths:
+    """A value whose defining identity fails is not built; the checks that
+    read it fail with the reason in their details, the others keep their
+    verdicts, and the run goes on."""
+
+    @staticmethod
+    def verdicts(n=6, N=2):
+        return {r.id.split("[")[0]: r for r in sphere_checks(SphereContext(n), N)}
+
+    def test_qres_assembly_not_polynomial(self, monkeypatch):
+        # without the shift factor the assembly keeps the poles of S0
+        monkeypatch.setattr(sphere, "_shift_factor", lambda ctx, N: LambdaPoly([1]))
+        reps = self.verdicts()
+        reason = "qres assembly is not polynomial (n=6, N=2)"
+        assert not reps["sphere-qres0"].passed
+        assert reps["sphere-qres0"].details == {"reason": reason}
+        assert reason in reps["sphere-master1"].details["reason"]
+        assert reps["sphere-sum1"].passed and reps["sphere-master3"].passed
+
+    def test_qres_product_form_disagrees(self, monkeypatch):
+        # a doubled shift factor keeps the assembly polynomial but twice the
+        # product form; V only doubles, so its degree check still passes
+        original = sphere._shift_factor
+        monkeypatch.setattr(sphere, "_shift_factor", lambda ctx, N: original(ctx, N) * 2)
+        reps = self.verdicts()
+        reason = "qres product form disagrees with assembly (n=6, N=2)"
+        assert reps["sphere-qres0"].details == {"reason": reason}
+        assert not reps["sphere-qres0"].passed and not reps["sphere-master1"].passed
+        assert reps["sphere-vdeg"].passed
+
+    def test_v_assembly_not_polynomial(self, monkeypatch):
+        # a closed S1 with a pole leaves V rational; Qres is still built
+        original = sphere._weighted_closed
+        monkeypatch.setattr(sphere, "_weighted_closed",
+                            lambda ctx, N: original(ctx, N) + LambdaRat(1, LAMBDA - 100))
+        reps = self.verdicts(n=4, N=2)
+        reason = "V-polynomial assembly is not polynomial (n=4, N=2)"
+        for name in ("sphere-vdeg", "sphere-vcrit", "sphere-master1"):
+            assert not reps[name].passed and reps[name].details == {"reason": reason}, name
+        assert reps["sphere-qres0"].passed
+
+    def test_critical_q_disagrees(self, monkeypatch):
+        # c_N off by 1/1000 moves the critical Q_6(S^6) off its continuation:
+        # einstein-q6 reads it and fails; the other Einstein checks stand
+        original = sphere.master_constant
+        monkeypatch.setattr(sphere, "master_constant", lambda N: original(N) * F(1001, 1000))
+        with pytest.raises(IdentityError):
+            sphere_Q(SphereContext(6), 3)
+        reps = {r.id: r for r in einstein_checks(6, F(7, 3))}
+        q6 = reps.pop("einstein-q6")
+        assert not q6.passed and q6.details["rhs"] is None
+        assert q6.details["reason"] == "critical sphere Q disagrees with continuation (n=6)"
+        assert all(r.passed for r in reps.values())
