@@ -1,7 +1,8 @@
-"""Micro-benchmarks of the numeric layers on a 128x128 torus at n = 4, the
-stencil, the curvature bundle, the Christoffel oracle, one operator-family
-polynomial and the residue/volume polynomial checks; and the oracle at n = 6
-on both routes, where four inactive axes share each index class.
+"""Micro-benchmarks of the numeric layers on a 128x128 torus at n = 4: the
+stencil (also at 512x512, on both axes), the curvature bundle, the
+Christoffel oracle, one operator-family polynomial and the residue/volume
+polynomial checks; and the oracle at n = 6 on both routes, where four
+inactive axes share each index class.
 
     python -m pytest bench/bench_numeric.py -q
 
@@ -31,10 +32,14 @@ def bundle(chart_phi):
     return curvature(*chart_phi)
 
 
-def test_d1(benchmark, chart_phi):
-    ch, phi = chart_phi
-    out = benchmark(d1, ch, phi, 0)
-    assert out.shape == phi.shape
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("size", [SIZE, 512])
+def test_d1(benchmark, size, axis):
+    # axis 1 also re-evaluates the four wrap columns
+    ch = TorusChart(4, (size, size))
+    phi = preset_phi(ch, "trig1", seed=7)
+    out = benchmark(d1, ch, phi, axis)
+    assert out.shape == phi.shape and np.all(np.isfinite(out))
 
 
 def test_curvature(benchmark, chart_phi):

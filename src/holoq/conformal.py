@@ -53,7 +53,7 @@ class CurvatureBundle:
         self.emn = np.exp(-float(n) * phi)
         self.W = np.exp(float(n) * phi) * ch.cell_volume()
 
-        dp = [d1(ch, phi, 0), d1(ch, phi, 1)]
+        dp = gradient(ch, phi)
         gradsq = dp[0] * dp[0] + dp[1] * dp[1]
         hess = hessian(ch, dp)
         lap0 = hess[0][0] + hess[1][1]
@@ -67,26 +67,35 @@ class CurvatureBundle:
         frob = sum(self.P[i][k] ** 2 for i in range(2) for k in range(2))
         self.Psq = self.em2 ** 2 * (frob + (n - 2.0) * self.p_inactive ** 2)
 
-        self.dJ = (d1(ch, self.J, 0), d1(ch, self.J, 1))
-        self.lapJ = laplacian(self, self.J)
+        self.dJ = gradient(ch, self.J)
+        self.lapJ = laplacian(self, self.J, self.dJ)
 
 
 def curvature(chart: TorusChart, phi) -> CurvatureBundle:
     return CurvatureBundle(chart, phi)
 
 
-def laplacian(b: CurvatureBundle, f):
-    """Laplace-Beltrami operator in conservative (divergence) form."""
+def gradient(chart: TorusChart, f):
+    """The pair (d1(f, 0), d1(f, 1)). Operators that differentiate f accept
+    it as grad, so a field read by several of them is differentiated once."""
+    return d1(chart, f, 0), d1(chart, f, 1)
+
+
+def laplacian(b: CurvatureBundle, f, grad=None):
+    """Laplace-Beltrami operator in conservative (divergence) form. grad,
+    when given, is gradient(b.chart, f) already built."""
     ch = b.chart
-    out = d1(ch, b.en2 * d1(ch, f, 0), 0) + d1(ch, b.en2 * d1(ch, f, 1), 1)
+    g0, g1 = grad or gradient(ch, f)
+    out = d1(ch, b.en2 * g0, 0) + d1(ch, b.en2 * g1, 1)
     return b.emn * out
 
 
-def divergence_form(b: CurvatureBundle, B, f):
+def divergence_form(b: CurvatureBundle, B, f, grad=None):
     """e^{-n phi} d_a(B^{ab} d_b f) for a symmetric field B = (B00, B01, B11),
-    self-adjoint in the weighted inner product since d1 is antisymmetric."""
+    self-adjoint in the weighted inner product since d1 is antisymmetric.
+    grad, when given, is gradient(b.chart, f) already built."""
     ch = b.chart
-    g0, g1 = d1(ch, f, 0), d1(ch, f, 1)
+    g0, g1 = grad or gradient(ch, f)
     B00, B01, B11 = B
     return b.emn * (d1(ch, B00 * g0 + B01 * g1, 0) + d1(ch, B01 * g0 + B11 * g1, 1))
 
@@ -125,18 +134,21 @@ def _flux(b: CurvatureBundle, k: int):
     return tuple(b.en2 * x for x in B)
 
 
-def grad_pair_J(b: CurvatureBundle, f, form: str = "commutator"):
+def grad_pair_J(b: CurvatureBundle, f, form: str = "commutator", lap=None, grad=None):
     """The pairing (dJ, df) in the metric.
 
     The commutator form writes it through the Laplacian so that its weighted
     adjoint has an exact closed form on the grid; the direct form contracts
-    gradients with the inverse metric and is used as a cross-check.
+    gradients with the inverse metric and is used as a cross-check. lap and
+    grad, when given, are laplacian(b, f) and gradient(b.chart, f) already
+    built; the commutator form reads lap, the direct form grad.
     """
     if form == "commutator":
-        return 0.5 * (laplacian(b, b.J * f) - b.J * laplacian(b, f) - f * b.lapJ)
+        lap = laplacian(b, f) if lap is None else lap
+        return 0.5 * (laplacian(b, b.J * f) - b.J * lap - f * b.lapJ)
     if form == "direct":
-        ch = b.chart
-        return b.em2 * (b.dJ[0] * d1(ch, f, 0) + b.dJ[1] * d1(ch, f, 1))
+        g0, g1 = grad or gradient(b.chart, f)
+        return b.em2 * (b.dJ[0] * g0 + b.dJ[1] * g1)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -297,7 +309,7 @@ def oracle_curvature(chart: TorusChart, phi, route: str = "chain"):
     E = np.exp(2.0 * phi)
     Einv = 1.0 / E
     if route == "chain":
-        ric = _ricci(chart, [d1(chart, phi, 0), d1(chart, phi, 1)])
+        ric = _ricci(chart, gradient(chart, phi))
     elif route == "metric":
         ric = _ricci(chart, [0.5 * Einv * d1(chart, E, 0), 0.5 * Einv * d1(chart, E, 1)])
     else:

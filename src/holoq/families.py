@@ -27,6 +27,7 @@ import numpy as np
 
 from .conformal import CurvatureBundle, apply_primitive
 from .lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer, poly_gcd
+from .reports import max_abs
 
 
 class PoleError(ValueError):
@@ -105,10 +106,11 @@ class FieldPoly:
 
     def norms(self):
         """Max norm of each coefficient field, in ascending order."""
-        return [float(np.max(np.abs(arr))) for arr in self.coeffs]
+        return [max_abs(arr) for arr in self.coeffs]
 
     def max_norm(self):
-        return max(self.norms(), default=0.0)
+        """The largest coefficient norm, NaN if a coefficient holds a NaN."""
+        return max_abs(self.norms())
 
 
 class LambdaOperator:

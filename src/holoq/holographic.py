@@ -24,6 +24,7 @@ from .conformal import (
     curvature,
     divergence_form,
     grad_pair_J,
+    gradient,
     holo_coeffs,
     inner,
     laplacian,
@@ -43,7 +44,14 @@ from .families import (
 from .grid import TorusChart
 from .lambda_algebra import LAMBDA, LambdaPoly, binomial, pochhammer
 from .presets import preset_phi
-from .reports import CheckReport, attempt, exact_report, refinement_report, tolerance_report
+from .reports import (
+    CheckReport,
+    attempt,
+    exact_report,
+    max_abs,
+    refinement_report,
+    tolerance_report,
+)
 
 DEFAULT_LAMBDAS = (Fraction(0), Fraction(1, 3), Fraction(5), Fraction(-2), Fraction(7, 2))
 
@@ -156,12 +164,13 @@ def _cleared_checks(check_id, equation, params, terms, lambdas, tol):
     t0 = time.perf_counter()
     total, norms = _cleared_sum(terms)
     reports = [tolerance_report(check_id, equation, params, total.max_norm(), tol,
-                                max(max(ns, default=0.0) for ns in norms),
+                                max_abs([max_abs(ns) for ns in norms]),
                                 details={"coeff_norms": total.norms()},
                                 seconds=time.perf_counter() - t0)]
     for lam in map(Fraction, lambdas):
         t0 = time.perf_counter()
-        scale = max(sum(c * abs(float(lam)) ** k for k, c in enumerate(ns)) for ns in norms)
+        scale = max_abs([sum(c * abs(float(lam)) ** k for k, c in enumerate(ns))
+                         for ns in norms])
         reports.append(tolerance_report(f"{check_id}-l{lam}", equation,
                                         {**params, "lambda": lam},
                                         np.max(np.abs(total.eval(lam))), tol, scale,
@@ -219,7 +228,7 @@ def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6, polys=None):
     t0 = time.perf_counter()
     qres, v, rem = polys or qres_and_v_polys(b, N)
     qn, vn = qres.norms(), v.norms()
-    scale = max(qn + vn)
+    scale = max_abs(qn + vn)
     n = b.n
     params = {"n": n, "N": N}
     reports = [exact_report(f"qres-den-n{n}-N{N}", "Q-pol", params, rem.is_zero(),
@@ -233,7 +242,7 @@ def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6, polys=None):
     reports.append(tolerance_report(f"vdeg-n{n}-N{N}", "V-pol-deg", params, vn[N], tol, scale,
                                     details={"coeff_norms": vn}))
     if n == 2 * N:
-        reports.append(tolerance_report(f"vcrit-n{n}-N{N}", "V-van", params, max(vn), tol,
+        reports.append(tolerance_report(f"vcrit-n{n}-N{N}", "V-van", params, max_abs(vn), tol,
                                         scale))
     # Proportionality between the two polynomials: 4^{N-1} (N-1)! lam V(lam)
     # equals (n/2 - N) qres(lam); compare coefficientwise, one coefficient
@@ -241,7 +250,7 @@ def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6, polys=None):
     # does the gap at n = 2N.
     a, c = float(4 ** (N - 1) * factorial(N - 1)), float(N - Fraction(n, 2))
     pairs = zip_longest([0.0] + v.coeffs, qres.coeffs if c else [], fillvalue=0.0)
-    gap = max(float(np.max(np.abs(a * x + c * y))) for x, y in pairs)
+    gap = max_abs([max_abs(a * x + c * y) for x, y in pairs])
     reports.append(tolerance_report(f"master1-n{n}-N{N}", "master-1", params,
                                     gap, tol, scale))
     return reports
@@ -350,11 +359,12 @@ def _metric(n: int, size: int, preset: str, seed: int, phi, half: bool = False):
 
 def _refinement_gaps(b: CurvatureBundle):
     """Discretization-limited gaps on one grid: J against the metric-route
-    oracle, and the two forms of the pairing (dJ, dJ)."""
+    oracle, and the two forms of the pairing (dJ, dJ), from the bundle's
+    own derivatives of J."""
     metric_J = oracle_curvature(b.chart, b.phi, route="metric")["J"]
     return (float(np.max(np.abs(b.J - metric_J))),
-            float(np.max(np.abs(grad_pair_J(b, b.J, "commutator")
-                                - grad_pair_J(b, b.J, "direct")))))
+            float(np.max(np.abs(grad_pair_J(b, b.J, "commutator", lap=b.lapJ)
+                                - grad_pair_J(b, b.J, "direct", grad=b.dJ)))))
 
 
 def _curvature_reports(n: int, size: int, preset: str, seed: int, tol: float,
@@ -395,13 +405,17 @@ def _adjoint_reports(b: CurvatureBundle, seed: int):
     g = rng.standard_normal(b.chart.shape)
     n = b.n
     reports = []
+    # each of f and g is differentiated once for all three cases
+    grad_f, grad_g = gradient(b.chart, f), gradient(b.chart, g)
+    lap_f, lap_g = laplacian(b, f, grad_f), laplacian(b, g, grad_g)
     # the divergence form's Schouten case, B = -e^{(n-4) phi} P
     pdiv = tuple(-b.en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
     cases = {
-        "lap": lambda: inner(b, laplacian(b, f), g) - inner(b, f, laplacian(b, g)),
-        "pdiv": lambda: (inner(b, divergence_form(b, pdiv, f), g)
-                         - inner(b, f, divergence_form(b, pdiv, g))),
-        "gj": lambda: (inner(b, grad_pair_J(b, f), g) + inner(b, f, grad_pair_J(b, g))
+        "lap": lambda: inner(b, lap_f, g) - inner(b, f, lap_g),
+        "pdiv": lambda: (inner(b, divergence_form(b, pdiv, f, grad_f), g)
+                         - inner(b, f, divergence_form(b, pdiv, g, grad_g))),
+        "gj": lambda: (inner(b, grad_pair_J(b, f, lap=lap_f), g)
+                       + inner(b, f, grad_pair_J(b, g, lap=lap_g))
                        + inner(b, f, b.lapJ * g)),
     }
     for name, thunk in cases.items():

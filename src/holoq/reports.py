@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 
 def jsonable(x):
@@ -173,6 +176,24 @@ def attempt(build, *args):
         return None, str(err)
 
 
+def max_abs(a) -> float:
+    """max |a| over an array or a sequence of numbers, 0.0 when empty.
+
+    A NaN anywhere gives NaN: Python's max skips a NaN that is not its
+    first argument. Read from the extremes, without an |a| temporary.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return 0.0
+    return float(np.maximum(a.max(), -a.min())) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
+def _non_finite(**values):
+    """Why a check with these values fails, if one of them is not finite."""
+    bad = [f"{name} {value}" for name, value in values.items() if not math.isfinite(value)]
+    return "non-finite " + ", ".join(bad) if bad else None
+
+
 def exact_report(check_id, equation, params, passed, details=None,
                  seconds=0.0) -> CheckReport:
     """Verdict of an exact (rational-arithmetic) check."""
@@ -184,24 +205,37 @@ def exact_report(check_id, equation, params, passed, details=None,
 def tolerance_report(check_id, equation, params, residual, base_tol, scale,
                      details=None, seconds=0.0) -> CheckReport:
     """Verdict of a numerical check: tol = base_tol * max(1, scale), and the
-    check passes when residual <= tol."""
-    scale = max(1.0, float(scale))
+    check passes when residual <= tol. A residual or scale that is not finite
+    fails it, with the reason in details."""
+    residual, scale = float(residual), float(scale)
+    reason = _non_finite(residual=residual, scale=scale)
+    scale = scale if math.isnan(scale) else max(1.0, scale)
     tol = base_tol * scale
+    details = details or {}
+    if reason:
+        details = {**details, "reason": reason}
     return CheckReport(id=check_id, equation=equation, params=params,
-                       passed=bool(residual <= tol), residual=float(residual),
-                       tol=tol, scale=scale, details=details or {}, seconds=seconds)
+                       passed=reason is None and residual <= tol, residual=residual,
+                       tol=tol, scale=scale, details=details, seconds=seconds)
 
 
 def refinement_report(check_id, equation, params, coarse, fine, seconds=0.0) -> CheckReport:
     """Verdict of a check limited by discretization, from its residuals on
     the half grid (coarse) and the full grid (fine): it passes when halving
     h shrinks the residual by a factor of at least 8, or when both residuals
-    are at rounding level (1e-11). The residual reported is the fine one."""
+    are at rounding level (1e-11). The residual reported is the fine one. A
+    residual that is not finite fails it, with the reason in details."""
+    coarse, fine = float(coarse), float(fine)
+    reason = _non_finite(coarse=coarse, fine=fine)
     ratio = coarse / max(fine, 1e-300)
+    details = {"coarse_gap": coarse, "ratio": ratio}
+    if reason:
+        details["reason"] = reason
     return CheckReport(id=check_id, equation=equation, params=params,
-                       passed=bool(ratio >= 8.0 or max(coarse, fine) <= 1e-11),
+                       passed=reason is None and (ratio >= 8.0
+                                                  or max_abs([coarse, fine]) <= 1e-11),
                        residual=fine, tol=max(coarse / 8.0, 1e-11), scale=1.0,
-                       details={"coarse_gap": coarse, "ratio": ratio}, seconds=seconds)
+                       details=details, seconds=seconds)
 
 
 @dataclass

@@ -15,7 +15,7 @@ import pytest
 from holoq import cli
 from holoq.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, UsageError, _parse_lambdas, _parse_n, main
 from holoq.conformal import CurvatureBundle
-from holoq.grid import load_field
+from holoq.grid import TorusChart, load_field, save_field
 from holoq.reports import RunConfig
 
 
@@ -303,6 +303,23 @@ class TestFieldCommand:
         assert "n=4" in err and f"n={dims}" in err
         assert ran == []
         assert not list(tmp_path.glob("r.*"))
+
+    def test_overflowing_phi_fails_checks(self, tmp_path):
+        # e^{4 phi} overflows: the checks that read the resulting inf or NaN
+        # fields fail with the reason, and the run exits 1, not 0
+        ch = TorusChart(4, (32, 32))
+        x, y = ch.mesh()
+        path = tmp_path / "phi.hqf"
+        save_field(path, ch, 200.0 * np.sin(x) * np.cos(y))
+        with np.errstate(all="ignore"):
+            code = run(["verify", "numeric", "--n", "4", "--grid", "32", "--phi-file", str(path),
+                        "--out", str(tmp_path / "r"), "--format", "json"])
+        assert code == EXIT_FAIL
+        checks = {c["id"]: c for c in json.loads((tmp_path / "r.json").read_text())["checks"]}
+        for check_id in ("curv-oracle-n4", "curv-refine-n4", "master3-n4-N2", "ex23-i-n4",
+                         "master1-n4-N2"):
+            assert not checks[check_id]["passed"], check_id
+            assert checks[check_id]["details"]["reason"].startswith("non-finite"), check_id
 
     def test_grid_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "phi.hqf")

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from holoq import conformal
 from holoq.conformal import (
     CurvatureBundle,
     _flux,
@@ -12,6 +13,7 @@ from holoq.conformal import (
     curvature,
     divergence_form,
     grad_pair_J,
+    gradient,
     holo_coeffs,
     inner,
     laplacian,
@@ -214,6 +216,34 @@ class TestOracle:
         finally:
             tracemalloc.stop()
         assert (peak - start) / phi.nbytes < 39 - 15
+
+
+class TestDerivativeReuse:
+    @pytest.mark.parametrize("route", ["chain", "metric"])
+    def test_oracle_differentiates_each_array_once(self, route, monkeypatch):
+        seen = []
+
+        def spy(chart, f, axis):
+            assert not any(g is f and a == axis for g, a in seen)
+            seen.append((f, axis))  # holding f keeps its identity unique
+            return d1(chart, f, axis)
+
+        monkeypatch.setattr(conformal, "d1", spy)
+        ch = TorusChart(6, (32, 32))
+        oracle_curvature(ch, preset_phi(ch, "trig1", seed=7), route)
+        assert len(seen) == 13
+
+    def test_given_derivatives_are_the_ones_rebuilt(self):
+        b = bundle(n=6, size=32)
+        f = np.random.default_rng(12).standard_normal(b.chart.shape)
+        grad = gradient(b.chart, f)
+        lap = laplacian(b, f, grad)
+        B = _flux(b, 1)
+        assert lap.tobytes() == laplacian(b, f).tobytes()
+        assert divergence_form(b, B, f, grad).tobytes() == divergence_form(b, B, f).tobytes()
+        for form, given in (("commutator", {"lap": lap}), ("direct", {"grad": grad})):
+            assert grad_pair_J(b, f, form, **given).tobytes() == grad_pair_J(b, f, form).tobytes()
+        assert b.lapJ.tobytes() == laplacian(b, b.J).tobytes()
 
 
 class TestOperators:

@@ -2,13 +2,54 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from holoq import grid
 from holoq.grid import TorusChart, d1, hessian, load_field, save_field
 from holoq.presets import preset_phi
 
 
 def chart(n=4, size=64):
     return TorusChart(n, (size, size))
+
+
+def d1_roll(chart, f, axis):
+    """The stencil as whole-array np.roll shifts: the reference for d1's bits."""
+    h = chart.spacing(axis)
+
+    def shift(s):
+        return np.roll(f, -s, axis=axis)
+
+    return (-shift(2) + 8.0 * shift(1) - 8.0 * shift(-1) + shift(-2)) / (12.0 * h)
+
+
+def same_bits(a, b):
+    """a and b are bitwise equal, except that a NaN matches any NaN. The sign
+    of NaN + (-NaN) is unspecified (IEEE 754), and numpy's add gives either
+    one depending on where the element falls in its vector loop, so not even
+    the np.roll form fixes it."""
+    nan = np.isnan(b)
+    return np.array_equal(np.isnan(a), nan) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@st.composite
+def stencil_inputs(draw):
+    """A field of 8..70 points per axis, C-ordered, strided (a 2:1
+    subsample such as phi[::2, ::2]) or transposed, with up to four values
+    replaced by +-inf or NaN."""
+    rows, cols = draw(st.integers(8, 70)), draw(st.integers(8, 70))
+    layout = draw(st.sampled_from(["c", "strided", "transposed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "strided":
+        f = rng.standard_normal((2 * rows, 2 * cols))[::2, ::2]
+    elif layout == "transposed":
+        f = rng.standard_normal((cols, rows)).T
+    else:
+        f = rng.standard_normal((rows, cols))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        f[i, j] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return f
 
 
 class TestStencils:
@@ -20,6 +61,27 @@ class TestStencils:
         for axis in range(2):
             res = np.sum(d1(ch, u, axis) * v) + np.sum(u * d1(ch, v, axis))
             assert abs(res) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=stencil_inputs(), block=st.sampled_from([5, 64, grid.BLOCK]))
+    def test_d1_bitwise_equal_to_roll_form(self, f, block):
+        # blocks of 5 and 64 values put block edges inside rows and on the
+        # wrap columns; the default block covers every field drawn here
+        ch = TorusChart(4, f.shape)
+        default, grid.BLOCK = grid.BLOCK, block
+        try:
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN
+                for axis in range(2):
+                    assert same_bits(d1(ch, f, axis), d1_roll(ch, f, axis)), axis
+        finally:
+            grid.BLOCK = default
+
+    @pytest.mark.parametrize("shape", [(512, 512), (300, 257), (8, 5000)])
+    def test_d1_bitwise_across_default_blocks(self, shape):
+        ch = TorusChart(4, shape)
+        f = np.random.default_rng(4).standard_normal(shape)
+        for axis in range(2):
+            assert d1(ch, f, axis).tobytes() == d1_roll(ch, f, axis).tobytes(), axis
 
     def test_d1_fourth_order(self):
         errs = []

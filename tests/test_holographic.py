@@ -1,6 +1,7 @@
 """Coefficient routes, Q-curvature duality, master relations, critical suite."""
 
 import dataclasses
+import math
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holoq import families, holographic
+from holoq import conformal, families, grid, holographic
 from holoq.conformal import curvature
 from holoq.families import (
     FieldPoly,
@@ -42,8 +43,9 @@ from holoq.holographic import (
     qres_and_v_polys,
     torus_q,
 )
-from holoq.lambda_algebra import LAMBDA, pochhammer
+from holoq.lambda_algebra import LAMBDA, LambdaPoly, pochhammer
 from holoq.presets import preset_phi
+from holoq.reports import max_abs, refinement_report, tolerance_report
 from holoq.sphere import SphereContext, sphere_Q
 
 
@@ -466,6 +468,48 @@ class TestStreamedSums:
             assert np.array_equal(getattr(b, name), value), name
 
 
+class TestNonFinite:
+    """A NaN or an overflow in a field fails the checks that read it, with
+    the reason in details; Python's max would skip a NaN that is not first."""
+
+    def test_max_abs(self):
+        assert max_abs(np.array([[-3.0, 2.0], [0.5, -0.0]])) == 3.0
+        assert math.copysign(1.0, max_abs(-np.zeros(4))) == 1.0
+        assert max_abs([]) == 0.0
+        assert np.isnan(max_abs([0.0, np.nan, 1.0]))
+
+    def test_nan_in_coefficient_one_fails(self):
+        p = FieldPoly([np.zeros(3), np.full(3, np.nan)])
+        assert np.isnan(p.max_norm())
+        rep = tolerance_report("x", "eq", {}, p.max_norm(), 1e-6, 1.0)
+        assert not rep.passed and rep.details["reason"] == "non-finite residual nan"
+
+    def test_cleared_check_reads_nan_coefficient(self):
+        num = FieldPoly([np.zeros((8, 8)), np.zeros((8, 8))])
+        num.coeffs[1][3, 5] = np.nan
+        whole = holographic._cleared_checks("c", "eq", {}, [(1, (num, LambdaPoly((1,))))],
+                                            [], 1e-6)[0]
+        assert not whole.passed and np.isnan(whole.residual)
+
+    def test_poly_checks_read_nan_coefficient(self):
+        ch = TorusChart(4, (32, 32))
+        b = curvature(ch, preset_phi(ch, "trig1", seed=7))
+        qres, v, rem = qres_and_v_polys(b, 1)
+        qres.coeffs[1][0, 0] = np.nan
+        for rep in poly_checks(b, 1, polys=(qres, v, rem)):
+            if rep.exact is None:
+                assert not rep.passed and "non-finite" in rep.details["reason"], rep.id
+
+    def test_refinement_with_nan_fine_fails(self):
+        rep = refinement_report("r", "eq", {}, 1e-12, float("nan"))
+        assert not rep.passed and rep.details["reason"] == "non-finite fine nan"
+        assert refinement_report("r", "eq", {}, 1e-12, 1e-13).passed
+
+    def test_overflowing_scale_fails(self):
+        rep = tolerance_report("x", "eq", {}, 1e160, 1e-6, float("inf"))
+        assert not rep.passed and rep.details["reason"] == "non-finite scale inf"
+
+
 class TestSixthOrder:
     """N = 3 on tori, out of the generated T_6: every identity holds at
     rounding level on both grids and its residual does not grow with the
@@ -579,8 +623,8 @@ class TestSuites:
     def test_wrong_direct_pairing_fails_forms_check(self, monkeypatch):
         original = holographic.grad_pair_J
 
-        def flipped(b, f, form="commutator"):
-            out = original(b, f, form)
+        def flipped(b, f, form="commutator", **kwargs):
+            out = original(b, f, form, **kwargs)
             return -out if form == "direct" else out
 
         monkeypatch.setattr(holographic, "grad_pair_J", flipped)
@@ -603,6 +647,23 @@ class TestSuites:
         monkeypatch.setattr(holographic, "_curvature_reports", spy)
         numeric_suite(n_values=(4, 6), size=32)
         assert alive == [[], [False]]
+
+    def test_numeric_suite_d1_calls(self, monkeypatch):
+        # Each field is differentiated once: the bundle's Laplacian of J, the
+        # (dJ, dJ) pairing forms and the adjoint checks reuse the gradients
+        # and Laplacians already built (242 calls when each rebuilt them).
+        # The count does not depend on the grid size.
+        calls = []
+        original = grid.d1
+
+        def spy(chart, f, axis):
+            calls.append(axis)
+            return original(chart, f, axis)
+
+        monkeypatch.setattr(grid, "d1", spy)
+        monkeypatch.setattr(conformal, "d1", spy)
+        numeric_suite(n_values=(4, 6), size=64)
+        assert len(calls) == 186
 
     def test_numeric_suite_memory_peak(self):
         # tracemalloc counts numpy's buffers, so the peak is deterministic.
