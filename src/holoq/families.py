@@ -21,7 +21,7 @@ out exactly, or combine pairs with over_lcm.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -195,12 +195,17 @@ def _reduced(pair, lam):
     while den(lam) == 0:
         den = den.divmod(LambdaPoly((-lam, Fraction(1))))[0]  # exact: den(lam) == 0
         num, residue = num.divide_linear(lam)
-        res_norm = float(np.max(np.abs(residue))) if not isinstance(residue, float) else 0.0
+        res_norm = max_abs(residue)
         scale = max(num.max_norm(), 1.0)
         if res_norm > RESIDUE_TOL * scale:
             raise PoleError(lam, res_norm)
+        if not isfinite(res_norm):
+            # A removable pole cannot absorb a NaN: carry it into the value.
+            # np.where builds a new array; the quotient's may be cached fields.
+            c0 = num.coeffs[0] if num.coeffs else 0.0
+            num = FieldPoly([np.where(np.isfinite(residue), c0, np.nan)] + num.coeffs[1:])
         info["reduced"] += 1
-        info["residue_norm"] = max(info["residue_norm"], res_norm)
+        info["residue_norm"] = max_abs((info["residue_norm"], res_norm))
     return num, den, lam, info
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -393,3 +394,61 @@ def test_tracer_installs():
                            "import tracer; tracer.install(tracer.Tracer())"],
                           cwd=root, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _has_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _python(code, *args):
+    """Run code in a fresh interpreter with holoq importable from src."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args], cwd=root, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not _has_glibc(), reason="the heap policy applies on glibc only")
+class TestHeapPolicy:
+    def test_freed_fields_reused_without_faults(self):
+        # a warm-up round grows the heap once; later rounds must reuse it
+        code = """
+            import resource
+            import numpy as np
+            from holoq import cli
+            cli.main(["report"])
+            def churn():
+                fields = [np.ones((512, 512)) for _ in range(4)]
+                del fields
+            churn()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(50):
+                churn()
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        faults = int(_python(code).split()[-1])
+        assert faults < 1000
+
+    def test_report_independent_of_heap_policy(self, tmp_path):
+        code = """
+            import sys
+            from holoq import cli
+            if sys.argv[1] == "default":
+                cli._keep_freed_memory = lambda: None
+            sys.exit(cli.main(["verify", "numeric", "--n", "4", "--grid", "64",
+                               "--format", "json", "--out", sys.argv[2]]))
+        """
+        reports = []
+        for policy in ("kept", "default"):
+            out = str(tmp_path / policy)
+            _python(code, policy, out)
+            report = json.loads((tmp_path / f"{policy}.json").read_text())
+            report["meta"]["timestamp"] = ""
+            report["config"]["out"] = ""
+            reports.append(json.dumps(report, sort_keys=True))
+        assert reports[0] == reports[1]

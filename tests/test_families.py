@@ -12,6 +12,7 @@ from holoq.families import (
     PoleError,
     build_P,
     build_T,
+    pair_value,
     recursion_coefficients,
     values_on_one,
 )
@@ -224,6 +225,14 @@ class TestRemovableSingularities:
         f = np.cos(b.chart.mesh()[0])
         with pytest.raises(PoleError):
             build_T(4, 1).apply_at(b, f, Fraction(1))
+
+    def test_nan_residue_reaches_the_value(self):
+        # (nan + lam) / lam at 0: the NaN residue must not vanish with the pole
+        num = FieldPoly([np.full(3, np.nan), np.ones(3)])
+        value, info = pair_value((num, LambdaPoly((0, 1))), 0)
+        assert np.isnan(value).all()
+        assert np.isnan(info["residue_norm"])
+        assert np.array_equal(num.coeffs[1], np.ones(3))
 
 
 class TestAdjoints:

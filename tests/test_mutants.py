@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from holoq import families, holographic
+from holoq import families, holographic, lambda_algebra, sphere
 from holoq.holographic import critical_n4_suite, einstein_checks, numeric_suite
 from holoq.sphere import sphere_suite
 
@@ -98,3 +98,50 @@ def test_indicial_off_by_one(monkeypatch):
     assert any(i.startswith("sphere-radial") for i in failed)
     assert any(i.startswith("einstein-") for i in failed)
     assert any(i.startswith("crit-") for i in failed)
+
+
+def test_master_constant_off_by_a_thousandth(monkeypatch):
+    # c_N enters only Branson's closed form for Q_n in sphere_Q, which
+    # einstein-q6 reads; no sphere-* check sees this mutant
+    original = sphere.master_constant
+    monkeypatch.setattr(sphere, "master_constant", lambda N: original(N) * MUTANT_FACTOR)
+    assert failed_checks() == {"einstein-q6"}
+
+
+def test_holographic_prefactor_off_by_a_thousandth(monkeypatch):
+    # (-1)^N 4^{N-1} ((N-1)!)^2 scaled, on torus fields and on exact constants
+    original = holographic.holographic_q
+
+    def mutant(N, values):
+        q = original(N, values)
+        return q * (MUTANT_FACTOR if isinstance(q, Fraction) else float(MUTANT_FACTOR))
+
+    monkeypatch.setattr(holographic, "holographic_q", mutant)
+    assert failed_checks() == {"q4-dual-n4", "q4-dual-n6", "crit-a", "einstein-q4", "einstein-q6"}
+
+
+def test_master3_weights_reversed(monkeypatch):
+    master3 = {rep.id for suite in SUITES.values() for rep in suite() if "master3" in rep.id}
+    original = families.master3_weights
+    for module in (families, holographic, sphere):
+        monkeypatch.setattr(module, "master3_weights", lambda n, N: original(n, N)[::-1])
+    assert any(i.startswith("einstein-master3-") for i in master3)
+    # At n = 2N and lam = 0 every weight (N + j) lam - j (n - 2N) is 0, in
+    # either order, so that one check cannot see the mutant.
+    assert failed_checks() == master3 - {"master3-n4-N2-l0"}
+
+
+def _pochhammer_shifted_in(monkeypatch, module):
+    # (x)_N becomes (x + 1)_N in one module's normalization
+    original = lambda_algebra.pochhammer
+    monkeypatch.setattr(module, "pochhammer", lambda x, m: original(x + 1, m))
+
+
+def test_qres_pochhammer_off_by_one(monkeypatch):
+    _pochhammer_shifted_in(monkeypatch, holographic)  # only qres_and_v_polys uses it
+    assert failed_checks() == {f"qres-den-n{n}-N{N}" for n in (4, 6) for N in (1, 2)}
+
+
+def test_build_P_pochhammer_off_by_one(monkeypatch):
+    _pochhammer_shifted_in(monkeypatch, families)  # only build_P uses it
+    assert failed_checks() == {"crit-b", "crit-c", "conformal-covariance-q4"}
