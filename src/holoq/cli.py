@@ -11,9 +11,10 @@ Subcommands:
 Exit codes: 0 every check passed, 1 at least one check failed, 2 usage or
 configuration error. A failing run still writes its reports.
 
-Suites run one after another. Reports are sorted by check id, so reruns
-with the same configuration and seed produce byte-identical JSON apart from
-the timestamp.
+Suites run one after another; from a 128-point grid on, the numeric suite
+runs its dimensions concurrently on the usable CPUs. Reports are sorted by
+check id, so reruns with the same configuration and seed produce
+byte-identical JSON, whatever the number of CPUs, apart from the timestamp.
 """
 
 from __future__ import annotations

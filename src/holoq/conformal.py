@@ -10,6 +10,7 @@ matrix level, not just to truncation order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
@@ -184,37 +185,29 @@ def _mul(x, y):
     return None if x is None or y is None else x * y
 
 
-def _iadd(acc, x):
-    """_add into acc's buffer, which the caller owns; x, if it starts the
-    sum, becomes that buffer. acc += x is bitwise acc + x."""
-    if x is None or acc is None:
-        return _add(acc, x)
-    acc += x
-    return acc
-
-
-def _isub(acc, x):
-    if x is None or acc is None:
-        return _sub(acc, x)
-    acc -= x
+def _signed_total(terms):
+    """The (sign, field) terms added or subtracted in order, None fields
+    skipped. The sum gets a buffer of its own at its first operation and is
+    accumulated there, so no field passed in is ever written; acc += x is
+    bitwise acc + x."""
+    acc, owned = None, False
+    for sign, x in terms:
+        if x is None:
+            continue
+        if acc is None:
+            acc, owned = (x, False) if sign > 0 else (-x, True)
+        elif not owned:
+            acc, owned = (acc + x if sign > 0 else acc - x), True
+        elif sign > 0:
+            acc += x
+        else:
+            acc -= x
     return acc
 
 
 def _total(fields):
-    """The fields summed in order, None skipped. The sum gets a buffer of
-    its own at its first addition and is accumulated there, so no field
-    passed in is ever written."""
-    acc, owned = None, False
-    for x in fields:
-        if x is None:
-            continue
-        if owned:
-            acc += x
-        elif acc is None:
-            acc = x
-        else:
-            acc, owned = acc + x, True
-    return acc
+    """The fields summed in order, None skipped; no field is written."""
+    return _signed_total((1, x) for x in fields)
 
 
 def _index_class(idx):
@@ -246,8 +239,12 @@ def _ricci(chart: TorusChart, lam):
     vanishes by structure. The Christoffel symbols end with this call."""
     n = chart.n
     lam = list(lam) + [None] * (n - 2)
+    # one array per pure negation, shared by every symbol that is only -lam[k]
+    neg = [_sub(None, x) for x in lam]
 
     def gamma(k, i, j):
+        if i == j != k:
+            return neg[k]
         out = None
         if k == j:
             out = _add(out, lam[i])
@@ -257,26 +254,41 @@ def _ricci(chart: TorusChart, lam):
             out = _sub(out, lam[k])
         return out
 
-    def deriv(f, axis):
-        return None if f is None else d1(chart, f, axis)
-
     christoffel = _by_class(gamma)
     G = [[[christoffel(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)]
     trace = [_total(G[l][l][k] for l in range(n)) for k in range(n)]
 
-    # Every term is a fresh array (a derivative or a product), so the first
-    # one can hold the sum; no Christoffel array is written.
-    def entry(j, k):
-        term = None
-        for l in range(2):
-            term = _iadd(term, deriv(G[l][j][k], l))
+    def derivative_terms(j, k):
+        terms = [(1, G[l][j][k], l) for l in range(2)]
         if j < 2:
-            term = _isub(term, deriv(trace[k], j))
+            terms.append((-1, trace[k], j))
+        return [t for t in terms if t[1] is not None]
+
+    # Each array is differentiated once per axis, and its derivative is kept
+    # until its last use. G and trace hold every array for the whole call,
+    # so ids stay unique.
+    uses = Counter((id(f), axis) for key in {_index_class((j, k)) for j in range(n)
+                                             for k in range(j, n)}
+                   for _, f, axis in derivative_terms(*key))
+    derived = {}
+
+    def deriv(f, axis):
+        key = (id(f), axis)
+        if key not in derived:
+            derived[key] = d1(chart, f, axis)
+        uses[key] -= 1
+        return derived[key] if uses[key] else derived.pop(key)
+
+    def terms(j, k):
+        for sign, f, axis in derivative_terms(j, k):
+            yield sign, deriv(f, axis)
         for m in range(n):
-            term = _iadd(term, _mul(trace[m], G[m][j][k]))
+            yield 1, _mul(trace[m], G[m][j][k])
             for l in range(n):
-                term = _isub(term, _mul(G[l][j][m], G[m][l][k]))
-        return term
+                yield -1, _mul(G[l][j][m], G[m][l][k])
+
+    def entry(j, k):
+        return _signed_total(terms(j, k))
 
     entry = _by_class(entry)
     ric = [[None] * n for _ in range(n)]

@@ -38,6 +38,10 @@ class PoleError(ValueError):
         self.lam = lam
         self.residue_norm = residue_norm
 
+    def __reduce__(self):
+        # pickle rebuilds from args, which hold only the message
+        return PoleError, (self.lam, self.residue_norm)
+
 
 class FieldPoly:
     """Polynomial in the parameter whose coefficients are grid fields."""

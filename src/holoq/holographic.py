@@ -11,6 +11,9 @@ and run the critical four-dimensional identity suite.
 
 from __future__ import annotations
 
+import gc
+import os
+import pickle
 import time
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -61,6 +64,12 @@ MIN_NUMERIC_N = 4
 # be in the asymptotic h^4 regime: at 16 the 8-point half grid gives
 # gradj-forms-n4 ratios of 6.7-7.9 against the gate's 8.
 MIN_NUMERIC_GRID = 32
+# A forked worker costs a cold process about 25 ms of system time (page
+# tables, copy-on-write faults, teardown) whatever the grid, while one
+# dimension's checks take about 15 ms at 64^2 and 30 ms at 128^2 (2-CPU VM).
+# Cold `verify numeric --n 4,6` with a worker lost 12 of 16 pairs at 64^2 and
+# won 12 of 16 at 128^2, so smaller grids run their dimensions in turn.
+MIN_CONCURRENT_CELLS = 128 * 128
 
 
 def family_poly(b: CurvatureBundle, j: int, k: int):
@@ -449,18 +458,121 @@ def _dimension_reports(n: int, size: int, preset: str, seed: int, lambdas, tol: 
     return reports
 
 
+def _share_outcomes(share, args):
+    """(n, ok, reports or exception) for the dimensions of one share, in
+    order, ending at the first exception."""
+    outcomes = []
+    for n in share:
+        try:
+            outcomes.append((n, True, _dimension_reports(n, *args)))
+        except Exception as exc:
+            outcomes.append((n, False, exc))
+            break
+    return outcomes
+
+
+def _run_child(share, args, fd):
+    """Body of a forked child: run the share, write its pickled outcomes to
+    the pipe end fd, and leave the process without returning into the
+    caller's stack. os._exit runs no atexit handler and flushes no inherited
+    stdio buffer, so nothing is printed or written twice. The exit status is
+    0 only after a complete write."""
+    status = 1
+    try:
+        outcomes = _share_outcomes(share, args)
+        n, ok, value = outcomes[-1]
+        if not ok:
+            try:
+                pickle.loads(pickle.dumps(value))
+            except Exception:
+                # The caller gets what it can read, the formatted traceback.
+                # Imported here, the module stays out of every other process.
+                import traceback
+                outcomes[-1] = n, ok, RuntimeError("".join(traceback.format_exception(value)))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcomes))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _all_dimension_reports(n_values, args, workers):
+    """_dimension_reports(n, *args) for every n, concatenated in n_values
+    order, raising the exception of the first failing dimension.
+
+    The dimensions share nothing, so with w > 1 workers dimension i runs in
+    share i % w: share 0 here, each other share in a child made with
+    os.fork, which starts from this process's memory without pickling the
+    inputs or importing again. Each child sends its outcomes back over a
+    pipe. Every child is reaped before this returns or raises, and one that
+    ends without a complete payload raises RuntimeError."""
+    if workers <= 1:
+        reports = []
+        for n in n_values:
+            reports.extend(_dimension_reports(n, *args))
+        return reports
+    shares = [n_values[i::workers] for i in range(workers)]
+    children, ended = [], []
+    # The children's cyclic collector then leaves alone, and does not copy,
+    # the pages of every object the parent already holds.
+    gc.freeze()
+    try:
+        for i in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _run_child(shares[i], args, w)
+            os.close(w)
+            children.append((i, pid, r))
+        outcomes = {0: _share_outcomes(shares[0], args)}
+    finally:
+        for i, pid, r in children:
+            with os.fdopen(r, "rb") as pipe:
+                payload = pipe.read()
+            ended.append((i, payload, os.waitpid(pid, 0)[1]))
+        gc.unfreeze()
+    for i, payload, status in ended:
+        if status == 0 and payload:
+            outcomes[i] = pickle.loads(payload)
+        else:
+            outcomes[i] = [(shares[i][0], False, RuntimeError(
+                f"numeric suite worker for n = {list(shares[i])} ended without its "
+                f"reports (wait status {status})"))]
+    # A share stops at its first failure, which precedes its missing slots.
+    slots = [None] * len(n_values)
+    for i, share_outcomes in outcomes.items():
+        for j, (_, ok, value) in enumerate(share_outcomes):
+            slots[i + j * workers] = ok, value
+    reports = []
+    for ok, value in slots:
+        if not ok:
+            raise value
+        reports.extend(value)
+    return reports
+
+
 def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
                   seed: int = 7, lambdas=DEFAULT_LAMBDAS, tol: float = 1e-6, phi=None):
     """Criterion checks for torus metrics: curvature routes, adjoints,
     Q-curvature duality, master relations, displayed identities, and the
     residue and volume polynomials. phi, when given, replaces the preset at
-    the full grid size (its 2:1 subsample feeds the refinement checks)."""
-    reports = []
+    the full grid size (its 2:1 subsample feeds the refinement checks). From
+    MIN_CONCURRENT_CELLS grid cells on, the dimensions run concurrently on
+    the usable CPUs; the reports are those of running them one after another."""
+    n_values = tuple(n_values)
     for n in n_values:
         if n < MIN_NUMERIC_N:
             raise ValueError(f"numeric suite needs n >= {MIN_NUMERIC_N} for the fourth-order terms")
-        reports.extend(_dimension_reports(n, size, preset, seed, lambdas, tol, phi))
-    return reports
+    workers = 1
+    if (size * size >= MIN_CONCURRENT_CELLS
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        workers = min(len(n_values), len(os.sched_getaffinity(0)))
+    return _all_dimension_reports(n_values, (size, preset, seed, lambdas, tol, phi), workers)
 
 
 def critical_n4_suite(size: int = 64, preset: str = "trig1", seed: int = 7,

@@ -375,6 +375,7 @@ class TestSharedChecks:
                           hashlib.sha256(self.phi.tobytes()).hexdigest()))
 
         monkeypatch.setattr(CurvatureBundle, "__post_init__", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the spy sees one process
         for name in ("numeric_suite", "critical_n4_suite", "conformal_suite"):
             def tagged(*args, _suite=getattr(cli, name), _name=name, **kwargs):
                 current[0] = _name

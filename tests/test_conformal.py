@@ -1,5 +1,6 @@
 """Curvature formulas against the Christoffel oracle, plus adjoint exactness."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -221,17 +222,22 @@ class TestOracle:
 class TestDerivativeReuse:
     @pytest.mark.parametrize("route", ["chain", "metric"])
     def test_oracle_differentiates_each_array_once(self, route, monkeypatch):
-        seen = []
+        # Distinct in content, not only in identity: a fresh array with the
+        # bits of one already differentiated along that axis is a repeat
+        # (two such repeats, 13 calls, before the pure negations were shared).
+        for n in (4, 6):
+            seen, contents = [], set()
 
-        def spy(chart, f, axis):
-            assert not any(g is f and a == axis for g, a in seen)
-            seen.append((f, axis))  # holding f keeps its identity unique
-            return d1(chart, f, axis)
+            def spy(chart, f, axis):
+                assert not any(g is f and a == axis for g, a in seen)
+                seen.append((f, axis))  # holding f keeps its identity unique
+                contents.add((hashlib.sha256(f.tobytes()).hexdigest(), axis))
+                return d1(chart, f, axis)
 
-        monkeypatch.setattr(conformal, "d1", spy)
-        ch = TorusChart(6, (32, 32))
-        oracle_curvature(ch, preset_phi(ch, "trig1", seed=7), route)
-        assert len(seen) == 13
+            monkeypatch.setattr(conformal, "d1", spy)
+            ch = TorusChart(n, (32, 32))
+            oracle_curvature(ch, preset_phi(ch, "trig1", seed=7), route)
+            assert len(seen) == len(contents) == 11
 
     def test_given_derivatives_are_the_ones_rebuilt(self):
         b = bundle(n=6, size=32)

@@ -1,5 +1,6 @@
 """Operator-family construction, evaluation, adjoints, and pole handling."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +226,13 @@ class TestRemovableSingularities:
         f = np.cos(b.chart.mesh()[0])
         with pytest.raises(PoleError):
             build_T(4, 1).apply_at(b, f, Fraction(1))
+
+    def test_pole_error_pickles(self):
+        # a pole raised in a worker process reaches the caller through pickle
+        err = pickle.loads(pickle.dumps(PoleError(Fraction(1, 3), 2.5e-3)))
+        assert type(err) is PoleError
+        assert (err.lam, err.residue_norm) == (Fraction(1, 3), 2.5e-3)
+        assert str(err) == str(PoleError(Fraction(1, 3), 2.5e-3))
 
     def test_nan_residue_reaches_the_value(self):
         # (nan + lam) / lam at 0: the NaN residue must not vanish with the pole

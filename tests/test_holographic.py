@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import signal
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -252,6 +254,7 @@ class TestFamilyPolys:
             return original(self, b, f)
 
         monkeypatch.setattr(LambdaOperator, "field_poly", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # spies see one process
         numeric_suite(n_values=(4, 6), size=32)
         assert 0 < calls.count(4) <= 3
         assert 0 < calls.count(6) <= 3
@@ -645,13 +648,15 @@ class TestSuites:
             return out
 
         monkeypatch.setattr(holographic, "_curvature_reports", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # spies see one process
         numeric_suite(n_values=(4, 6), size=32)
         assert alive == [[], [False]]
 
     def test_numeric_suite_d1_calls(self, monkeypatch):
         # Each field is differentiated once: the bundle's Laplacian of J, the
         # (dJ, dJ) pairing forms and the adjoint checks reuse the gradients
-        # and Laplacians already built (242 calls when each rebuilt them).
+        # and Laplacians already built (242 calls when each rebuilt them), and
+        # the oracle shares its pure negations (186 calls when it did not).
         # The count does not depend on the grid size.
         calls = []
         original = grid.d1
@@ -662,17 +667,20 @@ class TestSuites:
 
         monkeypatch.setattr(grid, "d1", spy)
         monkeypatch.setattr(conformal, "d1", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # spies see one process
         numeric_suite(n_values=(4, 6), size=64)
-        assert len(calls) == 186
+        assert len(calls) == 174
 
-    def test_numeric_suite_memory_peak(self):
+    def test_numeric_suite_memory_peak(self, monkeypatch):
         # tracemalloc counts numpy's buffers, so the peak is deterministic.
+        # It sees one process, so the dimensions run in this one.
         # At 128^2 (128 KiB a grid array) the suite peaks at 5.5 MiB in the
         # N = 2 polynomial checks; with every cleared term held until its
         # sum was built, and five more bundle fields, it was 7.0 MiB.
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -703,3 +711,140 @@ class TestSuites:
                                  "vcrit-n4-N2", "master1-n4-N2"}
         ids = [r.id for r in conformal_suite(size=16, reported=shared)]
         assert ids == ["conformal-zero", "conformal-const"]
+
+
+# the smallest grid whose dimensions run concurrently
+GATE = math.isqrt(holographic.MIN_CONCURRENT_CELLS)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _fields(report):
+    """Everything a report holds but its seconds, residual bits included."""
+    body = dataclasses.asdict(report)
+    del body["seconds"]
+    if isinstance(report.residual, float):
+        body["residual"] = report.residual.hex()
+    return body
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_at(monkeypatch, fail):
+    """_dimension_reports, with fail(n) run first at every dimension."""
+    original = holographic._dimension_reports
+
+    def patched(n, *args):
+        fail(n)
+        return original(n, *args)
+
+    monkeypatch.setattr(holographic, "_dimension_reports", patched)
+
+
+class _Timeout(Exception):
+    pass
+
+
+@pytest.fixture
+def time_limit():
+    """Fails the test with _Timeout after 60 s instead of hanging."""
+    def expire(signum, frame):
+        raise _Timeout
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class _Unpicklable(ValueError):
+    def __reduce__(self):
+        raise TypeError("cannot pickle this error")
+
+
+class TestConcurrentDimensions:
+    @pytest.mark.parametrize("n_values", [(4, 6), (4, 5, 6)])
+    def test_same_reports_as_one_cpu(self, monkeypatch, time_limit, n_values):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        _cpus(monkeypatch, 2)
+        two = numeric_suite(n_values, size=GATE)
+        _assert_no_children()
+        assert forks == [1]
+        _cpus(monkeypatch, 1)
+        one = numeric_suite(n_values, size=GATE)
+        assert forks == [1]
+        assert [_fields(r) for r in two] == [_fields(r) for r in one]
+
+    @pytest.mark.parametrize("cpus, size", [(1, GATE), (2, GATE // 2)])
+    def test_never_forks_with_one_cpu_or_below_the_gate(self, monkeypatch, cpus, size):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        _cpus(monkeypatch, cpus)
+        assert len(numeric_suite((4, 6), size=size)) == 81
+
+    def test_pole_in_a_child_reaches_the_caller(self, monkeypatch, time_limit):
+        def fail(n):
+            if n == 6:
+                raise PoleError(Fraction(2), 0.5)
+
+        _failing_at(monkeypatch, fail)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(PoleError) as info:
+            numeric_suite((4, 6), size=GATE)
+        assert (info.value.lam, info.value.residue_norm) == (Fraction(2), 0.5)
+        _assert_no_children()
+
+    def test_first_failing_dimension_wins(self, monkeypatch, time_limit):
+        # n = 4 and 6 run here, n = 5 in the child; n = 6 fails here first in
+        # time, but n = 5 comes first in n_values order, as in the serial loop.
+        def fail(n):
+            if n in (5, 6):
+                raise ValueError(f"dimension {n}")
+
+        _failing_at(monkeypatch, fail)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="dimension 5"):
+            numeric_suite((4, 5, 6), size=GATE)
+        _assert_no_children()
+
+    def test_failure_in_the_callers_share_reaps_the_child(self, monkeypatch, time_limit):
+        def fail(n):
+            if n == 4:
+                raise ValueError("dimension 4")
+
+        _failing_at(monkeypatch, fail)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="dimension 4"):
+            numeric_suite((4, 6), size=GATE)
+        _assert_no_children()
+
+    def test_unpicklable_error_arrives_with_its_traceback(self, monkeypatch, time_limit):
+        def fail(n):
+            if n == 6:
+                raise _Unpicklable("dimension 6")
+
+        _failing_at(monkeypatch, fail)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="_Unpicklable: dimension 6"):
+            numeric_suite((4, 6), size=GATE)
+        _assert_no_children()
+
+    def test_child_that_exits_early_raises(self, monkeypatch, time_limit):
+        def fail(n):
+            if n == 6:
+                os._exit(3)
+
+        _failing_at(monkeypatch, fail)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"n = \[6\].*wait status 768"):
+            numeric_suite((4, 6), size=GATE)
+        _assert_no_children()
