@@ -14,12 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from holoq.families import values_on_one
+from holoq.families import constant_terms, values_on_one
 from holoq.holographic import EinsteinModel, constant_q
 from holoq.hypergeom import HyperSpec, hyper_2f1_series, hyper_terminating
 from holoq.lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer, poly_gcd
 from holoq.series import FormalSeries
-from holoq.sphere import SphereContext, sphere_Q, sphere_T_on_one, sphere_v
+from holoq.sphere import (SphereContext, claim_red_rhs, sphere_Q, sphere_T_on_one,
+                          sphere_v)
 
 # Sphere n = 12, N = 6: f = n/2 = 6 and factors like (lambda - f + 1)_N,
 # (lambda - n + 1)_{N-1} and rational prefactors.
@@ -61,6 +62,35 @@ def test_hyper_terminating_symbolic(benchmark):
     spec = HyperSpec((f, LAMBDA, Fraction(-6)), (LAMBDA - f + 1, Fraction(7)))
     value = benchmark(hyper_terminating, spec)
     assert isinstance(value, (LambdaPoly, LambdaRat))
+
+
+def test_hyper_terminating_rational(benchmark):
+    # a Pfaff-Saalschutz 3F2(-10, a, b; c, 1 + a + b - c - 10; 1), the size
+    # of the largest instances of the hypergeom suite's batches
+    m, a, b, c = 10, Fraction(-7, 3), Fraction(11, 4), Fraction(13, 6)
+    spec = HyperSpec((Fraction(-m), a, b), (c, 1 + a + b - c - m))
+    value = benchmark(hyper_terminating, spec)
+    assert value == (pochhammer(c - a, m) * pochhammer(c - b, m)
+                     / (pochhammer(c, m) * pochhammer(c - a - b, m)))
+
+
+def test_sphere_sum_of_terms(benchmark):
+    # S0 = sum_j T*_{2j}(v_{2N-2j}) at n = 12, N = 6: rational functions over
+    # nested Pochhammer denominators (lambda - 5)_j
+    ctx, N = SphereContext(12), 6
+    terms = constant_terms([sphere_T_on_one(ctx, j) for j in range(N + 1)],
+                           [sphere_v(ctx, k) for k in range(N + 1)], N)
+    total = benchmark(sum, terms, LambdaRat.const(0))
+    assert total == Fraction(-1, 4) ** N * claim_red_rhs(ctx, N)
+
+
+def test_pochhammer_rational(benchmark):
+    x = Fraction(-17, 6)
+    value = benchmark(pochhammer, x, 10)
+    ref = Fraction(1)
+    for k in range(10):
+        ref *= x + k
+    assert value == ref
 
 
 @pytest.mark.parametrize("order", [20, 40])

@@ -445,8 +445,10 @@ def _dimension_reports(n: int, size: int, preset: str, seed: int, lambdas, tol: 
     reports.extend(_adjoint_reports(b, seed))
 
     t0 = time.perf_counter()
-    dual_gap = np.max(np.abs(torus_q(b, 2) - q4_direct(b)))
-    scale = np.max(np.abs(q4_direct(b)))
+    holo, q4 = torus_q(b, 2), q4_direct(b)
+    dual_gap = np.max(np.abs(holo - q4))
+    scale = np.max(np.abs(q4))
+    del holo, q4
     reports.append(tolerance_report(f"q4-dual-n{n}", "holo-Q4", {"n": n},
                                     dual_gap, tol, scale,
                                     seconds=time.perf_counter() - t0))

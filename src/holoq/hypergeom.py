@@ -82,24 +82,47 @@ def termination_index(spec: HyperSpec) -> int:
 def hyper_terminating(spec: HyperSpec):
     """Exact sum of a terminating hypergeometric series.
 
-    Returns a Fraction for all-rational data, a LambdaPoly/LambdaRat when any
-    parameter or the argument is symbolic.
+    Returns a Fraction for all-rational data (and for m = 0), a LambdaPoly
+    when only upper parameters or the argument are polynomials in lambda, and
+    a LambdaRat otherwise.
+
+    The sum 1 + r_0 (1 + r_1 (... (1 + r_{m-1}))), with r_j the ratio of
+    terms j+1 and j, is built as one numerator/denominator pair of ints or
+    polynomials and reduced once.
     """
     m = termination_index(spec)
     for l in spec.lower:
         if not _poch_ok(l, m):
             raise LowerPochhammerZeroError(l, int(-l) + 1)
-    term = Fraction(1)
-    total = Fraction(1)
-    for j in range(m):
-        for u in spec.upper:
-            term = term * (u + j)
-        term = term * spec.argument
-        for l in spec.lower:
-            term = term / (l + j)
-        term = term / (j + 1)
-        total = total + term
-    return total
+    upper = [_split(u) for u in spec.upper]
+    lower = [_split(l) for l in spec.lower]
+    # r_j = cn prod_u (un + j ud) / (cd (j+1) prod_l (ln + j ld))
+    cn, cd = _split(spec.argument)
+    for ln, ld in lower:
+        cn = cn * ld
+    for un, ud in upper:
+        cd = cd * ud
+    num = den = 1
+    for j in range(m - 1, -1, -1):
+        a = cn
+        for un, ud in upper:
+            a = a * (un + j * ud)
+        b = cd * (j + 1)
+        for ln, ld in lower:
+            b = b * (ln + j * ld)
+        num, den = den * b + a * num, den * b
+    if not isinstance(den, int):
+        return LambdaRat(num, den)
+    return Fraction(num, den) if isinstance(num, int) else num / den
+
+
+def _split(x):
+    """x as a (numerator, denominator) pair of ints or of polynomials."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, LambdaRat):
+        return x.num, x.den
+    return x, 1
 
 
 def hyper_2f1_series(a, b, c, order: int) -> FormalSeries:
@@ -123,7 +146,7 @@ def _pair(x):
 
 def _report(check_id, equation, params, lhs, rhs):
     return exact_report(check_id, equation, {k: _pair(v) for k, v in params.items()},
-                        (lhs - rhs) == 0, {"lhs": _pair(lhs), "rhs": _pair(rhs)})
+                        lhs == rhs, {"lhs": _pair(lhs), "rhs": _pair(rhs)})
 
 
 def check_pfaff_saalschutz(m: int, a, b, c) -> CheckReport:

@@ -8,7 +8,12 @@ gcd normalisation of its result. Division is fraction-free pseudo-division
 and the gcd runs the primitive polynomial remainder sequence (Knuth, TAOCP
 vol. 2, 4.6.1). The public view of the coefficients, `coeffs`, is a tuple of
 fractions.Fraction. Rational functions are kept gcd-reduced with monic
-denominator, so their equality is structural too.
+denominator, so their equality is structural too. Their operations reduce by
+the factors the operands can share only, as fractions.Fraction does for ints
+(Henrici; Knuth, TAOCP vol. 2, 4.5.1): a sum a/b + c/d by g = gcd(b, d) and
+then by what its numerator shares with g, a product (a/b)(c/d) by gcd(a, d)
+and gcd(c, b) across the operands, so no gcd of a whole product is taken.
+Pochhammer symbols of rationals are built on ints and reduced once.
 """
 
 from __future__ import annotations
@@ -343,21 +348,14 @@ class LambdaRat:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         g = poly_gcd(num, den)
-        if not g.is_zero() and g.degree > 0:
+        if g.degree > 0:
             num = num.divmod(g)[0]
             den = den.divmod(g)[0]
-        lead = den.leading()
-        if lead != 1:
-            num = num / lead
-            den = den / lead
-        if num.is_zero():
-            den = _ONE
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic_pair(num, den)
 
     @staticmethod
     def const(c) -> "LambdaRat":
-        return LambdaRat(LambdaPoly([c]))
+        return _rat(LambdaPoly([c]), _ONE)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -383,15 +381,25 @@ class LambdaRat:
         other = _as_rat(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return LambdaRat(self.num + other.num, self.den)
-        return LambdaRat(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return LambdaRat(a + c, b)
+        # num = a (d/g) + c (b/g) is prime to b/g and to d/g, so only the
+        # factors it shares with g = gcd(b, d) can cancel
+        g = poly_gcd(b, d)
+        if g.degree <= 0:
+            return _rat(a * d + c * b, b * d)
+        b, d = b.divmod(g)[0], d.divmod(g)[0]
+        num = a * d + c * b
+        h = poly_gcd(num, g)
+        if h.degree > 0:
+            num, g = num.divmod(h)[0], g.divmod(h)[0]
+        return _rat(num, b * d * g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LambdaRat(-self.num, self.den)
+        return _rat(-self.num, self.den)
 
     def __sub__(self, other):
         other = _as_rat(other)
@@ -406,7 +414,7 @@ class LambdaRat:
         other = _as_rat(other)
         if other is NotImplemented:
             return NotImplemented
-        return LambdaRat(self.num * other.num, self.den * other.den)
+        return _cross(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -416,7 +424,7 @@ class LambdaRat:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return LambdaRat(self.num * other.den, self.den * other.num)
+        return _cross(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         return _as_rat(other) / self
@@ -427,8 +435,8 @@ class LambdaRat:
         if k < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return LambdaRat(self.den, self.num) ** (-k)
-        return LambdaRat(self.num ** k, self.den ** k)
+            return _rat(self.den, self.num) ** (-k)
+        return _rat(self.num ** k, self.den ** k)
 
     def __call__(self, x):
         d = self.den(x)
@@ -437,7 +445,8 @@ class LambdaRat:
         return self.num(x) / d
 
     def shift(self, c) -> "LambdaRat":
-        return LambdaRat(self.num.shift(c), self.den.shift(c))
+        # a shift keeps both the coprimality and the leading coefficients
+        return _rat(self.num.shift(c), self.den.shift(c))
 
     def __repr__(self):
         if self.is_polynomial():
@@ -445,11 +454,41 @@ class LambdaRat:
         return f"LambdaRat({self.num!r} / {self.den!r})"
 
 
+def _monic_pair(num: LambdaPoly, den: LambdaPoly):
+    """(num, den) scaled so den is monic; zero becomes 0/1."""
+    if not num._num:
+        return _ZERO, _ONE
+    lc = den._num[-1]
+    if lc != den._den:
+        lead = Fraction(lc, den._den)
+        num, den = num / lead, den / lead
+    return num, den
+
+
+def _rat(num: LambdaPoly, den: LambdaPoly) -> LambdaRat:
+    """LambdaRat from polynomials already prime to each other, den nonzero."""
+    r = object.__new__(LambdaRat)
+    r.num, r.den = _monic_pair(num, den)
+    return r
+
+
+def _cross(a, b, c, d) -> LambdaRat:
+    """(a/b) (c/d) for coprime pairs a/b and c/d: only a and d, and c and b,
+    can share a factor, so cancel those before multiplying."""
+    g = poly_gcd(a, d)
+    if g.degree > 0:
+        a, d = a.divmod(g)[0], d.divmod(g)[0]
+    g = poly_gcd(c, b)
+    if g.degree > 0:
+        c, b = c.divmod(g)[0], b.divmod(g)[0]
+    return _rat(a * c, b * d)
+
+
 def _as_rat(x):
     if isinstance(x, LambdaRat):
         return x
     if isinstance(x, (int, Fraction, LambdaPoly)):
-        return LambdaRat(_as_poly(x))
+        return _rat(_as_poly(x), _ONE)
     return NotImplemented
 
 
@@ -464,8 +503,13 @@ def pochhammer(x, m: int):
     """
     if not isinstance(m, int) or m < 0:
         raise ValueError("pochhammer index must be a nonnegative integer")
-    if isinstance(x, int):
-        x = Fraction(x)
+    if isinstance(x, (int, Fraction)):
+        # prod (p + k q) / q^m on ints, reduced once
+        p, q = x.numerator, x.denominator
+        num = 1
+        for k in range(m):
+            num *= p + k * q
+        return Fraction(num, q ** m)
     out = None
     for k in range(m):
         f = x + k

@@ -120,7 +120,7 @@ def _qres(ctx: SphereContext, N: int, S0: LambdaRat) -> LambdaPoly:
         S0.shift(n - 2 * N)
     if not assembly.is_polynomial():
         raise IdentityError(f"qres assembly is not polynomial (n={n}, N={N})")
-    if not (assembly.as_poly() - closed).is_zero():
+    if assembly.as_poly() != closed:
         raise IdentityError(f"qres product form disagrees with assembly (n={n}, N={N})")
     return closed
 
@@ -212,9 +212,9 @@ def sphere_checks(ctx: SphereContext, N: int):
     rhs = claim_red_rhs(ctx, N)
     S0c, S1c = Fraction(-1, 4) ** N * rhs, _weighted_closed(ctx, N)
     out.append(exact_report(f"sphere-sum1[n={n},N={N}]", "sum-1", tag,
-                            (S0d - S0c).is_zero(), seconds=lap()))
+                            S0d == S0c, seconds=lap()))
     out.append(exact_report(f"sphere-weighted[n={n},N={N}]", "weighted-sum", tag,
-                            (S1d - S1c).is_zero(), seconds=lap()))
+                            S1d == S1c, seconds=lap()))
 
     m3 = sum(w * t for w, t in zip(master3_weights(n, N), terms))
     out.append(exact_report(f"sphere-master3[n={n},N={N}]", "master-3", tag,
@@ -224,7 +224,7 @@ def sphere_checks(ctx: SphereContext, N: int):
     m2l = LambdaRat(LAMBDA - n + 2 * N) * (2 * N * S0d + 2 * S1d)
     m2r = Fraction(-2 * N * (n - 2 * N)) * S0d
     out.append(exact_report(f"sphere-master2[n={n},N={N}]", "master-2", tag,
-                            (m2l - m2r).is_zero(), seconds=lap()))
+                            m2l == m2r, seconds=lap()))
 
     qres, qres_fault = attempt(_qres, ctx, N, S0c)
     vpoly, v_fault = attempt(_v_poly, ctx, N, S0c, S1c)
@@ -239,8 +239,8 @@ def sphere_checks(ctx: SphereContext, N: int):
 
     # master-1: 2^{2N-2} (N-1)! lambda V(lambda) = (n/2 - N) Qres(lambda)
     out.append(reading("sphere-master1", "master-1", lambda: (
-        (Fraction(4 ** (N - 1) * math.factorial(N - 1)) * LAMBDA * vpoly
-         - (f - N) * qres).is_zero(), None), v_fault, qres_fault))
+        Fraction(4 ** (N - 1) * math.factorial(N - 1)) * LAMBDA * vpoly
+        == (f - N) * qres, None), v_fault, qres_fault))
     out.append(reading("sphere-qres0", "qres-vanishes-at-0",
                        lambda: (qres(Fraction(0)) == 0, None), qres_fault))
     out.append(reading("sphere-vdeg", "v-poly-degree",
@@ -253,19 +253,19 @@ def sphere_checks(ctx: SphereContext, N: int):
     # = (-4)^N S0, both directly and through the 3F2 form (the latter only
     # where its lower parameter n-N+1 stays off the nonpositive integers)
     lhs = Fraction(-4) ** N * S0d
-    ok = (lhs - rhs).is_zero()
+    ok = lhs == rhs
     if n - N + 1 > 0:
         hyp = binomial(n, N) * hyper_terminating(
             HyperSpec((f, LAMBDA, Fraction(-N)), (LAMBDA - f + 1, Fraction(n - N + 1))))
-        ok = ok and (LambdaRat(1) * hyp - lhs).is_zero()
+        ok = ok and hyp == lhs
     out.append(exact_report(f"sphere-claimred[n={n},N={N}]", "claim-red", tag, ok,
                             seconds=lap()))
 
     # P on 1 versus T on 1 through the prefactor relation
     pref = Fraction(4 ** N * math.factorial(N) * (-1) ** N) * pochhammer(LAMBDA - f + 1, N)
-    rel = sphere_T_on_one(ctx, N) * pref - sphere_P_on_one(ctx, N)
-    out.append(exact_report(f"sphere-TP[n={n},N={N}]", "T-P-prefactor", tag,
-                            rel.is_zero(), seconds=lap()))
+    ok = sphere_T_on_one(ctx, N) * pref == sphere_P_on_one(ctx, N)
+    out.append(exact_report(f"sphere-TP[n={n},N={N}]", "T-P-prefactor", tag, ok,
+                            seconds=lap()))
     return out
 
 
@@ -278,7 +278,7 @@ def sphere_suite(n_values, nmax: int = 6):
         cap = min(cap, MAX_RADIAL_ORDER)
         t0 = time.perf_counter()
         radial = radial_oracle(ctx, cap)
-        ok = all((radial[j] - sphere_T_on_one(ctx, j)).is_zero() for j in range(cap + 1))
+        ok = all(radial[j] == sphere_T_on_one(ctx, j) for j in range(cap + 1))
         reports.append(exact_report(f"sphere-radial[n={n}]", "claim",
                                     {"n": n, "orders": cap}, ok,
                                     seconds=time.perf_counter() - t0))

@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from holoq.lambda_algebra import LAMBDA, LambdaRat
+from holoq.lambda_algebra import LAMBDA, LambdaPoly, LambdaRat
 from holoq.hypergeom import (
     HyperSpec,
     LowerPochhammerZeroError,
@@ -20,6 +21,26 @@ from holoq.hypergeom import (
 )
 
 F = Fraction
+
+
+def ref_hyper_terminating(spec):
+    """Term-by-term sum: each term is the previous one times the term ratio."""
+    term = total = F(1)
+    for j in range(termination_index(spec)):
+        for u in spec.upper:
+            term = term * (u + j)
+        term = term * spec.argument
+        for l in spec.lower:
+            term = term / (l + j)
+        term = term / (j + 1)
+        total = total + term
+    return total
+
+
+# one rational, one polynomial and one rational-function choice per slot
+UPPERS = (F(5, 2), LAMBDA + F(1, 3), LambdaRat(LAMBDA, LAMBDA + 2))
+LOWERS = (F(7, 3), LAMBDA - F(1, 2), LambdaRat(1, LAMBDA + 1))
+ARGUMENTS = (F(-2, 3), 3 * LAMBDA, LambdaRat(LAMBDA, LAMBDA - 3))
 
 
 class TestTerminatingSum:
@@ -58,6 +79,25 @@ class TestTerminatingSum:
         val = hyper_terminating(HyperSpec((F(-2), LAMBDA), (F(1),)))
         expect = 1 - 2 * LAMBDA + LAMBDA * (LAMBDA + 1) / 2
         assert (val - LambdaRat(expect)).is_zero()
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    @pytest.mark.parametrize("u,l,z", itertools.product(UPPERS, LOWERS, ARGUMENTS))
+    def test_against_term_by_term_reference(self, u, l, z, m):
+        """Value and type: a Fraction for rational data and for m = 0, a
+        LambdaPoly when only upper parameters or the argument are
+        polynomials, a LambdaRat otherwise."""
+        spec = HyperSpec((F(-m), u, F(-1, 4)), (l, F(3)), z)
+        val, ref = hyper_terminating(spec), ref_hyper_terminating(spec)
+        assert type(val) is type(ref) and val == ref
+        if m == 0:
+            expect = Fraction
+        elif isinstance(l, (LambdaPoly, LambdaRat)) or LambdaRat in (type(u), type(z)):
+            expect = LambdaRat
+        elif LambdaPoly in (type(u), type(z)):
+            expect = LambdaPoly
+        else:
+            expect = Fraction
+        assert type(val) is expect
 
     def test_constant_symbolic_demoted(self):
         """A degree-0 symbolic upper still drives termination."""

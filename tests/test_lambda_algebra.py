@@ -2,7 +2,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holoq.lambda_algebra import (
     LAMBDA,
@@ -189,6 +189,22 @@ class TestPochhammer:
         with pytest.raises(ValueError):
             pochhammer(Fraction(1), -1)
 
+    @given(st.one_of(st.integers(-12, 12), fracs), st.integers(0, 9))
+    @example(-3, 5)
+    @example(0, 3)
+    @example(Fraction(-7, 2), 0)
+    @example(Fraction(-5, 3), 4)
+    @example(Fraction(1, 6), 7)
+    @settings(max_examples=150, deadline=None)
+    def test_rational_against_term_product(self, x, m):
+        """Ints and Fractions, negative ones, zero factors and m = 0 against
+        the term-by-term product."""
+        ref = Fraction(1)
+        for k in range(m):
+            ref *= x + k
+        out = pochhammer(x, m)
+        assert type(out) is Fraction and out == ref
+
     def test_falling_and_binomial(self):
         assert falling(Fraction(5), 2) == 20
         assert binomial(6, 2) == 15
@@ -253,8 +269,45 @@ def ref_eval_float(a, x):
     return acc
 
 
+def ref_rat(num, den):
+    """num/den gcd-reduced with monic denominator; zero is 0/1."""
+    common = ref_gcd(num, den)
+    num, den = ref_divmod(num, common)[0], ref_divmod(den, common)[0]
+    lead = den[-1]
+    num, den = [c / lead for c in num], [c / lead for c in den]
+    return (num, den) if num else ([], [Fraction(1)])
+
+
+def rat(num, den):
+    return LambdaRat(LambdaPoly(num), LambdaPoly(den))
+
+
+def assert_rat(r, ref):
+    """r equals the reference pair and is in normal form: numerator prime to
+    a monic denominator."""
+    assert (list(r.num.coeffs), list(r.den.coeffs)) == ref
+    assert poly_gcd(r.num, r.den) == 1 and r.den.leading() == 1
+
+
+def assert_field_ops(x, y):
+    """x + y, x - y, x * y, x / y and x - x against the reference."""
+    xn, xd = list(x.num.coeffs), list(x.den.coeffs)
+    yn, yd = list(y.num.coeffs), list(y.den.coeffs)
+    assert_rat(x + y, ref_rat(ref_add(ref_mul(xn, yd), ref_mul(yn, xd)), ref_mul(xd, yd)))
+    assert_rat(x - y, ref_rat(ref_add(ref_mul(xn, yd), ref_mul([-c for c in yn], xd)),
+                              ref_mul(xd, yd)))
+    assert_rat(x * y, ref_rat(ref_mul(xn, yn), ref_mul(xd, yd)))
+    if yn:
+        assert_rat(x / y, ref_rat(ref_mul(xn, yd), ref_mul(xd, yn)))
+    assert_rat(x - x, ([], [Fraction(1)]))
+
+
 wide_fracs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 coeff_lists = st.lists(wide_fracs, max_size=6).map(ref_strip)
+# operands of the rational-function ops: products of three or four of these
+# stay small enough for the Fraction reference gcd
+rat_lists = st.lists(fracs, max_size=3).map(ref_strip)
+den_lists = st.lists(fracs, min_size=1, max_size=3).map(ref_strip).filter(bool)
 
 
 def bits(x: float) -> bytes:
@@ -288,15 +341,48 @@ class TestAgainstFractionReference:
         num, den = ref_mul(a, g), ref_mul(b, g)
         if not den:
             return
-        r = LambdaRat(LambdaPoly(num), LambdaPoly(den))
-        common = ref_gcd(num, den)
-        ref_num, ref_den = ref_divmod(num, common)[0], ref_divmod(den, common)[0]
-        lead = ref_den[-1]
-        ref_num, ref_den = [c / lead for c in ref_num], [c / lead for c in ref_den]
-        if not ref_num:
-            ref_den = [Fraction(1)]
-        assert list(r.num.coeffs) == ref_num
-        assert list(r.den.coeffs) == ref_den
+        assert_rat(LambdaRat(LambdaPoly(num), LambdaPoly(den)), ref_rat(num, den))
+
+    @given(rat_lists, den_lists, rat_lists, den_lists, den_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_rat_field_ops_shared_denominator(self, a, b, c, d, g):
+        """x = a/(bg) and y = c/(dg): the sum reduces by gcd(b, d) first."""
+        assert_field_ops(rat(a, ref_mul(b, g)), rat(c, ref_mul(d, g)))
+
+    @given(rat_lists, den_lists, rat_lists, den_lists, den_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_rat_sum_cancels_into_shared_factor(self, a, b, e, d, g):
+        """x = a/(bg) plus y = e/d - x, with y reduced by the reference: the
+        sum's numerator shares g, which must cancel to give e/d."""
+        bg = ref_mul(b, g)
+        x = rat(a, bg)
+        y = rat(*ref_rat(ref_add(ref_mul(e, bg), [-c for c in ref_mul(a, d)]),
+                         ref_mul(d, bg)))
+        assert_rat(x + y, ref_rat(e, d))
+        assert_rat(y + x, ref_rat(e, d))
+
+    @given(rat_lists, den_lists, rat_lists, den_lists, den_lists, den_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_rat_product_cross_cancels(self, a, b, c, d, k, l):
+        """x = ak/(bl) and y = cl/(dk): k and l cancel across the operands."""
+        x, y = rat(ref_mul(a, k), ref_mul(b, l)), rat(ref_mul(c, l), ref_mul(d, k))
+        assert_rat(x * y, ref_rat(ref_mul(a, c), ref_mul(b, d)))
+        assert_rat(y * x, ref_rat(ref_mul(a, c), ref_mul(b, d)))
+        if c:
+            assert_rat(x / rat(ref_mul(d, k), ref_mul(c, l)),
+                       ref_rat(ref_mul(a, c), ref_mul(b, d)))
+
+    @pytest.mark.parametrize("x,y", [
+        (LambdaRat(1, LAMBDA * (LAMBDA + 1)), LambdaRat(1, LAMBDA * (LAMBDA - 1))),
+        (LambdaRat(LAMBDA, 3), LambdaRat(Fraction(-1, 3) * LAMBDA + 2, 1)),
+        (LambdaRat(Fraction(2, 3), LAMBDA + 1), LambdaRat(Fraction(-2, 3), LAMBDA + 1)),
+        (LambdaRat(5), LambdaRat(1, LAMBDA - Fraction(1, 2))),
+    ])
+    def test_rat_examples_against_reference(self, x, y):
+        """Constant denominators, sums that cancel to zero, and
+        1/(L(L+1)) + 1/(L(L-1)) = 2/((L+1)(L-1)), whose numerator 2L shares L
+        with the common factor of the denominators."""
+        assert_field_ops(x, y)
 
     @given(coeff_lists, st.floats(min_value=-1e3, max_value=1e3))
     @settings(max_examples=120, deadline=None)
