@@ -81,8 +81,8 @@ def _parse_n(text: str):
             values = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise UsageError(f"cannot parse dimension list {text!r}")
-    if not values or any(v < 3 for v in values):
-        raise UsageError(f"dimensions must all be >= 3, got {text!r}")
+    if not values:
+        raise UsageError(f"empty dimension list {text!r}")
     return values
 
 
@@ -109,7 +109,7 @@ def _load_config(args) -> RunConfig:
             raise UsageError(f"bad config file {args.config}: {exc}")
     overrides = {
         "suites": [args.suite] if args.suite else None,
-        "n": _parse_n(args.n) if args.n else None,
+        "n": _parse_n(args.n) if args.n is not None else None,
         "nmax": args.nmax,
         "grid": args.grid,
         "preset": args.preset,
@@ -138,6 +138,8 @@ def _load_config(args) -> RunConfig:
         raise UsageError(f"grid size must be an even integer >= 16, got {config.grid!r}")
     if config.instances < 1:
         raise UsageError(f"instances must be an integer >= 1, got {config.instances!r}")
+    if config.n and min(config.n) < 3:
+        raise UsageError(f"dimensions must all be >= 3, got {config.n}")
     if "numeric" in _selected(config):
         if config.n and min(config.n) < MIN_NUMERIC_N:
             raise UsageError(f"the numeric suite needs n >= {MIN_NUMERIC_N}, got {config.n}")

@@ -134,7 +134,7 @@ class EinsteinModel:
         object.__setattr__(self, "J", Fraction(self.J))
 
     def v(self, k: int) -> Fraction:
-        return binomial(Fraction(self.n), k) * (-self.J / (2 * self.n)) ** k
+        return binomial(self.n, k) * (-self.J / (2 * self.n)) ** k
 
     def schouten_norm_sq(self) -> Fraction:
         return self.J**2 / self.n
@@ -190,10 +190,13 @@ def _cleared_checks(check_id, equation, params, terms, lambdas, tol):
 def master_check_numeric(b: CurvatureBundle, N: int, lambdas, tol: float = 1e-6):
     """lam N S0 + (lam - n + 2N) S1 = 0, where S0, S1 are the plain and
     index-weighted sums of T*_{2j}(lam) applied to the complementary
-    expansion coefficients: coefficientwise, and at each of lambdas."""
-    terms = list(zip(master3_weights(b.n, N), _t_star_pairs(b, N)))
+    expansion coefficients: coefficientwise, and at each of lambdas but
+    those where every weight is 0 (lam = 0 at n = 2N), a spot check that
+    could not fail."""
+    weights = master3_weights(b.n, N)
+    lambdas = [lam for lam in lambdas if any(w(Fraction(lam)) for w in weights)]
     return _cleared_checks(f"master3-n{b.n}-N{N}", "master-3", {"n": b.n, "N": N},
-                           terms, lambdas, tol)
+                           list(zip(weights, _t_star_pairs(b, N))), lambdas, tol)
 
 
 def example_2_3_checks(b: CurvatureBundle, lambdas, tol: float = 1e-6):

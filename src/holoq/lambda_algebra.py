@@ -19,7 +19,7 @@ Pochhammer symbols of rationals are built on ints and reduced once.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 def _frac(x):
@@ -524,22 +524,13 @@ def pochhammer(x, m: int):
 
 
 def falling(x, m: int):
-    """Falling factorial x (x-1) ... (x-m+1)."""
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("falling factorial index must be a nonnegative integer")
-    if isinstance(x, int):
-        x = Fraction(x)
-    out = None
-    for k in range(m):
-        f = x - k
-        out = f if out is None else out * f
-    if out is None:
-        return Fraction(1)
-    return out
+    """Falling factorial x (x-1) ... (x-m+1) = (-1)^m (-x)_m, in the ring
+    pochhammer gives."""
+    return (-1) ** m * pochhammer(-x, m)
 
 
 def binomial(n: int, k: int) -> Fraction:
-    """Exact binomial coefficient, zero outside the usual range."""
+    """Exact binomial coefficient of an int n, zero outside 0 <= k <= n."""
     if k < 0 or k > n:
         return Fraction(0)
-    return falling(Fraction(n), k) / pochhammer(Fraction(1), k)
+    return Fraction(comb(n, k))

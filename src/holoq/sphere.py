@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .families import constant_terms, master3_weights, values_on_one
-from .hypergeom import HyperSpec, hyper_terminating
+from .hypergeom import HyperSpec, _poch_ok, hyper_terminating
 from .lambda_algebra import (
     LAMBDA,
     LambdaPoly,
@@ -81,12 +81,19 @@ def sphere_P_on_one(ctx: SphereContext, N: int) -> LambdaPoly:
     return Fraction((-1) ** N) * pochhammer(ctx.f, N) * pochhammer(LAMBDA, N)
 
 
-def radial_oracle(ctx: SphereContext, order: int):
-    """T_{2k}(lambda)(1), k = 0..order, by the family recursion on the
-    sphere's v_{2k}: independent of the closed form sphere_T_on_one."""
-    if order < 0 or order > MAX_RADIAL_ORDER:
+def closed_table(ctx: SphereContext, cap: int):
+    """The closed forms every check of one dimension reads, each built once:
+    ([T_{2j}(lambda)(1) for j = 0..cap], [v_{2k} for k = 0..cap])."""
+    return ([sphere_T_on_one(ctx, j) for j in range(cap + 1)],
+            [sphere_v(ctx, k) for k in range(cap + 1)])
+
+
+def radial_oracle(ctx: SphereContext, v):
+    """T_{2k}(lambda)(1), k < len(v), by the family recursion on the sphere's
+    v = [v_0, v_2, ...]: independent of the closed form sphere_T_on_one."""
+    if not 1 <= len(v) <= MAX_RADIAL_ORDER + 1:
         raise ValueError(f"radial order must lie in 0..{MAX_RADIAL_ORDER}")
-    return values_on_one(ctx.n, [sphere_v(ctx, k) for k in range(order + 1)])
+    return values_on_one(ctx.n, v)
 
 
 def _sum_closed(ctx: SphereContext, N: int) -> LambdaRat:
@@ -112,10 +119,8 @@ def _qres(ctx: SphereContext, N: int, S0: LambdaRat) -> LambdaPoly:
     """Product form of Qres_{2N}, cross-checked against its assembly from
     the closed S0; IdentityError if they differ."""
     f, n = ctx.f, ctx.n
-    prod = LambdaPoly([1])
-    for j in range(1, N):
-        prod = prod * (LAMBDA - N - j)
-    closed = Fraction((-1) ** (N - 1)) * pochhammer(f - N + 1, N) * LAMBDA * prod
+    closed = Fraction((-1) ** (N - 1)) * pochhammer(f - N + 1, N) * LAMBDA * \
+        pochhammer(LAMBDA - 2 * N + 1, N - 1)
     assembly = Fraction(-(4 ** N) * math.factorial(N)) * _shift_factor(ctx, N) * \
         S0.shift(n - 2 * N)
     if not assembly.is_polynomial():
@@ -194,23 +199,23 @@ def _lap_clock():
     return lap
 
 
-def sphere_checks(ctx: SphereContext, N: int):
-    """All exact identity checks for one (n, N) pair. A check's seconds run
-    from the end of the one before, so work shared by several checks counts
-    for the first of them."""
+def sphere_checks(ctx: SphereContext, N: int, table):
+    """All exact identity checks for one (n, N) pair, reading the closed
+    T-values on 1 and v_{2k} from table = closed_table(ctx, cap), cap >= N.
+    A check's seconds run from the end of the one before, so work shared by
+    several checks counts for the first of them."""
     n, f = ctx.n, ctx.f
+    T, v = table
     tag = {"n": n, "N": N}
     out = []
     lap = _lap_clock()
 
     # S0 = sum_j T*_{2j}(v_{2N-2j}) and S1 = sum_j j T*_{2j}(v_{2N-2j}) from
     # the closed T-values on 1, against their closed forms
-    terms = constant_terms([sphere_T_on_one(ctx, j) for j in range(N + 1)],
-                           [sphere_v(ctx, k) for k in range(N + 1)], N)
+    terms = constant_terms(T, v, N)
     S0d = sum(terms, LambdaRat.const(0))
     S1d = sum((j * t for j, t in enumerate(terms)), LambdaRat.const(0))
-    rhs = claim_red_rhs(ctx, N)
-    S0c, S1c = Fraction(-1, 4) ** N * rhs, _weighted_closed(ctx, N)
+    S0c, S1c = _sum_closed(ctx, N), _weighted_closed(ctx, N)
     out.append(exact_report(f"sphere-sum1[n={n},N={N}]", "sum-1", tag,
                             S0d == S0c, seconds=lap()))
     out.append(exact_report(f"sphere-weighted[n={n},N={N}]", "weighted-sum", tag,
@@ -249,21 +254,18 @@ def sphere_checks(ctx: SphereContext, N: int):
         out.append(reading("sphere-vcrit", "v-poly-critical-zero",
                            lambda: (vpoly.is_zero(), None), v_fault))
 
-    # claim-red, sum_j binom(n, N-j) (-1)^j (n/2)_j (lambda)_j / ((lambda-n/2+1)_j j!)
-    # = (-4)^N S0, both directly and through the 3F2 form (the latter only
-    # where its lower parameter n-N+1 stays off the nonpositive integers)
-    lhs = Fraction(-4) ** N * S0d
-    ok = lhs == rhs
-    if n - N + 1 > 0:
-        hyp = binomial(n, N) * hyper_terminating(
-            HyperSpec((f, LAMBDA, Fraction(-N)), (LAMBDA - f + 1, Fraction(n - N + 1))))
-        ok = ok and hyp == lhs
-    out.append(exact_report(f"sphere-claimred[n={n},N={N}]", "claim-red", tag, ok,
-                            seconds=lap()))
+    # claim-red in its 3F2 form, binom(n, N) 3F2(n/2, lambda, -N;
+    # lambda-n/2+1, n-N+1; 1) = (-4)^N S0, where no lower Pochhammer vanishes
+    # (sphere-sum1 decides S0 against the closed form)
+    spec = HyperSpec((f, LAMBDA, Fraction(-N)), (LAMBDA - f + 1, Fraction(n - N + 1)))
+    if all(_poch_ok(low, N) for low in spec.lower):
+        ok = binomial(n, N) * hyper_terminating(spec) == Fraction(-4) ** N * S0d
+        out.append(exact_report(f"sphere-claimred[n={n},N={N}]", "claim-red", tag, ok,
+                                seconds=lap()))
 
     # P on 1 versus T on 1 through the prefactor relation
     pref = Fraction(4 ** N * math.factorial(N) * (-1) ** N) * pochhammer(LAMBDA - f + 1, N)
-    ok = sphere_T_on_one(ctx, N) * pref == sphere_P_on_one(ctx, N)
+    ok = T[N] * pref == sphere_P_on_one(ctx, N)
     out.append(exact_report(f"sphere-TP[n={n},N={N}]", "T-P-prefactor", tag, ok,
                             seconds=lap()))
     return out
@@ -277,11 +279,11 @@ def sphere_suite(n_values, nmax: int = 6):
         cap = min(n // 2, nmax) if n % 2 == 0 else nmax
         cap = min(cap, MAX_RADIAL_ORDER)
         t0 = time.perf_counter()
-        radial = radial_oracle(ctx, cap)
-        ok = all(radial[j] == sphere_T_on_one(ctx, j) for j in range(cap + 1))
+        T, v = table = closed_table(ctx, cap)
+        ok = radial_oracle(ctx, v) == T
         reports.append(exact_report(f"sphere-radial[n={n}]", "claim",
                                     {"n": n, "orders": cap}, ok,
                                     seconds=time.perf_counter() - t0))
         for N in range(1, cap + 1):
-            reports.extend(sphere_checks(ctx, N))
+            reports.extend(sphere_checks(ctx, N, table))
     return reports

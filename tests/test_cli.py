@@ -38,10 +38,12 @@ class TestParsing:
     def test_n_range(self):
         assert _parse_n("3..6") == [3, 4, 5, 6]
 
+    # _parse_n rejects what does not parse, _load_config dimensions below 3
     @pytest.mark.parametrize("bad", ["", "x", "2", "4,2", "6..x"])
-    def test_n_rejects(self, bad):
-        with pytest.raises(UsageError):
-            _parse_n(bad)
+    def test_n_rejects(self, bad, tmp_path, capsys):
+        assert run(["verify", "sphere", "--n", bad, "--out", str(tmp_path / "r")]) == EXIT_USAGE
+        assert "dimension" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
 
     def test_lambdas(self):
         assert _parse_lambdas("0, 1/3,-2") == ["0", "1/3", "-2"]
@@ -117,6 +119,18 @@ class TestExitCodes:
         assert ran == []
         assert not list(tmp_path.glob("r.*"))
 
+    def test_usage_config_dimension_before_any_suite(self, tmp_path, monkeypatch, capsys):
+        # the n >= 3 rule serves a config file as it serves --n
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": [2], "suites": ["hypergeom", "sphere"]}))
+        ran = []
+        monkeypatch.setattr("holoq.cli.hypergeom_suite", lambda *a, **k: ran.append("hypergeom"))
+        monkeypatch.setattr("holoq.cli.sphere_suite", lambda *a, **k: ran.append("sphere"))
+        assert run(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == EXIT_USAGE
+        assert "dimensions must all be >= 3" in capsys.readouterr().err
+        assert ran == []
+        assert not list(tmp_path.glob("r.*"))
+
     @pytest.mark.parametrize("suite", ["sphere", "hypergeom"])
     def test_grid_16_without_numeric(self, suite, tmp_path):
         assert run(["verify", suite, "--n", "3", "--instances", "2", "--grid", "16",
@@ -143,7 +157,7 @@ class TestDeterminism:
     # change to a check id, equation, parameter, detail or verdict moves them.
     @pytest.mark.parametrize("argv,digest", [
         (["verify", "sphere", "--n", "3..8", "--Nmax", "4"],
-         "2434adb67fcf869e02b4e306f218f440c96ebf5fb61f88f0c318d9fd4d3df993"),
+         "e6409d42d923b2e6e7529d6f1d15249d63c125a693362fdfab74894003941bab"),
         (["verify", "hypergeom", "--instances", "20", "--seed", "3"],
          "8da992287f0cbfaaf0227aed09307985c799cfa335f2aabe005ef7ae7d223705"),
     ], ids=["sphere", "hypergeom"])

@@ -280,6 +280,14 @@ class TestMasterRelation:
     def test_second_order_n4(self, lam):
         _all_pass(master_check_numeric(bundle(n=4), 2, [lam]))
 
+    @pytest.mark.parametrize("n,N,kept", [(4, 2, False), (6, 3, False), (6, 2, True),
+                                          (5, 2, True)])
+    def test_no_spot_check_where_every_weight_vanishes(self, n, N, kept):
+        # at n = 2N every weight (N + j) lam - j (n - 2N) is 0 at lam = 0
+        ids = [r.id for r in master_check_numeric(flat_bundle(n=n), N, [Fraction(0), 1])]
+        assert ids[0] == f"master3-n{n}-N{N}" and ids[-1] == f"master3-n{n}-N{N}-l1"
+        assert (f"master3-n{n}-N{N}-l0" in ids) == kept
+
     def test_second_order_n6(self):
         # 2 and 1 are the poles of T*_4 at n = 6: the cleared polynomial has none.
         reports = master_check_numeric(bundle(n=6), 2, [Fraction(7, 2), Fraction(2), Fraction(1)])
@@ -789,7 +797,7 @@ class TestConcurrentDimensions:
 
         monkeypatch.setattr(os, "fork", fork)
         _cpus(monkeypatch, cpus)
-        assert len(numeric_suite((4, 6), size=size)) == 81
+        assert len(numeric_suite((4, 6), size=size)) == 80
 
     def test_pole_in_a_child_reaches_the_caller(self, monkeypatch, time_limit):
         def fail(n):

@@ -209,6 +209,23 @@ class TestPochhammer:
         assert falling(Fraction(5), 2) == 20
         assert binomial(6, 2) == 15
         assert binomial(4, 7) == 0
+        assert binomial(4, -1) == 0
+        # against the term-by-term product x (x-1) ... (x-m+1)
+        for x in (3, Fraction(5), Fraction(-7, 3), Fraction(1, 2), LAMBDA,
+                  LambdaPoly([Fraction(1, 2), -3]), LambdaPoly([2, 0, Fraction(1, 3)])):
+            for m in range(6):
+                ref = Fraction(1)
+                for k in range(m):
+                    ref = (x - k) * ref
+                out = falling(x, m)
+                assert out == ref, (x, m)
+                if isinstance(x, (int, Fraction)):
+                    assert type(out) is Fraction
+        for n in range(9):
+            for k in range(-1, n + 2):
+                ref = falling(Fraction(n), k) / pochhammer(Fraction(1), k) if 0 <= k else 0
+                out = binomial(n, k)
+                assert type(out) is Fraction and out == ref, (n, k)
 
 
 # Plain Fraction-list reference for the integer-content core: lists of

@@ -126,9 +126,7 @@ def test_master3_weights_reversed(monkeypatch):
     for module in (families, holographic, sphere):
         monkeypatch.setattr(module, "master3_weights", lambda n, N: original(n, N)[::-1])
     assert any(i.startswith("einstein-master3-") for i in master3)
-    # At n = 2N and lam = 0 every weight (N + j) lam - j (n - 2N) is 0, in
-    # either order, so that one check cannot see the mutant.
-    assert failed_checks() == master3 - {"master3-n4-N2-l0"}
+    assert failed_checks() == master3
 
 
 def _pochhammer_shifted_in(monkeypatch, module):
@@ -145,3 +143,27 @@ def test_qres_pochhammer_off_by_one(monkeypatch):
 def test_build_P_pochhammer_off_by_one(monkeypatch):
     _pochhammer_shifted_in(monkeypatch, families)  # only build_P uses it
     assert failed_checks() == {"crit-b", "crit-c", "conformal-covariance-q4"}
+
+
+def _sphere_ids(*names):
+    return {rep.id for rep in SUITES["sphere"]() if rep.id.split("[")[0] in names}
+
+
+def test_sphere_3f2_off_by_a_thousandth(monkeypatch):
+    # only the 3F2 form of claim-red reads hyper_terminating on the sphere
+    claimred = _sphere_ids("sphere-claimred")
+    original = sphere.hyper_terminating
+    monkeypatch.setattr(sphere, "hyper_terminating",
+                        lambda spec: original(spec) * MUTANT_FACTOR)
+    assert claimred and failed_checks() == claimred
+
+
+def test_claim_red_rhs_off_by_a_thousandth(monkeypatch):
+    # the closed S0: sphere-sum1 decides it against the terms, and the
+    # Qres and V assemblies are built from it
+    expected = _sphere_ids("sphere-sum1", "sphere-qres0", "sphere-master1",
+                           "sphere-vdeg", "sphere-vcrit")
+    original = sphere.claim_red_rhs
+    monkeypatch.setattr(sphere, "claim_red_rhs",
+                        lambda ctx, N: original(ctx, N) * MUTANT_FACTOR)
+    assert failed_checks() == expected

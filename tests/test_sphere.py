@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from holoq.sphere import (
     _sum_closed,
     _weighted_closed,
     claim_red_rhs,
+    closed_table,
     master_constant,
     radial_oracle,
     sphere_P_on_one,
@@ -89,20 +91,21 @@ class TestRadialOracle:
     def test_first_coefficient(self):
         """a_2 = (n/2) lambda / (4 (lambda - n/2 + 1)) out of the recursion."""
         for n in (3, 4, 7):
-            a = radial_oracle(SphereContext(n), 1)
-            expect = sphere_T_on_one(SphereContext(n), 1)
+            ctx = SphereContext(n)
+            a = radial_oracle(ctx, closed_table(ctx, 1)[1])
+            expect = sphere_T_on_one(ctx, 1)
             assert (a[1] - expect).is_zero()
 
     def test_matches_closed_form_through_order_6(self):
         for n in (3, 4, 5, 6, 9, 12):
             ctx = SphereContext(n)
-            a = radial_oracle(ctx, 6)
+            a = radial_oracle(ctx, closed_table(ctx, 6)[1])
             for N in range(7):
                 assert (a[N] - sphere_T_on_one(ctx, N)).is_zero(), (n, N)
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
-            radial_oracle(SphereContext(4), 9)
+            radial_oracle(SphereContext(4), closed_table(SphereContext(4), 9)[1])
 
 
 def direct_terms(ctx, N):
@@ -187,14 +190,15 @@ class TestSuite:
         for n in (4, 5, 6):
             ctx = SphereContext(n)
             for N in (1, 2):
-                for rep in sphere_checks(ctx, N):
+                for rep in sphere_checks(ctx, N, closed_table(ctx, 2)):
                     assert rep.passed, rep.id
 
     def test_each_check_timed_where_built(self):
         # laps of one clock: each check has its own time, and together they
         # fit in the call
         t0 = time.perf_counter()
-        reps = sphere_checks(SphereContext(8), 3)
+        ctx = SphereContext(8)
+        reps = sphere_checks(ctx, 3, closed_table(ctx, 3))
         wall = time.perf_counter() - t0
         seconds = [r.seconds for r in reps]
         assert all(s > 0 for s in seconds)
@@ -206,11 +210,32 @@ class TestSuite:
         # checks, not an exception
         original = sphere._weighted_closed
         monkeypatch.setattr(sphere, "_weighted_closed", lambda ctx, N: original(ctx, N) + 1)
-        reps = {r.id: r for r in sphere_checks(SphereContext(6), 2)}
+        ctx = SphereContext(6)
+        reps = {r.id: r for r in sphere_checks(ctx, 2, closed_table(ctx, 2))}
         failed = {i for i, r in reps.items() if not r.passed}
         assert failed == {"sphere-vdeg[n=6,N=2]", "sphere-weighted[n=6,N=2]",
                           "sphere-master1[n=6,N=2]"}
         assert reps["sphere-vdeg[n=6,N=2]"].details == {"degree": 2}
+
+    def test_each_closed_value_built_once(self, monkeypatch):
+        # one table per dimension: 60 distinct (n, j) for n = 3..12, j <= cap
+        calls = {"sphere_T_on_one": 0, "sphere_v": 0}
+        for name in calls:
+            def spy(ctx, j, _name=name, _original=getattr(sphere, name)):
+                calls[_name] += 1
+                return _original(ctx, j)
+            monkeypatch.setattr(sphere, name, spy)
+        sphere_suite(range(3, 13), nmax=6)
+        assert calls == {"sphere_T_on_one": 60, "sphere_v": 60}
+
+    def test_claimred_only_where_the_3f2_is_defined(self):
+        # its lower parameter n - N + 1 must stay positive through the
+        # termination index N; everywhere else the check is emitted
+        emitted = {(int(n), int(N)) for i in (r.id for r in sphere_suite(range(3, 9), nmax=8))
+                   for n, N in re.findall(r"^sphere-claimred\[n=(\d+),N=(\d+)\]$", i)}
+        caps = {n: min(n // 2, 8) if n % 2 == 0 else 8 for n in range(3, 9)}
+        assert emitted == {(n, N) for n, cap in caps.items() for N in range(1, cap + 1)
+                           if n - N + 1 > 0}
 
     def test_suite_runs_and_passes(self):
         reps = sphere_suite([4, 7])
@@ -227,7 +252,8 @@ class TestFailurePaths:
 
     @staticmethod
     def verdicts(n=6, N=2):
-        return {r.id.split("[")[0]: r for r in sphere_checks(SphereContext(n), N)}
+        ctx = SphereContext(n)
+        return {r.id.split("[")[0]: r for r in sphere_checks(ctx, N, closed_table(ctx, N))}
 
     def test_qres_assembly_not_polynomial(self, monkeypatch):
         # without the shift factor the assembly keeps the poles of S0
