@@ -1,8 +1,8 @@
 """Micro-benchmarks of the numeric layers on a 128x128 torus at n = 4: the
-stencil (also at 512x512, on both axes), the curvature bundle, the
-Christoffel oracle, one operator-family polynomial and the residue/volume
-polynomial checks; and the oracle at n = 6 on both routes, where four
-inactive axes share each index class.
+stencil (also at 512x512, on both axes), the curvature bundle, one
+operator-family polynomial and the residue/volume polynomial checks; and the
+n = 6 flat-base checks (gjms-flat and q-flat, N = 1..3) on the 32x32
+spectral chart.
 
     python -m pytest bench/bench_numeric.py -q
 
@@ -12,9 +12,9 @@ Each benchmark also asserts its result, so a fast wrong answer fails.
 import numpy as np
 import pytest
 
-from holoq.conformal import curvature, oracle_curvature
+from holoq.conformal import curvature
 from holoq.grid import TorusChart, d1
-from holoq.holographic import family_poly, poly_checks
+from holoq.holographic import _flat_reports, family_poly, poly_checks
 from holoq.lambda_algebra import LAMBDA
 from holoq.presets import preset_phi
 
@@ -47,17 +47,10 @@ def test_curvature(benchmark, chart_phi):
     assert np.all(np.isfinite(b.J))
 
 
-def test_oracle_curvature(benchmark, chart_phi, bundle):
-    oracle = benchmark(oracle_curvature, *chart_phi)
-    assert np.max(np.abs(oracle["J"] - bundle.J)) < 1e-6 * max(1.0, np.max(np.abs(bundle.J)))
-
-
-@pytest.mark.parametrize("route,rel_tol", [("chain", 1e-6), ("metric", 1e-4)])
-def test_oracle_curvature_n6(benchmark, route, rel_tol):
-    ch = TorusChart(6, (SIZE, SIZE))
-    b = curvature(ch, preset_phi(ch, "trig1", seed=7))
-    oracle = benchmark(oracle_curvature, ch, b.phi, route)
-    assert np.max(np.abs(oracle["J"] - b.J)) < rel_tol * max(1.0, np.max(np.abs(b.J)))
+def test_flat_checks_n6(benchmark):
+    # the spectral chart's metric, P_2, P_4, P_6 on a field and Q_2, Q_4, Q_6
+    reports = benchmark(_flat_reports, 6, "trig1", 7, None)
+    assert len(reports) == 6 and all(r.passed for r in reports)
 
 
 def test_family_poly_t4_on_one(benchmark, bundle):

@@ -9,11 +9,11 @@ Layers, bottom up:
   hypergeom       terminating hypergeometric sums and classical identities
   sphere          exact round-sphere model: v-coefficients, T/P families on
                   constants, residue polynomials, master relations
-  grid, presets,  periodic 2-torus charts and stencils, seeded test metrics,
-  conformal       conformally flat metrics in background dimension n,
-                  discrete curvature and operators
-  families        lambda-dependent operator families T2, T4, P_2N on grids
-  holographic     holographic coefficients, Q-curvature routes, master checks,
+  grid, presets,  periodic 2-torus charts with stencil or spectral derivatives,
+  conformal       seeded conformally flat metrics in dimension n, curvature
+                  and operators
+  families        every T_2N and P_2N by one recursion, the holographic formula
+  holographic     torus Q-curvatures, master checks, the flat-base checks,
                   the critical n=4 suite, conformal covariance
   reports, cli    check verdicts, run configuration, deterministic
                   JSON/markdown output, command line

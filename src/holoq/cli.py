@@ -27,12 +27,10 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import numpy as np
-
 from .grid import TorusChart, load_field, save_field
 from .holographic import (
-    MIN_NUMERIC_GRID,
     MIN_NUMERIC_N,
+    SPECTRAL_GRID,
     conformal_suite,
     critical_n4_suite,
     einstein_checks,
@@ -45,6 +43,7 @@ from .reports import (
     QuantitiesReport,
     RunConfig,
     all_passed,
+    max_abs,
     render_json,
     render_markdown,
 )
@@ -140,12 +139,8 @@ def _load_config(args) -> RunConfig:
         raise UsageError(f"instances must be an integer >= 1, got {config.instances!r}")
     if config.n and min(config.n) < 3:
         raise UsageError(f"dimensions must all be >= 3, got {config.n}")
-    if "numeric" in _selected(config):
-        if config.n and min(config.n) < MIN_NUMERIC_N:
-            raise UsageError(f"the numeric suite needs n >= {MIN_NUMERIC_N}, got {config.n}")
-        if config.grid < MIN_NUMERIC_GRID:
-            raise UsageError(
-                f"the numeric suite needs --grid >= {MIN_NUMERIC_GRID}, got {config.grid}")
+    if "numeric" in _selected(config) and config.n and min(config.n) < MIN_NUMERIC_N:
+        raise UsageError(f"the numeric suite needs n >= {MIN_NUMERIC_N}, got {config.n}")
     return config
 
 
@@ -166,7 +161,8 @@ def _torus_dimensions(config: RunConfig):
 def _load_phi(config: RunConfig):
     """Returns (phi array or None, quantities reports). A custom field is
     accepted as-is but flagged, since its band limit and amplitude are not
-    checked the way preset factors are."""
+    checked the way preset factors are, and where it has no subsample on the
+    spectral chart the note says so."""
     if not config.phi_file:
         return None, []
     try:
@@ -186,9 +182,13 @@ def _load_phi(config: RunConfig):
         "path": config.phi_file,
         "n": chart.n,
         "grid": list(chart.shape),
-        "max_abs": float(np.max(np.abs(phi))),
+        "max_abs": max_abs(phi),
         "warning": "custom conformal factor: band limit and amplitude unchecked",
     })
+    if config.grid % SPECTRAL_GRID:
+        note.values["skipped"] = (
+            f"gjms-flat, q-flat and conformal-covariance-q4: the field's grid {config.grid} "
+            f"is not a multiple of the {SPECTRAL_GRID}-point spectral chart")
     return phi, [note]
 
 
@@ -321,7 +321,7 @@ def cmd_field(args) -> int:
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load field file {args.path}: {exc}")
     print(f"n={chart.n} grid={chart.shape[0]}x{chart.shape[1]}")
-    print(f"min={phi.min():.6g} max={phi.max():.6g} max_abs={np.max(np.abs(phi)):.6g}")
+    print(f"min={phi.min():.6g} max={phi.max():.6g} max_abs={max_abs(phi):.6g}")
     return EXIT_PASS
 
 

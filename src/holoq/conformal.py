@@ -2,8 +2,8 @@
 
 The conformal factor depends on two coordinates; the remaining n - 2 flat
 directions ride along. curvature() evaluates the closed-form Schouten data,
-oracle_curvature() recomputes it from Christoffel symbols of the metric
-components, and the numeric suite compares the two. Differential operators are
+and oracle_curvature() recomputes it from Christoffel symbols of the metric
+components as a reference for tests. Differential operators are
 written in conservative form so their weighted adjoints are exact at the
 matrix level, not just to truncation order.
 """
@@ -36,7 +36,6 @@ class CurvatureBundle:
     P: list = field(init=False)
     p_inactive: np.ndarray = field(init=False)
     Psq: np.ndarray = field(init=False)
-    dJ: tuple = field(init=False)
     lapJ: np.ndarray = field(init=False)
     # (j, k) -> field_poly pair of T*_{2j}(v_{2k}), filled by
     # holographic.family_poly on first use.
@@ -68,8 +67,7 @@ class CurvatureBundle:
         frob = sum(self.P[i][k] ** 2 for i in range(2) for k in range(2))
         self.Psq = self.em2 ** 2 * (frob + (n - 2.0) * self.p_inactive ** 2)
 
-        self.dJ = gradient(ch, self.J)
-        self.lapJ = laplacian(self, self.J, self.dJ)
+        self.lapJ = laplacian(self, self.J, gradient(ch, self.J))
 
 
 def curvature(chart: TorusChart, phi) -> CurvatureBundle:
@@ -133,24 +131,6 @@ def _flux(b: CurvatureBundle, k: int):
         w = (m + 1) / 2**m * (holo_coeffs(b, k - m) if m < k else 1.0)
         B = tuple(x + w * p for x, p in zip(B, power))
     return tuple(b.en2 * x for x in B)
-
-
-def grad_pair_J(b: CurvatureBundle, f, form: str = "commutator", lap=None, grad=None):
-    """The pairing (dJ, df) in the metric.
-
-    The commutator form writes it through the Laplacian so that its weighted
-    adjoint has an exact closed form on the grid; the direct form contracts
-    gradients with the inverse metric and is used as a cross-check. lap and
-    grad, when given, are laplacian(b, f) and gradient(b.chart, f) already
-    built; the commutator form reads lap, the direct form grad.
-    """
-    if form == "commutator":
-        lap = laplacian(b, f) if lap is None else lap
-        return 0.5 * (laplacian(b, b.J * f) - b.J * lap - f * b.lapJ)
-    if form == "direct":
-        g0, g1 = grad or gradient(b.chart, f)
-        return b.em2 * (b.dJ[0] * g0 + b.dJ[1] * g1)
-    raise ValueError(f"unknown form {form!r}")
 
 
 def inner(b: CurvatureBundle, f, g) -> float:
@@ -298,7 +278,7 @@ def _ricci(chart: TorusChart, lam):
     return ric
 
 
-def oracle_curvature(chart: TorusChart, phi, route: str = "chain"):
+def oracle_curvature(chart: TorusChart, phi):
     """Recompute Schouten data from Christoffel symbols of g_ij = e^{2 phi} d_ij.
 
     Works index by index in the full n-dimensional chart; fields are constant
@@ -309,23 +289,15 @@ def oracle_curvature(chart: TorusChart, phi, route: str = "chain"):
     once and shared (_by_class). Returns a dict with scal, J, Psq and the
     active 2x2 block of Schouten components.
 
-    The "chain" route feeds the Christoffel assembly with derivatives of phi
-    (the half log of the metric components), so the comparison against
-    curvature() isolates the tensor-algebra reduction from stencil truncation.
-    The "metric" route differentiates the raw components e^{2 phi} instead;
-    its gap against curvature() is genuinely resolution-limited and is what
-    the refinement checks measure.
+    The Christoffel assembly is fed with the derivatives of phi (the half log
+    of the metric components), so the comparison against curvature()
+    isolates the tensor-algebra reduction from the derivative's truncation.
     """
     phi = np.asarray(phi, dtype=float)
     n = chart.n
     E = np.exp(2.0 * phi)
     Einv = 1.0 / E
-    if route == "chain":
-        ric = _ricci(chart, gradient(chart, phi))
-    elif route == "metric":
-        ric = _ricci(chart, [0.5 * Einv * d1(chart, E, 0), 0.5 * Einv * d1(chart, E, 1)])
-    else:
-        raise ValueError(f"unknown oracle route {route!r}")
+    ric = _ricci(chart, gradient(chart, phi))
 
     scal = Einv * _total(ric[j][j] for j in range(n))
     J = scal / (2.0 * (n - 1.0))

@@ -278,6 +278,24 @@ def constant_terms(ts, v, N: int) -> list:
     return [ts[j] * v[N - j] for j in range(N + 1)]
 
 
+def holographic_q(N: int, values):
+    """The holographic formula for every Q-curvature,
+
+        Q_{2N} = (-1)^N 4^{N-1} ((N-1)!)^2 sum_{j<N} (2N - 2j) T*_{2j}(n/2 - N)(v_{2N-2j}),
+
+    from values[j] = T*_{2j}(n/2 - N)(v_{2N-2j}), j = 0..N-1: fields on a
+    torus, rationals on a constant-curvature metric."""
+    return (-1) ** N * 4 ** (N - 1) * factorial(N - 1) ** 2 * sum(
+        (2 * N - 2 * j) * values[j] for j in range(N))
+
+
+def constant_q(n: int, ts, v, N: int) -> Fraction:
+    """Q_{2N} of a constant-curvature metric by holographic_q, from the family
+    values ts[j] = T_{2j}(lambda)(1) and the coefficients v[k] = v_{2k}, j, k <= N."""
+    mu = Fraction(n, 2) - N
+    return holographic_q(N, [t(mu) for t in constant_terms(ts, v, N)[:N]])
+
+
 def master3_weights(n: int, N: int) -> list:
     """Weights of master-3, lam N S0 + (lam - n + 2N) S1 = 0, on the terms
     T*_{2j}(lam)(v_{2N-2j}), j = 0..N, of S0 = sum_j and S1 = sum_j j."""

@@ -1,8 +1,11 @@
-"""Periodic 2-torus charts and 4th-order centered difference stencils.
+"""Periodic 2-torus charts and their first derivatives.
 
-Fields are float64 arrays on a uniform [0, 2pi)^2 grid. The first-derivative
-stencil is exactly antisymmetric under the grid transpose, which the adjoint
-machinery relies on; second derivatives are nested first derivatives.
+Fields are float64 arrays on a uniform [0, 2pi)^2 grid. A chart's derivative
+is either the 4th-order centered stencil (the default) or the Fourier
+derivative with the Nyquist mode zeroed (Trefethen, Spectral Methods in
+MATLAB, ch. 3). Both are antisymmetric under the grid transpose (the stencil
+bit for bit), which the adjoint machinery relies on; second derivatives are
+nested first derivatives.
 """
 
 from __future__ import annotations
@@ -17,16 +20,19 @@ MAGIC = b"HQF1"
 
 @dataclass(frozen=True)
 class TorusChart:
-    """Uniform periodic grid on [0, 2pi)^2 in background dimension n."""
+    """Uniform periodic grid on [0, 2pi)^2 in dimension n; d1 by its derivative."""
 
     n: int
     shape: tuple
+    derivative: str = "stencil"
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("background dimension must be at least 3")
         if len(self.shape) != 2 or any(s < 8 for s in self.shape):
             raise ValueError("grid shape must be two axes of at least 8 points")
+        if self.derivative not in ("stencil", "spectral"):
+            raise ValueError(f"unknown derivative {self.derivative!r}")
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
 
     def spacing(self, axis: int) -> float:
@@ -49,7 +55,27 @@ class TorusChart:
 BLOCK = 1 << 15
 
 
+def wavenumbers(size: int):
+    """np.fft.fft's integer wavenumbers along an axis of size points, the
+    Nyquist mode zeroed so that the spectral d1 is real and antisymmetric."""
+    k = np.arange(size, dtype=float)
+    k[(size + 1) // 2:] -= size
+    if size % 2 == 0:
+        k[size // 2] = 0.0
+    return k
+
+
 def d1(chart: TorusChart, f, axis: int):
+    """First derivative along an axis by the chart's derivative."""
+    if chart.derivative == "spectral":
+        shape = [1, 1]
+        shape[axis] = -1
+        ik = 1j * wavenumbers(chart.shape[axis]).reshape(shape)
+        return np.fft.ifft(ik * np.fft.fft(f, axis=axis), axis=axis).real
+    return _stencil_d1(chart, f, axis)
+
+
+def _stencil_d1(chart: TorusChart, f, axis: int):
     """4th-order first derivative: (-f2 + 8 f1 - 8 f-1 + f-2) / 12h.
 
     f is read flat, where a shift by k along the axis is a shift by k * step
@@ -99,9 +125,9 @@ def hessian(chart: TorusChart, grad):
     """Nested first-derivative Hessian [[f_11, f_12], [f_12, f_22]] of a
     field, from its gradient pair (d1(f, 0), d1(f, 1)).
 
-    Both curvature routes use this same composition so their comparison is
-    not polluted by the truncation gap between a direct second-derivative
-    stencil and nested first derivatives.
+    curvature() and the Christoffel oracle both take second derivatives as
+    nested first derivatives, so their comparison is not polluted by the
+    truncation gap between those and a direct second-derivative stencil.
     """
     g0, g1 = grad
     mixed = d1(chart, g1, 0)

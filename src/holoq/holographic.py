@@ -3,10 +3,11 @@
 The verifier side of the package. One holographic formula, holographic_q,
 gives every Q_{2N} from the values T*_{2j}(n/2 - N)(v_{2N-2j}), read off the
 family polynomials on torus metrics (torus_q) and off the family values on
-constants for the constant-curvature model. The suites check the master
-relations, the displayed identities and the degree/vanishing statements as
-polynomial identities in the spectral parameter, with field coefficients,
-and run the critical four-dimensional identity suite.
+constants for the constant-curvature model. On a spectral chart the suites
+check the GJMS operators and Q-curvatures against the flat base; on the
+run's grid they check the master relations, the displayed identities and
+the degree/vanishing statements as polynomial identities in the spectral
+parameter, with field coefficients, and run the critical n = 4 suite.
 """
 
 from __future__ import annotations
@@ -26,44 +27,43 @@ from .conformal import (
     CurvatureBundle,
     curvature,
     divergence_form,
-    grad_pair_J,
     gradient,
     holo_coeffs,
     inner,
     laplacian,
-    oracle_curvature,
 )
 from .families import (
     FieldPoly,
+    PoleError,
     build_P,
     build_T,
+    constant_q,
     constant_terms,
+    holographic_q,
     master3_weights,
     over_lcm,
     pair_derivative,
     pair_value,
     values_on_one,
 )
-from .grid import TorusChart
+from .grid import TorusChart, wavenumbers
 from .lambda_algebra import LAMBDA, LambdaPoly, binomial, pochhammer
 from .presets import preset_phi
-from .reports import (
-    CheckReport,
-    attempt,
-    exact_report,
-    max_abs,
-    refinement_report,
-    tolerance_report,
-)
+from .reports import CheckReport, attempt, exact_report, max_abs, tolerance_report
 
 DEFAULT_LAMBDAS = (Fraction(0), Fraction(1, 3), Fraction(5), Fraction(-2), Fraction(7, 2))
 
 # The numeric suite checks fourth-order families, which need n >= 4.
 MIN_NUMERIC_N = 4
-# Its refinement-gated checks read a ratio from the half grid, which has to
-# be in the asymptotic h^4 regime: at 16 the 8-point half grid gives
-# gradj-forms-n4 ratios of 6.7-7.9 against the gate's 8.
-MIN_NUMERIC_GRID = 32
+# The geometry checks (gjms-flat, q-flat, the generic-shift law) run on a
+# spectral chart of this many points per axis, whatever the run's grid. Its
+# Fourier d1 resolves the presets; the gaps left are rounding, amplified about
+# s^{2N} by the N-th power of the Laplacian. Their bounds, per N and for the
+# law, are about 100 times the largest gap relative to the reference over
+# trig1-3, seeds 1, 7, 11, 23 and n = 4..9, whatever --tol is.
+SPECTRAL_GRID = 32
+FLAT_TOL = {1: 4e-11, 2: 8e-9, 3: 2e-6}
+LAW_TOL = 5e-10
 # A forked worker costs a cold process about 25 ms of system time (page
 # tables, copy-on-write faults, teardown) whatever the grid, while one
 # dimension's checks take about 15 ms at 64^2 and 30 ms at 128^2 (2-CPU VM).
@@ -89,30 +89,12 @@ def q4_direct(b: CurvatureBundle):
     return (b.n / 2) * b.J**2 - 2 * b.Psq - b.lapJ
 
 
-def holographic_q(N: int, values):
-    """The holographic formula for every Q-curvature,
-
-        Q_{2N} = (-1)^N 4^{N-1} ((N-1)!)^2 sum_{j<N} (2N - 2j) T*_{2j}(n/2 - N)(v_{2N-2j}),
-
-    from values[j] = T*_{2j}(n/2 - N)(v_{2N-2j}), j = 0..N-1: fields on a
-    torus, rationals on a constant-curvature metric."""
-    return (-1) ** N * 4 ** (N - 1) * factorial(N - 1) ** 2 * sum(
-        (2 * N - 2 * j) * values[j] for j in range(N))
-
-
 def torus_q(b: CurvatureBundle, N: int):
     """Q_{2N} of a torus metric by holographic_q. Its point n/2 - N is never
     a pole: the denominators of T*_{2j} vanish only at n/2 - M, M <= j < N."""
     mu = Fraction(b.n, 2) - N
     return holographic_q(N, [holo_coeffs(b, N)] + [
         pair_value(family_poly(b, j, N - j), mu)[0] for j in range(1, N)])
-
-
-def constant_q(n: int, ts, v, N: int) -> Fraction:
-    """Q_{2N} of a constant-curvature metric by holographic_q, from the family
-    values ts[j] = T_{2j}(lambda)(1) and the coefficients v[k] = v_{2k}, j, k <= N."""
-    mu = Fraction(n, 2) - N
-    return holographic_q(N, [t(mu) for t in constant_terms(ts, v, N)[:N]])
 
 
 @dataclass(frozen=True)
@@ -182,7 +164,7 @@ def _cleared_checks(check_id, equation, params, terms, lambdas, tol):
                          for ns in norms])
         reports.append(tolerance_report(f"{check_id}-l{lam}", equation,
                                         {**params, "lambda": lam},
-                                        np.max(np.abs(total.eval(lam))), tol, scale,
+                                        max_abs(total.eval(lam)), tol, scale,
                                         seconds=time.perf_counter() - t0))
     return reports
 
@@ -249,8 +231,8 @@ def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6, polys=None):
                                 details={"coeff_norms": qn}, seconds=time.perf_counter() - t0)]
     if N == 1:
         reports.append(tolerance_report(f"qres-slope-n{n}", "Q-pol", params,
-                                        np.max(np.abs(qres.coeffs[1] - b.J)), tol, scale,
-                                        details={"J_norm": float(np.max(np.abs(b.J)))}))
+                                        max_abs(qres.coeffs[1] - b.J), tol, scale,
+                                        details={"J_norm": max_abs(b.J)}))
     reports.append(tolerance_report(f"vdeg-n{n}-N{N}", "V-pol-deg", params, vn[N], tol, scale,
                                     details={"coeff_norms": vn}))
     if n == 2 * N:
@@ -281,9 +263,9 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     t0 = time.perf_counter()
     lhs_a = torus_q(b, 2) / 4
     rhs_a = q4 / 4
-    scale = max(np.max(np.abs(lhs_a)), np.max(np.abs(q4)))
+    scale = max_abs([max_abs(lhs_a), max_abs(q4)])
     reports.append(tolerance_report("crit-a", "holo-crit", {"n": 4},
-                                    np.max(np.abs(lhs_a - rhs_a)), tol, scale,
+                                    max_abs(lhs_a - rhs_a), tol, scale,
                                     details={"equivalent_form": "q4 = 16 v4 - lap J"},
                                     seconds=time.perf_counter() - t0))
 
@@ -293,27 +275,27 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     p_dot_star, _ = p4.adjoint().derivative_at(b, ones, zero)
     lhs_b = 4 * (p_dot_star - p_dot)
     rhs_b = 32 * 2 * pair_value(family_poly(b, 1, 1), zero)[0]
-    scale = max(np.max(np.abs(lhs_b)), np.max(np.abs(rhs_b)), np.max(np.abs(b.lapJ)))
+    scale = max_abs([max_abs(lhs_b), max_abs(rhs_b), max_abs(b.lapJ)])
     reports.append(tolerance_report("crit-b", "gj-derivative", {"n": 4},
-                                    np.max(np.abs(lhs_b - rhs_b)), tol, scale,
+                                    max_abs(lhs_b - rhs_b), tol, scale,
                                     details={"closed_form": "both sides -8 lap J",
                                              "closed_form_residual":
-                                                 float(np.max(np.abs(lhs_b + 8 * b.lapJ)))},
+                                                 max_abs(lhs_b + 8 * b.lapJ)},
                                     seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    scale = max(np.max(np.abs(q4)), np.max(np.abs(p_dot)))
+    scale = max_abs([max_abs(q4), max_abs(p_dot)])
     reports.append(tolerance_report("crit-c", "property-2", {"n": 4},
-                                    np.max(np.abs(p_dot - q4)), tol, scale,
+                                    max_abs(p_dot - q4), tol, scale,
                                     details={"starred_residual":
-                                                 float(np.max(np.abs(p_dot_star - q4)))},
+                                                 max_abs(p_dot_star - q4)},
                                     seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     qres = (polys or qres_and_v_polys(b, 2))[0]
-    q4_scale = max(np.max(np.abs(q4)), qres.max_norm())
+    q4_scale = max_abs([max_abs(q4), qres.max_norm()])
     reports.append(tolerance_report("crit-d", "qres-derivative", {"n": 4},
-                                    np.max(np.abs(qres.coeffs[1] - q4)), tol, q4_scale,
+                                    max_abs(qres.coeffs[1] - q4), tol, q4_scale,
                                     details={"qres_coeff_norms": qres.norms()},
                                     seconds=time.perf_counter() - t0))
 
@@ -322,21 +304,19 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     t4_dot, _ = pair_derivative(family_poly(b, 2, 0), zero)
     lhs_e = 8 * (2 * t2_dot + 4 * t4_dot)
     rhs_e = -qres.coeffs[2] - q4
-    scale = max(np.max(np.abs(lhs_e)), np.max(np.abs(rhs_e)), q4_scale)
+    scale = max_abs([max_abs(lhs_e), max_abs(rhs_e), q4_scale])
     reports.append(tolerance_report("crit-e", "harmonic-sum", {"n": 4},
-                                    np.max(np.abs(lhs_e - rhs_e)), tol, scale,
+                                    max_abs(lhs_e - rhs_e), tol, scale,
                                     details={"harmonic_sum": "1 (single term)"},
                                     seconds=time.perf_counter() - t0))
     return reports
 
 
-def conformal_covariance_q4(base: CurvatureBundle, omega, tol: float = 1e-5,
-                            coarse: CurvatureBundle | None = None) -> CheckReport:
+def conformal_covariance_q4(base: CurvatureBundle, omega, tol: float = 1e-5) -> CheckReport:
     """Transformation law e^{4w} Q4(phi + w) = Q4(phi) + P4(phi)(w) at n = 4,
-    on the metric of base. A generic shift leaves a residual limited by the
-    h^4 Leibniz error of the stencils: given coarse, the same metric on half
-    the grid (omega subsampled to it), the law is gated by refinement rather
-    than by tol."""
+    on the metric of base. A zero or constant shift holds at rounding level
+    on any chart; a generic one leaves the Leibniz error of base's
+    derivative, h^4 on a stencil chart and rounding on the spectral one."""
     if base.n != 4:
         raise ValueError("transformation law is checked at n = 4")
     t0 = time.perf_counter()
@@ -345,65 +325,88 @@ def conformal_covariance_q4(base: CurvatureBundle, omega, tol: float = 1e-5,
     lhs = np.exp(4 * omega) * q4_direct(shifted)
     p4_omega, _ = build_P(4, 2).apply_at(base, omega, Fraction(0))
     rhs = q4_direct(base) + p4_omega
-    gap = float(np.max(np.abs(lhs - rhs)))
-    if coarse is not None:
-        coarse_gap = conformal_covariance_q4(coarse, omega[::2, ::2]).residual
-        return refinement_report("conformal-covariance-q4", "q-transform", {"n": 4},
-                                 coarse_gap, gap, seconds=time.perf_counter() - t0)
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), np.max(np.abs(p4_omega)))
+    scale = max_abs([max_abs(lhs), max_abs(rhs), max_abs(p4_omega)])
     return tolerance_report("conformal-covariance-q4", "q-transform", {"n": 4},
-                            gap, tol, scale, seconds=time.perf_counter() - t0)
+                            max_abs(lhs - rhs), tol, scale, seconds=time.perf_counter() - t0)
 
 
-def _metric(n: int, size: int, preset: str, seed: int, phi, half: bool = False):
-    """Metric of the preset sampled on the size grid, or of the supplied
-    field, which must have that shape; with half, the same metric on half
-    the grid, a supplied field subsampled 2:1."""
-    if half:
-        size, phi = size // 2, None if phi is None else phi[::2, ::2]
-    ch = TorusChart(n, (size, size))
+def _metric(chart: TorusChart, preset: str, seed: int, phi):
+    """Metric of the preset sampled on the chart, or of the supplied field,
+    which must have the chart's shape."""
     if phi is None:
-        return curvature(ch, preset_phi(ch, preset, seed=seed))
-    if phi.shape != ch.shape:
-        raise ValueError(f"phi shape {phi.shape} does not match grid {ch.shape}")
-    return curvature(ch, phi)
+        return curvature(chart, preset_phi(chart, preset, seed=seed))
+    if phi.shape != chart.shape:
+        raise ValueError(f"phi shape {phi.shape} does not match grid {chart.shape}")
+    return curvature(chart, phi)
 
 
-def _refinement_gaps(b: CurvatureBundle):
-    """Discretization-limited gaps on one grid: J against the metric-route
-    oracle, and the two forms of the pairing (dJ, dJ), from the bundle's
-    own derivatives of J."""
-    metric_J = oracle_curvature(b.chart, b.phi, route="metric")["J"]
-    return (float(np.max(np.abs(b.J - metric_J))),
-            float(np.max(np.abs(grad_pair_J(b, b.J, "commutator", lap=b.lapJ)
-                                - grad_pair_J(b, b.J, "direct", grad=b.dJ)))))
+def _spectral_metric(n: int, preset: str, seed: int, phi):
+    """The metric on the spectral chart: the preset sampled there, or a
+    supplied field's stride subsample, None if its grid has none."""
+    if phi is not None:
+        stride, rest = divmod(phi.shape[0], SPECTRAL_GRID)
+        if rest:
+            return None
+        phi = phi[::stride, ::stride]
+    return _metric(TorusChart(n, (SPECTRAL_GRID, SPECTRAL_GRID), "spectral"), preset, seed, phi)
 
 
-def _curvature_reports(n: int, size: int, preset: str, seed: int, tol: float,
-                       phi=None):
+def flat_laplacian_power(chart: TorusChart, f, N: int):
+    """Lap0^N f, the N-th power of the flat Laplacian, as one Fourier
+    multiplier (-|k|^2)^N over the wavenumbers of the spectral d1."""
+    k0, k1 = (wavenumbers(size) ** 2 for size in chart.shape)
+    return np.fft.ifft2((-np.add.outer(k0, k1)) ** N * np.fft.fft2(f)).real
+
+
+def _flat_reports(n: int, preset: str, seed: int, phi):
+    """The GJMS operators and Q-curvatures of g = e^{2 phi} (flat) on the
+    spectral chart against the flat base. Conformal covariance of the GJMS
+    operators (Graham-Jenne-Mason-Sparling) and Branson's law for Q_n give
+    them from the flat Laplacian Lap0:
+
+        P_{2N}(n/2 - N) f = e^{-(n/2+N) phi} Lap0^N (e^{(n/2-N) phi} f),
+        Q_{2N} = (-1)^N e^{-(n/2+N) phi} Lap0^N (e^{(n/2-N) phi}) / (n/2 - N), 2N < n,
+        Q_n    = (-1)^N e^{-n phi} Lap0^N phi, 2N = n.
+
+    gjms-flat applies build_P to f = 1 + trig2(seed + 3), q-flat is torus_q,
+    both for N <= min(n/2, 3); none where a supplied field has no sample."""
+    b = _spectral_metric(n, preset, seed, phi)
+    if b is None:
+        return []
+    f = 1.0 + preset_phi(b.chart, "trig2", seed=seed + 3)
+
+    def value(evaluate):  # NaN, failing the check, where a wrong family has a pole
+        try:
+            return evaluate(), {}
+        except PoleError as err:
+            return np.nan, {"pole": str(err)}
+
     reports = []
-    t0 = time.perf_counter()
-    b = _metric(n, size, preset, seed, phi)
-    oracle = oracle_curvature(b.chart, b.phi)
-    gap = max(np.max(np.abs(b.J - oracle["J"])), np.max(np.abs(b.Psq - oracle["Psq"])),
-              max(np.max(np.abs(b.P[i][k] - oracle["P_active"][i][k]))
-                  for i in range(2) for k in range(2)))
-    scale = max(np.max(np.abs(oracle["J"])), np.max(np.abs(oracle["Psq"])))
-    del oracle
-    reports.append(tolerance_report(f"curv-oracle-n{n}", "schouten-formula",
-                                    {"n": n, "grid": size, "preset": preset},
-                                    gap, tol, scale, seconds=time.perf_counter() - t0))
+    for N in range(1, min(n // 2, 3) + 1):
+        t0 = time.perf_counter()
+        mu = Fraction(n, 2) - N
+        down, up = np.exp(-(n / 2 + N) * b.phi), np.exp(float(mu) * b.phi)
+        params = {"n": n, "N": N, "grid": SPECTRAL_GRID}
+        gjms, pole = value(lambda: build_P(n, N).apply_at(b, f, mu)[0])
+        want = down * flat_laplacian_power(b.chart, up * f, N)
+        reports.append(tolerance_report(f"gjms-flat-n{n}-N{N}", "gjms-flat", params,
+                                        max_abs(gjms - want), FLAT_TOL[N], max_abs(want),
+                                        details=pole, seconds=time.perf_counter() - t0))
+        t0 = time.perf_counter()
+        want = (-1) ** N * down * flat_laplacian_power(b.chart, up / float(mu) if mu else b.phi, N)
+        q, pole = value(lambda: torus_q(b, N))
+        reports.append(tolerance_report(f"q-flat-n{n}-N{N}", "q-flat", params,
+                                        max_abs(q - want), FLAT_TOL[N], max_abs(want),
+                                        details=pole, seconds=time.perf_counter() - t0))
+    return reports
 
-    # The half-grid metric goes before the full-grid work.
-    t0 = time.perf_counter()
-    coarse = _refinement_gaps(_metric(n, size, preset, seed, phi, half=True))
-    fine = _refinement_gaps(b)
-    reports.append(refinement_report(f"curv-refine-n{n}", "schouten-formula",
-                                     {"n": n, "grids": [size // 2, size], "preset": preset},
-                                     coarse[0], fine[0], seconds=time.perf_counter() - t0))
-    reports.append(refinement_report(f"gradj-forms-n{n}", "pairing-forms", {"n": n},
-                                     coarse[1], fine[1]))
-    return b, reports
+
+def _generic_shift(preset: str, seed: int, phi):
+    """conformal-covariance-q4 under the trig3 shift on the spectral chart,
+    or nothing where a supplied field has no sample there."""
+    b = _spectral_metric(4, preset, seed, phi)
+    return [] if b is None else [conformal_covariance_q4(
+        b, preset_phi(b.chart, "trig3", seed=seed + 5), tol=LAW_TOL)]
 
 
 # The weighted adjoints are exact at the matrix level, so their residuals are
@@ -417,18 +420,15 @@ def _adjoint_reports(b: CurvatureBundle, seed: int):
     g = rng.standard_normal(b.chart.shape)
     n = b.n
     reports = []
-    # each of f and g is differentiated once for all three cases
+    # each of f and g is differentiated once for both cases
     grad_f, grad_g = gradient(b.chart, f), gradient(b.chart, g)
-    lap_f, lap_g = laplacian(b, f, grad_f), laplacian(b, g, grad_g)
     # the divergence form's Schouten case, B = -e^{(n-4) phi} P
     pdiv = tuple(-b.en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
     cases = {
-        "lap": lambda: inner(b, lap_f, g) - inner(b, f, lap_g),
+        "lap": lambda: (inner(b, laplacian(b, f, grad_f), g)
+                        - inner(b, f, laplacian(b, g, grad_g))),
         "pdiv": lambda: (inner(b, divergence_form(b, pdiv, f, grad_f), g)
                          - inner(b, f, divergence_form(b, pdiv, g, grad_g))),
-        "gj": lambda: (inner(b, grad_pair_J(b, f, lap=lap_f), g)
-                       + inner(b, f, grad_pair_J(b, g, lap=lap_g))
-                       + inner(b, f, b.lapJ * g)),
     }
     for name, thunk in cases.items():
         t0 = time.perf_counter()
@@ -442,15 +442,17 @@ def _adjoint_reports(b: CurvatureBundle, seed: int):
 
 def _dimension_reports(n: int, size: int, preset: str, seed: int, lambdas, tol: float,
                        phi):
-    """numeric_suite's checks at one dimension. The bundle and its family
-    polynomials end with this call, so the suite holds one metric at a time."""
-    b, reports = _curvature_reports(n, size, preset, seed, tol, phi=phi)
+    """numeric_suite's checks at one dimension: geometry on the spectral chart,
+    then algebra on the run's grid. Each bundle and its family polynomials end
+    with the call that built them, so the suite holds one metric at a time."""
+    reports = _flat_reports(n, preset, seed, phi)
+    b = _metric(TorusChart(n, (size, size)), preset, seed, phi)
     reports.extend(_adjoint_reports(b, seed))
 
     t0 = time.perf_counter()
     holo, q4 = torus_q(b, 2), q4_direct(b)
-    dual_gap = np.max(np.abs(holo - q4))
-    scale = np.max(np.abs(q4))
+    dual_gap = max_abs(holo - q4)
+    scale = max_abs(q4)
     del holo, q4
     reports.append(tolerance_report(f"q4-dual-n{n}", "holo-Q4", {"n": n},
                                     dual_gap, tol, scale,
@@ -563,12 +565,16 @@ def _all_dimension_reports(n_values, args, workers):
 
 def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
                   seed: int = 7, lambdas=DEFAULT_LAMBDAS, tol: float = 1e-6, phi=None):
-    """Criterion checks for torus metrics: curvature routes, adjoints,
-    Q-curvature duality, master relations, displayed identities, and the
-    residue and volume polynomials. phi, when given, replaces the preset at
-    the full grid size (its 2:1 subsample feeds the refinement checks). From
-    MIN_CONCURRENT_CELLS grid cells on, the dimensions run concurrently on
-    the usable CPUs; the reports are those of running them one after another."""
+    """Criterion checks for torus metrics: GJMS operators and Q-curvatures
+    against the flat base on the spectral chart, and on the run's grid
+    adjoints, Q-curvature duality, master relations, displayed identities,
+    and the residue and volume polynomials. phi, when given, replaces the
+    preset at the full grid size (its stride subsample feeds the spectral
+    chart). From MIN_CONCURRENT_CELLS grid cells on, the dimensions run
+    concurrently on the usable CPUs; the reports are those of running them
+    one after another. The gate is sized for a cold command-line process; in
+    a warm one whose heap holds freed fields, a worker lost up to 256^2
+    (128^2: 57.9 -> 78.4 ms, 256^2: 180 -> 234 ms; BENCH_13.json)."""
     n_values = tuple(n_values)
     for n in n_values:
         if n < MIN_NUMERIC_N:
@@ -584,37 +590,28 @@ def critical_n4_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
                       tol: float = 1e-5, phi=None, reported=frozenset()):
     """Critical-case checks at n = 4, the N = 2 polynomial checks unless
     reported (ids the run has decided) holds them, and the transformation
-    law under a generic shift."""
-    b = _metric(4, size, preset, seed, phi)
+    law under a generic shift on the spectral chart."""
+    b = _metric(TorusChart(4, (size, size)), preset, seed, phi)
     polys = qres_and_v_polys(b, 2)
     reports = critical_suite_n4(b, tol=tol, polys=polys)
     if "qres-den-n4-N2" not in reported:  # poly_checks reports its ids together
         reports.extend(poly_checks(b, 2, tol=tol, polys=polys))
-    # b is the law's base on whichever of its grids (see conformal_suite) is the run's
-    fine = b if phi is not None else _metric(4, 2 * size, preset, seed, phi)
-    coarse = b if phi is None else _metric(4, size, preset, seed, phi, half=True)
-    omega = preset_phi(fine.chart, "trig3", seed=seed + 5)
-    reports.append(conformal_covariance_q4(fine, omega, coarse=coarse))
-    return reports
+    return reports + _generic_shift(preset, seed, phi)
 
 
 def conformal_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
                     tol: float = 1e-5, phi=None, reported=frozenset()):
-    """Transformation law at n = 4 under a zero, a constant and, unless
-    reported holds critical_n4_suite's id for it, a generic shift. Preset
-    input runs on the doubled grid; a supplied field cannot be upsampled
-    and runs at its own."""
-    law_size = size if phi is not None else 2 * size
-    base = _metric(4, law_size, preset, seed, phi)
+    """Transformation law at n = 4 under a zero and a constant shift on the
+    run's grid and, unless reported holds critical_n4_suite's id for it, a
+    generic shift on the spectral chart."""
+    base = _metric(TorusChart(4, (size, size)), preset, seed, phi)
     reports = []
     for name, omega in (("zero", base.chart.zeros()), ("const", 0.3 * np.ones(base.chart.shape))):
         rep = conformal_covariance_q4(base, omega, tol=tol)
         rep.id = f"conformal-{name}"
         reports.append(rep)
     if "conformal-covariance-q4" not in reported:
-        omega = preset_phi(base.chart, "trig3", seed=seed + 5)
-        reports.append(conformal_covariance_q4(
-            base, omega, coarse=_metric(4, law_size, preset, seed, phi, half=True)))
+        reports.extend(_generic_shift(preset, seed, phi))
     return reports
 
 

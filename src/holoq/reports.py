@@ -219,25 +219,6 @@ def tolerance_report(check_id, equation, params, residual, base_tol, scale,
                        tol=tol, scale=scale, details=details, seconds=seconds)
 
 
-def refinement_report(check_id, equation, params, coarse, fine, seconds=0.0) -> CheckReport:
-    """Verdict of a check limited by discretization, from its residuals on
-    the half grid (coarse) and the full grid (fine): it passes when halving
-    h shrinks the residual by a factor of at least 8, or when both residuals
-    are at rounding level (1e-11). The residual reported is the fine one. A
-    residual that is not finite fails it, with the reason in details."""
-    coarse, fine = float(coarse), float(fine)
-    reason = _non_finite(coarse=coarse, fine=fine)
-    ratio = coarse / max(fine, 1e-300)
-    details = {"coarse_gap": coarse, "ratio": ratio}
-    if reason:
-        details["reason"] = reason
-    return CheckReport(id=check_id, equation=equation, params=params,
-                       passed=reason is None and (ratio >= 8.0
-                                                  or max_abs([coarse, fine]) <= 1e-11),
-                       residual=fine, tol=max(coarse / 8.0, 1e-11), scale=1.0,
-                       details=details, seconds=seconds)
-
-
 @dataclass
 class QuantitiesReport:
     """Named computed quantities (coefficients, curvatures) for emission."""

@@ -3,10 +3,12 @@
 Everything is rational arithmetic: holographic coefficients v_{2j}, the
 values of the operator families T_{2N}(lambda) and P_{2N}(lambda) on
 constants, the residue polynomial Qres_{2N}(lambda), the V-polynomial, and
-the master relations tying them together. The terms T*_{2j}(v_{2N-2j}) and
-the master-3 weights are families.constant_terms and master3_weights, shared
-with the constant-curvature model. The T-values on constants are also
-derived from the Poincare-Einstein metric of the sphere,
+the master relations tying them together. The terms T*_{2j}(v_{2N-2j}), the
+master-3 weights and the holographic formula for Q_{2N} (which sphere-holoQ
+checks against Branson's closed form) are families.constant_terms,
+master3_weights and constant_q, shared with the constant-curvature model.
+The T-values on constants are also derived from the Poincare-Einstein metric
+of the sphere,
 
     r^{-2} (dr^2 + (1 - r^2/4)^2 g_round),
 
@@ -21,7 +23,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import constant_terms, master3_weights, values_on_one
+from .families import constant_q, constant_terms, master3_weights, values_on_one
 from .hypergeom import HyperSpec, _poch_ok, hyper_terminating
 from .lambda_algebra import (
     LAMBDA,
@@ -233,6 +235,7 @@ def sphere_checks(ctx: SphereContext, N: int, table):
 
     qres, qres_fault = attempt(_qres, ctx, N, S0c)
     vpoly, v_fault = attempt(_v_poly, ctx, N, S0c, S1c)
+    q, q_fault = attempt(sphere_Q, ctx, N)
 
     def reading(name, equation, decide, *faults):
         """exact_report of decide(), which returns (passed, details), or a
@@ -253,6 +256,9 @@ def sphere_checks(ctx: SphereContext, N: int, table):
     if 2 * N == n:
         out.append(reading("sphere-vcrit", "v-poly-critical-zero",
                            lambda: (vpoly.is_zero(), None), v_fault))
+    # the holographic formula against Branson's closed form of Q_{2N}(S^n)
+    out.append(reading("sphere-holoQ", "holo-Q", lambda: (constant_q(n, T, v, N) == q, None),
+                       q_fault))
 
     # claim-red in its 3F2 form, binom(n, N) 3F2(n/2, lambda, -N;
     # lambda-n/2+1, n-N+1; 1) = (-4)^N S0, where no lower Pochhammer vanishes

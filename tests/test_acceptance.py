@@ -23,17 +23,18 @@ def _count(reports, prefix):
 
 def test_criterion_1_sphere_exact():
     """Exact identities on S^n for n = 3..12, N up to min(n/2, 6) for even n
-    and up to 6 for odd n; every check is exact rational arithmetic. The
+    and up to 6 for odd n, among them the holographic formula for every
+    Q_{2N}; every check is exact rational arithmetic. The
     product-form/assembly equality of the residue polynomial is enforced
     inside the suite and would raise on any mismatch."""
     t0 = time.perf_counter()
     reports = sphere_suite(range(3, 13), nmax=6)
     elapsed = time.perf_counter() - t0
     assert all(r.exact for r in reports)
-    assert len(reports) == 461
+    assert len(reports) == 511
     assert _count(reports, "sphere-radial") == 10
     for prefix in ("sphere-sum1", "sphere-master3", "sphere-master1",
-                   "sphere-qres0", "sphere-vdeg"):
+                   "sphere-qres0", "sphere-vdeg", "sphere-holoQ"):
         assert _count(reports, prefix) == 50
     # the 3F2 form only where its lower parameter n - N + 1 is positive
     assert _count(reports, "sphere-claimred") == 46
@@ -58,19 +59,21 @@ def test_criterion_2_hypergeometric():
 
 
 def test_criterion_3_numeric_geometry():
-    """Torus metrics at n = 4 and n = 6 on the 64-point grid: curvature
-    versus the independent oracle at 1e-6, adjoint pairings at 1e-8, the
-    two Q4 routes at 1e-6, the master relation for N = 1, 2 and the two
-    displayed fourth-order identities at 1e-6, each coefficientwise in the
-    spectral parameter and at the five standard samples, the residue and
-    volume polynomials, and an 8x refinement gate from the 32-point grid."""
+    """Torus metrics at n = 4 and n = 6: on the 32-point spectral chart, the
+    GJMS operators P_{2N} and the holographic Q_{2N}, N <= n/2, against the
+    flat base at rounding-level bounds; on the 64-point grid, adjoint
+    pairings at 1e-8, the two Q4 routes at 1e-6, the master relation for
+    N = 1, 2 and the two displayed fourth-order identities at 1e-6, each
+    coefficientwise in the spectral parameter and at the five standard
+    samples, and the residue and volume polynomials."""
     t0 = time.perf_counter()
     reports = numeric_suite(n_values=(4, 6), size=64, preset="trig1", seed=7,
                             tol=1e-6)
     elapsed = time.perf_counter() - t0
-    assert _count(reports, "curv-oracle") == 2
-    assert _count(reports, "curv-refine") == 2
-    assert _count(reports, "adjoint-") == 6
+    # N = 1, 2 at n = 4 and N = 1, 2, 3 at n = 6
+    assert _count(reports, "gjms-flat") == 5
+    assert _count(reports, "q-flat") == 5
+    assert _count(reports, "adjoint-") == 4
     assert _count(reports, "q4-dual") == 2
     # 6 per (n, N) (coefficientwise and 5 spot checks), less lam = 0 at
     # n = 2N = 4, where every master-3 weight is 0
@@ -79,8 +82,8 @@ def test_criterion_3_numeric_geometry():
     assert _count(reports, "qres-den") == 4
     assert _count(reports, "master1-") == 4
     for r in reports:
-        if r.id.startswith("curv-refine"):
-            assert r.details["ratio"] >= 8.0 or r.residual <= 1e-11
+        if "-flat-" in r.id:
+            assert r.params["grid"] == 32 and r.tol <= 2e-6 * max(r.scale, 1.0)
     _conclude("criterion 3 (numeric geometry)", reports, elapsed, 120.0)
 
 

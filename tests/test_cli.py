@@ -101,13 +101,13 @@ class TestExitCodes:
         assert "--Nmax must be an integer in 1..8" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    # The dimension bound and the grid floor of the numeric suite (its
-    # refinement gate needs a half grid of at least 16).
+    # The dimension bound of the numeric suite, on the grids it has always
+    # run and on the small ones it now runs too.
     @pytest.mark.parametrize("argv,message", [
         (["verify", "--n", "3", "--grid", "32"], "numeric suite needs n >= 4"),
         (["verify", "numeric", "--n", "3..5", "--grid", "32"], "numeric suite needs n >= 4"),
-        (["verify", "--grid", "16"], "numeric suite needs --grid >= 32"),
-        (["verify", "numeric", "--n", "4", "--grid", "30"], "numeric suite needs --grid >= 32"),
+        (["verify", "--n", "4,3", "--grid", "16"], "numeric suite needs n >= 4"),
+        (["verify", "numeric", "--n", "3,4", "--grid", "30"], "numeric suite needs n >= 4"),
     ], ids=["all", "numeric", "grid16-all", "grid30-numeric"])
     def test_usage_numeric_dimension_before_any_suite(self, argv, message, tmp_path,
                                                       monkeypatch, capsys):
@@ -130,6 +130,17 @@ class TestExitCodes:
         assert "dimensions must all be >= 3" in capsys.readouterr().err
         assert ran == []
         assert not list(tmp_path.glob("r.*"))
+
+    @pytest.mark.parametrize("preset", ["flat", "trig1", "trig2", "trig3"])
+    def test_torus_suites_pass_on_grid_16(self, preset, tmp_path):
+        # the run-grid checks test the algebra, which holds at rounding level
+        # on any grid; the geometry checks run on the 32-point spectral chart
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suites": ["numeric", "critical-n4", "conformal"]}))
+        assert run(["verify", "--config", str(cfg), "--grid", "16", "--preset", preset,
+                    "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
+        ids = _check_ids(tmp_path / "r.json")
+        assert "gjms-flat-n6-N3" in ids and "conformal-covariance-q4" in ids
 
     @pytest.mark.parametrize("suite", ["sphere", "hypergeom"])
     def test_grid_16_without_numeric(self, suite, tmp_path):
@@ -157,7 +168,7 @@ class TestDeterminism:
     # change to a check id, equation, parameter, detail or verdict moves them.
     @pytest.mark.parametrize("argv,digest", [
         (["verify", "sphere", "--n", "3..8", "--Nmax", "4"],
-         "e6409d42d923b2e6e7529d6f1d15249d63c125a693362fdfab74894003941bab"),
+         "123d374679ab94b4fcb72fbf918a32d12d7d46201952cc5837a80bffb04afbfd"),
         (["verify", "hypergeom", "--instances", "20", "--seed", "3"],
          "8da992287f0cbfaaf0227aed09307985c799cfa335f2aabe005ef7ae7d223705"),
     ], ids=["sphere", "hypergeom"])
@@ -331,10 +342,35 @@ class TestFieldCommand:
                         "--out", str(tmp_path / "r"), "--format", "json"])
         assert code == EXIT_FAIL
         checks = {c["id"]: c for c in json.loads((tmp_path / "r.json").read_text())["checks"]}
-        for check_id in ("curv-oracle-n4", "curv-refine-n4", "master3-n4-N2", "ex23-i-n4",
+        for check_id in ("gjms-flat-n4-N2", "q-flat-n4-N1", "master3-n4-N2", "ex23-i-n4",
                          "master1-n4-N2"):
             assert not checks[check_id]["passed"], check_id
             assert checks[check_id]["details"]["reason"].startswith("non-finite"), check_id
+
+    def test_phi_subsampled_onto_spectral_chart(self, tmp_path):
+        # a 64-point field is read on the spectral chart at stride 2: the
+        # geometry checks equal those of the preset run
+        path = str(tmp_path / "phi.hqf")
+        run(["field", "export", "--n", "4", "--grid", "64", "--out", path])
+        runs = {}
+        for name, extra in (("file", ["--phi-file", path]), ("preset", [])):
+            assert run(["verify", "critical-n4", "--grid", "64", "--out", str(tmp_path / name),
+                        "--format", "json"] + extra) == EXIT_PASS
+            body = json.loads((tmp_path / f"{name}.json").read_text())
+            runs[name] = {c["id"]: c for c in body["checks"]}
+        assert runs["file"]["conformal-covariance-q4"] == runs["preset"]["conformal-covariance-q4"]
+
+    def test_phi_off_the_spectral_chart_skips_geometry(self, tmp_path):
+        path = str(tmp_path / "phi.hqf")
+        run(["field", "export", "--n", "4", "--grid", "48", "--out", path])
+        assert run(["verify", "--n", "4", "--grid", "48", "--phi-file", path,
+                    "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
+        body = json.loads((tmp_path / "r.json").read_text())
+        ids = {c["id"] for c in body["checks"]}
+        assert "q4-dual-n4" in ids and "conformal-zero" in ids
+        assert not {i for i in ids if "flat" in i or i == "conformal-covariance-q4"}
+        skipped = body["quantities"][0]["values"]["skipped"]
+        assert "grid 48 is not a multiple of the 32-point spectral chart" in skipped
 
     def test_grid_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "phi.hqf")

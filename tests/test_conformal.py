@@ -13,7 +13,6 @@ from holoq.conformal import (
     apply_primitive,
     curvature,
     divergence_form,
-    grad_pair_J,
     gradient,
     holo_coeffs,
     inner,
@@ -62,19 +61,13 @@ class TestCurvature:
                 assert np.max(np.abs(b.P[i][k] - oracle["P_active"][i][k])) < 1e-6
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_against_metric_route_oracle(self, n):
-        b = bundle(n=n, preset="trig1")
-        oracle = oracle_curvature(b.chart, b.phi, route="metric")
-        assert rel(b.J, oracle["J"]) < 1e-4
-        assert rel(b.Psq, oracle["Psq"]) < 1e-4
-
-    def test_metric_route_gap_shrinks_with_resolution(self):
-        gaps = []
-        for size in (32, 64):
-            b = bundle(n=4, size=size, preset="trig1")
-            oracle = oracle_curvature(b.chart, b.phi, route="metric")
-            gaps.append(np.max(np.abs(b.J - oracle["J"])))
-        assert gaps[0] / max(gaps[1], 1e-30) > 8 or gaps[1] < 1e-11
+    def test_against_christoffel_oracle_on_spectral_chart(self, n):
+        # the Fourier d1 resolves the preset, so the two agree to rounding
+        ch = TorusChart(n, (24, 24), "spectral")
+        b = curvature(ch, preset_phi(ch, "trig2", seed=7))
+        oracle = oracle_curvature(ch, b.phi)
+        assert rel(b.J, oracle["J"]) < 1e-13
+        assert rel(b.Psq, oracle["Psq"]) < 1e-13
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_fields_match_two_pass_hessian(self, n):
@@ -95,8 +88,7 @@ class TestCurvature:
         p_inactive = -0.5 * gradsq
         frob = sum(P[i][k] ** 2 for i in range(2) for k in range(2))
         Psq = em2 ** 2 * (frob + (n - 2.0) * p_inactive ** 2)
-        want = {"J": J, "P": P, "p_inactive": p_inactive, "Psq": Psq,
-                "dJ": (d1(ch, J, 0), d1(ch, J, 1))}
+        want = {"J": J, "P": P, "p_inactive": p_inactive, "Psq": Psq}
         for name, value in want.items():
             assert np.array_equal(np.asarray(getattr(b, name)), np.asarray(value)), name
         # the bitwise-equal mixed entries of P are held as one array
@@ -128,7 +120,7 @@ class TestHoloCoeffs:
 
 
 
-def dense_oracle_curvature(chart, phi, route="chain"):
+def dense_oracle_curvature(chart, phi):
     """The oracle as first written: every Christoffel symbol and every product
     is an array, including the ones that are zero by structure."""
     phi = np.asarray(phi, dtype=float)
@@ -136,10 +128,7 @@ def dense_oracle_curvature(chart, phi, route="chain"):
     E = np.exp(2.0 * phi)
     Einv = 1.0 / E
     zero = chart.zeros()
-    if route == "chain":
-        lam = [d1(chart, phi, 0), d1(chart, phi, 1)] + [zero] * (n - 2)
-    else:
-        lam = [0.5 * Einv * d1(chart, E, 0), 0.5 * Einv * d1(chart, E, 1)] + [zero] * (n - 2)
+    lam = [d1(chart, phi, 0), d1(chart, phi, 1)] + [zero] * (n - 2)
 
     def gamma(k, i, j):
         out = 0.0
@@ -185,16 +174,15 @@ def dense_oracle_curvature(chart, phi, route="chain"):
 
 
 class TestOracle:
-    @pytest.mark.parametrize("route", ["chain", "metric"])
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-    def test_matches_dense_reference_bitwise(self, n, route):
+    def test_matches_dense_reference_bitwise(self, n):
         # Skipping structural zeros keeps every surviving addition in order,
         # so only the sign of an exact zero may differ, which array_equal
         # ignores.
         ch = TorusChart(n, (32, 32))
         phi = preset_phi(ch, "trig2", seed=7)
-        got = oracle_curvature(ch, phi, route=route)
-        ref = dense_oracle_curvature(ch, phi, route=route)
+        got = oracle_curvature(ch, phi)
+        ref = dense_oracle_curvature(ch, phi)
         for key in ("scal", "J", "Psq"):
             assert np.array_equal(got[key], ref[key]), key
         for i in range(2):
@@ -202,17 +190,16 @@ class TestOracle:
                 assert np.array_equal(got["P_active"][i][k], ref["P_active"][i][k]), (i, k)
 
     # Before the oracle built one array per index class, its tracemalloc peak
-    # at n = 6 on 128^2 was 39.1 grid arrays on either route (held Christoffel
-    # lists, n - 2 copies of each inactive-axis entry, a fresh array per
-    # accumulation step); it is 19.2 now. The bound keeps a margin of 15.
-    @pytest.mark.parametrize("route", ["chain", "metric"])
-    def test_peak_memory_in_grid_arrays(self, route):
+    # at n = 6 on 128^2 was 39.1 grid arrays (held Christoffel lists, n - 2
+    # copies of each inactive-axis entry, a fresh array per accumulation
+    # step); it is 19.2 now. The bound keeps a margin of 15.
+    def test_peak_memory_in_grid_arrays(self):
         ch = TorusChart(6, (128, 128))
         phi = preset_phi(ch, "trig1", seed=7)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            oracle_curvature(ch, phi, route=route)
+            oracle_curvature(ch, phi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -220,8 +207,7 @@ class TestOracle:
 
 
 class TestDerivativeReuse:
-    @pytest.mark.parametrize("route", ["chain", "metric"])
-    def test_oracle_differentiates_each_array_once(self, route, monkeypatch):
+    def test_oracle_differentiates_each_array_once(self, monkeypatch):
         # Distinct in content, not only in identity: a fresh array with the
         # bits of one already differentiated along that axis is a repeat
         # (two such repeats, 13 calls, before the pure negations were shared).
@@ -236,7 +222,7 @@ class TestDerivativeReuse:
 
             monkeypatch.setattr(conformal, "d1", spy)
             ch = TorusChart(n, (32, 32))
-            oracle_curvature(ch, preset_phi(ch, "trig1", seed=7), route)
+            oracle_curvature(ch, preset_phi(ch, "trig1", seed=7))
             assert len(seen) == len(contents) == 11
 
     def test_given_derivatives_are_the_ones_rebuilt(self):
@@ -247,8 +233,6 @@ class TestDerivativeReuse:
         B = _flux(b, 1)
         assert lap.tobytes() == laplacian(b, f).tobytes()
         assert divergence_form(b, B, f, grad).tobytes() == divergence_form(b, B, f).tobytes()
-        for form, given in (("commutator", {"lap": lap}), ("direct", {"grad": grad})):
-            assert grad_pair_J(b, f, form, **given).tobytes() == grad_pair_J(b, f, form).tobytes()
         assert b.lapJ.tobytes() == laplacian(b, b.J).tobytes()
 
 
@@ -299,31 +283,16 @@ class TestOperators:
             x1, x2 = b.chart.mesh()
             f = np.cos(x1) * np.sin(2 * x2)
             B = tuple(-b.en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
-            closed = (-0.5 * (b.J * laplacian(b, f) + grad_pair_J(b, f, "direct"))
-                      - divergence_form(b, B, f))
+            g0, g1 = gradient(b.chart, f)
+            dJ = gradient(b.chart, b.J)
+            pairing = b.em2 * (dJ[0] * g0 + dJ[1] * g1)  # (dJ, df) in the metric
+            closed = -0.5 * (b.J * laplacian(b, f) + pairing) - divergence_form(b, B, f)
             gaps.append(rel(divergence_form(b, _flux(b, 1), f), closed))
         assert gaps[1] < 1e-3 and gaps[0] / gaps[1] > 8
 
     def test_unknown_primitive(self):
         with pytest.raises(ValueError):
             apply_primitive(bundle(size=16), "x1", np.ones((16, 16)))
-
-    def test_grad_pair_adjoint_rule_exact(self):
-        # The commutator form satisfies G* = -G - (lap J) exactly on the grid.
-        b = bundle(n=4, preset="trig2")
-        rng = np.random.default_rng(11)
-        f = rng.standard_normal(b.chart.shape)
-        g = rng.standard_normal(b.chart.shape)
-        res = (inner(b, grad_pair_J(b, f), g) + inner(b, f, grad_pair_J(b, g))
-               + inner(b, f, b.lapJ * g))
-        assert abs(res) < 1e-10
-
-    def test_grad_pair_forms_agree(self):
-        b = bundle(n=4, preset="trig1")
-        x1, x2 = b.chart.mesh()
-        f = np.cos(x1) * np.sin(x2)
-        diff = grad_pair_J(b, f, "commutator") - grad_pair_J(b, f, "direct")
-        assert np.max(np.abs(diff)) < 1e-4
 
 
 class TestIntegration:

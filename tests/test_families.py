@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holoq.conformal import curvature, divergence_form, grad_pair_J, inner, laplacian
+from holoq.conformal import curvature, divergence_form, inner, laplacian
 from holoq.families import (
     FieldPoly,
     LambdaOperator,
@@ -48,10 +48,12 @@ def _t4_den(n):
 
 def reference_T4(b, f):
     """T_4(lam) f = [(lap - (lam+2) J)(lap - lam J) f + lam c |P|^2 f
-    + 2c delta(P df) + c (dJ, df)] / den, c = 2 lam + 2 - n."""
+    + 2c delta(P df) + c (dJ, df)] / den, c = 2 lam + 2 - n, with the
+    pairing (dJ, df) = (lap(J f) - J lap f - f lap J) / 2."""
     n, J = b.n, b.J
     B = tuple(-b.en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
-    pdiv, gj, lap_f = divergence_form(b, B, f), grad_pair_J(b, f), laplacian(b, f)
+    pdiv, lap_f = divergence_form(b, B, f), laplacian(b, f)
+    gj = 0.5 * (laplacian(b, J * f) - J * lap_f - f * b.lapJ)
     return FieldPoly([
         laplacian(b, lap_f) - 2 * J * lap_f + 2 * (2 - n) * pdiv + (2 - n) * gj,
         -laplacian(b, J * f) - J * lap_f + 2 * J**2 * f + (2 - n) * b.Psq * f + 4 * pdiv + 2 * gj,

@@ -1,4 +1,4 @@
-"""Stencil, preset, and field-file tests."""
+"""Stencil and spectral derivative, preset, and field-file tests."""
 
 import numpy as np
 import pytest
@@ -111,6 +111,38 @@ class TestStencils:
             TorusChart(2, (16, 16))
         with pytest.raises(ValueError):
             TorusChart(4, (4, 16))
+        with pytest.raises(ValueError):
+            TorusChart(4, (16, 16), "chebyshev")
+
+
+class TestSpectral:
+    def test_wavenumbers(self):
+        assert grid.wavenumbers(8).tolist() == [0, 1, 2, 3, 0, -3, -2, -1]
+        assert grid.wavenumbers(9).tolist() == [0, 1, 2, 3, 4, -4, -3, -2, -1]
+
+    @pytest.mark.parametrize("shape", [(32, 32), (24, 15)])
+    def test_d1_antisymmetric(self, shape):
+        # the matrix of d1 along each axis, against its transpose
+        ch = TorusChart(4, shape, "spectral")
+        basis = np.eye(ch.shape[0] * ch.shape[1]).reshape(-1, *ch.shape)
+        for axis in range(2):
+            m = np.array([d1(ch, e, axis).ravel() for e in basis])
+            assert np.max(np.abs(m + m.T)) < 1e-14 * ch.shape[axis]
+
+    def test_d1_exact_below_nyquist(self):
+        # every mode below the Nyquist one is differentiated to rounding;
+        # the Nyquist mode itself is zeroed
+        ch = TorusChart(4, (16, 16), "spectral")
+        x1, x2 = ch.mesh()
+        f = np.sin(7 * x1 + 1.0) * np.cos(5 * x2)
+        assert np.max(np.abs(d1(ch, f, 0) - 7 * np.cos(7 * x1 + 1.0) * np.cos(5 * x2))) < 1e-12
+        assert np.max(np.abs(d1(ch, np.cos(8 * x2), 1))) < 1e-12
+
+    def test_stencil_is_the_default(self):
+        ch = chart(size=16)
+        f = np.random.default_rng(7).standard_normal(ch.shape)
+        assert ch.derivative == "stencil"
+        assert d1(ch, f, 0).tobytes() == d1_roll(ch, f, 0).tobytes()
 
 
 class TestPresets:

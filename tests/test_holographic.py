@@ -47,7 +47,7 @@ from holoq.holographic import (
 )
 from holoq.lambda_algebra import LAMBDA, LambdaPoly, pochhammer
 from holoq.presets import preset_phi
-from holoq.reports import max_abs, refinement_report, tolerance_report
+from holoq.reports import max_abs, tolerance_report
 from holoq.sphere import SphereContext, sphere_Q
 
 
@@ -250,14 +250,15 @@ class TestFamilyPolys:
         original = LambdaOperator.field_poly
 
         def spy(self, b, f):
-            calls.append(b.n)
+            calls.append((b.n, b.chart.derivative))
             return original(self, b, f)
 
         monkeypatch.setattr(LambdaOperator, "field_poly", spy)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # spies see one process
         numeric_suite(n_values=(4, 6), size=32)
-        assert 0 < calls.count(4) <= 3
-        assert 0 < calls.count(6) <= 3
+        # on the run's grid; the spectral chart's metric is a metric of its own
+        assert 0 < calls.count((4, "stencil")) <= 3
+        assert 0 < calls.count((6, "stencil")) <= 3
 
 
 def _all_pass(reports):
@@ -511,11 +512,6 @@ class TestNonFinite:
             if rep.exact is None:
                 assert not rep.passed and "non-finite" in rep.details["reason"], rep.id
 
-    def test_refinement_with_nan_fine_fails(self):
-        rep = refinement_report("r", "eq", {}, 1e-12, float("nan"))
-        assert not rep.passed and rep.details["reason"] == "non-finite fine nan"
-        assert refinement_report("r", "eq", {}, 1e-12, 1e-13).passed
-
     def test_overflowing_scale_fails(self):
         rep = tolerance_report("x", "eq", {}, 1e160, 1e-6, float("inf"))
         assert not rep.passed and rep.details["reason"] == "non-finite scale inf"
@@ -604,12 +600,13 @@ class TestConformalCovariance:
             gaps.append(conformal_covariance_q4(b, omega).residual)
         assert gaps[0] / gaps[1] > 8.0
 
-    def test_refinement_gate_passes_coarse_grid(self):
-        # at 32^2 the residual exceeds a fixed 1e-5, yet it falls like h^4
-        b = bundle(size=32)
-        omega = preset_phi(b.chart, "trig3", seed=12)
-        rep = conformal_covariance_q4(b, omega, coarse=bundle(size=16))
-        assert rep.passed and rep.residual > 1e-5 and rep.details["ratio"] >= 8.0
+    def test_generic_shift_to_rounding_on_spectral_chart(self):
+        # the stencil's h^4 Leibniz error is gone: 32 spectral points beat
+        # 128 stencil points by orders of magnitude
+        ch = TorusChart(4, (32, 32), "spectral")
+        b = curvature(ch, preset_phi(ch, "trig1", seed=7))
+        rep = conformal_covariance_q4(b, preset_phi(ch, "trig3", seed=12), tol=holographic.LAW_TOL)
+        assert rep.passed and rep.residual < 1e-11 * rep.scale
 
     def test_scaled_p4_fails_law(self, monkeypatch):
         # the generated T_4, and with it P_4 = build_P(4, 2), off by 1/1000
@@ -617,7 +614,7 @@ class TestConformalCovariance:
         monkeypatch.setattr(families, "build_T",
                             lambda n, N: original(n, N).scale(Fraction(1001, 1000)))
         rep = {r.id: r for r in critical_n4_suite(size=32)}["conformal-covariance-q4"]
-        assert not rep.passed and rep.details["ratio"] < 2.0
+        assert not rep.passed and rep.residual > 1e3 * rep.tol
 
 
 class TestSuites:
@@ -631,40 +628,29 @@ class TestSuites:
         for rep in critical_n4_suite():
             assert rep.passed, (rep.id, rep.residual, rep.tol)
 
-    def test_wrong_direct_pairing_fails_forms_check(self, monkeypatch):
-        original = holographic.grad_pair_J
-
-        def flipped(b, f, form="commutator", **kwargs):
-            out = original(b, f, form, **kwargs)
-            return -out if form == "direct" else out
-
-        monkeypatch.setattr(holographic, "grad_pair_J", flipped)
-        reps = {r.id: r for r in numeric_suite(n_values=(4,), size=32)}
-        assert not reps["gradj-forms-n4"].passed
-        assert reps["gradj-forms-n4"].details["ratio"] < 2.0
-
     def test_numeric_suite_holds_one_metric_at_a_time(self, monkeypatch):
-        # The n = 4 bundle (with its family polynomials) is gone by reference
-        # counting when the n = 6 metric is built.
-        original = holographic._curvature_reports
+        # Each bundle (with its family polynomials) is gone by reference
+        # counting when the next metric is built: per dimension the spectral
+        # chart's, then the run grid's.
+        original = holographic._metric
         bundles, alive = [], []
 
-        def spy(n, *args, **kwargs):
+        def spy(chart, *args):
             alive.append([ref() is not None for ref in bundles])
-            out = original(n, *args, **kwargs)
-            bundles.append(weakref.ref(out[0]))
+            out = original(chart, *args)
+            bundles.append(weakref.ref(out))
             return out
 
-        monkeypatch.setattr(holographic, "_curvature_reports", spy)
+        monkeypatch.setattr(holographic, "_metric", spy)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # spies see one process
         numeric_suite(n_values=(4, 6), size=32)
-        assert alive == [[], [False]]
+        assert alive == [[False] * k for k in range(4)]
 
     def test_numeric_suite_d1_calls(self, monkeypatch):
-        # Each field is differentiated once: the bundle's Laplacian of J, the
-        # (dJ, dJ) pairing forms and the adjoint checks reuse the gradients
-        # and Laplacians already built (242 calls when each rebuilt them), and
-        # the oracle shares its pure negations (186 calls when it did not).
+        # Each field is differentiated once: the bundle's Laplacian of J and
+        # the adjoint checks reuse the gradients and Laplacians already built.
+        # That is 29 calls per dimension on the run's grid, and 33 (n = 4) and
+        # 105 (n = 6, with the longer words of N = 3) on the spectral chart.
         # The count does not depend on the grid size.
         calls = []
         original = grid.d1
@@ -677,7 +663,7 @@ class TestSuites:
         monkeypatch.setattr(conformal, "d1", spy)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # spies see one process
         numeric_suite(n_values=(4, 6), size=64)
-        assert len(calls) == 174
+        assert len(calls) == 196
 
     def test_numeric_suite_memory_peak(self, monkeypatch):
         # tracemalloc counts numpy's buffers, so the peak is deterministic.
@@ -797,7 +783,7 @@ class TestConcurrentDimensions:
 
         monkeypatch.setattr(os, "fork", fork)
         _cpus(monkeypatch, cpus)
-        assert len(numeric_suite((4, 6), size=size)) == 80
+        assert len(numeric_suite((4, 6), size=size)) == 82
 
     def test_pole_in_a_child_reaches_the_caller(self, monkeypatch, time_limit):
         def fail(n):

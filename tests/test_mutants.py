@@ -1,13 +1,14 @@
 """Mutation harness for the family generator: each mutant injects a known
-defect into the Poincare-Einstein recursion or its primitives, and at least
-one check of the sphere, Einstein, numeric or critical-n4 suites must fail
-under it (DeMillo-Lipton-Sayward, "Hints on test data selection", 1978)."""
+defect into the Poincare-Einstein recursion, its primitives or the curvature
+fields they read, and at least one check of the sphere, Einstein, numeric or
+critical-n4 suites must fail under it (DeMillo-Lipton-Sayward, "Hints on
+test data selection", 1978)."""
 
 from fractions import Fraction
 
 import pytest
 
-from holoq import families, holographic, lambda_algebra, sphere
+from holoq import conformal, families, holographic, lambda_algebra, sphere
 from holoq.holographic import critical_n4_suite, einstein_checks, numeric_suite
 from holoq.sphere import sphere_suite
 
@@ -100,24 +101,98 @@ def test_indicial_off_by_one(monkeypatch):
     assert any(i.startswith("crit-") for i in failed)
 
 
+def _sphere_ids(*names):
+    return {rep.id for rep in SUITES["sphere"]() if rep.id.split("[")[0] in names}
+
+
+# the geometry checks of numeric_suite((4, 6)) on the spectral chart
+FLAT = {f"{kind}-flat-n{n}-N{N}" for kind in ("gjms", "q")
+        for n, N in ((4, 1), (4, 2), (6, 1), (6, 2), (6, 3))}
+
+
 def test_master_constant_off_by_a_thousandth(monkeypatch):
     # c_N enters only Branson's closed form for Q_n in sphere_Q, which
-    # einstein-q6 reads; no sphere-* check sees this mutant
+    # einstein-q6 and sphere-holoQ read; it is used at 2N = n
     original = sphere.master_constant
     monkeypatch.setattr(sphere, "master_constant", lambda N: original(N) * MUTANT_FACTOR)
-    assert failed_checks() == {"einstein-q6"}
+    assert failed_checks() == {"einstein-q6", "sphere-holoQ[n=4,N=2]", "sphere-holoQ[n=6,N=3]",
+                               "sphere-holoQ[n=8,N=4]"}
 
 
 def test_holographic_prefactor_off_by_a_thousandth(monkeypatch):
-    # (-1)^N 4^{N-1} ((N-1)!)^2 scaled, on torus fields and on exact constants
-    original = holographic.holographic_q
+    # (-1)^N 4^{N-1} ((N-1)!)^2 scaled, on torus fields (torus_q) and on exact
+    # constants (constant_q), at every N
+    original = families.holographic_q
 
     def mutant(N, values):
         q = original(N, values)
         return q * (MUTANT_FACTOR if isinstance(q, Fraction) else float(MUTANT_FACTOR))
 
+    monkeypatch.setattr(families, "holographic_q", mutant)
     monkeypatch.setattr(holographic, "holographic_q", mutant)
-    assert failed_checks() == {"q4-dual-n4", "q4-dual-n6", "crit-a", "einstein-q4", "einstein-q6"}
+    assert failed_checks() == ({"q4-dual-n4", "q4-dual-n6", "crit-a", "einstein-q4", "einstein-q6"}
+                               | {i for i in FLAT if i.startswith("q-")}
+                               | _sphere_ids("sphere-holoQ"))
+
+
+def _ex23(form, n):
+    return {f"ex23-{form}-n{n}{lam}" for lam in ("", "-l-2", "-l0", "-l1/3", "-l5", "-l7/2")}
+
+
+def _scaled(name):
+    return lambda b: setattr(b, name, getattr(b, name) * 1.001)
+
+
+def _scaled_p(i, k):
+    def scale(b):
+        b.P[i][k] *= 1.001  # in place: P[1][0] is P[0][1], one array
+    return scale
+
+
+P_FAILS = {"conformal-covariance-q4", "gjms-flat-n4-N2", "gjms-flat-n6-N2", "gjms-flat-n6-N3",
+           "q-flat-n6-N3"}
+
+
+@pytest.mark.parametrize("scale,expected", [
+    (_scaled("J"), FLAT | _ex23("i", 6) | _ex23("ii", 6) | (_ex23("ii", 4) - {"ex23-ii-n4-l0"})
+     | {"conformal-covariance-q4", "crit-a", "crit-c", "crit-d", "crit-e", "q4-dual-n4",
+        "q4-dual-n6"}),
+    (_scaled_p(0, 0), P_FAILS),
+    (_scaled_p(0, 1), P_FAILS),
+    (_scaled_p(1, 1), P_FAILS),
+    (_scaled("Psq"), {"conformal-covariance-q4", "gjms-flat-n6-N2", "gjms-flat-n6-N3",
+                      "q-flat-n4-N2", "q-flat-n6-N2", "q-flat-n6-N3"}),
+    (_scaled("p_inactive"), {"q-flat-n6-N3"}),
+], ids=["J", "P00", "P01", "P11", "Psq", "p_inactive"])
+def test_curvature_field_off_by_a_thousandth(monkeypatch, scale, expected):
+    # one field of every CurvatureBundle scaled after it is built; the
+    # algebra checks on the run's grid hold for any fields, so only the
+    # geometry checks and those comparing with q4_direct see most of these
+    original = conformal.CurvatureBundle.__post_init__
+
+    def post_init(self):
+        original(self)
+        scale(self)
+
+    monkeypatch.setattr(conformal.CurvatureBundle, "__post_init__", post_init)
+    assert failed_checks() == expected
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("D1", P_FAILS),
+    ("D2", {"gjms-flat-n6-N3"}),
+])
+def test_divergence_primitive_off_by_a_thousandth(monkeypatch, name, expected):
+    # the algebra checks hold for any self-adjoint primitives; the flat base
+    # sees D1 from N = 2 and D2 at N = 3
+    original = families.apply_primitive
+
+    def mutant(b, prim, f):
+        out = original(b, prim, f)
+        return out * float(MUTANT_FACTOR) if prim == name else out
+
+    monkeypatch.setattr(families, "apply_primitive", mutant)
+    assert failed_checks() == expected
 
 
 def test_master3_weights_reversed(monkeypatch):
@@ -141,12 +216,10 @@ def test_qres_pochhammer_off_by_one(monkeypatch):
 
 
 def test_build_P_pochhammer_off_by_one(monkeypatch):
+    # a pole left at n/2 - N fails its gjms-flat check with the pole in details
     _pochhammer_shifted_in(monkeypatch, families)  # only build_P uses it
-    assert failed_checks() == {"crit-b", "crit-c", "conformal-covariance-q4"}
-
-
-def _sphere_ids(*names):
-    return {rep.id for rep in SUITES["sphere"]() if rep.id.split("[")[0] in names}
+    assert failed_checks() == ({"crit-b", "crit-c", "conformal-covariance-q4"}
+                               | {i for i in FLAT if i.startswith("gjms-")})
 
 
 def test_sphere_3f2_off_by_a_thousandth(monkeypatch):
