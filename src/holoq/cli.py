@@ -37,7 +37,7 @@ from .holographic import (
     numeric_suite,
 )
 from .hypergeom import hypergeom_suite
-from .presets import preset_phi
+from .presets import PRESETS, preset_phi
 from .reports import (
     CheckReport,
     QuantitiesReport,
@@ -137,6 +137,10 @@ def _load_config(args) -> RunConfig:
         raise UsageError(f"grid size must be an even integer >= 16, got {config.grid!r}")
     if config.instances < 1:
         raise UsageError(f"instances must be an integer >= 1, got {config.instances!r}")
+    if config.preset not in PRESETS:
+        raise UsageError(f"unknown preset {config.preset!r}; choose from {sorted(PRESETS)}")
+    if config.seed < 0 and _torus_dimensions(config):
+        raise UsageError(f"the torus suites need a seed >= 0, got {config.seed}")
     if config.n and min(config.n) < 3:
         raise UsageError(f"dimensions must all be >= 3, got {config.n}")
     if "numeric" in _selected(config) and config.n and min(config.n) < MIN_NUMERIC_N:
@@ -199,25 +203,22 @@ def _run_suites(config: RunConfig, phi):
     crit_tol = config.tol if config.tol is not None else 1e-5
     checks = []
     for name in names:
-        try:
-            if name == "sphere":
-                checks.extend(sphere_suite(config.n or range(3, 13), nmax=config.nmax))
-            elif name == "hypergeom":
-                checks.extend(hypergeom_suite(instances=config.instances, seed=config.seed))
-            elif name == "numeric":
-                checks.extend(numeric_suite(
-                    n_values=config.n or NUMERIC_N, size=config.grid, preset=config.preset,
-                    seed=config.seed, lambdas=config.lambda_values(), tol=num_tol, phi=phi))
-            elif name == "critical-n4":
-                checks.extend(critical_n4_suite(
-                    size=config.grid, preset=config.preset, seed=config.seed,
-                    tol=crit_tol, phi=phi, reported={c.id for c in checks}))
-            elif name == "conformal":
-                checks.extend(conformal_suite(
-                    size=config.grid, preset=config.preset, seed=config.seed,
-                    tol=crit_tol, phi=phi, reported={c.id for c in checks}))
-        except ValueError as exc:
-            raise UsageError(f"suite {name}: {exc}")
+        if name == "sphere":
+            checks.extend(sphere_suite(config.n or range(3, 13), nmax=config.nmax))
+        elif name == "hypergeom":
+            checks.extend(hypergeom_suite(instances=config.instances, seed=config.seed))
+        elif name == "numeric":
+            checks.extend(numeric_suite(
+                n_values=config.n or NUMERIC_N, size=config.grid, preset=config.preset,
+                seed=config.seed, lambdas=config.lambda_values(), tol=num_tol, phi=phi))
+        elif name == "critical-n4":
+            checks.extend(critical_n4_suite(
+                size=config.grid, preset=config.preset, seed=config.seed,
+                tol=crit_tol, phi=phi, reported={c.id for c in checks}))
+        elif name == "conformal":
+            checks.extend(conformal_suite(
+                size=config.grid, preset=config.preset, seed=config.seed,
+                tol=crit_tol, phi=phi, reported={c.id for c in checks}))
     if config.einstein_j is not None:
         J = Fraction(config.einstein_j)
         for n in config.n or (4, 6, 8):
@@ -311,8 +312,12 @@ def cmd_report(args) -> int:
 
 def cmd_field(args) -> int:
     if args.field_action == "export":
-        chart = TorusChart(args.dim, (args.grid, args.grid))
-        phi = preset_phi(chart, args.preset, seed=args.seed)
+        try:
+            chart = TorusChart(args.dim, (args.grid, args.grid))
+            phi = preset_phi(chart, args.preset, seed=args.seed)
+        except ValueError as exc:
+            raise UsageError(f"cannot export preset {args.preset!r} (--seed {args.seed}) "
+                             f"on a {args.grid}-point grid at n={args.dim}: {exc}")
         save_field(args.out, chart, phi)
         print(f"wrote {args.out} ({args.grid}x{args.grid}, n={args.dim})")
         return EXIT_PASS

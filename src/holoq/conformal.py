@@ -1,16 +1,15 @@
 """Curvature of conformally flat metrics g = e^{2 phi} (flat) on the torus.
 
 The conformal factor depends on two coordinates; the remaining n - 2 flat
-directions ride along. curvature() evaluates the closed-form Schouten data,
-and oracle_curvature() recomputes it from Christoffel symbols of the metric
-components as a reference for tests. Differential operators are
-written in conservative form so their weighted adjoints are exact at the
-matrix level, not just to truncation order.
+directions ride along. curvature() evaluates the closed-form Schouten data;
+oracle_curvature() recomputes it densely from Christoffel symbols of the
+metric components, as an unoptimised reference that tests compare against.
+Differential operators are written in conservative form so their weighted
+adjoints are exact at the matrix level, not just to truncation order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
@@ -148,146 +147,14 @@ def apply_primitive(b: CurvatureBundle, name: str, f):
     raise ValueError(f"unknown primitive {name!r}")
 
 
-def _add(acc, x):
-    """acc + x, where None stands for a field that is zero by structure."""
-    if x is None:
-        return acc
-    return x if acc is None else acc + x
-
-
-def _sub(acc, x):
-    if x is None:
-        return acc
-    return -x if acc is None else acc - x
-
-
-def _mul(x, y):
-    return None if x is None or y is None else x * y
-
-
-def _signed_total(terms):
-    """The (sign, field) terms added or subtracted in order, None fields
-    skipped. The sum gets a buffer of its own at its first operation and is
-    accumulated there, so no field passed in is ever written; acc += x is
-    bitwise acc + x."""
-    acc, owned = None, False
-    for sign, x in terms:
-        if x is None:
-            continue
-        if acc is None:
-            acc, owned = (x, False) if sign > 0 else (-x, True)
-        elif not owned:
-            acc, owned = (acc + x if sign > 0 else acc - x), True
-        elif sign > 0:
-            acc += x
-        else:
-            acc -= x
-    return acc
-
-
-def _total(fields):
-    """The fields summed in order, None skipped; no field is written."""
-    return _signed_total((1, x) for x in fields)
-
-
-def _index_class(idx):
-    """Representative of an index tuple: its inactive axes (>= 2) relabelled
-    2, 3, ... in order of first appearance."""
-    names = {}
-    return tuple(i if i < 2 else names.setdefault(i, 2 + len(names)) for i in idx)
-
-
-def _by_class(build):
-    """build(*idx), evaluated once per index class at its representative
-    and shared by the class. The fields are constant along the isometric
-    inactive axes, so each entry of a class is built from the same terms in
-    the same order as its representative: the shared array is bitwise the
-    one each entry would get."""
-    built = {}
-
-    def get(*idx):
-        key = _index_class(idx)
-        if key not in built:
-            built[key] = build(*key)
-        return built[key]
-    return get
-
-
-def _ricci(chart: TorusChart, lam):
-    """Ricci tensor of g_ij = e^{2 phi} d_ij from lam = [d_0 phi, d_1 phi],
-    as an n x n list sharing one array per index class, None where it
-    vanishes by structure. The Christoffel symbols end with this call."""
-    n = chart.n
-    lam = list(lam) + [None] * (n - 2)
-    # one array per pure negation, shared by every symbol that is only -lam[k]
-    neg = [_sub(None, x) for x in lam]
-
-    def gamma(k, i, j):
-        if i == j != k:
-            return neg[k]
-        out = None
-        if k == j:
-            out = _add(out, lam[i])
-        if k == i:
-            out = _add(out, lam[j])
-        if i == j:
-            out = _sub(out, lam[k])
-        return out
-
-    christoffel = _by_class(gamma)
-    G = [[[christoffel(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)]
-    trace = [_total(G[l][l][k] for l in range(n)) for k in range(n)]
-
-    def derivative_terms(j, k):
-        terms = [(1, G[l][j][k], l) for l in range(2)]
-        if j < 2:
-            terms.append((-1, trace[k], j))
-        return [t for t in terms if t[1] is not None]
-
-    # Each array is differentiated once per axis, and its derivative is kept
-    # until its last use. G and trace hold every array for the whole call,
-    # so ids stay unique.
-    uses = Counter((id(f), axis) for key in {_index_class((j, k)) for j in range(n)
-                                             for k in range(j, n)}
-                   for _, f, axis in derivative_terms(*key))
-    derived = {}
-
-    def deriv(f, axis):
-        key = (id(f), axis)
-        if key not in derived:
-            derived[key] = d1(chart, f, axis)
-        uses[key] -= 1
-        return derived[key] if uses[key] else derived.pop(key)
-
-    def terms(j, k):
-        for sign, f, axis in derivative_terms(j, k):
-            yield sign, deriv(f, axis)
-        for m in range(n):
-            yield 1, _mul(trace[m], G[m][j][k])
-            for l in range(n):
-                yield -1, _mul(G[l][j][m], G[m][l][k])
-
-    def entry(j, k):
-        return _signed_total(terms(j, k))
-
-    entry = _by_class(entry)
-    ric = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
-            ric[j][k] = ric[k][j] = entry(j, k)
-    return ric
-
-
 def oracle_curvature(chart: TorusChart, phi):
     """Recompute Schouten data from Christoffel symbols of g_ij = e^{2 phi} d_ij.
 
-    Works index by index in the full n-dimensional chart; fields are constant
-    along the inactive axes so their partials vanish. Those vanishing partials,
-    and every Christoffel symbol and product built only from them, are held as
-    None and skipped, which leaves the surviving sums in their index order.
-    Entries that differ only by a permutation of the inactive axes are built
-    once and shared (_by_class). Returns a dict with scal, J, Psq and the
-    active 2x2 block of Schouten components.
+    A dense, unoptimised reference for tests: every Christoffel symbol is an
+    array, zero ones included, and the Ricci sums are straight loops over the
+    full n-dimensional chart (Fefferman-Graham, The Ambient Metric). Fields are
+    constant along the inactive axes, so their partials vanish. Returns a dict
+    with scal, J, Psq and the active 2x2 block of Schouten components.
 
     The Christoffel assembly is fed with the derivatives of phi (the half log
     of the metric components), so the comparison against curvature()
@@ -297,22 +164,41 @@ def oracle_curvature(chart: TorusChart, phi):
     n = chart.n
     E = np.exp(2.0 * phi)
     Einv = 1.0 / E
-    ric = _ricci(chart, gradient(chart, phi))
+    zero = chart.zeros()
+    lam = list(gradient(chart, phi)) + [zero] * (n - 2)
 
-    scal = Einv * _total(ric[j][j] for j in range(n))
-    J = scal / (2.0 * (n - 1.0))
-    JE = J * E
+    def gamma(k, i, j):
+        out = zero
+        if k == j:
+            out = out + lam[i]
+        if k == i:
+            out = out + lam[j]
+        if i == j:
+            out = out - lam[k]
+        return out
 
-    def schouten(j, k):
-        p = _sub(ric[j][k], JE if j == k else None)
-        return None if p is None else p / (n - 2.0)
+    G = [[[gamma(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)]
+    trace = [sum(G[l][l][k] for l in range(n)) for k in range(n)]
 
-    schouten = _by_class(schouten)
-    P = [[None] * n for _ in range(n)]
+    ric = [[None] * n for _ in range(n)]
     for j in range(n):
         for k in range(j, n):
-            P[j][k] = P[k][j] = schouten(j, k)
-    Psq = Einv ** 2 * _total(p ** 2 for row in P for p in row if p is not None)
+            term = zero
+            for l in range(2):
+                term = term + d1(chart, G[l][j][k], l)
+            if j < 2:
+                term = term - d1(chart, trace[k], j)
+            for m in range(n):
+                term = term + trace[m] * G[m][j][k]
+                for l in range(n):
+                    term = term - G[l][j][m] * G[m][l][k]
+            ric[j][k] = ric[k][j] = term
+
+    scal = Einv * sum(ric[j][j] for j in range(n))
+    J = scal / (2.0 * (n - 1.0))
+    P = [[(ric[j][k] - (J * E if j == k else 0.0)) / (n - 2.0) for k in range(n)]
+         for j in range(n)]
+    Psq = Einv ** 2 * sum(P[j][k] ** 2 for j in range(n) for k in range(n))
     return {
         "scal": scal,
         "J": J,

@@ -89,6 +89,15 @@ def q4_direct(b: CurvatureBundle):
     return (b.n / 2) * b.J**2 - 2 * b.Psq - b.lapJ
 
 
+def pole_guarded(evaluate):
+    """(evaluate(), {}), or (NaN, {"pole": why}) where a wrong family leaves a
+    genuine pole at the point evaluated: the NaN fails every check reading it."""
+    try:
+        return evaluate(), {}
+    except PoleError as err:
+        return np.nan, {"pole": str(err)}
+
+
 def torus_q(b: CurvatureBundle, N: int):
     """Q_{2N} of a torus metric by holographic_q. Its point n/2 - N is never
     a pole: the denominators of T*_{2j} vanish only at n/2 - M, M <= j < N."""
@@ -261,26 +270,29 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     p4 = build_P(4, 2)
 
     t0 = time.perf_counter()
-    lhs_a = torus_q(b, 2) / 4
+    holo, pole = pole_guarded(lambda: torus_q(b, 2))
+    lhs_a = holo / 4
     rhs_a = q4 / 4
     scale = max_abs([max_abs(lhs_a), max_abs(q4)])
     reports.append(tolerance_report("crit-a", "holo-crit", {"n": 4},
                                     max_abs(lhs_a - rhs_a), tol, scale,
-                                    details={"equivalent_form": "q4 = 16 v4 - lap J"},
+                                    details={"equivalent_form": "q4 = 16 v4 - lap J", **pole},
                                     seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     ones = np.ones(b.chart.shape)
-    p_dot, _ = p4.derivative_at(b, ones, zero)
-    p_dot_star, _ = p4.adjoint().derivative_at(b, ones, zero)
+    p_dot, dot_pole = pole_guarded(lambda: p4.derivative_at(b, ones, zero)[0])
+    p_dot_star, star_pole = pole_guarded(lambda: p4.adjoint().derivative_at(b, ones, zero)[0])
+    t2, t2_pole = pole_guarded(lambda: pair_value(family_poly(b, 1, 1), zero)[0])
     lhs_b = 4 * (p_dot_star - p_dot)
-    rhs_b = 32 * 2 * pair_value(family_poly(b, 1, 1), zero)[0]
+    rhs_b = 32 * 2 * t2
     scale = max_abs([max_abs(lhs_b), max_abs(rhs_b), max_abs(b.lapJ)])
     reports.append(tolerance_report("crit-b", "gj-derivative", {"n": 4},
                                     max_abs(lhs_b - rhs_b), tol, scale,
                                     details={"closed_form": "both sides -8 lap J",
                                              "closed_form_residual":
-                                                 max_abs(lhs_b + 8 * b.lapJ)},
+                                                 max_abs(lhs_b + 8 * b.lapJ),
+                                             **star_pole, **dot_pole, **t2_pole},
                                     seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
@@ -288,7 +300,7 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     reports.append(tolerance_report("crit-c", "property-2", {"n": 4},
                                     max_abs(p_dot - q4), tol, scale,
                                     details={"starred_residual":
-                                                 max_abs(p_dot_star - q4)},
+                                                 max_abs(p_dot_star - q4), **dot_pole},
                                     seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
@@ -300,14 +312,15 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
                                     seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    t2_dot, _ = pair_derivative(family_poly(b, 1, 1), zero)
-    t4_dot, _ = pair_derivative(family_poly(b, 2, 0), zero)
+    t2_dot, t2_pole = pole_guarded(lambda: pair_derivative(family_poly(b, 1, 1), zero)[0])
+    t4_dot, t4_pole = pole_guarded(lambda: pair_derivative(family_poly(b, 2, 0), zero)[0])
     lhs_e = 8 * (2 * t2_dot + 4 * t4_dot)
     rhs_e = -qres.coeffs[2] - q4
     scale = max_abs([max_abs(lhs_e), max_abs(rhs_e), q4_scale])
     reports.append(tolerance_report("crit-e", "harmonic-sum", {"n": 4},
                                     max_abs(lhs_e - rhs_e), tol, scale,
-                                    details={"harmonic_sum": "1 (single term)"},
+                                    details={"harmonic_sum": "1 (single term)",
+                                             **t4_pole, **t2_pole},
                                     seconds=time.perf_counter() - t0))
     return reports
 
@@ -323,11 +336,12 @@ def conformal_covariance_q4(base: CurvatureBundle, omega, tol: float = 1e-5) -> 
     omega = np.asarray(omega)
     shifted = curvature(base.chart, base.phi + omega) if np.any(omega) else base
     lhs = np.exp(4 * omega) * q4_direct(shifted)
-    p4_omega, _ = build_P(4, 2).apply_at(base, omega, Fraction(0))
+    p4_omega, pole = pole_guarded(lambda: build_P(4, 2).apply_at(base, omega, Fraction(0))[0])
     rhs = q4_direct(base) + p4_omega
     scale = max_abs([max_abs(lhs), max_abs(rhs), max_abs(p4_omega)])
     return tolerance_report("conformal-covariance-q4", "q-transform", {"n": 4},
-                            max_abs(lhs - rhs), tol, scale, seconds=time.perf_counter() - t0)
+                            max_abs(lhs - rhs), tol, scale, details=pole,
+                            seconds=time.perf_counter() - t0)
 
 
 def _metric(chart: TorusChart, preset: str, seed: int, phi):
@@ -375,26 +389,20 @@ def _flat_reports(n: int, preset: str, seed: int, phi):
         return []
     f = 1.0 + preset_phi(b.chart, "trig2", seed=seed + 3)
 
-    def value(evaluate):  # NaN, failing the check, where a wrong family has a pole
-        try:
-            return evaluate(), {}
-        except PoleError as err:
-            return np.nan, {"pole": str(err)}
-
     reports = []
     for N in range(1, min(n // 2, 3) + 1):
         t0 = time.perf_counter()
         mu = Fraction(n, 2) - N
         down, up = np.exp(-(n / 2 + N) * b.phi), np.exp(float(mu) * b.phi)
         params = {"n": n, "N": N, "grid": SPECTRAL_GRID}
-        gjms, pole = value(lambda: build_P(n, N).apply_at(b, f, mu)[0])
+        gjms, pole = pole_guarded(lambda: build_P(n, N).apply_at(b, f, mu)[0])
         want = down * flat_laplacian_power(b.chart, up * f, N)
         reports.append(tolerance_report(f"gjms-flat-n{n}-N{N}", "gjms-flat", params,
                                         max_abs(gjms - want), FLAT_TOL[N], max_abs(want),
                                         details=pole, seconds=time.perf_counter() - t0))
         t0 = time.perf_counter()
         want = (-1) ** N * down * flat_laplacian_power(b.chart, up / float(mu) if mu else b.phi, N)
-        q, pole = value(lambda: torus_q(b, N))
+        q, pole = pole_guarded(lambda: torus_q(b, N))
         reports.append(tolerance_report(f"q-flat-n{n}-N{N}", "q-flat", params,
                                         max_abs(q - want), FLAT_TOL[N], max_abs(want),
                                         details=pole, seconds=time.perf_counter() - t0))
@@ -450,12 +458,13 @@ def _dimension_reports(n: int, size: int, preset: str, seed: int, lambdas, tol: 
     reports.extend(_adjoint_reports(b, seed))
 
     t0 = time.perf_counter()
-    holo, q4 = torus_q(b, 2), q4_direct(b)
+    holo, pole = pole_guarded(lambda: torus_q(b, 2))
+    q4 = q4_direct(b)
     dual_gap = max_abs(holo - q4)
     scale = max_abs(q4)
     del holo, q4
     reports.append(tolerance_report(f"q4-dual-n{n}", "holo-Q4", {"n": n},
-                                    dual_gap, tol, scale,
+                                    dual_gap, tol, scale, details=pole,
                                     seconds=time.perf_counter() - t0))
 
     for N in (1, 2):

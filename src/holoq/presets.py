@@ -16,7 +16,7 @@ from .grid import TorusChart
 # below the comparison tolerances on a 64^2 grid.
 _MODES = ((1, 0), (0, 1), (1, 1), (1, -1))
 
-_PRESETS = {
+PRESETS = {
     "flat": dict(modes=(), amplitude=0.0),
     "trig1": dict(modes=((1, 0), (0, 1)), amplitude=0.1),
     "trig2": dict(modes=_MODES, amplitude=0.05),
@@ -26,9 +26,9 @@ _PRESETS = {
 
 def preset_phi(chart: TorusChart, name: str, seed: int = 7):
     """Sample the named preset on the chart; deterministic in (name, seed)."""
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
-    modes, amp = _PRESETS[name]["modes"], _PRESETS[name]["amplitude"]
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    modes, amp = PRESETS[name]["modes"], PRESETS[name]["amplitude"]
     rng = np.random.default_rng(seed)
     # Draw one (coefficient, phase) pair per mode before touching the mesh so
     # the function is independent of resolution.

@@ -8,14 +8,16 @@ import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from holoq import cli
+from holoq import cli, families, holographic
 from holoq.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, UsageError, _parse_lambdas, _parse_n, main
 from holoq.conformal import CurvatureBundle
+from holoq.families import PoleError
 from holoq.grid import TorusChart, load_field, save_field
 from holoq.reports import RunConfig
 
@@ -151,6 +153,72 @@ class TestExitCodes:
         assert run(["verify", "sphere", "--n", "3",
                     "--einstein-j", "x"]) == EXIT_USAGE
 
+    # Exit 2 means a bad configuration found before any suite ran, so every
+    # suite raises here. argv(tmp_path) gives the arguments after "verify".
+    @pytest.mark.parametrize("argv", [
+        lambda tmp: ["--preset", "foo"],
+        lambda tmp: ["--seed", "-1"],
+        lambda tmp: ["--grid", "33"],
+        lambda tmp: ["--n", "2"],
+        lambda tmp: ["--Nmax", "0"],
+        lambda tmp: ["--config", _written(tmp / "cfg.json", json.dumps({"grid": "64"}))],
+        lambda tmp: ["--grid", "64", "--phi-file", _exported(tmp / "phi.hqf", 4, 32)],
+    ], ids=["preset", "seed", "grid", "n", "Nmax", "config-field", "phi-file-grid"])
+    def test_usage_found_before_any_suite(self, argv, tmp_path, monkeypatch):
+        def suite(*args, **kwargs):
+            raise AssertionError("a suite ran")
+        for name in ("sphere_suite", "hypergeom_suite", "numeric_suite", "critical_n4_suite",
+                     "conformal_suite", "einstein_checks"):
+            monkeypatch.setattr(cli, name, suite)
+        assert run(["verify", *argv(tmp_path), "--out", str(tmp_path / "r")]) == EXIT_USAGE
+        assert not list(tmp_path.glob("r.*"))
+
+    def test_negative_seed_without_a_torus_suite(self, tmp_path):
+        # only the numpy generators of the torus suites need a seed >= 0
+        assert run(["verify", "hypergeom", "--seed", "-1", "--instances", "2",
+                    "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
+
+
+def _written(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _exported(path, n, grid):
+    ch = TorusChart(n, (grid, grid))
+    save_field(str(path), ch, np.zeros(ch.shape))
+    return str(path)
+
+
+class TestPoles:
+    """A genuine pole where a run-grid check evaluates a family fails that
+    check, with the pole in its details, and the run still writes its report."""
+
+    @pytest.mark.parametrize("suite,owner,name,failed", [
+        ("numeric", holographic, "torus_q", {"q4-dual-n4"}),
+        ("critical-n4", holographic, "torus_q", {"crit-a"}),
+        ("critical-n4", families.LambdaOperator, "derivative_at", {"crit-b", "crit-c"}),
+        ("critical-n4", holographic, "pair_derivative", {"crit-e"}),
+        ("conformal", families.LambdaOperator, "apply_at", {"conformal-zero", "conformal-const"}),
+    ], ids=["q4-dual", "crit-a", "crit-b-c", "crit-e", "conformal"])
+    def test_pole_fails_its_checks(self, suite, owner, name, failed, tmp_path, monkeypatch):
+        original = getattr(owner, name)
+
+        def with_pole(*args):
+            # the spectral chart's checks are not on the run's grid
+            bundle = next((a for a in args if isinstance(a, CurvatureBundle)), None)
+            if bundle is None or bundle.chart.derivative == "stencil":
+                raise PoleError(Fraction(0), 1.0)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, with_pole)
+        assert run(["verify", suite, "--n", "4", "--grid", "32", "--out", str(tmp_path / "r"),
+                    "--format", "json"]) == EXIT_FAIL
+        checks = json.loads((tmp_path / "r.json").read_text())["checks"]
+        assert {c["id"] for c in checks if not c["passed"]} == failed
+        assert all("non-removable pole at 0" in c["details"]["pole"]
+                   for c in checks if c["id"] in failed)
+
 
 class TestDeterminism:
     def test_json_reports_byte_identical(self, tmp_path):
@@ -284,6 +352,14 @@ class TestFieldCommand:
         assert "n=6 grid=32x32" in out
         chart, phi = load_field(path)
         assert chart.n == 6 and phi.shape == (32, 32)
+
+    @pytest.mark.parametrize("bad", [["--preset", "foo"], ["--grid", "4"], ["--n", "2"],
+                                     ["--seed", "-1"]], ids=lambda bad: bad[0])
+    def test_export_rejects_bad_input(self, bad, tmp_path, capsys):
+        path = tmp_path / "phi.hqf"
+        assert run(["field", "export", *bad, "--out", str(path)]) == EXIT_USAGE
+        assert "cannot export preset" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_info_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -1,12 +1,8 @@
-"""Curvature formulas against the Christoffel oracle, plus adjoint exactness."""
-
-import hashlib
-import tracemalloc
+"""Curvature formulas against the dense Christoffel oracle, plus adjoint exactness."""
 
 import numpy as np
 import pytest
 
-from holoq import conformal
 from holoq.conformal import (
     CurvatureBundle,
     _flux,
@@ -60,7 +56,7 @@ class TestCurvature:
             for k in range(2):
                 assert np.max(np.abs(b.P[i][k] - oracle["P_active"][i][k])) < 1e-6
 
-    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_against_christoffel_oracle_on_spectral_chart(self, n):
         # the Fourier d1 resolves the preset, so the two agree to rounding
         ch = TorusChart(n, (24, 24), "spectral")
@@ -119,112 +115,7 @@ class TestHoloCoeffs:
             assert np.max(np.abs(holo_coeffs(b, k) - want)) < 1e-12 * scale, k
 
 
-
-def dense_oracle_curvature(chart, phi):
-    """The oracle as first written: every Christoffel symbol and every product
-    is an array, including the ones that are zero by structure."""
-    phi = np.asarray(phi, dtype=float)
-    n = chart.n
-    E = np.exp(2.0 * phi)
-    Einv = 1.0 / E
-    zero = chart.zeros()
-    lam = [d1(chart, phi, 0), d1(chart, phi, 1)] + [zero] * (n - 2)
-
-    def gamma(k, i, j):
-        out = 0.0
-        if k == j:
-            out = out + lam[i]
-        if k == i:
-            out = out + lam[j]
-        if i == j:
-            out = out - lam[k]
-        if isinstance(out, float):
-            return zero
-        return out
-
-    G = [[[gamma(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)]
-    trace = [sum(G[l][l][k] for l in range(n)) for k in range(n)]
-
-    ric = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
-            term = 0.0
-            for l in range(2):
-                term = term + d1(chart, G[l][j][k], l)
-            if j < 2:
-                term = term - d1(chart, trace[k], j)
-            for m in range(n):
-                term = term + trace[m] * G[m][j][k]
-                for l in range(n):
-                    term = term - G[l][j][m] * G[m][l][k]
-            ric[j][k] = term if not isinstance(term, float) else zero
-            ric[k][j] = ric[j][k]
-
-    scal = Einv * sum(ric[j][j] for j in range(n))
-    J = scal / (2.0 * (n - 1.0))
-    P = [[(ric[j][k] - (J * E if j == k else 0.0)) / (n - 2.0) for k in range(n)]
-         for j in range(n)]
-    Psq = Einv ** 2 * sum(P[j][k] ** 2 for j in range(n) for k in range(n))
-    return {
-        "scal": scal,
-        "J": J,
-        "Psq": Psq,
-        "P_active": [[P[i][k] for k in range(2)] for i in range(2)],
-    }
-
-
-class TestOracle:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-    def test_matches_dense_reference_bitwise(self, n):
-        # Skipping structural zeros keeps every surviving addition in order,
-        # so only the sign of an exact zero may differ, which array_equal
-        # ignores.
-        ch = TorusChart(n, (32, 32))
-        phi = preset_phi(ch, "trig2", seed=7)
-        got = oracle_curvature(ch, phi)
-        ref = dense_oracle_curvature(ch, phi)
-        for key in ("scal", "J", "Psq"):
-            assert np.array_equal(got[key], ref[key]), key
-        for i in range(2):
-            for k in range(2):
-                assert np.array_equal(got["P_active"][i][k], ref["P_active"][i][k]), (i, k)
-
-    # Before the oracle built one array per index class, its tracemalloc peak
-    # at n = 6 on 128^2 was 39.1 grid arrays (held Christoffel lists, n - 2
-    # copies of each inactive-axis entry, a fresh array per accumulation
-    # step); it is 19.2 now. The bound keeps a margin of 15.
-    def test_peak_memory_in_grid_arrays(self):
-        ch = TorusChart(6, (128, 128))
-        phi = preset_phi(ch, "trig1", seed=7)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            oracle_curvature(ch, phi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - start) / phi.nbytes < 39 - 15
-
-
 class TestDerivativeReuse:
-    def test_oracle_differentiates_each_array_once(self, monkeypatch):
-        # Distinct in content, not only in identity: a fresh array with the
-        # bits of one already differentiated along that axis is a repeat
-        # (two such repeats, 13 calls, before the pure negations were shared).
-        for n in (4, 6):
-            seen, contents = [], set()
-
-            def spy(chart, f, axis):
-                assert not any(g is f and a == axis for g, a in seen)
-                seen.append((f, axis))  # holding f keeps its identity unique
-                contents.add((hashlib.sha256(f.tobytes()).hexdigest(), axis))
-                return d1(chart, f, axis)
-
-            monkeypatch.setattr(conformal, "d1", spy)
-            ch = TorusChart(n, (32, 32))
-            oracle_curvature(ch, preset_phi(ch, "trig1", seed=7))
-            assert len(seen) == len(contents) == 11
-
     def test_given_derivatives_are_the_ones_rebuilt(self):
         b = bundle(n=6, size=32)
         f = np.random.default_rng(12).standard_normal(b.chart.shape)
