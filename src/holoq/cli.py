@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -85,19 +86,6 @@ def _parse_n(text: str):
     return values
 
 
-def _parse_lambdas(text: str):
-    """Comma-separated exact rationals, e.g. '0,1/3,5,-2,7/2'."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise UsageError("empty lambda list")
-    for p in parts:
-        try:
-            Fraction(p)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"cannot parse lambda value {p!r}")
-    return parts
-
-
 def _load_config(args) -> RunConfig:
     base = RunConfig()
     if args.config:
@@ -113,7 +101,6 @@ def _load_config(args) -> RunConfig:
         "grid": args.grid,
         "preset": args.preset,
         "seed": args.seed,
-        "lambdas": _parse_lambdas(args.lambdas) if args.lambdas else None,
         "tol": args.tol,
         "out": args.out,
         "format": args.format,
@@ -137,6 +124,12 @@ def _load_config(args) -> RunConfig:
         raise UsageError(f"grid size must be an even integer >= 16, got {config.grid!r}")
     if config.instances < 1:
         raise UsageError(f"instances must be an integer >= 1, got {config.instances!r}")
+    if config.tol is not None and not (math.isfinite(config.tol) and config.tol > 0):
+        raise UsageError(f"tol must be a finite number > 0, got {config.tol!r}")
+    out_dir = os.path.dirname(config.out or "") or "."
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
+        raise UsageError(f"the directory {out_dir!r} of the report path {config.out!r} "
+                         f"is not a writable directory")
     if config.preset not in PRESETS:
         raise UsageError(f"unknown preset {config.preset!r}; choose from {sorted(PRESETS)}")
     if config.seed < 0 and _torus_dimensions(config):
@@ -210,7 +203,7 @@ def _run_suites(config: RunConfig, phi):
         elif name == "numeric":
             checks.extend(numeric_suite(
                 n_values=config.n or NUMERIC_N, size=config.grid, preset=config.preset,
-                seed=config.seed, lambdas=config.lambda_values(), tol=num_tol, phi=phi))
+                seed=config.seed, tol=num_tol, phi=phi))
         elif name == "critical-n4":
             checks.extend(critical_n4_suite(
                 size=config.grid, preset=config.preset, seed=config.seed,
@@ -302,8 +295,11 @@ def cmd_report(args) -> int:
     render = render_json if args.format == "json" else render_markdown
     text = render(checks, config, timestamp, quantities)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -318,7 +314,10 @@ def cmd_field(args) -> int:
         except ValueError as exc:
             raise UsageError(f"cannot export preset {args.preset!r} (--seed {args.seed}) "
                              f"on a {args.grid}-point grid at n={args.dim}: {exc}")
-        save_field(args.out, chart, phi)
+        try:
+            save_field(args.out, chart, phi)
+        except OSError as exc:
+            raise UsageError(f"cannot write field file {args.out}: {exc}")
         print(f"wrote {args.out} ({args.grid}x{args.grid}, n={args.dim})")
         return EXIT_PASS
     try:
@@ -346,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--grid", type=int, help="grid points per axis (default 64)")
     v.add_argument("--preset", help="conformal factor preset name")
     v.add_argument("--seed", type=int, help="seed for presets and random batches")
-    v.add_argument("--lambda", dest="lambdas",
-                   help="comma-separated rational spectral parameters")
     v.add_argument("--tol", type=float, help="override residual tolerance")
     v.add_argument("--out", help="report path base (default holoq-report)")
     v.add_argument("--format", choices=("json", "md", "both"),

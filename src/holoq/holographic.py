@@ -7,7 +7,8 @@ constants for the constant-curvature model. On a spectral chart the suites
 check the GJMS operators and Q-curvatures against the flat base; on the
 run's grid they check the master relations, the displayed identities and
 the degree/vanishing statements as polynomial identities in the spectral
-parameter, with field coefficients, and run the critical n = 4 suite.
+parameter, with field coefficients, each decided once, coefficientwise, for
+every value of it; and they run the critical n = 4 suite.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ from .grid import TorusChart, wavenumbers
 from .lambda_algebra import LAMBDA, LambdaPoly, binomial, pochhammer
 from .presets import preset_phi
 from .reports import CheckReport, attempt, exact_report, max_abs, tolerance_report
-
-DEFAULT_LAMBDAS = (Fraction(0), Fraction(1, 3), Fraction(5), Fraction(-2), Fraction(7, 2))
 
 # The numeric suite checks fourth-order families, which need n >= 4.
 MIN_NUMERIC_N = 4
@@ -153,44 +152,29 @@ def _cleared_sum(terms):
     return total, norms
 
 
-def _cleared_checks(check_id, equation, params, terms, lambdas, tol):
+def _cleared_check(check_id, equation, params, terms, tol):
     """Checks that the sum of (weight, (num, den)) terms vanishes for every lam.
 
     The terms are brought to the lcm of their denominators, and the cleared
-    numerator must vanish coefficientwise (check_id). It is also evaluated at
-    each lam as a spot check (check_id-l<lam>); being a polynomial, it has no
-    poles. The scale is the largest cleared term, bounded at lam by
-    sum_k |lam|^k |c_k| from its coefficient norms."""
+    numerator, a polynomial in lam, must vanish coefficientwise. The scale is
+    the largest coefficient norm of a cleared term."""
     t0 = time.perf_counter()
     total, norms = _cleared_sum(terms)
-    reports = [tolerance_report(check_id, equation, params, total.max_norm(), tol,
-                                max_abs([max_abs(ns) for ns in norms]),
-                                details={"coeff_norms": total.norms()},
-                                seconds=time.perf_counter() - t0)]
-    for lam in map(Fraction, lambdas):
-        t0 = time.perf_counter()
-        scale = max_abs([sum(c * abs(float(lam)) ** k for k, c in enumerate(ns))
-                         for ns in norms])
-        reports.append(tolerance_report(f"{check_id}-l{lam}", equation,
-                                        {**params, "lambda": lam},
-                                        max_abs(total.eval(lam)), tol, scale,
-                                        seconds=time.perf_counter() - t0))
-    return reports
+    return tolerance_report(check_id, equation, params, total.max_norm(), tol,
+                            max_abs([max_abs(ns) for ns in norms]),
+                            details={"coeff_norms": total.norms()},
+                            seconds=time.perf_counter() - t0)
 
 
-def master_check_numeric(b: CurvatureBundle, N: int, lambdas, tol: float = 1e-6):
+def master_check_numeric(b: CurvatureBundle, N: int, tol: float = 1e-6):
     """lam N S0 + (lam - n + 2N) S1 = 0, where S0, S1 are the plain and
     index-weighted sums of T*_{2j}(lam) applied to the complementary
-    expansion coefficients: coefficientwise, and at each of lambdas but
-    those where every weight is 0 (lam = 0 at n = 2N), a spot check that
-    could not fail."""
-    weights = master3_weights(b.n, N)
-    lambdas = [lam for lam in lambdas if any(w(Fraction(lam)) for w in weights)]
-    return _cleared_checks(f"master3-n{b.n}-N{N}", "master-3", {"n": b.n, "N": N},
-                           list(zip(weights, _t_star_pairs(b, N))), lambdas, tol)
+    expansion coefficients, decided coefficientwise."""
+    return [_cleared_check(f"master3-n{b.n}-N{N}", "master-3", {"n": b.n, "N": N},
+                           list(zip(master3_weights(b.n, N), _t_star_pairs(b, N))), tol)]
 
 
-def example_2_3_checks(b: CurvatureBundle, lambdas, tol: float = 1e-6):
+def example_2_3_checks(b: CurvatureBundle, tol: float = 1e-6):
     """The two displayed fourth-order identities with explicit right sides
     g(lam) / ((n - 2 - 2 lam)(n - 4 - 2 lam)), checked as in master_check_numeric."""
     n = b.n
@@ -198,11 +182,10 @@ def example_2_3_checks(b: CurvatureBundle, lambdas, tol: float = 1e-6):
          LambdaPoly((n - 2, -2)) * LambdaPoly((n - 4, -2)))
     t4, t2 = family_poly(b, 2, 0), family_poly(b, 1, 1)
     v4 = (FieldPoly([holo_coeffs(b, 2)]), LambdaPoly((1,)))
-    return (_cleared_checks(f"ex23-i-n{n}", "example-2.3-i", {"n": n},
-                            [(8, t4), (6, t2), (4, v4), (2 - Fraction(n, 2), g)], lambdas, tol)
-            + _cleared_checks(f"ex23-ii-n{n}", "example-2.3-ii", {"n": n},
-                              [(1, t4), (1, t2), (1, v4), ((LAMBDA - n + 4) / 8, g)],
-                              lambdas, tol))
+    return [_cleared_check(f"ex23-i-n{n}", "example-2.3-i", {"n": n},
+                           [(8, t4), (6, t2), (4, v4), (2 - Fraction(n, 2), g)], tol),
+            _cleared_check(f"ex23-ii-n{n}", "example-2.3-ii", {"n": n},
+                           [(1, t4), (1, t2), (1, v4), ((LAMBDA - n + 4) / 8, g)], tol)]
 
 
 def qres_and_v_polys(b: CurvatureBundle, N: int):
@@ -448,8 +431,7 @@ def _adjoint_reports(b: CurvatureBundle, seed: int):
     return reports
 
 
-def _dimension_reports(n: int, size: int, preset: str, seed: int, lambdas, tol: float,
-                       phi):
+def _dimension_reports(n: int, size: int, preset: str, seed: int, tol: float, phi):
     """numeric_suite's checks at one dimension: geometry on the spectral chart,
     then algebra on the run's grid. Each bundle and its family polynomials end
     with the call that built them, so the suite holds one metric at a time."""
@@ -468,9 +450,9 @@ def _dimension_reports(n: int, size: int, preset: str, seed: int, lambdas, tol: 
                                     seconds=time.perf_counter() - t0))
 
     for N in (1, 2):
-        reports.extend(master_check_numeric(b, N, lambdas, tol=tol))
+        reports.extend(master_check_numeric(b, N, tol=tol))
         reports.extend(poly_checks(b, N, tol=tol))
-    reports.extend(example_2_3_checks(b, lambdas, tol=tol))
+    reports.extend(example_2_3_checks(b, tol=tol))
     return reports
 
 
@@ -573,7 +555,7 @@ def _all_dimension_reports(n_values, args, workers):
 
 
 def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
-                  seed: int = 7, lambdas=DEFAULT_LAMBDAS, tol: float = 1e-6, phi=None):
+                  seed: int = 7, tol: float = 1e-6, phi=None):
     """Criterion checks for torus metrics: GJMS operators and Q-curvatures
     against the flat base on the spectral chart, and on the run's grid
     adjoints, Q-curvature duality, master relations, displayed identities,
@@ -592,7 +574,7 @@ def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
     if (size * size >= MIN_CONCURRENT_CELLS
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         workers = min(len(n_values), len(os.sched_getaffinity(0)))
-    return _all_dimension_reports(n_values, (size, preset, seed, lambdas, tol, phi), workers)
+    return _all_dimension_reports(n_values, (size, preset, seed, tol, phi), workers)
 
 
 def critical_n4_suite(size: int = 64, preset: str = "trig1", seed: int = 7,

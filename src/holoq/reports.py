@@ -73,7 +73,6 @@ _CONFIG_TYPES = {
     "grid": (_is_int, "an integer"),
     "preset": (_of(str), "a string"),
     "seed": (_is_int, "an integer"),
-    "lambdas": (_list_of(_is_rational), "a list of exact rationals as strings"),
     "tol": (_or_null(_is_number), "null or a number"),
     "out": (_or_null(_of(str)), "null or a string"),
     "format": (_of(str), "a string"),
@@ -253,7 +252,6 @@ class RunConfig:
     grid: int = 64
     preset: str = "trig1"
     seed: int = 7
-    lambdas: list = field(default_factory=lambda: ["0", "1/3", "5", "-2", "7/2"])
     tol: float | None = None
     out: str | None = None
     format: str = "both"
@@ -275,9 +273,6 @@ class RunConfig:
             if v is not None:
                 d[k] = v
         return RunConfig.from_dict(d)
-
-    def lambda_values(self):
-        return [Fraction(s) for s in self.lambdas]
 
 
 def render_json(checks, config: RunConfig | None, timestamp: str,

@@ -64,8 +64,8 @@ def test_criterion_3_numeric_geometry():
     flat base at rounding-level bounds; on the 64-point grid, adjoint
     pairings at 1e-8, the two Q4 routes at 1e-6, the master relation for
     N = 1, 2 and the two displayed fourth-order identities at 1e-6, each
-    coefficientwise in the spectral parameter and at the five standard
-    samples, and the residue and volume polynomials."""
+    coefficientwise in the spectral parameter, and the residue and volume
+    polynomials."""
     t0 = time.perf_counter()
     reports = numeric_suite(n_values=(4, 6), size=64, preset="trig1", seed=7,
                             tol=1e-6)
@@ -75,10 +75,9 @@ def test_criterion_3_numeric_geometry():
     assert _count(reports, "q-flat") == 5
     assert _count(reports, "adjoint-") == 4
     assert _count(reports, "q4-dual") == 2
-    # 6 per (n, N) (coefficientwise and 5 spot checks), less lam = 0 at
-    # n = 2N = 4, where every master-3 weight is 0
-    assert _count(reports, "master3-") == 23
-    assert _count(reports, "ex23-") == 24
+    # one per (n, N) and one per identity and n, each coefficientwise
+    assert _count(reports, "master3-") == 4
+    assert _count(reports, "ex23-") == 4
     assert _count(reports, "qres-den") == 4
     assert _count(reports, "master1-") == 4
     for r in reports:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from holoq import cli, families, holographic
-from holoq.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, UsageError, _parse_lambdas, _parse_n, main
+from holoq.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, _parse_n, main
 from holoq.conformal import CurvatureBundle
 from holoq.families import PoleError
 from holoq.grid import TorusChart, load_field, save_field
@@ -47,13 +47,6 @@ class TestParsing:
         assert "dimension" in capsys.readouterr().err
         assert not list(tmp_path.glob("r.*"))
 
-    def test_lambdas(self):
-        assert _parse_lambdas("0, 1/3,-2") == ["0", "1/3", "-2"]
-
-    def test_lambdas_reject(self):
-        with pytest.raises(UsageError):
-            _parse_lambdas("3/0")
-
 
 class TestRunConfig:
     def test_round_trip_defaults(self):
@@ -61,8 +54,7 @@ class TestRunConfig:
         assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_round_trip_customized(self):
-        cfg = RunConfig(suites=["numeric"], n=[4], grid=32, tol=1e-4,
-                        lambdas=["2", "3"], einstein_j="1/2")
+        cfg = RunConfig(suites=["numeric"], n=[4], grid=32, tol=1e-4, einstein_j="1/2")
         assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_unknown_key_rejected(self):
@@ -165,18 +157,67 @@ class TestExitCodes:
         lambda tmp: ["--grid", "64", "--phi-file", _exported(tmp / "phi.hqf", 4, 32)],
     ], ids=["preset", "seed", "grid", "n", "Nmax", "config-field", "phi-file-grid"])
     def test_usage_found_before_any_suite(self, argv, tmp_path, monkeypatch):
-        def suite(*args, **kwargs):
-            raise AssertionError("a suite ran")
-        for name in ("sphere_suite", "hypergeom_suite", "numeric_suite", "critical_n4_suite",
-                     "conformal_suite", "einstein_checks"):
-            monkeypatch.setattr(cli, name, suite)
+        _forbid_suites(monkeypatch)
         assert run(["verify", *argv(tmp_path), "--out", str(tmp_path / "r")]) == EXIT_USAGE
+        assert not list(tmp_path.glob("r.*"))
+
+    # A tolerance that is not finite and > 0 decides nothing, or fails
+    # everything; from the flag or a config file it is a bad configuration.
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_usage_bad_tol(self, tol, source, tmp_path, monkeypatch, capsys):
+        _forbid_suites(monkeypatch)
+        if source == "flag":
+            argv = ["--tol", tol]
+        else:
+            argv = ["--config", _written(tmp_path / "cfg.json", json.dumps({"tol": float(tol)}))]
+        assert run(["verify", "numeric", "--n", "4", "--grid", "16", *argv,
+                    "--out", str(tmp_path / "r")]) == EXIT_USAGE
+        assert "tol must be a finite number > 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_usage_missing_out_directory(self, source, tmp_path, monkeypatch, capsys):
+        _forbid_suites(monkeypatch)
+        out = str(tmp_path / "missing" / "r")
+        if source == "flag":
+            argv = ["--out", out]
+        else:
+            argv = ["--config", _written(tmp_path / "cfg.json", json.dumps({"out": out}))]
+        assert run(["verify", "hypergeom", "--instances", "2", *argv]) == EXIT_USAGE
+        assert "is not a writable directory" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    def test_lambdas_are_unknown(self, tmp_path, monkeypatch, capsys):
+        # the spectral parameter is decided coefficientwise: no option or
+        # key selects sample points, and neither is read as one
+        _forbid_suites(monkeypatch)
+        out = str(tmp_path / "r")
+        with pytest.raises(SystemExit) as err:
+            run(["verify", "numeric", "--lambda", "1", "--out", out])
+        assert err.value.code == EXIT_USAGE
+        cfg = _written(tmp_path / "cfg.json", json.dumps({"lambdas": ["1"]}))
+        assert run(["verify", "numeric", "--config", cfg, "--out", out]) == EXIT_USAGE
+        assert "unknown config keys: ['lambdas']" in capsys.readouterr().err
+        stored = _written(tmp_path / "run.json", json.dumps(
+            {"meta": {"timestamp": ""}, "config": {"lambdas": ["1"]}, "checks": []}))
+        assert run(["report", "--from", stored, "--out", out + ".md"]) == EXIT_USAGE
+        assert "unknown config keys: ['lambdas']" in capsys.readouterr().err
         assert not list(tmp_path.glob("r.*"))
 
     def test_negative_seed_without_a_torus_suite(self, tmp_path):
         # only the numpy generators of the torus suites need a seed >= 0
         assert run(["verify", "hypergeom", "--seed", "-1", "--instances", "2",
                     "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
+
+
+def _forbid_suites(monkeypatch):
+    """Make every suite function imported into cli raise if it is called."""
+    def suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+    for name in ("sphere_suite", "hypergeom_suite", "numeric_suite", "critical_n4_suite",
+                 "conformal_suite", "einstein_checks"):
+        monkeypatch.setattr(cli, name, suite)
 
 
 def _written(path, text):
@@ -236,9 +277,9 @@ class TestDeterminism:
     # change to a check id, equation, parameter, detail or verdict moves them.
     @pytest.mark.parametrize("argv,digest", [
         (["verify", "sphere", "--n", "3..8", "--Nmax", "4"],
-         "123d374679ab94b4fcb72fbf918a32d12d7d46201952cc5837a80bffb04afbfd"),
+         "ce38124408ca2a00c59cdb208ec08ea7f50924b19d0a2dbeba4a2ba8a90dcf2f"),
         (["verify", "hypergeom", "--instances", "20", "--seed", "3"],
-         "8da992287f0cbfaaf0227aed09307985c799cfa335f2aabe005ef7ae7d223705"),
+         "096e4dbfeb75fc175ba1f883f38b899760ef07b80a6ebe96c1770555bba0594e"),
     ], ids=["sphere", "hypergeom"])
     def test_canonical_json_digest(self, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)
@@ -280,9 +321,7 @@ class TestConfigFile:
         ("tol", {"suites": ["critical-n4"], "tol": "x"}),
         ("seed", {"suites": ["sphere"], "n": [3], "seed": "7"}),
         ("suites", {"suites": "sphere", "n": [3]}),
-        ("lambdas", {"suites": ["numeric"], "n": [4], "grid": 16, "lambdas": ["1/0"]}),
-    ], ids=["n-sphere", "seed-hypergeom", "tol-critical", "seed-sphere", "suites-string",
-            "lambda-unparsable"])
+    ], ids=["n-sphere", "seed-hypergeom", "tol-critical", "seed-sphere", "suites-string"])
     def test_field_of_wrong_type(self, tmp_path, capsys, field, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -334,6 +373,11 @@ class TestReportCommand:
     def test_missing_source(self):
         assert run(["report", "--from", "/nonexistent.json"]) == EXIT_USAGE
 
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.md"
+        assert run(["report", "--out", str(out)]) == EXIT_USAGE
+        assert f"cannot write {out}" in capsys.readouterr().err
+
     def test_repeated_id_rejected(self, tmp_path, capsys):
         source = tmp_path / "run.json"
         source.write_text(json.dumps({"meta": {"timestamp": ""}, "config": None,
@@ -360,6 +404,11 @@ class TestFieldCommand:
         assert run(["field", "export", *bad, "--out", str(path)]) == EXIT_USAGE
         assert "cannot export preset" in capsys.readouterr().err
         assert not path.exists()
+
+    def test_export_out_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "phi.hqf"
+        assert run(["field", "export", "--out", str(path)]) == EXIT_USAGE
+        assert f"cannot write field file {path}" in capsys.readouterr().err
 
     def test_info_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"

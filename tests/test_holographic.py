@@ -26,7 +26,6 @@ from holoq.families import (
 )
 from holoq.grid import TorusChart
 from holoq.holographic import (
-    DEFAULT_LAMBDAS,
     EinsteinModel,
     conformal_covariance_q4,
     constant_q,
@@ -189,8 +188,9 @@ def reference_t4_star(model, mu, c):
 # The (j, k) pairs of T*_{2j}(v_{2k}) that the numeric suite evaluates.
 SUITE_PAIRS = ((1, 0), (1, 1), (2, 0))
 
-# Evaluation points besides DEFAULT_LAMBDAS: the poles at n = 4 (0, 1) and
-# n = 6 (1, 2), and points either side of them.
+# Evaluation points of lam: SAMPLES spread over the rationals, EXTRA_POINTS
+# the poles at n = 4 (0, 1) and n = 6 (1, 2) and points either side of them.
+SAMPLES = tuple(Fraction(x) for x in ("0", "1/3", "5", "-2", "7/2"))
 EXTRA_POINTS = tuple(Fraction(x) for x in (-3, -1, 1, 2, 3, 4, 6))
 
 
@@ -205,7 +205,7 @@ class TestFamilyPolys:
     @pytest.mark.parametrize("n", [4, 6])
     def test_cached_pair_matches_apply_at_bitwise(self, n):
         b = bundle(n=n, size=32)
-        points = set(DEFAULT_LAMBDAS) | set(EXTRA_POINTS)
+        points = set(SAMPLES) | set(EXTRA_POINTS)
         for j, k in SUITE_PAIRS:
             op = build_T(n, j).adjoint()
             pair = family_poly(b, j, k)
@@ -267,53 +267,62 @@ def _all_pass(reports):
         assert rep.passed, (rep.id, rep.residual, rep.tol)
 
 
+def _master3_numerator(b, N):
+    terms = list(zip(master3_weights(b.n, N), holographic._t_star_pairs(b, N)))
+    return holographic._cleared_sum(terms)[0]
+
+
+def _bounded_at(rep, total, lams):
+    """A passing coefficientwise check bounds its cleared numerator at every
+    lam: each coefficient is at most rep.tol, so the value at lam is at most
+    rep.tol * sum_k |lam|^k."""
+    assert rep.passed, (rep.id, rep.residual, rep.tol)
+    for lam in lams:
+        bound = rep.tol * sum(abs(float(lam)) ** k for k in range(len(total.coeffs)))
+        assert max_abs(total.eval(lam)) <= bound, (rep.id, lam)
+
+
 class TestMasterRelation:
     def test_flat_exact_zero(self):
-        reports = master_check_numeric(flat_bundle(n=5), 1, [Fraction(1, 3)])
-        assert [r.id for r in reports] == ["master3-n5-N1", "master3-n5-N1-l1/3"]
+        reports = master_check_numeric(flat_bundle(n=5), 1)
+        assert [r.id for r in reports] == ["master3-n5-N1"]
         assert all(r.passed and r.residual == 0.0 for r in reports)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_first_order(self, n):
-        _all_pass(master_check_numeric(bundle(n=n), 1, [Fraction(1, 3)]))
+        _all_pass(master_check_numeric(bundle(n=n), 1))
 
     @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 3), Fraction(5)])
     def test_second_order_n4(self, lam):
-        _all_pass(master_check_numeric(bundle(n=4), 2, [lam]))
-
-    @pytest.mark.parametrize("n,N,kept", [(4, 2, False), (6, 3, False), (6, 2, True),
-                                          (5, 2, True)])
-    def test_no_spot_check_where_every_weight_vanishes(self, n, N, kept):
-        # at n = 2N every weight (N + j) lam - j (n - 2N) is 0 at lam = 0
-        ids = [r.id for r in master_check_numeric(flat_bundle(n=n), N, [Fraction(0), 1])]
-        assert ids[0] == f"master3-n{n}-N{N}" and ids[-1] == f"master3-n{n}-N{N}-l1"
-        assert (f"master3-n{n}-N{N}-l0" in ids) == kept
+        b = bundle(n=4)
+        (rep,) = master_check_numeric(b, 2)
+        _bounded_at(rep, _master3_numerator(b, 2), [lam])
 
     def test_second_order_n6(self):
         # 2 and 1 are the poles of T*_4 at n = 6: the cleared polynomial has none.
-        reports = master_check_numeric(bundle(n=6), 2, [Fraction(7, 2), Fraction(2), Fraction(1)])
-        assert len(reports) == 4
-        _all_pass(reports)
+        b = bundle(n=6)
+        (rep,) = master_check_numeric(b, 2)
+        _bounded_at(rep, _master3_numerator(b, 2), [Fraction(7, 2), Fraction(2), Fraction(1)])
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_displayed_identities(self, n):
-        # n/2 - 1 and n/2 - 2 are the poles of the right-hand sides.
-        lambdas = [Fraction(5), Fraction(n, 2) - 1, Fraction(n, 2) - 2]
-        reports = example_2_3_checks(bundle(n=n), lambdas)
-        assert len(reports) == 8
+        # the right sides have poles at n/2 - 1 and n/2 - 2; the cleared
+        # numerators, decided coefficientwise, have none
+        reports = example_2_3_checks(bundle(n=n))
+        assert [r.id for r in reports] == [f"ex23-i-n{n}", f"ex23-ii-n{n}"]
         _all_pass(reports)
 
 
 def _perturbed_bundle(n=4, size=32, eps=1e-3):
     """A bundle whose cached T*_4(lam)(1) is off by eps * bump * prod(lam - l)
-    over DEFAULT_LAMBDAS, with the one-cell bump away from the point where
-    |Q4| peaks. Every sampled value and that grid point are left untouched."""
+    over SAMPLES, with the one-cell bump away from the point where |Q4|
+    peaks. Its values at SAMPLES and at that grid point are left untouched."""
     b = bundle(n=n, size=size)
     peak = np.unravel_index(int(np.argmax(np.abs(q4_direct(b)))), b.chart.shape)
     bump = np.zeros(b.chart.shape)
     bump[(peak[0] + size // 2) % size, (peak[1] + size // 2) % size] = eps
     vanishing = LAMBDA ** 0
-    for lam in DEFAULT_LAMBDAS:
+    for lam in SAMPLES:
         vanishing = vanishing * (LAMBDA - lam)
     num, den = family_poly(b, 2, 0)
     perturbed = FieldPoly([c.copy() for c in num.coeffs])
@@ -325,13 +334,10 @@ def _perturbed_bundle(n=4, size=32, eps=1e-3):
 class TestCoefficientwise:
     def test_perturbation_between_samples_detected(self):
         b = _perturbed_bundle()
-        reports = (master_check_numeric(b, 2, DEFAULT_LAMBDAS)
-                   + example_2_3_checks(b, DEFAULT_LAMBDAS) + poly_checks(b, 2))
+        reports = master_check_numeric(b, 2) + example_2_3_checks(b) + poly_checks(b, 2)
         failed = {r.id for r in reports if not r.passed}
         assert {"master3-n4-N2", "ex23-i-n4", "ex23-ii-n4", "vdeg-n4-N2", "vcrit-n4-N2",
                 "master1-n4-N2"} <= failed
-        # the spot checks at the samples do not see it
-        assert not any("-l" in check_id for check_id in failed)
 
     def test_perturbation_fails_critical_suite(self):
         # the perturbation is O(lam^2) at n = 4, so only the second Qres
@@ -390,18 +396,12 @@ def reference_cleared_sum(terms):
     return _summed(parts), [p.norms() for p in parts]
 
 
-def reference_cleared_checks(check_id, equation, params, terms, lambdas, tol):
-    """_cleared_checks from reference_cleared_sum."""
+def reference_cleared_check(check_id, equation, params, terms, tol):
+    """_cleared_check from reference_cleared_sum."""
     total, norms = reference_cleared_sum(terms)
-    reports = [holographic.tolerance_report(
+    return holographic.tolerance_report(
         check_id, equation, params, total.max_norm(), tol,
-        max(max(ns, default=0.0) for ns in norms), details={"coeff_norms": total.norms()})]
-    for lam in map(Fraction, lambdas):
-        scale = max(sum(c * abs(float(lam)) ** k for k, c in enumerate(ns)) for ns in norms)
-        reports.append(holographic.tolerance_report(
-            f"{check_id}-l{lam}", equation, {**params, "lambda": lam},
-            np.max(np.abs(total.eval(lam))), tol, scale))
-    return reports
+        max(max(ns, default=0.0) for ns in norms), details={"coeff_norms": total.norms()})
 
 
 def reference_qres_and_v_polys(b, N):
@@ -441,11 +441,11 @@ class TestStreamedSums:
             want = reference_qres_and_v_polys(b, N)
             assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), N
             assert got[2] == want[2], N
-        checks = [lambda N=N: master_check_numeric(b, N, DEFAULT_LAMBDAS) for N in (1, 2, 3)]
-        checks += [lambda: example_2_3_checks(b, DEFAULT_LAMBDAS)]
+        checks = [lambda N=N: master_check_numeric(b, N) for N in (1, 2, 3)]
+        checks += [lambda: example_2_3_checks(b)]
         checks += [lambda N=N: poly_checks(b, N) for N in (1, 2, 3)]
         streamed = [_verdicts(check()) for check in checks]
-        monkeypatch.setattr(holographic, "_cleared_checks", reference_cleared_checks)
+        monkeypatch.setattr(holographic, "_cleared_check", reference_cleared_check)
         monkeypatch.setattr(holographic, "qres_and_v_polys", reference_qres_and_v_polys)
         assert streamed == [_verdicts(check()) for check in checks]
 
@@ -469,9 +469,9 @@ class TestStreamedSums:
         fields = {name: np.copy(value) for name, value in vars(b).items()
                   if isinstance(value, np.ndarray)}
         for N in (1, 2, 3):
-            master_check_numeric(b, N, DEFAULT_LAMBDAS)
+            master_check_numeric(b, N)
             poly_checks(b, N)
-        example_2_3_checks(b, DEFAULT_LAMBDAS)
+        example_2_3_checks(b)
         assert set(b.family_polys) == set(cached)
         for key, (num, _) in b.family_polys.items():
             assert len(num.coeffs) == len(cached[key]), key
@@ -499,8 +499,7 @@ class TestNonFinite:
     def test_cleared_check_reads_nan_coefficient(self):
         num = FieldPoly([np.zeros((8, 8)), np.zeros((8, 8))])
         num.coeffs[1][3, 5] = np.nan
-        whole = holographic._cleared_checks("c", "eq", {}, [(1, (num, LambdaPoly((1,))))],
-                                            [], 1e-6)[0]
+        whole = holographic._cleared_check("c", "eq", {}, [(1, (num, LambdaPoly((1,))))], 1e-6)
         assert not whole.passed and np.isnan(whole.residual)
 
     def test_poly_checks_read_nan_coefficient(self):
@@ -528,7 +527,7 @@ class TestSixthOrder:
         residuals = {}
         for size in (64, 128):
             b = bundle(n=n, size=size, preset="trig2")
-            reports = master_check_numeric(b, 3, DEFAULT_LAMBDAS) + poly_checks(b, 3)
+            reports = master_check_numeric(b, 3) + poly_checks(b, 3)
             _all_pass(reports)
             for rep in reports:
                 if rep.residual is not None:
@@ -783,7 +782,7 @@ class TestConcurrentDimensions:
 
         monkeypatch.setattr(os, "fork", fork)
         _cpus(monkeypatch, cpus)
-        assert len(numeric_suite((4, 6), size=size)) == 82
+        assert len(numeric_suite((4, 6), size=size)) == 43
 
     def test_pole_in_a_child_reaches_the_caller(self, monkeypatch, time_limit):
         def fail(n):

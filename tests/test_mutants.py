@@ -135,10 +135,6 @@ def test_holographic_prefactor_off_by_a_thousandth(monkeypatch):
                                | _sphere_ids("sphere-holoQ"))
 
 
-def _ex23(form, n):
-    return {f"ex23-{form}-n{n}{lam}" for lam in ("", "-l-2", "-l0", "-l1/3", "-l5", "-l7/2")}
-
-
 def _scaled(name):
     return lambda b: setattr(b, name, getattr(b, name) * 1.001)
 
@@ -154,9 +150,8 @@ P_FAILS = {"conformal-covariance-q4", "gjms-flat-n4-N2", "gjms-flat-n6-N2", "gjm
 
 
 @pytest.mark.parametrize("scale,expected", [
-    (_scaled("J"), FLAT | _ex23("i", 6) | _ex23("ii", 6) | (_ex23("ii", 4) - {"ex23-ii-n4-l0"})
-     | {"conformal-covariance-q4", "crit-a", "crit-c", "crit-d", "crit-e", "q4-dual-n4",
-        "q4-dual-n6"}),
+    (_scaled("J"), FLAT | {"ex23-i-n6", "ex23-ii-n6", "ex23-ii-n4", "conformal-covariance-q4",
+                           "crit-a", "crit-c", "crit-d", "crit-e", "q4-dual-n4", "q4-dual-n6"}),
     (_scaled_p(0, 0), P_FAILS),
     (_scaled_p(0, 1), P_FAILS),
     (_scaled_p(1, 1), P_FAILS),
@@ -229,6 +224,16 @@ def test_sphere_3f2_off_by_a_thousandth(monkeypatch):
     monkeypatch.setattr(sphere, "hyper_terminating",
                         lambda spec: original(spec) * MUTANT_FACTOR)
     assert claimred and failed_checks() == claimred
+
+
+def test_qres_v_shift_factor_off_by_one(monkeypatch):
+    # the Qres/V prefactor (lam + n/2 - 2N + 1)_N becomes (lam + n/2 - 2N + 2)_N;
+    # at n = 2N, V vanishes identically and its degree check still holds
+    shifted = _sphere_ids("sphere-master1", "sphere-qres0", "sphere-vdeg")
+    critical = {f"sphere-vdeg[n={2 * N},N={N}]" for N in (2, 3, 4)}
+    monkeypatch.setattr(sphere, "_shift_factor", lambda ctx, N: lambda_algebra.pochhammer(
+        lambda_algebra.LAMBDA + ctx.f - 2 * N + 2, N))
+    assert critical <= shifted and failed_checks() == shifted - critical
 
 
 def test_claim_red_rhs_off_by_a_thousandth(monkeypatch):
