@@ -17,6 +17,8 @@ Layers, bottom up:
                   the critical n=4 suite, conformal covariance
   reports, cli    check verdicts, run configuration, deterministic
                   JSON/markdown output, command line
+  workers         independent tasks (suites, torus dimensions) run on the
+                  usable CPUs in forked processes
 """
 
 __version__ = "0.1.0"

@@ -11,8 +11,10 @@ Subcommands:
 Exit codes: 0 every check passed, 1 at least one check failed, 2 usage or
 configuration error. A failing run still writes its reports.
 
-Suites run one after another; from a 128-point grid on, the numeric suite
-runs its dimensions concurrently on the usable CPUs. Reports are sorted by
+The selected suites, the numeric suite as one task per dimension, run
+concurrently on the usable CPUs through one fork helper (holoq.workers) when
+an exact suite (sphere, hypergeom) is among them or the grid has at least
+128^2 points; otherwise they run one after another. Reports are sorted by
 check id, so reruns with the same configuration and seed produce
 byte-identical JSON, whatever the number of CPUs, apart from the timestamp.
 """
@@ -27,9 +29,11 @@ import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import partial
 
 from .grid import TorusChart, load_field, save_field
 from .holographic import (
+    MIN_CONCURRENT_CELLS,
     MIN_NUMERIC_N,
     SPECTRAL_GRID,
     conformal_suite,
@@ -49,6 +53,7 @@ from .reports import (
     render_markdown,
 )
 from .sphere import MAX_RADIAL_ORDER, sphere_suite
+from .workers import run_tasks, usable_cpus
 
 SUITES = ("sphere", "hypergeom", "numeric", "critical-n4", "conformal")
 # Dimensions of the numeric suite when --n is not given.
@@ -189,29 +194,46 @@ def _load_phi(config: RunConfig):
     return phi, [note]
 
 
-def _run_suites(config: RunConfig, phi):
-    # SUITES order, so a check that suites share is decided by the first one
+def _suite_tasks(config: RunConfig, phi):
+    """(label, task) pairs of the selected suites in SUITES order, the numeric
+    suite one task per dimension. A check that suites share is decided by the
+    first of them, and the later ones learn its id from the selection."""
     names = _selected(config)
     num_tol = config.tol if config.tol is not None else 1e-6
     crit_tol = config.tol if config.tol is not None else 1e-5
-    checks = []
+    torus = {"size": config.grid, "preset": config.preset, "seed": config.seed, "phi": phi}
+    numeric_n = (config.n or NUMERIC_N) if "numeric" in names else ()
+    tasks = []
     for name in names:
         if name == "sphere":
-            checks.extend(sphere_suite(config.n or range(3, 13), nmax=config.nmax))
+            tasks.append((name, partial(sphere_suite, config.n or range(3, 13),
+                                        nmax=config.nmax)))
         elif name == "hypergeom":
-            checks.extend(hypergeom_suite(instances=config.instances, seed=config.seed))
+            tasks.append((name, partial(hypergeom_suite, instances=config.instances,
+                                        seed=config.seed)))
         elif name == "numeric":
-            checks.extend(numeric_suite(
-                n_values=config.n or NUMERIC_N, size=config.grid, preset=config.preset,
-                seed=config.seed, tol=num_tol, phi=phi))
+            tasks.extend((f"numeric n = [{n}]", partial(numeric_suite, (n,), tol=num_tol, **torus))
+                         for n in numeric_n)
         elif name == "critical-n4":
-            checks.extend(critical_n4_suite(
-                size=config.grid, preset=config.preset, seed=config.seed,
-                tol=crit_tol, phi=phi, reported={c.id for c in checks}))
+            reported = {"qres-den-n4-N2"} if 4 in numeric_n else set()
+            tasks.append((name, partial(critical_n4_suite, tol=crit_tol, reported=reported,
+                                        **torus)))
         elif name == "conformal":
-            checks.extend(conformal_suite(
-                size=config.grid, preset=config.preset, seed=config.seed,
-                tol=crit_tol, phi=phi, reported={c.id for c in checks}))
+            reported = {"conformal-covariance-q4"} if "critical-n4" in names else set()
+            tasks.append((name, partial(conformal_suite, tol=crit_tol, reported=reported,
+                                        **torus)))
+    return tasks
+
+
+def _run_suites(config: RunConfig, phi):
+    """The checks of every selected suite, in SUITES order. A worker costs a
+    cold process about 25 ms and each exact suite at least 90 ms, so the
+    suites share the usable CPUs when an exact suite runs or the grid is at
+    least MIN_CONCURRENT_CELLS; the checks are those of running them in turn."""
+    concurrent = (config.grid ** 2 >= MIN_CONCURRENT_CELLS
+                  or {"sphere", "hypergeom"} & set(_selected(config)))
+    results = run_tasks(_suite_tasks(config, phi), usable_cpus() if concurrent else 1)
+    checks = [c for suite_checks in results for c in suite_checks]
     if config.einstein_j is not None:
         J = Fraction(config.einstein_j)
         for n in config.n or (4, 6, 8):
@@ -337,7 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run verification suites")
-    v.add_argument("suite", nargs="?", choices=SUITES + ("all",),
+    # No choices here: argparse would check them while parsing, and a stray
+    # option's value that fills this slot would hide the unrecognized option.
+    # main checks the name once parsing is done.
+    v.add_argument("suite", nargs="?", metavar="{" + ",".join(SUITES + ("all",)) + "}",
                    help="suite to run (default: from config file, else all)")
     v.add_argument("--config", help="JSON config file; flags override its values")
     v.add_argument("--n", help="dimensions: '4', '4,6' or '3..12'")
@@ -401,6 +426,9 @@ def main(argv=None) -> int:
     _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "suite", None) not in (None, "all", *SUITES):
+        parser.error(f"argument suite: invalid choice: {args.suite!r} "
+                     f"(choose from {', '.join(SUITES + ('all',))})")
     try:
         return args.func(args)
     except UsageError as exc:

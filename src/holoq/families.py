@@ -66,16 +66,26 @@ class FieldPoly:
         return self
 
     def mul_poly(self, p: LambdaPoly):
+        """The product with p. Each output coefficient starts from its first
+        term and takes the later ones in place, in ascending order of p's
+        coefficients, through one scratch buffer; a coefficient no term
+        reaches is zero."""
         if not self.coeffs:
             return FieldPoly()
-        out = [np.zeros_like(self.coeffs[0]) for _ in range(len(self.coeffs) + p.degree)]
+        out = [None] * (len(self.coeffs) + p.degree)
+        scratch = None
         for k, pk in enumerate(p.coeffs):
             fk = float(pk)
             if fk == 0.0:
                 continue
             for i, arr in enumerate(self.coeffs):
-                out[i + k] = out[i + k] + fk * arr
-        return FieldPoly(out)
+                if out[i + k] is None:
+                    out[i + k] = fk * arr
+                else:
+                    if scratch is None:
+                        scratch = np.empty_like(arr)
+                    out[i + k] += np.multiply(fk, arr, out=scratch)
+        return FieldPoly([np.zeros_like(self.coeffs[0]) if c is None else c for c in out])
 
     def eval(self, lam):
         lam = float(lam)

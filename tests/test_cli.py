@@ -20,6 +20,7 @@ from holoq.conformal import CurvatureBundle
 from holoq.families import PoleError
 from holoq.grid import TorusChart, load_field, save_field
 from holoq.reports import RunConfig
+from test_holographic import _assert_no_children, _cpus, time_limit  # noqa: F401  (a fixture)
 
 
 def run(argv):
@@ -87,6 +88,19 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             run(["verify", "bogus"])
         assert err.value.code == 2
+
+    # A stray option's value would fill the optional suite positional; the
+    # message must still name the option, not an invalid suite choice.
+    @pytest.mark.parametrize("argv", [["--bogus", "3"], ["--lambda", "0,1"]],
+                             ids=["bogus", "lambda"])
+    def test_usage_unknown_option_is_named(self, argv, monkeypatch, capsys):
+        _forbid_suites(monkeypatch)
+        with pytest.raises(SystemExit) as err:
+            run(["verify", *argv])
+        assert err.value.code == EXIT_USAGE
+        stderr = capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[0]}" in stderr
+        assert "invalid choice" not in stderr
 
     @pytest.mark.parametrize("nmax", ["0", "-1", "9"])
     def test_usage_bad_nmax(self, nmax, tmp_path, capsys):
@@ -540,6 +554,25 @@ class TestSharedChecks:
                     "--format", "json"]) == EXIT_PASS
         assert set(_check_ids(tmp_path / "r.json")) == expected
 
+    @pytest.mark.parametrize("suites,n", [
+        (list(combo), None) for r in (1, 2, 3) for combo in itertools.combinations(TORUS_SUITES, r)
+        if {"critical-n4", "conformal"} & set(combo)
+    ] + [(["numeric", "critical-n4"], "6"), (["numeric", "critical-n4", "conformal"], "6")],
+        ids=lambda v: "+".join(v) if isinstance(v, list) else f"n{v or '-default'}")
+    def test_ids_as_in_suite_order(self, tmp_path, suites, n):
+        # A shared check's id is known from the selection: the ids are those of
+        # the suites run alone, in SUITES order, each kept where it first appears.
+        argv = ["--grid", "32", "--out", str(tmp_path / "r"), "--format", "json"]
+        argv += ["--n", n] if n else []
+        cfg = _written(tmp_path / "cfg.json", json.dumps({"suites": suites}))
+        assert run(["verify", "--config", cfg, *argv]) == EXIT_PASS
+        ids = _check_ids(tmp_path / "r.json")
+        serial = []
+        for suite in suites:
+            assert run(["verify", suite, *argv]) == EXIT_PASS
+            serial += [i for i in _check_ids(tmp_path / "r.json") if i not in serial]
+        assert sorted(ids) == sorted(serial)
+
     def test_each_metric_built_once_per_suite(self, tmp_path, monkeypatch):
         built, current = [], [None]
         post_init = CurvatureBundle.__post_init__
@@ -559,6 +592,51 @@ class TestSharedChecks:
         assert run(["verify", "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
         assert len(built) <= 10
         assert len(set(built)) == len(built)
+
+
+def _count_forks(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+class TestConcurrentSuites:
+    """The suites of one run share the usable CPUs through forked workers."""
+
+    def test_same_report_as_one_cpu(self, tmp_path, monkeypatch, time_limit):
+        # JSON floats are written by repr, so equal text means equal residual bits
+        forks = _count_forks(monkeypatch)
+        texts = []
+        for cpus in (2, 1):
+            _cpus(monkeypatch, cpus)
+            assert run(["verify", "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
+            _assert_no_children()
+            texts.append(strip_timestamp((tmp_path / "r.json").read_text()))
+        assert forks == [1]
+        assert texts[0] == texts[1]
+
+    def test_error_in_a_child_suite_reaches_the_caller(self, tmp_path, monkeypatch, time_limit):
+        # sphere runs here and hypergeom, the second task, in the child
+        def broken(**kwargs):
+            raise ValueError("hypergeom failed")
+
+        monkeypatch.setattr(cli, "hypergeom_suite", broken)
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        cfg = _written(tmp_path / "cfg.json", json.dumps({"suites": ["sphere", "hypergeom"]}))
+        with pytest.raises(ValueError, match="hypergeom failed"):
+            run(["verify", "--config", cfg, "--n", "3", "--out", str(tmp_path / "r")])
+        assert forks == [1]
+        _assert_no_children()
+
+    def test_numeric_at_64_never_forks(self, tmp_path, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        _cpus(monkeypatch, 2)
+        assert run(["verify", "numeric", "--grid", "64", "--out", str(tmp_path / "r"),
+                    "--format", "json"]) == EXIT_PASS
 
 
 def test_tracer_installs():

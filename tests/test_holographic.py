@@ -480,6 +480,43 @@ class TestStreamedSums:
             assert np.array_equal(getattr(b, name), value), name
 
 
+def reference_mul_poly(self, p):
+    """FieldPoly.mul_poly with every output coefficient summed out of place
+    from a zero field, in the same term order."""
+    if not self.coeffs:
+        return FieldPoly()
+    out = [np.zeros_like(self.coeffs[0]) for _ in range(len(self.coeffs) + p.degree)]
+    for k, pk in enumerate(p.coeffs):
+        fk = float(pk)
+        if fk == 0.0:
+            continue
+        for i, arr in enumerate(self.coeffs):
+            out[i + k] = out[i + k] + fk * arr
+    return FieldPoly(out)
+
+
+class TestMulPoly:
+    """mul_poly starts each coefficient from its first term and adds the rest
+    in place: the values and the reports are those of the zero-filled sum."""
+
+    @pytest.mark.parametrize("coeffs", [(3,), (0, 2), (1, 0, -2), (Fraction(1, 3), 5, -2, 0, 7)])
+    def test_same_values_as_zero_filled(self, coeffs):
+        rng = np.random.default_rng(5)
+        poly = FieldPoly([rng.standard_normal((8, 8)) for _ in range(4)])
+        p = LambdaPoly(coeffs)
+        got, want = poly.mul_poly(p), reference_mul_poly(poly, p)
+        assert len(got.coeffs) == len(want.coeffs)
+        # no exact zero among the terms, so equal bytes is equal bits
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got.coeffs, want.coeffs))
+
+    def test_same_reports_as_zero_filled(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        suites = [lambda: numeric_suite((4, 6), size=32), lambda: critical_n4_suite(size=32)]
+        got = [[_fields(r) for r in suite()] for suite in suites]
+        monkeypatch.setattr(FieldPoly, "mul_poly", reference_mul_poly)
+        assert got == [[_fields(r) for r in suite()] for suite in suites]
+
+
 class TestNonFinite:
     """A NaN or an overflow in a field fails the checks that read it, with
     the reason in details; Python's max would skip a NaN that is not first."""
