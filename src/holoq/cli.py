@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -106,7 +105,6 @@ def _load_config(args) -> RunConfig:
         "grid": args.grid,
         "preset": args.preset,
         "seed": args.seed,
-        "tol": args.tol,
         "out": args.out,
         "format": args.format,
         "instances": args.instances,
@@ -129,8 +127,6 @@ def _load_config(args) -> RunConfig:
         raise UsageError(f"grid size must be an even integer >= 16, got {config.grid!r}")
     if config.instances < 1:
         raise UsageError(f"instances must be an integer >= 1, got {config.instances!r}")
-    if config.tol is not None and not (math.isfinite(config.tol) and config.tol > 0):
-        raise UsageError(f"tol must be a finite number > 0, got {config.tol!r}")
     out_dir = os.path.dirname(config.out or "") or "."
     if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
         raise UsageError(f"the directory {out_dir!r} of the report path {config.out!r} "
@@ -139,6 +135,8 @@ def _load_config(args) -> RunConfig:
         raise UsageError(f"unknown preset {config.preset!r}; choose from {sorted(PRESETS)}")
     if config.seed < 0 and _torus_dimensions(config):
         raise UsageError(f"the torus suites need a seed >= 0, got {config.seed}")
+    if config.n and len(set(config.n)) < len(config.n):
+        raise UsageError(f"each dimension may be listed once, got {config.n}")
     if config.n and min(config.n) < 3:
         raise UsageError(f"dimensions must all be >= 3, got {config.n}")
     if "numeric" in _selected(config) and config.n and min(config.n) < MIN_NUMERIC_N:
@@ -199,8 +197,6 @@ def _suite_tasks(config: RunConfig, phi):
     suite one task per dimension. A check that suites share is decided by the
     first of them, and the later ones learn its id from the selection."""
     names = _selected(config)
-    num_tol = config.tol if config.tol is not None else 1e-6
-    crit_tol = config.tol if config.tol is not None else 1e-5
     torus = {"size": config.grid, "preset": config.preset, "seed": config.seed, "phi": phi}
     numeric_n = (config.n or NUMERIC_N) if "numeric" in names else ()
     tasks = []
@@ -212,16 +208,14 @@ def _suite_tasks(config: RunConfig, phi):
             tasks.append((name, partial(hypergeom_suite, instances=config.instances,
                                         seed=config.seed)))
         elif name == "numeric":
-            tasks.extend((f"numeric n = [{n}]", partial(numeric_suite, (n,), tol=num_tol, **torus))
+            tasks.extend((f"numeric n = [{n}]", partial(numeric_suite, (n,), **torus))
                          for n in numeric_n)
         elif name == "critical-n4":
             reported = {"qres-den-n4-N2"} if 4 in numeric_n else set()
-            tasks.append((name, partial(critical_n4_suite, tol=crit_tol, reported=reported,
-                                        **torus)))
+            tasks.append((name, partial(critical_n4_suite, reported=reported, **torus)))
         elif name == "conformal":
             reported = {"conformal-covariance-q4"} if "critical-n4" in names else set()
-            tasks.append((name, partial(conformal_suite, tol=crit_tol, reported=reported,
-                                        **torus)))
+            tasks.append((name, partial(conformal_suite, reported=reported, **torus)))
     return tasks
 
 
@@ -370,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--grid", type=int, help="grid points per axis (default 64)")
     v.add_argument("--preset", help="conformal factor preset name")
     v.add_argument("--seed", type=int, help="seed for presets and random batches")
-    v.add_argument("--tol", type=float, help="override residual tolerance")
     v.add_argument("--out", help="report path base (default holoq-report)")
     v.add_argument("--format", choices=("json", "md", "both"),
                    help="report formats to write (default both)")

@@ -57,10 +57,19 @@ MIN_NUMERIC_N = 4
 # Fourier d1 resolves the presets; the gaps left are rounding, amplified about
 # s^{2N} by the N-th power of the Laplacian. Their bounds, per N and for the
 # law, are about 100 times the largest gap relative to the reference over
-# trig1-3, seeds 1, 7, 11, 23 and n = 4..9, whatever --tol is.
+# trig1-3, seeds 1, 7, 11, 23 and n = 4..9.
 SPECTRAL_GRID = 32
 FLAT_TOL = {1: 4e-11, 2: 8e-9, 3: 2e-6}
 LAW_TOL = 5e-10
+# The run grid's checks follow from the recursion for any fields, so rounding
+# alone limits them. Over grids 16-1024, presets flat and trig1-3, seeds 1, 7,
+# 11, 23 and n = 4..8, residual / max(1, scale) was at most 1.6e-14 for the
+# identities, 2.7e-12 for the adjoints and 3.4e-13 (size / 32)^4 for the zero
+# and constant shifts, whose four stencil derivatives amplify rounding about
+# h^-4. IDENTITY_TOL and CONST_SHIFT_TOL are about 100 times their worst.
+IDENTITY_TOL = 2e-12
+ADJOINT_TOL = 1e-8
+CONST_SHIFT_TOL = 4e-11  # times (size / SPECTRAL_GRID)^4
 # A forked worker costs a cold process about 25 ms of system time (page
 # tables, copy-on-write faults, teardown) whatever the grid, while one
 # dimension's checks take about 15 ms at 64^2 and 30 ms at 128^2 (2-CPU VM).
@@ -150,7 +159,7 @@ def _cleared_sum(terms):
     return total, norms
 
 
-def _cleared_check(check_id, equation, params, terms, tol):
+def _cleared_check(check_id, equation, params, terms):
     """Checks that the sum of (weight, (num, den)) terms vanishes for every lam.
 
     The terms are brought to the lcm of their denominators, and the cleared
@@ -158,21 +167,21 @@ def _cleared_check(check_id, equation, params, terms, tol):
     the largest coefficient norm of a cleared term."""
     t0 = time.perf_counter()
     total, norms = _cleared_sum(terms)
-    return tolerance_report(check_id, equation, params, total.max_norm(), tol,
+    return tolerance_report(check_id, equation, params, total.max_norm(), IDENTITY_TOL,
                             max_abs([max_abs(ns) for ns in norms]),
                             details={"coeff_norms": total.norms()},
                             seconds=time.perf_counter() - t0)
 
 
-def master_check_numeric(b: CurvatureBundle, N: int, tol: float = 1e-6):
+def master_check_numeric(b: CurvatureBundle, N: int):
     """lam N S0 + (lam - n + 2N) S1 = 0, where S0, S1 are the plain and
     index-weighted sums of T*_{2j}(lam) applied to the complementary
     expansion coefficients, decided coefficientwise."""
     return [_cleared_check(f"master3-n{b.n}-N{N}", "master-3", {"n": b.n, "N": N},
-                           list(zip(master3_weights(b.n, N), _t_star_pairs(b, N))), tol)]
+                           list(zip(master3_weights(b.n, N), _t_star_pairs(b, N))))]
 
 
-def example_2_3_checks(b: CurvatureBundle, tol: float = 1e-6):
+def example_2_3_checks(b: CurvatureBundle):
     """The two displayed fourth-order identities with explicit right sides
     g(lam) / ((n - 2 - 2 lam)(n - 4 - 2 lam)), checked as in master_check_numeric."""
     n = b.n
@@ -181,9 +190,9 @@ def example_2_3_checks(b: CurvatureBundle, tol: float = 1e-6):
     t4, t2 = family_poly(b, 2, 0), family_poly(b, 1, 1)
     v4 = (FieldPoly([holo_coeffs(b, 2)]), LambdaPoly((1,)))
     return [_cleared_check(f"ex23-i-n{n}", "example-2.3-i", {"n": n},
-                           [(8, t4), (6, t2), (4, v4), (2 - Fraction(n, 2), g)], tol),
+                           [(8, t4), (6, t2), (4, v4), (2 - Fraction(n, 2), g)]),
             _cleared_check(f"ex23-ii-n{n}", "example-2.3-ii", {"n": n},
-                           [(1, t4), (1, t2), (1, v4), ((LAMBDA - n + 4) / 8, g)], tol)]
+                           [(1, t4), (1, t2), (1, v4), ((LAMBDA - n + 4) / 8, g)])]
 
 
 def qres_and_v_polys(b: CurvatureBundle, N: int):
@@ -205,7 +214,7 @@ def qres_and_v_polys(b: CurvatureBundle, N: int):
     return qres, v.shift(shift), rem
 
 
-def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6, polys=None):
+def poly_checks(b: CurvatureBundle, N: int, polys=None):
     """Vanishing, degree, and proportionality checks on the residue and volume
     polynomials, each decided on whole coefficient fields. polys, when given,
     is qres_and_v_polys(b, N) already built."""
@@ -217,17 +226,18 @@ def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6, polys=None):
     params = {"n": n, "N": N}
     reports = [exact_report(f"qres-den-n{n}-N{N}", "Q-pol", params, rem.is_zero(),
                             {"remainder": rem}),
-               tolerance_report(f"qres-van-n{n}-N{N}", "Q-van", params, qn[0], tol, scale,
-                                details={"coeff_norms": qn}, seconds=time.perf_counter() - t0)]
+               tolerance_report(f"qres-van-n{n}-N{N}", "Q-van", params, qn[0], IDENTITY_TOL,
+                                scale, details={"coeff_norms": qn},
+                                seconds=time.perf_counter() - t0)]
     if N == 1:
         reports.append(tolerance_report(f"qres-slope-n{n}", "Q-pol", params,
-                                        max_abs(qres.coeffs[1] - b.J), tol, scale,
+                                        max_abs(qres.coeffs[1] - b.J), IDENTITY_TOL, scale,
                                         details={"J_norm": max_abs(b.J)}))
-    reports.append(tolerance_report(f"vdeg-n{n}-N{N}", "V-pol-deg", params, vn[N], tol, scale,
-                                    details={"coeff_norms": vn}))
+    reports.append(tolerance_report(f"vdeg-n{n}-N{N}", "V-pol-deg", params, vn[N],
+                                    IDENTITY_TOL, scale, details={"coeff_norms": vn}))
     if n == 2 * N:
-        reports.append(tolerance_report(f"vcrit-n{n}-N{N}", "V-van", params, max_abs(vn), tol,
-                                        scale))
+        reports.append(tolerance_report(f"vcrit-n{n}-N{N}", "V-van", params, max_abs(vn),
+                                        IDENTITY_TOL, scale))
     # Proportionality between the two polynomials: 4^{N-1} (N-1)! lam V(lam)
     # equals (n/2 - N) qres(lam); compare coefficientwise, one coefficient
     # field of the gap at a time. mul_poly skips a vanishing factor, and so
@@ -236,11 +246,11 @@ def poly_checks(b: CurvatureBundle, N: int, tol: float = 1e-6, polys=None):
     pairs = zip_longest([0.0] + v.coeffs, qres.coeffs if c else [], fillvalue=0.0)
     gap = max_abs([max_abs(a * x + c * y) for x, y in pairs])
     reports.append(tolerance_report(f"master1-n{n}-N{N}", "master-1", params,
-                                    gap, tol, scale))
+                                    gap, IDENTITY_TOL, scale))
     return reports
 
 
-def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
+def critical_suite_n4(b: CurvatureBundle, polys=None):
     """The five fourth-order critical-case identity checks. polys, when
     given, is qres_and_v_polys(b, 2) already built."""
     if b.n != 4:
@@ -256,7 +266,7 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     rhs_a = q4 / 4
     scale = max_abs([max_abs(lhs_a), max_abs(q4)])
     reports.append(tolerance_report("crit-a", "holo-crit", {"n": 4},
-                                    max_abs(lhs_a - rhs_a), tol, scale,
+                                    max_abs(lhs_a - rhs_a), IDENTITY_TOL, scale,
                                     details={"equivalent_form": "q4 = 16 v4 - lap J", **pole},
                                     seconds=time.perf_counter() - t0))
 
@@ -269,7 +279,7 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     rhs_b = 32 * 2 * t2
     scale = max_abs([max_abs(lhs_b), max_abs(rhs_b), max_abs(b.lapJ)])
     reports.append(tolerance_report("crit-b", "gj-derivative", {"n": 4},
-                                    max_abs(lhs_b - rhs_b), tol, scale,
+                                    max_abs(lhs_b - rhs_b), IDENTITY_TOL, scale,
                                     details={"closed_form": "both sides -8 lap J",
                                              "closed_form_residual":
                                                  max_abs(lhs_b + 8 * b.lapJ),
@@ -279,7 +289,7 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     t0 = time.perf_counter()
     scale = max_abs([max_abs(q4), max_abs(p_dot)])
     reports.append(tolerance_report("crit-c", "property-2", {"n": 4},
-                                    max_abs(p_dot - q4), tol, scale,
+                                    max_abs(p_dot - q4), IDENTITY_TOL, scale,
                                     details={"starred_residual":
                                                  max_abs(p_dot_star - q4), **dot_pole},
                                     seconds=time.perf_counter() - t0))
@@ -288,7 +298,7 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     qres = (polys or qres_and_v_polys(b, 2))[0]
     q4_scale = max_abs([max_abs(q4), qres.max_norm()])
     reports.append(tolerance_report("crit-d", "qres-derivative", {"n": 4},
-                                    max_abs(qres.coeffs[1] - q4), tol, q4_scale,
+                                    max_abs(qres.coeffs[1] - q4), IDENTITY_TOL, q4_scale,
                                     details={"qres_coeff_norms": qres.norms()},
                                     seconds=time.perf_counter() - t0))
 
@@ -299,18 +309,19 @@ def critical_suite_n4(b: CurvatureBundle, tol: float = 1e-5, polys=None):
     rhs_e = -qres.coeffs[2] - q4
     scale = max_abs([max_abs(lhs_e), max_abs(rhs_e), q4_scale])
     reports.append(tolerance_report("crit-e", "harmonic-sum", {"n": 4},
-                                    max_abs(lhs_e - rhs_e), tol, scale,
+                                    max_abs(lhs_e - rhs_e), IDENTITY_TOL, scale,
                                     details={"harmonic_sum": "1 (single term)",
                                              **t4_pole, **t2_pole},
                                     seconds=time.perf_counter() - t0))
     return reports
 
 
-def conformal_covariance_q4(base: CurvatureBundle, omega, tol: float = 1e-5) -> CheckReport:
+def conformal_covariance_q4(base: CurvatureBundle, omega, tol: float) -> CheckReport:
     """Transformation law e^{4w} Q4(phi + w) = Q4(phi) + P4(phi)(w) at n = 4,
     on the metric of base. A zero or constant shift holds at rounding level
     on any chart; a generic one leaves the Leibniz error of base's
-    derivative, h^4 on a stencil chart and rounding on the spectral one."""
+    derivative, h^4 on a stencil chart and rounding on the spectral one; tol
+    is the bound for base's chart."""
     if base.n != 4:
         raise ValueError("transformation law is checked at n = 4")
     t0 = time.perf_counter()
@@ -398,11 +409,6 @@ def _generic_shift(preset: str, seed: int, phi):
         b, preset_phi(b.chart, "trig3", seed=seed + 5), tol=LAW_TOL)]
 
 
-# The weighted adjoints are exact at the matrix level, so their residuals are
-# rounding-limited and get a bound of their own, independent of --tol.
-ADJOINT_TOL = 1e-8
-
-
 def _adjoint_reports(b: CurvatureBundle, seed: int):
     rng = np.random.default_rng(seed + 211)
     f = rng.standard_normal(b.chart.shape)
@@ -429,7 +435,7 @@ def _adjoint_reports(b: CurvatureBundle, seed: int):
     return reports
 
 
-def _dimension_reports(n: int, size: int, preset: str, seed: int, tol: float, phi):
+def _dimension_reports(n: int, size: int, preset: str, seed: int, phi):
     """numeric_suite's checks at one dimension: geometry on the spectral chart,
     then algebra on the run's grid. Each bundle and its family polynomials end
     with the call that built them, so the suite holds one metric at a time."""
@@ -444,18 +450,18 @@ def _dimension_reports(n: int, size: int, preset: str, seed: int, tol: float, ph
     scale = max_abs(q4)
     del holo, q4
     reports.append(tolerance_report(f"q4-dual-n{n}", "holo-Q4", {"n": n},
-                                    dual_gap, tol, scale, details=pole,
+                                    dual_gap, IDENTITY_TOL, scale, details=pole,
                                     seconds=time.perf_counter() - t0))
 
     for N in (1, 2):
-        reports.extend(master_check_numeric(b, N, tol=tol))
-        reports.extend(poly_checks(b, N, tol=tol))
-    reports.extend(example_2_3_checks(b, tol=tol))
+        reports.extend(master_check_numeric(b, N))
+        reports.extend(poly_checks(b, N))
+    reports.extend(example_2_3_checks(b))
     return reports
 
 
 def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
-                  seed: int = 7, tol: float = 1e-6, phi=None):
+                  seed: int = 7, phi=None):
     """Criterion checks for torus metrics: GJMS operators and Q-curvatures
     against the flat base on the spectral chart, and on the run's grid
     adjoints, Q-curvature duality, master relations, displayed identities,
@@ -470,34 +476,35 @@ def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
     for n in n_values:
         if n < MIN_NUMERIC_N:
             raise ValueError(f"numeric suite needs n >= {MIN_NUMERIC_N} for the fourth-order terms")
-    args = (size, preset, seed, tol, phi)
+    args = (size, preset, seed, phi)
     tasks = [(f"numeric n = [{n}]", lambda n=n: _dimension_reports(n, *args)) for n in n_values]
     workers = usable_cpus() if size * size >= MIN_CONCURRENT_CELLS else 1
     return [r for reports in run_tasks(tasks, workers) for r in reports]
 
 
 def critical_n4_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
-                      tol: float = 1e-5, phi=None, reported=frozenset()):
+                      phi=None, reported=frozenset()):
     """Critical-case checks at n = 4, the N = 2 polynomial checks unless
     reported (ids the run has decided) holds them, and the transformation
     law under a generic shift on the spectral chart."""
     b = _metric(TorusChart(4, (size, size)), preset, seed, phi)
     polys = qres_and_v_polys(b, 2)
-    reports = critical_suite_n4(b, tol=tol, polys=polys)
+    reports = critical_suite_n4(b, polys=polys)
     if "qres-den-n4-N2" not in reported:  # poly_checks reports its ids together
-        reports.extend(poly_checks(b, 2, tol=tol, polys=polys))
+        reports.extend(poly_checks(b, 2, polys=polys))
     return reports + _generic_shift(preset, seed, phi)
 
 
 def conformal_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
-                    tol: float = 1e-5, phi=None, reported=frozenset()):
+                    phi=None, reported=frozenset()):
     """Transformation law at n = 4 under a zero and a constant shift on the
     run's grid and, unless reported holds critical_n4_suite's id for it, a
     generic shift on the spectral chart."""
     base = _metric(TorusChart(4, (size, size)), preset, seed, phi)
+    tol = CONST_SHIFT_TOL * (size / SPECTRAL_GRID) ** 4
     reports = []
     for name, omega in (("zero", base.chart.zeros()), ("const", 0.3 * np.ones(base.chart.shape))):
-        rep = conformal_covariance_q4(base, omega, tol=tol)
+        rep = conformal_covariance_q4(base, omega, tol)
         rep.id = f"conformal-{name}"
         reports.append(rep)
     if "conformal-covariance-q4" not in reported:

@@ -12,8 +12,8 @@ import numpy as np
 
 from .grid import TorusChart
 
-# Per-axis wavenumber is capped at 1 to keep stencil truncation error far
-# below the comparison tolerances on a 64^2 grid.
+# Per-axis wavenumber is capped at 1, so the 32-point spectral chart resolves
+# every preset and rounding alone limits the checks made on it.
 _MODES = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 PRESETS = {

@@ -73,7 +73,6 @@ _CONFIG_TYPES = {
     "grid": (_is_int, "an integer"),
     "preset": (_of(str), "a string"),
     "seed": (_is_int, "an integer"),
-    "tol": (_or_null(_is_number), "null or a number"),
     "out": (_or_null(_of(str)), "null or a string"),
     "format": (_of(str), "a string"),
     "instances": (_is_int, "an integer"),
@@ -242,8 +241,7 @@ class RunConfig:
     """Driver configuration; flags override file values field by field.
 
     n = None means each suite uses its own default range (3..12 for the
-    exact sphere checks, {4, 6} for the torus grids); tol = None likewise
-    keeps the per-suite tolerances.
+    exact sphere checks, {4, 6} for the torus grids).
     """
 
     suites: list = field(default_factory=lambda: ["all"])
@@ -252,7 +250,6 @@ class RunConfig:
     grid: int = 64
     preset: str = "trig1"
     seed: int = 7
-    tol: float | None = None
     out: str | None = None
     format: str = "both"
     instances: int = 200

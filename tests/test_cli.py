@@ -55,7 +55,7 @@ class TestRunConfig:
         assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_round_trip_customized(self):
-        cfg = RunConfig(suites=["numeric"], n=[4], grid=32, tol=1e-4, einstein_j="1/2")
+        cfg = RunConfig(suites=["numeric"], n=[4], grid=32, einstein_j="1/2")
         assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_unknown_key_rejected(self):
@@ -63,8 +63,8 @@ class TestRunConfig:
             RunConfig.from_dict({"grids": [64]})
 
     def test_merge_skips_none(self):
-        cfg = RunConfig().merged({"grid": 32, "tol": None})
-        assert cfg.grid == 32 and cfg.tol is None
+        cfg = RunConfig().merged({"grid": 32, "out": None})
+        assert cfg.grid == 32 and cfg.out is None
 
 
 class TestExitCodes:
@@ -73,10 +73,13 @@ class TestExitCodes:
         assert run(["verify", "sphere", "--n", "3", "--out", out,
                     "--format", "json"]) == EXIT_PASS
 
-    def test_fail_still_writes_report(self, tmp_path):
+    def test_fail_still_writes_report(self, tmp_path, monkeypatch):
+        # Q4 off by 1/1000 fails crit-a; critical-n4 at 32^2 runs in this process
+        original = holographic.holographic_q
+        monkeypatch.setattr(holographic, "holographic_q",
+                            lambda N, values: original(N, values) * 1.001)
         out = str(tmp_path / "r")
-        code = run(["verify", "conformal", "--grid", "32", "--tol", "1e-18",
-                    "--out", out, "--format", "json"])
+        code = run(["verify", "critical-n4", "--grid", "32", "--out", out, "--format", "json"])
         assert code == EXIT_FAIL
         body = json.loads((tmp_path / "r.json").read_text())
         assert any(not c["passed"] for c in body["checks"])
@@ -175,19 +178,55 @@ class TestExitCodes:
         assert run(["verify", *argv(tmp_path), "--out", str(tmp_path / "r")]) == EXIT_USAGE
         assert not list(tmp_path.glob("r.*"))
 
-    # A tolerance that is not finite and > 0 decides nothing, or fails
-    # everything; from the flag or a config file it is a bad configuration.
+    # No value of tol is read any more, a bad one included: the flag is an
+    # unrecognized option and the key an unknown config key.
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_usage_bad_tol(self, tol, source, tmp_path, monkeypatch, capsys):
         _forbid_suites(monkeypatch)
+        out = str(tmp_path / "r")
         if source == "flag":
-            argv = ["--tol", tol]
+            with pytest.raises(SystemExit) as err:
+                run(["verify", "numeric", "--n", "4", "--grid", "16", "--tol", tol, "--out", out])
+            assert err.value.code == EXIT_USAGE
+            assert "unrecognized arguments: --tol" in capsys.readouterr().err
         else:
-            argv = ["--config", _written(tmp_path / "cfg.json", json.dumps({"tol": float(tol)}))]
-        assert run(["verify", "numeric", "--n", "4", "--grid", "16", *argv,
-                    "--out", str(tmp_path / "r")]) == EXIT_USAGE
-        assert "tol must be a finite number > 0" in capsys.readouterr().err
+            cfg = _written(tmp_path / "cfg.json", json.dumps({"tol": float(tol)}))
+            assert run(["verify", "numeric", "--n", "4", "--grid", "16", "--config", cfg,
+                        "--out", out]) == EXIT_USAGE
+            assert "unknown config keys: ['tol']" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
+
+    def test_tol_is_unknown(self, tmp_path, monkeypatch, capsys):
+        # each check class has its stated bound: no option or key sets a
+        # run-level tolerance, and a stored run that names one is refused
+        _forbid_suites(monkeypatch)
+        out = str(tmp_path / "r")
+        with pytest.raises(SystemExit) as err:
+            run(["verify", "--tol", "1e-6", "--out", out])
+        assert err.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        cfg = _written(tmp_path / "cfg.json", json.dumps({"tol": 1e-6}))
+        assert run(["verify", "numeric", "--config", cfg, "--out", out]) == EXIT_USAGE
+        assert "unknown config keys: ['tol']" in capsys.readouterr().err
+        stored = _written(tmp_path / "run.json", json.dumps(
+            {"meta": {"timestamp": ""}, "config": dict(RunConfig().to_dict(), tol=None),
+             "checks": []}))
+        assert run(["report", "--from", stored, "--out", out + ".md"]) == EXIT_USAGE
+        assert "unknown config keys: ['tol']" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
+
+    # A repeated dimension would report each of its checks twice, and the
+    # stored run would then not re-render.
+    @pytest.mark.parametrize("argv", [
+        lambda tmp: ["numeric", "--n", "4,4", "--grid", "16"],
+        lambda tmp: ["sphere", "--n", "3,3"],
+        lambda tmp: ["--config", _written(tmp / "cfg.json", json.dumps({"n": [6, 4, 6]}))],
+    ], ids=["numeric-flag", "sphere-flag", "config"])
+    def test_usage_repeated_dimension(self, argv, tmp_path, monkeypatch, capsys):
+        _forbid_suites(monkeypatch)
+        assert run(["verify", *argv(tmp_path), "--out", str(tmp_path / "r")]) == EXIT_USAGE
+        assert "each dimension may be listed once" in capsys.readouterr().err
         assert not list(tmp_path.glob("r.*"))
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -291,9 +330,9 @@ class TestDeterminism:
     # change to a check id, equation, parameter, detail or verdict moves them.
     @pytest.mark.parametrize("argv,digest", [
         (["verify", "sphere", "--n", "3..8", "--Nmax", "4"],
-         "ce38124408ca2a00c59cdb208ec08ea7f50924b19d0a2dbeba4a2ba8a90dcf2f"),
+         "c538ea0efc84fdbcf92e0183476a4b94f7f8948a7197a10b14229ba95e8fce97"),
         (["verify", "hypergeom", "--instances", "20", "--seed", "3"],
-         "096e4dbfeb75fc175ba1f883f38b899760ef07b80a6ebe96c1770555bba0594e"),
+         "96f358faeee9bc44e19434e58a85a59e4b223c315a7a50e3f2597ab20965cf71"),
     ], ids=["sphere", "hypergeom"])
     def test_canonical_json_digest(self, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)
@@ -332,10 +371,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("field,config", [
         ("n", {"suites": ["sphere"], "n": "4"}),
         ("seed", {"suites": ["hypergeom"], "seed": "7"}),
-        ("tol", {"suites": ["critical-n4"], "tol": "x"}),
         ("seed", {"suites": ["sphere"], "n": [3], "seed": "7"}),
         ("suites", {"suites": "sphere", "n": [3]}),
-    ], ids=["n-sphere", "seed-hypergeom", "tol-critical", "seed-sphere", "suites-string"])
+    ], ids=["n-sphere", "seed-hypergeom", "seed-sphere", "suites-string"])
     def test_field_of_wrong_type(self, tmp_path, capsys, field, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))

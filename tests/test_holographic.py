@@ -396,11 +396,11 @@ def reference_cleared_sum(terms):
     return _summed(parts), [p.norms() for p in parts]
 
 
-def reference_cleared_check(check_id, equation, params, terms, tol):
+def reference_cleared_check(check_id, equation, params, terms):
     """_cleared_check from reference_cleared_sum."""
     total, norms = reference_cleared_sum(terms)
     return holographic.tolerance_report(
-        check_id, equation, params, total.max_norm(), tol,
+        check_id, equation, params, total.max_norm(), holographic.IDENTITY_TOL,
         max(max(ns, default=0.0) for ns in norms), details={"coeff_norms": total.norms()})
 
 
@@ -536,7 +536,7 @@ class TestNonFinite:
     def test_cleared_check_reads_nan_coefficient(self):
         num = FieldPoly([np.zeros((8, 8)), np.zeros((8, 8))])
         num.coeffs[1][3, 5] = np.nan
-        whole = holographic._cleared_check("c", "eq", {}, [(1, (num, LambdaPoly((1,))))], 1e-6)
+        whole = holographic._cleared_check("c", "eq", {}, [(1, (num, LambdaPoly((1,))))])
         assert not whole.passed and np.isnan(whole.residual)
 
     def test_poly_checks_read_nan_coefficient(self):
@@ -613,19 +613,26 @@ class TestCriticalSuite:
             critical_suite_n4(bundle(n=6))
 
 
+# The stencil's h^4 Leibniz error under a generic shift at 128^2 is below
+# this; no suite checks a generic shift on a stencil chart.
+STENCIL_LAW_TOL = 1e-5
+
+
 class TestConformalCovariance:
     def test_zero_shift_trivial(self):
-        rep = conformal_covariance_q4(bundle(size=32), np.zeros((32, 32)))
+        rep = conformal_covariance_q4(bundle(size=32), np.zeros((32, 32)),
+                                      holographic.CONST_SHIFT_TOL)
         assert rep.passed and rep.residual < 1e-14
 
     def test_constant_shift(self):
-        rep = conformal_covariance_q4(bundle(size=32), 0.3 * np.ones((32, 32)))
+        rep = conformal_covariance_q4(bundle(size=32), 0.3 * np.ones((32, 32)),
+                                      holographic.CONST_SHIFT_TOL)
         assert rep.passed, rep.residual
 
     def test_generic_shift(self):
         b = bundle(size=128)
         omega = preset_phi(b.chart, "trig3", seed=12)
-        rep = conformal_covariance_q4(b, omega)
+        rep = conformal_covariance_q4(b, omega, STENCIL_LAW_TOL)
         assert rep.passed, (rep.residual, rep.tol)
 
     def test_fourth_order_refinement(self):
@@ -633,7 +640,7 @@ class TestConformalCovariance:
         for size in (48, 96):
             b = bundle(size=size)
             omega = preset_phi(b.chart, "trig3", seed=12)
-            gaps.append(conformal_covariance_q4(b, omega).residual)
+            gaps.append(conformal_covariance_q4(b, omega, STENCIL_LAW_TOL).residual)
         assert gaps[0] / gaps[1] > 8.0
 
     def test_generic_shift_to_rounding_on_spectral_chart(self):

@@ -13,6 +13,8 @@ from holoq.holographic import critical_n4_suite, einstein_checks, numeric_suite
 from holoq.sphere import sphere_suite
 
 MUTANT_FACTOR = Fraction(1001, 1000)
+# A relative defect of 1e-9, which only rounding-level bounds can see.
+SMALL_FACTOR = Fraction(1_000_000_001, 1_000_000_000)
 
 
 SUITES = {
@@ -133,6 +135,30 @@ def test_holographic_prefactor_off_by_a_thousandth(monkeypatch):
     assert failed_checks() == ({"q4-dual-n4", "q4-dual-n6", "crit-a", "einstein-q4", "einstein-q6"}
                                | {i for i in FLAT if i.startswith("q-")}
                                | _sphere_ids("sphere-holoQ"))
+
+
+def test_holographic_prefactor_off_by_a_billionth(monkeypatch):
+    # the run-grid checks comparing the holographic Q4 with the direct one
+    # see it, and so does q-flat at N = 1, whose bound is 4e-11
+    original = holographic.holographic_q
+    monkeypatch.setattr(holographic, "holographic_q",
+                        lambda N, values: original(N, values) * float(SMALL_FACTOR))
+    assert failed_checks(("numeric", "critical-n4")) == {
+        "q4-dual-n4", "q4-dual-n6", "crit-a", "q-flat-n4-N1", "q-flat-n6-N1"}
+
+
+def test_master3_weight_off_by_a_billionth(monkeypatch):
+    # the weight of T*_2(lam)(v_{2N-2}), at N = 1 and 2
+    original = families.master3_weights
+
+    def mutant(n, N):
+        weights = original(n, N)
+        weights[1] = weights[1] * SMALL_FACTOR
+        return weights
+
+    monkeypatch.setattr(holographic, "master3_weights", mutant)
+    assert failed_checks(("numeric", "critical-n4")) == {
+        f"master3-n{n}-N{N}" for n in (4, 6) for N in (1, 2)}
 
 
 def _scaled(name):
