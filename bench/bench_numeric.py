@@ -1,8 +1,9 @@
 """Micro-benchmarks of the numeric layers on a 128x128 torus at n = 4: the
 stencil (also at 512x512, on both axes), the curvature bundle, one
-operator-family polynomial and the residue/volume polynomial checks; and the
+operator-family polynomial and the residue/volume polynomial checks; the
 n = 6 flat-base checks (gjms-flat and q-flat, N = 1..3) on the 32x32
-spectral chart.
+spectral chart; and the pointwise identity checks at N = 2, n = 6 on a
+512x512 torus, decided one block of cells at a time.
 
     python -m pytest bench/bench_numeric.py -q
 
@@ -14,7 +15,7 @@ import pytest
 
 from holoq.conformal import curvature
 from holoq.grid import TorusChart, d1
-from holoq.holographic import _flat_reports, family_poly, poly_checks
+from holoq.holographic import _flat_reports, family_poly, master_check_numeric, poly_checks
 from holoq.lambda_algebra import LAMBDA
 from holoq.presets import preset_phi
 
@@ -68,3 +69,15 @@ def test_poly_checks(benchmark, bundle):
     # lcm combination, the prefactor division, the Taylor shift and the checks
     reports = benchmark(poly_checks, bundle, 2)
     assert all(r.passed for r in reports)
+
+
+def test_block_pass_512(benchmark):
+    # master-3 and the residue/volume checks at N = 2 from the cached
+    # families: the cleared polynomials of each block of cells are built
+    # and read, and only their norms are kept
+    ch = TorusChart(6, (512, 512))
+    b = curvature(ch, preset_phi(ch, "trig1", seed=7))
+    for j in (1, 2):
+        family_poly(b, j, 2 - j)
+    reports = benchmark(lambda: master_check_numeric(b, 2) + poly_checks(b, 2))
+    assert len(reports) == 5 and all(r.passed for r in reports)

@@ -26,6 +26,7 @@ from math import factorial, isfinite
 import numpy as np
 
 from .conformal import CurvatureBundle, apply_primitive
+from .grid import cell_view
 from .lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer, poly_gcd
 from .reports import max_abs
 
@@ -64,6 +65,11 @@ class FieldPoly:
             else:
                 self.coeffs.append(c)
         return self
+
+    def cells(self, cells):
+        """The polynomial on a flat range of cells, its coefficients
+        read-only views of this one's."""
+        return FieldPoly([cell_view(arr, cells) for arr in self.coeffs])
 
     def mul_poly(self, p: LambdaPoly):
         """The product with p. Each output coefficient starts from its first
@@ -186,14 +192,12 @@ def _lcm(dens):
 
 
 def over_lcm(terms):
-    """Bring (weight, (num, den)) terms, each standing for weight * num / den,
-    to the lcm of their denominators. Returns (parts, lcm): parts yields
-    weight * cofactor * num for each term in order, with each cofactor
-    lcm / den exact, and builds each part only when it is consumed, so a
-    caller that sums them holds one at a time. The sum of the parts over the
-    lcm is the sum of the terms."""
-    lcm = _lcm(den for _, (_, den) in terms)
-    return (num.mul_poly(lcm.divmod(den)[0] * w) for w, (num, den) in terms), lcm
+    """The scalars that bring (weight, den) terms, each standing for
+    weight * num / den, to the lcm of their denominators. Returns
+    (cofactors, lcm), cofactors[i] = weight_i * lcm / den_i exactly: the sum
+    of cofactors[i] * num_i over the lcm is the sum of the terms."""
+    lcm = _lcm(den for _, den in terms)
+    return [lcm.divmod(den)[0] * w for w, den in terms], lcm
 
 
 # A pole is removable when the numerator's residue there is below this

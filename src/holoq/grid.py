@@ -50,9 +50,22 @@ class TorusChart:
         return np.zeros(self.shape)
 
 
-# Values per block of the blocked stencil: 2^15 float64 (256 KiB), so that a
-# block's four shifted operands and its scratch stay in cache.
+# Values per block of the blocked stencil and of the pointwise identity
+# checks: 2^15 float64 (256 KiB), so that a block's operands and its scratch
+# stay in cache.
 BLOCK = 1 << 15
+
+
+def cell_blocks(size: int):
+    """Flat ranges of at most BLOCK cells covering size cells, in order."""
+    return [slice(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK)]
+
+
+def cell_view(f, cells):
+    """Read-only view of a contiguous field f on a flat range of cells."""
+    view = f.reshape(-1)[cells]
+    view.flags.writeable = False
+    return view
 
 
 def wavenumbers(size: int):

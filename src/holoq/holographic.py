@@ -44,7 +44,7 @@ from .families import (
     pair_value,
     values_on_one,
 )
-from .grid import TorusChart, wavenumbers
+from .grid import TorusChart, cell_blocks, cell_view, wavenumbers
 from .lambda_algebra import LAMBDA, LambdaPoly, binomial, pochhammer
 from .presets import preset_phi
 from .reports import CheckReport, attempt, exact_report, max_abs, tolerance_report
@@ -64,11 +64,13 @@ LAW_TOL = 5e-10
 # The run grid's checks follow from the recursion for any fields, so rounding
 # alone limits them. Over grids 16-1024, presets flat and trig1-3, seeds 1, 7,
 # 11, 23 and n = 4..8, residual / max(1, scale) was at most 1.6e-14 for the
-# identities, 2.7e-12 for the adjoints and 3.4e-13 (size / 32)^4 for the zero
-# and constant shifts, whose four stencil derivatives amplify rounding about
-# h^-4. IDENTITY_TOL and CONST_SHIFT_TOL are about 100 times their worst.
+# identities, 4.8e-14 (size / 32)^(5/4) for the adjoints, whose grid sums
+# grow their rounding with the grid (2.0e-14 at 16^2, 2.7e-12 at 1024^2; a
+# least-squares fit gives the power 1.2), and 3.4e-13 (size / 32)^4 for the
+# constant shift, whose four stencil derivatives amplify rounding about
+# h^-4. The bounds are about 100 times their worst.
 IDENTITY_TOL = 2e-12
-ADJOINT_TOL = 1e-8
+ADJOINT_TOL = 5e-12  # times (size / SPECTRAL_GRID)^(5/4)
 CONST_SHIFT_TOL = 4e-11  # times (size / SPECTRAL_GRID)^4
 # A forked worker costs a cold process about 25 ms of system time (page
 # tables, copy-on-write faults, teardown) whatever the grid, while one
@@ -140,36 +142,69 @@ class EinsteinModel:
         return self.J**2 * (self.n**2 - 4) / (2 * self.n)
 
 
-def _t_star_pairs(b: CurvatureBundle, N: int):
-    """[T*_{2j}(lam)(v_{2N-2j}) for j = 0..N] as (num, den) pairs, T*_0 the identity."""
+class _Cells:
+    """A bundle's fields and cached family polynomials on a flat range of
+    cells, as read-only views that holo_coeffs and family_poly read as they
+    read the bundle."""
+
+    def __init__(self, b: CurvatureBundle, cells):
+        self.n, self.cells = b.n, cells
+        for name in ("J", "Psq", "lapJ", "em2", "p_inactive"):
+            setattr(self, name, cell_view(getattr(b, name), cells))
+        self.P = [[cell_view(p, cells) for p in row] for row in b.P]
+        self.family_polys = {key: (num.cells(cells), den)
+                             for key, (num, den) in b.family_polys.items()}
+
+
+def _blocks(b: CurvatureBundle):
+    """b on each flat block of grid.BLOCK cells, in order. The families its
+    checks read must be cached on b first."""
+    return (_Cells(b, cells) for cells in cell_blocks(b.J.size))
+
+
+def _merged(readings):
+    """Whole-grid norms from per-block readings alike in shape (floats, or
+    lists and tuples of them): max_abs of each float over the blocks."""
+    first = readings[0]
+    if isinstance(first, float):
+        return max_abs(readings)
+    return type(first)(_merged(list(col)) for col in zip(*readings))
+
+
+def _t_star_pairs(b, N: int):
+    """[T*_{2j}(lam)(v_{2N-2j}) for j = 0..N] as (num, den) pairs on a bundle
+    or a block of its cells, T*_0 the identity."""
     return [(FieldPoly([holo_coeffs(b, N)]), LambdaPoly((1,)))] + [
         family_poly(b, j, N - j) for j in range(1, N + 1)]
 
 
-def _cleared_sum(terms):
-    """The numerator of the sum of (weight, (num, den)) terms over the lcm
-    of their denominators, and the coefficient norms of each cleared term.
-    One cleared term is alive at a time."""
-    parts, _ = over_lcm(terms)
-    total, norms = FieldPoly(), []
-    for part in parts:
-        norms.append(part.norms())
-        total += part
-        del part  # before the next part is built
-    return total, norms
+def _t_star_dens(b: CurvatureBundle, N: int):
+    """The denominators of _t_star_pairs(b, N), its families cached on b."""
+    return [LambdaPoly((1,))] + [family_poly(b, j, N - j)[1] for j in range(1, N + 1)]
 
 
-def _cleared_check(check_id, equation, params, terms):
-    """Checks that the sum of (weight, (num, den)) terms vanishes for every lam.
+def _cleared_check(check_id, equation, params, b, terms, nums):
+    """Checks that the sum of weight * num / den vanishes for every lam, for
+    terms [(weight, den)] and nums(block) their numerators on a block of b.
 
     The terms are brought to the lcm of their denominators, and the cleared
-    numerator, a polynomial in lam, must vanish coefficientwise. The scale is
-    the largest coefficient norm of a cleared term."""
+    numerator, a polynomial in lam, must vanish coefficientwise. It is built
+    a block of cells, and one cleared term, at a time. The scale is the
+    largest coefficient norm of a cleared term."""
     t0 = time.perf_counter()
-    total, norms = _cleared_sum(terms)
-    return tolerance_report(check_id, equation, params, total.max_norm(), IDENTITY_TOL,
-                            max_abs([max_abs(ns) for ns in norms]),
-                            details={"coeff_norms": total.norms()},
+    cofactors, _ = over_lcm(terms)
+    readings = []
+    for block in _blocks(b):
+        total, scale = FieldPoly(), 0.0
+        for cofactor, num in zip(cofactors, nums(block)):
+            part = num.mul_poly(cofactor)
+            scale = max_abs((scale, part.max_norm()))
+            total += part
+            del part  # before the next part is built
+        readings.append((total.norms(), scale))
+    coeff_norms, scale = _merged(readings)
+    return tolerance_report(check_id, equation, params, max_abs(coeff_norms), IDENTITY_TOL,
+                            scale, details={"coeff_norms": coeff_norms},
                             seconds=time.perf_counter() - t0)
 
 
@@ -177,35 +212,49 @@ def master_check_numeric(b: CurvatureBundle, N: int):
     """lam N S0 + (lam - n + 2N) S1 = 0, where S0, S1 are the plain and
     index-weighted sums of T*_{2j}(lam) applied to the complementary
     expansion coefficients, decided coefficientwise."""
-    return [_cleared_check(f"master3-n{b.n}-N{N}", "master-3", {"n": b.n, "N": N},
-                           list(zip(master3_weights(b.n, N), _t_star_pairs(b, N))))]
+    terms = list(zip(master3_weights(b.n, N), _t_star_dens(b, N)))
+    return [_cleared_check(f"master3-n{b.n}-N{N}", "master-3", {"n": b.n, "N": N}, b, terms,
+                           lambda block: [num for num, _ in _t_star_pairs(block, N)])]
 
 
 def example_2_3_checks(b: CurvatureBundle):
     """The two displayed fourth-order identities with explicit right sides
     g(lam) / ((n - 2 - 2 lam)(n - 4 - 2 lam)), checked as in master_check_numeric."""
     n = b.n
-    g = (FieldPoly([(n - 2) * (b.J**2 - b.Psq) - b.lapJ, 2 * b.Psq - b.J**2]),
-         LambdaPoly((n - 2, -2)) * LambdaPoly((n - 4, -2)))
-    t4, t2 = family_poly(b, 2, 0), family_poly(b, 1, 1)
-    v4 = (FieldPoly([holo_coeffs(b, 2)]), LambdaPoly((1,)))
-    return [_cleared_check(f"ex23-i-n{n}", "example-2.3-i", {"n": n},
-                           [(8, t4), (6, t2), (4, v4), (2 - Fraction(n, 2), g)]),
-            _cleared_check(f"ex23-ii-n{n}", "example-2.3-ii", {"n": n},
-                           [(1, t4), (1, t2), (1, v4), ((LAMBDA - n + 4) / 8, g)])]
+    dens = [family_poly(b, 2, 0)[1], family_poly(b, 1, 1)[1], LambdaPoly((1,)),
+            LambdaPoly((n - 2, -2)) * LambdaPoly((n - 4, -2))]
+
+    def nums(c):  # T*_4(1), T*_2(v2), v4 and g on a block
+        return [family_poly(c, 2, 0)[0], family_poly(c, 1, 1)[0], FieldPoly([holo_coeffs(c, 2)]),
+                FieldPoly([(n - 2) * (c.J**2 - c.Psq) - c.lapJ, 2 * c.Psq - c.J**2])]
+
+    return [_cleared_check(f"ex23-i-n{n}", "example-2.3-i", {"n": n}, b,
+                           list(zip([8, 6, 4, 2 - Fraction(n, 2)], dens)), nums),
+            _cleared_check(f"ex23-ii-n{n}", "example-2.3-ii", {"n": n}, b,
+                           list(zip([1, 1, 1, (LAMBDA - n + 4) / 8], dens)), nums)]
 
 
-def qres_and_v_polys(b: CurvatureBundle, N: int):
-    """Residue and volume polynomials in lam, with grid-field coefficients:
+def _qres_v_factors(b: CurvatureBundle, N: int):
+    """The scalars of qres_and_v_polys(b, N): the cofactors that bring the
+    T*_{2j} terms to the lcm of their denominators, and the quotient and
+    remainder of the prefactor's division by that lcm."""
+    cofactors, den = over_lcm([(1, den) for den in _t_star_dens(b, N)])
+    return (cofactors, *pochhammer(LAMBDA - Fraction(b.n, 2) + 1, N).divmod(den))
+
+
+def qres_and_v_polys(b, N: int, factors=None):
+    """Residue and volume polynomials in lam, with field coefficients on a
+    bundle or a block of its cells:
       qres(lam) = -4^N N! (lam + n/2 - 2N + 1)_N S0(lam + n - 2N)
       v(lam)    = (lam + n/2 - 2N + 1)_N (2N S0 + 2 S1)(lam + n - 2N)
     In mu = lam + n - 2N the prefactor is (mu - n/2 + 1)_N, which the common
     denominator of S0 and S1 divides. Returns (qres, v, remainder of that
-    division); the remainder is zero unless the families are wrong."""
-    parts, den = over_lcm([(1, pair) for pair in _t_star_pairs(b, N)])
-    quot, rem = pochhammer(LAMBDA - Fraction(b.n, 2) + 1, N).divmod(den)
+    division); the remainder is zero unless the families are wrong. factors
+    is _qres_v_factors of the bundle."""
+    cofactors, quot, rem = factors or _qres_v_factors(b, N)
     s0, v = FieldPoly(), FieldPoly()
-    for j, part in enumerate(parts):
+    for j, (cofactor, (num, _)) in enumerate(zip(cofactors, _t_star_pairs(b, N))):
+        part = num.mul_poly(cofactor)
         v += part.mul_poly(quot * (2 * N + 2 * j))
         s0 += part
         del part  # before the next part is built
@@ -214,13 +263,29 @@ def qres_and_v_polys(b: CurvatureBundle, N: int):
     return qres, v.shift(shift), rem
 
 
-def poly_checks(b: CurvatureBundle, N: int, polys=None):
-    """Vanishing, degree, and proportionality checks on the residue and volume
-    polynomials, each decided on whole coefficient fields. polys, when given,
-    is qres_and_v_polys(b, N) already built."""
-    t0 = time.perf_counter()
-    qres, v, rem = polys or qres_and_v_polys(b, N)
-    qn, vn = qres.norms(), v.norms()
+def _qres_v_pass(b: CurvatureBundle, N: int, read):
+    """The remainder of qres_and_v_polys(b, N) and read(block, qres, v)
+    merged over the blocks of b's cells."""
+    factors = _qres_v_factors(b, N)
+    return factors[2], _merged([read(block, *qres_and_v_polys(block, N, factors)[:2])
+                                for block in _blocks(b)])
+
+
+def _poly_reads(block: _Cells, N: int, qres: FieldPoly, v: FieldPoly):
+    """The norms poly_checks reads of a block's qres and v. Proportionality:
+    4^{N-1} (N-1)! lam V(lam) equals (n/2 - N) qres(lam); compare
+    coefficientwise, one coefficient field of the gap at a time. mul_poly
+    skips a vanishing factor, and so does the gap at n = 2N."""
+    a, c = float(4 ** (N - 1) * factorial(N - 1)), float(N - Fraction(block.n, 2))
+    pairs = zip_longest([0.0] + v.coeffs, qres.coeffs if c else [], fillvalue=0.0)
+    gap = max_abs([max_abs(a * x + c * y) for x, y in pairs])
+    slope = max_abs(qres.coeffs[1] - block.J) if N == 1 else 0.0
+    return qres.norms(), v.norms(), slope, gap
+
+
+def _poly_reports(b: CurvatureBundle, N: int, rem, reads, t0):
+    """poly_checks' reports from the remainder and the merged _poly_reads."""
+    qn, vn, slope, gap = reads
     scale = max_abs(qn + vn)
     n = b.n
     params = {"n": n, "N": N}
@@ -230,29 +295,30 @@ def poly_checks(b: CurvatureBundle, N: int, polys=None):
                                 scale, details={"coeff_norms": qn},
                                 seconds=time.perf_counter() - t0)]
     if N == 1:
-        reports.append(tolerance_report(f"qres-slope-n{n}", "Q-pol", params,
-                                        max_abs(qres.coeffs[1] - b.J), IDENTITY_TOL, scale,
-                                        details={"J_norm": max_abs(b.J)}))
+        reports.append(tolerance_report(f"qres-slope-n{n}", "Q-pol", params, slope,
+                                        IDENTITY_TOL, scale, details={"J_norm": max_abs(b.J)}))
     reports.append(tolerance_report(f"vdeg-n{n}-N{N}", "V-pol-deg", params, vn[N],
                                     IDENTITY_TOL, scale, details={"coeff_norms": vn}))
     if n == 2 * N:
         reports.append(tolerance_report(f"vcrit-n{n}-N{N}", "V-van", params, max_abs(vn),
                                         IDENTITY_TOL, scale))
-    # Proportionality between the two polynomials: 4^{N-1} (N-1)! lam V(lam)
-    # equals (n/2 - N) qres(lam); compare coefficientwise, one coefficient
-    # field of the gap at a time. mul_poly skips a vanishing factor, and so
-    # does the gap at n = 2N.
-    a, c = float(4 ** (N - 1) * factorial(N - 1)), float(N - Fraction(n, 2))
-    pairs = zip_longest([0.0] + v.coeffs, qres.coeffs if c else [], fillvalue=0.0)
-    gap = max_abs([max_abs(a * x + c * y) for x, y in pairs])
     reports.append(tolerance_report(f"master1-n{n}-N{N}", "master-1", params,
                                     gap, IDENTITY_TOL, scale))
     return reports
 
 
-def critical_suite_n4(b: CurvatureBundle, polys=None):
-    """The five fourth-order critical-case identity checks. polys, when
-    given, is qres_and_v_polys(b, 2) already built."""
+def poly_checks(b: CurvatureBundle, N: int):
+    """Vanishing, degree, and proportionality checks on the residue and volume
+    polynomials, each decided on whole coefficient fields."""
+    t0 = time.perf_counter()
+    rem, reads = _qres_v_pass(b, N, lambda block, qres, v: _poly_reads(block, N, qres, v))
+    return _poly_reports(b, N, rem, reads, t0)
+
+
+def critical_suite_n4(b: CurvatureBundle, with_poly_checks=False):
+    """The five fourth-order critical-case identity checks and, with
+    with_poly_checks, poly_checks(b, 2)'s, read in the same pass over the
+    cells: crit-d and crit-e read qres there."""
     if b.n != 4:
         raise ValueError("critical suite is defined at n = 4")
     reports = []
@@ -293,40 +359,52 @@ def critical_suite_n4(b: CurvatureBundle, polys=None):
                                     details={"starred_residual":
                                                  max_abs(p_dot_star - q4), **dot_pole},
                                     seconds=time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    qres = (polys or qres_and_v_polys(b, 2))[0]
-    q4_scale = max_abs([max_abs(q4), qres.max_norm()])
-    reports.append(tolerance_report("crit-d", "qres-derivative", {"n": 4},
-                                    max_abs(qres.coeffs[1] - q4), IDENTITY_TOL, q4_scale,
-                                    details={"qres_coeff_norms": qres.norms()},
-                                    seconds=time.perf_counter() - t0))
+    del holo, lhs_a, rhs_a, ones, p_dot, p_dot_star, t2, lhs_b, rhs_b  # before the pass
 
     t0 = time.perf_counter()
     t2_dot, t2_pole = pole_guarded(lambda: pair_derivative(family_poly(b, 1, 1), zero)[0])
     t4_dot, t4_pole = pole_guarded(lambda: pair_derivative(family_poly(b, 2, 0), zero)[0])
-    lhs_e = 8 * (2 * t2_dot + 4 * t4_dot)
-    rhs_e = -qres.coeffs[2] - q4
-    scale = max_abs([max_abs(lhs_e), max_abs(rhs_e), q4_scale])
+    lhs_e = np.broadcast_to(8 * (2 * t2_dot + 4 * t4_dot), q4.shape)  # a pole's NaN too
+    del t2_dot, t4_dot
+    e_seconds = time.perf_counter() - t0
+
+    def read(block, qres, v):
+        q4_block = cell_view(q4, block.cells)
+        rhs_e = -qres.coeffs[2] - q4_block
+        return (qres.norms(), max_abs(qres.coeffs[1] - q4_block),
+                max_abs(cell_view(lhs_e, block.cells) - rhs_e), max_abs(rhs_e),
+                _poly_reads(block, 2, qres, v) if with_poly_checks else ())
+
+    t0 = time.perf_counter()
+    rem, (qn, d_gap, e_gap, rhs_e_norm, poly) = _qres_v_pass(b, 2, read)
+    q4_scale = max_abs([max_abs(q4), max_abs(qn)])
+    reports.append(tolerance_report("crit-d", "qres-derivative", {"n": 4},
+                                    d_gap, IDENTITY_TOL, q4_scale,
+                                    details={"qres_coeff_norms": qn},
+                                    seconds=time.perf_counter() - t0))
+
+    scale = max_abs([max_abs(lhs_e), rhs_e_norm, q4_scale])
     reports.append(tolerance_report("crit-e", "harmonic-sum", {"n": 4},
-                                    max_abs(lhs_e - rhs_e), IDENTITY_TOL, scale,
+                                    e_gap, IDENTITY_TOL, scale,
                                     details={"harmonic_sum": "1 (single term)",
                                              **t4_pole, **t2_pole},
-                                    seconds=time.perf_counter() - t0))
+                                    seconds=e_seconds))
+    if with_poly_checks:
+        reports.extend(_poly_reports(b, 2, rem, poly, t0))
     return reports
 
 
 def conformal_covariance_q4(base: CurvatureBundle, omega, tol: float) -> CheckReport:
     """Transformation law e^{4w} Q4(phi + w) = Q4(phi) + P4(phi)(w) at n = 4,
-    on the metric of base. A zero or constant shift holds at rounding level
-    on any chart; a generic one leaves the Leibniz error of base's
+    on the metric of base. A constant shift holds at rounding level on any
+    chart; a generic one leaves the Leibniz error of base's
     derivative, h^4 on a stencil chart and rounding on the spectral one; tol
     is the bound for base's chart."""
     if base.n != 4:
         raise ValueError("transformation law is checked at n = 4")
     t0 = time.perf_counter()
     omega = np.asarray(omega)
-    shifted = curvature(base.chart, base.phi + omega) if np.any(omega) else base
+    shifted = curvature(base.chart, base.phi + omega)
     lhs = np.exp(4 * omega) * q4_direct(shifted)
     p4_omega, pole = pole_guarded(lambda: build_P(4, 2).apply_at(base, omega, Fraction(0))[0])
     rhs = q4_direct(base) + p4_omega
@@ -414,6 +492,7 @@ def _adjoint_reports(b: CurvatureBundle, seed: int):
     f = rng.standard_normal(b.chart.shape)
     g = rng.standard_normal(b.chart.shape)
     n = b.n
+    tol = ADJOINT_TOL * (b.chart.shape[0] / SPECTRAL_GRID) ** 1.25
     reports = []
     # each of f and g is differentiated once for both cases
     grad_f, grad_g = gradient(b.chart, f), gradient(b.chart, g)
@@ -430,7 +509,7 @@ def _adjoint_reports(b: CurvatureBundle, seed: int):
         res = abs(thunk())
         scale = abs(inner(b, f, g)) + 1.0
         reports.append(tolerance_report(f"adjoint-{name}-n{n}", "self-adjointness",
-                                        {"n": n}, res, ADJOINT_TOL, scale,
+                                        {"n": n}, res, tol, scale,
                                         seconds=time.perf_counter() - t0))
     return reports
 
@@ -488,25 +567,21 @@ def critical_n4_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
     reported (ids the run has decided) holds them, and the transformation
     law under a generic shift on the spectral chart."""
     b = _metric(TorusChart(4, (size, size)), preset, seed, phi)
-    polys = qres_and_v_polys(b, 2)
-    reports = critical_suite_n4(b, polys=polys)
-    if "qres-den-n4-N2" not in reported:  # poly_checks reports its ids together
-        reports.extend(poly_checks(b, 2, polys=polys))
+    # poly_checks reports its ids together
+    reports = critical_suite_n4(b, with_poly_checks="qres-den-n4-N2" not in reported)
     return reports + _generic_shift(preset, seed, phi)
 
 
 def conformal_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
                     phi=None, reported=frozenset()):
-    """Transformation law at n = 4 under a zero and a constant shift on the
-    run's grid and, unless reported holds critical_n4_suite's id for it, a
-    generic shift on the spectral chart."""
+    """Transformation law at n = 4 under a constant shift on the run's grid
+    and, unless reported holds critical_n4_suite's id for it, a generic
+    shift on the spectral chart."""
     base = _metric(TorusChart(4, (size, size)), preset, seed, phi)
     tol = CONST_SHIFT_TOL * (size / SPECTRAL_GRID) ** 4
-    reports = []
-    for name, omega in (("zero", base.chart.zeros()), ("const", 0.3 * np.ones(base.chart.shape))):
-        rep = conformal_covariance_q4(base, omega, tol)
-        rep.id = f"conformal-{name}"
-        reports.append(rep)
+    rep = conformal_covariance_q4(base, 0.3 * np.ones(base.chart.shape), tol)
+    rep.id = "conformal-const"
+    reports = [rep]
     if "conformal-covariance-q4" not in reported:
         reports.extend(_generic_shift(preset, seed, phi))
     return reports

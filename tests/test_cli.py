@@ -293,7 +293,7 @@ class TestPoles:
         ("critical-n4", holographic, "torus_q", {"crit-a"}),
         ("critical-n4", families.LambdaOperator, "derivative_at", {"crit-b", "crit-c"}),
         ("critical-n4", holographic, "pair_derivative", {"crit-e"}),
-        ("conformal", families.LambdaOperator, "apply_at", {"conformal-zero", "conformal-const"}),
+        ("conformal", families.LambdaOperator, "apply_at", {"conformal-const"}),
     ], ids=["q4-dual", "crit-a", "crit-b-c", "crit-e", "conformal"])
     def test_pole_fails_its_checks(self, suite, owner, name, failed, tmp_path, monkeypatch):
         original = getattr(owner, name)
@@ -544,7 +544,7 @@ class TestFieldCommand:
                     "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
         body = json.loads((tmp_path / "r.json").read_text())
         ids = {c["id"] for c in body["checks"]}
-        assert "q4-dual-n4" in ids and "conformal-zero" in ids
+        assert "q4-dual-n4" in ids and "conformal-const" in ids
         assert not {i for i in ids if "flat" in i or i == "conformal-covariance-q4"}
         skipped = body["quantities"][0]["values"]["skipped"]
         assert "grid 48 is not a multiple of the 32-point spectral chart" in skipped
@@ -584,7 +584,7 @@ class TestSharedChecks:
         ("critical-n4", {"crit-a", "crit-b", "crit-c", "crit-d", "crit-e", "qres-den-n4-N2",
                          "qres-van-n4-N2", "vdeg-n4-N2", "vcrit-n4-N2", "master1-n4-N2",
                          "conformal-covariance-q4"}),
-        ("conformal", {"conformal-zero", "conformal-const", "conformal-covariance-q4"}),
+        ("conformal", {"conformal-const", "conformal-covariance-q4"}),
     ])
     def test_suite_alone_keeps_its_checks(self, tmp_path, suite, expected):
         out = tmp_path / "r"

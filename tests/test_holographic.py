@@ -269,7 +269,7 @@ def _all_pass(reports):
 
 def _master3_numerator(b, N):
     terms = list(zip(master3_weights(b.n, N), holographic._t_star_pairs(b, N)))
-    return holographic._cleared_sum(terms)[0]
+    return reference_cleared_sum(terms)[0]
 
 
 def _bounded_at(rep, total, lams):
@@ -391,23 +391,27 @@ def _summed(polys):
 
 
 def reference_cleared_sum(terms):
-    """Every cleared term built first, then summed out of place."""
-    parts = list(over_lcm(terms)[0])
+    """Every cleared (weight, (num, den)) term built first, on the whole
+    grid, then summed out of place."""
+    cofactors, _ = over_lcm([(w, den) for w, (_, den) in terms])
+    parts = [num.mul_poly(c) for c, (_, (num, _)) in zip(cofactors, terms)]
     return _summed(parts), [p.norms() for p in parts]
 
 
-def reference_cleared_check(check_id, equation, params, terms):
-    """_cleared_check from reference_cleared_sum."""
-    total, norms = reference_cleared_sum(terms)
+def reference_cleared_check(check_id, equation, params, b, terms, nums):
+    """_cleared_check from reference_cleared_sum on the whole grid."""
+    total, norms = reference_cleared_sum(
+        [(w, (num, den)) for (w, den), num in zip(terms, nums(b))])
     return holographic.tolerance_report(
         check_id, equation, params, total.max_norm(), holographic.IDENTITY_TOL,
         max(max(ns, default=0.0) for ns in norms), details={"coeff_norms": total.norms()})
 
 
-def reference_qres_and_v_polys(b, N):
+def reference_qres_and_v_polys(b, N, factors=None):
     """qres_and_v_polys from every cleared term at once, summed out of place."""
-    parts, den = over_lcm([(1, pair) for pair in holographic._t_star_pairs(b, N)])
-    parts = list(parts)
+    pairs = holographic._t_star_pairs(b, N)
+    cofactors, den = over_lcm([(1, den) for _, den in pairs])
+    parts = [num.mul_poly(c) for c, (num, _) in zip(cofactors, pairs)]
     quot, rem = pochhammer(LAMBDA - Fraction(b.n, 2) + 1, N).divmod(den)
     shift = b.n - 2 * N
     qres = _summed(parts).mul_poly(quot * -(4**N * holographic.factorial(N))).shift(shift)
@@ -433,10 +437,6 @@ class TestStreamedSums:
     def test_bitwise_equal_to_summing_all_parts(self, n, monkeypatch):
         b = bundle(n=n, size=32, preset="trig2")
         for N in (1, 2, 3):
-            terms = list(zip(master3_weights(n, N), holographic._t_star_pairs(b, N)))
-            total, norms = holographic._cleared_sum(terms)
-            want_total, want_norms = reference_cleared_sum(terms)
-            assert _same_bits(total, want_total) and norms == want_norms, N
             got = qres_and_v_polys(b, N)
             want = reference_qres_and_v_polys(b, N)
             assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), N
@@ -534,23 +534,77 @@ class TestNonFinite:
         assert not rep.passed and rep.details["reason"] == "non-finite residual nan"
 
     def test_cleared_check_reads_nan_coefficient(self):
-        num = FieldPoly([np.zeros((8, 8)), np.zeros((8, 8))])
-        num.coeffs[1][3, 5] = np.nan
-        whole = holographic._cleared_check("c", "eq", {}, [(1, (num, LambdaPoly((1,))))])
-        assert not whole.passed and np.isnan(whole.residual)
+        # one cell of the last, ragged block of the cached T*_4(lam)(1)
+        b = _cached_bundle(RAGGED)
+        family_poly(b, 2, 0)[0].coeffs[1].reshape(-1)[-1] = np.nan
+        for rep in master_check_numeric(b, 2) + example_2_3_checks(b):
+            assert not rep.passed and np.isnan(rep.residual), rep.id
+            assert rep.details["reason"].startswith("non-finite residual nan"), rep.id
 
     def test_poly_checks_read_nan_coefficient(self):
-        ch = TorusChart(4, (32, 32))
-        b = curvature(ch, preset_phi(ch, "trig1", seed=7))
-        qres, v, rem = qres_and_v_polys(b, 1)
-        qres.coeffs[1][0, 0] = np.nan
-        for rep in poly_checks(b, 1, polys=(qres, v, rem)):
+        # one cell of J in the last, ragged block reaches every qres and v
+        # built there, and the fields crit-d and crit-e read beside them
+        b = _cached_bundle(RAGGED)
+        b.J.reshape(-1)[-1] = np.nan
+        reports = poly_checks(b, 1) + critical_suite_n4(b, with_poly_checks=True)
+        assert len([r for r in reports if r.exact is None]) == 13
+        for rep in reports:
             if rep.exact is None:
-                assert not rep.passed and "non-finite" in rep.details["reason"], rep.id
+                assert not rep.passed and rep.details["reason"].startswith("non-finite"), rep.id
 
     def test_overflowing_scale_fails(self):
         rep = tolerance_report("x", "eq", {}, 1e160, 1e-6, float("inf"))
         assert not rep.passed and rep.details["reason"] == "non-finite scale inf"
+
+
+# One full block of cells and a ragged tail of 4,096.
+RAGGED = 192
+assert grid.BLOCK < RAGGED**2 < 2 * grid.BLOCK
+
+
+def _cached_bundle(size):
+    """A bundle at n = 4 with the families of N <= 2 cached."""
+    b = bundle(n=4, size=size)
+    for j, k in ((1, 0), (1, 1), (2, 0)):
+        family_poly(b, j, k)
+    return b
+
+
+class TestCellBlocks:
+    """The pointwise identity checks are decided one grid.BLOCK of cells at
+    a time; their reports are those of one block of the whole grid, and of
+    every cleared term built on the whole grid."""
+
+    def test_same_reports_as_one_block_and_whole_fields(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        suites = [lambda: numeric_suite((4, 6, 7), size=RAGGED),
+                  lambda: critical_n4_suite(size=RAGGED)]
+        blocked = [[_fields(r) for r in suite()] for suite in suites]
+        monkeypatch.setattr(grid, "BLOCK", RAGGED**2)
+        assert blocked == [[_fields(r) for r in suite()] for suite in suites]
+        monkeypatch.setattr(holographic, "_cleared_check", reference_cleared_check)
+        monkeypatch.setattr(holographic, "qres_and_v_polys", reference_qres_and_v_polys)
+        assert blocked == [[_fields(r) for r in suite()] for suite in suites]
+
+    def test_cache_is_not_written(self):
+        b = _cached_bundle(RAGGED)
+        cached = {key: [c.tobytes() for c in num.coeffs]
+                  for key, (num, _) in b.family_polys.items()}
+        for N in (1, 2):
+            master_check_numeric(b, N)
+            poly_checks(b, N)
+        example_2_3_checks(b)
+        critical_suite_n4(b, with_poly_checks=True)
+        assert {key: [c.tobytes() for c in num.coeffs]
+                for key, (num, _) in b.family_polys.items()} == cached
+
+    def test_block_views_are_read_only(self):
+        b = _cached_bundle(32)
+        (block,) = holographic._blocks(b)
+        with pytest.raises(ValueError):
+            block.J[0] = 0.0
+        with pytest.raises(ValueError):
+            block.family_polys[(2, 0)][0].coeffs[0][0] += 1.0
 
 
 class TestSixthOrder:
@@ -595,8 +649,8 @@ class TestCriticalSuite:
     def test_slope_sign_pinned(self, monkeypatch):
         original = holographic.qres_and_v_polys
 
-        def flipped(b, N):
-            qres, v, rem = original(b, N)
+        def flipped(b, N, factors=None):
+            qres, v, rem = original(b, N, factors)
             qres.coeffs[1] = -qres.coeffs[1]
             return qres, v, rem
 
@@ -732,9 +786,9 @@ class TestSuites:
         calls = []
         original = holographic.qres_and_v_polys
 
-        def spy(b, N):
+        def spy(b, N, factors=None):
             calls.append(N)
-            return original(b, N)
+            return original(b, N, factors)
 
         monkeypatch.setattr(holographic, "qres_and_v_polys", spy)
         critical_n4_suite(size=16)
@@ -747,7 +801,7 @@ class TestSuites:
         assert alone - after == {"qres-den-n4-N2", "qres-van-n4-N2", "vdeg-n4-N2",
                                  "vcrit-n4-N2", "master1-n4-N2"}
         ids = [r.id for r in conformal_suite(size=16, reported=shared)]
-        assert ids == ["conformal-zero", "conformal-const"]
+        assert ids == ["conformal-const"]
 
 
 # the smallest grid whose dimensions run concurrently
