@@ -2,8 +2,9 @@
 stencil (also at 512x512, on both axes), the curvature bundle, one
 operator-family polynomial and the residue/volume polynomial checks; the
 n = 6 flat-base checks (gjms-flat and q-flat, N = 1..3) on the 32x32
-spectral chart; and the pointwise identity checks at N = 2, n = 6 on a
-512x512 torus, decided one block of cells at a time.
+spectral chart; and on a 512x512 torus at n = 6, the curvature bundle, the
+adjoint pairings and the pointwise identity checks at N = 2, decided one
+block of cells at a time.
 
     python -m pytest bench/bench_numeric.py -q
 
@@ -15,7 +16,13 @@ import pytest
 
 from holoq.conformal import curvature
 from holoq.grid import TorusChart, d1
-from holoq.holographic import _flat_reports, family_poly, master_check_numeric, poly_checks
+from holoq.holographic import (
+    _adjoint_reports,
+    _flat_reports,
+    family_poly,
+    master_check_numeric,
+    poly_checks,
+)
 from holoq.lambda_algebra import LAMBDA
 from holoq.presets import preset_phi
 
@@ -48,6 +55,25 @@ def test_curvature(benchmark, chart_phi):
     assert np.all(np.isfinite(b.J))
 
 
+@pytest.fixture(scope="module")
+def chart_phi_512():
+    ch = TorusChart(6, (512, 512))
+    return ch, preset_phi(ch, "trig1", seed=7)
+
+
+def test_curvature_512(benchmark, chart_phi_512):
+    b = benchmark(curvature, *chart_phi_512)
+    assert np.all(np.isfinite(b.J)) and np.all(np.isfinite(b.lapJ))
+
+
+def test_adjoint_reports_512(benchmark, chart_phi_512):
+    # <L f, g> and <f, L g> for the Laplacian and the Schouten divergence
+    # form, the weights built once per call
+    b = curvature(*chart_phi_512)
+    reports = benchmark(_adjoint_reports, b, 7)
+    assert len(reports) == 2 and all(r.passed for r in reports)
+
+
 def test_flat_checks_n6(benchmark):
     # the spectral chart's metric, P_2, P_4, P_6 on a field and Q_2, Q_4, Q_6
     reports = benchmark(_flat_reports, 6, "trig1", 7, None)
@@ -71,12 +97,11 @@ def test_poly_checks(benchmark, bundle):
     assert all(r.passed for r in reports)
 
 
-def test_block_pass_512(benchmark):
+def test_block_pass_512(benchmark, chart_phi_512):
     # master-3 and the residue/volume checks at N = 2 from the cached
     # families: the cleared polynomials of each block of cells are built
     # and read, and only their norms are kept
-    ch = TorusChart(6, (512, 512))
-    b = curvature(ch, preset_phi(ch, "trig1", seed=7))
+    b = curvature(*chart_phi_512)
     for j in (1, 2):
         family_poly(b, j, 2 - j)
     reports = benchmark(lambda: master_check_numeric(b, 2) + poly_checks(b, 2))

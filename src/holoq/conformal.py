@@ -27,9 +27,7 @@ class CurvatureBundle:
     n: int = field(init=False)
     em2: np.ndarray = field(init=False)
     en2: np.ndarray = field(init=False)
-    en4w: np.ndarray = field(init=False)
     emn: np.ndarray = field(init=False)
-    W: np.ndarray = field(init=False)
     J: np.ndarray = field(init=False)
     # P[1][0] is P[0][1], one array
     P: list = field(init=False)
@@ -48,25 +46,28 @@ class CurvatureBundle:
         self.n = n
         self.em2 = np.exp(-2.0 * phi)
         self.en2 = np.exp((n - 2.0) * phi)
-        self.en4w = np.exp((n - 4.0) * phi)
         self.emn = np.exp(-float(n) * phi)
-        self.W = np.exp(float(n) * phi) * ch.cell_volume()
 
+        # each temporary is dropped after its last read
         dp = gradient(ch, phi)
         gradsq = dp[0] * dp[0] + dp[1] * dp[1]
         hess = hessian(ch, dp)
         lap0 = hess[0][0] + hess[1][1]
         self.J = -self.em2 * (lap0 + 0.5 * (n - 2.0) * gradsq)
+        del lap0
 
         # hess[1][0] is hess[0][1], so P is symmetric bit for bit
         p01 = -hess[0][1] + dp[0] * dp[1]
         self.P = [[-hess[i][k] + dp[i] * dp[k] - 0.5 * gradsq if i == k else p01
                    for k in range(2)] for i in range(2)]
+        del dp, hess, p01
         self.p_inactive = -0.5 * gradsq
+        del gradsq
         frob = sum(self.P[i][k] ** 2 for i in range(2) for k in range(2))
         self.Psq = self.em2 ** 2 * (frob + (n - 2.0) * self.p_inactive ** 2)
+        del frob
 
-        self.lapJ = laplacian(self, self.J, gradient(ch, self.J))
+        self.lapJ = laplacian(self, self.J)
 
 
 def curvature(chart: TorusChart, phi) -> CurvatureBundle:
@@ -81,11 +82,14 @@ def gradient(chart: TorusChart, f):
 
 def laplacian(b: CurvatureBundle, f, grad=None):
     """Laplace-Beltrami operator in conservative (divergence) form. grad,
-    when given, is gradient(b.chart, f) already built."""
+    when given, is gradient(b.chart, f) already built; otherwise each partial
+    of f is built for its flux and dropped with it."""
     ch = b.chart
-    g0, g1 = grad or gradient(ch, f)
-    out = d1(ch, b.en2 * g0, 0) + d1(ch, b.en2 * g1, 1)
-    return b.emn * out
+    partial = (lambda axis: grad[axis]) if grad else (lambda axis: d1(ch, f, axis))
+    out = d1(ch, b.en2 * partial(0), 0)
+    out += d1(ch, b.en2 * partial(1), 1)
+    out *= b.emn
+    return out
 
 
 def divergence_form(b: CurvatureBundle, B, f, grad=None):
@@ -95,7 +99,17 @@ def divergence_form(b: CurvatureBundle, B, f, grad=None):
     ch = b.chart
     g0, g1 = grad or gradient(ch, f)
     B00, B01, B11 = B
-    return b.emn * (d1(ch, B00 * g0 + B01 * g1, 0) + d1(ch, B01 * g0 + B11 * g1, 1))
+    out = d1(ch, _contract(B00, g0, B01, g1), 0)
+    out += d1(ch, _contract(B01, g0, B11, g1), 1)
+    out *= b.emn
+    return out
+
+
+def _contract(a, x, c, y):
+    """a x + c y, accumulated in the first product."""
+    out = a * x
+    out += c * y
+    return out
 
 
 def holo_coeffs(b: CurvatureBundle, k: int):
@@ -132,8 +146,26 @@ def _flux(b: CurvatureBundle, k: int):
     return tuple(b.en2 * x for x in B)
 
 
-def inner(b: CurvatureBundle, f, g) -> float:
-    return float(np.sum(f * g * b.W))
+def volume_weight(b: CurvatureBundle):
+    """e^{n phi} times the cell volume, the weight of inner. Built per use,
+    never kept."""
+    return np.exp(float(b.n) * b.phi) * b.chart.cell_volume()
+
+
+def schouten_flux(b: CurvatureBundle):
+    """(B00, B01, B11) of the divergence form's Schouten case,
+    B = -e^{(n-4) phi} P. Built per use, never kept."""
+    w = np.exp((b.n - 4.0) * b.phi)
+    np.negative(w, out=w)
+    return tuple(w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
+
+
+def inner(W, f, g) -> float:
+    """sum f g W, for the weight W = volume_weight(b): the metric's L^2
+    product of f and g."""
+    fg = f * g
+    fg *= W
+    return float(np.sum(fg))
 
 
 def apply_primitive(b: CurvatureBundle, name: str, f):

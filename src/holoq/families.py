@@ -157,23 +157,45 @@ class LambdaOperator:
         """Action on f as (numerator FieldPoly, scalar denominator poly).
 
         Each word is applied to f once, words sharing a suffix share its
-        application, and the coefficients enter only at the end, over the
-        lcm of their denominators. Every D_k kills constants, so on the ones
-        field the words whose innermost primitive is a D_k are skipped; the
-        denominator is still the lcm over all words."""
-        applied = {(): np.asarray(f, dtype=float)}
+        application, and the coefficients enter over the lcm of their
+        denominators. The terms are taken in order: a term applies the
+        suffixes of its word not yet applied, adds its field times its
+        cleared coefficient into the numerator, through one scratch
+        buffer, and drops the applied fields no later term reads. Every D_k
+        kills constants, so on the ones field the words whose innermost
+        primitive is a D_k are skipped; the denominator is still the lcm
+        over all words."""
+        f = np.asarray(f, dtype=float)
         terms = self.terms
-        if np.all(applied[()] == 1.0):
+        if np.all(f == 1.0):
             terms = {word: rat for word, rat in terms.items() if not word or word[-1][0] != "D"}
-        for word in terms:
+        den = _lcm(rat.den for rat in self.terms.values())
+        last_read = {}  # suffix -> index of the last term whose word ends in it
+        for t, word in enumerate(terms):
+            for i in range(len(word) + 1):
+                last_read[word[i:]] = t
+        applied, num, scratch = {(): f}, [], None
+        for t, (word, rat) in enumerate(terms.items()):
             for i in range(len(word) - 1, -1, -1):
                 if word[i:] not in applied:
                     applied[word[i:]] = apply_primitive(bundle, word[i], applied[word[i + 1:]])
-        den = _lcm(rat.den for rat in self.terms.values())
-        num = FieldPoly()
-        for word, rat in terms.items():
-            num += FieldPoly([applied[word]]).mul_poly(rat.num * den.divmod(rat.den)[0])
-        return num, den
+            arr = applied[word]
+            # as FieldPoly([arr]).mul_poly(p) added into num: a vanishing
+            # coefficient of p contributes a zero field
+            for k, pk in enumerate((rat.num * den.divmod(rat.den)[0]).coeffs):
+                fk = float(pk)
+                if k == len(num):
+                    num.append(fk * arr if fk != 0.0 else np.zeros_like(arr))
+                elif fk != 0.0:
+                    if scratch is None:
+                        scratch = np.empty_like(arr)
+                    num[k] += np.multiply(fk, arr, out=scratch)
+                else:
+                    num[k] += 0.0
+            del arr
+            for suffix in [s for s, u in last_read.items() if u == t]:
+                del applied[suffix]
+        return FieldPoly(num), den
 
     def apply_at(self, bundle: CurvatureBundle, f, lam):
         """Evaluate at a rational parameter value, dividing out removable poles."""

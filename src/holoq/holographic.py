@@ -29,6 +29,8 @@ from .conformal import (
     holo_coeffs,
     inner,
     laplacian,
+    schouten_flux,
+    volume_weight,
 )
 from .families import (
     FieldPoly,
@@ -493,25 +495,23 @@ def _adjoint_reports(b: CurvatureBundle, seed: int):
     g = rng.standard_normal(b.chart.shape)
     n = b.n
     tol = ADJOINT_TOL * (b.chart.shape[0] / SPECTRAL_GRID) ** 1.25
-    reports = []
-    # each of f and g is differentiated once for both cases
-    grad_f, grad_g = gradient(b.chart, f), gradient(b.chart, g)
-    # the divergence form's Schouten case, B = -e^{(n-4) phi} P
-    pdiv = tuple(-b.en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
-    cases = {
-        "lap": lambda: (inner(b, laplacian(b, f, grad_f), g)
-                        - inner(b, f, laplacian(b, g, grad_g))),
-        "pdiv": lambda: (inner(b, divergence_form(b, pdiv, f, grad_f), g)
-                         - inner(b, f, divergence_form(b, pdiv, g, grad_g))),
-    }
-    for name, thunk in cases.items():
-        t0 = time.perf_counter()
-        res = abs(thunk())
-        scale = abs(inner(b, f, g)) + 1.0
-        reports.append(tolerance_report(f"adjoint-{name}-n{n}", "self-adjointness",
-                                        {"n": n}, res, tol, scale,
-                                        seconds=time.perf_counter() - t0))
-    return reports
+    W, pdiv = volume_weight(b), schouten_flux(b)
+    cases = {"lap": lambda h, grad: laplacian(b, h, grad),
+             "pdiv": lambda h, grad: divergence_form(b, pdiv, h, grad)}
+    # <L f, g> for both cases, then <f, L g>: each of f and g is
+    # differentiated once, and one gradient pair is alive at a time
+    pairings, seconds = {name: [] for name in cases}, dict.fromkeys(cases, 0.0)
+    for h, pairing in ((f, lambda Lf: inner(W, Lf, g)), (g, lambda Lg: inner(W, f, Lg))):
+        grad = gradient(b.chart, h)
+        for name, op in cases.items():
+            t0 = time.perf_counter()
+            pairings[name].append(pairing(op(h, grad)))
+            seconds[name] += time.perf_counter() - t0
+        del grad
+    scale = abs(inner(W, f, g)) + 1.0
+    return [tolerance_report(f"adjoint-{name}-n{n}", "self-adjointness", {"n": n},
+                             abs(lhs - rhs), tol, scale, seconds=seconds[name])
+            for name, (lhs, rhs) in pairings.items()]
 
 
 def _dimension_reports(n: int, size: int, preset: str, seed: int, phi):

@@ -272,8 +272,11 @@ class RunConfig:
         return RunConfig.from_dict(d)
 
 
-def render_json(checks, config: RunConfig | None, timestamp: str,
-                quantities=()) -> str:
+def report_body(checks, config: RunConfig | None, timestamp: str,
+                quantities=()) -> dict:
+    """The JSON report of a run as JSON values: the checks sorted by id and
+    the quantities, if any, sorted by id. A file holds it as
+    json.dump(body, fh, sort_keys=True, indent=2) and a newline."""
     body = {
         "meta": {"timestamp": timestamp},
         "config": jsonable(config.to_dict()) if config is not None else None,
@@ -281,7 +284,14 @@ def render_json(checks, config: RunConfig | None, timestamp: str,
     }
     if quantities:
         body["quantities"] = [q.body() for q in sorted(quantities, key=lambda q: q.id)]
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    return body
+
+
+def render_json(checks, config: RunConfig | None, timestamp: str,
+                quantities=()) -> str:
+    """The text of report_body's file as one string."""
+    return json.dumps(report_body(checks, config, timestamp, quantities),
+                      sort_keys=True, indent=2) + "\n"
 
 
 def _fmt_float(x):

@@ -14,8 +14,10 @@ from holoq.conformal import (
     inner,
     laplacian,
     oracle_curvature,
+    schouten_flux,
+    volume_weight,
 )
-from holoq.grid import TorusChart, d1
+from holoq.grid import TorusChart, d1, hessian
 from holoq.presets import preset_phi
 
 
@@ -90,9 +92,9 @@ class TestCurvature:
         # the bitwise-equal mixed entries of P are held as one array
         assert b.P[1][0] is b.P[0][1]
         rebuilt = CurvatureBundle(ch, phi)
-        for name in ("em2", "en2", "en4w", "emn", "W", "lapJ"):
+        for name in ("em2", "en2", "emn", "lapJ"):
             assert np.array_equal(getattr(b, name), getattr(rebuilt, name)), name
-        assert np.array_equal(b.W, np.exp(float(n) * phi) * ch.cell_volume())
+        assert np.array_equal(volume_weight(b), np.exp(float(n) * phi) * ch.cell_volume())
         assert np.array_equal(b.lapJ, laplacian(b, J))
 
 
@@ -140,8 +142,8 @@ class TestOperators:
         rng = np.random.default_rng(9)
         f = rng.standard_normal(b.chart.shape)
         g = rng.standard_normal(b.chart.shape)
-        lhs = inner(b, laplacian(b, f), g)
-        rhs = inner(b, f, laplacian(b, g))
+        lhs = inner(volume_weight(b), laplacian(b, f), g)
+        rhs = inner(volume_weight(b), f, laplacian(b, g))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
     def test_schouten_div_grad_self_adjoint_exactly(self):
@@ -150,9 +152,9 @@ class TestOperators:
         rng = np.random.default_rng(10)
         f = rng.standard_normal(b.chart.shape)
         g = rng.standard_normal(b.chart.shape)
-        B = tuple(-b.en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
-        lhs = inner(b, divergence_form(b, B, f), g)
-        rhs = inner(b, f, divergence_form(b, B, g))
+        B = schouten_flux(b)
+        lhs = inner(volume_weight(b), divergence_form(b, B, f), g)
+        rhs = inner(volume_weight(b), f, divergence_form(b, B, g))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
     @pytest.mark.parametrize("name", ["v2", "v4", "v6", "D0", "D1", "D2", "D3"])
@@ -161,8 +163,8 @@ class TestOperators:
         rng = np.random.default_rng(12)
         f = rng.standard_normal(b.chart.shape)
         g = rng.standard_normal(b.chart.shape)
-        lhs = inner(b, apply_primitive(b, name, f), g)
-        rhs = inner(b, f, apply_primitive(b, name, g))
+        lhs = inner(volume_weight(b), apply_primitive(b, name, f), g)
+        rhs = inner(volume_weight(b), f, apply_primitive(b, name, g))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
     def test_first_flux_is_schouten_and_pairing(self):
@@ -173,7 +175,7 @@ class TestOperators:
             b = bundle(n=5, preset="trig1", size=size)
             x1, x2 = b.chart.mesh()
             f = np.cos(x1) * np.sin(2 * x2)
-            B = tuple(-b.en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
+            B = schouten_flux(b)
             g0, g1 = gradient(b.chart, f)
             dJ = gradient(b.chart, b.J)
             pairing = b.em2 * (dJ[0] * g0 + dJ[1] * g1)  # (dJ, df) in the metric
@@ -190,7 +192,7 @@ class TestIntegration:
     def test_flat_volume(self):
         ch = TorusChart(4, (32, 32))
         b = curvature(ch, np.zeros(ch.shape))
-        assert inner(b, 1, 1) == pytest.approx(4 * np.pi**2)
+        assert inner(volume_weight(b), 1, 1) == pytest.approx(4 * np.pi**2)
 
     def test_conformal_volume_bessel(self):
         # For phi = a cos(x1) the volume is (2 pi)^2 I_0(n a), and the
@@ -199,5 +201,111 @@ class TestIntegration:
         ch = TorusChart(n, (64, 64))
         x1, _ = ch.mesh()
         b = curvature(ch, a * np.cos(x1))
-        vol = inner(b, 1, 1)
+        vol = inner(volume_weight(b), 1, 1)
         assert vol == pytest.approx(4 * np.pi**2 * np.i0(n * a), rel=1e-10)
+
+
+# The operators as whole expressions, kept as references: every operator
+# above accumulates into one owned output, with the operands of each IEEE
+# operation in the same order, so it must give these bits exactly.
+
+def reference_laplacian(b, f, grad=None):
+    ch = b.chart
+    g0, g1 = grad or gradient(ch, f)
+    return b.emn * (d1(ch, b.en2 * g0, 0) + d1(ch, b.en2 * g1, 1))
+
+
+def reference_divergence_form(b, B, f, grad=None):
+    ch = b.chart
+    g0, g1 = grad or gradient(ch, f)
+    B00, B01, B11 = B
+    return b.emn * (d1(ch, B00 * g0 + B01 * g1, 0) + d1(ch, B01 * g0 + B11 * g1, 1))
+
+
+def reference_inner(b, f, g):
+    return float(np.sum(f * g * (np.exp(float(b.n) * b.phi) * b.chart.cell_volume())))
+
+
+def nan_cell(a, cell=(37, 101)):
+    a = np.array(a, dtype=float)
+    a[cell] = np.nan
+    return a
+
+
+def read_only(b):
+    """b with every array it holds made read-only: an operator that wrote
+    into one would raise."""
+    for value in vars(b).values():
+        for arr in value if isinstance(value, list) else [value]:
+            for a in arr if isinstance(arr, list) else [arr]:
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+    return b
+
+
+class TestWholeExpressionReferences:
+    SIZE = 192
+
+    @pytest.fixture(params=["field", "metric"])
+    def case(self, request):
+        # a NaN in one cell of the input field, or of the conformal factor
+        ch = TorusChart(6, (self.SIZE, self.SIZE))
+        phi = preset_phi(ch, "trig3", seed=11)
+        f = np.random.default_rng(11).standard_normal(ch.shape)
+        f[5, :3] = (0.0, -0.0, 0.0)
+        if request.param == "field":
+            f = nan_cell(f)
+        else:
+            phi = nan_cell(phi)
+        return read_only(curvature(ch, phi)), f
+
+    @pytest.mark.parametrize("given", [False, True], ids=["built", "given"])
+    def test_operators(self, case, given):
+        b, f = case
+        grad = gradient(b.chart, f) if given else None
+        B = schouten_flux(b)
+        assert (laplacian(b, f, grad).tobytes()
+                == reference_laplacian(b, f, grad).tobytes())
+        assert (divergence_form(b, B, f, grad).tobytes()
+                == reference_divergence_form(b, B, f, grad).tobytes())
+        B1 = _flux(b, 1)
+        assert (divergence_form(b, B1, f, grad).tobytes()
+                == reference_divergence_form(b, B1, f, grad).tobytes())
+
+    def test_inner_and_weights(self, case):
+        b, f = case
+        g = np.random.default_rng(12).standard_normal(b.chart.shape)
+        W = volume_weight(b)
+        for x, y in ((f, g), (g, f), (g, g), (1, 1)):
+            assert inner(W, x, y).hex() == reference_inner(b, x, y).hex()
+        en4w = np.exp((b.n - 4.0) * b.phi)
+        for got, p in zip(schouten_flux(b), (b.P[0][0], b.P[0][1], b.P[1][1])):
+            assert got.tobytes() == (-en4w * p).tobytes()
+
+    def test_bundle(self, case):
+        # the bundle's fields built with every temporary held to the end;
+        # numpy may elide a temporary into an in-place operation, which can
+        # change the sign of a NaN, so lap0 is named as in the bundle
+        b, _ = case
+        ch, phi, n = b.chart, b.phi, b.n
+        em2 = np.exp(-2.0 * phi)
+        dp = gradient(ch, phi)
+        gradsq = dp[0] * dp[0] + dp[1] * dp[1]
+        hess = hessian(ch, dp)
+        lap0 = hess[0][0] + hess[1][1]
+        J = -em2 * (lap0 + 0.5 * (n - 2.0) * gradsq)
+        p01 = -hess[0][1] + dp[0] * dp[1]
+        P = [[-hess[i][k] + dp[i] * dp[k] - 0.5 * gradsq if i == k else p01
+              for k in range(2)] for i in range(2)]
+        p_inactive = -0.5 * gradsq
+        frob = sum(P[i][k] ** 2 for i in range(2) for k in range(2))
+        want = {"em2": em2, "en2": np.exp((n - 2.0) * phi), "emn": np.exp(-float(n) * phi),
+                "J": J, "p_inactive": p_inactive,
+                "Psq": em2 ** 2 * (frob + (n - 2.0) * p_inactive ** 2),
+                "P00": P[0][0], "P01": P[0][1], "P11": P[1][1]}
+        got = {**vars(b), "P00": b.P[0][0], "P01": b.P[0][1], "P11": b.P[1][1]}
+        for name, value in want.items():
+            assert got[name].tobytes() == value.tobytes(), name
+        assert b.lapJ.tobytes() == reference_laplacian(b, J, gradient(ch, J)).tobytes()
+        # the weights only the adjoint pairings read are not kept
+        assert not {"W", "en4w"} & set(vars(b))

@@ -6,11 +6,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holoq.conformal import curvature, divergence_form, inner, laplacian
+from holoq.conformal import (
+    apply_primitive,
+    curvature,
+    divergence_form,
+    holo_coeffs,
+    inner,
+    laplacian,
+    schouten_flux,
+    volume_weight,
+)
 from holoq.families import (
     FieldPoly,
     LambdaOperator,
     PoleError,
+    _lcm,
     build_P,
     build_T,
     pair_value,
@@ -21,6 +31,7 @@ from holoq.grid import TorusChart
 from holoq.lambda_algebra import LAMBDA, LambdaPoly, LambdaRat
 from holoq.presets import preset_phi
 from holoq.sphere import SphereContext, sphere_T_on_one, sphere_v
+from holoq import families
 
 
 def bundle(n=4, size=32, preset="trig1", seed=7):
@@ -51,7 +62,7 @@ def reference_T4(b, f):
     + 2c delta(P df) + c (dJ, df)] / den, c = 2 lam + 2 - n, with the
     pairing (dJ, df) = (lap(J f) - J lap f - f lap J) / 2."""
     n, J = b.n, b.J
-    B = tuple(-b.en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
+    B = schouten_flux(b)
     pdiv, lap_f = divergence_form(b, B, f), laplacian(b, f)
     gj = 0.5 * (laplacian(b, J * f) - J * lap_f - f * b.lapJ)
     return FieldPoly([
@@ -176,6 +187,90 @@ class TestFieldPoly:
         assert [float(a[0]) for a in shifted.coeffs] == [float(x) for x in want]
 
 
+def reference_field_poly(op, b, f):
+    """LambdaOperator.field_poly as first written: every word applied
+    before any term is summed, every applied field held to the end, and
+    each term's product built whole by mul_poly before it is added."""
+    applied = {(): np.asarray(f, dtype=float)}
+    terms = op.terms
+    if np.all(applied[()] == 1.0):
+        terms = {word: rat for word, rat in terms.items() if not word or word[-1][0] != "D"}
+    for word in terms:
+        for i in range(len(word) - 1, -1, -1):
+            if word[i:] not in applied:
+                applied[word[i:]] = apply_primitive(b, word[i], applied[word[i + 1:]])
+    den = _lcm(rat.den for rat in op.terms.values())
+    num = FieldPoly()
+    for word, rat in terms.items():
+        num += FieldPoly([applied[word]]).mul_poly(rat.num * den.divmod(rat.den)[0])
+    return num, den, len(applied) - 1
+
+
+class TestFieldPolyAgainstReference:
+    """field_poly drops each applied field after the last term that reads
+    it and adds each term into the numerator through one scratch buffer;
+    the bits are those of reference_field_poly, at 192^2 (numpy elides
+    temporaries of 256 KiB and more) on trig3, seed 11."""
+
+    SIZE = 192
+
+    @pytest.fixture(scope="class")
+    def b(self):
+        return bundle(n=6, size=self.SIZE, preset="trig3", seed=11)
+
+    @pytest.fixture(scope="class")
+    def field(self, b):
+        # a NaN in one cell, and signed zeros that a zero term turns to +0.0
+        f = np.random.default_rng(11).standard_normal(b.chart.shape)
+        f[37, 101] = np.nan
+        f[5, :4] = (0.0, -0.0, 0.0, -0.0)
+        return f
+
+    @staticmethod
+    def zero_coefficient_operator():
+        # cleared over the lcm (lam + 3): v2 [-3, -1], D0 [0, 3, 1],
+        # v4 D0 [0, 3, 1, 3, 1], v2 v2 [-2, 0, 1], so a zero coefficient
+        # lands both inside the numerator built so far and past its end
+        return LambdaOperator({
+            ("v2",): LambdaRat.const(-1),
+            ("D0",): LambdaRat(LAMBDA),
+            ("v4", "D0"): LambdaRat(LAMBDA**3 + LAMBDA),
+            ("v2", "v2"): LambdaRat(LAMBDA**2 - 2, LAMBDA + 3),
+        })
+
+    def check(self, op, b, f, monkeypatch):
+        calls = []
+        original = families.apply_primitive
+
+        def spy(bundle, name, g):
+            calls.append(name)
+            return original(bundle, name, g)
+
+        monkeypatch.setattr(families, "apply_primitive", spy)
+        num, den = op.field_poly(b, f)
+        want, want_den, applied = reference_field_poly(op, b, f)
+        assert den == want_den
+        assert len(num.coeffs) == len(want.coeffs)
+        for got, ref in zip(num.coeffs, want.coeffs):
+            assert got.tobytes() == ref.tobytes()
+        # each suffix is applied once, as in the reference
+        assert len(calls) == applied
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_adjoint_families_on_coefficients(self, b, k, monkeypatch):
+        op = build_T(6, 2).adjoint()
+        self.check(op, b, holo_coeffs(b, k) if k else ones(b), monkeypatch)
+
+    def test_family_on_field_with_nan(self, b, field, monkeypatch):
+        self.check(build_T(6, 3), b, field, monkeypatch)
+
+    def test_zero_coefficients(self, b, field, monkeypatch):
+        op = self.zero_coefficient_operator()
+        cleared = [rat.num * (LAMBDA + 3).divmod(rat.den)[0] for rat in op.terms.values()]
+        assert [0 in p.coeffs for p in cleared] == [False, True, True, True]
+        self.check(op, b, field, monkeypatch)
+
+
 class TestEvaluation:
     def test_order_two_matches_direct_formula(self):
         b = bundle(n=5)
@@ -254,8 +349,8 @@ class TestAdjoints:
         g = rng.standard_normal(b.chart.shape)
         op = build_T(6, N)
         lam = Fraction(7, 2)
-        lhs = inner(b, op.apply_at(b, f, lam)[0], g)
-        rhs = inner(b, f, op.adjoint().apply_at(b, g, lam)[0])
+        lhs = inner(volume_weight(b), op.apply_at(b, f, lam)[0], g)
+        rhs = inner(volume_weight(b), f, op.adjoint().apply_at(b, g, lam)[0])
         assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
 
     def test_double_adjoint_round_trips(self):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from holoq import conformal, families, grid, holographic
-from holoq.conformal import curvature
+from holoq.conformal import curvature, gradient
 from holoq.families import (
     FieldPoly,
     LambdaOperator,
@@ -48,6 +48,7 @@ from holoq.lambda_algebra import LAMBDA, LambdaPoly, pochhammer
 from holoq.presets import preset_phi
 from holoq.reports import max_abs, tolerance_report
 from holoq.sphere import SphereContext, sphere_Q
+from test_conformal import read_only, reference_divergence_form, reference_laplacian
 
 
 def bundle(n=4, size=64, preset="trig1", seed=7):
@@ -712,6 +713,104 @@ class TestConformalCovariance:
                             lambda n, N: original(n, N).scale(Fraction(1001, 1000)))
         rep = {r.id: r for r in critical_n4_suite(size=32)}["conformal-covariance-q4"]
         assert not rep.passed and rep.residual > 1e3 * rep.tol
+
+
+def reference_adjoint_residuals(b, seed):
+    """_adjoint_reports' residuals and scale as first written: both gradient
+    pairs, the Schouten flux and the weights held at once, and every
+    operator a whole expression."""
+    rng = np.random.default_rng(seed + 211)
+    f = rng.standard_normal(b.chart.shape)
+    g = rng.standard_normal(b.chart.shape)
+    W = np.exp(float(b.n) * b.phi) * b.chart.cell_volume()
+    en4w = np.exp((b.n - 4.0) * b.phi)
+
+    def inner(x, y):
+        return float(np.sum(x * y * W))
+
+    grad_f, grad_g = gradient(b.chart, f), gradient(b.chart, g)
+    pdiv = tuple(-en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
+    lap = (inner(reference_laplacian(b, f, grad_f), g)
+           - inner(f, reference_laplacian(b, g, grad_g)))
+    div = (inner(reference_divergence_form(b, pdiv, f, grad_f), g)
+           - inner(f, reference_divergence_form(b, pdiv, g, grad_g)))
+    return {"lap": abs(lap), "pdiv": abs(div)}, abs(inner(f, g)) + 1.0
+
+
+class TestAdjointPhase:
+    def test_same_bits_as_whole_expressions(self):
+        # at 192^2 on trig3, seed 11, with every bundle field read-only and
+        # a family cached: the phase writes into none of them
+        ch = TorusChart(6, (192, 192))
+        b = read_only(curvature(ch, preset_phi(ch, "trig3", seed=11)))
+        family_poly(b, 2, 0)
+        cached = [a.tobytes() for a in family_poly(b, 2, 0)[0].coeffs]
+        for a in family_poly(b, 2, 0)[0].coeffs:
+            a.flags.writeable = False
+        reports = holographic._adjoint_reports(b, 11)
+        residuals, scale = reference_adjoint_residuals(b, 11)
+        assert [r.id for r in reports] == ["adjoint-lap-n6", "adjoint-pdiv-n6"]
+        for rep in reports:
+            assert rep.passed
+            assert rep.residual.hex() == residuals[rep.id.split("-")[1]].hex()
+            assert rep.scale.hex() == scale.hex()
+        assert [a.tobytes() for a in family_poly(b, 2, 0)[0].coeffs] == cached
+
+
+def traced_peak(thunk):
+    """(thunk(), the tracemalloc peak above the memory traced before it)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = thunk()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak
+
+
+class TestMemoryBudget:
+    """tracemalloc peaks at 256^2 in whole fields (0.5 MiB), deterministic
+    since tracemalloc counts numpy's buffers; each bound is the measured
+    peak plus a fraction of a field. Every test runs its code once first,
+    since a first call fills caches that outlive it."""
+
+    FIELD = 256 * 256 * 8
+
+    def test_dimension(self):
+        # 24.55 fields, in the N = 2 polynomial checks. Keeping the
+        # bundle's temporaries, its adjoint-only weights, both gradient
+        # pairs and every applied word alive, it was 28.04.
+        holographic._dimension_reports(6, 256, "trig1", 7, None)
+        reports, peak = traced_peak(
+            lambda: holographic._dimension_reports(6, 256, "trig1", 7, None))
+        assert all(r.passed for r in reports)
+        assert peak < 25.5 * self.FIELD, peak / self.FIELD
+
+    @pytest.fixture(scope="class")
+    def b(self):
+        ch = TorusChart(6, (256, 256))
+        b = curvature(ch, preset_phi(ch, "trig1", seed=7))
+        holographic._adjoint_reports(b, 7)
+        return b
+
+    # measured: 14.01 (the bundle's 11 kept fields among them), 11.56 and
+    # 8.56. With the bundle's temporaries and adjoint-only weights kept it
+    # was 24.56; with the first gradient pair alive while the second is
+    # built, 13.56; with every applied word held, 9.56.
+    @pytest.mark.parametrize("phase,budget", [
+        ("curvature", 14.5), ("adjoints", 12.0), ("T*_4(1)", 9.0)])
+    def test_phase(self, b, phase, budget):
+        run = {"curvature": lambda: curvature(b.chart, b.phi),
+               "adjoints": lambda: holographic._adjoint_reports(b, 7),
+               "T*_4(1)": lambda: (b.family_polys.clear(), family_poly(b, 2, 0))}[phase]
+        run()
+        _, peak = traced_peak(run)
+        assert peak < budget * self.FIELD, peak / self.FIELD
 
 
 class TestSuites:
