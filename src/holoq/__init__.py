@@ -17,8 +17,9 @@ Layers, bottom up:
                   the critical n=4 suite, conformal covariance
   reports, cli    check verdicts, run configuration, deterministic
                   JSON/markdown output, command line
-  workers         independent tasks (suites, torus dimensions) run on the
-                  usable CPUs in forked processes
+  workers         the tasks of cli's run plan (suites, torus dimensions, the
+                  --einstein-j checks) run on the usable CPUs in forked
+                  processes; no suite forks on its own
 """
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 every check passed, 1 at least one check failed, 2 usage or
 configuration error. A failing run still writes its reports.
 
-The selected suites, the numeric suite as one task per dimension, run
+One run plan (_suite_tasks) holds the selected suites, the numeric suite as
+one task per dimension, and the --einstein-j checks. Its tasks run
 concurrently on the usable CPUs through one fork helper (holoq.workers) when
 an exact suite (sphere, hypergeom) is among them or the grid has at least
 128^2 points; otherwise they run one after another. Reports are sorted by
@@ -32,7 +33,6 @@ from functools import partial
 
 from .grid import TorusChart, load_field, save_field
 from .holographic import (
-    MIN_CONCURRENT_CELLS,
     MIN_NUMERIC_N,
     SPECTRAL_GRID,
     conformal_suite,
@@ -58,6 +58,14 @@ from .workers import run_tasks, usable_cpus
 SUITES = ("sphere", "hypergeom", "numeric", "critical-n4", "conformal")
 # Dimensions of the numeric suite when --n is not given.
 NUMERIC_N = (4, 6)
+
+# A forked worker costs a cold process about 25 ms of system time (page
+# tables, copy-on-write faults, teardown) whatever the grid, while one
+# dimension's checks take about 15 ms at 64^2 and 30 ms at 128^2 (2-CPU VM).
+# Cold `verify numeric --n 4,6` with a worker lost 12 of 16 pairs at 64^2 and
+# won 12 of 16 at 128^2, so smaller grids run their torus tasks in turn.
+# Each exact suite takes at least 90 ms, so a run with one forks at any grid.
+MIN_CONCURRENT_CELLS = 128 * 128
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -194,9 +202,10 @@ def _load_phi(config: RunConfig):
 
 
 def _suite_tasks(config: RunConfig, phi):
-    """(label, task) pairs of the selected suites in SUITES order, the numeric
-    suite one task per dimension. A check that suites share is decided by the
-    first of them, and the later ones learn its id from the selection."""
+    """The run plan: (label, task) pairs of the selected suites in SUITES
+    order, the numeric suite one task per dimension, then the --einstein-j
+    checks. A check that suites share is decided by the first of them; the
+    later ones leave it out, as the selection tells them."""
     names = _selected(config)
     torus = {"size": config.grid, "preset": config.preset, "seed": config.seed, "phi": phi}
     numeric_n = (config.n or NUMERIC_N) if "numeric" in names else ()
@@ -212,28 +221,26 @@ def _suite_tasks(config: RunConfig, phi):
             tasks.extend((f"numeric n = [{n}]", partial(numeric_suite, (n,), **torus))
                          for n in numeric_n)
         elif name == "critical-n4":
-            reported = {"qres-den-n4-N2"} if 4 in numeric_n else set()
-            tasks.append((name, partial(critical_n4_suite, reported=reported, **torus)))
+            tasks.append((name, partial(critical_n4_suite, with_poly_checks=4 not in numeric_n,
+                                        **torus)))
         elif name == "conformal":
-            reported = {"conformal-covariance-q4"} if "critical-n4" in names else set()
-            tasks.append((name, partial(conformal_suite, reported=reported, **torus)))
+            tasks.append((name, partial(conformal_suite,
+                                        with_generic_shift="critical-n4" not in names, **torus)))
+    if config.einstein_j is not None:
+        J = Fraction(config.einstein_j)
+        tasks.append(("einstein", lambda: [c for n in config.n or (4, 6, 8)
+                                           for c in einstein_checks(n, J)]))
     return tasks
 
 
 def _run_suites(config: RunConfig, phi):
-    """The checks of every selected suite, in SUITES order. A worker costs a
-    cold process about 25 ms and each exact suite at least 90 ms, so the
-    suites share the usable CPUs when an exact suite runs or the grid is at
-    least MIN_CONCURRENT_CELLS; the checks are those of running them in turn."""
+    """The checks of the run plan, in task order. The tasks share the usable
+    CPUs when an exact suite runs or the grid has at least
+    MIN_CONCURRENT_CELLS cells; the checks are those of running them in turn."""
     concurrent = (config.grid ** 2 >= MIN_CONCURRENT_CELLS
                   or {"sphere", "hypergeom"} & set(_selected(config)))
     results = run_tasks(_suite_tasks(config, phi), usable_cpus() if concurrent else 1)
-    checks = [c for suite_checks in results for c in suite_checks]
-    if config.einstein_j is not None:
-        J = Fraction(config.einstein_j)
-        for n in config.n or (4, 6, 8):
-            checks.extend(einstein_checks(n, J))
-    return checks
+    return [c for task_checks in results for c in task_checks]
 
 
 def _write_reports(checks, quantities, config: RunConfig):

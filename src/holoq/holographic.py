@@ -50,7 +50,6 @@ from .grid import TorusChart, cell_blocks, cell_view, wavenumbers
 from .lambda_algebra import LAMBDA, LambdaPoly, binomial, pochhammer
 from .presets import preset_phi
 from .reports import CheckReport, attempt, exact_report, max_abs, tolerance_report
-from .workers import run_tasks, usable_cpus
 
 # The numeric suite checks fourth-order families, which need n >= 4.
 MIN_NUMERIC_N = 4
@@ -74,12 +73,6 @@ LAW_TOL = 5e-10
 IDENTITY_TOL = 2e-12
 ADJOINT_TOL = 5e-12  # times (size / SPECTRAL_GRID)^(5/4)
 CONST_SHIFT_TOL = 4e-11  # times (size / SPECTRAL_GRID)^4
-# A forked worker costs a cold process about 25 ms of system time (page
-# tables, copy-on-write faults, teardown) whatever the grid, while one
-# dimension's checks take about 15 ms at 64^2 and 30 ms at 128^2 (2-CPU VM).
-# Cold `verify numeric --n 4,6` with a worker lost 12 of 16 pairs at 64^2 and
-# won 12 of 16 at 128^2, so smaller grids run their dimensions in turn.
-MIN_CONCURRENT_CELLS = 128 * 128
 
 
 def family_poly(b: CurvatureBundle, j: int, k: int):
@@ -546,43 +539,34 @@ def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",
     adjoints, Q-curvature duality, master relations, displayed identities,
     and the residue and volume polynomials. phi, when given, replaces the
     preset at the full grid size (its stride subsample feeds the spectral
-    chart). From MIN_CONCURRENT_CELLS grid cells on, the dimensions run
-    concurrently on the usable CPUs; the reports are those of running them
-    one after another. The gate is sized for a cold command-line process; in
-    a warm one whose heap holds freed fields, a worker lost up to 256^2
-    (128^2: 57.9 -> 78.4 ms, 256^2: 180 -> 234 ms; BENCH_13.json)."""
+    chart). The dimensions run one after another."""
     n_values = tuple(n_values)
     for n in n_values:
         if n < MIN_NUMERIC_N:
             raise ValueError(f"numeric suite needs n >= {MIN_NUMERIC_N} for the fourth-order terms")
-    args = (size, preset, seed, phi)
-    tasks = [(f"numeric n = [{n}]", lambda n=n: _dimension_reports(n, *args)) for n in n_values]
-    workers = usable_cpus() if size * size >= MIN_CONCURRENT_CELLS else 1
-    return [r for reports in run_tasks(tasks, workers) for r in reports]
+    return [r for n in n_values for r in _dimension_reports(n, size, preset, seed, phi)]
 
 
 def critical_n4_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
-                      phi=None, reported=frozenset()):
-    """Critical-case checks at n = 4, the N = 2 polynomial checks unless
-    reported (ids the run has decided) holds them, and the transformation
-    law under a generic shift on the spectral chart."""
+                      phi=None, with_poly_checks: bool = True):
+    """Critical-case checks at n = 4, the N = 2 polynomial checks if
+    with_poly_checks, and the transformation law under a generic shift on
+    the spectral chart."""
     b = _metric(TorusChart(4, (size, size)), preset, seed, phi)
-    # poly_checks reports its ids together
-    reports = critical_suite_n4(b, with_poly_checks="qres-den-n4-N2" not in reported)
+    reports = critical_suite_n4(b, with_poly_checks=with_poly_checks)
     return reports + _generic_shift(preset, seed, phi)
 
 
 def conformal_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
-                    phi=None, reported=frozenset()):
+                    phi=None, with_generic_shift: bool = True):
     """Transformation law at n = 4 under a constant shift on the run's grid
-    and, unless reported holds critical_n4_suite's id for it, a generic
-    shift on the spectral chart."""
+    and, if with_generic_shift, under a generic shift on the spectral chart."""
     base = _metric(TorusChart(4, (size, size)), preset, seed, phi)
     tol = CONST_SHIFT_TOL * (size / SPECTRAL_GRID) ** 4
     rep = conformal_covariance_q4(base, 0.3 * np.ones(base.chart.shape), tol)
     rep.id = "conformal-const"
     reports = [rep]
-    if "conformal-covariance-q4" not in reported:
+    if with_generic_shift:
         reports.extend(_generic_shift(preset, seed, phi))
     return reports
 

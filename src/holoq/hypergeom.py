@@ -218,11 +218,8 @@ def check_quadratic_transform(a, b, order: int) -> CheckReport:
                         ok, {} if ok else {"first_mismatch_power": mismatch})
 
 
-def _rand_fraction(rng, allow_zero=True):
-    while True:
-        f = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
-        if allow_zero or f != 0:
-            return f
+def _rand_fraction(rng):
+    return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
 
 
 def random_ps_instances(count: int, seed: int, mmax: int = 10):

@@ -36,13 +36,6 @@ class FormalSeries:
     def one(order):
         return FormalSeries([Fraction(1)], order)
 
-    def __getitem__(self, k):
-        if k < 0:
-            raise IndexError("negative series index")
-        if k > self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
     def valuation(self):
         """Index of first nonzero known coefficient, None if all vanish."""
         for k, c in enumerate(self.coeffs):
@@ -59,18 +52,6 @@ class FormalSeries:
         other = _as_series(other, self.order)
         n = min(self.order, other.order)
         return FormalSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FormalSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        other = _as_series(other, self.order)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, FormalSeries):
@@ -129,11 +110,6 @@ class FormalSeries:
             if not _eq(self.coeffs[k], other.coeffs[k]):
                 return False
         return True
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalSeries):
-            return NotImplemented
-        return self.order == other.order and self.agrees_with(other, self.order)
 
     def __repr__(self):
         head = ", ".join(repr(c) for c in self.coeffs[:4])

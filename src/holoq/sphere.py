@@ -118,8 +118,10 @@ def _shift_factor(ctx: SphereContext, N: int) -> LambdaPoly:
 
 
 def _qres(ctx: SphereContext, N: int, S0: LambdaRat) -> LambdaPoly:
-    """Product form of Qres_{2N}, cross-checked against its assembly from
-    the closed S0; IdentityError if they differ."""
+    """Residue polynomial Qres_{2N}(lambda) on the sphere in product form,
+    (-1)^{N-1} (n/2-N+1)_N lambda (lambda-2N+1)_{N-1}, cross-checked against
+    its assembly -2^{2N} N! (lambda+n/2-2N+1)_N S0(lambda+n-2N) from the
+    closed S0; IdentityError if they differ."""
     f, n = ctx.f, ctx.n
     closed = Fraction((-1) ** (N - 1)) * pochhammer(f - N + 1, N) * LAMBDA * \
         pochhammer(LAMBDA - 2 * N + 1, N - 1)
@@ -133,31 +135,14 @@ def _qres(ctx: SphereContext, N: int, S0: LambdaRat) -> LambdaPoly:
 
 
 def _v_poly(ctx: SphereContext, N: int, S0: LambdaRat, S1: LambdaRat) -> LambdaPoly:
-    """V_{2N} assembled from the closed S0 and S1; IdentityError if the
-    assembly is not polynomial."""
+    """V_{2N}(lambda) = (lambda+n/2-2N+1)_N sum_j (2N+2j) T*_{2j}(lambda+n-2N)(v),
+    assembled from the closed S0 and S1; IdentityError if the assembly is not
+    polynomial. Its degree is at most N-1, and it vanishes when 2N = n."""
     n = ctx.n
     v = _shift_factor(ctx, N) * (2 * N * S0.shift(n - 2 * N) + 2 * S1.shift(n - 2 * N))
     if not v.is_polynomial():
         raise IdentityError(f"V-polynomial assembly is not polynomial (n={n}, N={N})")
     return v.as_poly()
-
-
-def sphere_qres(ctx: SphereContext, N: int) -> LambdaPoly:
-    """Residue polynomial Qres_{2N}(lambda) on the sphere.
-
-    Product form (-1)^{N-1} prod_{j<N}(n/2-j) * lambda * prod_{j=1}^{N-1}
-    (lambda-N-j), cross-checked against the defining assembly
-    -2^{2N} N! (lambda+n/2-2N+1)_N * S0(lambda+n-2N).
-    """
-    return _qres(ctx, N, _sum_closed(ctx, N))
-
-
-def sphere_v_poly(ctx: SphereContext, N: int) -> LambdaPoly:
-    """V_{2N}(lambda) = (lambda+n/2-2N+1)_N sum_j (2N+2j) T*_{2j}(lambda+n-2N)(v).
-
-    Degree is at most N-1; identically zero in the critical case 2N = n.
-    """
-    return _v_poly(ctx, N, _sum_closed(ctx, N), _weighted_closed(ctx, N))
 
 
 def claim_red_rhs(ctx: SphereContext, N: int) -> LambdaRat:

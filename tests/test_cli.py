@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,7 +21,7 @@ from holoq.conformal import CurvatureBundle
 from holoq.families import PoleError
 from holoq.grid import TorusChart, load_field, save_field
 from holoq.reports import RunConfig
-from test_holographic import _assert_no_children, _cpus, time_limit  # noqa: F401  (a fixture)
+from test_workers import _assert_no_children, _count_forks, _cpus, time_limit  # noqa: F401  (a fixture)
 
 
 def run(argv):
@@ -632,26 +633,40 @@ class TestSharedChecks:
         assert len(set(built)) == len(built)
 
 
-def _count_forks(monkeypatch):
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
+def _assert_same_report_forking_once(tmp_path, monkeypatch, argv):
+    """argv writes the same JSON report with 2 CPUs as with 1, forking once."""
+    # JSON floats are written by repr, so equal text means equal residual bits
+    forks = _count_forks(monkeypatch)
+    texts = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        assert run([*argv, "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
+        _assert_no_children()
+        texts.append(strip_timestamp((tmp_path / "r.json").read_text()))
+    assert forks == [1]
+    assert texts[0] == texts[1]
 
 
 class TestConcurrentSuites:
     """The suites of one run share the usable CPUs through forked workers."""
 
     def test_same_report_as_one_cpu(self, tmp_path, monkeypatch, time_limit):
-        # JSON floats are written by repr, so equal text means equal residual bits
-        forks = _count_forks(monkeypatch)
-        texts = []
-        for cpus in (2, 1):
-            _cpus(monkeypatch, cpus)
-            assert run(["verify", "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
-            _assert_no_children()
-            texts.append(strip_timestamp((tmp_path / "r.json").read_text()))
-        assert forks == [1]
-        assert texts[0] == texts[1]
+        _assert_same_report_forking_once(tmp_path, monkeypatch, ["verify"])
+
+    @pytest.mark.parametrize("n", ["4,6", "4,5,6"])
+    def test_numeric_dimensions_same_report_as_one_cpu(self, tmp_path, monkeypatch,
+                                                        time_limit, n):
+        # the smallest grid whose dimensions run concurrently
+        grid = math.isqrt(cli.MIN_CONCURRENT_CELLS)
+        _assert_same_report_forking_once(
+            tmp_path, monkeypatch, ["verify", "numeric", "--n", n, "--grid", str(grid)])
+
+    def test_einstein_checks_are_a_task_of_the_plan(self, tmp_path, monkeypatch, time_limit):
+        # sphere runs here and the --einstein-j checks, the second task, in the child
+        argv = ["verify", "sphere", "--n", "4,6", "--einstein-j", "7/3"]
+        _assert_same_report_forking_once(tmp_path, monkeypatch, argv)
+        ids = [i for i in _check_ids(tmp_path / "r.json") if i.startswith("einstein-")]
+        assert len(ids) == 11
 
     def test_error_in_a_child_suite_reaches_the_caller(self, tmp_path, monkeypatch, time_limit):
         # sphere runs here and hypergeom, the second task, in the child

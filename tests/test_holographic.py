@@ -2,8 +2,6 @@
 
 import dataclasses
 import math
-import os
-import signal
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -255,7 +253,6 @@ class TestFamilyPolys:
             return original(self, b, f)
 
         monkeypatch.setattr(LambdaOperator, "field_poly", spy)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # spies see one process
         numeric_suite(n_values=(4, 6), size=32)
         # on the run's grid; the spectral chart's metric is a metric of its own
         assert 0 < calls.count((4, "stencil")) <= 3
@@ -429,6 +426,15 @@ def _verdicts(reports):
     return [dataclasses.replace(r, seconds=0.0) for r in reports]
 
 
+def _fields(report):
+    """Everything a report holds but its seconds, residual bits included."""
+    body = dataclasses.asdict(report)
+    del body["seconds"]
+    if isinstance(report.residual, float):
+        body["residual"] = report.residual.hex()
+    return body
+
+
 class TestStreamedSums:
     """The cleared sums are accumulated in place one term at a time; they
     have the bits of the sums of all terms built at once, and never write
@@ -511,7 +517,6 @@ class TestMulPoly:
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got.coeffs, want.coeffs))
 
     def test_same_reports_as_zero_filled(self, monkeypatch):
-        _cpus(monkeypatch, 1)
         suites = [lambda: numeric_suite((4, 6), size=32), lambda: critical_n4_suite(size=32)]
         got = [[_fields(r) for r in suite()] for suite in suites]
         monkeypatch.setattr(FieldPoly, "mul_poly", reference_mul_poly)
@@ -577,7 +582,6 @@ class TestCellBlocks:
     every cleared term built on the whole grid."""
 
     def test_same_reports_as_one_block_and_whole_fields(self, monkeypatch):
-        _cpus(monkeypatch, 1)
         suites = [lambda: numeric_suite((4, 6, 7), size=RAGGED),
                   lambda: critical_n4_suite(size=RAGGED)]
         blocked = [[_fields(r) for r in suite()] for suite in suites]
@@ -838,7 +842,6 @@ class TestSuites:
             return out
 
         monkeypatch.setattr(holographic, "_metric", spy)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # spies see one process
         numeric_suite(n_values=(4, 6), size=32)
         assert alive == [[False] * k for k in range(4)]
 
@@ -857,20 +860,17 @@ class TestSuites:
 
         monkeypatch.setattr(grid, "d1", spy)
         monkeypatch.setattr(conformal, "d1", spy)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # spies see one process
         numeric_suite(n_values=(4, 6), size=64)
         assert len(calls) == 196
 
     def test_numeric_suite_memory_peak(self, monkeypatch):
         # tracemalloc counts numpy's buffers, so the peak is deterministic.
-        # It sees one process, so the dimensions run in this one.
         # At 128^2 (128 KiB a grid array) the suite peaks at 5.5 MiB in the
         # N = 2 polynomial checks; with every cleared term held until its
         # sum was built, and five more bundle fields, it was 7.0 MiB.
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -895,146 +895,8 @@ class TestSuites:
 
     def test_reported_checks_are_not_rerun(self):
         alone = {r.id for r in critical_n4_suite(size=32)}
-        shared = {"qres-den-n4-N2", "conformal-covariance-q4"}
-        after = {r.id for r in critical_n4_suite(size=32, reported=shared)}
+        after = {r.id for r in critical_n4_suite(size=32, with_poly_checks=False)}
         assert alone - after == {"qres-den-n4-N2", "qres-van-n4-N2", "vdeg-n4-N2",
                                  "vcrit-n4-N2", "master1-n4-N2"}
-        ids = [r.id for r in conformal_suite(size=16, reported=shared)]
+        ids = [r.id for r in conformal_suite(size=16, with_generic_shift=False)]
         assert ids == ["conformal-const"]
-
-
-# the smallest grid whose dimensions run concurrently
-GATE = math.isqrt(holographic.MIN_CONCURRENT_CELLS)
-
-
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _fields(report):
-    """Everything a report holds but its seconds, residual bits included."""
-    body = dataclasses.asdict(report)
-    del body["seconds"]
-    if isinstance(report.residual, float):
-        body["residual"] = report.residual.hex()
-    return body
-
-
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _failing_at(monkeypatch, fail):
-    """_dimension_reports, with fail(n) run first at every dimension."""
-    original = holographic._dimension_reports
-
-    def patched(n, *args):
-        fail(n)
-        return original(n, *args)
-
-    monkeypatch.setattr(holographic, "_dimension_reports", patched)
-
-
-class _Timeout(Exception):
-    pass
-
-
-@pytest.fixture
-def time_limit():
-    """Fails the test with _Timeout after 60 s instead of hanging."""
-    def expire(signum, frame):
-        raise _Timeout
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-class _Unpicklable(ValueError):
-    def __reduce__(self):
-        raise TypeError("cannot pickle this error")
-
-
-class TestConcurrentDimensions:
-    @pytest.mark.parametrize("n_values", [(4, 6), (4, 5, 6)])
-    def test_same_reports_as_one_cpu(self, monkeypatch, time_limit, n_values):
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        _cpus(monkeypatch, 2)
-        two = numeric_suite(n_values, size=GATE)
-        _assert_no_children()
-        assert forks == [1]
-        _cpus(monkeypatch, 1)
-        one = numeric_suite(n_values, size=GATE)
-        assert forks == [1]
-        assert [_fields(r) for r in two] == [_fields(r) for r in one]
-
-    @pytest.mark.parametrize("cpus, size", [(1, GATE), (2, GATE // 2)])
-    def test_never_forks_with_one_cpu_or_below_the_gate(self, monkeypatch, cpus, size):
-        def fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "fork", fork)
-        _cpus(monkeypatch, cpus)
-        assert len(numeric_suite((4, 6), size=size)) == 43
-
-    def test_pole_in_a_child_reaches_the_caller(self, monkeypatch, time_limit):
-        def fail(n):
-            if n == 6:
-                raise PoleError(Fraction(2), 0.5)
-
-        _failing_at(monkeypatch, fail)
-        _cpus(monkeypatch, 2)
-        with pytest.raises(PoleError) as info:
-            numeric_suite((4, 6), size=GATE)
-        assert (info.value.lam, info.value.residue_norm) == (Fraction(2), 0.5)
-        _assert_no_children()
-
-    def test_first_failing_dimension_wins(self, monkeypatch, time_limit):
-        # n = 4 and 6 run here, n = 5 in the child; n = 6 fails here first in
-        # time, but n = 5 comes first in n_values order, as in the serial loop.
-        def fail(n):
-            if n in (5, 6):
-                raise ValueError(f"dimension {n}")
-
-        _failing_at(monkeypatch, fail)
-        _cpus(monkeypatch, 2)
-        with pytest.raises(ValueError, match="dimension 5"):
-            numeric_suite((4, 5, 6), size=GATE)
-        _assert_no_children()
-
-    def test_failure_in_the_callers_share_reaps_the_child(self, monkeypatch, time_limit):
-        def fail(n):
-            if n == 4:
-                raise ValueError("dimension 4")
-
-        _failing_at(monkeypatch, fail)
-        _cpus(monkeypatch, 2)
-        with pytest.raises(ValueError, match="dimension 4"):
-            numeric_suite((4, 6), size=GATE)
-        _assert_no_children()
-
-    def test_unpicklable_error_arrives_with_its_traceback(self, monkeypatch, time_limit):
-        def fail(n):
-            if n == 6:
-                raise _Unpicklable("dimension 6")
-
-        _failing_at(monkeypatch, fail)
-        _cpus(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match="_Unpicklable: dimension 6"):
-            numeric_suite((4, 6), size=GATE)
-        _assert_no_children()
-
-    def test_child_that_exits_early_raises(self, monkeypatch, time_limit):
-        def fail(n):
-            if n == 6:
-                os._exit(3)
-
-        _failing_at(monkeypatch, fail)
-        _cpus(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match=r"n = \[6\].*wait status 768"):
-            numeric_suite((4, 6), size=GATE)
-        _assert_no_children()

@@ -11,7 +11,9 @@ from holoq.lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer
 from holoq.reports import IdentityError
 from holoq.sphere import (
     SphereContext,
+    _qres,
     _sum_closed,
+    _v_poly,
     _weighted_closed,
     claim_red_rhs,
     closed_table,
@@ -21,10 +23,8 @@ from holoq.sphere import (
     sphere_Q,
     sphere_T_on_one,
     sphere_checks,
-    sphere_qres,
     sphere_suite,
     sphere_v,
-    sphere_v_poly,
 )
 
 F = Fraction
@@ -144,31 +144,37 @@ class TestSums:
 
 class TestQres:
     def test_product_form_n6(self):
-        q = sphere_qres(SphereContext(6), 2)
+        ctx = SphereContext(6)
+        q = _qres(ctx, 2, _sum_closed(ctx, 2))
         assert q == -6 * LAMBDA * (LAMBDA - 3)
 
     def test_product_form_critical_n4(self):
-        q = sphere_qres(SphereContext(4), 2)
+        ctx = SphereContext(4)
+        q = _qres(ctx, 2, _sum_closed(ctx, 2))
         assert q == -2 * LAMBDA * (LAMBDA - 3)
         assert q.derivative()(F(0)) == 6  # equals Q4(S^4)
 
     def test_vanishes_at_zero(self):
         for n in (4, 6, 10):
+            ctx = SphereContext(n)
             for N in (1, 2, 3):
-                assert sphere_qres(SphereContext(n), N)(F(0)) == 0
+                assert _qres(ctx, N, _sum_closed(ctx, N))(F(0)) == 0
 
     def test_v_poly_constant_N1(self):
         for n in (4, 6, 9):
-            vp = sphere_v_poly(SphereContext(n), 1)
+            ctx = SphereContext(n)
+            vp = _v_poly(ctx, 1, _sum_closed(ctx, 1), _weighted_closed(ctx, 1))
             assert vp == LambdaPoly([F(n * (n - 2), 4)])
 
     def test_v_poly_n6_N2(self):
-        vp = sphere_v_poly(SphereContext(6), 2)
+        ctx = SphereContext(6)
+        vp = _v_poly(ctx, 2, _sum_closed(ctx, 2), _weighted_closed(ctx, 2))
         assert vp == F(-3, 2) * (LAMBDA - 3)
 
     def test_v_poly_critical_zero(self):
-        assert sphere_v_poly(SphereContext(4), 2).is_zero()
-        assert sphere_v_poly(SphereContext(6), 3).is_zero()
+        for n, N in ((4, 2), (6, 3)):
+            ctx = SphereContext(n)
+            assert _v_poly(ctx, N, _sum_closed(ctx, N), _weighted_closed(ctx, N)).is_zero()
 
 
 class TestSphereQ:
