@@ -691,6 +691,17 @@ class TestConcurrentSuites:
         assert run(["verify", "numeric", "--grid", "64", "--out", str(tmp_path / "r"),
                     "--format", "json"]) == EXIT_PASS
 
+    def test_numeric_dimensions_below_the_gate_never_fork(self, tmp_path, monkeypatch):
+        # two torus tasks on 2 CPUs, but half the gate grid: they run in turn
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        _cpus(monkeypatch, 2)
+        grid = math.isqrt(cli.MIN_CONCURRENT_CELLS) // 2
+        assert run(["verify", "numeric", "--n", "4,6", "--grid", str(grid),
+                    "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
+
 
 def test_tracer_installs():
     """The benchmark tracer finds every holoq function it wraps."""
