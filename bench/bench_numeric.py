@@ -1,10 +1,10 @@
 """Micro-benchmarks of the numeric layers on a 128x128 torus at n = 4: the
-stencil (also at 512x512, on both axes), the curvature bundle, one
-operator-family polynomial and the residue/volume polynomial checks; the
-n = 6 flat-base checks (gjms-flat and q-flat, N = 1..3) on the 32x32
-spectral chart; and on a 512x512 torus at n = 6, the curvature bundle, the
-adjoint pairings and the pointwise identity checks at N = 2, decided one
-block of cells at a time.
+stencil (also at 512x512, on both axes, there also added into an existing
+field), the curvature bundle, one operator-family polynomial and the
+residue/volume polynomial checks; the n = 6 flat-base checks (gjms-flat
+and q-flat, N = 1..3) on the 32x32 spectral chart; and on a 512x512 torus
+at n = 6, the curvature bundle, the adjoint pairings and the pointwise
+identity checks at N = 2, decided one block of cells at a time.
 
     python -m pytest bench/bench_numeric.py -q
 
@@ -48,6 +48,17 @@ def test_d1(benchmark, size, axis):
     phi = preset_phi(ch, "trig1", seed=7)
     out = benchmark(d1, ch, phi, axis)
     assert out.shape == phi.shape and np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_d1_added_into_out_512(benchmark, axis):
+    # the second partial of laplacian and divergence_form: the stencil in a
+    # scratch block, added into an existing field
+    ch = TorusChart(4, (512, 512))
+    phi = preset_phi(ch, "trig1", seed=7)
+    out = np.zeros(ch.shape)
+    assert benchmark(d1, ch, phi, axis, out) is out
+    assert np.all(np.isfinite(out))
 
 
 def test_curvature(benchmark, chart_phi):

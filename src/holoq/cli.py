@@ -50,7 +50,7 @@ from .reports import (
     max_abs,
     render_json,
     render_markdown,
-    report_body,
+    write_json,
 )
 from .sphere import MAX_RADIAL_ORDER, sphere_suite
 from .workers import run_tasks, usable_cpus
@@ -249,11 +249,9 @@ def _write_reports(checks, quantities, config: RunConfig):
     paths = []
     if config.format in ("json", "both"):
         path = base + ".json"
-        # streamed chunk by chunk: the whole text is never held
+        # written one check at a time: the whole text is never held
         with open(path, "w") as fh:
-            json.dump(report_body(checks, config, timestamp, quantities), fh,
-                      sort_keys=True, indent=2)
-            fh.write("\n")
+            write_json(fh, checks, config, timestamp, quantities)
         paths.append(path)
     if config.format in ("md", "both"):
         path = base + ".md"

@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .grid import TorusChart, d1, hessian
+from .grid import TorusChart, cell_blocks, d1, hessian
 
 
 @dataclass
@@ -25,7 +25,6 @@ class CurvatureBundle:
     chart: TorusChart
     phi: np.ndarray
     n: int = field(init=False)
-    em2: np.ndarray = field(init=False)
     en2: np.ndarray = field(init=False)
     emn: np.ndarray = field(init=False)
     J: np.ndarray = field(init=False)
@@ -44,7 +43,7 @@ class CurvatureBundle:
             raise ValueError(f"phi shape {phi.shape} does not match chart {ch.shape}")
         self.phi = phi
         self.n = n
-        self.em2 = np.exp(-2.0 * phi)
+        em2 = np.exp(-2.0 * phi)
         self.en2 = np.exp((n - 2.0) * phi)
         self.emn = np.exp(-float(n) * phi)
 
@@ -53,7 +52,7 @@ class CurvatureBundle:
         gradsq = dp[0] * dp[0] + dp[1] * dp[1]
         hess = hessian(ch, dp)
         lap0 = hess[0][0] + hess[1][1]
-        self.J = -self.em2 * (lap0 + 0.5 * (n - 2.0) * gradsq)
+        self.J = -em2 * (lap0 + 0.5 * (n - 2.0) * gradsq)
         del lap0
 
         # hess[1][0] is hess[0][1], so P is symmetric bit for bit
@@ -64,10 +63,16 @@ class CurvatureBundle:
         self.p_inactive = -0.5 * gradsq
         del gradsq
         frob = sum(self.P[i][k] ** 2 for i in range(2) for k in range(2))
-        self.Psq = self.em2 ** 2 * (frob + (n - 2.0) * self.p_inactive ** 2)
-        del frob
+        self.Psq = em2 ** 2 * (frob + (n - 2.0) * self.p_inactive ** 2)
+        del frob, em2
 
         self.lapJ = laplacian(self, self.J)
+
+    @property
+    def em2(self):
+        """e^{-2 phi}, built per read and never kept: past the bundle, only
+        the D_k with k >= 1 and the v_{2k} with k >= 3 read it."""
+        return np.exp(-2.0 * self.phi)
 
 
 def curvature(chart: TorusChart, phi) -> CurvatureBundle:
@@ -83,49 +88,73 @@ def gradient(chart: TorusChart, f):
 def laplacian(b: CurvatureBundle, f, grad=None):
     """Laplace-Beltrami operator in conservative (divergence) form. grad,
     when given, is gradient(b.chart, f) already built; otherwise each partial
-    of f is built for its flux and dropped with it."""
+    of f is built for its flux, weighted in place and dropped with it."""
     ch = b.chart
-    partial = (lambda axis: grad[axis]) if grad else (lambda axis: d1(ch, f, axis))
-    out = d1(ch, b.en2 * partial(0), 0)
-    out += d1(ch, b.en2 * partial(1), 1)
+
+    def flux(axis):  # e^{(n-2) phi} times the partial along axis
+        if grad:
+            return b.en2 * grad[axis]
+        partial = d1(ch, f, axis)
+        return np.multiply(b.en2, partial, out=partial)
+
+    out = d1(ch, flux(0), 0)
+    d1(ch, flux(1), 1, out)
     out *= b.emn
     return out
 
 
-def divergence_form(b: CurvatureBundle, B, f, grad=None):
+def divergence_form(b: CurvatureBundle, B, f, grad=None, weight=None):
     """e^{-n phi} d_a(B^{ab} d_b f) for a symmetric field B = (B00, B01, B11),
     self-adjoint in the weighted inner product since d1 is antisymmetric.
-    grad, when given, is gradient(b.chart, f) already built."""
+    With a weight field w, B is (w B00, w B01, w B11), whose entries are
+    formed a block of cells at a time and never whole. grad, when given, is
+    gradient(b.chart, f) already built."""
     ch = b.chart
     g0, g1 = grad or gradient(ch, f)
     B00, B01, B11 = B
-    out = d1(ch, _contract(B00, g0, B01, g1), 0)
-    out += d1(ch, _contract(B01, g0, B11, g1), 1)
+    out = d1(ch, _contract(B00, g0, B01, g1, weight), 0)
+    d1(ch, _contract(B01, g0, B11, g1, weight), 1, out)
     out *= b.emn
     return out
 
 
-def _contract(a, x, c, y):
-    """a x + c y, accumulated in the first product."""
-    out = a * x
-    out += c * y
-    return out
+def _contract(a, x, c, y, weight=None):
+    """a x + c y, or (w a) x + (w c) y for a weight field w, formed a block of
+    cells at a time: a block's first product in the output, its second in
+    one scratch block."""
+    shape = np.shape(x)
+    a, x, c, y = (np.ravel(v) for v in (a, x, c, y))
+    w = None if weight is None else np.ravel(weight)
+    out, blocks = np.empty(x.size), cell_blocks(x.size)
+    scratch = np.empty(blocks[0].stop if blocks else 0)  # the first block is the largest
+    for cells in blocks:
+        o, t = out[cells], scratch[:cells.stop - cells.start]
+        if w is None:
+            np.multiply(a[cells], x[cells], out=o)
+            np.multiply(c[cells], y[cells], out=t)
+        else:
+            np.multiply(w[cells], a[cells], out=o)
+            o *= x[cells]
+            np.multiply(w[cells], c[cells], out=t)
+            t *= y[cells]
+        o += t
+    return out.reshape(shape)
 
 
 def holo_coeffs(b: CurvatureBundle, k: int):
     """v_{2k}, the r^{2k} coefficient of det(1 - r^2 A/2), A = g^{-1} P:
     -J/2 and (J^2 - |P|^2)/8 for k = 1, 2, and (-1/2)^k sigma_k(A) above,
     from A's active 2x2 block and its inactive eigenvalue (multiplicity n - 2)."""
-    if k == 0:
-        return np.ones(b.chart.shape)
+    if k == 0:  # read-only, and no field is allocated
+        return np.broadcast_to(1.0, b.chart.shape)
     if k == 1:
         return -b.J / 2
     if k == 2:
         return (b.J**2 - b.Psq) / 8
-    P, m = b.P, b.n - 2
-    a = b.em2 * b.p_inactive
-    trace = b.em2 * (P[0][0] + P[1][1])
-    det = b.em2**2 * (P[0][0] * P[1][1] - P[0][1] ** 2)
+    P, m, em2 = b.P, b.n - 2, b.em2
+    a = em2 * b.p_inactive
+    trace = em2 * (P[0][0] + P[1][1])
+    det = em2**2 * (P[0][0] * P[1][1] - P[0][1] ** 2)
     sigma = (comb(m, k) * a**k + comb(m, k - 1) * trace * a ** (k - 1)
              + comb(m, k - 2) * det * a ** (k - 2))
     return (-0.5) ** k * sigma
@@ -135,7 +164,8 @@ def _flux(b: CurvatureBundle, k: int):
     """(B00, B01, B11) of B_k = e^{(n-2) phi} sum_{m<=k} (m+1) 2^{-m} v_{2k-2m} Ahat^m,
     Ahat = e^{-2 phi} P on the active block: the r^{2k} coefficient of
     sqrt(det g_r) g_r^{-1}, g_r = g (1 - r^2 A/2)^2. Built per use, never kept."""
-    hat = (b.em2 * b.P[0][0], b.em2 * b.P[0][1], b.em2 * b.P[1][1])
+    em2 = b.em2
+    hat = (em2 * b.P[0][0], em2 * b.P[0][1], em2 * b.P[1][1])
     power, B = (1.0, 0.0, 1.0), (0.0, 0.0, 0.0)
     for m in range(k + 1):
         if m:  # Ahat^m = Ahat^{m-1} Ahat, built symmetric
@@ -152,18 +182,19 @@ def volume_weight(b: CurvatureBundle):
     return np.exp(float(b.n) * b.phi) * b.chart.cell_volume()
 
 
-def schouten_flux(b: CurvatureBundle):
-    """(B00, B01, B11) of the divergence form's Schouten case,
-    B = -e^{(n-4) phi} P. Built per use, never kept."""
+def schouten_weight(b: CurvatureBundle):
+    """The weight w = -e^{(n-4) phi} of the divergence form's Schouten case,
+    B = w P: divergence_form(b, (P00, P01, P11), f, weight=w). Built per
+    use, never kept."""
     w = np.exp((b.n - 4.0) * b.phi)
-    np.negative(w, out=w)
-    return tuple(w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
+    return np.negative(w, out=w)
 
 
-def inner(W, f, g) -> float:
+def inner(W, f, g, out=None) -> float:
     """sum f g W, for the weight W = volume_weight(b): the metric's L^2
-    product of f and g."""
-    fg = f * g
+    product of f and g. out, when given, is f or g, a field the caller
+    reads no more, and the products are formed in it."""
+    fg = np.multiply(f, g, out=out)
     fg *= W
     return float(np.sum(fg))
 

@@ -78,25 +78,33 @@ def wavenumbers(size: int):
     return k
 
 
-def d1(chart: TorusChart, f, axis: int):
-    """First derivative along an axis by the chart's derivative."""
+def d1(chart: TorusChart, f, axis: int, out=None):
+    """First derivative along an axis by the chart's derivative. With out, a
+    C-ordered field of f's shape that shares no memory with f, the
+    derivative is added into out, with the bits of out + d1(chart, f, axis),
+    and out is returned."""
     if chart.derivative == "spectral":
         shape = [1, 1]
         shape[axis] = -1
         ik = 1j * wavenumbers(chart.shape[axis]).reshape(shape)
-        return np.fft.ifft(ik * np.fft.fft(f, axis=axis), axis=axis).real
-    return _stencil_d1(chart, f, axis)
+        df = np.fft.ifft(ik * np.fft.fft(f, axis=axis), axis=axis).real
+        if out is None:
+            return df
+        out += df
+        return out
+    return _stencil_d1(chart, f, axis, out)
 
 
-def _stencil_d1(chart: TorusChart, f, axis: int):
+def _stencil_d1(chart: TorusChart, f, axis: int, out=None):
     """4th-order first derivative: (-f2 + 8 f1 - 8 f-1 + f-2) / 12h.
 
     f is read flat, where a shift by k along the axis is a shift by k * step
     (step = cols on axis 0, 1 on axis 1), so every shifted operand is a slice
-    of f itself. The formula runs block by block into the output with one
-    scratch block, in the order ((-f2 + 8 f1) - 8 f-1) + f-2 of the
-    whole-array expression, so the bits are those of that expression over
-    np.roll shifts. The flat shifts do not wrap around the torus: the rows
+    of f itself. The formula runs block by block with one scratch block, in
+    the order ((-f2 + 8 f1) - 8 f-1) + f-2 of the whole-array expression, so
+    the bits are those of that expression over np.roll shifts. It runs in a
+    fresh output, or, with out given, in a second scratch block that is then
+    added into out. The flat shifts do not wrap around the torus: the rows
     (axis 0) or columns (axis 1) 0, 1, -2 and -1 are evaluated again from
     their gathered periodic neighbours.
     """
@@ -105,32 +113,40 @@ def _stencil_d1(chart: TorusChart, f, axis: int):
     size, n = f.size, f.shape[axis]
     step = f.shape[1] if axis == 0 else 1
     flat = f.reshape(-1)
-    out = np.empty(size)
+    add = out is not None
+    if not add:
+        out = np.empty(f.shape)
+    elif out.shape != f.shape or not out.flags.c_contiguous or np.may_share_memory(out, f):
+        raise ValueError("d1 adds only into a C-ordered field of f's shape, apart from f")
+    flat_out = out.reshape(-1)
+    edge = np.array([0, 1, n - 2, n - 1])
+    index = edge if axis == 0 else (slice(None), edge)
+    # the flat blocks also write the wrapped columns of axis 1
+    before = out[index] if add else None
     tmp = np.empty(min(BLOCK, size))
+    acc = np.empty_like(tmp) if add else None
     # the values whose four flat neighbours all lie inside f
     for start in range(2 * step, size - 2 * step, BLOCK):
         stop = min(start + BLOCK, size - 2 * step)
-        o, t = out[start:stop], tmp[:stop - start]
+        o, t = flat_out[start:stop], tmp[:stop - start]
+        a = acc[:stop - start] if add else o
 
         def shifted(k):  # f at flat offset k * step, for this block
             return flat[start + k * step:stop + k * step]
 
-        np.negative(shifted(2), out=o)
-        np.add(o, np.multiply(8.0, shifted(1), out=t), out=o)
-        np.subtract(o, np.multiply(8.0, shifted(-1), out=t), out=o)
-        np.add(o, shifted(-2), out=o)
-        np.divide(o, h12, out=o)
-    out = out.reshape(f.shape)
-    edge = np.array([0, 1, n - 2, n - 1])
+        np.negative(shifted(2), out=a)
+        np.add(a, np.multiply(8.0, shifted(1), out=t), out=a)
+        np.subtract(a, np.multiply(8.0, shifted(-1), out=t), out=a)
+        np.add(a, shifted(-2), out=a)
+        np.divide(a, h12, out=a)
+        if add:
+            np.add(o, a, out=o)
 
     def near(k):
         return np.take(f, (edge + k) % n, axis=axis)
 
     wrapped = (-near(2) + 8.0 * near(1) - 8.0 * near(-1) + near(-2)) / h12
-    if axis == 0:
-        out[edge] = wrapped
-    else:
-        out[:, edge] = wrapped
+    out[index] = wrapped if before is None else before + wrapped
     return out
 
 

@@ -9,6 +9,7 @@ include per-check wall-clock times.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -272,26 +273,36 @@ class RunConfig:
         return RunConfig.from_dict(d)
 
 
-def report_body(checks, config: RunConfig | None, timestamp: str,
-                quantities=()) -> dict:
-    """The JSON report of a run as JSON values: the checks sorted by id and
-    the quantities, if any, sorted by id. A file holds it as
-    json.dump(body, fh, sort_keys=True, indent=2) and a newline."""
-    body = {
-        "meta": {"timestamp": timestamp},
-        "config": jsonable(config.to_dict()) if config is not None else None,
-        "checks": [c.body() for c in sorted(checks, key=lambda c: c.id)],
-    }
+def write_json(fh, checks, config: RunConfig | None, timestamp: str,
+               quantities=()) -> None:
+    """Write the JSON report of a run: the checks sorted by id, the config,
+    the timestamp and the quantities, if any, sorted by id. The text is that
+    of json.dump(body, fh, sort_keys=True, indent=2) and a newline for the
+    body holding them all, but each check is turned into JSON values and
+    written on its own, so the checks' values are never all held. The
+    checks come first, as "checks" sorts first among the body's keys, and a
+    check's text sits two levels deep, each of its lines indented by four
+    more spaces."""
+    rest = {"meta": {"timestamp": timestamp},
+            "config": jsonable(config.to_dict()) if config is not None else None}
     if quantities:
-        body["quantities"] = [q.body() for q in sorted(quantities, key=lambda q: q.id)]
-    return body
+        rest["quantities"] = [q.body() for q in sorted(quantities, key=lambda q: q.id)]
+    nested = "\n    "
+    fh.write('{\n  "checks": [')
+    for i, check in enumerate(sorted(checks, key=lambda c: c.id)):
+        text = json.dumps(check.body(), sort_keys=True, indent=2)
+        fh.write(("," if i else "") + nested + text.replace("\n", nested))
+    fh.write("\n  ],\n" if checks else "],\n")
+    # the rest of the body, without its opening brace and line
+    fh.write(json.dumps(rest, sort_keys=True, indent=2)[2:] + "\n")
 
 
 def render_json(checks, config: RunConfig | None, timestamp: str,
                 quantities=()) -> str:
-    """The text of report_body's file as one string."""
-    return json.dumps(report_body(checks, config, timestamp, quantities),
-                      sort_keys=True, indent=2) + "\n"
+    """The text of write_json's file as one string."""
+    buf = io.StringIO()
+    write_json(buf, checks, config, timestamp, quantities)
+    return buf.getvalue()
 
 
 def _fmt_float(x):

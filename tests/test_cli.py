@@ -20,7 +20,7 @@ from holoq.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, _parse_n, main
 from holoq.conformal import CurvatureBundle
 from holoq.families import PoleError
 from holoq.grid import TorusChart, load_field, save_field
-from holoq.reports import RunConfig
+from holoq.reports import CheckReport, QuantitiesReport, RunConfig, jsonable, render_json
 from test_workers import _assert_no_children, _count_forks, _cpus, time_limit  # noqa: F401  (a fixture)
 
 
@@ -405,6 +405,41 @@ class TestConfigFile:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert run(["verify", "--config", str(cfg_path)]) == EXIT_USAGE
+
+
+def reference_json(checks, config, timestamp, quantities=()):
+    """The JSON report as first written: one body holding every check's
+    values, dumped at once."""
+    body = {"meta": {"timestamp": timestamp},
+            "config": jsonable(config.to_dict()) if config is not None else None,
+            "checks": [c.body() for c in sorted(checks, key=lambda c: c.id)]}
+    if quantities:
+        body["quantities"] = [q.body() for q in sorted(quantities, key=lambda q: q.id)]
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+
+
+class TestStreamedJson:
+    """write_json writes a check at a time the text of one json.dump."""
+
+    def test_suites_checks(self):
+        checks = holographic.critical_n4_suite(size=16) + cli.sphere_suite(range(3, 6), 3)
+        config = RunConfig(suites=["critical-n4", "sphere"], n=[3, 4, 5], out="r")
+        quantities = [QuantitiesReport("b", {"x": Fraction(1, 3), "y": [1.5, None]}),
+                      QuantitiesReport("a", {})]
+        for qs in ((), quantities):
+            assert (render_json(checks[::-1], config, "2026-01-01T00:00:00+00:00", qs)
+                    == reference_json(checks, config, "2026-01-01T00:00:00+00:00", qs))
+
+    @pytest.mark.parametrize("config", [None, RunConfig()], ids=["no-config", "config"])
+    def test_edge_values(self, config):
+        details = {"nested": {"list": [[], {}, [1, {"z": -0.0}]], "text": "line\n\"two\" \u00e9"},
+                   "nan": float("nan"), "inf": -float("inf"), "empty": ""}
+        checks = [CheckReport("b", "eq", {"n": 4, "J": Fraction(7, 3)}, False, residual=1e-300,
+                              tol=2e-12, scale=1.0, details=details),
+                  CheckReport("a", "", {}, True, exact=True)]
+        for subset in ([], checks[:1], checks):
+            assert (render_json(subset, config, "t", ())
+                    == reference_json(subset, config, "t", ()))
 
 
 class TestReportCommand:

@@ -14,7 +14,7 @@ from holoq.conformal import (
     inner,
     laplacian,
     oracle_curvature,
-    schouten_flux,
+    schouten_weight,
     volume_weight,
 )
 from holoq.grid import TorusChart, d1, hessian
@@ -24,6 +24,17 @@ from holoq.presets import preset_phi
 def bundle(n=4, size=64, preset="trig1", seed=7):
     ch = TorusChart(n, (size, size))
     return curvature(ch, preset_phi(ch, preset, seed=seed))
+
+
+def schouten_P(b):
+    return b.P[0][0], b.P[0][1], b.P[1][1]
+
+
+def schouten_flux(b):
+    """The divergence form's Schouten case B = -e^{(n-4) phi} P as three
+    whole fields: the reference for divergence_form's weight."""
+    w = schouten_weight(b)
+    return tuple(w * p for p in schouten_P(b))
 
 
 def rel(a, b):
@@ -272,14 +283,29 @@ class TestWholeExpressionReferences:
         assert (divergence_form(b, B1, f, grad).tobytes()
                 == reference_divergence_form(b, B1, f, grad).tobytes())
 
+    @pytest.mark.parametrize("given", [False, True], ids=["built", "given"])
+    def test_weighted_schouten_contraction(self, case, given):
+        # the weight's products formed a block of cells at a time, against
+        # the three whole fields of B = w P
+        b, f = case
+        grad = gradient(b.chart, f) if given else None
+        got = divergence_form(b, schouten_P(b), f, grad, weight=schouten_weight(b))
+        assert got.tobytes() == divergence_form(b, schouten_flux(b), f, grad).tobytes()
+        assert got.tobytes() == reference_divergence_form(b, schouten_flux(b), f, grad).tobytes()
+
     def test_inner_and_weights(self, case):
         b, f = case
         g = np.random.default_rng(12).standard_normal(b.chart.shape)
         W = volume_weight(b)
         for x, y in ((f, g), (g, f), (g, g), (1, 1)):
             assert inner(W, x, y).hex() == reference_inner(b, x, y).hex()
+        # the products formed in a field the caller gives up, either factor
+        for x, y, out in ((f.copy(), g, 0), (f, g.copy(), 1)):
+            want = reference_inner(b, x, y).hex()
+            assert inner(W, x, y, out=(x, y)[out]).hex() == want
         en4w = np.exp((b.n - 4.0) * b.phi)
-        for got, p in zip(schouten_flux(b), (b.P[0][0], b.P[0][1], b.P[1][1])):
+        assert schouten_weight(b).tobytes() == (-en4w).tobytes()
+        for got, p in zip(schouten_flux(b), schouten_P(b)):
             assert got.tobytes() == (-en4w * p).tobytes()
 
     def test_bundle(self, case):
@@ -303,9 +329,10 @@ class TestWholeExpressionReferences:
                 "J": J, "p_inactive": p_inactive,
                 "Psq": em2 ** 2 * (frob + (n - 2.0) * p_inactive ** 2),
                 "P00": P[0][0], "P01": P[0][1], "P11": P[1][1]}
-        got = {**vars(b), "P00": b.P[0][0], "P01": b.P[0][1], "P11": b.P[1][1]}
+        got = {**vars(b), "em2": b.em2, "P00": b.P[0][0], "P01": b.P[0][1], "P11": b.P[1][1]}
         for name, value in want.items():
             assert got[name].tobytes() == value.tobytes(), name
         assert b.lapJ.tobytes() == reference_laplacian(b, J, gradient(ch, J)).tobytes()
-        # the weights only the adjoint pairings read are not kept
-        assert not {"W", "en4w"} & set(vars(b))
+        # the weights only the adjoint pairings read are not kept, nor is
+        # e^{-2 phi}, which the bundle's property rebuilds per read
+        assert not {"W", "en4w", "em2"} & set(vars(b))

@@ -13,7 +13,7 @@ from holoq.conformal import (
     holo_coeffs,
     inner,
     laplacian,
-    schouten_flux,
+    schouten_weight,
     volume_weight,
 )
 from holoq.families import (
@@ -62,8 +62,9 @@ def reference_T4(b, f):
     + 2c delta(P df) + c (dJ, df)] / den, c = 2 lam + 2 - n, with the
     pairing (dJ, df) = (lap(J f) - J lap f - f lap J) / 2."""
     n, J = b.n, b.J
-    B = schouten_flux(b)
-    pdiv, lap_f = divergence_form(b, B, f), laplacian(b, f)
+    P = (b.P[0][0], b.P[0][1], b.P[1][1])
+    pdiv = divergence_form(b, P, f, weight=schouten_weight(b))
+    lap_f = laplacian(b, f)
     gj = 0.5 * (laplacian(b, J * f) - J * lap_f - f * b.lapJ)
     return FieldPoly([
         laplacian(b, lap_f) - 2 * J * lap_f + 2 * (2 - n) * pdiv + (2 - n) * gj,

@@ -83,6 +83,33 @@ class TestStencils:
         for axis in range(2):
             assert d1(ch, f, axis).tobytes() == d1_roll(ch, f, axis).tobytes(), axis
 
+    @settings(max_examples=40, deadline=None)
+    @given(f=stencil_inputs(), block=st.sampled_from([5, 64, grid.BLOCK]))
+    def test_d1_added_into_out_bitwise_equal_to_sum(self, f, block):
+        # with out, the stencil runs in a scratch block added into out; the
+        # wrap rows and columns, which the flat blocks of axis 1 also
+        # write, end as out + their periodic values
+        ch = TorusChart(4, f.shape)
+        out = np.random.default_rng(f.size).standard_normal(f.shape)
+        out[0, -1], out[-1, 1] = np.nan, -np.inf
+        default, grid.BLOCK = grid.BLOCK, block
+        try:
+            with np.errstate(invalid="ignore"):
+                for axis in range(2):
+                    want = out + d1_roll(ch, f, axis)
+                    got = out.copy()
+                    assert d1(ch, f, axis, got) is got
+                    assert same_bits(got, want), axis
+        finally:
+            grid.BLOCK = default
+
+    def test_d1_adds_only_into_a_separate_c_ordered_field(self):
+        ch = chart(size=16)
+        f = np.random.default_rng(8).standard_normal(ch.shape)
+        for out in (np.zeros((16, 16)).T, np.zeros((16, 8)), f):
+            with pytest.raises(ValueError):
+                d1(ch, f, 0, out)
+
     def test_d1_fourth_order(self):
         errs = []
         for size in (32, 64):
@@ -113,6 +140,29 @@ class TestStencils:
             TorusChart(4, (4, 16))
         with pytest.raises(ValueError):
             TorusChart(4, (16, 16), "chebyshev")
+
+
+class TestAddedIntoOut:
+    """d1 adding into an output against the whole expression out + d1(f):
+    at 16^2 one block covers the field, at 192^2 two blocks split a row."""
+
+    @pytest.mark.parametrize("derivative", ["stencil", "spectral"])
+    @pytest.mark.parametrize("size", [16, 192])
+    def test_bits_of_the_sum(self, derivative, size):
+        ch = TorusChart(5, (size, size), derivative)
+        rng = np.random.default_rng(size)
+        f, out = rng.standard_normal((2, size, size))
+        # NaN cells inside, on a wrap row and on a wrap column; the Fourier
+        # d1 would spread one in f over its whole line
+        out[7, size - 2] = out[1, 5] = np.nan
+        if derivative == "stencil":
+            f[size // 2, 3] = f[size - 1, size // 3] = f[4, 1] = np.nan
+        for axis in range(2):
+            want = out + d1(ch, f, axis)
+            got = out.copy()
+            assert d1(ch, f, axis, got) is got
+            assert same_bits(got, want), axis
+            assert 0 < np.isnan(got).sum() < size * size / 4
 
 
 class TestSpectral:

@@ -277,12 +277,13 @@ def test_divergence_form_asymmetric_by_a_billionth(monkeypatch):
     # B01 scaled in the first of divergence_form's two d1 terms, so that the
     # operator is no longer self-adjoint; the algebra checks hold for any
     # primitives, and only the Schouten case's adjoint bound is tight enough
-    def mutant(b, B, f, grad=None):
+    def mutant(b, B, f, grad=None, weight=None):
         ch = b.chart
         g0, g1 = grad or conformal.gradient(ch, f)
         B00, B01, B11 = B
-        return b.emn * (conformal.d1(ch, B00 * g0 + B01 * float(SMALL_FACTOR) * g1, 0)
-                        + conformal.d1(ch, B01 * g0 + B11 * g1, 1))
+        first = conformal._contract(B00, g0, B01 * float(SMALL_FACTOR), g1, weight)
+        second = conformal._contract(B01, g0, B11, g1, weight)
+        return b.emn * (conformal.d1(ch, first, 0) + conformal.d1(ch, second, 1))
 
     monkeypatch.setattr(conformal, "divergence_form", mutant)
     monkeypatch.setattr(holographic, "divergence_form", mutant)
