@@ -1,8 +1,8 @@
 """Micro-benchmarks of the exact layers, on inputs the size the sphere and
 hypergeom suites use by default (n up to 12, N up to 6, series order 20-40),
 of the family recursion on constants at the stress sphere run's sizes
-(n up to 24, N up to 8), and of the holographic formula on constant-curvature
-metrics (n up to 14, N up to 6).
+(n up to 24, N up to 8), and of the holographic formula on the round sphere
+(n up to 14, N up to 6).
 
     python -m pytest bench -q
     python -m pytest bench -q --benchmark-json=bench.json
@@ -14,13 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from holoq.families import constant_terms, values_on_one
-from holoq.holographic import EinsteinModel, constant_q
+from holoq.families import constant_q, constant_terms, values_on_one
 from holoq.hypergeom import HyperSpec, hyper_2f1_series, hyper_terminating
 from holoq.lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer, poly_gcd
 from holoq.series import FormalSeries
-from holoq.sphere import (SphereContext, claim_red_rhs, sphere_Q, sphere_T_on_one,
-                          sphere_v)
+from holoq.sphere import (SphereContext, claim_red_rhs, closed_table, sphere_Q,
+                          sphere_T_on_one, sphere_v)
 
 # Sphere n = 12, N = 6: f = n/2 = 6 and factors like (lambda - f + 1)_N,
 # (lambda - n + 1)_{N-1} and rational prefactors.
@@ -112,23 +111,18 @@ def test_values_on_one_sphere(benchmark):
         assert row == [sphere_T_on_one(ctx, N) for N in range(9)], ctx.n
 
 
-def test_holographic_q_einstein(benchmark):
-    # Q_{2N} by the holographic formula on EinsteinModel(n, J) for n = 3..14,
-    # N <= 6 (2N <= n for even n) and four J: 248 cases, each exactly
-    # (2J/n)^N Q_{2N}(S^n)
-    models = [EinsteinModel(n, J) for n in range(3, 15)
-              for J in (Fraction(n, 2), Fraction(7, 3), Fraction(-2), Fraction(1, 5))]
+def test_holographic_q_sphere(benchmark):
+    # Q_{2N}(S^n) by the holographic formula on the closed T-values on 1 for
+    # n = 3..14 and N <= 6 (2N <= n for even n): 62 cases, each Branson's
+    # closed form
+    caps = {n: min(6, n // 2) if n % 2 == 0 else 6 for n in range(3, 15)}
+    tables = {n: closed_table(SphereContext(n), cap) for n, cap in caps.items()}
 
     def sweep():
-        out = {}
-        for m in models:
-            v = [m.v(k) for k in range(7)]
-            ts = values_on_one(m.n, v)
-            for N in range(1, (min(6, m.n // 2) if m.n % 2 == 0 else 6) + 1):
-                out[m, N] = constant_q(m.n, ts, v, N)
-        return out
+        return {(n, N): constant_q(n, *tables[n], N)
+                for n, cap in caps.items() for N in range(1, cap + 1)}
 
     qs = benchmark(sweep)
-    assert len(qs) == 248
-    for (m, N), q in qs.items():
-        assert q == (2 * m.J / m.n) ** N * sphere_Q(SphereContext(m.n), N), (m, N)
+    assert len(qs) == 62
+    for (n, N), q in qs.items():
+        assert q == sphere_Q(SphereContext(n), N), (n, N)

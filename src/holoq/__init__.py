@@ -7,7 +7,7 @@ Layers, bottom up:
                   spectral parameter lambda
   series          truncated formal power series over exact coefficient rings
   hypergeom       terminating hypergeometric sums and classical identities
-  sphere          exact round-sphere model: v-coefficients, T/P families on
+  sphere          exact round-sphere model: v-coefficients, T families on
                   constants, residue polynomials, master relations
   grid, presets,  periodic 2-torus charts with stencil or spectral derivatives,
   conformal       seeded conformally flat metrics in dimension n, curvature
@@ -17,9 +17,9 @@ Layers, bottom up:
                   the critical n=4 suite, conformal covariance
   reports, cli    check verdicts, run configuration, deterministic
                   JSON/markdown output, command line
-  workers         the tasks of cli's run plan (suites, torus dimensions, the
-                  --einstein-j checks) run on the usable CPUs in forked
-                  processes; no suite forks on its own
+  workers         the tasks of cli's run plan (suites, torus dimensions) run
+                  on the usable CPUs in forked processes; no suite forks on
+                  its own
 """
 
 __version__ = "0.1.0"

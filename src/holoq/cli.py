@@ -12,12 +12,12 @@ Exit codes: 0 every check passed, 1 at least one check failed, 2 usage or
 configuration error. A failing run still writes its reports.
 
 One run plan (_suite_tasks) holds the selected suites, the numeric suite as
-one task per dimension, and the --einstein-j checks. Its tasks run
-concurrently on the usable CPUs through one fork helper (holoq.workers) when
-an exact suite (sphere, hypergeom) is among them or the grid has at least
-128^2 points; otherwise they run one after another. Reports are sorted by
-check id, so reruns with the same configuration and seed produce
-byte-identical JSON, whatever the number of CPUs, apart from the timestamp.
+one task per dimension. Its tasks run concurrently on the usable CPUs
+through one fork helper (holoq.workers) when an exact suite (sphere,
+hypergeom) is among them or the grid has at least 128^2 points; otherwise
+they run one after another. Reports are sorted by check id, so reruns with
+the same configuration and seed produce byte-identical JSON, whatever the
+number of CPUs, apart from the timestamp.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 from functools import partial
 
 from .grid import TorusChart, load_field, save_field
@@ -37,7 +36,6 @@ from .holographic import (
     SPECTRAL_GRID,
     conformal_suite,
     critical_n4_suite,
-    einstein_checks,
     numeric_suite,
 )
 from .hypergeom import hypergeom_suite
@@ -117,7 +115,6 @@ def _load_config(args) -> RunConfig:
         "out": args.out,
         "format": args.format,
         "instances": args.instances,
-        "einstein_j": args.einstein_j,
         "phi_file": args.phi_file,
     }
     try:
@@ -203,9 +200,9 @@ def _load_phi(config: RunConfig):
 
 def _suite_tasks(config: RunConfig, phi):
     """The run plan: (label, task) pairs of the selected suites in SUITES
-    order, the numeric suite one task per dimension, then the --einstein-j
-    checks. A check that suites share is decided by the first of them; the
-    later ones leave it out, as the selection tells them."""
+    order, the numeric suite one task per dimension. A check that suites
+    share is decided by the first of them; the later ones leave it out, as
+    the selection tells them."""
     names = _selected(config)
     torus = {"size": config.grid, "preset": config.preset, "seed": config.seed, "phi": phi}
     numeric_n = (config.n or NUMERIC_N) if "numeric" in names else ()
@@ -226,10 +223,6 @@ def _suite_tasks(config: RunConfig, phi):
         elif name == "conformal":
             tasks.append((name, partial(conformal_suite,
                                         with_generic_shift="critical-n4" not in names, **torus)))
-    if config.einstein_j is not None:
-        J = Fraction(config.einstein_j)
-        tasks.append(("einstein", lambda: [c for n in config.n or (4, 6, 8)
-                                           for c in einstein_checks(n, J)]))
     return tasks
 
 
@@ -378,9 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report formats to write (default both)")
     v.add_argument("--instances", type=int,
                    help="random instances per hypergeometric batch")
-    v.add_argument("--einstein-j", dest="einstein_j", metavar="J",
-                   help="also run the constant-curvature extension with this "
-                        "rational Schouten trace")
     v.add_argument("--phi-file", dest="phi_file",
                    help="binary field file replacing the preset factor")
     v.set_defaults(func=cmd_verify)

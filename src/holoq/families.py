@@ -303,13 +303,13 @@ def build_T(n: int, N: int) -> LambdaOperator:
 def values_on_one(n: int, v) -> list:
     """[T_{2j}(lambda)(1) for j = 0..len(v) - 1] on a metric whose holographic
     coefficients v = [v_0, v_2, ...] are constants, so that every D_k kills
-    constants: the sphere and the constant-curvature model."""
+    constants, as on the round sphere."""
     return _recursion(n, len(v) - 1, LambdaRat.const(1), lambda k, t, a, b: t * (a * v[k]))
 
 
 def constant_terms(ts, v, N: int) -> list:
-    """[T*_{2j}(v_{2N-2j}) for j = 0..N] on a metric of constant curvature,
-    where T* = T and each family acts on a constant by its value
+    """[T*_{2j}(v_{2N-2j}) for j = 0..N] on the round sphere, where T* = T
+    and each family acts on a constant by its value
     ts[j] = T_{2j}(lambda)(1) (values_on_one); v = [v_0, v_2, ...]."""
     return [ts[j] * v[N - j] for j in range(N + 1)]
 
@@ -320,14 +320,14 @@ def holographic_q(N: int, values):
         Q_{2N} = (-1)^N 4^{N-1} ((N-1)!)^2 sum_{j<N} (2N - 2j) T*_{2j}(n/2 - N)(v_{2N-2j}),
 
     from values[j] = T*_{2j}(n/2 - N)(v_{2N-2j}), j = 0..N-1: fields on a
-    torus, rationals on a constant-curvature metric."""
+    torus, rationals on the round sphere."""
     return (-1) ** N * 4 ** (N - 1) * factorial(N - 1) ** 2 * sum(
         (2 * N - 2 * j) * values[j] for j in range(N))
 
 
 def constant_q(n: int, ts, v, N: int) -> Fraction:
-    """Q_{2N} of a constant-curvature metric by holographic_q, from the family
-    values ts[j] = T_{2j}(lambda)(1) and the coefficients v[k] = v_{2k}, j, k <= N."""
+    """Q_{2N} of the round sphere by holographic_q, from the family values
+    ts[j] = T_{2j}(lambda)(1) and the coefficients v[k] = v_{2k}, j, k <= N."""
     mu = Fraction(n, 2) - N
     return holographic_q(N, [t(mu) for t in constant_terms(ts, v, N)[:N]])
 

@@ -2,8 +2,7 @@
 
 The verifier side of the package. One holographic formula, holographic_q,
 gives every Q_{2N} from the values T*_{2j}(n/2 - N)(v_{2N-2j}), read off the
-family polynomials on torus metrics (torus_q) and off the family values on
-constants for the constant-curvature model. On a spectral chart the suites
+family polynomials on torus metrics (torus_q). On a spectral chart the suites
 check the GJMS operators and Q-curvatures against the flat base; on the
 run's grid they check the master relations, the displayed identities and
 the degree/vanishing statements as polynomial identities in the spectral
@@ -14,7 +13,6 @@ every value of it; and they run the critical n = 4 suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import zip_longest
 from fractions import Fraction
 from math import factorial
@@ -37,19 +35,16 @@ from .families import (
     PoleError,
     build_P,
     build_T,
-    constant_q,
-    constant_terms,
     holographic_q,
     master3_weights,
     over_lcm,
     pair_derivative,
     pair_value,
-    values_on_one,
 )
 from .grid import TorusChart, cell_blocks, cell_view, wavenumbers
-from .lambda_algebra import LAMBDA, LambdaPoly, binomial, pochhammer
+from .lambda_algebra import LAMBDA, LambdaPoly, pochhammer
 from .presets import preset_phi
-from .reports import CheckReport, attempt, exact_report, max_abs, tolerance_report
+from .reports import CheckReport, exact_report, max_abs, tolerance_report
 
 # The numeric suite checks fourth-order families, which need n >= 4.
 MIN_NUMERIC_N = 4
@@ -107,34 +102,6 @@ def torus_q(b: CurvatureBundle, N: int):
     mu = Fraction(b.n, 2) - N
     return holographic_q(N, [holo_coeffs(b, N)] + [
         pair_value(family_poly(b, j, N - j), mu)[0] for j in range(1, N)])
-
-
-@dataclass(frozen=True)
-class EinsteinModel:
-    """Constant-curvature model with every quantity a rational in J.
-
-    Generalizes the round sphere (J = n/2): the Schouten tensor is J/n times
-    the metric, so |P|^2 = J^2/n and all derivative terms vanish. The volume
-    expansion is (1 - J r^2/(2n))^n. This mode extrapolates beyond the
-    verified sphere family and is labeled as such in reports.
-    """
-
-    n: int
-    J: Fraction
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("dimension must be at least 3")
-        object.__setattr__(self, "J", Fraction(self.J))
-
-    def v(self, k: int) -> Fraction:
-        return binomial(self.n, k) * (-self.J / (2 * self.n)) ** k
-
-    def schouten_norm_sq(self) -> Fraction:
-        return self.J**2 / self.n
-
-    def q4(self) -> Fraction:
-        return self.J**2 * (self.n**2 - 4) / (2 * self.n)
 
 
 class _Cells:
@@ -578,36 +545,3 @@ def conformal_suite(size: int = 64, preset: str = "trig1", seed: int = 7,
     if with_generic_shift:
         reports.extend(_generic_shift(preset, seed, phi))
     return reports
-
-
-def einstein_checks(n: int, J: Fraction):
-    """Exact consistency checks for the constant-curvature model."""
-    from .sphere import SphereContext, sphere_Q
-
-    model = EinsteinModel(n, J)
-    params = {"n": n, "J": model.J, "mode": "constant-curvature"}
-    v = [model.v(k) for k in range(4)]
-    ts = values_on_one(n, v)
-    # (id, equation, lhs, rhs) of each lhs == rhs identity; faults[id], if
-    # set, is why its rhs could not be built
-    faults = {}
-    identities = [
-        ("einstein-v2", "v2", model.v(1), -model.J / 2),
-        ("einstein-v4", "v4", model.v(2), (model.J**2 - model.schouten_norm_sq()) / 8),
-        ("einstein-q4", "holo-Q4", constant_q(n, ts, v, 2), model.q4()),
-    ]
-    if n >= 6:
-        # Einstein metrics scale the sphere: Q_{2N} = (2J/n)^N Q_{2N}(S^n).
-        q6, faults["einstein-q6"] = attempt(sphere_Q, SphereContext(n), 3)
-        identities.append(("einstein-q6", "holo-Q6", constant_q(n, ts, v, 3),
-                           None if q6 is None else (2 * model.J / n) ** 3 * q6))
-
-    # master-3 as an identity of rational functions in the symbolic lam
-    for N in (1, 2):
-        residual = sum(w * t for w, t in zip(master3_weights(n, N), constant_terms(ts, v, N)))
-        identities.append((f"einstein-master3-N{N}", "master-3", residual, 0))
-    extension = dict(params, extension=True)
-    return [exact_report(check_id, equation, extension, lhs == rhs,
-                         {"lhs": lhs, "rhs": rhs}
-                         | ({"reason": faults[check_id]} if faults.get(check_id) else {}))
-            for check_id, equation, lhs, rhs in identities]

@@ -45,17 +45,6 @@ def _is_number(x) -> bool:
     return _is_int(x) or isinstance(x, float)
 
 
-def _is_rational(x) -> bool:
-    """An exact rational written as a string, such as '7/2'."""
-    if not isinstance(x, str):
-        return False
-    try:
-        Fraction(x)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
-
-
 def _list_of(ok):
     return lambda x: isinstance(x, list) and all(ok(v) for v in x)
 
@@ -77,7 +66,6 @@ _CONFIG_TYPES = {
     "out": (_or_null(_of(str)), "null or a string"),
     "format": (_of(str), "a string"),
     "instances": (_is_int, "an integer"),
-    "einstein_j": (_or_null(_is_rational), "null or an exact rational as a string"),
     "phi_file": (_or_null(_of(str)), "null or a string"),
 }
 
@@ -254,7 +242,6 @@ class RunConfig:
     out: str | None = None
     format: str = "both"
     instances: int = 200
-    einstein_j: str | None = None
     phi_file: str | None = None
 
     def to_dict(self) -> dict:

@@ -31,7 +31,7 @@ def test_criterion_1_sphere_exact():
     reports = sphere_suite(range(3, 13), nmax=6)
     elapsed = time.perf_counter() - t0
     assert all(r.exact for r in reports)
-    assert len(reports) == 511
+    assert len(reports) == 361
     assert _count(reports, "sphere-radial") == 10
     for prefix in ("sphere-sum1", "sphere-master3", "sphere-master1",
                    "sphere-qres0", "sphere-vdeg", "sphere-holoQ"):

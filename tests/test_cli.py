@@ -56,7 +56,7 @@ class TestRunConfig:
         assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_round_trip_customized(self):
-        cfg = RunConfig(suites=["numeric"], n=[4], grid=32, einstein_j="1/2")
+        cfg = RunConfig(suites=["numeric"], n=[4], grid=32, preset="trig2")
         assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_unknown_key_rejected(self):
@@ -159,10 +159,6 @@ class TestExitCodes:
         assert run(["verify", suite, "--n", "3", "--instances", "2", "--grid", "16",
                     "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
 
-    def test_usage_bad_einstein_j(self):
-        assert run(["verify", "sphere", "--n", "3",
-                    "--einstein-j", "x"]) == EXIT_USAGE
-
     # Exit 2 means a bad configuration found before any suite ran, so every
     # suite raises here. argv(tmp_path) gives the arguments after "verify".
     @pytest.mark.parametrize("argv", [
@@ -198,23 +194,33 @@ class TestExitCodes:
             assert "unknown config keys: ['tol']" in capsys.readouterr().err
         assert not list(tmp_path.glob("r.*"))
 
-    def test_tol_is_unknown(self, tmp_path, monkeypatch, capsys):
-        # each check class has its stated bound: no option or key sets a
-        # run-level tolerance, and a stored run that names one is refused
+    # Options that are gone stay gone: the flag is an unrecognized option, the
+    # key an unknown config key, and a stored run that names the key is
+    # refused. Each check class has its stated bound, so no run-level tol;
+    # the spectral parameter is decided coefficientwise, so no sample points
+    # (lambdas); the constant-curvature extension only restated the sphere
+    # (einstein_j).
+    @pytest.mark.parametrize("key,flag,value", [
+        ("tol", "--tol", 1e-6),
+        ("lambdas", "--lambda", ["1"]),
+        ("einstein_j", "--einstein-j", "7/3"),
+    ], ids=["tol", "lambdas", "einstein_j"])
+    def test_refused_option(self, key, flag, value, tmp_path, monkeypatch, capsys):
         _forbid_suites(monkeypatch)
         out = str(tmp_path / "r")
-        with pytest.raises(SystemExit) as err:
-            run(["verify", "--tol", "1e-6", "--out", out])
-        assert err.value.code == EXIT_USAGE
-        assert "unrecognized arguments: --tol" in capsys.readouterr().err
-        cfg = _written(tmp_path / "cfg.json", json.dumps({"tol": 1e-6}))
+        for argv in (["verify", flag, "1"], ["verify", "numeric", flag, "1"]):
+            with pytest.raises(SystemExit) as err:
+                run([*argv, "--out", out])
+            assert err.value.code == EXIT_USAGE
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        cfg = _written(tmp_path / "cfg.json", json.dumps({key: value}))
         assert run(["verify", "numeric", "--config", cfg, "--out", out]) == EXIT_USAGE
-        assert "unknown config keys: ['tol']" in capsys.readouterr().err
-        stored = _written(tmp_path / "run.json", json.dumps(
-            {"meta": {"timestamp": ""}, "config": dict(RunConfig().to_dict(), tol=None),
-             "checks": []}))
-        assert run(["report", "--from", stored, "--out", out + ".md"]) == EXIT_USAGE
-        assert "unknown config keys: ['tol']" in capsys.readouterr().err
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+        for config in ({key: value}, dict(RunConfig().to_dict(), **{key: value})):
+            stored = _written(tmp_path / "run.json", json.dumps(
+                {"meta": {"timestamp": ""}, "config": config, "checks": []}))
+            assert run(["report", "--from", stored, "--out", out + ".md"]) == EXIT_USAGE
+            assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
         assert not list(tmp_path.glob("r.*"))
 
     # A repeated dimension would report each of its checks twice, and the
@@ -242,23 +248,6 @@ class TestExitCodes:
         assert "is not a writable directory" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
 
-    def test_lambdas_are_unknown(self, tmp_path, monkeypatch, capsys):
-        # the spectral parameter is decided coefficientwise: no option or
-        # key selects sample points, and neither is read as one
-        _forbid_suites(monkeypatch)
-        out = str(tmp_path / "r")
-        with pytest.raises(SystemExit) as err:
-            run(["verify", "numeric", "--lambda", "1", "--out", out])
-        assert err.value.code == EXIT_USAGE
-        cfg = _written(tmp_path / "cfg.json", json.dumps({"lambdas": ["1"]}))
-        assert run(["verify", "numeric", "--config", cfg, "--out", out]) == EXIT_USAGE
-        assert "unknown config keys: ['lambdas']" in capsys.readouterr().err
-        stored = _written(tmp_path / "run.json", json.dumps(
-            {"meta": {"timestamp": ""}, "config": {"lambdas": ["1"]}, "checks": []}))
-        assert run(["report", "--from", stored, "--out", out + ".md"]) == EXIT_USAGE
-        assert "unknown config keys: ['lambdas']" in capsys.readouterr().err
-        assert not list(tmp_path.glob("r.*"))
-
     def test_negative_seed_without_a_torus_suite(self, tmp_path):
         # only the numpy generators of the torus suites need a seed >= 0
         assert run(["verify", "hypergeom", "--seed", "-1", "--instances", "2",
@@ -270,7 +259,7 @@ def _forbid_suites(monkeypatch):
     def suite(*args, **kwargs):
         raise AssertionError("a suite ran")
     for name in ("sphere_suite", "hypergeom_suite", "numeric_suite", "critical_n4_suite",
-                 "conformal_suite", "einstein_checks"):
+                 "conformal_suite"):
         monkeypatch.setattr(cli, name, suite)
 
 
@@ -331,9 +320,9 @@ class TestDeterminism:
     # change to a check id, equation, parameter, detail or verdict moves them.
     @pytest.mark.parametrize("argv,digest", [
         (["verify", "sphere", "--n", "3..8", "--Nmax", "4"],
-         "c538ea0efc84fdbcf92e0183476a4b94f7f8948a7197a10b14229ba95e8fce97"),
+         "86f9cf63562c0125c294bc979d18596ab3b436c693487af8f96d5b6e6e555107"),
         (["verify", "hypergeom", "--instances", "20", "--seed", "3"],
-         "96f358faeee9bc44e19434e58a85a59e4b223c315a7a50e3f2597ab20965cf71"),
+         "da714208708fef48858ced5aece9bf8e5d6f1a7c0814015c833b8867deccc2c5"),
     ], ids=["sphere", "hypergeom"])
     def test_canonical_json_digest(self, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)
@@ -602,19 +591,27 @@ def _check_ids(path):
 class TestSharedChecks:
     """A check that several torus suites share is run and reported once."""
 
+    # Each suite alone, each pair, the torus suites together and all: no id
+    # repeats, so report --from, which refuses a repeated id, re-renders the
+    # run byte for byte.
     @pytest.mark.parametrize("suites", [
-        list(combo) for r in (1, 2, 3) for combo in itertools.combinations(TORUS_SUITES, r)
-    ] + [None], ids=lambda s: "+".join(s) if s else "all")
+        list(combo) for r in (1, 2) for combo in itertools.combinations(cli.SUITES, r)
+    ] + [list(TORUS_SUITES), None], ids=lambda s: "+".join(s) if s else "all")
     def test_no_id_repeats(self, tmp_path, suites):
-        argv = ["verify", "--grid", "32", "--out", str(tmp_path / "r"), "--format", "json"]
+        out = str(tmp_path / "r")
+        argv = ["verify", "--n", "4,6", "--Nmax", "2", "--grid", "32", "--instances", "2",
+                "--out", out, "--format", "json"]
         if suites:
             # listed last-first: suites still run in their fixed order
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"suites": suites[::-1]}))
-            argv += ["--config", str(cfg)]
+            cfg = _written(tmp_path / "cfg.json", json.dumps({"suites": suites[::-1]}))
+            argv += ["--config", cfg]
         assert run(argv) == EXIT_PASS
         ids = _check_ids(tmp_path / "r.json")
         assert len(ids) == len(set(ids))
+        again = tmp_path / "again.json"
+        assert run(["report", "--from", out + ".json", "--format", "json",
+                    "--out", str(again)]) == EXIT_PASS
+        assert again.read_bytes() == (tmp_path / "r.json").read_bytes()
 
     @pytest.mark.parametrize("suite,expected", [
         ("critical-n4", {"crit-a", "crit-b", "crit-c", "crit-d", "crit-e", "qres-den-n4-N2",
@@ -695,13 +692,6 @@ class TestConcurrentSuites:
         grid = math.isqrt(cli.MIN_CONCURRENT_CELLS)
         _assert_same_report_forking_once(
             tmp_path, monkeypatch, ["verify", "numeric", "--n", n, "--grid", str(grid)])
-
-    def test_einstein_checks_are_a_task_of_the_plan(self, tmp_path, monkeypatch, time_limit):
-        # sphere runs here and the --einstein-j checks, the second task, in the child
-        argv = ["verify", "sphere", "--n", "4,6", "--einstein-j", "7/3"]
-        _assert_same_report_forking_once(tmp_path, monkeypatch, argv)
-        ids = [i for i in _check_ids(tmp_path / "r.json") if i.startswith("einstein-")]
-        assert len(ids) == 11
 
     def test_error_in_a_child_suite_reaches_the_caller(self, tmp_path, monkeypatch, time_limit):
         # sphere runs here and hypergeom, the second task, in the child

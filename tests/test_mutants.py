@@ -1,6 +1,6 @@
 """Mutation harness for the family generator: each mutant injects a known
 defect into the Poincare-Einstein recursion, its primitives or the curvature
-fields they read, and at least one check of the sphere, Einstein, numeric or
+fields they read, and at least one check of the sphere, numeric or
 critical-n4 suites must fail under it (DeMillo-Lipton-Sayward, "Hints on
 test data selection", 1978)."""
 
@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from holoq import conformal, families, holographic, lambda_algebra, sphere
-from holoq.holographic import critical_n4_suite, einstein_checks, numeric_suite
+from holoq.holographic import critical_n4_suite, numeric_suite
 from holoq.sphere import sphere_suite
 
 MUTANT_FACTOR = Fraction(1001, 1000)
@@ -19,7 +19,6 @@ SMALL_FACTOR = Fraction(1_000_000_001, 1_000_000_000)
 
 SUITES = {
     "sphere": lambda: sphere_suite(range(3, 9)),
-    "einstein": lambda: einstein_checks(6, Fraction(7, 3)) + einstein_checks(8, Fraction(7, 3)),
     "numeric": lambda: numeric_suite((4, 6), size=32),
     "critical-n4": lambda: critical_n4_suite(size=32),
 }
@@ -72,9 +71,7 @@ def test_c_off_by_a_thousandth(monkeypatch, N, k):
         return indicial, cs
 
     monkeypatch.setattr(families, "recursion_coefficients", _mutated_coefficients(mutate))
-    failed = failed_checks()
-    assert any(i.startswith("sphere-radial") for i in failed)
-    assert any(i.startswith("einstein-") for i in failed)
+    assert any(i.startswith("sphere-radial") for i in failed_checks())
 
 
 @pytest.mark.parametrize("name", ["v2", "v4"])
@@ -99,7 +96,6 @@ def test_indicial_off_by_one(monkeypatch):
     monkeypatch.setattr(families, "recursion_coefficients", _mutated_coefficients(mutate))
     failed = failed_checks()
     assert any(i.startswith("sphere-radial") for i in failed)
-    assert any(i.startswith("einstein-") for i in failed)
     assert any(i.startswith("crit-") for i in failed)
 
 
@@ -114,10 +110,10 @@ FLAT = {f"{kind}-flat-n{n}-N{N}" for kind in ("gjms", "q")
 
 def test_master_constant_off_by_a_thousandth(monkeypatch):
     # c_N enters only Branson's closed form for Q_n in sphere_Q, which
-    # einstein-q6 and sphere-holoQ read; it is used at 2N = n
+    # sphere-holoQ reads; it is used at 2N = n
     original = sphere.master_constant
     monkeypatch.setattr(sphere, "master_constant", lambda N: original(N) * MUTANT_FACTOR)
-    assert failed_checks() == {"einstein-q6", "sphere-holoQ[n=4,N=2]", "sphere-holoQ[n=6,N=3]",
+    assert failed_checks() == {"sphere-holoQ[n=4,N=2]", "sphere-holoQ[n=6,N=3]",
                                "sphere-holoQ[n=8,N=4]"}
 
 
@@ -132,7 +128,7 @@ def test_holographic_prefactor_off_by_a_thousandth(monkeypatch):
 
     monkeypatch.setattr(families, "holographic_q", mutant)
     monkeypatch.setattr(holographic, "holographic_q", mutant)
-    assert failed_checks() == ({"q4-dual-n4", "q4-dual-n6", "crit-a", "einstein-q4", "einstein-q6"}
+    assert failed_checks() == ({"q4-dual-n4", "q4-dual-n6", "crit-a"}
                                | {i for i in FLAT if i.startswith("q-")}
                                | _sphere_ids("sphere-holoQ"))
 
@@ -221,7 +217,6 @@ def test_master3_weights_reversed(monkeypatch):
     original = families.master3_weights
     for module in (families, holographic, sphere):
         monkeypatch.setattr(module, "master3_weights", lambda n, N: original(n, N)[::-1])
-    assert any(i.startswith("einstein-master3-") for i in master3)
     assert failed_checks() == master3
 
 
@@ -271,6 +266,18 @@ def test_claim_red_rhs_off_by_a_thousandth(monkeypatch):
     monkeypatch.setattr(sphere, "claim_red_rhs",
                         lambda ctx, N: original(ctx, N) * MUTANT_FACTOR)
     assert failed_checks() == expected
+
+
+def test_weighted_closed_off_by_a_thousandth(monkeypatch):
+    # the closed S1, which only the V assembly reads: every (n, N) fails
+    # master-1 and the degree bound, and 2N = n also V's vanishing
+    critical = {f"sphere-vcrit[n={2 * N},N={N}]" for N in (2, 3, 4)}
+    expected = _sphere_ids("sphere-master1", "sphere-vdeg")
+    original = sphere._weighted_closed
+    monkeypatch.setattr(sphere, "_weighted_closed",
+                        lambda ctx, N: original(ctx, N) * MUTANT_FACTOR)
+    assert critical == _sphere_ids("sphere-vcrit")
+    assert failed_checks() == expected | critical
 
 
 def test_divergence_form_asymmetric_by_a_billionth(monkeypatch):

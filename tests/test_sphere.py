@@ -6,7 +6,6 @@ import pytest
 
 from holoq import sphere
 from holoq.families import constant_terms
-from holoq.holographic import einstein_checks
 from holoq.lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer
 from holoq.reports import IdentityError
 from holoq.sphere import (
@@ -19,7 +18,6 @@ from holoq.sphere import (
     closed_table,
     master_constant,
     radial_oracle,
-    sphere_P_on_one,
     sphere_Q,
     sphere_T_on_one,
     sphere_checks,
@@ -78,13 +76,10 @@ class TestTOnOne:
     def test_prefactor_relation_to_P(self):
         ctx = SphereContext(5)
         N = 3
+        # P_{2N}(lambda)(1) = (-1)^N (n/2)_N (lambda)_N, a polynomial
         pref = F(4 ** N * 6 * (-1) ** N) * pochhammer(LAMBDA - ctx.f + 1, N)
-        assert (sphere_T_on_one(ctx, N) * pref - sphere_P_on_one(ctx, N)).is_zero()
-
-    def test_P_on_one_polynomial(self):
-        p = sphere_P_on_one(SphereContext(4), 2)
-        # (-1)^2 (2)_2 (L)_2 = 6 L(L+1)
-        assert p == 6 * LAMBDA * (LAMBDA + 1)
+        p = (-1) ** N * pochhammer(ctx.f, N) * pochhammer(LAMBDA, N)
+        assert (sphere_T_on_one(ctx, N) * pref - p).is_zero()
 
 
 class TestRadialOracle:
@@ -212,15 +207,14 @@ class TestSuite:
         assert sum(seconds) <= wall
 
     def test_v_degree_failure_is_reported(self, monkeypatch):
-        # a closed S1 off by 1 gives V-polynomials of degree N: three failed
+        # a closed S1 off by 1 gives V-polynomials of degree N: two failed
         # checks, not an exception
         original = sphere._weighted_closed
         monkeypatch.setattr(sphere, "_weighted_closed", lambda ctx, N: original(ctx, N) + 1)
         ctx = SphereContext(6)
         reps = {r.id: r for r in sphere_checks(ctx, 2, closed_table(ctx, 2))}
         failed = {i for i, r in reps.items() if not r.passed}
-        assert failed == {"sphere-vdeg[n=6,N=2]", "sphere-weighted[n=6,N=2]",
-                          "sphere-master1[n=6,N=2]"}
+        assert failed == {"sphere-vdeg[n=6,N=2]", "sphere-master1[n=6,N=2]"}
         assert reps["sphere-vdeg[n=6,N=2]"].details == {"degree": 2}
 
     def test_each_closed_value_built_once(self, monkeypatch):
@@ -297,13 +291,13 @@ class TestFailurePaths:
 
     def test_critical_q_disagrees(self, monkeypatch):
         # c_N off by 1/1000 moves the critical Q_6(S^6) off its continuation:
-        # einstein-q6 reads it and fails; the other Einstein checks stand
+        # sphere-holoQ reads it and fails with the reason; the other checks stand
         original = sphere.master_constant
         monkeypatch.setattr(sphere, "master_constant", lambda N: original(N) * F(1001, 1000))
         with pytest.raises(IdentityError):
             sphere_Q(SphereContext(6), 3)
-        reps = {r.id: r for r in einstein_checks(6, F(7, 3))}
-        q6 = reps.pop("einstein-q6")
-        assert not q6.passed and q6.details["rhs"] is None
-        assert q6.details["reason"] == "critical sphere Q disagrees with continuation (n=6)"
-        assert all(r.passed for r in reps.values())
+        reps = self.verdicts(n=6, N=3)
+        q6 = reps.pop("sphere-holoQ")
+        assert not q6.passed
+        assert q6.details == {"reason": "critical sphere Q disagrees with continuation (n=6)"}
+        assert reps and all(r.passed for r in reps.values())
