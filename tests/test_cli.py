@@ -249,7 +249,7 @@ class TestExitCodes:
         assert not (tmp_path / "missing").exists()
 
     def test_negative_seed_without_a_torus_suite(self, tmp_path):
-        # only the numpy generators of the torus suites need a seed >= 0
+        # only the preset draws of the torus suites need a seed >= 0
         assert run(["verify", "hypergeom", "--seed", "-1", "--instances", "2",
                     "--out", str(tmp_path / "r"), "--format", "json"]) == EXIT_PASS
 
@@ -754,6 +754,31 @@ def _python(code, *args):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_no_numpy_random_in_any_holoq_process(tmp_path):
+    # numpy imports its random module lazily, and that import alone costs a
+    # cold process about 6 MB: every suite, every preset and field export
+    # run without it
+    code = """
+        import sys
+        from holoq import cli, holographic, hypergeom, sphere
+        from holoq.grid import TorusChart
+        from holoq.presets import PRESETS, preset_phi
+        sphere.sphere_suite(range(3, 5), 2)
+        hypergeom.hypergeom_suite(instances=2, order=4)
+        holographic.numeric_suite((4,), size=16)
+        holographic.critical_n4_suite(size=16)
+        holographic.conformal_suite(size=16)
+        for name in PRESETS:
+            preset_phi(TorusChart(4, (16, 16)), name)
+        assert cli.main(["field", "export", "--grid", "16", "--out", sys.argv[1]]) == 0
+        print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+    """
+    assert _python(code, str(tmp_path / "phi.hqf")).splitlines()[-1] == "[]"
+    pattern = re.compile(r"np\.random|numpy\.random")
+    for path in Path(holographic.__file__).parent.glob("*.py"):
+        assert not pattern.search(path.read_text()), path
 
 
 @pytest.mark.skipif(not _has_glibc(), reason="the heap policy applies on glibc only")

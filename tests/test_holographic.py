@@ -657,9 +657,8 @@ def reference_adjoint_residuals(b, seed):
     """_adjoint_reports' residuals and scale as first written: both gradient
     pairs, the Schouten flux and the weights held at once, and every
     operator a whole expression."""
-    rng = np.random.default_rng(seed + 211)
-    f = rng.standard_normal(b.chart.shape)
-    g = rng.standard_normal(b.chart.shape)
+    f = holographic.probe_field(b.chart.shape, seed + 211, 0)
+    g = holographic.probe_field(b.chart.shape, seed + 211, 1)
     W = np.exp(float(b.n) * b.phi) * b.chart.cell_volume()
     en4w = np.exp((b.n - 4.0) * b.phi)
 
@@ -693,6 +692,26 @@ class TestAdjointPhase:
             assert rep.residual.hex() == residuals[rep.id.split("-")[1]].hex()
             assert rep.scale.hex() == scale.hex()
         assert [a.tobytes() for a in family_poly(b, 2, 0)[0].coeffs] == cached
+
+
+class TestProbeField:
+    def test_deterministic_in_key_and_stream(self):
+        f = holographic.probe_field((64, 64), 218, 0)
+        assert f.shape == (64, 64) and f.dtype == np.float64
+        assert f.tobytes() == holographic.probe_field((64, 64), 218, 0).tobytes()
+        for other in (holographic.probe_field((64, 64), 218, 1),
+                      holographic.probe_field((64, 64), 219, 0)):
+            assert not np.any(f == other)
+
+    def test_unit_variance_noise(self):
+        # 512^2 cells: the standard errors of the mean and the variance are
+        # 0.002 and 0.0017, so each bound is about five of them
+        for stream in (0, 1):
+            f = holographic.probe_field((512, 512), 218, stream)
+            assert abs(f.mean()) < 0.01 and abs(f.var() - 1.0) < 0.01
+            assert -math.sqrt(3.0) <= f.min() and f.max() < math.sqrt(3.0)
+        f, g = (holographic.probe_field((512, 512), 218, s).ravel() for s in (0, 1))
+        assert abs(np.corrcoef(f, g)[0, 1]) < 0.01
 
 
 def traced_peak(thunk):
