@@ -1,10 +1,11 @@
 """Micro-benchmarks of the numeric layers on a 128x128 torus at n = 4: the
 stencil (also at 512x512, on both axes, there also added into an existing
-field), the curvature bundle, one operator-family polynomial and the
-residue/volume polynomial checks; the n = 6 flat-base checks (gjms-flat
-and q-flat, N = 1..3) on the 32x32 spectral chart; and on a 512x512 torus
-at n = 6, the curvature bundle, the adjoint pairings and the pointwise
-identity checks at N = 2, decided one block of cells at a time.
+field), the curvature bundle, one operator family (built, and formed on
+every block of cells) and the residue/volume polynomial checks; the n = 6
+flat-base checks (gjms-flat and q-flat, N = 1..3) on the 32x32 spectral
+chart; and on a 512x512 torus at n = 6, the curvature bundle, the adjoint
+pairings and the pointwise identity checks at N = 2, decided one block of
+cells at a time, alone and as the one merged pass a dimension runs.
 
     python -m pytest bench/bench_numeric.py -q
 
@@ -15,11 +16,16 @@ import numpy as np
 import pytest
 
 from holoq.conformal import curvature
+from holoq.conformal import blocks
+from holoq.families import family, family_poly
 from holoq.grid import TorusChart, d1
 from holoq.holographic import (
     _adjoint_reports,
+    _example_2_3,
     _flat_reports,
-    family_poly,
+    _master3,
+    _pass,
+    _poly,
     master_check_numeric,
     poly_checks,
 )
@@ -92,13 +98,23 @@ def test_flat_checks_n6(benchmark):
 
 
 def test_family_poly_t4_on_one(benchmark, bundle):
-    # T*_4(lam)(1), rebuilt each round: the cache on the bundle is cleared first
+    # T*_4(lam)(1), rebuilt each round: the bundle's families and their
+    # cached derivative words are cleared first, so D0(v2) is built again
     def build():
         bundle.family_polys.clear()
-        return family_poly(bundle, 2, 0)
+        bundle.family_words.clear()
+        return family(bundle, 2, 0)
 
-    num, den = benchmark(build)
-    assert den == LAMBDA * (LAMBDA - 1) and len(num.coeffs) == 3
+    op, den = benchmark(build)
+    assert den == LAMBDA * (LAMBDA - 1) and list(bundle.family_words) == [("D0", "v2")]
+
+
+def test_family_poly_t4_on_one_formed(benchmark, bundle):
+    # the numerator of the cached T*_4(lam)(1), formed on each block of
+    # cells from D0(v2) and pointwise products, as the pointwise checks read it
+    family(bundle, 2, 0)
+    nums = benchmark(lambda: [family_poly(block, 2, 0)[0] for block in blocks(bundle)])
+    assert all(len(num.coeffs) == 3 for num in nums)
 
 
 def test_poly_checks(benchmark, bundle):
@@ -114,6 +130,15 @@ def test_block_pass_512(benchmark, chart_phi_512):
     # and read, and only their norms are kept
     b = curvature(*chart_phi_512)
     for j in (1, 2):
-        family_poly(b, j, 2 - j)
+        family(b, j, 2 - j)
     reports = benchmark(lambda: master_check_numeric(b, 2) + poly_checks(b, 2))
     assert len(reports) == 5 and all(r.passed for r in reports)
+
+
+def test_merged_pass_512(benchmark, chart_phi_512):
+    # master-3, the residue/volume checks and Example 2.3 at N = 2, as a
+    # dimension decides them: one pass over the blocks of cells, each block
+    # forming its families once
+    b = curvature(*chart_phi_512)
+    reports = benchmark(lambda: _pass(b, [_master3(b, 2), _poly(b, 2), _example_2_3(b)]))
+    assert len(reports) == 7 and all(r.passed for r in reports)

@@ -275,6 +275,7 @@ def cmd_verify(args) -> int:
     config = _load_config(args)
     phi, quantities = _load_phi(config)
     checks = _run_suites(config, phi)
+    _return_free_pages()
     paths = _write_reports(checks, quantities, config)
     _print_summary(checks, paths)
     return EXIT_PASS if all_passed(checks) else EXIT_FAIL
@@ -397,18 +398,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glibc():
+    """The C library, where it is glibc, else None."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return ctypes.CDLL(None) if glibc else None
+
+
+def _return_free_pages():
+    """Give the heap's free pages back to the kernel (glibc's malloc_trim).
+    main does it before it pins the thresholds, for the pages that
+    compiling holoq's modules left inside the heap, and verify once the
+    suites have run, before the report is written: where those pages lie
+    follows the source text and the suites' fields, and the report would
+    otherwise be written above them."""
+    trim = getattr(_glibc(), "malloc_trim", None)
+    if trim is not None:
+        trim(0)
+
+
 def _keep_freed_memory():
     """Keep freed grid fields in the process for reuse. With glibc's default
     policy each freed 2 MiB field at the heap top goes back to the kernel, and
     the next field faults its pages in again. Setting either threshold turns
     off glibc's adaptive mmap threshold, so both are set. On another libc, or
     without mallopt, nothing changes."""
-    try:
-        glibc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):
-        return
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if glibc else None
+    mallopt = getattr(_glibc(), "mallopt", None)
     if mallopt is not None:
+        _return_free_pages()
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)

@@ -11,31 +11,55 @@ adjoints are exact at the matrix level, not just to truncation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
-from .grid import TorusChart, cell_blocks, d1, hessian
+from .grid import TorusChart, cell_blocks, cell_view, d1, hessian
+
+
+# The per-read fields, of a bundle or of a block of its cells (Cells).
+
+def _em2(c):
+    return np.exp(-2.0 * c.phi)
+
+
+def _en2(c):
+    return np.exp((c.n - 2.0) * c.phi)
+
+
+def _emn(c):
+    return np.exp(-float(c.n) * c.phi)
+
+
+def _psq(c):
+    P = c.P
+    frob = sum(P[i][k] ** 2 for i in range(2) for k in range(2))
+    return c.em2 ** 2 * (frob + (c.n - 2.0) * c.p_inactive ** 2)
 
 
 @dataclass
 class CurvatureBundle:
-    """Precomputed curvature fields and conformal weights for one metric."""
+    """Curvature fields of one metric. It keeps whole only phi and the fields
+    a derivative made: J, P, p_inactive and lapJ. The conformal weights and
+    |P|^2 are formed per read from phi and those fields, on the bundle or on
+    a block of its cells (Cells), and never kept."""
 
     chart: TorusChart
     phi: np.ndarray
     n: int = field(init=False)
-    en2: np.ndarray = field(init=False)
-    emn: np.ndarray = field(init=False)
     J: np.ndarray = field(init=False)
     # P[1][0] is P[0][1], one array
     P: list = field(init=False)
     p_inactive: np.ndarray = field(init=False)
-    Psq: np.ndarray = field(init=False)
     lapJ: np.ndarray = field(init=False)
-    # (j, k) -> field_poly pair of T*_{2j}(v_{2k}), filled by
-    # holographic.family_poly on first use.
+    # (j, k) -> the (operator, den) pair of T*_{2j}(v_{2k}), filled by
+    # families.family on first use; family_words holds the whole fields of
+    # those operators' words from their outermost D_k on, shared by every
+    # family (LambdaOperator.cache_words).
     family_polys: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    family_words: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         ch, phi, n = self.chart, np.asarray(self.phi, dtype=float), self.chart.n
@@ -43,9 +67,7 @@ class CurvatureBundle:
             raise ValueError(f"phi shape {phi.shape} does not match chart {ch.shape}")
         self.phi = phi
         self.n = n
-        em2 = np.exp(-2.0 * phi)
-        self.en2 = np.exp((n - 2.0) * phi)
-        self.emn = np.exp(-float(n) * phi)
+        em2 = self.em2
 
         # each temporary is dropped after its last read
         dp = gradient(ch, phi)
@@ -53,26 +75,70 @@ class CurvatureBundle:
         hess = hessian(ch, dp)
         lap0 = hess[0][0] + hess[1][1]
         self.J = -em2 * (lap0 + 0.5 * (n - 2.0) * gradsq)
-        del lap0
+        del lap0, em2
 
-        # hess[1][0] is hess[0][1], so P is symmetric bit for bit
-        p01 = -hess[0][1] + dp[0] * dp[1]
-        self.P = [[-hess[i][k] + dp[i] * dp[k] - 0.5 * gradsq if i == k else p01
-                   for k in range(2)] for i in range(2)]
-        del dp, hess, p01
-        self.p_inactive = -0.5 * gradsq
+        # P = -hess + dp dp - gradsq/2 on the diagonal, built in place over
+        # the Hessian, whose hess[1][0] is hess[0][1]: P is symmetric bit
+        # for bit
+        for i, k in ((0, 0), (0, 1), (1, 1)):
+            p = np.negative(hess[i][k], out=hess[i][k])
+            p += dp[i] * dp[k]
+            if i == k:
+                p -= 0.5 * gradsq
+        self.P = hess
+        del dp, hess
+        self.p_inactive = np.multiply(-0.5, gradsq, out=gradsq)
         del gradsq
-        frob = sum(self.P[i][k] ** 2 for i in range(2) for k in range(2))
-        self.Psq = em2 ** 2 * (frob + (n - 2.0) * self.p_inactive ** 2)
-        del frob, em2
 
         self.lapJ = laplacian(self, self.J)
 
-    @property
-    def em2(self):
-        """e^{-2 phi}, built per read and never kept: past the bundle, only
-        the D_k with k >= 1 and the v_{2k} with k >= 3 read it."""
-        return np.exp(-2.0 * self.phi)
+    # e^{-2 phi}: past the bundle, |P|^2, the D_k with k >= 1 and the v_{2k}
+    # with k >= 3 read it
+    em2 = property(_em2)
+    en2 = property(_en2)
+    emn = property(_emn)
+    Psq = property(_psq)  # |P|^2 in the metric
+
+    def view(self, f):
+        """A whole field as this bundle reads it: the field itself."""
+        return f
+
+
+class Cells:
+    """A bundle on a flat range of its cells, which holo_coeffs and the
+    families read as they read the bundle: read-only views of its kept
+    fields, each taken on first read, from which the per-read fields are
+    formed (|P|^2, the one read most, once), the bundle's family cache, and
+    the families formed on these cells (families.family_poly)."""
+
+    em2 = property(_em2)
+    en2 = property(_en2)
+    emn = property(_emn)
+    Psq = cached_property(_psq)
+
+    def __init__(self, b: CurvatureBundle, cells):
+        self.bundle, self.chart, self.n, self.cells = b, b.chart, b.n, cells
+        self.family_polys, self.family_words = b.family_polys, b.family_words
+        self.formed = {}
+
+    def __getattr__(self, name):  # reached only by names not yet set
+        if name == "P":
+            value = [[self.view(p) for p in row] for row in self.bundle.P]
+        elif name in ("phi", "J", "p_inactive", "lapJ"):
+            value = self.view(getattr(self.bundle, name))
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
+
+    def view(self, f):
+        """A whole field of the bundle on these cells, read-only."""
+        return cell_view(f, self.cells)
+
+
+def blocks(b: CurvatureBundle):
+    """b on each flat block of grid.BLOCK cells, in order."""
+    return (Cells(b, cells) for cells in cell_blocks(b.J.size))
 
 
 def curvature(chart: TorusChart, phi) -> CurvatureBundle:
@@ -85,68 +151,87 @@ def gradient(chart: TorusChart, f):
     return d1(chart, f, 0), d1(chart, f, 1)
 
 
+def _weighted(b: CurvatureBundle, weight, x, out=None, weight_first=True):
+    """weight(c) * x, or x * weight(c) without weight_first, on each block c
+    of b's cells (Cells), in out (a new field if None; it may be x)."""
+    x = np.ravel(x)
+    if out is None:
+        out = np.empty(b.chart.shape)
+    flat = out.reshape(-1)
+    for c in blocks(b):
+        if weight_first:
+            np.multiply(weight(c), x[c.cells], out=flat[c.cells])
+        else:
+            np.multiply(x[c.cells], weight(c), out=flat[c.cells])
+    return out
+
+
 def laplacian(b: CurvatureBundle, f, grad=None):
     """Laplace-Beltrami operator in conservative (divergence) form. grad,
-    when given, is gradient(b.chart, f) already built; otherwise each partial
-    of f is built for its flux, weighted in place and dropped with it."""
+    when given, is gradient(b.chart, f) already built, and f is not read;
+    otherwise each partial of f is built for its flux, weighted in place and
+    dropped with it. The weights e^{(n-2) phi} and e^{-n phi} are formed a
+    block of cells at a time."""
     ch = b.chart
 
     def flux(axis):  # e^{(n-2) phi} times the partial along axis
         if grad:
-            return b.en2 * grad[axis]
+            return _weighted(b, _en2, grad[axis])
         partial = d1(ch, f, axis)
-        return np.multiply(b.en2, partial, out=partial)
+        return _weighted(b, _en2, partial, out=partial)
 
     out = d1(ch, flux(0), 0)
     d1(ch, flux(1), 1, out)
-    out *= b.emn
-    return out
+    return _weighted(b, _emn, out, out=out, weight_first=False)
 
 
 def divergence_form(b: CurvatureBundle, B, f, grad=None, weight=None):
     """e^{-n phi} d_a(B^{ab} d_b f) for a symmetric field B = (B00, B01, B11),
     self-adjoint in the weighted inner product since d1 is antisymmetric.
-    With a weight field w, B is (w B00, w B01, w B11), whose entries are
-    formed a block of cells at a time and never whole. grad, when given, is
-    gradient(b.chart, f) already built."""
+    With weight, a function of a bundle or a block of its cells giving a
+    weight w there (schouten_weight), B is (w B00, w B01, w B11), whose
+    entries are formed a block of cells at a time and never whole; so is
+    e^{-n phi}. grad, when given, is gradient(b.chart, f) already built."""
     ch = b.chart
     g0, g1 = grad or gradient(ch, f)
     B00, B01, B11 = B
-    out = d1(ch, _contract(B00, g0, B01, g1, weight), 0)
-    d1(ch, _contract(B01, g0, B11, g1, weight), 1, out)
-    out *= b.emn
-    return out
+    out = d1(ch, _contract(b, B00, g0, B01, g1, weight), 0)
+    d1(ch, _contract(b, B01, g0, B11, g1, weight), 1, out)
+    return _weighted(b, _emn, out, out=out, weight_first=False)
 
 
-def _contract(a, x, c, y, weight=None):
-    """a x + c y, or (w a) x + (w c) y for a weight field w, formed a block of
-    cells at a time: a block's first product in the output, its second in
-    one scratch block."""
+def _contract(b: CurvatureBundle, a, x, c, y, weight=None):
+    """a x + c y, or (w a) x + (w c) y for w = weight(block), formed a block
+    of b's cells at a time: a block's first product in the output, its
+    second in one scratch block."""
     shape = np.shape(x)
     a, x, c, y = (np.ravel(v) for v in (a, x, c, y))
-    w = None if weight is None else np.ravel(weight)
-    out, blocks = np.empty(x.size), cell_blocks(x.size)
-    scratch = np.empty(blocks[0].stop if blocks else 0)  # the first block is the largest
-    for cells in blocks:
+    out, scratch = np.empty(x.size), None
+    for block in blocks(b):
+        cells = block.cells
+        if scratch is None:  # the first block is the largest
+            scratch = np.empty(cells.stop - cells.start)
         o, t = out[cells], scratch[:cells.stop - cells.start]
-        if w is None:
+        if weight is None:
             np.multiply(a[cells], x[cells], out=o)
             np.multiply(c[cells], y[cells], out=t)
         else:
-            np.multiply(w[cells], a[cells], out=o)
+            w = weight(block)
+            np.multiply(w, a[cells], out=o)
             o *= x[cells]
-            np.multiply(w[cells], c[cells], out=t)
+            np.multiply(w, c[cells], out=t)
             t *= y[cells]
         o += t
     return out.reshape(shape)
 
 
-def holo_coeffs(b: CurvatureBundle, k: int):
+def holo_coeffs(b, k: int):
     """v_{2k}, the r^{2k} coefficient of det(1 - r^2 A/2), A = g^{-1} P:
     -J/2 and (J^2 - |P|^2)/8 for k = 1, 2, and (-1/2)^k sigma_k(A) above,
-    from A's active 2x2 block and its inactive eigenvalue (multiplicity n - 2)."""
+    from A's active 2x2 block and its inactive eigenvalue (multiplicity n - 2),
+    on a bundle or a block of its cells."""
     if k == 0:  # read-only, and no field is allocated
-        return np.broadcast_to(1.0, b.chart.shape)
+        return np.broadcast_to(1.0, np.shape(b.phi))
     if k == 1:
         return -b.J / 2
     if k == 2:
@@ -173,30 +258,46 @@ def _flux(b: CurvatureBundle, k: int):
             power = (p00 * h00 + p01 * h01, p00 * h01 + p01 * h11, p01 * h01 + p11 * h11)
         w = (m + 1) / 2**m * (holo_coeffs(b, k - m) if m < k else 1.0)
         B = tuple(x + w * p for x, p in zip(B, power))
-    return tuple(b.en2 * x for x in B)
+    en2 = b.en2
+    return tuple(en2 * x for x in B)
 
 
-def volume_weight(b: CurvatureBundle):
-    """e^{n phi} times the cell volume, the weight of inner. Built per use,
-    never kept."""
-    return np.exp(float(b.n) * b.phi) * b.chart.cell_volume()
+def volume_weight(c):
+    """e^{n phi} times the cell volume, the weight of inner, on a bundle or
+    a block of its cells. Built per use, never kept."""
+    return np.exp(float(c.n) * c.phi) * c.chart.cell_volume()
 
 
-def schouten_weight(b: CurvatureBundle):
+def schouten_weight(c):
     """The weight w = -e^{(n-4) phi} of the divergence form's Schouten case,
-    B = w P: divergence_form(b, (P00, P01, P11), f, weight=w). Built per
-    use, never kept."""
-    w = np.exp((b.n - 4.0) * b.phi)
+    B = w P, on a bundle or a block of its cells:
+    divergence_form(b, (P00, P01, P11), f, weight=schouten_weight). Built
+    per use, never kept."""
+    w = np.exp((c.n - 4.0) * c.phi)
     return np.negative(w, out=w)
 
 
-def inner(W, f, g, out=None) -> float:
-    """sum f g W, for the weight W = volume_weight(b): the metric's L^2
-    product of f and g. out, when given, is f or g, a field the caller
-    reads no more, and the products are formed in it."""
-    fg = np.multiply(f, g, out=out)
-    fg *= W
-    return float(np.sum(fg))
+def inner(b: CurvatureBundle, f, g, out=None) -> float:
+    """sum f g W over b's cells, W = volume_weight: the metric's L^2 product
+    of f and g. Each of f and g is a field, a number, or a function of a
+    flat range of cells giving its values there. The product and its weight
+    are formed a block of cells at a time, in out when given (f or g, a
+    field the caller reads no more), and summed whole."""
+    if out is None:
+        out = np.empty(b.chart.shape)
+    flat = out.reshape(-1)
+    for c in blocks(b):
+        fg = np.multiply(_on_cells(f, c.cells), _on_cells(g, c.cells), out=flat[c.cells])
+        fg *= volume_weight(c)
+    return float(np.sum(out))
+
+
+def _on_cells(f, cells):
+    """A field, a number or a function of a flat range of cells (see inner)
+    on those cells."""
+    if callable(f):
+        return f(cells)
+    return np.ravel(f)[cells] if np.ndim(f) else f
 
 
 def apply_primitive(b: CurvatureBundle, name: str, f):

@@ -15,7 +15,10 @@ coefficients, so its adjoint reverses each word; on constants every D_k
 vanishes. field_poly gives the action on an input field as a polynomial in
 the parameter with field coefficients over one scalar denominator. Evaluate
 that pair with pair_value and pair_derivative, which divide removable poles
-out exactly, or combine pairs with over_lcm.
+out exactly, or combine pairs with over_lcm. A torus bundle caches the
+families T*_{2j}(lambda)(v_{2k}) as their operators and the whole fields of
+their words that end in a derivative (family), and forms their numerators
+on the bundle or a block of its cells (family_poly).
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from math import factorial, isfinite
 
 import numpy as np
 
-from .conformal import CurvatureBundle, apply_primitive
-from .grid import cell_view
+from .conformal import Cells, CurvatureBundle, apply_primitive, blocks, holo_coeffs
 from .lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer, poly_gcd
 from .reports import max_abs
 
@@ -66,11 +68,6 @@ class FieldPoly:
                 self.coeffs.append(c)
         return self
 
-    def cells(self, cells):
-        """The polynomial on a flat range of cells, its coefficients
-        read-only views of this one's."""
-        return FieldPoly([cell_view(arr, cells) for arr in self.coeffs])
-
     def mul_poly(self, p: LambdaPoly):
         """The product with p. Each output coefficient starts from its first
         term and takes the later ones in place, in ascending order of p's
@@ -94,10 +91,16 @@ class FieldPoly:
         return FieldPoly([np.zeros_like(self.coeffs[0]) if c is None else c for c in out])
 
     def eval(self, lam):
+        """Horner's rule, acc * lam + arr from the top coefficient down, in
+        one owned field after the first step."""
         lam = float(lam)
         acc = 0.0
         for arr in reversed(self.coeffs):
-            acc = acc * lam + arr
+            if isinstance(acc, np.ndarray):
+                acc *= lam
+                acc += arr
+            else:
+                acc = acc * lam + arr
         return acc
 
     def derivative(self):
@@ -140,6 +143,7 @@ class LambdaOperator:
 
     def __init__(self, terms):
         self.terms = {word: rat for word, rat in terms.items() if not rat.is_zero()}
+        self._over_den = None  # see _cleared
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -153,8 +157,9 @@ class LambdaOperator:
     def scale(self, factor) -> "LambdaOperator":
         return LambdaOperator({word: rat * factor for word, rat in self.terms.items()})
 
-    def field_poly(self, bundle: CurvatureBundle, f):
-        """Action on f as (numerator FieldPoly, scalar denominator poly).
+    def field_poly(self, bundle, f, words=None):
+        """Action on f as (numerator FieldPoly, scalar denominator poly), on a
+        bundle or on a block of its cells (conformal.Cells).
 
         Each word is applied to f once, words sharing a suffix share its
         application, and the coefficients enter over the lcm of their
@@ -164,26 +169,20 @@ class LambdaOperator:
         buffer, and drops the applied fields no later term reads. Every D_k
         kills constants, so on the ones field the words whose innermost
         primitive is a D_k are skipped; the denominator is still the lcm
-        over all words."""
+        over all words.
+
+        words, when given, holds whole applications to f of words whose
+        outermost primitive is a D_k (cache_words): a suffix found there is
+        read from it, and the suffixes inside it are not applied. So on a
+        block of cells, where no derivative can be taken, field_poly forms
+        the numerator from the cached words and pointwise products only."""
         f = np.asarray(f, dtype=float)
-        terms = self.terms
-        if np.all(f == 1.0):
-            terms = {word: rat for word, rat in terms.items() if not word or word[-1][0] != "D"}
-        den = _lcm(rat.den for rat in self.terms.values())
-        last_read = {}  # suffix -> index of the last term whose word ends in it
-        for t, word in enumerate(terms):
-            for i in range(len(word) + 1):
-                last_read[word[i:]] = t
-        applied, num, scratch = {(): f}, [], None
-        for t, (word, rat) in enumerate(terms.items()):
-            for i in range(len(word) - 1, -1, -1):
-                if word[i:] not in applied:
-                    applied[word[i:]] = apply_primitive(bundle, word[i], applied[word[i + 1:]])
-            arr = applied[word]
+        den, cleared = self._cleared()
+        num, scratch = [], None
+        for word, arr in _applications(bundle, f, self._words_on(f), words):
             # as FieldPoly([arr]).mul_poly(p) added into num: a vanishing
             # coefficient of p contributes a zero field
-            for k, pk in enumerate((rat.num * den.divmod(rat.den)[0]).coeffs):
-                fk = float(pk)
+            for k, fk in enumerate(cleared[word]):
                 if k == len(num):
                     num.append(fk * arr if fk != 0.0 else np.zeros_like(arr))
                 elif fk != 0.0:
@@ -192,10 +191,42 @@ class LambdaOperator:
                     num[k] += np.multiply(fk, arr, out=scratch)
                 else:
                     num[k] += 0.0
-            del arr
-            for suffix in [s for s, u in last_read.items() if u == t]:
-                del applied[suffix]
+            del arr  # before the fields no later term reads are dropped
         return FieldPoly(num), den
+
+    def cache_words(self, bundle: CurvatureBundle, f, words):
+        """Store in words the whole applications to f that field_poly reads
+        from there: for each term, its word from its outermost D_k on. Those
+        already in words are not applied again, so families that share such
+        a word share its field."""
+        f = np.asarray(f, dtype=float)
+        kept = dict.fromkeys(_from_derivative(word) for word in self._words_on(f))
+        kept.pop((), None)
+        for word, arr in _applications(bundle, f, list(kept), words):
+            words[word] = arr
+
+    def denominator(self):
+        """The lcm of the denominators of the coefficients."""
+        return self._cleared()[0]
+
+    def _cleared(self):
+        """(lcm of the denominators, {word: its coefficient over the lcm, as
+        the floats of its numerator's coefficients}), built on first use:
+        the terms are not changed after that."""
+        if self._over_den is None:
+            den = _lcm(rat.den for rat in self.terms.values())
+            self._over_den = den, {
+                word: [float(pk) for pk in (rat.num * den.divmod(rat.den)[0]).coeffs]
+                for word, rat in self.terms.items()}
+        return self._over_den
+
+    def _words_on(self, f):
+        """The words of the terms, but on the ones field those whose
+        innermost primitive is a D_k, which kills constants."""
+        words = list(self.terms)
+        if any(word and word[-1][0] == "D" for word in words) and np.all(f == 1.0):
+            return [word for word in words if not word or word[-1][0] != "D"]
+        return words
 
     def apply_at(self, bundle: CurvatureBundle, f, lam):
         """Evaluate at a rational parameter value, dividing out removable poles."""
@@ -204,6 +235,39 @@ class LambdaOperator:
     def derivative_at(self, bundle: CurvatureBundle, f, lam):
         """Parameter derivative at a rational value via the quotient rule."""
         return pair_derivative(self.field_poly(bundle, f), lam)
+
+
+def _from_derivative(word):
+    """The part of a word from its outermost D_k on, () if it has none."""
+    for i, name in enumerate(word):
+        if name[0] == "D":
+            return word[i:]
+    return ()
+
+
+def _applications(bundle, f, word_list, words=None):
+    """Yield (word, its application to f) for each word of word_list in
+    order, on a bundle or a block of its cells. A word applies its suffixes
+    not yet applied, from the longest one applied, or found in words, on;
+    an applied suffix is dropped after the last word that ends in it."""
+    last_read = {}  # suffix -> index of the last word that ends in it
+    for t, word in enumerate(word_list):
+        for i in range(len(word) + 1):
+            last_read[word[i:]] = t
+    applied = {(): f}
+    for t, word in enumerate(word_list):
+        start = len(word)
+        for i in range(len(word) + 1):
+            if word[i:] not in applied and words is not None and word[i:] in words:
+                applied[word[i:]] = bundle.view(words[word[i:]])
+            if word[i:] in applied:
+                start = i
+                break
+        for i in range(start - 1, -1, -1):
+            applied[word[i:]] = apply_primitive(bundle, word[i], applied[word[i + 1:]])
+        yield word, applied[word]
+        for suffix in [s for s, u in last_read.items() if u == t]:
+            applied.pop(suffix, None)
 
 
 def _lcm(dens):
@@ -345,3 +409,46 @@ def build_P(n: int, N: int) -> LambdaOperator:
     factor = pochhammer(LAMBDA - Fraction(n, 2) + 1, N) * (Fraction(-4) ** N * factorial(N))
     return build_T(n, N).scale(factor)
 
+
+def family(b: CurvatureBundle, j: int, k: int):
+    """The (operator, den) pair of T*_{2j}(lam)(v_{2k}), cached on the bundle.
+
+    The operator is T*_{2j}(lam) after the multiplication by v_{2k}, so that
+    it acts on the ones field, as every family does: a word two families
+    share has one application to it. That is how T*_2(lam)(v2) and
+    T*_4(lam)(1) share D0(v2), since v2 times 1 is v2 bit for bit. The whole
+    fields of the words that end in a derivative are stored in
+    b.family_words when the pair is first cached (cache_words); every other
+    step of a word is pointwise, and field_poly forms it where it is read."""
+    pair = b.family_polys.get((j, k))
+    if pair is None:
+        op = build_T(b.n, j).adjoint()
+        if k:
+            op = LambdaOperator({word + (f"v{2 * k}",): rat for word, rat in op.terms.items()})
+        op.cache_words(b, holo_coeffs(b, 0), b.family_words)
+        pair = b.family_polys[(j, k)] = (op, op.denominator())
+    return pair
+
+
+def family_poly(c, j: int, k: int):
+    """T*_{2j}(lam)(v_{2k}) as a field_poly (num, den) pair in lam, formed on
+    a bundle or on a block of its cells from the family cached on the
+    bundle; evaluate it with pair_value or pair_derivative. A block forms
+    each family once and keeps it. The bundle keeps no numerator field: it
+    forms the whole numerator a block at a time, for the readers of whole
+    fields. The families a block reads must be cached on the bundle first."""
+    if isinstance(c, Cells):
+        pair = c.formed.get((j, k))
+        if pair is None:
+            op, den = c.family_polys[(j, k)]  # cached on the bundle first
+            pair = c.formed[(j, k)] = (op.field_poly(c, holo_coeffs(c, 0), c.family_words)[0], den)
+        return pair
+    den, coeffs = family(c, j, k)[1], None
+    for block in blocks(c):
+        num, _ = family_poly(block, j, k)
+        if coeffs is None:
+            coeffs = [np.empty(c.chart.shape) for _ in num.coeffs]
+        for whole, part in zip(coeffs, num.coeffs):
+            whole.reshape(-1)[block.cells] = part
+        del num
+    return FieldPoly(coeffs), den

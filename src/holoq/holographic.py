@@ -20,7 +20,9 @@ from math import factorial
 import numpy as np
 
 from .conformal import (
+    Cells,
     CurvatureBundle,
+    blocks,
     curvature,
     divergence_form,
     gradient,
@@ -28,20 +30,20 @@ from .conformal import (
     inner,
     laplacian,
     schouten_weight,
-    volume_weight,
 )
 from .families import (
     FieldPoly,
     PoleError,
     build_P,
-    build_T,
+    family,
+    family_poly,
     holographic_q,
     master3_weights,
     over_lcm,
     pair_derivative,
     pair_value,
 )
-from .grid import TorusChart, cell_blocks, cell_view, wavenumbers
+from .grid import TorusChart, wavenumbers
 from .lambda_algebra import LAMBDA, LambdaPoly, pochhammer
 from .presets import preset_phi
 from .reports import CheckReport, exact_report, max_abs, tolerance_report
@@ -74,19 +76,6 @@ ADJOINT_PDIV_TOL = 4e-13  # divergence form, times (size / SPECTRAL_GRID)^(5/4)
 CONST_SHIFT_TOL = 4e-11  # times (size / SPECTRAL_GRID)^4
 
 
-def family_poly(b: CurvatureBundle, j: int, k: int):
-    """T*_{2j}(lam)(v_{2k}) as a field_poly (num, den) pair in lam.
-
-    The pair does not depend on lam, so it is built once per bundle and
-    kept there; evaluate it with pair_value or pair_derivative.
-    """
-    pair = b.family_polys.get((j, k))
-    if pair is None:
-        pair = build_T(b.n, j).adjoint().field_poly(b, holo_coeffs(b, k))
-        b.family_polys[(j, k)] = pair
-    return pair
-
-
 def q4_direct(b: CurvatureBundle):
     return (b.n / 2) * b.J**2 - 2 * b.Psq - b.lapJ
 
@@ -100,34 +89,26 @@ def pole_guarded(evaluate):
         return np.nan, {"pole": str(err)}
 
 
-def torus_q(b: CurvatureBundle, N: int):
+def torus_q(b: CurvatureBundle, N: int, read=None):
     """Q_{2N} of a torus metric by holographic_q. Its point n/2 - N is never
-    a pole: the denominators of T*_{2j} vanish only at n/2 - M, M <= j < N."""
+    a pole: the denominators of T*_{2j} vanish only at n/2 - M, M <= j < N.
+    The family values are whole fields, since the removable-pole decision
+    of pair_value reads whole-field norms; the rest is pointwise, and formed
+    a block of cells at a time. With read, a function of a block and Q_{2N}
+    on it, read's readings merged over the blocks are returned instead, and
+    Q_{2N} is never whole."""
     mu = Fraction(b.n, 2) - N
-    return holographic_q(N, [holo_coeffs(b, N)] + [
-        pair_value(family_poly(b, j, N - j), mu)[0] for j in range(1, N)])
+    values = [pair_value(family_poly(b, j, N - j), mu)[0] for j in range(1, N)]
 
+    def q(c):
+        return holographic_q(N, [holo_coeffs(c, N)] + [c.view(v) for v in values])
 
-class _Cells:
-    """A bundle's fields and cached family polynomials on a flat range of
-    cells, as read-only views that holo_coeffs and family_poly read as they
-    read the bundle."""
-
-    em2 = CurvatureBundle.em2  # built from the block's phi per read
-
-    def __init__(self, b: CurvatureBundle, cells):
-        self.n, self.cells = b.n, cells
-        for name in ("phi", "J", "Psq", "lapJ", "p_inactive"):
-            setattr(self, name, cell_view(getattr(b, name), cells))
-        self.P = [[cell_view(p, cells) for p in row] for row in b.P]
-        self.family_polys = {key: (num.cells(cells), den)
-                             for key, (num, den) in b.family_polys.items()}
-
-
-def _blocks(b: CurvatureBundle):
-    """b on each flat block of grid.BLOCK cells, in order. The families its
-    checks read must be cached on b first."""
-    return (_Cells(b, cells) for cells in cell_blocks(b.J.size))
+    if read:
+        return _merged([read(c, q(c)) for c in blocks(b)])
+    whole = np.empty(b.chart.shape)
+    for c in blocks(b):
+        whole.reshape(-1)[c.cells] = q(c)
+    return whole
 
 
 def _merged(readings):
@@ -139,6 +120,23 @@ def _merged(readings):
     return type(first)(_merged(list(col)) for col in zip(*readings))
 
 
+def _pass(b: CurvatureBundle, parts):
+    """The reports of parts, each a (read, report) pair, from one pass over
+    the blocks of b's cells: read(block) gives a block's readings, and
+    report(merged readings, seconds) the part's reports."""
+    readings, seconds = [], [0.0] * len(parts)
+    for block in blocks(b):
+        row = []
+        for i, (read, _) in enumerate(parts):
+            t0 = time.perf_counter()
+            row.append(read(block))
+            seconds[i] += time.perf_counter() - t0
+        readings.append(row)
+    merged = _merged(readings)
+    return [rep for (_, report), reading, sec in zip(parts, merged, seconds)
+            for rep in report(reading, sec)]
+
+
 def _t_star_pairs(b, N: int):
     """[T*_{2j}(lam)(v_{2N-2j}) for j = 0..N] as (num, den) pairs on a bundle
     or a block of its cells, T*_0 the identity."""
@@ -148,58 +146,79 @@ def _t_star_pairs(b, N: int):
 
 def _t_star_dens(b: CurvatureBundle, N: int):
     """The denominators of _t_star_pairs(b, N), its families cached on b."""
-    return [LambdaPoly((1,))] + [family_poly(b, j, N - j)[1] for j in range(1, N + 1)]
+    return [LambdaPoly((1,))] + [family(b, j, N - j)[1] for j in range(1, N + 1)]
 
 
-def _cleared_check(check_id, equation, params, b, terms, nums):
-    """Checks that the sum of weight * num / den vanishes for every lam, for
-    terms [(weight, den)] and nums(block) their numerators on a block of b.
+def _cleared_reads(cofactors, nums):
+    """The coefficient norms of the sum of cofactor * num, built one cleared
+    term at a time, and the largest coefficient norm of a cleared term."""
+    total, scale = FieldPoly(), 0.0
+    for cofactor, num in zip(cofactors, nums):
+        part = num.mul_poly(cofactor)
+        scale = max_abs((scale, part.max_norm()))
+        total += part
+        del part  # before the next part is built
+    return total.norms(), scale
 
-    The terms are brought to the lcm of their denominators, and the cleared
-    numerator, a polynomial in lam, must vanish coefficientwise. It is built
-    a block of cells, and one cleared term, at a time. The scale is the
-    largest coefficient norm of a cleared term."""
-    t0 = time.perf_counter()
-    cofactors, _ = over_lcm(terms)
-    readings = []
-    for block in _blocks(b):
-        total, scale = FieldPoly(), 0.0
-        for cofactor, num in zip(cofactors, nums(block)):
-            part = num.mul_poly(cofactor)
-            scale = max_abs((scale, part.max_norm()))
-            total += part
-            del part  # before the next part is built
-        readings.append((total.norms(), scale))
-    coeff_norms, scale = _merged(readings)
-    return tolerance_report(check_id, equation, params, max_abs(coeff_norms), IDENTITY_TOL,
-                            scale, details={"coeff_norms": coeff_norms},
-                            seconds=time.perf_counter() - t0)
+
+def _cleared_check(b, checks, nums):
+    """The (read, report) part of _pass for checks [(check_id, equation,
+    params, terms)], each that the sum of weight * num / den over its terms
+    [(weight, den)] vanishes for every lam, nums(block) the numerators on a
+    block of b, which every check reads.
+
+    A check's terms are brought to the lcm of their denominators, and the
+    cleared numerator, a polynomial in lam, must vanish coefficientwise. It
+    is built a block of cells, and one cleared term, at a time. The scale is
+    the largest coefficient norm of a cleared term."""
+    cofactors = [over_lcm(terms)[0] for *_, terms in checks]
+
+    def read(block):
+        block_nums = nums(block)
+        return [_cleared_reads(c, block_nums) for c in cofactors]
+
+    def report(readings, seconds):
+        return [tolerance_report(check_id, equation, params, max_abs(coeff_norms),
+                                 IDENTITY_TOL, scale, details={"coeff_norms": coeff_norms},
+                                 seconds=seconds)
+                for (check_id, equation, params, _), (coeff_norms, scale) in zip(checks, readings)]
+
+    return read, report
+
+
+def _master3(b: CurvatureBundle, N: int):
+    terms = list(zip(master3_weights(b.n, N), _t_star_dens(b, N)))
+    return _cleared_check(b, [(f"master3-n{b.n}-N{N}", "master-3", {"n": b.n, "N": N}, terms)],
+                          lambda block: [num for num, _ in _t_star_pairs(block, N)])
 
 
 def master_check_numeric(b: CurvatureBundle, N: int):
     """lam N S0 + (lam - n + 2N) S1 = 0, where S0, S1 are the plain and
     index-weighted sums of T*_{2j}(lam) applied to the complementary
     expansion coefficients, decided coefficientwise."""
-    terms = list(zip(master3_weights(b.n, N), _t_star_dens(b, N)))
-    return [_cleared_check(f"master3-n{b.n}-N{N}", "master-3", {"n": b.n, "N": N}, b, terms,
-                           lambda block: [num for num, _ in _t_star_pairs(block, N)])]
+    return _pass(b, [_master3(b, N)])
 
 
-def example_2_3_checks(b: CurvatureBundle):
-    """The two displayed fourth-order identities with explicit right sides
-    g(lam) / ((n - 2 - 2 lam)(n - 4 - 2 lam)), checked as in master_check_numeric."""
+def _example_2_3(b: CurvatureBundle):
     n = b.n
-    dens = [family_poly(b, 2, 0)[1], family_poly(b, 1, 1)[1], LambdaPoly((1,)),
+    dens = [family(b, 2, 0)[1], family(b, 1, 1)[1], LambdaPoly((1,)),
             LambdaPoly((n - 2, -2)) * LambdaPoly((n - 4, -2))]
 
     def nums(c):  # T*_4(1), T*_2(v2), v4 and g on a block
         return [family_poly(c, 2, 0)[0], family_poly(c, 1, 1)[0], FieldPoly([holo_coeffs(c, 2)]),
                 FieldPoly([(n - 2) * (c.J**2 - c.Psq) - c.lapJ, 2 * c.Psq - c.J**2])]
 
-    return [_cleared_check(f"ex23-i-n{n}", "example-2.3-i", {"n": n}, b,
-                           list(zip([8, 6, 4, 2 - Fraction(n, 2)], dens)), nums),
-            _cleared_check(f"ex23-ii-n{n}", "example-2.3-ii", {"n": n}, b,
-                           list(zip([1, 1, 1, (LAMBDA - n + 4) / 8], dens)), nums)]
+    return _cleared_check(b, [
+        (f"ex23-i-n{n}", "example-2.3-i", {"n": n},
+         list(zip([8, 6, 4, 2 - Fraction(n, 2)], dens))),
+        (f"ex23-ii-n{n}", "example-2.3-ii", {"n": n},
+         list(zip([1, 1, 1, (LAMBDA - n + 4) / 8], dens)))], nums)
+
+
+def example_2_3_checks(b: CurvatureBundle):
+    """The two displayed fourth-order identities with explicit right sides
+    g(lam) / ((n - 2 - 2 lam)(n - 4 - 2 lam)), checked as in master_check_numeric."""
+    return _pass(b, [_example_2_3(b)])
 
 
 def _qres_v_factors(b: CurvatureBundle, N: int):
@@ -231,15 +250,7 @@ def qres_and_v_polys(b, N: int, factors=None):
     return qres, v.shift(shift), rem
 
 
-def _qres_v_pass(b: CurvatureBundle, N: int, read):
-    """The remainder of qres_and_v_polys(b, N) and read(block, qres, v)
-    merged over the blocks of b's cells."""
-    factors = _qres_v_factors(b, N)
-    return factors[2], _merged([read(block, *qres_and_v_polys(block, N, factors)[:2])
-                                for block in _blocks(b)])
-
-
-def _poly_reads(block: _Cells, N: int, qres: FieldPoly, v: FieldPoly):
+def _poly_reads(block: Cells, N: int, qres: FieldPoly, v: FieldPoly):
     """The norms poly_checks reads of a block's qres and v. Proportionality:
     4^{N-1} (N-1)! lam V(lam) equals (n/2 - N) qres(lam); compare
     coefficientwise, one coefficient field of the gap at a time. mul_poly
@@ -251,7 +262,7 @@ def _poly_reads(block: _Cells, N: int, qres: FieldPoly, v: FieldPoly):
     return qres.norms(), v.norms(), slope, gap
 
 
-def _poly_reports(b: CurvatureBundle, N: int, rem, reads, t0):
+def _poly_reports(b: CurvatureBundle, N: int, rem, reads, seconds):
     """poly_checks' reports from the remainder and the merged _poly_reads."""
     qn, vn, slope, gap = reads
     scale = max_abs(qn + vn)
@@ -260,8 +271,7 @@ def _poly_reports(b: CurvatureBundle, N: int, rem, reads, t0):
     reports = [exact_report(f"qres-den-n{n}-N{N}", "Q-pol", params, rem.is_zero(),
                             {"remainder": rem}),
                tolerance_report(f"qres-van-n{n}-N{N}", "Q-van", params, qn[0], IDENTITY_TOL,
-                                scale, details={"coeff_norms": qn},
-                                seconds=time.perf_counter() - t0)]
+                                scale, details={"coeff_norms": qn}, seconds=seconds)]
     if N == 1:
         reports.append(tolerance_report(f"qres-slope-n{n}", "Q-pol", params, slope,
                                         IDENTITY_TOL, scale, details={"J_norm": max_abs(b.J)}))
@@ -275,12 +285,19 @@ def _poly_reports(b: CurvatureBundle, N: int, rem, reads, t0):
     return reports
 
 
+def _poly(b: CurvatureBundle, N: int):
+    factors = _qres_v_factors(b, N)
+
+    def read(block):
+        return _poly_reads(block, N, *qres_and_v_polys(block, N, factors)[:2])
+
+    return read, lambda reads, seconds: _poly_reports(b, N, factors[2], reads, seconds)
+
+
 def poly_checks(b: CurvatureBundle, N: int):
     """Vanishing, degree, and proportionality checks on the residue and volume
     polynomials, each decided on whole coefficient fields."""
-    t0 = time.perf_counter()
-    rem, reads = _qres_v_pass(b, N, lambda block, qres, v: _poly_reads(block, N, qres, v))
-    return _poly_reports(b, N, rem, reads, t0)
+    return _pass(b, [_poly(b, N)])
 
 
 def critical_suite_n4(b: CurvatureBundle, with_poly_checks=False):
@@ -335,31 +352,33 @@ def critical_suite_n4(b: CurvatureBundle, with_poly_checks=False):
     lhs_e = np.broadcast_to(8 * (2 * t2_dot + 4 * t4_dot), q4.shape)  # a pole's NaN too
     del t2_dot, t4_dot
     e_seconds = time.perf_counter() - t0
+    factors = _qres_v_factors(b, 2)
 
-    def read(block, qres, v):
-        q4_block = cell_view(q4, block.cells)
+    def read(block):
+        qres, v, _ = qres_and_v_polys(block, 2, factors)
+        q4_block = block.view(q4)
         rhs_e = -qres.coeffs[2] - q4_block
         return (qres.norms(), max_abs(qres.coeffs[1] - q4_block),
-                max_abs(cell_view(lhs_e, block.cells) - rhs_e), max_abs(rhs_e),
+                max_abs(block.view(lhs_e) - rhs_e), max_abs(rhs_e),
                 _poly_reads(block, 2, qres, v) if with_poly_checks else ())
 
-    t0 = time.perf_counter()
-    rem, (qn, d_gap, e_gap, rhs_e_norm, poly) = _qres_v_pass(b, 2, read)
-    q4_scale = max_abs([max_abs(q4), max_abs(qn)])
-    reports.append(tolerance_report("crit-d", "qres-derivative", {"n": 4},
-                                    d_gap, IDENTITY_TOL, q4_scale,
-                                    details={"qres_coeff_norms": qn},
-                                    seconds=time.perf_counter() - t0))
+    def report(reads, seconds):
+        qn, d_gap, e_gap, rhs_e_norm, poly = reads
+        q4_scale = max_abs([max_abs(q4), max_abs(qn)])
+        out = [tolerance_report("crit-d", "qres-derivative", {"n": 4},
+                                d_gap, IDENTITY_TOL, q4_scale,
+                                details={"qres_coeff_norms": qn}, seconds=seconds),
+               tolerance_report("crit-e", "harmonic-sum", {"n": 4},
+                                e_gap, IDENTITY_TOL,
+                                max_abs([max_abs(lhs_e), rhs_e_norm, q4_scale]),
+                                details={"harmonic_sum": "1 (single term)",
+                                         **t4_pole, **t2_pole},
+                                seconds=e_seconds)]
+        if with_poly_checks:
+            out.extend(_poly_reports(b, 2, factors[2], poly, seconds))
+        return out
 
-    scale = max_abs([max_abs(lhs_e), rhs_e_norm, q4_scale])
-    reports.append(tolerance_report("crit-e", "harmonic-sum", {"n": 4},
-                                    e_gap, IDENTITY_TOL, scale,
-                                    details={"harmonic_sum": "1 (single term)",
-                                             **t4_pole, **t2_pole},
-                                    seconds=e_seconds))
-    if with_poly_checks:
-        reports.extend(_poly_reports(b, 2, rem, poly, t0))
-    return reports
+    return reports + _pass(b, [(read, report)])
 
 
 def conformal_covariance_q4(base: CurvatureBundle, omega, tol: float) -> CheckReport:
@@ -455,15 +474,17 @@ def _generic_shift(preset: str, seed: int, phi):
         b, preset_phi(b.chart, "trig3", seed=seed + 5), tol=LAW_TOL)]
 
 
-def probe_field(shape, key: int, stream: int):
+def probe_field(shape, key: int, stream: int, cells=None):
     """Noise of mean 0 and variance 1, uniform on [-sqrt 3, sqrt 3) and
     deterministic in (key, stream): splitmix64's finaliser (Steele, Lea and
     Flood, OOPSLA 2014) over the cell counters stream * cells + i, offset by
     key * 0x9E3779B97F4A7C15 mod 2^64; the top 53 bits of a cell's hash give
-    its value."""
-    cells = shape[0] * shape[1]
-    z = np.arange(cells, dtype=np.uint64)
-    z += np.uint64((stream * cells + key * 0x9E3779B97F4A7C15) % 2**64)
+    its value. With cells, a flat range of cells, only those are formed, as
+    a flat array: the slice of the whole field."""
+    size = shape[0] * shape[1]
+    start, stop = (0, size) if cells is None else (cells.start, cells.stop)
+    z = np.arange(start, stop, dtype=np.uint64)
+    z += np.uint64((stream * size + key * 0x9E3779B97F4A7C15) % 2**64)
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= z >> np.uint64(shift)
         z *= np.uint64(mult)
@@ -473,63 +494,70 @@ def probe_field(shape, key: int, stream: int):
     out *= 2.0**-52
     out -= 1.0
     out *= np.sqrt(3.0)
-    return out.reshape(shape)
+    return out.reshape(shape) if cells is None else out
 
 
 def _adjoint_reports(b: CurvatureBundle, seed: int):
-    f = probe_field(b.chart.shape, seed + 211, 0)
-    g = probe_field(b.chart.shape, seed + 211, 1)
-    n = b.n
-    grow = (b.chart.shape[0] / SPECTRAL_GRID) ** 1.25
+    shape, key, n = b.chart.shape, seed + 211, b.n
+    grow = (shape[0] / SPECTRAL_GRID) ** 1.25
     tols = {"lap": ADJOINT_TOL * grow, "pdiv": ADJOINT_PDIV_TOL * grow}
-    W, w = volume_weight(b), schouten_weight(b)
     P = (b.P[0][0], b.P[0][1], b.P[1][1])
-    cases = {"lap": lambda h, grad: laplacian(b, h, grad),
-             "pdiv": lambda h, grad: divergence_form(b, P, h, grad, weight=w)}
-    # <L f, g> for both cases, then <f, L g>: each of f and g is
-    # differentiated once, one gradient pair is alive at a time, and each
-    # pairing is formed in the operator's output
+    cases = {"lap": lambda grad: laplacian(b, None, grad),
+             "pdiv": lambda grad: divergence_form(b, P, None, grad, weight=schouten_weight)}
+
+    def probe(stream):  # a probe a block of cells at a time
+        return lambda cells: probe_field(shape, key, stream, cells)
+
+    # <L f, g> for both cases, then <f, L g>: the probe an operator reads is
+    # whole only until its gradient pair is built, the one it is paired
+    # with is formed a block of cells at a time, one gradient pair is alive
+    # at a time, and each pairing is formed in the operator's output
     pairings, seconds = {name: [] for name in cases}, dict.fromkeys(cases, 0.0)
-    for h, pairing in ((f, lambda Lf: inner(W, Lf, g, out=Lf)),
-                       (g, lambda Lg: inner(W, f, Lg, out=Lg))):
+    for stream, pairing in ((0, lambda Lf: inner(b, Lf, probe(1), out=Lf)),
+                            (1, lambda Lg: inner(b, probe(0), Lg, out=Lg))):
+        h = probe_field(shape, key, stream)
         grad = gradient(b.chart, h)
+        if not stream:  # <f, g>, formed in f
+            scale = abs(inner(b, h, probe(1), out=h)) + 1.0
+        del h
         for name, op in cases.items():
             t0 = time.perf_counter()
-            pairings[name].append(pairing(op(h, grad)))
+            pairings[name].append(pairing(op(grad)))
             seconds[name] += time.perf_counter() - t0
         del grad
-    scale = abs(inner(W, f, g)) + 1.0
     return [tolerance_report(f"adjoint-{name}-n{n}", "self-adjointness", {"n": n},
                              abs(lhs - rhs), tols[name], scale, seconds=seconds[name])
             for name, (lhs, rhs) in pairings.items()]
 
 
+def _q4_dual(b: CurvatureBundle):
+    """Q4 by the holographic formula (torus_q) against the direct Q4, both
+    formed a block of cells at a time."""
+    t0 = time.perf_counter()
+
+    def read(c, holo):
+        q4 = q4_direct(c)
+        return max_abs(holo - q4), max_abs(q4)
+
+    reads, pole = pole_guarded(lambda: torus_q(b, 2, read))
+    if pole:  # the scale all the same
+        reads = np.nan, _merged([max_abs(q4_direct(c)) for c in blocks(b)])
+    dual_gap, scale = reads
+    return tolerance_report(f"q4-dual-n{b.n}", "holo-Q4", {"n": b.n}, dual_gap, IDENTITY_TOL,
+                            scale, details=pole, seconds=time.perf_counter() - t0)
+
+
 def _dimension_reports(n: int, size: int, preset: str, seed: int, phi):
     """numeric_suite's checks at one dimension: geometry on the spectral chart,
-    then algebra on the run's grid. Each bundle and its family polynomials end
-    with the call that built them, so the suite holds one metric at a time."""
+    then algebra on the run's grid. Each bundle and its families end with
+    the call that built them, so the suite holds one metric at a time. The
+    pointwise checks of each N read one pass over the cells."""
     reports = _flat_reports(n, preset, seed, phi)
     b = _metric(TorusChart(n, (size, size)), preset, seed, phi)
     reports.extend(_adjoint_reports(b, seed))
-    # N = 1 runs first, so that T*_2(lam)(1), which no later check reads,
-    # is dropped before q4-dual and N = 2 build their families; the reports
-    # keep their order
-    checks_n1 = master_check_numeric(b, 1) + poly_checks(b, 1)
-    del b.family_polys[(1, 0)]
-
-    t0 = time.perf_counter()
-    holo, pole = pole_guarded(lambda: torus_q(b, 2))
-    q4 = q4_direct(b)
-    dual_gap = max_abs(holo - q4)
-    scale = max_abs(q4)
-    del holo, q4
-    reports.append(tolerance_report(f"q4-dual-n{n}", "holo-Q4", {"n": n},
-                                    dual_gap, IDENTITY_TOL, scale, details=pole,
-                                    seconds=time.perf_counter() - t0))
-    reports.extend(checks_n1)
-    reports.extend(master_check_numeric(b, 2))
-    reports.extend(poly_checks(b, 2))
-    reports.extend(example_2_3_checks(b))
+    reports.append(_q4_dual(b))
+    reports.extend(_pass(b, [_master3(b, 1), _poly(b, 1)]))
+    reports.extend(_pass(b, [_master3(b, 2), _poly(b, 2), _example_2_3(b)]))
     return reports
 
 

@@ -153,8 +153,8 @@ class TestOperators:
         rng = np.random.default_rng(9)
         f = rng.standard_normal(b.chart.shape)
         g = rng.standard_normal(b.chart.shape)
-        lhs = inner(volume_weight(b), laplacian(b, f), g)
-        rhs = inner(volume_weight(b), f, laplacian(b, g))
+        lhs = inner(b, laplacian(b, f), g)
+        rhs = inner(b, f, laplacian(b, g))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
     def test_schouten_div_grad_self_adjoint_exactly(self):
@@ -164,8 +164,8 @@ class TestOperators:
         f = rng.standard_normal(b.chart.shape)
         g = rng.standard_normal(b.chart.shape)
         B = schouten_flux(b)
-        lhs = inner(volume_weight(b), divergence_form(b, B, f), g)
-        rhs = inner(volume_weight(b), f, divergence_form(b, B, g))
+        lhs = inner(b, divergence_form(b, B, f), g)
+        rhs = inner(b, f, divergence_form(b, B, g))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
     @pytest.mark.parametrize("name", ["v2", "v4", "v6", "D0", "D1", "D2", "D3"])
@@ -174,8 +174,8 @@ class TestOperators:
         rng = np.random.default_rng(12)
         f = rng.standard_normal(b.chart.shape)
         g = rng.standard_normal(b.chart.shape)
-        lhs = inner(volume_weight(b), apply_primitive(b, name, f), g)
-        rhs = inner(volume_weight(b), f, apply_primitive(b, name, g))
+        lhs = inner(b, apply_primitive(b, name, f), g)
+        rhs = inner(b, f, apply_primitive(b, name, g))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
     def test_first_flux_is_schouten_and_pairing(self):
@@ -203,7 +203,7 @@ class TestIntegration:
     def test_flat_volume(self):
         ch = TorusChart(4, (32, 32))
         b = curvature(ch, np.zeros(ch.shape))
-        assert inner(volume_weight(b), 1, 1) == pytest.approx(4 * np.pi**2)
+        assert inner(b, 1, 1) == pytest.approx(4 * np.pi**2)
 
     def test_conformal_volume_bessel(self):
         # For phi = a cos(x1) the volume is (2 pi)^2 I_0(n a), and the
@@ -212,7 +212,7 @@ class TestIntegration:
         ch = TorusChart(n, (64, 64))
         x1, _ = ch.mesh()
         b = curvature(ch, a * np.cos(x1))
-        vol = inner(volume_weight(b), 1, 1)
+        vol = inner(b, 1, 1)
         assert vol == pytest.approx(4 * np.pi**2 * np.i0(n * a), rel=1e-10)
 
 
@@ -289,20 +289,19 @@ class TestWholeExpressionReferences:
         # the three whole fields of B = w P
         b, f = case
         grad = gradient(b.chart, f) if given else None
-        got = divergence_form(b, schouten_P(b), f, grad, weight=schouten_weight(b))
+        got = divergence_form(b, schouten_P(b), f, grad, weight=schouten_weight)
         assert got.tobytes() == divergence_form(b, schouten_flux(b), f, grad).tobytes()
         assert got.tobytes() == reference_divergence_form(b, schouten_flux(b), f, grad).tobytes()
 
     def test_inner_and_weights(self, case):
         b, f = case
         g = np.random.default_rng(12).standard_normal(b.chart.shape)
-        W = volume_weight(b)
         for x, y in ((f, g), (g, f), (g, g), (1, 1)):
-            assert inner(W, x, y).hex() == reference_inner(b, x, y).hex()
+            assert inner(b, x, y).hex() == reference_inner(b, x, y).hex()
         # the products formed in a field the caller gives up, either factor
         for x, y, out in ((f.copy(), g, 0), (f, g.copy(), 1)):
             want = reference_inner(b, x, y).hex()
-            assert inner(W, x, y, out=(x, y)[out]).hex() == want
+            assert inner(b, x, y, out=(x, y)[out]).hex() == want
         en4w = np.exp((b.n - 4.0) * b.phi)
         assert schouten_weight(b).tobytes() == (-en4w).tobytes()
         for got, p in zip(schouten_flux(b), schouten_P(b)):
@@ -329,10 +328,93 @@ class TestWholeExpressionReferences:
                 "J": J, "p_inactive": p_inactive,
                 "Psq": em2 ** 2 * (frob + (n - 2.0) * p_inactive ** 2),
                 "P00": P[0][0], "P01": P[0][1], "P11": P[1][1]}
-        got = {**vars(b), "em2": b.em2, "P00": b.P[0][0], "P01": b.P[0][1], "P11": b.P[1][1]}
+        got = {**vars(b), "em2": b.em2, "en2": b.en2, "emn": b.emn, "Psq": b.Psq,
+               "P00": b.P[0][0], "P01": b.P[0][1], "P11": b.P[1][1]}
         for name, value in want.items():
             assert got[name].tobytes() == value.tobytes(), name
         assert b.lapJ.tobytes() == reference_laplacian(b, J, gradient(ch, J)).tobytes()
-        # the weights only the adjoint pairings read are not kept, nor is
-        # e^{-2 phi}, which the bundle's property rebuilds per read
-        assert not {"W", "en4w", "em2"} & set(vars(b))
+        # the weights only the adjoint pairings read are not kept, nor are
+        # the conformal weights and |P|^2, which the bundle's properties
+        # rebuild per read
+        assert not {"W", "en4w", "em2", "en2", "emn", "Psq"} & set(vars(b))
+
+
+def whole_fields(b):
+    """The distinct arrays a bundle holds, its lists of them included."""
+    arrays = {}
+    for value in vars(b).values():
+        for row in value if isinstance(value, list) else [value]:
+            for a in row if isinstance(row, list) else [row]:
+                if isinstance(a, np.ndarray):
+                    arrays[id(a)] = a
+    return list(arrays.values())
+
+
+def test_bundle_keeps_seven_whole_fields():
+    # phi and the fields a derivative made: J, P00, P01 (which is P10),
+    # P11, p_inactive and lap J
+    b = bundle(n=6, size=32)
+    kept = [b.phi, b.J, b.P[0][0], b.P[0][1], b.P[1][1], b.p_inactive, b.lapJ]
+    assert sorted(map(id, whole_fields(b))) == sorted(map(id, kept))
+    assert all(a.shape == b.chart.shape for a in kept)
+
+
+class TestBlockWeights:
+    """The weights e^{(n-2) phi}, e^{-n phi}, e^{n phi} vol and
+    -e^{(n-4) phi} are formed a grid.BLOCK of cells at a time (one block at
+    16^2, a full one and a ragged one at 192^2); the operators and inner
+    have the bits of the same operations on whole weights, NaN cells
+    included. On the spectral chart a NaN reaches every cell, with either
+    sign, so there the operand order of each operation matters too."""
+
+    @pytest.fixture(params=[(derivative, size, nan) for derivative in ("stencil", "spectral")
+                            for size in (16, 192) for nan in ("field", "metric")],
+                    ids=lambda p: "-".join(map(str, p)))
+    def case(self, request):
+        derivative, size, nan = request.param
+        ch = TorusChart(6, (size, size), derivative)
+        phi = preset_phi(ch, "trig3", seed=11)
+        f = np.random.default_rng(11).standard_normal(ch.shape)
+        cell = (5, 11) if size == 16 else (37, 101)
+        if nan == "field":
+            f = nan_cell(f, cell)
+        else:
+            phi = nan_cell(phi, cell)
+        return read_only(curvature(ch, phi)), f
+
+    @staticmethod
+    def whole_weight_laplacian(b, f, grad=None):
+        ch = b.chart
+        g0, g1 = grad or gradient(ch, f)
+        out = d1(ch, b.en2 * g0, 0)
+        d1(ch, b.en2 * g1, 1, out)
+        out *= b.emn
+        return out
+
+    @staticmethod
+    def whole_weight_divergence_form(b, f, grad=None):
+        ch, (P00, P01, P11), w = b.chart, schouten_P(b), schouten_weight(b)
+        g0, g1 = grad or gradient(ch, f)
+        out = d1(ch, (w * P00) * g0 + (w * P01) * g1, 0)
+        d1(ch, (w * P01) * g0 + (w * P11) * g1, 1, out)
+        out *= b.emn
+        return out
+
+    def test_operators(self, case):
+        b, f = case
+        for grad in (None, gradient(b.chart, f)):
+            assert (laplacian(b, f, grad).tobytes()
+                    == self.whole_weight_laplacian(b, f, grad).tobytes())
+            got = divergence_form(b, schouten_P(b), f, grad, weight=schouten_weight)
+            assert got.tobytes() == self.whole_weight_divergence_form(b, f, grad).tobytes()
+
+    def test_inner(self, case):
+        b, f = case
+        g = np.random.default_rng(12).standard_normal(b.chart.shape)
+        for x, y in ((f, g), (g, f), (1, 1)):
+            assert inner(b, x, y).hex() == reference_inner(b, x, y).hex()
+        # a factor given a block of cells at a time, as the adjoint pairings
+        # give their probes
+        blocks = lambda cells: g.reshape(-1)[cells]  # noqa: E731
+        assert inner(b, f, blocks).hex() == reference_inner(b, f, g).hex()
+        assert inner(b, blocks, f.copy(), out=f.copy()).hex() == reference_inner(b, g, f).hex()
