@@ -1,6 +1,7 @@
 """Micro-benchmarks of the numeric layers on a 128x128 torus at n = 4: the
 stencil (also at 512x512, on both axes, there also added into an existing
-field), the curvature bundle, one operator family (built, and formed on
+field and of an operand given a block of cells at a time), the curvature
+bundle, one operator family (built, and formed on
 every block of cells) and the residue/volume polynomial checks; the n = 6
 flat-base checks (gjms-flat and q-flat, N = 1..3) on the 32x32 spectral
 chart; and on a 512x512 torus at n = 6, the curvature bundle, the adjoint
@@ -54,6 +55,18 @@ def test_d1(benchmark, size, axis):
     phi = preset_phi(ch, "trig1", seed=7)
     out = benchmark(d1, ch, phi, axis)
     assert out.shape == phi.shape and np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_d1_function_operand_512(benchmark, axis):
+    # the operand read on each output block's rows and two more each side,
+    # as the operators read their partials, fluxes and probes; here a slice
+    # copied per call, so that the cost beside test_d1 is the reading alone
+    ch = TorusChart(4, (512, 512))
+    phi = preset_phi(ch, "trig1", seed=7)
+    flat = phi.reshape(-1)
+    out = benchmark(d1, ch, lambda cells: flat[cells].copy(), axis)
+    assert out.tobytes() == d1(ch, phi, axis).tobytes()
 
 
 @pytest.mark.parametrize("axis", [0, 1])

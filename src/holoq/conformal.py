@@ -16,21 +16,25 @@ from math import comb
 
 import numpy as np
 
-from .grid import TorusChart, cell_blocks, cell_view, d1, hessian
+from .grid import TorusChart, cell_blocks, cell_view, d1, divergence, partials, row_blocks
 
 
-# The per-read fields, of a bundle or of a block of its cells (Cells).
+# The per-read fields, of a bundle or of a block of its cells (Cells),
+# each exponential taken in place of its exponent.
 
 def _em2(c):
-    return np.exp(-2.0 * c.phi)
+    x = -2.0 * c.phi
+    return np.exp(x, out=x)
 
 
 def _en2(c):
-    return np.exp((c.n - 2.0) * c.phi)
+    x = (c.n - 2.0) * c.phi
+    return np.exp(x, out=x)
 
 
 def _emn(c):
-    return np.exp(-float(c.n) * c.phi)
+    x = -float(c.n) * c.phi
+    return np.exp(x, out=x)
 
 
 def _psq(c):
@@ -67,29 +71,40 @@ class CurvatureBundle:
             raise ValueError(f"phi shape {phi.shape} does not match chart {ch.shape}")
         self.phi = phi
         self.n = n
-        em2 = self.em2
+        self.J, P00, P01, P11, self.p_inactive = (np.empty(ch.shape) for _ in range(5))
+        self.P = [[P00, P01], [P01, P11]]
 
-        # each temporary is dropped after its last read
-        dp = gradient(ch, phi)
-        gradsq = dp[0] * dp[0] + dp[1] * dp[1]
-        hess = hessian(ch, dp)
-        lap0 = hess[0][0] + hess[1][1]
-        self.J = -em2 * (lap0 + 0.5 * (n - 2.0) * gradsq)
-        del lap0, em2
+        def dphi(cells):  # phi's partials on a flat range of cells
+            return tuple(partials(ch, phi, cells))
 
-        # P = -hess + dp dp - gradsq/2 on the diagonal, built in place over
-        # the Hessian, whose hess[1][0] is hess[0][1]: P is symmetric bit
-        # for bit
-        for i, k in ((0, 0), (0, 1), (1, 1)):
-            p = np.negative(hess[i][k], out=hess[i][k])
-            p += dp[i] * dp[k]
-            if i == k:
-                p -= 0.5 * gradsq
-        self.P = hess
-        del dp, hess
-        self.p_inactive = np.multiply(-0.5, gradsq, out=gradsq)
-        del gradsq
+        def form(cells):
+            """J, P and p_inactive on a block of rows, from phi's partials
+            there and on two more rows each side, and the Hessian from
+            them. Each operation is the one numpy runs on a whole field of
+            2^15 cells or more, where it elides a temporary into an in-place
+            operation: the bits are those of the whole-field expressions,
+            NaN signs included."""
+            dp0, dp1, h00, h01, h11 = partials(
+                ch, dphi, cells, ((0, None), (1, None), (0, 0), (1, 0), (1, 1)))
+            dp, hess = (dp0, dp1), ((h00, h01), (h01, h11))
+            gradsq = dp0 * dp0 + dp1 * dp1
+            lap0 = h00 + h11
+            # J = -em2 * (lap0 + 0.5 (n - 2) gradsq)
+            j = np.multiply(0.5 * (n - 2.0), gradsq)
+            j += lap0
+            J = np.negative(_em2(Cells(self, cells)), out=self.J.reshape(-1)[cells])
+            J *= j
+            # P = -hess + dp dp - gradsq/2 on the diagonal; P[1][0] is
+            # P[0][1], one array, so P is symmetric bit for bit
+            for i, k in ((0, 0), (0, 1), (1, 1)):
+                p = np.negative(hess[i][k], out=self.P[i][k].reshape(-1)[cells])
+                p += dp[i] * dp[k]
+                if i == k:
+                    p -= 0.5 * gradsq
+            np.multiply(-0.5, gradsq, out=self.p_inactive.reshape(-1)[cells])
 
+        for cells in row_blocks(ch):
+            form(cells)
         self.lapJ = laplacian(self, self.J)
 
     # e^{-2 phi}: past the bundle, |P|^2, the D_k with k >= 1 and the v_{2k}
@@ -145,84 +160,53 @@ def curvature(chart: TorusChart, phi) -> CurvatureBundle:
     return CurvatureBundle(chart, phi)
 
 
-def gradient(chart: TorusChart, f):
-    """The pair (d1(f, 0), d1(f, 1)). Operators that differentiate f accept
-    it as grad, so a field read by several of them is differentiated once."""
-    return d1(chart, f, 0), d1(chart, f, 1)
-
-
-def _weighted(b: CurvatureBundle, weight, x, out=None, weight_first=True):
-    """weight(c) * x, or x * weight(c) without weight_first, on each block c
-    of b's cells (Cells), in out (a new field if None; it may be x)."""
-    x = np.ravel(x)
-    if out is None:
-        out = np.empty(b.chart.shape)
+def _times_emn(b: CurvatureBundle, out):
+    """out * e^{-n phi} in out, e^{-n phi} formed a block of cells at a time."""
     flat = out.reshape(-1)
     for c in blocks(b):
-        if weight_first:
-            np.multiply(weight(c), x[c.cells], out=flat[c.cells])
-        else:
-            np.multiply(x[c.cells], weight(c), out=flat[c.cells])
+        np.multiply(flat[c.cells], _emn(c), out=flat[c.cells])
     return out
 
 
-def laplacian(b: CurvatureBundle, f, grad=None):
-    """Laplace-Beltrami operator in conservative (divergence) form. grad,
-    when given, is gradient(b.chart, f) already built, and f is not read;
-    otherwise each partial of f is built for its flux, weighted in place and
-    dropped with it. The weights e^{(n-2) phi} and e^{-n phi} are formed a
-    block of cells at a time."""
+def laplacian(b: CurvatureBundle, f):
+    """Laplace-Beltrami operator in conservative (divergence) form, of a
+    field f or of a function of a flat range of cells giving f's values
+    there (grid.d1). The fluxes e^{(n-2) phi} d_a f, their weight and f's
+    partials are formed together a block of rows at a time (grid.divergence),
+    and on the stencil chart are never whole; so is the weight e^{-n phi}."""
     ch = b.chart
 
-    def flux(axis):  # e^{(n-2) phi} times the partial along axis
-        if grad:
-            return _weighted(b, _en2, grad[axis])
-        partial = d1(ch, f, axis)
-        return _weighted(b, _en2, partial, out=partial)
+    def flux(cells):
+        partial = partials(ch, f, cells)
+        en2 = _en2(Cells(b, cells))
+        return tuple(np.multiply(en2, g, out=g) for g in partial)
 
-    out = d1(ch, flux(0), 0)
-    d1(ch, flux(1), 1, out)
-    return _weighted(b, _emn, out, out=out, weight_first=False)
+    return _times_emn(b, divergence(ch, flux))
 
 
-def divergence_form(b: CurvatureBundle, B, f, grad=None, weight=None):
+def divergence_form(b: CurvatureBundle, B, f):
     """e^{-n phi} d_a(B^{ab} d_b f) for a symmetric field B = (B00, B01, B11),
     self-adjoint in the weighted inner product since d1 is antisymmetric.
-    With weight, a function of a bundle or a block of its cells giving a
-    weight w there (schouten_weight), B is (w B00, w B01, w B11), whose
-    entries are formed a block of cells at a time and never whole; so is
-    e^{-n phi}. grad, when given, is gradient(b.chart, f) already built."""
+    B is a function of a bundle or a block of its cells (Cells) giving its
+    three entries there (schouten_flux, _flux); f is a field or a function
+    of a flat range of cells (grid.d1). The fluxes B d f, B's entries and
+    f's partials are formed together a block of rows at a time
+    (grid.divergence), and on the stencil chart are never whole; so is the
+    weight e^{-n phi}."""
     ch = b.chart
-    g0, g1 = grad or gradient(ch, f)
-    B00, B01, B11 = B
-    out = d1(ch, _contract(b, B00, g0, B01, g1, weight), 0)
-    d1(ch, _contract(b, B01, g0, B11, g1, weight), 1, out)
-    return _weighted(b, _emn, out, out=out, weight_first=False)
 
+    def flux(cells):  # (B00 g0 + B01 g1, B01 g0 + B11 g1), in g0's place the second
+        g0, g1 = partials(ch, f, cells)
+        B00, B01, B11 = B(Cells(b, cells))
+        t = B01 * g1
+        first = np.multiply(B00, g0)
+        first += t
+        np.multiply(B11, g1, out=t)
+        second = np.multiply(B01, g0, out=g0)
+        second += t
+        return first, second
 
-def _contract(b: CurvatureBundle, a, x, c, y, weight=None):
-    """a x + c y, or (w a) x + (w c) y for w = weight(block), formed a block
-    of b's cells at a time: a block's first product in the output, its
-    second in one scratch block."""
-    shape = np.shape(x)
-    a, x, c, y = (np.ravel(v) for v in (a, x, c, y))
-    out, scratch = np.empty(x.size), None
-    for block in blocks(b):
-        cells = block.cells
-        if scratch is None:  # the first block is the largest
-            scratch = np.empty(cells.stop - cells.start)
-        o, t = out[cells], scratch[:cells.stop - cells.start]
-        if weight is None:
-            np.multiply(a[cells], x[cells], out=o)
-            np.multiply(c[cells], y[cells], out=t)
-        else:
-            w = weight(block)
-            np.multiply(w, a[cells], out=o)
-            o *= x[cells]
-            np.multiply(w, c[cells], out=t)
-            t *= y[cells]
-        o += t
-    return out.reshape(shape)
+    return _times_emn(b, divergence(ch, flux))
 
 
 def holo_coeffs(b, k: int):
@@ -245,20 +229,24 @@ def holo_coeffs(b, k: int):
     return (-0.5) ** k * sigma
 
 
-def _flux(b: CurvatureBundle, k: int):
+def _flux(c, k: int):
     """(B00, B01, B11) of B_k = e^{(n-2) phi} sum_{m<=k} (m+1) 2^{-m} v_{2k-2m} Ahat^m,
     Ahat = e^{-2 phi} P on the active block: the r^{2k} coefficient of
-    sqrt(det g_r) g_r^{-1}, g_r = g (1 - r^2 A/2)^2. Built per use, never kept."""
-    em2 = b.em2
-    hat = (em2 * b.P[0][0], em2 * b.P[0][1], em2 * b.P[1][1])
+    sqrt(det g_r) g_r^{-1}, g_r = g (1 - r^2 A/2)^2. On a bundle or a block
+    of its cells, where the divergence form reads it. Built per use, never
+    kept."""
+    em2 = c.em2
+    hat = (em2 * c.P[0][0], em2 * c.P[0][1], em2 * c.P[1][1])
     power, B = (1.0, 0.0, 1.0), (0.0, 0.0, 0.0)
     for m in range(k + 1):
         if m:  # Ahat^m = Ahat^{m-1} Ahat, built symmetric
             (p00, p01, p11), (h00, h01, h11) = power, hat
             power = (p00 * h00 + p01 * h01, p00 * h01 + p01 * h11, p01 * h01 + p11 * h11)
-        w = (m + 1) / 2**m * (holo_coeffs(b, k - m) if m < k else 1.0)
-        B = tuple(x + w * p for x, p in zip(B, power))
-    en2 = b.en2
+        w = (m + 1) / 2**m * (holo_coeffs(c, k - m) if m < k else 1.0)
+        # w p + x: the operand order numpy takes for x + w p on a whole
+        # field of 2^15 cells or more, where it adds in place into w p
+        B = tuple(w * p + x for x, p in zip(B, power))
+    en2 = c.en2
     return tuple(en2 * x for x in B)
 
 
@@ -269,12 +257,20 @@ def volume_weight(c):
 
 
 def schouten_weight(c):
-    """The weight w = -e^{(n-4) phi} of the divergence form's Schouten case,
-    B = w P, on a bundle or a block of its cells:
-    divergence_form(b, (P00, P01, P11), f, weight=schouten_weight). Built
-    per use, never kept."""
+    """The weight w = -e^{(n-4) phi} of the divergence form's Schouten case
+    B = w P (schouten_flux), on a bundle or a block of its cells. Built per
+    use, never kept."""
     w = np.exp((c.n - 4.0) * c.phi)
     return np.negative(w, out=w)
+
+
+def schouten_flux(c):
+    """(w P00, w P01, w P11), w = schouten_weight: the divergence form's
+    Schouten case, on a bundle or a block of its cells, where
+    divergence_form(b, schouten_flux, f) reads it. Built per use, never
+    kept."""
+    w = schouten_weight(c)
+    return tuple(w * p for p in (c.P[0][0], c.P[0][1], c.P[1][1]))
 
 
 def inner(b: CurvatureBundle, f, g, out=None) -> float:
@@ -307,7 +303,7 @@ def apply_primitive(b: CurvatureBundle, name: str, f):
     if kind == "v":
         return holo_coeffs(b, k // 2) * f
     if kind == "D":
-        return laplacian(b, f) if k == 0 else divergence_form(b, _flux(b, k), f)
+        return laplacian(b, f) if k == 0 else divergence_form(b, lambda c: _flux(c, k), f)
     raise ValueError(f"unknown primitive {name!r}")
 
 
@@ -329,7 +325,7 @@ def oracle_curvature(chart: TorusChart, phi):
     E = np.exp(2.0 * phi)
     Einv = 1.0 / E
     zero = chart.zeros()
-    lam = list(gradient(chart, phi)) + [zero] * (n - 2)
+    lam = [d1(chart, phi, 0), d1(chart, phi, 1)] + [zero] * (n - 2)
 
     def gamma(k, i, j):
         out = zero

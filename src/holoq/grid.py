@@ -51,14 +51,27 @@ class TorusChart:
 
 
 # Values per block of the blocked stencil and of the pointwise identity
-# checks: 2^15 float64 (256 KiB), so that a block's operands and its scratch
-# stay in cache.
-BLOCK = 1 << 15
+# checks: 2^14 float64 (128 KiB), so that a block's operands and its scratch
+# stay in cache, and a pass's per-block transients stay a sixteenth of a
+# 512^2 field each.
+BLOCK = 1 << 14
 
 
 def cell_blocks(size: int):
     """Flat ranges of at most BLOCK cells covering size cells, in order."""
     return [slice(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK)]
+
+
+def row_blocks(chart: TorusChart):
+    """The flat ranges of cells the derivatives form their output in, in
+    order: whole rows, at least one and about BLOCK cells, on the stencil
+    chart; every cell at once on the spectral one."""
+    rows, cols = chart.shape
+    size = rows * cols
+    if chart.derivative == "spectral":
+        return [slice(0, size)]
+    step = max(1, BLOCK // cols) * cols
+    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
 
 
 def cell_view(f, cells):
@@ -79,88 +92,164 @@ def wavenumbers(size: int):
 
 
 def d1(chart: TorusChart, f, axis: int, out=None):
-    """First derivative along an axis by the chart's derivative. With out, a
-    C-ordered field of f's shape that shares no memory with f, the
-    derivative is added into out, with the bits of out + d1(chart, f, axis),
-    and out is returned."""
-    if chart.derivative == "spectral":
-        shape = [1, 1]
-        shape[axis] = -1
-        ik = 1j * wavenumbers(chart.shape[axis]).reshape(shape)
-        df = np.fft.ifft(ik * np.fft.fft(f, axis=axis), axis=axis).real
-        if out is None:
-            return df
-        out += df
-        return out
-    return _stencil_d1(chart, f, axis, out)
+    """First derivative along an axis by the chart's derivative. f is a
+    field, or a function of a flat range of cells giving f's values there
+    as a flat array (see _rows), so that f is never whole on the stencil
+    chart. With out, a C-ordered field of the chart's shape that shares no
+    memory with f, the derivative is added into out, with the bits of
+    out + d1(chart, f, axis), and out is returned."""
+    return _derivatives(chart, f, (axis,), out)
 
 
-def _stencil_d1(chart: TorusChart, f, axis: int, out=None):
-    """4th-order first derivative: (-f2 + 8 f1 - 8 f-1 + f-2) / 12h.
+def divergence(chart: TorusChart, flux):
+    """d1(F0, 0) + d1(F1, 1), with the bits of d1(chart, F1, 1, d1(chart,
+    F0, 0)), for flux a function of a flat range of cells giving the pair
+    (F0, F1) there: the two are formed together, a block of rows at a
+    time, so that what they share is formed once, and are never whole on
+    the stencil chart."""
+    return _derivatives(chart, flux, (0, 1))
 
-    f is read flat, where a shift by k along the axis is a shift by k * step
-    (step = cols on axis 0, 1 on axis 1), so every shifted operand is a slice
-    of f itself. The formula runs block by block with one scratch block, in
-    the order ((-f2 + 8 f1) - 8 f-1) + f-2 of the whole-array expression, so
-    the bits are those of that expression over np.roll shifts. It runs in a
-    fresh output, or, with out given, in a second scratch block that is then
-    added into out. The flat shifts do not wrap around the torus: the rows
-    (axis 0) or columns (axis 1) 0, 1, -2 and -1 are evaluated again from
-    their gathered periodic neighbours.
-    """
-    h12 = 12.0 * chart.spacing(axis)
-    f = np.ascontiguousarray(f, dtype=float)
-    size, n = f.size, f.shape[axis]
-    step = f.shape[1] if axis == 0 else 1
-    flat = f.reshape(-1)
-    add = out is not None
-    if not add:
-        out = np.empty(f.shape)
-    elif out.shape != f.shape or not out.flags.c_contiguous or np.may_share_memory(out, f):
-        raise ValueError("d1 adds only into a C-ordered field of f's shape, apart from f")
-    flat_out = out.reshape(-1)
-    edge = np.array([0, 1, n - 2, n - 1])
-    index = edge if axis == 0 else (slice(None), edge)
-    # the flat blocks also write the wrapped columns of axis 1
-    before = out[index] if add else None
-    tmp = np.empty(min(BLOCK, size))
-    acc = np.empty_like(tmp) if add else None
-    # the values whose four flat neighbours all lie inside f
-    for start in range(2 * step, size - 2 * step, BLOCK):
-        stop = min(start + BLOCK, size - 2 * step)
-        o, t = flat_out[start:stop], tmp[:stop - start]
-        a = acc[:stop - start] if add else o
 
-        def shifted(k):  # f at flat offset k * step, for this block
-            return flat[start + k * step:stop + k * step]
-
-        np.negative(shifted(2), out=a)
-        np.add(a, np.multiply(8.0, shifted(1), out=t), out=a)
-        np.subtract(a, np.multiply(8.0, shifted(-1), out=t), out=a)
-        np.add(a, shifted(-2), out=a)
-        np.divide(a, h12, out=a)
-        if add:
-            np.add(o, a, out=o)
-
-    def near(k):
-        return np.take(f, (edge + k) % n, axis=axis)
-
-    wrapped = (-near(2) + 8.0 * near(1) - 8.0 * near(-1) + near(-2)) / h12
-    out[index] = wrapped if before is None else before + wrapped
+def partials(chart: TorusChart, f, cells, terms=((0, 0), (0, 1))):
+    """[d1(f_i, axis) for (i, axis) in terms] on a flat range of cells, as
+    flat arrays; axis None gives f_i itself there. f is a field, or a
+    function of a flat range of cells giving one field's values or a tuple
+    of fields' values there (f_0, f_1, ...), read on the range's whole rows
+    widened by two (_rows): on the spectral chart, on every cell."""
+    f = _operand(f)
+    cols = chart.shape[1]
+    lo, hi = (0, chart.shape[0]) if chart.derivative == "spectral" else (
+        cells.start // cols - 2, -(-cells.stop // cols) + 2)
+    operands = _rows(chart, f, lo, hi)
+    start = cells.start - lo * cols
+    stop = start + cells.stop - cells.start
+    out = []
+    for i, axis in terms:
+        g = operands[i]
+        if axis is None:
+            out.append(g[start:stop])
+        elif chart.derivative == "spectral":
+            out.append(_spectral_d1(chart, g.reshape(chart.shape), axis).reshape(-1)[start:stop])
+        else:
+            part = np.empty(g.size - 4 * cols)
+            _stencil(chart, g, axis, part, np.empty_like(part))
+            out.append(part[start - 2 * cols:stop - 2 * cols])
     return out
 
 
-def hessian(chart: TorusChart, grad):
-    """Nested first-derivative Hessian [[f_11, f_12], [f_12, f_22]] of a
-    field, from its gradient pair (d1(f, 0), d1(f, 1)).
+def _rows(chart: TorusChart, f, lo: int, hi: int):
+    """The values of f on the grid's whole rows lo..hi-1, taken mod its
+    number of rows, as a tuple of flat arrays. f is a field, read through
+    views where the rows do not wrap, or a function of a flat range of
+    cells giving one field's values there or a tuple of fields' values,
+    called on each run of the rows that does not wrap; where they wrap, the
+    runs are joined."""
+    nrows, cols = chart.shape
+    parts, r = [], lo
+    while r < hi:
+        first = r % nrows
+        last = min(nrows, first + hi - r)
+        cells = slice(first * cols, last * cols)
+        part = f(cells) if callable(f) else f.reshape(-1)[cells]
+        parts.append(part if isinstance(part, tuple) else (part,))
+        r += last - first
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
-    curvature() and the Christoffel oracle both take second derivatives as
-    nested first derivatives, so their comparison is not polluted by the
-    truncation gap between those and a direct second-derivative stencil.
-    """
-    g0, g1 = grad
-    mixed = d1(chart, g1, 0)
-    return [[d1(chart, g0, 0), mixed], [mixed, d1(chart, g1, 1)]]
+
+def _stencil(chart: TorusChart, g, axis: int, out, scratch):
+    """4th-order first derivative (-f2 + 8 f1 - 8 f-1 + f-2) / 12h along an
+    axis, on whole rows of a field, into out (flat), from g, the field's
+    values on those rows and two more above and below them (flat, as _rows
+    gives them), through scratch, a flat array of out's size.
+
+    In g a shift by k along the axis is a shift by k * step (step = cols on
+    axis 0, 1 on axis 1), so every shifted operand is a slice of g. The
+    formula runs in the order ((-f2 + 8 f1) - 8 f-1) + f-2 of the
+    whole-array expression, so the bits are those of that expression over
+    np.roll shifts. On axis 1 the flat shifts do not wrap around a row:
+    the columns 0, 1, -2 and -1 are evaluated again from their gathered
+    periodic neighbours."""
+    h12 = 12.0 * chart.spacing(axis)
+    cols = chart.shape[1]
+    step = cols if axis == 0 else 1
+    start, stop = 2 * cols, 2 * cols + out.size
+
+    def shifted(k):  # the rows' values at flat offset k * step
+        return g[start + k * step:stop + k * step]
+
+    np.negative(shifted(2), out=out)
+    np.add(out, np.multiply(8.0, shifted(1), out=scratch), out=out)
+    np.subtract(out, np.multiply(8.0, shifted(-1), out=scratch), out=out)
+    np.add(out, shifted(-2), out=out)
+    np.divide(out, h12, out=out)
+    if axis == 1:
+        # the columns -4..3 of the rows, one row of ring each, so that the
+        # columns -2, -1, 0 and 1 shifted by k are ring's rows 2 + k .. 5 + k
+        inner = g[start:stop].reshape(-1, cols)
+        ring = np.empty((8, len(inner)))
+        ring[:4], ring[4:] = inner[:, -4:].T, inner[:, :4].T
+
+        def near(k):
+            return ring[2 + k:6 + k]
+
+        wrapped = (-near(2) + 8.0 * near(1) - 8.0 * near(-1) + near(-2)) / h12
+        out2d = out.reshape(-1, cols)
+        out2d[:, -2:], out2d[:, :2] = wrapped[:2].T, wrapped[2:].T
+
+
+def _operand(f):
+    """f as _rows reads it: a function as it is, a field C-ordered."""
+    return f if callable(f) else np.ascontiguousarray(f, dtype=float)
+
+
+def _spectral_d1(chart: TorusChart, f, axis: int):
+    """The Fourier derivative of a whole field along an axis."""
+    shape = [1, 1]
+    shape[axis] = -1
+    ik = 1j * wavenumbers(chart.shape[axis]).reshape(shape)
+    return np.fft.ifft(ik * np.fft.fft(f, axis=axis), axis=axis).real
+
+
+def _derivatives(chart: TorusChart, f, axes, out=None):
+    """The sum over i of d1(f_i, axes[i]), for f as _rows reads it, in the
+    order of the axes and added into out when given (see d1): each term
+    after the first (all of them with out) is formed in a scratch block
+    and added, so the bits are those of the whole fields' sum in order."""
+    f = _operand(f)
+    if chart.derivative == "spectral":
+        operands = _rows(chart, f, 0, chart.shape[0])
+        for g, axis in zip(operands, axes):
+            df = _spectral_d1(chart, g.reshape(chart.shape), axis)
+            if out is None:
+                out = df
+            else:
+                out += df
+        return out
+    add = out is not None
+    if add and (out.shape != chart.shape or not out.flags.c_contiguous
+                or (not callable(f) and np.may_share_memory(out, f))):
+        raise ValueError("d1 adds only into a C-ordered field of the chart's shape, apart from f")
+    if not add:
+        out = np.empty(chart.shape)
+    cols = chart.shape[1]
+    flat_out = out.reshape(-1)
+    scratch = None
+    for cells in row_blocks(chart):
+        operands = _rows(chart, f, cells.start // cols - 2, cells.stop // cols + 2)
+        o = flat_out[cells]
+        if scratch is None:  # the first block is the largest
+            scratch = np.empty((2, o.size))
+        t, acc = scratch[0][:o.size], scratch[1][:o.size]
+        for i, (g, axis) in enumerate(zip(operands, axes)):
+            if i or add:
+                _stencil(chart, g, axis, acc, t)
+                np.add(o, acc, out=o)
+            else:
+                _stencil(chart, g, axis, o, t)
+        del operands, g  # before the next block's are formed
+    return out
 
 
 def save_field(path, chart: TorusChart, f) -> None:

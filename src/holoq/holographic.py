@@ -25,11 +25,10 @@ from .conformal import (
     blocks,
     curvature,
     divergence_form,
-    gradient,
     holo_coeffs,
     inner,
     laplacian,
-    schouten_weight,
+    schouten_flux,
 )
 from .families import (
     FieldPoly,
@@ -92,16 +91,24 @@ def pole_guarded(evaluate):
 def torus_q(b: CurvatureBundle, N: int, read=None):
     """Q_{2N} of a torus metric by holographic_q. Its point n/2 - N is never
     a pole: the denominators of T*_{2j} vanish only at n/2 - M, M <= j < N.
-    The family values are whole fields, since the removable-pole decision
-    of pair_value reads whole-field norms; the rest is pointwise, and formed
-    a block of cells at a time. With read, a function of a block and Q_{2N}
-    on it, read's readings merged over the blocks are returned instead, and
+    So each family value is formed a block of cells at a time, with the
+    bits of pair_value there; only a wrong family's den(n/2 - N) = 0 takes
+    the whole field of pair_value, whose removable-pole decision reads
+    whole-field norms. With read, a function of a block and Q_{2N} on it,
+    read's readings merged over the blocks are returned instead, and
     Q_{2N} is never whole."""
     mu = Fraction(b.n, 2) - N
-    values = [pair_value(family_poly(b, j, N - j), mu)[0] for j in range(1, N)]
+    dens = {j: family(b, j, N - j)[1](mu) for j in range(1, N)}  # den(n/2 - N)
+    poles = {j: pair_value(family_poly(b, j, N - j), mu)[0]
+             for j, den in dens.items() if den == 0}
+
+    def value(c, j):  # T*_{2j}(n/2 - N)(v_{2N-2j}) on a block
+        if j in poles:
+            return c.view(poles[j])
+        return family_poly(c, j, N - j)[0].eval(mu) / float(dens[j])
 
     def q(c):
-        return holographic_q(N, [holo_coeffs(c, N)] + [c.view(v) for v in values])
+        return holographic_q(N, [holo_coeffs(c, N)] + [value(c, j) for j in dens])
 
     if read:
         return _merged([read(c, q(c)) for c in blocks(b)])
@@ -501,33 +508,30 @@ def _adjoint_reports(b: CurvatureBundle, seed: int):
     shape, key, n = b.chart.shape, seed + 211, b.n
     grow = (shape[0] / SPECTRAL_GRID) ** 1.25
     tols = {"lap": ADJOINT_TOL * grow, "pdiv": ADJOINT_PDIV_TOL * grow}
-    P = (b.P[0][0], b.P[0][1], b.P[1][1])
-    cases = {"lap": lambda grad: laplacian(b, None, grad),
-             "pdiv": lambda grad: divergence_form(b, P, None, grad, weight=schouten_weight)}
+    cases = {"lap": lambda h: laplacian(b, h),
+             "pdiv": lambda h: divergence_form(b, schouten_flux, h)}
 
     def probe(stream):  # a probe a block of cells at a time
         return lambda cells: probe_field(shape, key, stream, cells)
 
-    # <L f, g> for both cases, then <f, L g>: the probe an operator reads is
-    # whole only until its gradient pair is built, the one it is paired
-    # with is formed a block of cells at a time, one gradient pair is alive
-    # at a time, and each pairing is formed in the operator's output
-    pairings, seconds = {name: [] for name in cases}, dict.fromkeys(cases, 0.0)
-    for stream, pairing in ((0, lambda Lf: inner(b, Lf, probe(1), out=Lf)),
-                            (1, lambda Lg: inner(b, probe(0), Lg, out=Lg))):
-        h = probe_field(shape, key, stream)
-        grad = gradient(b.chart, h)
-        if not stream:  # <f, g>, formed in f
-            scale = abs(inner(b, h, probe(1), out=h)) + 1.0
-        del h
-        for name, op in cases.items():
-            t0 = time.perf_counter()
-            pairings[name].append(pairing(op(grad)))
-            seconds[name] += time.perf_counter() - t0
-        del grad
-    return [tolerance_report(f"adjoint-{name}-n{n}", "self-adjointness", {"n": n},
-                             abs(lhs - rhs), tols[name], scale, seconds=seconds[name])
-            for name, (lhs, rhs) in pairings.items()]
+    # <L f, g> and <f, L g>: the probes are formed a block of cells at a
+    # time where they are read, and each pairing is formed in the
+    # operator's output, so one whole field is alive at a time
+    f, g = probe(0), probe(1)
+    scale = abs(inner(b, f, g)) + 1.0
+    reports = []
+    for name, op in cases.items():
+        t0 = time.perf_counter()
+        Lf = op(f)
+        lhs = inner(b, Lf, g, out=Lf)
+        del Lf
+        Lg = op(g)
+        rhs = inner(b, f, Lg, out=Lg)
+        del Lg
+        reports.append(tolerance_report(f"adjoint-{name}-n{n}", "self-adjointness", {"n": n},
+                                        abs(lhs - rhs), tols[name], scale,
+                                        seconds=time.perf_counter() - t0))
+    return reports
 
 
 def _q4_dual(b: CurvatureBundle):

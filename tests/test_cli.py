@@ -1,5 +1,7 @@
 """Driver behavior: config plumbing, exit codes, deterministic reports."""
 
+import atexit
+import gc
 import hashlib
 import itertools
 import json
@@ -779,6 +781,38 @@ def test_no_numpy_random_in_any_holoq_process(tmp_path):
     pattern = re.compile(r"np\.random|numpy\.random")
     for path in Path(holographic.__file__).parent.glob("*.py"):
         assert not pattern.search(path.read_text()), path
+
+
+class TestExitCollection:
+    def test_freeze_registered_once_however_often_main_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(atexit, "register", lambda fn: calls.append(("register", fn)))
+        monkeypatch.setattr(atexit, "unregister", lambda fn: calls.append(("unregister", fn)))
+        for _ in range(2):
+            assert cli.main(["report"]) == EXIT_PASS
+        assert calls == [("unregister", gc.freeze), ("register", gc.freeze)] * 2
+
+    def test_import_registers_nothing(self):
+        code = """
+            import atexit
+            import numpy
+            before = atexit._ncallbacks()
+            import holoq.cli
+            print(atexit._ncallbacks() - before)
+        """
+        assert _python(code).split() == ["0"]
+
+    def test_exit_handler_flushes_reports(self, tmp_path):
+        # the frozen heap is not collected at exit, yet the report written
+        # last is whole, and the exit code is main's
+        code = """
+            import sys
+            from holoq import cli
+            sys.exit(cli.main(["verify", "conformal", "--grid", "16", "--format", "json",
+                               "--out", sys.argv[1]]))
+        """
+        _python(code, str(tmp_path / "r"))
+        assert json.loads((tmp_path / "r.json").read_text())["checks"]
 
 
 @pytest.mark.skipif(not _has_glibc(), reason="the heap policy applies on glibc only")

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from holoq import conformal
 from holoq.conformal import (
     CurvatureBundle,
     _flux,
     apply_primitive,
     curvature,
     divergence_form,
-    gradient,
     holo_coeffs,
     inner,
     laplacian,
@@ -17,8 +17,25 @@ from holoq.conformal import (
     schouten_weight,
     volume_weight,
 )
-from holoq.grid import TorusChart, d1, hessian
+from holoq.grid import TorusChart, d1
 from holoq.presets import preset_phi
+
+
+def gradient(chart, f):
+    return d1(chart, f, 0), d1(chart, f, 1)
+
+
+def entries(B):
+    """Three whole fields B as divergence_form takes them: a function of a
+    bundle or a block of its cells giving the entries there."""
+    return lambda c: tuple(c.view(x) for x in B)
+
+
+def by_cells(f):
+    """f as a function of a flat range of cells, as the adjoint pairings
+    give their probes: a fresh array each call."""
+    flat = np.ascontiguousarray(f).reshape(-1)
+    return lambda cells: flat[cells].copy()
 
 
 def bundle(n=4, size=64, preset="trig1", seed=7):
@@ -80,9 +97,9 @@ class TestCurvature:
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_fields_match_two_pass_hessian(self, n):
-        # The bundle hands its gradient to hessian; recomputing the gradient
-        # inside the Hessian, as the two-pass composition did, gives the
-        # same bits in every field.
+        # The bundle forms its Hessian a block of rows at a time from phi's
+        # partials there; the two-pass composition of whole d1 calls gives
+        # the same bits in every field.
         b = bundle(n=n, preset="trig2")
         ch, phi = b.chart, b.phi
         g0, g1 = d1(ch, phi, 0), d1(ch, phi, 1)
@@ -128,15 +145,21 @@ class TestHoloCoeffs:
             assert np.max(np.abs(holo_coeffs(b, k) - want)) < 1e-12 * scale, k
 
 
-class TestDerivativeReuse:
-    def test_given_derivatives_are_the_ones_rebuilt(self):
-        b = bundle(n=6, size=32)
+class TestBlockOperands:
+    @pytest.mark.parametrize("size", [32, 192])
+    def test_operands_given_by_blocks_are_the_whole_ones(self, size):
+        # f as a function of a flat range of cells, and B_1 as a function
+        # of a block (how D_1 gives it) or as three whole fields
+        b = bundle(n=6, size=size)
         f = np.random.default_rng(12).standard_normal(b.chart.shape)
-        grad = gradient(b.chart, f)
-        lap = laplacian(b, f, grad)
         B = _flux(b, 1)
-        assert lap.tobytes() == laplacian(b, f).tobytes()
-        assert divergence_form(b, B, f, grad).tobytes() == divergence_form(b, B, f).tobytes()
+        lap = laplacian(b, f)
+        assert laplacian(b, by_cells(f)).tobytes() == lap.tobytes()
+        want = divergence_form(b, entries(B), f).tobytes()
+        for operand in (f, by_cells(f)):
+            assert divergence_form(b, entries(B), operand).tobytes() == want
+            assert divergence_form(b, lambda c: _flux(c, 1), operand).tobytes() == want
+        assert apply_primitive(b, "D1", f).tobytes() == want
         assert b.lapJ.tobytes() == laplacian(b, b.J).tobytes()
 
 
@@ -164,8 +187,8 @@ class TestOperators:
         f = rng.standard_normal(b.chart.shape)
         g = rng.standard_normal(b.chart.shape)
         B = schouten_flux(b)
-        lhs = inner(b, divergence_form(b, B, f), g)
-        rhs = inner(b, f, divergence_form(b, B, g))
+        lhs = inner(b, divergence_form(b, entries(B), f), g)
+        rhs = inner(b, f, divergence_form(b, entries(B), g))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
     @pytest.mark.parametrize("name", ["v2", "v4", "v6", "D0", "D1", "D2", "D3"])
@@ -190,8 +213,8 @@ class TestOperators:
             g0, g1 = gradient(b.chart, f)
             dJ = gradient(b.chart, b.J)
             pairing = b.em2 * (dJ[0] * g0 + dJ[1] * g1)  # (dJ, df) in the metric
-            closed = -0.5 * (b.J * laplacian(b, f) + pairing) - divergence_form(b, B, f)
-            gaps.append(rel(divergence_form(b, _flux(b, 1), f), closed))
+            closed = -0.5 * (b.J * laplacian(b, f) + pairing) - divergence_form(b, entries(B), f)
+            gaps.append(rel(divergence_form(b, lambda c: _flux(c, 1), f), closed))
         assert gaps[1] < 1e-3 and gaps[0] / gaps[1] > 8
 
     def test_unknown_primitive(self):
@@ -220,15 +243,15 @@ class TestIntegration:
 # above accumulates into one owned output, with the operands of each IEEE
 # operation in the same order, so it must give these bits exactly.
 
-def reference_laplacian(b, f, grad=None):
+def reference_laplacian(b, f):
     ch = b.chart
-    g0, g1 = grad or gradient(ch, f)
+    g0, g1 = gradient(ch, f)
     return b.emn * (d1(ch, b.en2 * g0, 0) + d1(ch, b.en2 * g1, 1))
 
 
-def reference_divergence_form(b, B, f, grad=None):
+def reference_divergence_form(b, B, f):
     ch = b.chart
-    g0, g1 = grad or gradient(ch, f)
+    g0, g1 = gradient(ch, f)
     B00, B01, B11 = B
     return b.emn * (d1(ch, B00 * g0 + B01 * g1, 0) + d1(ch, B01 * g0 + B11 * g1, 1))
 
@@ -270,28 +293,30 @@ class TestWholeExpressionReferences:
             phi = nan_cell(phi)
         return read_only(curvature(ch, phi)), f
 
+    # the operand f as a whole field ("built"), or given as a function of a
+    # flat range of cells ("given"), as the adjoint pairings give theirs
     @pytest.mark.parametrize("given", [False, True], ids=["built", "given"])
     def test_operators(self, case, given):
         b, f = case
-        grad = gradient(b.chart, f) if given else None
+        operand = by_cells(f) if given else f
         B = schouten_flux(b)
-        assert (laplacian(b, f, grad).tobytes()
-                == reference_laplacian(b, f, grad).tobytes())
-        assert (divergence_form(b, B, f, grad).tobytes()
-                == reference_divergence_form(b, B, f, grad).tobytes())
+        assert (laplacian(b, operand).tobytes()
+                == reference_laplacian(b, f).tobytes())
+        assert (divergence_form(b, entries(B), operand).tobytes()
+                == reference_divergence_form(b, B, f).tobytes())
         B1 = _flux(b, 1)
-        assert (divergence_form(b, B1, f, grad).tobytes()
-                == reference_divergence_form(b, B1, f, grad).tobytes())
+        assert (divergence_form(b, lambda c: _flux(c, 1), operand).tobytes()
+                == reference_divergence_form(b, B1, f).tobytes())
 
     @pytest.mark.parametrize("given", [False, True], ids=["built", "given"])
     def test_weighted_schouten_contraction(self, case, given):
-        # the weight's products formed a block of cells at a time, against
-        # the three whole fields of B = w P
+        # B = w P formed a block of cells at a time, against its three
+        # whole fields
         b, f = case
-        grad = gradient(b.chart, f) if given else None
-        got = divergence_form(b, schouten_P(b), f, grad, weight=schouten_weight)
-        assert got.tobytes() == divergence_form(b, schouten_flux(b), f, grad).tobytes()
-        assert got.tobytes() == reference_divergence_form(b, schouten_flux(b), f, grad).tobytes()
+        operand = by_cells(f) if given else f
+        got = divergence_form(b, conformal.schouten_flux, operand)
+        assert got.tobytes() == divergence_form(b, entries(schouten_flux(b)), f).tobytes()
+        assert got.tobytes() == reference_divergence_form(b, schouten_flux(b), f).tobytes()
 
     def test_inner_and_weights(self, case):
         b, f = case
@@ -316,7 +341,8 @@ class TestWholeExpressionReferences:
         em2 = np.exp(-2.0 * phi)
         dp = gradient(ch, phi)
         gradsq = dp[0] * dp[0] + dp[1] * dp[1]
-        hess = hessian(ch, dp)
+        mixed = d1(ch, dp[1], 0)
+        hess = [[d1(ch, dp[0], 0), mixed], [mixed, d1(ch, dp[1], 1)]]
         lap0 = hess[0][0] + hess[1][1]
         J = -em2 * (lap0 + 0.5 * (n - 2.0) * gradsq)
         p01 = -hess[0][1] + dp[0] * dp[1]
@@ -332,7 +358,7 @@ class TestWholeExpressionReferences:
                "P00": b.P[0][0], "P01": b.P[0][1], "P11": b.P[1][1]}
         for name, value in want.items():
             assert got[name].tobytes() == value.tobytes(), name
-        assert b.lapJ.tobytes() == reference_laplacian(b, J, gradient(ch, J)).tobytes()
+        assert b.lapJ.tobytes() == reference_laplacian(b, J).tobytes()
         # the weights only the adjoint pairings read are not kept, nor are
         # the conformal weights and |P|^2, which the bundle's properties
         # rebuild per read
@@ -383,18 +409,18 @@ class TestBlockWeights:
         return read_only(curvature(ch, phi)), f
 
     @staticmethod
-    def whole_weight_laplacian(b, f, grad=None):
+    def whole_weight_laplacian(b, f):
         ch = b.chart
-        g0, g1 = grad or gradient(ch, f)
+        g0, g1 = gradient(ch, f)
         out = d1(ch, b.en2 * g0, 0)
         d1(ch, b.en2 * g1, 1, out)
         out *= b.emn
         return out
 
     @staticmethod
-    def whole_weight_divergence_form(b, f, grad=None):
+    def whole_weight_divergence_form(b, f):
         ch, (P00, P01, P11), w = b.chart, schouten_P(b), schouten_weight(b)
-        g0, g1 = grad or gradient(ch, f)
+        g0, g1 = gradient(ch, f)
         out = d1(ch, (w * P00) * g0 + (w * P01) * g1, 0)
         d1(ch, (w * P01) * g0 + (w * P11) * g1, 1, out)
         out *= b.emn
@@ -402,11 +428,11 @@ class TestBlockWeights:
 
     def test_operators(self, case):
         b, f = case
-        for grad in (None, gradient(b.chart, f)):
-            assert (laplacian(b, f, grad).tobytes()
-                    == self.whole_weight_laplacian(b, f, grad).tobytes())
-            got = divergence_form(b, schouten_P(b), f, grad, weight=schouten_weight)
-            assert got.tobytes() == self.whole_weight_divergence_form(b, f, grad).tobytes()
+        for operand in (f, by_cells(f)):
+            assert (laplacian(b, operand).tobytes()
+                    == self.whole_weight_laplacian(b, f).tobytes())
+            got = divergence_form(b, conformal.schouten_flux, operand)
+            assert got.tobytes() == self.whole_weight_divergence_form(b, f).tobytes()
 
     def test_inner(self, case):
         b, f = case

@@ -13,7 +13,7 @@ from holoq.conformal import (
     holo_coeffs,
     inner,
     laplacian,
-    schouten_weight,
+    schouten_flux,
 )
 from holoq.families import (
     FieldPoly,
@@ -61,8 +61,7 @@ def reference_T4(b, f):
     + 2c delta(P df) + c (dJ, df)] / den, c = 2 lam + 2 - n, with the
     pairing (dJ, df) = (lap(J f) - J lap f - f lap J) / 2."""
     n, J = b.n, b.J
-    P = (b.P[0][0], b.P[0][1], b.P[1][1])
-    pdiv = divergence_form(b, P, f, weight=schouten_weight)
+    pdiv = divergence_form(b, schouten_flux, f)
     lap_f = laplacian(b, f)
     gj = 0.5 * (laplacian(b, J * f) - J * lap_f - f * b.lapJ)
     return FieldPoly([

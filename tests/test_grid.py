@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holoq import grid
-from holoq.grid import TorusChart, d1, hessian, load_field, save_field
+from holoq.grid import TorusChart, d1, load_field, partials, save_field
 from holoq.presets import preset_phi
 
 
@@ -126,12 +126,21 @@ class TestStencils:
         diff = d1(ch, d1(ch, u, 0), 1) - d1(ch, d1(ch, u, 1), 0)
         assert np.max(np.abs(diff)) < 1e-10
 
-    def test_hessian_symmetric(self):
+    def test_hessian_from_block_partials(self):
+        # the Hessian as the bundle forms it, a block of rows at a time from
+        # the gradient pair's partials there, against nested whole d1 calls
         ch = chart(size=32)
-        rng = np.random.default_rng(6)
-        u = rng.standard_normal(ch.shape)
-        h = hessian(ch, (d1(ch, u, 0), d1(ch, u, 1)))
-        assert np.array_equal(h[0][1], h[1][0])
+        u = np.random.default_rng(6).standard_normal(ch.shape)
+        grad = (d1(ch, u, 0), d1(ch, u, 1))
+        want = [d1(ch, grad[0], 0), d1(ch, grad[1], 0), d1(ch, grad[1], 1)]
+
+        def pair(cells):
+            return tuple(partials(ch, u, cells))
+
+        for cells in grid.row_blocks(ch) + [slice(0, 1024), slice(37, 500)]:
+            got = partials(ch, pair, cells, ((0, None), (1, None), (0, 0), (1, 0), (1, 1)))
+            for g, w in zip(got, list(grad) + want):
+                assert g.tobytes() == w.reshape(-1)[cells].tobytes(), cells
 
     def test_chart_validation(self):
         with pytest.raises(ValueError):
@@ -163,6 +172,97 @@ class TestAddedIntoOut:
             assert d1(ch, f, axis, got) is got
             assert same_bits(got, want), axis
             assert 0 < np.isnan(got).sum() < size * size / 4
+
+
+def by_cells(f, calls=None):
+    """f as a function of a flat range of cells, a fresh array each call;
+    calls, when given, records the ranges."""
+    flat = np.ascontiguousarray(f).reshape(-1)
+
+    def read(cells):
+        if calls is not None:
+            calls.append((cells.start, cells.stop))
+        return flat[cells].copy()
+
+    return read
+
+
+class TestFunctionOperands:
+    """d1 and partials on an operand given as a function of a flat range of
+    cells, read on the output block's whole rows widened by two and
+    wrapping: the bits of the whole-field d1, which d1_roll pins."""
+
+    SHAPES = [(64, 64), (48, 80), (136, 136), (192, 192), (8, 5000), (300, 257)]
+
+    @pytest.mark.parametrize("block", [7, 1001, 1 << 14])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_same_bits_as_the_whole_field(self, shape, block, monkeypatch):
+        # a block of 7 or 1,001 cells is one row, or a few rows, of most
+        # of these grids; the default block covers the smaller grids whole
+        monkeypatch.setattr(grid, "BLOCK", block)
+        ch = TorusChart(4, shape)
+        f = np.random.default_rng(shape[0]).standard_normal(shape)
+        f[shape[0] // 2, 3] = f[shape[0] - 1, shape[1] // 3] = f[1, shape[1] - 2] = np.nan
+        calls = []
+        for axis in range(2):
+            want = d1(ch, f, axis)
+            assert same_bits(want, d1_roll(ch, f, axis))
+            assert same_bits(d1(ch, by_cells(f, calls), axis), want), axis
+        # read only in whole rows, none outside the grid
+        cols = shape[1]
+        assert all(a % cols == 0 == b % cols and 0 <= a < b <= f.size for a, b in calls)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (48, 80), (136, 136)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_partials_on_ranges_not_aligned_with_rows(self, shape):
+        ch = TorusChart(4, shape)
+        f = np.random.default_rng(5).standard_normal(shape)
+        f[7, 0] = np.nan
+        want = [d1(ch, f, axis).reshape(-1) for axis in range(2)]
+        size = f.size
+        ranges = grid.cell_blocks(size) + [slice(0, size), slice(1, 2), slice(5, 1006),
+                                           slice(size - 7, size), slice(shape[1] - 1, 3 * shape[1] + 2)]
+        for operand in (f, by_cells(f)):
+            for cells in ranges:
+                got = partials(ch, operand, cells)
+                for axis in range(2):
+                    assert same_bits(got[axis], want[axis][cells]), (cells, axis)
+                (same,) = partials(ch, operand, cells, ((0, None),))
+                assert same_bits(same, f.reshape(-1)[cells])
+
+    @pytest.mark.parametrize("shape", [(64, 64), (48, 80), (192, 192)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_added_into_out(self, shape):
+        ch = TorusChart(4, shape)
+        rng = np.random.default_rng(9)
+        f, out = rng.standard_normal((2, *shape))
+        out[0, -1], out[-1, 1] = np.nan, -np.inf
+        for axis in range(2):
+            want = out + d1(ch, f, axis)
+            got = out.copy()
+            assert d1(ch, by_cells(f), axis, got) is got
+            assert same_bits(got, want), axis
+
+    def test_divergence_is_the_sum_of_its_two_d1(self):
+        ch = TorusChart(4, (136, 136))
+        rng = np.random.default_rng(10)
+        f0, f1 = rng.standard_normal((2, *ch.shape))
+        f0[3, 5] = f1[-1, -2] = np.nan
+        want = d1(ch, f1, 1, d1(ch, f0, 0))
+        pair = lambda cells: (f0.reshape(-1)[cells].copy(), f1.reshape(-1)[cells].copy())  # noqa: E731
+        assert same_bits(grid.divergence(ch, pair), want)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (24, 15)])
+    def test_spectral_chart(self, shape):
+        # the operand is formed whole, with one call, and transformed
+        ch = TorusChart(4, shape, "spectral")
+        f = np.random.default_rng(11).standard_normal(shape)
+        calls = []
+        for axis in range(2):
+            assert d1(ch, by_cells(f, calls), axis).tobytes() == d1(ch, f, axis).tobytes()
+            got = partials(ch, by_cells(f), slice(3, 40))
+            assert got[axis].tobytes() == d1(ch, f, axis).reshape(-1)[3:40].tobytes()
+        assert calls == [(0, f.size)] * 2
 
 
 class TestSpectral:

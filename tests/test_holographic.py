@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from holoq import conformal, families, grid, holographic
-from holoq.conformal import curvature, gradient
+from holoq.conformal import curvature
 from holoq.families import (
     FieldPoly,
     LambdaOperator,
@@ -68,6 +68,24 @@ class TestQCurvature:
         assert np.all(b.J == 0.0)
         assert np.all(q4_direct(b) == 0.0)
         assert np.max(np.abs(torus_q(b, 2))) < 1e-15
+
+    def test_family_values_by_block_or_whole(self):
+        # each family value is formed a block at a time where its
+        # denominator does not vanish at n/2 - N, with pair_value's bits; a
+        # wrong family whose denominator does vanish there takes the whole
+        # pair_value, which divides a removable pole out and raises at a
+        # genuine one
+        b = bundle(n=6, size=RAGGED)
+        want = torus_q(b, 2)
+        t2 = pair_value(family_poly(b, 1, 1), Fraction(1))[0]
+        assert want.tobytes() == holographic_q(2, [holo_coeffs(b, 2), t2]).tobytes()
+        op, den = b.family_polys[(1, 1)]
+        at_mu = LambdaPoly((-1, 1))  # lam - (n/2 - N)
+        b.family_polys[(1, 1)] = (op.scale(at_mu), den * at_mu)
+        assert np.max(np.abs(torus_q(b, 2) - want)) <= 1e-13 * np.max(np.abs(want))
+        b.family_polys[(1, 1)] = (op, den * at_mu)
+        with pytest.raises(PoleError):
+            torus_q(b, 2)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_dual_route_agreement(self, n):
@@ -528,8 +546,8 @@ class TestNonFinite:
         assert not rep.passed and rep.details["reason"] == "non-finite scale inf"
 
 
-# One full block of cells and a ragged tail of 4,096.
-RAGGED = 192
+# One full block of cells and a ragged tail of 2,112.
+RAGGED = 136
 assert grid.BLOCK < RAGGED**2 < 2 * grid.BLOCK
 
 
@@ -755,9 +773,9 @@ class TestConformalCovariance:
 
 
 def reference_adjoint_residuals(b, seed):
-    """_adjoint_reports' residuals and scale as first written: both gradient
-    pairs, the Schouten flux and the weights held at once, and every
-    operator a whole expression."""
+    """_adjoint_reports' residuals and scale as first written: both probes,
+    their gradient pairs, the Schouten flux and the weights held whole at
+    once, and every operator a whole expression."""
     f = holographic.probe_field(b.chart.shape, seed + 211, 0)
     g = holographic.probe_field(b.chart.shape, seed + 211, 1)
     W = np.exp(float(b.n) * b.phi) * b.chart.cell_volume()
@@ -766,12 +784,10 @@ def reference_adjoint_residuals(b, seed):
     def inner(x, y):
         return float(np.sum(x * y * W))
 
-    grad_f, grad_g = gradient(b.chart, f), gradient(b.chart, g)
     pdiv = tuple(-en4w * p for p in (b.P[0][0], b.P[0][1], b.P[1][1]))
-    lap = (inner(reference_laplacian(b, f, grad_f), g)
-           - inner(f, reference_laplacian(b, g, grad_g)))
-    div = (inner(reference_divergence_form(b, pdiv, f, grad_f), g)
-           - inner(f, reference_divergence_form(b, pdiv, g, grad_g)))
+    lap = inner(reference_laplacian(b, f), g) - inner(f, reference_laplacian(b, g))
+    div = (inner(reference_divergence_form(b, pdiv, f), g)
+           - inner(f, reference_divergence_form(b, pdiv, g)))
     return {"lap": abs(lap), "pdiv": abs(div)}, abs(inner(f, g)) + 1.0
 
 
@@ -842,27 +858,28 @@ class TestMemoryBudget:
     since tracemalloc counts numpy's buffers; each bound is the measured
     peak plus under half a field. Every test runs its code once first,
     since a first call fills caches that outlive it. A block of cells is
-    half a field at 256^2 (an eighth at 512^2), so the pointwise passes
-    weigh more here than at 512^2."""
+    a quarter of a field at 256^2 (a sixteenth at 512^2), so the pointwise
+    passes and the stencils' blocks weigh more here than at 512^2."""
 
     FIELD = 256 * 256 * 8
 
     def test_dimension(self):
-        # 17.58 fields, in the merged N = 2 pass: the bundle's 7 kept
+        # 12.85 fields, in the merged N = 2 pass: the bundle's 7 kept
         # fields, the cached D0(v2) and a block's families, cleared sums and
-        # residue and volume polynomials. With each family cached as its
-        # deg + 1 whole coefficient fields and the bundle keeping e^{(n-2)
-        # phi}, e^{-n phi} and |P|^2, it was 21.55 (bound 22.0); with also
-        # e^{-2 phi} and the Schouten flux's three whole fields kept, whole
-        # d1 outputs summed into the operators and T*_2(lam)(1) kept to the
-        # end, 24.55; keeping also the bundle's temporaries, its
-        # adjoint-only weights, both gradient pairs and every applied word
-        # alive, 28.04.
+        # residue and volume polynomials. With whole gradients, Hessian,
+        # fluxes and probes in the stencils and blocks of 2^15 cells it was
+        # 17.58 (bound 18.0); with each family cached as its deg + 1 whole
+        # coefficient fields and the bundle keeping e^{(n-2) phi}, e^{-n phi}
+        # and |P|^2, 21.55; with also e^{-2 phi} and the Schouten flux's
+        # three whole fields kept, whole d1 outputs summed into the
+        # operators and T*_2(lam)(1) kept to the end, 24.55; keeping also
+        # the bundle's temporaries, its adjoint-only weights, both gradient
+        # pairs and every applied word alive, 28.04.
         holographic._dimension_reports(6, 256, "trig1", 7, None)
         reports, peak = traced_peak(
             lambda: holographic._dimension_reports(6, 256, "trig1", 7, None))
         assert all(r.passed for r in reports)
-        assert peak < 18.0 * self.FIELD, peak / self.FIELD
+        assert peak < 13.3 * self.FIELD, peak / self.FIELD
 
     @pytest.fixture(scope="class")
     def b(self):
@@ -871,20 +888,21 @@ class TestMemoryBudget:
         holographic._adjoint_reports(b, 7)
         return b
 
-    # measured: 10.00 (the bundle's 7 kept fields among them), 6.01, 4.51,
-    # 4.51 and 9.53. T*_4(1) caches D0(v2) alone, and q4-dual forms
-    # T*_2(lam)(v2) whole a block at a time. With the weights and |P|^2
-    # whole and each family's deg + 1 coefficient fields cached, they were
-    # 14.01, 9.08 and 7.08 (bounds 14.5, 9.5, 7.5). The adjoints were 11.56
-    # with the Schouten flux's three whole fields, whole d1 outputs summed
-    # into the operators and each pairing's product in a fresh field;
-    # T*_4(1) was 8.56 on an allocated ones field with whole d1 outputs
-    # summed. With the bundle's temporaries and adjoint-only weights kept
-    # the curvature was 24.56; with the first gradient pair alive while the
-    # second is built, the adjoints were 13.56; with every applied word
-    # held, T*_4(1) 9.56.
-    BUDGETS = {"curvature": 10.5, "adjoints": 6.5, "T*_4(1)": 5.0, "q4-dual": 5.0,
-               "merged N = 2 pass": 10.0}
+    # measured: 7.58 (the bundle's 6 kept fields besides phi among them),
+    # 3.38, 3.58, 2.01 and 4.78. With whole gradients, Hessian, fluxes and
+    # probes in the stencils, blocks of 2^15 cells and T*_2(lam)(v2) formed
+    # whole for q4-dual they were 10.00, 6.01, 4.51, 4.51 and 9.53 (bounds
+    # 10.5, 6.5, 5.0, 5.0, 10.0). With the weights and |P|^2 whole and each
+    # family's deg + 1 coefficient fields cached, 14.01, 9.08 and 7.08
+    # (curvature, adjoints, T*_4(1)). The adjoints were 11.56 with the
+    # Schouten flux's three whole fields, whole d1 outputs summed into the
+    # operators and each pairing's product in a fresh field; T*_4(1) was
+    # 8.56 on an allocated ones field with whole d1 outputs summed. With the
+    # bundle's temporaries and adjoint-only weights kept the curvature was
+    # 24.56; with the first gradient pair alive while the second is built,
+    # the adjoints were 13.56; with every applied word held, T*_4(1) 9.56.
+    BUDGETS = {"curvature": 8.0, "adjoints": 3.8, "T*_4(1)": 4.0, "q4-dual": 2.5,
+               "merged N = 2 pass": 5.2}
 
     @pytest.mark.parametrize("phase,budget", list(BUDGETS.items()), ids=list(BUDGETS))
     def test_phase(self, b, phase, budget):
@@ -899,6 +917,25 @@ class TestMemoryBudget:
         run()
         _, peak = traced_peak(run)
         assert peak < budget * self.FIELD, peak / self.FIELD
+
+
+def test_no_whole_field_but_the_kept_ones_and_the_output():
+    # At 512^2 a block of rows is a sixteenth of a field, so a phase's
+    # blocks stay under one field: a peak under one field above what the
+    # phase keeps or returns means that no other whole-grid array was alive
+    # in it. The bundle keeps J, P00, P01, P11, p_inactive and lap J (6.41
+    # fields; 10.0 with its gradient, Hessian and flat Laplacian whole), and
+    # the adjoint pass holds each operator's output (1.62; 4.5 with a whole
+    # probe, its gradient pair and a flux).
+    field = 512 * 512 * 8
+    ch = TorusChart(6, (512, 512))
+    phi = preset_phi(ch, "trig1", seed=7)
+    b = curvature(ch, phi)
+    _, peak = traced_peak(lambda: curvature(ch, phi))
+    assert 6 * field < peak < 7 * field, peak / field
+    holographic._adjoint_reports(b, 7)
+    _, peak = traced_peak(lambda: holographic._adjoint_reports(b, 7))
+    assert field < peak < 2 * field, peak / field
 
 
 class TestSuites:
@@ -930,26 +967,36 @@ class TestSuites:
         assert alive == [[False] * k for k in range(4)]
 
     def test_numeric_suite_d1_calls(self, monkeypatch):
-        # Each field is differentiated once: the bundle's Laplacian of J and
-        # the adjoint checks reuse the gradients and Laplacians already built,
-        # and the families of one bundle share the derivative words they
-        # have in common. That is 25 calls per dimension on the run's grid,
-        # and 33 (n = 4) and 101 (n = 6, with the longer words of N = 3) on
-        # the spectral chart. The count does not depend on the grid size. It
-        # was 196 before the families shared their words: T*_2(lam)(v2) and
-        # T*_4(lam)(1) each applied D0 to v2 (4 calls) on the run's grid, and
-        # T*_4(lam)(v2) applied it again on the spectral chart at n = 6.
-        calls = []
-        original = grid.d1
+        # The stencil passes over whole fields: each application of the
+        # Laplacian or a divergence form is one grid.divergence, which forms
+        # its operand's partials and both fluxes a block of rows at a time,
+        # and no whole-field d1 is taken. Each field is differentiated
+        # once: the families of one bundle share the derivative words they
+        # have in common. That is 6 passes per dimension on the run's grid
+        # (the bundle's lap J, the four adjoint operators and the shared
+        # D0(v2)), and 7 (n = 4) and 24 (n = 6, with the longer words of
+        # N = 3) on the spectral chart. The count does not depend on the
+        # grid size. With whole gradients shared by the operators, the same
+        # work took 184 whole-field d1 calls (four per operator, five for
+        # the bundle's gradient and Hessian, two per adjoint gradient pair),
+        # and 196 before the families shared their words.
+        passes, whole = [], []
+        original_pass, original_d1 = grid.divergence, grid.d1
 
-        def spy(chart, f, axis, out=None):  # sees the d1 calls adding into out too
-            calls.append(axis)
-            return original(chart, f, axis, out)
+        def spy_pass(chart, flux):
+            passes.append(chart.shape)
+            return original_pass(chart, flux)
 
-        monkeypatch.setattr(grid, "d1", spy)
-        monkeypatch.setattr(conformal, "d1", spy)
+        def spy_d1(chart, f, axis, out=None):
+            whole.append(axis)
+            return original_d1(chart, f, axis, out)
+
+        monkeypatch.setattr(conformal, "divergence", spy_pass)
+        monkeypatch.setattr(conformal, "d1", spy_d1)
+        monkeypatch.setattr(grid, "d1", spy_d1)
         numeric_suite(n_values=(4, 6), size=64)
-        assert len(calls) == 184
+        assert passes.count((64, 64)) == 12 and passes.count((32, 32)) == 31
+        assert whole == []
 
     def test_numeric_suite_memory_peak(self, monkeypatch):
         # tracemalloc counts numpy's buffers, so the peak is deterministic.

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from holoq import conformal, families, holographic, lambda_algebra, sphere
+from holoq import conformal, families, grid, holographic, lambda_algebra, sphere
 from holoq.holographic import critical_n4_suite, numeric_suite
 from holoq.sphere import sphere_suite
 
@@ -295,13 +295,15 @@ def test_divergence_form_asymmetric_by_a_billionth(monkeypatch):
     # B01 scaled in the first of divergence_form's two d1 terms, so that the
     # operator is no longer self-adjoint; the algebra checks hold for any
     # primitives, and only the Schouten case's adjoint bound is tight enough
-    def mutant(b, B, f, grad=None, weight=None):
+    def mutant(b, B, f):
         ch = b.chart
-        g0, g1 = grad or conformal.gradient(ch, f)
-        B00, B01, B11 = B
-        first = conformal._contract(b, B00, g0, B01 * float(SMALL_FACTOR), g1, weight)
-        second = conformal._contract(b, B01, g0, B11, g1, weight)
-        return b.emn * (conformal.d1(ch, first, 0) + conformal.d1(ch, second, 1))
+
+        def flux(cells):
+            B00, B01, B11 = B(conformal.Cells(b, cells))
+            g0, g1 = grid.partials(ch, f, cells)
+            return B00 * g0 + (B01 * float(SMALL_FACTOR)) * g1, B01 * g0 + B11 * g1
+
+        return b.emn * grid.divergence(ch, flux)
 
     monkeypatch.setattr(conformal, "divergence_form", mutant)
     monkeypatch.setattr(holographic, "divergence_form", mutant)
@@ -315,11 +317,15 @@ def test_laplacian_asymmetric_by_a_billionth(monkeypatch):
     # the algebra checks hold for any primitives: the adjoint pairings fail
     # it by about 70 times their bound, and gjms-flat at N = 1, on the
     # spectral chart with its bound of 4e-11, by about twice
-    original = conformal.laplacian
+    def mutant(b, f):
+        ch = b.chart
 
-    def mutant(b, f, grad=None):
-        g0, g1 = grad or conformal.gradient(b.chart, f)
-        return original(b, f, (g0 + float(SMALL_FACTOR - 1) * g1, g1))
+        def flux(cells):
+            en2 = conformal.Cells(b, cells).en2
+            g0, g1 = grid.partials(ch, f, cells)
+            return en2 * (g0 + float(SMALL_FACTOR - 1) * g1), en2 * g1
+
+        return b.emn * grid.divergence(ch, flux)
 
     monkeypatch.setattr(conformal, "laplacian", mutant)
     monkeypatch.setattr(holographic, "laplacian", mutant)
