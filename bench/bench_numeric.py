@@ -4,9 +4,10 @@ field and of an operand given a block of cells at a time), the curvature
 bundle, one operator family (built, and formed on
 every block of cells) and the residue/volume polynomial checks; the n = 6
 flat-base checks (gjms-flat and q-flat, N = 1..3) on the 32x32 spectral
-chart; and on a 512x512 torus at n = 6, the curvature bundle, the adjoint
-pairings and the pointwise identity checks at N = 2, decided one block of
-cells at a time, alone and as the one merged pass a dimension runs.
+chart; and on a 512x512 torus at n = 6, the preset, the curvature bundle,
+the adjoint pairings and the pointwise identity checks at N = 2, decided
+one block of cells at a time, alone and as the one merged pass a dimension
+runs.
 
     python -m pytest bench/bench_numeric.py -q
 
@@ -91,14 +92,24 @@ def chart_phi_512():
     return ch, preset_phi(ch, "trig1", seed=7)
 
 
+@pytest.mark.parametrize("name", ["trig1", "trig3"])
+def test_preset_phi_512(benchmark, name):
+    # trig1's two modes lie along the axes, each a cosine of one coordinate
+    # vector broadcast; trig3 has two diagonal modes, each formed in one
+    # broadcast buffer
+    ch = TorusChart(6, (512, 512))
+    phi = benchmark(preset_phi, ch, name, 7)
+    assert phi.shape == ch.shape and np.all(np.isfinite(phi)) and np.any(phi != 0.0)
+
+
 def test_curvature_512(benchmark, chart_phi_512):
     b = benchmark(curvature, *chart_phi_512)
-    assert np.all(np.isfinite(b.J)) and np.all(np.isfinite(b.lapJ))
+    assert np.all(np.isfinite(b.J)) and np.all(np.isfinite(b.lap_v2))
 
 
 def test_adjoint_reports_512(benchmark, chart_phi_512):
     # <L f, g> and <f, L g> for the Laplacian and the Schouten divergence
-    # form, the weights built once per call
+    # form, and <f, g>, from one sweep over the blocks of cells
     b = curvature(*chart_phi_512)
     reports = benchmark(_adjoint_reports, b, 7)
     assert len(reports) == 2 and all(r.passed for r in reports)
@@ -112,7 +123,8 @@ def test_flat_checks_n6(benchmark):
 
 def test_family_poly_t4_on_one(benchmark, bundle):
     # T*_4(lam)(1), rebuilt each round: the bundle's families and their
-    # cached derivative words are cleared first, so D0(v2) is built again
+    # cached derivative words are cleared first; D0(v2), the one word it
+    # keeps, is read again from the bundle's lap_v2
     def build():
         bundle.family_polys.clear()
         bundle.family_words.clear()

@@ -16,7 +16,16 @@ from math import comb
 
 import numpy as np
 
-from .grid import TorusChart, cell_blocks, cell_view, d1, divergence, partials, row_blocks
+from .grid import (
+    TorusChart,
+    cell_blocks,
+    cell_view,
+    d1,
+    divergence,
+    pairwise_sums,
+    partials,
+    row_blocks,
+)
 
 
 # The per-read fields, of a bundle or of a block of its cells (Cells),
@@ -43,12 +52,20 @@ def _psq(c):
     return c.em2 ** 2 * (frob + (c.n - 2.0) * c.p_inactive ** 2)
 
 
+def _lapj(c):
+    return -2.0 * c.lap_v2
+
+
 @dataclass
 class CurvatureBundle:
     """Curvature fields of one metric. It keeps whole only phi and the fields
-    a derivative made: J, P, p_inactive and lapJ. The conformal weights and
-    |P|^2 are formed per read from phi and those fields, on the bundle or on
-    a block of its cells (Cells), and never kept."""
+    a derivative made: J, P, p_inactive and lap_v2, the Laplacian of
+    v2 = -J/2. lap_v2 is D0(v2), the word ("D0", "v2") of the families
+    (families.family), and -2 lap_v2 is lap J, bit for bit but for a NaN's
+    sign: scaling an operand by -1/2 scales every operation of the
+    Laplacian exactly, so one kept field serves both. The conformal
+    weights, |P|^2 and lap J are formed per read from phi and those fields,
+    on the bundle or on a block of its cells (Cells), and never kept."""
 
     chart: TorusChart
     phi: np.ndarray
@@ -57,7 +74,7 @@ class CurvatureBundle:
     # P[1][0] is P[0][1], one array
     P: list = field(init=False)
     p_inactive: np.ndarray = field(init=False)
-    lapJ: np.ndarray = field(init=False)
+    lap_v2: np.ndarray = field(init=False)
     # (j, k) -> the (operator, den) pair of T*_{2j}(v_{2k}), filled by
     # families.family on first use; family_words holds the whole fields of
     # those operators' words from their outermost D_k on, shared by every
@@ -105,7 +122,7 @@ class CurvatureBundle:
 
         for cells in row_blocks(ch):
             form(cells)
-        self.lapJ = laplacian(self, self.J)
+        self.lap_v2 = laplacian(self, lambda cells: holo_coeffs(Cells(self, cells), 1))
 
     # e^{-2 phi}: past the bundle, |P|^2, the D_k with k >= 1 and the v_{2k}
     # with k >= 3 read it
@@ -113,6 +130,7 @@ class CurvatureBundle:
     en2 = property(_en2)
     emn = property(_emn)
     Psq = property(_psq)  # |P|^2 in the metric
+    lapJ = property(_lapj)
 
     def view(self, f):
         """A whole field as this bundle reads it: the field itself."""
@@ -130,6 +148,7 @@ class Cells:
     en2 = property(_en2)
     emn = property(_emn)
     Psq = cached_property(_psq)
+    lapJ = property(_lapj)
 
     def __init__(self, b: CurvatureBundle, cells):
         self.bundle, self.chart, self.n, self.cells = b, b.chart, b.n, cells
@@ -139,7 +158,7 @@ class Cells:
     def __getattr__(self, name):  # reached only by names not yet set
         if name == "P":
             value = [[self.view(p) for p in row] for row in self.bundle.P]
-        elif name in ("phi", "J", "p_inactive", "lapJ"):
+        elif name in ("phi", "J", "p_inactive", "lap_v2"):
             value = self.view(getattr(self.bundle, name))
         else:
             raise AttributeError(name)
@@ -168,20 +187,37 @@ def _times_emn(b: CurvatureBundle, out):
     return out
 
 
+def laplacian_flux(c, g0, g1):
+    """The Laplacian's fluxes e^{(n-2) phi} (g0, g1) on a block of cells c
+    (Cells), from f's partials g0 and g1 there, formed in their place."""
+    en2 = _en2(c)
+    return np.multiply(en2, g0, out=g0), np.multiply(en2, g1, out=g1)
+
+
+def contracted_flux(B, g0, g1):
+    """The divergence form's fluxes (B00 g0 + B01 g1, B01 g0 + B11 g1) on a
+    block of cells, from B's entries and f's partials g0 and g1 there; the
+    second is formed in g0's place."""
+    B00, B01, B11 = B
+    t = B01 * g1
+    first = np.multiply(B00, g0)
+    first += t
+    np.multiply(B11, g1, out=t)
+    second = np.multiply(B01, g0, out=g0)
+    second += t
+    return first, second
+
+
 def laplacian(b: CurvatureBundle, f):
     """Laplace-Beltrami operator in conservative (divergence) form, of a
     field f or of a function of a flat range of cells giving f's values
-    there (grid.d1). The fluxes e^{(n-2) phi} d_a f, their weight and f's
-    partials are formed together a block of rows at a time (grid.divergence),
-    and on the stencil chart are never whole; so is the weight e^{-n phi}."""
+    there (grid.d1). The fluxes (laplacian_flux), their weight and f's
+    partials are formed together a block of rows at a time
+    (grid.divergence), and on the stencil chart are never whole; so is the
+    weight e^{-n phi}."""
     ch = b.chart
-
-    def flux(cells):
-        partial = partials(ch, f, cells)
-        en2 = _en2(Cells(b, cells))
-        return tuple(np.multiply(en2, g, out=g) for g in partial)
-
-    return _times_emn(b, divergence(ch, flux))
+    return _times_emn(b, divergence(
+        ch, lambda cells: laplacian_flux(Cells(b, cells), *partials(ch, f, cells))))
 
 
 def divergence_form(b: CurvatureBundle, B, f):
@@ -189,22 +225,15 @@ def divergence_form(b: CurvatureBundle, B, f):
     self-adjoint in the weighted inner product since d1 is antisymmetric.
     B is a function of a bundle or a block of its cells (Cells) giving its
     three entries there (schouten_flux, _flux); f is a field or a function
-    of a flat range of cells (grid.d1). The fluxes B d f, B's entries and
-    f's partials are formed together a block of rows at a time
+    of a flat range of cells (grid.d1). The fluxes (contracted_flux), B's
+    entries and f's partials are formed together a block of rows at a time
     (grid.divergence), and on the stencil chart are never whole; so is the
     weight e^{-n phi}."""
     ch = b.chart
 
-    def flux(cells):  # (B00 g0 + B01 g1, B01 g0 + B11 g1), in g0's place the second
+    def flux(cells):
         g0, g1 = partials(ch, f, cells)
-        B00, B01, B11 = B(Cells(b, cells))
-        t = B01 * g1
-        first = np.multiply(B00, g0)
-        first += t
-        np.multiply(B11, g1, out=t)
-        second = np.multiply(B01, g0, out=g0)
-        second += t
-        return first, second
+        return contracted_flux(B(Cells(b, cells)), g0, g1)
 
     return _times_emn(b, divergence(ch, flux))
 
@@ -273,19 +302,25 @@ def schouten_flux(c):
     return tuple(w * p for p in (c.P[0][0], c.P[0][1], c.P[1][1]))
 
 
-def inner(b: CurvatureBundle, f, g, out=None) -> float:
+def inner(b: CurvatureBundle, f, g) -> float:
     """sum f g W over b's cells, W = volume_weight: the metric's L^2 product
     of f and g. Each of f and g is a field, a number, or a function of a
     flat range of cells giving its values there. The product and its weight
-    are formed a block of cells at a time, in out when given (f or g, a
-    field the caller reads no more), and summed whole."""
-    if out is None:
-        out = np.empty(b.chart.shape)
-    flat = out.reshape(-1)
-    for c in blocks(b):
-        fg = np.multiply(_on_cells(f, c.cells), _on_cells(g, c.cells), out=flat[c.cells])
-        fg *= volume_weight(c)
-    return float(np.sum(out))
+    are formed a block of cells at a time and summed there; the block sums
+    combine as np.sum's (grid.pairwise_sums), so the bits are those of
+    np.sum over the whole product."""
+    def block_sum(cells):
+        f_cells, g_cells = _on_cells(f, cells), _on_cells(g, cells)
+        return (_weighted_sum(f_cells, g_cells, volume_weight(Cells(b, cells))),)
+
+    return float(pairwise_sums(b.J.size, block_sum)[0])
+
+
+def _weighted_sum(x, y, w):
+    """np.sum of (x y) w on a block of cells."""
+    xyw = np.multiply(x, y)
+    xyw *= w
+    return np.sum(xyw)
 
 
 def _on_cells(f, cells):
@@ -294,6 +329,47 @@ def _on_cells(f, cells):
     if callable(f):
         return f(cells)
     return np.ravel(f)[cells] if np.ndim(f) else f
+
+
+def pairings(b: CurvatureBundle, f, g):
+    """(<f, g>, <L f, g>, <f, L g>, <S f, g>, <f, S g>) in inner's product,
+    L the Laplacian and S = divergence_form(b, schouten_flux, .), for f and g
+    each a field or a function of a flat range of cells: the pairings that
+    decide whether L and S are self-adjoint. One sweep over the blocks of
+    cells forms them all. On a block each of f and g is formed once, on the
+    block's rows and four more each side, and its partials feed the fluxes
+    of both operators (laplacian_flux, contracted_flux); each weight is
+    formed once; and the five products are summed there. The block sums
+    combine as np.sum's (grid.pairwise_sums), so each pairing has the bits
+    of inner on the operators' whole outputs, and no output is whole. (On
+    the spectral chart every block forms the operators on every cell.)"""
+    ch = b.chart
+
+    def outputs(h, cells):
+        """L h, S h and h on a block of cells."""
+        def fluxes(rows):
+            r = Cells(b, rows)
+            h0, h1, h_rows = partials(ch, h, rows, ((0, 0), (0, 1), (0, None)))
+            s_flux = contracted_flux(schouten_flux(r), h0.copy(), h1)
+            return (*laplacian_flux(r, h0, h1), *s_flux, h_rows)
+
+        l0, l1, s0, s1, h_cells = partials(ch, fluxes, cells, ((0, 0), (1, 1), (2, 0), (3, 1),
+                                                               (4, None)))
+        l0 += l1
+        s0 += s1
+        return l0, s0, h_cells
+
+    def block_sums(cells):
+        c = Cells(b, cells)
+        lf, sf, f_cells = outputs(f, cells)
+        lg, sg, g_cells = outputs(g, cells)
+        emn, w = _emn(c), volume_weight(c)
+        for out in (lf, lg, sf, sg):
+            out *= emn
+        return [_weighted_sum(x, y, w) for x, y in ((f_cells, g_cells), (lf, g_cells),
+                                                    (f_cells, lg), (sf, g_cells), (f_cells, sg))]
+
+    return tuple(float(s) for s in pairwise_sums(b.J.size, block_sums))
 
 
 def apply_primitive(b: CurvatureBundle, name: str, f):

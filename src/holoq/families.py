@@ -416,12 +416,14 @@ def family(b: CurvatureBundle, j: int, k: int):
     The operator is T*_{2j}(lam) after the multiplication by v_{2k}, so that
     it acts on the ones field, as every family does: a word two families
     share has one application to it. That is how T*_2(lam)(v2) and
-    T*_4(lam)(1) share D0(v2), since v2 times 1 is v2 bit for bit. The whole
-    fields of the words that end in a derivative are stored in
+    T*_4(lam)(1) share D0(v2), since v2 times 1 is v2 bit for bit; and
+    D0(v2) is the bundle's own field lap_v2, which it keeps for lap J. The
+    whole fields of the words that end in a derivative are stored in
     b.family_words when the pair is first cached (cache_words); every other
     step of a word is pointwise, and field_poly forms it where it is read."""
     pair = b.family_polys.get((j, k))
     if pair is None:
+        b.family_words.setdefault(("D0", "v2"), b.lap_v2)
         op = build_T(b.n, j).adjoint()
         if k:
             op = LambdaOperator({word + (f"v{2 * k}",): rat for word, rat in op.terms.items()})

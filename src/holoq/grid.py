@@ -38,11 +38,6 @@ class TorusChart:
     def spacing(self, axis: int) -> float:
         return 2.0 * np.pi / self.shape[axis]
 
-    def mesh(self):
-        x1 = np.arange(self.shape[0]) * self.spacing(0)
-        x2 = np.arange(self.shape[1]) * self.spacing(1)
-        return np.meshgrid(x1, x2, indexing="ij")
-
     def cell_volume(self) -> float:
         return self.spacing(0) * self.spacing(1)
 
@@ -60,6 +55,21 @@ BLOCK = 1 << 14
 def cell_blocks(size: int):
     """Flat ranges of at most BLOCK cells covering size cells, in order."""
     return [slice(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK)]
+
+
+def pairwise_sums(size: int, block_sums, start: int = 0):
+    """Sums over the flat cells start..start+size-1 with np.sum's bits, from
+    block_sums(cells), a list of sums over a flat range of cells, each by
+    np.sum. numpy sums n > 128 values pairwise: the sum of the first
+    n // 2 rounded down to a multiple of 8 plus the sum of the rest (its
+    pairwise_sum). So the range is split as numpy splits it, down to blocks
+    of at most BLOCK (or 128) cells, each summed by block_sums, and the
+    sums of each split are added as numpy adds them."""
+    if size <= max(BLOCK, 128):
+        return block_sums(slice(start, start + size))
+    half = size // 2 - size // 2 % 8
+    return [a + b for a, b in zip(pairwise_sums(half, block_sums, start),
+                                  pairwise_sums(size - half, block_sums, start + half))]
 
 
 def row_blocks(chart: TorusChart):

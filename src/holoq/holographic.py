@@ -24,11 +24,8 @@ from .conformal import (
     CurvatureBundle,
     blocks,
     curvature,
-    divergence_form,
     holo_coeffs,
-    inner,
-    laplacian,
-    schouten_flux,
+    pairings,
 )
 from .families import (
     FieldPoly,
@@ -505,33 +502,24 @@ def probe_field(shape, key: int, stream: int, cells=None):
 
 
 def _adjoint_reports(b: CurvatureBundle, seed: int):
+    """<L f, g> against <f, L g> for the Laplacian and the Schouten
+    divergence form, on the probes probe_field gives a block of cells at a
+    time, all four pairings and the scale's <f, g> from one sweep over the
+    blocks (conformal.pairings); each report takes half the sweep's time."""
     shape, key, n = b.chart.shape, seed + 211, b.n
     grow = (shape[0] / SPECTRAL_GRID) ** 1.25
     tols = {"lap": ADJOINT_TOL * grow, "pdiv": ADJOINT_PDIV_TOL * grow}
-    cases = {"lap": lambda h: laplacian(b, h),
-             "pdiv": lambda h: divergence_form(b, schouten_flux, h)}
 
     def probe(stream):  # a probe a block of cells at a time
         return lambda cells: probe_field(shape, key, stream, cells)
 
-    # <L f, g> and <f, L g>: the probes are formed a block of cells at a
-    # time where they are read, and each pairing is formed in the
-    # operator's output, so one whole field is alive at a time
-    f, g = probe(0), probe(1)
-    scale = abs(inner(b, f, g)) + 1.0
-    reports = []
-    for name, op in cases.items():
-        t0 = time.perf_counter()
-        Lf = op(f)
-        lhs = inner(b, Lf, g, out=Lf)
-        del Lf
-        Lg = op(g)
-        rhs = inner(b, f, Lg, out=Lg)
-        del Lg
-        reports.append(tolerance_report(f"adjoint-{name}-n{n}", "self-adjointness", {"n": n},
-                                        abs(lhs - rhs), tols[name], scale,
-                                        seconds=time.perf_counter() - t0))
-    return reports
+    t0 = time.perf_counter()
+    fg, lap_fg, lap_gf, pdiv_fg, pdiv_gf = pairings(b, probe(0), probe(1))
+    seconds = (time.perf_counter() - t0) / 2
+    scale = abs(fg) + 1.0
+    return [tolerance_report(f"adjoint-{name}-n{n}", "self-adjointness", {"n": n},
+                             abs(lhs - rhs), tols[name], scale, seconds=seconds)
+            for name, lhs, rhs in (("lap", lap_fg, lap_gf), ("pdiv", pdiv_fg, pdiv_gf))]
 
 
 def _q4_dual(b: CurvatureBundle):

@@ -135,8 +135,21 @@ def preset_phi(chart: TorusChart, name: str, seed: int = 7):
     # the function is independent of resolution.
     coeffs = [u * s for u, s in zip(rng.uniform(0.5, 1.0, len(modes)), rng.signs(len(modes)))]
     phases = rng.uniform(0.0, 2.0 * pi, len(modes))
-    x1, x2 = chart.mesh()
+    # The sum of amp c cos(k1 x1 + k2 x2 + theta) over the modes, from the
+    # axes' coordinate vectors: a mode along one axis is a cosine on that
+    # axis broadcast over the other (0 x is +0.0 on the non-negative
+    # coordinates, and adding it changes no cosine); any other forms its
+    # argument in one broadcast buffer. Every value has the bits of the same
+    # expression on whole coordinate fields.
+    x1, x2 = (np.arange(size) * chart.spacing(axis) for axis, size in enumerate(chart.shape))
     phi = chart.zeros()
     for (k1, k2), c, theta in zip(modes, coeffs, phases):
-        phi += amp * c * np.cos(k1 * x1 + k2 * x2 + theta)
+        if k2 == 0:
+            phi += (amp * c * np.cos(k1 * x1 + theta))[:, None]
+        elif k1 == 0:
+            phi += amp * c * np.cos(k2 * x2 + theta)
+        else:
+            arg = np.add.outer(k1 * x1, k2 * x2)
+            arg += theta
+            phi += np.multiply(amp * c, np.cos(arg, out=arg), out=arg)
     return phi

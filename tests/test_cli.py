@@ -23,6 +23,7 @@ from holoq.conformal import CurvatureBundle
 from holoq.families import PoleError
 from holoq.grid import TorusChart, load_field, save_field
 from holoq.reports import CheckReport, QuantitiesReport, RunConfig, jsonable, render_json
+from helpers import mesh
 from test_workers import _assert_no_children, _count_forks, _cpus, time_limit  # noqa: F401  (a fixture)
 
 
@@ -538,7 +539,7 @@ class TestFieldCommand:
         # e^{4 phi} overflows: the checks that read the resulting inf or NaN
         # fields fail with the reason, and the run exits 1, not 0
         ch = TorusChart(4, (32, 32))
-        x, y = ch.mesh()
+        x, y = mesh(ch)
         path = tmp_path / "phi.hqf"
         save_field(path, ch, 200.0 * np.sin(x) * np.cos(y))
         with np.errstate(all="ignore"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from holoq import conformal
+from holoq import conformal, families
 from holoq.conformal import (
     CurvatureBundle,
     _flux,
@@ -19,6 +19,7 @@ from holoq.conformal import (
 )
 from holoq.grid import TorusChart, d1
 from holoq.presets import preset_phi
+from helpers import mesh
 
 
 def gradient(chart, f):
@@ -68,7 +69,7 @@ class TestCurvature:
     def test_single_mode_matches_analytic(self):
         n, a = 5, 0.1
         ch = TorusChart(n, (64, 64))
-        x1, _ = ch.mesh()
+        x1, _ = mesh(ch)
         phi = a * np.cos(x1)
         b = curvature(ch, phi)
         grad2 = (a * np.sin(x1)) ** 2
@@ -163,11 +164,32 @@ class TestBlockOperands:
         assert b.lapJ.tobytes() == laplacian(b, b.J).tobytes()
 
 
+class TestSharedField:
+    """The bundle keeps one field for lap J and D0(v2): laplacian(b, v2 * 1),
+    the word ("D0", "v2") of the families on the ones field, is -lap J / 2
+    bit for bit, since scaling an operand by -1/2 scales every operation of
+    the Laplacian exactly. A change to the Laplacian or to v2 that breaks
+    this fails here first."""
+
+    @pytest.mark.parametrize("size,derivative", [(16, "stencil"), (30, "stencil"),
+                                                 (64, "stencil"), (136, "stencil"),
+                                                 (32, "spectral")])
+    def test_d0_v2_is_minus_half_lap_j(self, size, derivative):
+        for n in range(4, 9):
+            ch = TorusChart(n, (size, size), derivative)
+            for preset in ("trig1", "trig2", "trig3"):
+                b = curvature(ch, preset_phi(ch, preset, seed=7))
+                lap_j = laplacian(b, b.J)
+                half = (-0.5 * lap_j).tobytes()
+                assert laplacian(b, holo_coeffs(b, 1) * holo_coeffs(b, 0)).tobytes() == half
+                assert b.lap_v2.tobytes() == half and b.lapJ.tobytes() == lap_j.tobytes()
+
+
 class TestOperators:
     def test_flat_laplacian_eigenfunction(self):
         ch = TorusChart(4, (64, 64))
         b = curvature(ch, np.zeros(ch.shape))
-        x1, x2 = ch.mesh()
+        x1, x2 = mesh(ch)
         f = np.sin(x1) + np.cos(x2)
         assert np.max(np.abs(laplacian(b, f) + f)) < 1e-4
 
@@ -207,7 +229,7 @@ class TestOperators:
         gaps = []
         for size in (32, 64):
             b = bundle(n=5, preset="trig1", size=size)
-            x1, x2 = b.chart.mesh()
+            x1, x2 = mesh(b.chart)
             f = np.cos(x1) * np.sin(2 * x2)
             B = schouten_flux(b)
             g0, g1 = gradient(b.chart, f)
@@ -233,7 +255,7 @@ class TestIntegration:
         # periodic trapezoid rule is spectrally accurate on it.
         n, a = 6, 0.1
         ch = TorusChart(n, (64, 64))
-        x1, _ = ch.mesh()
+        x1, _ = mesh(ch)
         b = curvature(ch, a * np.cos(x1))
         vol = inner(b, 1, 1)
         assert vol == pytest.approx(4 * np.pi**2 * np.i0(n * a), rel=1e-10)
@@ -323,10 +345,6 @@ class TestWholeExpressionReferences:
         g = np.random.default_rng(12).standard_normal(b.chart.shape)
         for x, y in ((f, g), (g, f), (g, g), (1, 1)):
             assert inner(b, x, y).hex() == reference_inner(b, x, y).hex()
-        # the products formed in a field the caller gives up, either factor
-        for x, y, out in ((f.copy(), g, 0), (f, g.copy(), 1)):
-            want = reference_inner(b, x, y).hex()
-            assert inner(b, x, y, out=(x, y)[out]).hex() == want
         en4w = np.exp((b.n - 4.0) * b.phi)
         assert schouten_weight(b).tobytes() == (-en4w).tobytes()
         for got, p in zip(schouten_flux(b), schouten_P(b)):
@@ -358,7 +376,14 @@ class TestWholeExpressionReferences:
                "P00": b.P[0][0], "P01": b.P[0][1], "P11": b.P[1][1]}
         for name, value in want.items():
             assert got[name].tobytes() == value.tobytes(), name
-        assert b.lapJ.tobytes() == reference_laplacian(b, J).tobytes()
+        # the kept lap_v2 is D0(v2), v2 = -J/2, and lap J is read from it
+        # as -2 lap_v2: the references' bits in every cell but a NaN's, whose
+        # sign follows the operand order
+        for got, want in ((b.lap_v2, reference_laplacian(b, -J / 2)),
+                          (b.lapJ, reference_laplacian(b, J))):
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
         # the weights only the adjoint pairings read are not kept, nor are
         # the conformal weights and |P|^2, which the bundle's properties
         # rebuild per read
@@ -378,9 +403,14 @@ def whole_fields(b):
 
 def test_bundle_keeps_seven_whole_fields():
     # phi and the fields a derivative made: J, P00, P01 (which is P10),
-    # P11, p_inactive and lap J
+    # P11, p_inactive and lap_v2, which is D0(v2) and -lap J / 2 (it was
+    # lap J itself, beside a second whole field for D0(v2) in the families'
+    # words); the families' words add no field of their own up to N = 2
     b = bundle(n=6, size=32)
-    kept = [b.phi, b.J, b.P[0][0], b.P[0][1], b.P[1][1], b.p_inactive, b.lapJ]
+    for j, k in ((1, 0), (1, 1), (2, 0)):
+        families.family(b, j, k)
+    kept = [b.phi, b.J, b.P[0][0], b.P[0][1], b.P[1][1], b.p_inactive, b.lap_v2]
+    assert list(b.family_words) == [("D0", "v2")] and b.family_words[("D0", "v2")] is b.lap_v2
     assert sorted(map(id, whole_fields(b))) == sorted(map(id, kept))
     assert all(a.shape == b.chart.shape for a in kept)
 
@@ -443,4 +473,4 @@ class TestBlockWeights:
         # give their probes
         blocks = lambda cells: g.reshape(-1)[cells]  # noqa: E731
         assert inner(b, f, blocks).hex() == reference_inner(b, f, g).hex()
-        assert inner(b, blocks, f.copy(), out=f.copy()).hex() == reference_inner(b, g, f).hex()
+        assert inner(b, blocks, f).hex() == reference_inner(b, g, f).hex()

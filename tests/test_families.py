@@ -31,6 +31,7 @@ from holoq.lambda_algebra import LAMBDA, LambdaPoly, LambdaRat
 from holoq.presets import preset_phi
 from holoq.sphere import SphereContext, sphere_T_on_one, sphere_v
 from holoq import families
+from helpers import mesh
 
 
 def bundle(n=4, size=32, preset="trig1", seed=7):
@@ -273,7 +274,7 @@ class TestFieldPolyAgainstReference:
 class TestEvaluation:
     def test_order_two_matches_direct_formula(self):
         b = bundle(n=5)
-        f = np.cos(b.chart.mesh()[0])
+        f = np.cos(mesh(b.chart)[0])
         lam = Fraction(1, 3)
         out, _ = build_T(5, 1).apply_at(b, f, lam)
         direct = (laplacian(b, f) - float(lam) * b.J * f) / (2 * (5 - 2) - 4 * float(lam))
@@ -281,7 +282,7 @@ class TestEvaluation:
 
     def test_normalized_order_two_is_shifted_laplacian(self):
         b = bundle(n=4)
-        f = np.sin(b.chart.mesh()[1])
+        f = np.sin(mesh(b.chart)[1])
         lam = Fraction(3)
         out, _ = build_P(4, 1).apply_at(b, f, lam)
         assert np.max(np.abs(out - (laplacian(b, f) - 3.0 * b.J * f))) < 1e-12
@@ -319,7 +320,7 @@ class TestRemovableSingularities:
 
     def test_genuine_pole_raises(self):
         b = bundle(n=4)
-        f = np.cos(b.chart.mesh()[0])
+        f = np.cos(mesh(b.chart)[0])
         with pytest.raises(PoleError):
             build_T(4, 1).apply_at(b, f, Fraction(1))
 
@@ -354,7 +355,7 @@ class TestAdjoints:
 
     def test_double_adjoint_round_trips(self):
         b = bundle(n=4)
-        f = np.sin(b.chart.mesh()[0] + b.chart.mesh()[1])
+        f = np.sin(mesh(b.chart)[0] + mesh(b.chart)[1])
         lam = Fraction(-2)
         once, _ = build_T(4, 2).apply_at(b, f, lam)
         twice, _ = build_T(4, 2).adjoint().adjoint().apply_at(b, f, lam)
@@ -366,7 +367,7 @@ class TestGJMS:
 
     def test_order_two_yamabe_point(self):
         b = bundle(n=4)
-        f = np.cos(b.chart.mesh()[0])
+        f = np.cos(mesh(b.chart)[0])
         out, _ = build_P(4, 1).apply_at(b, f, Fraction(4, 2) - 1)
         direct = laplacian(b, f) - 1.0 * b.J * f
         assert np.max(np.abs(out - direct)) < 1e-12

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from holoq import grid
 from holoq.grid import TorusChart, d1, load_field, partials, save_field
 from holoq.presets import preset_phi
+from helpers import mesh
 
 
 def chart(n=4, size=64):
@@ -114,7 +115,7 @@ class TestStencils:
         errs = []
         for size in (32, 64):
             ch = chart(size=size)
-            x1, _ = ch.mesh()
+            x1, _ = mesh(ch)
             errs.append(np.max(np.abs(d1(ch, np.sin(3 * x1), 0) - 3 * np.cos(3 * x1))))
         ratio = errs[0] / errs[1]
         assert 12 < ratio < 20
@@ -283,7 +284,7 @@ class TestSpectral:
         # every mode below the Nyquist one is differentiated to rounding;
         # the Nyquist mode itself is zeroed
         ch = TorusChart(4, (16, 16), "spectral")
-        x1, x2 = ch.mesh()
+        x1, x2 = mesh(ch)
         f = np.sin(7 * x1 + 1.0) * np.cos(5 * x2)
         assert np.max(np.abs(d1(ch, f, 0) - 7 * np.cos(7 * x1 + 1.0) * np.cos(5 * x2))) < 1e-12
         assert np.max(np.abs(d1(ch, np.cos(8 * x2), 1))) < 1e-12
@@ -342,3 +343,27 @@ class TestFieldFiles:
         ch = chart(size=16)
         with pytest.raises(ValueError):
             save_field(tmp_path / "f.hqf", ch, np.zeros((8, 8)))
+
+
+class TestPairwiseSums:
+    """pairwise_sums splits a range of cells where numpy's pairwise
+    summation splits it, so sums formed a block at a time have np.sum's
+    bits over the whole range, for any BLOCK."""
+
+    @pytest.mark.parametrize("block", [7, 1000, 1 << 14])
+    def test_np_sum_bits(self, monkeypatch, block):
+        monkeypatch.setattr(grid, "BLOCK", block)
+        rng = np.random.default_rng(4)
+        for size in (5, 128, 129, 1000, 18496, 19500, 36864, 262144, 300001):
+            x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+            seen = []
+
+            def block_sums(cells):
+                seen.append(cells)
+                return [np.sum(x[cells]), np.sum(-x[cells])]
+
+            got = [float(s).hex() for s in grid.pairwise_sums(size, block_sums)]
+            assert got == [float(np.sum(x)).hex(), float(np.sum(-x)).hex()], size
+            assert seen[0].start == 0 and seen[-1].stop == size
+            assert all(a.stop == c.start for a, c in zip(seen, seen[1:]))
+            assert all(c.stop - c.start <= max(block, 128) for c in seen)

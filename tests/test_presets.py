@@ -7,6 +7,7 @@ import pytest
 
 from holoq.grid import TorusChart
 from holoq.presets import PRESETS, _Stream, preset_phi
+from helpers import mesh
 
 SEEDS = [*range(300), 2**32 + 5, 2**40 + 3, 10**20]
 
@@ -18,7 +19,7 @@ def numpy_preset_phi(chart, name, seed):
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(0.5, 1.0, size=len(modes)) * rng.choice([-1.0, 1.0], size=len(modes))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=len(modes))
-    x1, x2 = chart.mesh()
+    x1, x2 = mesh(chart)
     phi = chart.zeros()
     for (k1, k2), c, theta in zip(modes, coeffs, phases):
         phi += amp * c * np.cos(k1 * x1 + k2 * x2 + theta)
@@ -52,6 +53,17 @@ def test_preset_phi_equals_numpy_reference(name):
         for seed in (0, 7, 12, 2**40 + 3):
             assert np.array_equal(preset_phi(chart, name, seed=seed),
                                   numpy_preset_phi(chart, name, seed))
+
+
+@pytest.mark.parametrize("size", [16, 18, 30, 64, 136, 192, 512])
+def test_preset_phi_equals_meshgrid_form(size):
+    # the sum of amp c cos(k1 X1 + k2 X2 + theta) on whole coordinate
+    # fields, which preset_phi forms from the axes' coordinate vectors
+    chart = TorusChart(6, (size, size))
+    for name in ("trig1", "trig2", "trig3"):
+        for seed in (1, 7, 11, 23):
+            got = preset_phi(chart, name, seed=seed)
+            assert got.tobytes() == numpy_preset_phi(chart, name, seed).tobytes(), (name, seed)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
