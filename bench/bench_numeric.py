@@ -1,13 +1,13 @@
 """Micro-benchmarks of the numeric layers on a 128x128 torus at n = 4: the
-stencil (also at 512x512, on both axes, there also added into an existing
-field and of an operand given a block of cells at a time), the curvature
-bundle, one operator family (built, and formed on
-every block of cells) and the residue/volume polynomial checks; the n = 6
-flat-base checks (gjms-flat and q-flat, N = 1..3) on the 32x32 spectral
-chart; and on a 512x512 torus at n = 6, the preset, the curvature bundle,
-the adjoint pairings and the pointwise identity checks at N = 2, decided
-one block of cells at a time, alone and as the one merged pass a dimension
-runs.
+stencil (also at 512x512, on both axes, there also of an operand given a
+block of cells at a time), the curvature bundle, one operator family
+(built, and formed on every block of cells) and the residue/volume
+polynomial checks; the n = 6 flat-base checks (gjms-flat and q-flat,
+N = 1..3) on the 32x32 spectral chart; and on a 512x512 torus at n = 6, the
+preset, the curvature bundle, the Laplacian (also at 1000x1000, where the
+blocks of cells cut rows), the adjoint pairings and the pointwise identity
+checks at N = 2, decided one block of cells at a time, alone and as the one
+merged pass a dimension runs.
 
     python -m pytest bench/bench_numeric.py -q
 
@@ -17,8 +17,7 @@ Each benchmark also asserts its result, so a fast wrong answer fails.
 import numpy as np
 import pytest
 
-from holoq.conformal import curvature
-from holoq.conformal import blocks
+from holoq.conformal import blocks, curvature, laplacian
 from holoq.families import family, family_poly
 from holoq.grid import TorusChart, d1
 from holoq.holographic import (
@@ -28,6 +27,7 @@ from holoq.holographic import (
     _master3,
     _pass,
     _poly,
+    _q4_dual,
     master_check_numeric,
     poly_checks,
 )
@@ -70,17 +70,6 @@ def test_d1_function_operand_512(benchmark, axis):
     assert out.tobytes() == d1(ch, phi, axis).tobytes()
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_d1_added_into_out_512(benchmark, axis):
-    # the second partial of laplacian and divergence_form: the stencil in a
-    # scratch block, added into an existing field
-    ch = TorusChart(4, (512, 512))
-    phi = preset_phi(ch, "trig1", seed=7)
-    out = np.zeros(ch.shape)
-    assert benchmark(d1, ch, phi, axis, out) is out
-    assert np.all(np.isfinite(out))
-
-
 def test_curvature(benchmark, chart_phi):
     b = benchmark(curvature, *chart_phi)
     assert np.all(np.isfinite(b.J))
@@ -105,6 +94,18 @@ def test_preset_phi_512(benchmark, name):
 def test_curvature_512(benchmark, chart_phi_512):
     b = benchmark(curvature, *chart_phi_512)
     assert np.all(np.isfinite(b.J)) and np.all(np.isfinite(b.lap_v2))
+
+
+@pytest.mark.parametrize("size", [512, 1000])
+def test_laplacian(benchmark, size):
+    # the operand's partials, the fluxes and their weight formed a block of
+    # cells at a time, into the whole output; at 512^2 a block is 32 rows,
+    # at 1000^2 the blocks cut rows
+    ch = TorusChart(6, (size, size))
+    b = curvature(ch, preset_phi(ch, "trig1", seed=7))
+    f = -b.J / 2
+    out = benchmark(laplacian, b, f)
+    assert out.tobytes() == b.lap_v2.tobytes()
 
 
 def test_adjoint_reports_512(benchmark, chart_phi_512):
@@ -161,9 +162,10 @@ def test_block_pass_512(benchmark, chart_phi_512):
 
 
 def test_merged_pass_512(benchmark, chart_phi_512):
-    # master-3, the residue/volume checks and Example 2.3 at N = 2, as a
-    # dimension decides them: one pass over the blocks of cells, each block
-    # forming its families once
+    # q4-dual, master-3, the residue/volume checks and Example 2.3 at N = 2,
+    # as a dimension decides them: one pass over the blocks of cells, each
+    # block forming its families once
     b = curvature(*chart_phi_512)
-    reports = benchmark(lambda: _pass(b, [_master3(b, 2), _poly(b, 2), _example_2_3(b)]))
-    assert len(reports) == 7 and all(r.passed for r in reports)
+    reports = benchmark(lambda: _pass(b, [_q4_dual(b), _master3(b, 2), _poly(b, 2),
+                                          _example_2_3(b)]))
+    assert len(reports) == 8 and all(r.passed for r in reports)

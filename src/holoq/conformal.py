@@ -16,16 +16,8 @@ from math import comb
 
 import numpy as np
 
-from .grid import (
-    TorusChart,
-    cell_blocks,
-    cell_view,
-    d1,
-    divergence,
-    pairwise_sums,
-    partials,
-    row_blocks,
-)
+from . import grid
+from .grid import TorusChart, cell_view, d1, divergence, pairwise_sums, partials
 
 
 # The per-read fields, of a bundle or of a block of its cells (Cells),
@@ -94,13 +86,14 @@ class CurvatureBundle:
         def dphi(cells):  # phi's partials on a flat range of cells
             return tuple(partials(ch, phi, cells))
 
-        def form(cells):
-            """J, P and p_inactive on a block of rows, from phi's partials
-            there and on two more rows each side, and the Hessian from
-            them. Each operation is the one numpy runs on a whole field of
-            2^15 cells or more, where it elides a temporary into an in-place
-            operation: the bits are those of the whole-field expressions,
-            NaN signs included."""
+        def form(c):
+            """J, P and p_inactive on a block of cells c (Cells), from phi's
+            partials on its rows and two more rows each side, and the
+            Hessian from them. Each operation is the one numpy runs on a
+            whole field of 2^15 cells or more, where it elides a temporary
+            into an in-place operation: the bits are those of the
+            whole-field expressions, NaN signs included."""
+            cells = c.cells
             dp0, dp1, h00, h01, h11 = partials(
                 ch, dphi, cells, ((0, None), (1, None), (0, 0), (1, 0), (1, 1)))
             dp, hess = (dp0, dp1), ((h00, h01), (h01, h11))
@@ -109,7 +102,7 @@ class CurvatureBundle:
             # J = -em2 * (lap0 + 0.5 (n - 2) gradsq)
             j = np.multiply(0.5 * (n - 2.0), gradsq)
             j += lap0
-            J = np.negative(_em2(Cells(self, cells)), out=self.J.reshape(-1)[cells])
+            J = np.negative(_em2(c), out=self.J.reshape(-1)[cells])
             J *= j
             # P = -hess + dp dp - gradsq/2 on the diagonal; P[1][0] is
             # P[0][1], one array, so P is symmetric bit for bit
@@ -120,8 +113,8 @@ class CurvatureBundle:
                     p -= 0.5 * gradsq
             np.multiply(-0.5, gradsq, out=self.p_inactive.reshape(-1)[cells])
 
-        for cells in row_blocks(ch):
-            form(cells)
+        for c in blocks(self):
+            form(c)
         self.lap_v2 = laplacian(self, lambda cells: holo_coeffs(Cells(self, cells), 1))
 
     # e^{-2 phi}: past the bundle, |P|^2, the D_k with k >= 1 and the v_{2k}
@@ -171,8 +164,27 @@ class Cells:
 
 
 def blocks(b: CurvatureBundle):
-    """b on each flat block of grid.BLOCK cells, in order."""
-    return (Cells(b, cells) for cells in cell_blocks(b.J.size))
+    """b on each range of its cells that grid.blocks gives, in order."""
+    spectral = b.chart.derivative == "spectral"
+    return (Cells(b, cells) for cells in grid.blocks(b.phi.size, spectral))
+
+
+def assembled(b: CurvatureBundle, read):
+    """The whole field of read, a function of a block of b's cells (Cells)
+    giving a field's values there, formed a block at a time; the list of
+    whole fields where read gives a list of fields' values."""
+    out, single = None, False
+    for c in blocks(b):
+        parts = read(c)
+        single = not isinstance(parts, list)
+        if single:
+            parts = [parts]
+        if out is None:
+            out = [np.empty(b.chart.shape) for _ in parts]
+        for whole, part in zip(out, parts):
+            whole.reshape(-1)[c.cells] = part
+        del parts  # before the next block's are formed
+    return out[0] if single else out
 
 
 def curvature(chart: TorusChart, phi) -> CurvatureBundle:
@@ -196,14 +208,20 @@ def laplacian_flux(c, g0, g1):
 
 def contracted_flux(B, g0, g1):
     """The divergence form's fluxes (B00 g0 + B01 g1, B01 g0 + B11 g1) on a
-    block of cells, from B's entries and f's partials g0 and g1 there; the
-    second is formed in g0's place."""
+    block of cells, from B, the list of B's entries there, which it empties,
+    and f's partials g0 and g1 there, which it only reads. Each entry is
+    dropped after its last read, so that at most four block arrays besides
+    g0 and g1 are alive."""
     B00, B01, B11 = B
-    t = B01 * g1
+    B.clear()
     first = np.multiply(B00, g0)
+    del B00
+    t = B01 * g1
     first += t
-    np.multiply(B11, g1, out=t)
-    second = np.multiply(B01, g0, out=g0)
+    second = np.multiply(B01, g0, out=t)
+    del B01
+    t = B11 * g1
+    del B11
     second += t
     return first, second
 
@@ -212,9 +230,8 @@ def laplacian(b: CurvatureBundle, f):
     """Laplace-Beltrami operator in conservative (divergence) form, of a
     field f or of a function of a flat range of cells giving f's values
     there (grid.d1). The fluxes (laplacian_flux), their weight and f's
-    partials are formed together a block of rows at a time
-    (grid.divergence), and on the stencil chart are never whole; so is the
-    weight e^{-n phi}."""
+    partials are formed together a block at a time (grid.divergence), and
+    on the stencil chart are never whole; so is the weight e^{-n phi}."""
     ch = b.chart
     return _times_emn(b, divergence(
         ch, lambda cells: laplacian_flux(Cells(b, cells), *partials(ch, f, cells))))
@@ -223,12 +240,12 @@ def laplacian(b: CurvatureBundle, f):
 def divergence_form(b: CurvatureBundle, B, f):
     """e^{-n phi} d_a(B^{ab} d_b f) for a symmetric field B = (B00, B01, B11),
     self-adjoint in the weighted inner product since d1 is antisymmetric.
-    B is a function of a bundle or a block of its cells (Cells) giving its
-    three entries there (schouten_flux, _flux); f is a field or a function
-    of a flat range of cells (grid.d1). The fluxes (contracted_flux), B's
-    entries and f's partials are formed together a block of rows at a time
-    (grid.divergence), and on the stencil chart are never whole; so is the
-    weight e^{-n phi}."""
+    B is a function of a bundle or a block of its cells (Cells) giving the
+    list of its three entries there (schouten_flux, _flux); f is a field or
+    a function of a flat range of cells (grid.d1). The fluxes
+    (contracted_flux), B's entries and f's partials are formed together a
+    block at a time (grid.divergence), and on the stencil chart are never
+    whole; so is the weight e^{-n phi}."""
     ch = b.chart
 
     def flux(cells):
@@ -259,7 +276,7 @@ def holo_coeffs(b, k: int):
 
 
 def _flux(c, k: int):
-    """(B00, B01, B11) of B_k = e^{(n-2) phi} sum_{m<=k} (m+1) 2^{-m} v_{2k-2m} Ahat^m,
+    """[B00, B01, B11] of B_k = e^{(n-2) phi} sum_{m<=k} (m+1) 2^{-m} v_{2k-2m} Ahat^m,
     Ahat = e^{-2 phi} P on the active block: the r^{2k} coefficient of
     sqrt(det g_r) g_r^{-1}, g_r = g (1 - r^2 A/2)^2. On a bundle or a block
     of its cells, where the divergence form reads it. Built per use, never
@@ -276,7 +293,7 @@ def _flux(c, k: int):
         # field of 2^15 cells or more, where it adds in place into w p
         B = tuple(w * p + x for x, p in zip(B, power))
     en2 = c.en2
-    return tuple(en2 * x for x in B)
+    return [en2 * x for x in B]
 
 
 def volume_weight(c):
@@ -294,12 +311,12 @@ def schouten_weight(c):
 
 
 def schouten_flux(c):
-    """(w P00, w P01, w P11), w = schouten_weight: the divergence form's
+    """[w P00, w P01, w P11], w = schouten_weight: the divergence form's
     Schouten case, on a bundle or a block of its cells, where
-    divergence_form(b, schouten_flux, f) reads it. Built per use, never
-    kept."""
+    divergence_form(b, schouten_flux, f) reads it; the last is formed in
+    w's place. Built per use, never kept."""
     w = schouten_weight(c)
-    return tuple(w * p for p in (c.P[0][0], c.P[0][1], c.P[1][1]))
+    return [w * c.P[0][0], w * c.P[0][1], np.multiply(w, c.P[1][1], out=w)]
 
 
 def inner(b: CurvatureBundle, f, g) -> float:
@@ -309,11 +326,10 @@ def inner(b: CurvatureBundle, f, g) -> float:
     are formed a block of cells at a time and summed there; the block sums
     combine as np.sum's (grid.pairwise_sums), so the bits are those of
     np.sum over the whole product."""
-    def block_sum(cells):
-        f_cells, g_cells = _on_cells(f, cells), _on_cells(g, cells)
-        return (_weighted_sum(f_cells, g_cells, volume_weight(Cells(b, cells))),)
+    def block_sum(c):
+        return [_weighted_sum(_on_cells(f, c.cells), _on_cells(g, c.cells), volume_weight(c))]
 
-    return float(pairwise_sums(b.J.size, block_sum)[0])
+    return float(pairwise_sums([(c.cells, block_sum(c)) for c in blocks(b)])[0])
 
 
 def _weighted_sum(x, y, w):
@@ -338,11 +354,12 @@ def pairings(b: CurvatureBundle, f, g):
     decide whether L and S are self-adjoint. One sweep over the blocks of
     cells forms them all. On a block each of f and g is formed once, on the
     block's rows and four more each side, and its partials feed the fluxes
-    of both operators (laplacian_flux, contracted_flux); each weight is
-    formed once; and the five products are summed there. The block sums
-    combine as np.sum's (grid.pairwise_sums), so each pairing has the bits
-    of inner on the operators' whole outputs, and no output is whole. (On
-    the spectral chart every block forms the operators on every cell.)"""
+    of both operators, one after the other: the Schouten case's
+    (contracted_flux), which only reads them, then the Laplacian's in their
+    place (laplacian_flux). Each weight is formed once, and the five
+    products are summed there. The block sums combine as np.sum's
+    (grid.pairwise_sums), so each pairing has the bits of inner on the
+    operators' whole outputs, and no output is whole."""
     ch = b.chart
 
     def outputs(h, cells):
@@ -350,7 +367,7 @@ def pairings(b: CurvatureBundle, f, g):
         def fluxes(rows):
             r = Cells(b, rows)
             h0, h1, h_rows = partials(ch, h, rows, ((0, 0), (0, 1), (0, None)))
-            s_flux = contracted_flux(schouten_flux(r), h0.copy(), h1)
+            s_flux = contracted_flux(schouten_flux(r), h0, h1)
             return (*laplacian_flux(r, h0, h1), *s_flux, h_rows)
 
         l0, l1, s0, s1, h_cells = partials(ch, fluxes, cells, ((0, 0), (1, 1), (2, 0), (3, 1),
@@ -359,17 +376,16 @@ def pairings(b: CurvatureBundle, f, g):
         s0 += s1
         return l0, s0, h_cells
 
-    def block_sums(cells):
-        c = Cells(b, cells)
-        lf, sf, f_cells = outputs(f, cells)
-        lg, sg, g_cells = outputs(g, cells)
+    def block_sums(c):
+        lf, sf, f_cells = outputs(f, c.cells)
+        lg, sg, g_cells = outputs(g, c.cells)
         emn, w = _emn(c), volume_weight(c)
         for out in (lf, lg, sf, sg):
             out *= emn
         return [_weighted_sum(x, y, w) for x, y in ((f_cells, g_cells), (lf, g_cells),
                                                     (f_cells, lg), (sf, g_cells), (f_cells, sg))]
 
-    return tuple(float(s) for s in pairwise_sums(b.J.size, block_sums))
+    return tuple(float(s) for s in pairwise_sums([(c.cells, block_sums(c)) for c in blocks(b)]))
 
 
 def apply_primitive(b: CurvatureBundle, name: str, f):

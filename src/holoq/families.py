@@ -28,7 +28,7 @@ from math import factorial, isfinite
 
 import numpy as np
 
-from .conformal import Cells, CurvatureBundle, apply_primitive, blocks, holo_coeffs
+from .conformal import Cells, CurvatureBundle, apply_primitive, assembled, holo_coeffs
 from .lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer, poly_gcd
 from .reports import max_abs
 
@@ -445,12 +445,5 @@ def family_poly(c, j: int, k: int):
             op, den = c.family_polys[(j, k)]  # cached on the bundle first
             pair = c.formed[(j, k)] = (op.field_poly(c, holo_coeffs(c, 0), c.family_words)[0], den)
         return pair
-    den, coeffs = family(c, j, k)[1], None
-    for block in blocks(c):
-        num, _ = family_poly(block, j, k)
-        if coeffs is None:
-            coeffs = [np.empty(c.chart.shape) for _ in num.coeffs]
-        for whole, part in zip(coeffs, num.coeffs):
-            whole.reshape(-1)[block.cells] = part
-        del num
-    return FieldPoly(coeffs), den
+    den = family(c, j, k)[1]
+    return FieldPoly(assembled(c, lambda block: family_poly(block, j, k)[0].coeffs)), den

@@ -45,43 +45,44 @@ class TorusChart:
         return np.zeros(self.shape)
 
 
-# Values per block of the blocked stencil and of the pointwise identity
-# checks: 2^14 float64 (128 KiB), so that a block's operands and its scratch
-# stay in cache, and a pass's per-block transients stay a sixteenth of a
-# 512^2 field each.
+# Values per block of every blocked loop: 2^14 float64 (128 KiB), so that a
+# block's operands and its scratch stay in cache, and a pass's per-block
+# transients stay a sixteenth of a 512^2 field each.
 BLOCK = 1 << 14
 
 
-def cell_blocks(size: int):
-    """Flat ranges of at most BLOCK cells covering size cells, in order."""
-    return [slice(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK)]
-
-
-def pairwise_sums(size: int, block_sums, start: int = 0):
-    """Sums over the flat cells start..start+size-1 with np.sum's bits, from
-    block_sums(cells), a list of sums over a flat range of cells, each by
-    np.sum. numpy sums n > 128 values pairwise: the sum of the first
-    n // 2 rounded down to a multiple of 8 plus the sum of the rest (its
-    pairwise_sum). So the range is split as numpy splits it, down to blocks
-    of at most BLOCK (or 128) cells, each summed by block_sums, and the
-    sums of each split are added as numpy adds them."""
-    if size <= max(BLOCK, 128):
-        return block_sums(slice(start, start + size))
-    half = size // 2 - size // 2 % 8
-    return [a + b for a, b in zip(pairwise_sums(half, block_sums, start),
-                                  pairwise_sums(size - half, block_sums, start + half))]
-
-
-def row_blocks(chart: TorusChart):
-    """The flat ranges of cells the derivatives form their output in, in
-    order: whole rows, at least one and about BLOCK cells, on the stencil
-    chart; every cell at once on the spectral one."""
-    rows, cols = chart.shape
-    size = rows * cols
-    if chart.derivative == "spectral":
+def blocks(size: int, spectral: bool = False):
+    """The flat ranges of cells, in order, that every blocked loop over a
+    grid of size cells walks: where numpy's pairwise summation splits them
+    (halves rounded down to a multiple of 8), down to leaves of at most
+    max(BLOCK, 128) cells, so that sums formed a block at a time combine
+    with np.sum's bits (pairwise_sums). On the spectral chart, whose
+    Fourier d1 reads every cell, all the cells at once."""
+    if spectral or size <= max(BLOCK, 128):
         return [slice(0, size)]
-    step = max(1, BLOCK // cols) * cols
-    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
+    half = size // 2 - size // 2 % 8
+    return blocks(half) + [slice(half + c.start, half + c.stop) for c in blocks(size - half)]
+
+
+def pairwise_sums(parts):
+    """Sums over a grid's cells with np.sum's bits, from parts, one pair
+    (cells, sums) per range that blocks gives, in order, sums a list of
+    np.sum's over the range. numpy sums n > 128 values pairwise: the sum of
+    the first n // 2 rounded down to a multiple of 8 plus the sum of the
+    rest (its pairwise_sum). Each range is a node of that split, so its
+    sums are added as numpy adds them."""
+    parts = list(reversed(parts))
+
+    def combine(size):
+        cells, sums = parts[-1]
+        if cells.stop - cells.start == size:
+            parts.pop()
+            return sums
+        half = size // 2 - size // 2 % 8
+        left = combine(half)
+        return [a + b for a, b in zip(left, combine(size - half))]
+
+    return combine(parts[0][0].stop)
 
 
 def cell_view(f, cells):
@@ -101,23 +102,20 @@ def wavenumbers(size: int):
     return k
 
 
-def d1(chart: TorusChart, f, axis: int, out=None):
+def d1(chart: TorusChart, f, axis: int):
     """First derivative along an axis by the chart's derivative. f is a
     field, or a function of a flat range of cells giving f's values there
     as a flat array (see _rows), so that f is never whole on the stencil
-    chart. With out, a C-ordered field of the chart's shape that shares no
-    memory with f, the derivative is added into out, with the bits of
-    out + d1(chart, f, axis), and out is returned."""
-    return _derivatives(chart, f, (axis,), out)
+    chart."""
+    return _filled(chart, f, ((0, axis),))
 
 
 def divergence(chart: TorusChart, flux):
-    """d1(F0, 0) + d1(F1, 1), with the bits of d1(chart, F1, 1, d1(chart,
-    F0, 0)), for flux a function of a flat range of cells giving the pair
-    (F0, F1) there: the two are formed together, a block of rows at a
-    time, so that what they share is formed once, and are never whole on
-    the stencil chart."""
-    return _derivatives(chart, flux, (0, 1))
+    """d1(F0, 0) + d1(F1, 1), with the bits of that sum, for flux a function
+    of a flat range of cells giving the pair (F0, F1) there: the two are
+    formed together, a block at a time, so that what they share is formed
+    once, and are never whole on the stencil chart."""
+    return _filled(chart, flux, ((0, 0), (1, 1)))
 
 
 def partials(chart: TorusChart, f, cells, terms=((0, 0), (0, 1))):
@@ -125,17 +123,21 @@ def partials(chart: TorusChart, f, cells, terms=((0, 0), (0, 1))):
     flat arrays; axis None gives f_i itself there. f is a field, or a
     function of a flat range of cells giving one field's values or a tuple
     of fields' values there (f_0, f_1, ...), read on the range's whole rows
-    widened by two (_rows): on the spectral chart, on every cell."""
+    widened by two (_rows): on the spectral chart, on every cell. Each f_i
+    is dropped after the last term that reads it."""
     f = _operand(f)
     cols = chart.shape[1]
     lo, hi = (0, chart.shape[0]) if chart.derivative == "spectral" else (
         cells.start // cols - 2, -(-cells.stop // cols) + 2)
-    operands = _rows(chart, f, lo, hi)
+    operands = list(_rows(chart, f, lo, hi))
+    last = {i: t for t, (i, _) in enumerate(terms)}
     start = cells.start - lo * cols
     stop = start + cells.stop - cells.start
     out = []
-    for i, axis in terms:
+    for t, (i, axis) in enumerate(terms):
         g = operands[i]
+        if last[i] == t:
+            operands[i] = None
         if axis is None:
             out.append(g[start:stop])
         elif chart.derivative == "spectral":
@@ -153,7 +155,7 @@ def _rows(chart: TorusChart, f, lo: int, hi: int):
     views where the rows do not wrap, or a function of a flat range of
     cells giving one field's values there or a tuple of fields' values,
     called on each run of the rows that does not wrap; where they wrap, the
-    runs are joined."""
+    runs are joined, one field at a time."""
     nrows, cols = chart.shape
     parts, r = [], lo
     while r < hi:
@@ -165,7 +167,9 @@ def _rows(chart: TorusChart, f, lo: int, hi: int):
         r += last - first
     if len(parts) == 1:
         return parts[0]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    columns = [list(column) for column in zip(*parts)]
+    del parts, part  # so that each column's runs are dropped once it is joined
+    return tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
 
 
 def _stencil(chart: TorusChart, g, axis: int, out, scratch):
@@ -222,43 +226,19 @@ def _spectral_d1(chart: TorusChart, f, axis: int):
     return np.fft.ifft(ik * np.fft.fft(f, axis=axis), axis=axis).real
 
 
-def _derivatives(chart: TorusChart, f, axes, out=None):
-    """The sum over i of d1(f_i, axes[i]), for f as _rows reads it, in the
-    order of the axes and added into out when given (see d1): each term
-    after the first (all of them with out) is formed in a scratch block
-    and added, so the bits are those of the whole fields' sum in order."""
+def _filled(chart: TorusChart, f, terms):
+    """The sum of the partials' terms (see partials) in order, as a whole
+    field, filled one range of blocks at a time: the bits of the whole
+    fields' sum."""
     f = _operand(f)
-    if chart.derivative == "spectral":
-        operands = _rows(chart, f, 0, chart.shape[0])
-        for g, axis in zip(operands, axes):
-            df = _spectral_d1(chart, g.reshape(chart.shape), axis)
-            if out is None:
-                out = df
-            else:
-                out += df
-        return out
-    add = out is not None
-    if add and (out.shape != chart.shape or not out.flags.c_contiguous
-                or (not callable(f) and np.may_share_memory(out, f))):
-        raise ValueError("d1 adds only into a C-ordered field of the chart's shape, apart from f")
-    if not add:
-        out = np.empty(chart.shape)
-    cols = chart.shape[1]
-    flat_out = out.reshape(-1)
-    scratch = None
-    for cells in row_blocks(chart):
-        operands = _rows(chart, f, cells.start // cols - 2, cells.stop // cols + 2)
-        o = flat_out[cells]
-        if scratch is None:  # the first block is the largest
-            scratch = np.empty((2, o.size))
-        t, acc = scratch[0][:o.size], scratch[1][:o.size]
-        for i, (g, axis) in enumerate(zip(operands, axes)):
-            if i or add:
-                _stencil(chart, g, axis, acc, t)
-                np.add(o, acc, out=o)
-            else:
-                _stencil(chart, g, axis, o, t)
-        del operands, g  # before the next block's are formed
+    out = np.empty(chart.shape)
+    flat = out.reshape(-1)
+    for cells in blocks(flat.size, chart.derivative == "spectral"):
+        first, *rest = partials(chart, f, cells, terms)
+        o = flat[cells]
+        o[...] = first
+        for part in rest:
+            o += part
     return out
 
 

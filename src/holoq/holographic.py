@@ -22,6 +22,7 @@ import numpy as np
 from .conformal import (
     Cells,
     CurvatureBundle,
+    assembled,
     blocks,
     curvature,
     holo_coeffs,
@@ -85,15 +86,15 @@ def pole_guarded(evaluate):
         return np.nan, {"pole": str(err)}
 
 
-def torus_q(b: CurvatureBundle, N: int, read=None):
-    """Q_{2N} of a torus metric by holographic_q. Its point n/2 - N is never
-    a pole: the denominators of T*_{2j} vanish only at n/2 - M, M <= j < N.
-    So each family value is formed a block of cells at a time, with the
-    bits of pair_value there; only a wrong family's den(n/2 - N) = 0 takes
-    the whole field of pair_value, whose removable-pole decision reads
-    whole-field norms. With read, a function of a block and Q_{2N} on it,
-    read's readings merged over the blocks are returned instead, and
-    Q_{2N} is never whole."""
+def torus_q(b: CurvatureBundle, N: int):
+    """Q_{2N} of a torus metric by holographic_q, as a reader: a function of
+    a block of b's cells (conformal.Cells) giving Q_{2N} there, from which
+    assembled(b, torus_q(b, N)) forms the whole field. Its point n/2 - N is
+    never a pole: the denominators of T*_{2j} vanish only at n/2 - M,
+    M <= j < N. So each family value is formed a block of cells at a time,
+    with the bits of pair_value there; only a wrong family's den(n/2 - N)
+    = 0 takes the whole field of pair_value, whose removable-pole decision
+    reads whole-field norms, and raises PoleError here at a genuine pole."""
     mu = Fraction(b.n, 2) - N
     dens = {j: family(b, j, N - j)[1](mu) for j in range(1, N)}  # den(n/2 - N)
     poles = {j: pair_value(family_poly(b, j, N - j), mu)[0]
@@ -104,15 +105,14 @@ def torus_q(b: CurvatureBundle, N: int, read=None):
             return c.view(poles[j])
         return family_poly(c, j, N - j)[0].eval(mu) / float(dens[j])
 
-    def q(c):
-        return holographic_q(N, [holo_coeffs(c, N)] + [value(c, j) for j in dens])
+    return lambda c: holographic_q(N, [holo_coeffs(c, N)] + [value(c, j) for j in dens])
 
-    if read:
-        return _merged([read(c, q(c)) for c in blocks(b)])
-    whole = np.empty(b.chart.shape)
-    for c in blocks(b):
-        whole.reshape(-1)[c.cells] = q(c)
-    return whole
+
+def _q4_reader(b: CurvatureBundle):
+    """(torus_q(b, 2), {}), or a reader of NaN and {"pole": why} where a
+    wrong family leaves a genuine pole at n/2 - 2."""
+    q, pole = pole_guarded(lambda: torus_q(b, 2))
+    return (lambda c: np.nan) if pole else q, pole
 
 
 def _merged(readings):
@@ -307,23 +307,14 @@ def poly_checks(b: CurvatureBundle, N: int):
 def critical_suite_n4(b: CurvatureBundle, with_poly_checks=False):
     """The five fourth-order critical-case identity checks and, with
     with_poly_checks, poly_checks(b, 2)'s, read in the same pass over the
-    cells: crit-d and crit-e read qres there."""
+    cells: crit-a reads the holographic Q4 there (torus_q), crit-d and
+    crit-e read qres."""
     if b.n != 4:
         raise ValueError("critical suite is defined at n = 4")
     reports = []
     zero = Fraction(0)
     q4 = q4_direct(b)
     p4 = build_P(4, 2)
-
-    t0 = time.perf_counter()
-    holo, pole = pole_guarded(lambda: torus_q(b, 2))
-    lhs_a = holo / 4
-    rhs_a = q4 / 4
-    scale = max_abs([max_abs(lhs_a), max_abs(q4)])
-    reports.append(tolerance_report("crit-a", "holo-crit", {"n": 4},
-                                    max_abs(lhs_a - rhs_a), IDENTITY_TOL, scale,
-                                    details={"equivalent_form": "q4 = 16 v4 - lap J", **pole},
-                                    seconds=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     ones = holo_coeffs(b, 0)
@@ -348,7 +339,7 @@ def critical_suite_n4(b: CurvatureBundle, with_poly_checks=False):
                                     details={"starred_residual":
                                                  max_abs(p_dot_star - q4), **dot_pole},
                                     seconds=time.perf_counter() - t0))
-    del holo, lhs_a, rhs_a, ones, p_dot, p_dot_star, t2, lhs_b, rhs_b  # before the pass
+    del ones, p_dot, p_dot_star, t2, lhs_b, rhs_b  # before the pass
 
     t0 = time.perf_counter()
     t2_dot, t2_pole = pole_guarded(lambda: pair_derivative(family_poly(b, 1, 1), zero)[0])
@@ -357,19 +348,26 @@ def critical_suite_n4(b: CurvatureBundle, with_poly_checks=False):
     del t2_dot, t4_dot
     e_seconds = time.perf_counter() - t0
     factors = _qres_v_factors(b, 2)
+    holo, pole = _q4_reader(b)
 
     def read(block):
         qres, v, _ = qres_and_v_polys(block, 2, factors)
         q4_block = block.view(q4)
+        lhs_a = holo(block) / 4
         rhs_e = -qres.coeffs[2] - q4_block
-        return (qres.norms(), max_abs(qres.coeffs[1] - q4_block),
+        return (max_abs(lhs_a - q4_block / 4), max_abs(lhs_a),
+                qres.norms(), max_abs(qres.coeffs[1] - q4_block),
                 max_abs(block.view(lhs_e) - rhs_e), max_abs(rhs_e),
                 _poly_reads(block, 2, qres, v) if with_poly_checks else ())
 
     def report(reads, seconds):
-        qn, d_gap, e_gap, rhs_e_norm, poly = reads
+        a_gap, lhs_a_norm, qn, d_gap, e_gap, rhs_e_norm, poly = reads
         q4_scale = max_abs([max_abs(q4), max_abs(qn)])
-        out = [tolerance_report("crit-d", "qres-derivative", {"n": 4},
+        out = [tolerance_report("crit-a", "holo-crit", {"n": 4}, a_gap, IDENTITY_TOL,
+                                max_abs([lhs_a_norm, max_abs(q4)]),
+                                details={"equivalent_form": "q4 = 16 v4 - lap J", **pole},
+                                seconds=seconds),
+               tolerance_report("crit-d", "qres-derivative", {"n": 4},
                                 d_gap, IDENTITY_TOL, q4_scale,
                                 details={"qres_coeff_norms": qn}, seconds=seconds),
                tolerance_report("crit-e", "harmonic-sum", {"n": 4},
@@ -382,7 +380,8 @@ def critical_suite_n4(b: CurvatureBundle, with_poly_checks=False):
             out.extend(_poly_reports(b, 2, factors[2], poly, seconds))
         return out
 
-    return reports + _pass(b, [(read, report)])
+    crit_a, *passed = _pass(b, [(read, report)])
+    return [crit_a] + reports + passed
 
 
 def conformal_covariance_q4(base: CurvatureBundle, omega, tol: float) -> CheckReport:
@@ -463,7 +462,7 @@ def _flat_reports(n: int, preset: str, seed: int, phi):
                                         details=pole, seconds=time.perf_counter() - t0))
         t0 = time.perf_counter()
         want = (-1) ** N * down * flat_laplacian_power(b.chart, up / float(mu) if mu else b.phi, N)
-        q, pole = pole_guarded(lambda: torus_q(b, N))
+        q, pole = pole_guarded(lambda: assembled(b, torus_q(b, N)))
         reports.append(tolerance_report(f"q-flat-n{n}-N{N}", "q-flat", params,
                                         max_abs(q - want), FLAT_TOL[N], max_abs(want),
                                         details=pole, seconds=time.perf_counter() - t0))
@@ -523,20 +522,21 @@ def _adjoint_reports(b: CurvatureBundle, seed: int):
 
 
 def _q4_dual(b: CurvatureBundle):
-    """Q4 by the holographic formula (torus_q) against the direct Q4, both
-    formed a block of cells at a time."""
-    t0 = time.perf_counter()
+    """The (read, report) part of _pass for q4-dual: Q4 by the holographic
+    formula (torus_q) against the direct Q4 on each block of cells."""
+    holo, pole = _q4_reader(b)
 
-    def read(c, holo):
+    def read(c):
+        q = holo(c)
         q4 = q4_direct(c)
-        return max_abs(holo - q4), max_abs(q4)
+        return max_abs(q - q4), max_abs(q4)
 
-    reads, pole = pole_guarded(lambda: torus_q(b, 2, read))
-    if pole:  # the scale all the same
-        reads = np.nan, _merged([max_abs(q4_direct(c)) for c in blocks(b)])
-    dual_gap, scale = reads
-    return tolerance_report(f"q4-dual-n{b.n}", "holo-Q4", {"n": b.n}, dual_gap, IDENTITY_TOL,
-                            scale, details=pole, seconds=time.perf_counter() - t0)
+    def report(reads, seconds):
+        dual_gap, scale = reads
+        return [tolerance_report(f"q4-dual-n{b.n}", "holo-Q4", {"n": b.n}, dual_gap,
+                                 IDENTITY_TOL, scale, details=pole, seconds=seconds)]
+
+    return read, report
 
 
 def _dimension_reports(n: int, size: int, preset: str, seed: int, phi):
@@ -547,9 +547,8 @@ def _dimension_reports(n: int, size: int, preset: str, seed: int, phi):
     reports = _flat_reports(n, preset, seed, phi)
     b = _metric(TorusChart(n, (size, size)), preset, seed, phi)
     reports.extend(_adjoint_reports(b, seed))
-    reports.append(_q4_dual(b))
     reports.extend(_pass(b, [_master3(b, 1), _poly(b, 1)]))
-    reports.extend(_pass(b, [_master3(b, 2), _poly(b, 2), _example_2_3(b)]))
+    reports.extend(_pass(b, [_q4_dual(b), _master3(b, 2), _poly(b, 2), _example_2_3(b)]))
     return reports
 
 

@@ -28,8 +28,8 @@ def gradient(chart, f):
 
 def entries(B):
     """Three whole fields B as divergence_form takes them: a function of a
-    bundle or a block of its cells giving the entries there."""
-    return lambda c: tuple(c.view(x) for x in B)
+    bundle or a block of its cells giving the list of the entries there."""
+    return lambda c: [c.view(x) for x in B]
 
 
 def by_cells(f):
@@ -351,43 +351,52 @@ class TestWholeExpressionReferences:
             assert got.tobytes() == (-en4w * p).tobytes()
 
     def test_bundle(self, case):
-        # the bundle's fields built with every temporary held to the end;
-        # numpy may elide a temporary into an in-place operation, which can
-        # change the sign of a NaN, so lap0 is named as in the bundle
         b, _ = case
-        ch, phi, n = b.chart, b.phi, b.n
-        em2 = np.exp(-2.0 * phi)
-        dp = gradient(ch, phi)
-        gradsq = dp[0] * dp[0] + dp[1] * dp[1]
-        mixed = d1(ch, dp[1], 0)
-        hess = [[d1(ch, dp[0], 0), mixed], [mixed, d1(ch, dp[1], 1)]]
-        lap0 = hess[0][0] + hess[1][1]
-        J = -em2 * (lap0 + 0.5 * (n - 2.0) * gradsq)
-        p01 = -hess[0][1] + dp[0] * dp[1]
-        P = [[-hess[i][k] + dp[i] * dp[k] - 0.5 * gradsq if i == k else p01
-              for k in range(2)] for i in range(2)]
-        p_inactive = -0.5 * gradsq
-        frob = sum(P[i][k] ** 2 for i in range(2) for k in range(2))
-        want = {"em2": em2, "en2": np.exp((n - 2.0) * phi), "emn": np.exp(-float(n) * phi),
-                "J": J, "p_inactive": p_inactive,
-                "Psq": em2 ** 2 * (frob + (n - 2.0) * p_inactive ** 2),
-                "P00": P[0][0], "P01": P[0][1], "P11": P[1][1]}
-        got = {**vars(b), "em2": b.em2, "en2": b.en2, "emn": b.emn, "Psq": b.Psq,
-               "P00": b.P[0][0], "P01": b.P[0][1], "P11": b.P[1][1]}
+        want, got = reference_bundle(b), bundle_fields(b)
         for name, value in want.items():
             assert got[name].tobytes() == value.tobytes(), name
         # the kept lap_v2 is D0(v2), v2 = -J/2, and lap J is read from it
         # as -2 lap_v2: the references' bits in every cell but a NaN's, whose
         # sign follows the operand order
-        for got, want in ((b.lap_v2, reference_laplacian(b, -J / 2)),
-                          (b.lapJ, reference_laplacian(b, J))):
-            nan = np.isnan(want)
-            assert np.array_equal(np.isnan(got), nan)
-            assert got[~nan].tobytes() == want[~nan].tobytes()
+        for lap, ref in ((b.lap_v2, reference_laplacian(b, -want["J"] / 2)),
+                         (b.lapJ, reference_laplacian(b, want["J"]))):
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(lap), nan)
+            assert lap[~nan].tobytes() == ref[~nan].tobytes()
         # the weights only the adjoint pairings read are not kept, nor are
         # the conformal weights and |P|^2, which the bundle's properties
         # rebuild per read
         assert not {"W", "en4w", "em2", "en2", "emn", "Psq"} & set(vars(b))
+
+
+def reference_bundle(b):
+    """The bundle's fields and per-read fields built as whole expressions,
+    with every temporary held to the end; numpy may elide a temporary into
+    an in-place operation, which can change the sign of a NaN, so lap0 is
+    named as in the bundle."""
+    ch, phi, n = b.chart, b.phi, b.n
+    em2 = np.exp(-2.0 * phi)
+    dp = gradient(ch, phi)
+    gradsq = dp[0] * dp[0] + dp[1] * dp[1]
+    mixed = d1(ch, dp[1], 0)
+    hess = [[d1(ch, dp[0], 0), mixed], [mixed, d1(ch, dp[1], 1)]]
+    lap0 = hess[0][0] + hess[1][1]
+    J = -em2 * (lap0 + 0.5 * (n - 2.0) * gradsq)
+    p01 = -hess[0][1] + dp[0] * dp[1]
+    P = [[-hess[i][k] + dp[i] * dp[k] - 0.5 * gradsq if i == k else p01
+          for k in range(2)] for i in range(2)]
+    p_inactive = -0.5 * gradsq
+    frob = sum(P[i][k] ** 2 for i in range(2) for k in range(2))
+    return {"em2": em2, "en2": np.exp((n - 2.0) * phi), "emn": np.exp(-float(n) * phi),
+            "J": J, "p_inactive": p_inactive,
+            "Psq": em2 ** 2 * (frob + (n - 2.0) * p_inactive ** 2),
+            "P00": P[0][0], "P01": P[0][1], "P11": P[1][1]}
+
+
+def bundle_fields(b):
+    """The fields reference_bundle names, as the bundle keeps or forms them."""
+    return {**vars(b), "em2": b.em2, "en2": b.en2, "emn": b.emn, "Psq": b.Psq,
+            "P00": b.P[0][0], "P01": b.P[0][1], "P11": b.P[1][1]}
 
 
 def whole_fields(b):
@@ -443,7 +452,7 @@ class TestBlockWeights:
         ch = b.chart
         g0, g1 = gradient(ch, f)
         out = d1(ch, b.en2 * g0, 0)
-        d1(ch, b.en2 * g1, 1, out)
+        out += d1(ch, b.en2 * g1, 1)
         out *= b.emn
         return out
 
@@ -452,7 +461,7 @@ class TestBlockWeights:
         ch, (P00, P01, P11), w = b.chart, schouten_P(b), schouten_weight(b)
         g0, g1 = gradient(ch, f)
         out = d1(ch, (w * P00) * g0 + (w * P01) * g1, 0)
-        d1(ch, (w * P01) * g0 + (w * P11) * g1, 1, out)
+        out += d1(ch, (w * P01) * g0 + (w * P11) * g1, 1)
         out *= b.emn
         return out
 

@@ -86,30 +86,23 @@ class TestStencils:
 
     @settings(max_examples=40, deadline=None)
     @given(f=stencil_inputs(), block=st.sampled_from([5, 64, grid.BLOCK]))
-    def test_d1_added_into_out_bitwise_equal_to_sum(self, f, block):
-        # with out, the stencil runs in a scratch block added into out; the
-        # wrap rows and columns, which the flat blocks of axis 1 also
-        # write, end as out + their periodic values
+    def test_divergence_bitwise_equal_to_roll_sum(self, f, block):
+        # divergence fills its output a range of blocks at a time, the
+        # first partial copied in and the second added; blocks of 5 and 64
+        # values give ranges of at most 128 cells, which cut rows and the
+        # wrap columns
         ch = TorusChart(4, f.shape)
-        out = np.random.default_rng(f.size).standard_normal(f.shape)
-        out[0, -1], out[-1, 1] = np.nan, -np.inf
+        g = np.random.default_rng(f.size).standard_normal(f.shape)
+        g[0, -1], g[-1, 1] = np.nan, -np.inf
+        f_cells, g_cells = by_cells(f), by_cells(g)
         default, grid.BLOCK = grid.BLOCK, block
         try:
             with np.errstate(invalid="ignore"):
-                for axis in range(2):
-                    want = out + d1_roll(ch, f, axis)
-                    got = out.copy()
-                    assert d1(ch, f, axis, got) is got
-                    assert same_bits(got, want), axis
+                want = d1_roll(ch, f, 0) + d1_roll(ch, g, 1)
+                got = grid.divergence(ch, lambda cells: (f_cells(cells), g_cells(cells)))
+            assert same_bits(got, want)
         finally:
             grid.BLOCK = default
-
-    def test_d1_adds_only_into_a_separate_c_ordered_field(self):
-        ch = chart(size=16)
-        f = np.random.default_rng(8).standard_normal(ch.shape)
-        for out in (np.zeros((16, 16)).T, np.zeros((16, 8)), f):
-            with pytest.raises(ValueError):
-                d1(ch, f, 0, out)
 
     def test_d1_fourth_order(self):
         errs = []
@@ -138,7 +131,7 @@ class TestStencils:
         def pair(cells):
             return tuple(partials(ch, u, cells))
 
-        for cells in grid.row_blocks(ch) + [slice(0, 1024), slice(37, 500)]:
+        for cells in grid.blocks(32 * 32) + [slice(37, 500), slice(500, 1024)]:
             got = partials(ch, pair, cells, ((0, None), (1, None), (0, 0), (1, 0), (1, 1)))
             for g, w in zip(got, list(grad) + want):
                 assert g.tobytes() == w.reshape(-1)[cells].tobytes(), cells
@@ -153,26 +146,25 @@ class TestStencils:
 
 
 class TestAddedIntoOut:
-    """d1 adding into an output against the whole expression out + d1(f):
-    at 16^2 one block covers the field, at 192^2 two blocks split a row."""
+    """divergence adds its second partial into the output its first was
+    filled in, against the whole expression d1(F0, 0) + d1(F1, 1): at 16^2
+    one block covers the field, at 192^2 two blocks split it."""
 
     @pytest.mark.parametrize("derivative", ["stencil", "spectral"])
     @pytest.mark.parametrize("size", [16, 192])
     def test_bits_of_the_sum(self, derivative, size):
         ch = TorusChart(5, (size, size), derivative)
         rng = np.random.default_rng(size)
-        f, out = rng.standard_normal((2, size, size))
+        f0, f1 = rng.standard_normal((2, size, size))
         # NaN cells inside, on a wrap row and on a wrap column; the Fourier
-        # d1 would spread one in f over its whole line
-        out[7, size - 2] = out[1, 5] = np.nan
+        # d1 spreads one over its whole line
+        f0[7, size - 2] = f0[1, 5] = np.nan
         if derivative == "stencil":
-            f[size // 2, 3] = f[size - 1, size // 3] = f[4, 1] = np.nan
-        for axis in range(2):
-            want = out + d1(ch, f, axis)
-            got = out.copy()
-            assert d1(ch, f, axis, got) is got
-            assert same_bits(got, want), axis
-            assert 0 < np.isnan(got).sum() < size * size / 4
+            f1[size // 2, 3] = f1[size - 1, size // 3] = f1[4, 1] = np.nan
+        want = d1(ch, f0, 0) + d1(ch, f1, 1)
+        got = grid.divergence(ch, lambda cells: (f0.reshape(-1)[cells], f1.reshape(-1)[cells]))
+        assert same_bits(got, want)
+        assert 0 < np.isnan(got).sum() < size * size / 4
 
 
 def by_cells(f, calls=None):
@@ -221,8 +213,8 @@ class TestFunctionOperands:
         f[7, 0] = np.nan
         want = [d1(ch, f, axis).reshape(-1) for axis in range(2)]
         size = f.size
-        ranges = grid.cell_blocks(size) + [slice(0, size), slice(1, 2), slice(5, 1006),
-                                           slice(size - 7, size), slice(shape[1] - 1, 3 * shape[1] + 2)]
+        ranges = grid.blocks(size) + [slice(0, size), slice(1, 2), slice(5, 1006),
+                                      slice(size - 7, size), slice(shape[1] - 1, 3 * shape[1] + 2)]
         for operand in (f, by_cells(f)):
             for cells in ranges:
                 got = partials(ch, operand, cells)
@@ -234,22 +226,24 @@ class TestFunctionOperands:
     @pytest.mark.parametrize("shape", [(64, 64), (48, 80), (192, 192)],
                              ids=lambda s: f"{s[0]}x{s[1]}")
     def test_added_into_out(self, shape):
+        # divergence's second partial, of a function of cells, added into
+        # its first
         ch = TorusChart(4, shape)
         rng = np.random.default_rng(9)
-        f, out = rng.standard_normal((2, *shape))
-        out[0, -1], out[-1, 1] = np.nan, -np.inf
-        for axis in range(2):
-            want = out + d1(ch, f, axis)
-            got = out.copy()
-            assert d1(ch, by_cells(f), axis, got) is got
-            assert same_bits(got, want), axis
+        f0, f1 = rng.standard_normal((2, *shape))
+        f0[0, -1], f1[-1, 1] = np.nan, -np.inf
+        f0_cells, f1_cells = by_cells(f0), by_cells(f1)
+        with np.errstate(invalid="ignore"):
+            want = d1(ch, f0, 0) + d1(ch, f1, 1)
+            got = grid.divergence(ch, lambda cells: (f0_cells(cells), f1_cells(cells)))
+        assert same_bits(got, want)
 
     def test_divergence_is_the_sum_of_its_two_d1(self):
         ch = TorusChart(4, (136, 136))
         rng = np.random.default_rng(10)
         f0, f1 = rng.standard_normal((2, *ch.shape))
         f0[3, 5] = f1[-1, -2] = np.nan
-        want = d1(ch, f1, 1, d1(ch, f0, 0))
+        want = d1(ch, f0, 0) + d1(ch, f1, 1)
         pair = lambda cells: (f0.reshape(-1)[cells].copy(), f1.reshape(-1)[cells].copy())  # noqa: E731
         assert same_bits(grid.divergence(ch, pair), want)
 
@@ -345,25 +339,46 @@ class TestFieldFiles:
             save_field(tmp_path / "f.hqf", ch, np.zeros((8, 8)))
 
 
+# np.sum's pairwise summation splits these sizes down to leaves of 128
+# values: none, once, at a multiple of 8, and over many levels.
+SUM_SIZES = (5, 128, 129, 1000, 18496, 19500, 36864, 262144, 300001)
+
+
+def numpy_split(size, leaf, start=0):
+    """The ranges of size values from start that numpy's pairwise summation
+    (pairwise_sum in numpy's loops_utils) splits them into, down to the
+    first ranges of at most leaf values: the first n // 2 rounded down to a
+    multiple of 8, and the rest."""
+    if size <= leaf:
+        return [slice(start, start + size)]
+    half = size // 2 - size // 2 % 8
+    return numpy_split(half, leaf, start) + numpy_split(size - half, leaf, start + half)
+
+
 class TestPairwiseSums:
-    """pairwise_sums splits a range of cells where numpy's pairwise
-    summation splits it, so sums formed a block at a time have np.sum's
-    bits over the whole range, for any BLOCK."""
+    """grid.blocks cuts a grid's cells where numpy's pairwise summation
+    splits them, so sums formed a block at a time combine (pairwise_sums)
+    with np.sum's bits over the whole range, for any BLOCK."""
+
+    @pytest.mark.parametrize("block", [7, 1000, 1 << 14])
+    def test_blocks_tile_the_cells_where_numpy_splits(self, monkeypatch, block):
+        monkeypatch.setattr(grid, "BLOCK", block)
+        for size in SUM_SIZES:
+            leaves = grid.blocks(size)
+            assert leaves[0].start == 0 and leaves[-1].stop == size
+            assert all(a.stop == c.start for a, c in zip(leaves, leaves[1:]))
+            assert all(c.stop - c.start <= max(block, 128) for c in leaves)
+            assert leaves == numpy_split(size, max(block, 128)), size
+            assert grid.blocks(size, spectral=True) == [slice(0, size)]
 
     @pytest.mark.parametrize("block", [7, 1000, 1 << 14])
     def test_np_sum_bits(self, monkeypatch, block):
         monkeypatch.setattr(grid, "BLOCK", block)
         rng = np.random.default_rng(4)
-        for size in (5, 128, 129, 1000, 18496, 19500, 36864, 262144, 300001):
+        for size in SUM_SIZES:
             x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
-            seen = []
-
-            def block_sums(cells):
-                seen.append(cells)
-                return [np.sum(x[cells]), np.sum(-x[cells])]
-
-            got = [float(s).hex() for s in grid.pairwise_sums(size, block_sums)]
-            assert got == [float(np.sum(x)).hex(), float(np.sum(-x)).hex()], size
-            assert seen[0].start == 0 and seen[-1].stop == size
-            assert all(a.stop == c.start for a, c in zip(seen, seen[1:]))
-            assert all(c.stop - c.start <= max(block, 128) for c in seen)
+            want = [float(np.sum(x)).hex(), float(np.sum(-x)).hex()]
+            # the leaves of the stencil chart, and the spectral chart's one
+            for leaves in (grid.blocks(size), grid.blocks(size, spectral=True)):
+                parts = [(c, [np.sum(x[c]), np.sum(-x[c])]) for c in leaves]
+                assert [float(s).hex() for s in grid.pairwise_sums(parts)] == want, size

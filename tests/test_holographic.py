@@ -41,12 +41,25 @@ from holoq.holographic import (
 from holoq.lambda_algebra import LAMBDA, LambdaPoly, pochhammer
 from holoq.presets import preset_phi
 from holoq.reports import max_abs, tolerance_report
-from test_conformal import by_cells, read_only, reference_divergence_form, reference_laplacian
+from test_conformal import (
+    bundle_fields,
+    by_cells,
+    read_only,
+    reference_bundle,
+    reference_divergence_form,
+    reference_laplacian,
+)
+from test_grid import d1_roll
 
 
 def bundle(n=4, size=64, preset="trig1", seed=7):
     ch = TorusChart(n, (size, size))
     return curvature(ch, preset_phi(ch, preset, seed=seed))
+
+
+def whole_q(b, N):
+    """Q_{2N} of b as a whole field, assembled from torus_q's reader."""
+    return conformal.assembled(b, torus_q(b, N))
 
 
 def flat_bundle(n=4, size=32):
@@ -67,7 +80,7 @@ class TestQCurvature:
         b = flat_bundle()
         assert np.all(b.J == 0.0)
         assert np.all(q4_direct(b) == 0.0)
-        assert np.max(np.abs(torus_q(b, 2))) < 1e-15
+        assert np.max(np.abs(whole_q(b, 2))) < 1e-15
 
     def test_family_values_by_block_or_whole(self):
         # each family value is formed a block at a time where its
@@ -76,13 +89,13 @@ class TestQCurvature:
         # pair_value, which divides a removable pole out and raises at a
         # genuine one
         b = bundle(n=6, size=RAGGED)
-        want = torus_q(b, 2)
+        want = whole_q(b, 2)
         t2 = pair_value(family_poly(b, 1, 1), Fraction(1))[0]
         assert want.tobytes() == holographic_q(2, [holo_coeffs(b, 2), t2]).tobytes()
         op, den = b.family_polys[(1, 1)]
         at_mu = LambdaPoly((-1, 1))  # lam - (n/2 - N)
         b.family_polys[(1, 1)] = (op.scale(at_mu), den * at_mu)
-        assert np.max(np.abs(torus_q(b, 2) - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(whole_q(b, 2) - want)) <= 1e-13 * np.max(np.abs(want))
         b.family_polys[(1, 1)] = (op, den * at_mu)
         with pytest.raises(PoleError):
             torus_q(b, 2)
@@ -90,7 +103,7 @@ class TestQCurvature:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_dual_route_agreement(self, n):
         b = bundle(n=n)
-        gap = np.max(np.abs(torus_q(b, 2) - q4_direct(b)))
+        gap = np.max(np.abs(whole_q(b, 2) - q4_direct(b)))
         assert gap < 1e-6 * max(1.0, np.max(np.abs(q4_direct(b))))
 
     def test_prefactor(self):
@@ -106,11 +119,11 @@ class TestQCurvature:
         # every Q_{2N} is the Q-value of Qres_{2N}, Qres(N - n/2) = -(n/2 - N) Q
         # below the critical order and Q = Qres'(0) at it
         b = bundle(n=n, size=size, preset="trig2")
-        assert np.array_equal(torus_q(b, 1), b.J)
-        q4 = torus_q(b, 2)
+        assert np.array_equal(whole_q(b, 1), b.J)
+        q4 = whole_q(b, 2)
         assert np.max(np.abs(q4 - q4_direct(b))) <= 1e-13 * max(1.0, np.max(np.abs(q4)))
         for N in range(1, min(3, n // 2) + 1):
-            q = torus_q(b, N)
+            q = whole_q(b, N)
             qres = qres_and_v_polys(b, N)[0]
             scale = max(1.0, np.max(np.abs(q)))
             if 2 * N < n:
@@ -546,7 +559,8 @@ class TestNonFinite:
         assert not rep.passed and rep.details["reason"] == "non-finite scale inf"
 
 
-# One full block of cells and a ragged tail of 2,112.
+# Two blocks of 9,248 cells (68 rows), where np.sum's pairwise summation
+# splits the grid.
 RAGGED = 136
 assert grid.BLOCK < RAGGED**2 < 2 * grid.BLOCK
 
@@ -560,7 +574,7 @@ def _cached_bundle(size):
 
 
 class TestCellBlocks:
-    """The pointwise identity checks are decided one grid.BLOCK of cells at
+    """The pointwise identity checks are decided one block of grid.blocks at
     a time; their reports are those of one block of the whole grid, and of
     every cleared term built on the whole grid."""
 
@@ -833,6 +847,32 @@ class TestAdjointPhase:
             assert [x.hex() for x in conformal.pairings(b, *operands)] == want
 
 
+class TestBlocksThatCutRows:
+    """With BLOCK 1,001 the ranges of grid.blocks end inside rows at 136^2
+    and 300 x 257 (at 48 x 80 on whole rows): the stencils, the bundle and
+    the adjoint pairings keep the bits of their whole-field references."""
+
+    @pytest.mark.parametrize("shape", [(136, 136), (300, 257), (48, 80)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_reference_bits(self, shape, monkeypatch):
+        monkeypatch.setattr(grid, "BLOCK", 1001)
+        ch = TorusChart(6, shape)
+        f, g = np.random.default_rng(5).standard_normal((2, *shape))
+        cut = any(c.start % shape[1] for c in grid.blocks(f.size))
+        assert cut == (shape != (48, 80))
+        for axis in range(2):
+            assert grid.d1(ch, f, axis).tobytes() == d1_roll(ch, f, axis).tobytes(), axis
+        got = grid.divergence(ch, lambda cells: (f.reshape(-1)[cells], g.reshape(-1)[cells]))
+        assert got.tobytes() == (d1_roll(ch, f, 0) + d1_roll(ch, g, 1)).tobytes()
+        b = read_only(curvature(ch, preset_phi(ch, "trig3", seed=11)))
+        want, fields = reference_bundle(b), bundle_fields(b)
+        for name, value in want.items():
+            assert fields[name].tobytes() == value.tobytes(), name
+        assert b.lap_v2.tobytes() == reference_laplacian(b, -want["J"] / 2).tobytes()
+        want = [x.hex() for x in reference_pairings(b, f, g)]
+        assert [x.hex() for x in conformal.pairings(b, f, g)] == want
+
+
 class TestProbeField:
     def test_deterministic_in_key_and_stream(self):
         f = holographic.probe_field((64, 64), 218, 0)
@@ -844,7 +884,7 @@ class TestProbeField:
 
     def test_cell_range_is_the_slice(self):
         whole = holographic.probe_field((192, 192), 218, 1).reshape(-1)
-        for cells in grid.cell_blocks(whole.size) + [slice(5, 6), slice(100, 4197)]:
+        for cells in grid.blocks(whole.size) + [slice(5, 6), slice(100, 4197)]:
             part = holographic.probe_field((192, 192), 218, 1, cells)
             assert part.tobytes() == whole[cells].tobytes(), cells
 
@@ -886,9 +926,10 @@ class TestMemoryBudget:
     FIELD = 256 * 256 * 8
 
     def test_dimension(self):
-        # 11.84 fields, in the merged N = 2 pass: the bundle's 7 kept fields,
-        # among them lap_v2, which is also D0(v2), and a block's families,
-        # cleared sums and residue and volume polynomials. With D0(v2) cached
+        # 11.85 fields, in the merged N = 2 pass, which also reads q4-dual:
+        # the bundle's 7 kept fields, among them lap_v2, which is also
+        # D0(v2), and a block's families, cleared sums and residue and volume
+        # polynomials. With q4-dual a sweep of its own it was 11.84. With D0(v2) cached
         # as a field of its own it was 12.85 (bound 13.3); with whole
         # gradients, Hessian, fluxes and probes in the stencils and blocks of
         # 2^15 cells it was 17.58 (bound 18.0); with each family cached as its
@@ -911,12 +952,15 @@ class TestMemoryBudget:
         holographic._adjoint_reports(b, 7)
         return b
 
-    # measured: 7.61 (the bundle's 6 kept fields besides phi among them), 3.47,
-    # 0.13, 2.01 and 4.78. The adjoint sweep keeps no operator output whole,
-    # but here a block of it is a quarter of a field and the sweep holds about
-    # 14 blocks' worth; T*_4(1) reads D0(v2) from the bundle's lap_v2 and
-    # applies no word. With each operator's output whole and the probes formed
-    # per operator the adjoints were 3.38, and with D0(v2) built from a whole
+    # measured: 7.61 (the bundle's 6 kept fields besides phi among them), 2.67,
+    # 0.13, 2.01 (q4-dual's part of the merged pass, read alone) and 4.79.
+    # The adjoint sweep keeps no operator output whole, and here a block of
+    # it is a quarter of a field; T*_4(1) reads D0(v2) from the bundle's
+    # lap_v2 and applies no word. The adjoints were 3.47 (bound 3.8) with
+    # the Schouten fluxes formed from a copy of the probe's partial and all
+    # three entries alive to the end, and the wrapped runs of the first and
+    # last blocks joined all at once; with each operator's output whole and
+    # the probes formed per operator they were 3.38, and with D0(v2) built from a whole
     # v2, T*_4(1) was 3.58 (bound 4.0). With whole gradients, Hessian, fluxes
     # and probes in the stencils, blocks of 2^15 cells and T*_2(lam)(v2) formed
     # whole for q4-dual they were 10.00, 6.01, 4.51, 4.51 and 9.53 (bounds
@@ -929,7 +973,7 @@ class TestMemoryBudget:
     # and adjoint-only weights kept the curvature was 24.56; with the first
     # gradient pair alive while the second is built, the adjoints were 13.56;
     # with every applied word held, T*_4(1) 9.56.
-    BUDGETS = {"curvature": 8.0, "adjoints": 3.8, "T*_4(1)": 0.6, "q4-dual": 2.5,
+    BUDGETS = {"curvature": 8.0, "adjoints": 3.1, "T*_4(1)": 0.6, "q4-dual": 2.5,
                "merged N = 2 pass": 5.2}
 
     @pytest.mark.parametrize("phase,budget", list(BUDGETS.items()), ids=list(BUDGETS))
@@ -938,9 +982,9 @@ class TestMemoryBudget:
                "adjoints": lambda: holographic._adjoint_reports(b, 7),
                "T*_4(1)": lambda: (b.family_polys.clear(), b.family_words.clear(),
                                    families.family(b, 2, 0)),
-               "q4-dual": lambda: holographic._q4_dual(b),
+               "q4-dual": lambda: holographic._pass(b, [holographic._q4_dual(b)]),
                "merged N = 2 pass": lambda: holographic._pass(b, [
-                   holographic._master3(b, 2), holographic._poly(b, 2),
+                   holographic._q4_dual(b), holographic._master3(b, 2), holographic._poly(b, 2),
                    holographic._example_2_3(b)])}[phase]
         run()
         _, peak = traced_peak(run)
@@ -948,13 +992,14 @@ class TestMemoryBudget:
 
 
 def test_no_whole_field_but_the_kept_ones_and_the_output():
-    # At 512^2 a block of rows is a sixteenth of a field, so a phase's
+    # At 512^2 a block of cells is a sixteenth of a field, so a phase's
     # blocks stay under one field: a peak under one field above what the
     # phase keeps or returns means that no other whole-grid array was alive
     # in it. The bundle keeps J, P00, P01, P11, p_inactive and lap_v2 (6.42
     # fields; 10.0 with its gradient, Hessian and flat Laplacian whole), and
     # the adjoint sweep keeps nothing whole, not even an operator's output
-    # (0.92; 1.62 with each output whole, 4.5 with also a whole probe, its
+    # (0.71; 0.92 with the Schouten fluxes' copy and the wrapped runs
+    # joined at once, 1.62 with each output whole, 4.5 with also a whole probe, its
     # gradient pair and a flux).
     field = 512 * 512 * 8
     ch = TorusChart(6, (512, 512))
@@ -998,7 +1043,7 @@ class TestSuites:
     def test_numeric_suite_d1_calls(self, monkeypatch):
         # The stencil passes over whole fields: each application of the
         # Laplacian or a divergence form is one grid.divergence, which forms
-        # its operand's partials and both fluxes a block of rows at a time,
+        # its operand's partials and both fluxes a block at a time,
         # and no whole-field d1 is taken. Each field is differentiated
         # once: the families of one bundle share the derivative words they
         # have in common, and D0(v2) is the bundle's lap_v2. That is 1 pass
@@ -1019,9 +1064,9 @@ class TestSuites:
             passes.append(chart.shape)
             return original_pass(chart, flux)
 
-        def spy_d1(chart, f, axis, out=None):
+        def spy_d1(chart, f, axis):
             whole.append(axis)
-            return original_d1(chart, f, axis, out)
+            return original_d1(chart, f, axis)
 
         monkeypatch.setattr(conformal, "divergence", spy_pass)
         monkeypatch.setattr(conformal, "d1", spy_d1)
@@ -1029,6 +1074,25 @@ class TestSuites:
         numeric_suite(n_values=(4, 6), size=64)
         assert passes.count((64, 64)) == 2 and passes.count((32, 32)) == 29
         assert whole == []
+
+    def test_numeric_suite_sweeps(self, monkeypatch):
+        # Every blocked loop over a bundle's cells walks conformal.blocks.
+        # On the run's grid a dimension makes 5 sweeps: the bundle's fields,
+        # the weight of its lap_v2, the adjoint pairings, and the N = 1 and
+        # the merged N = 2 pass, which also reads q4-dual; q4-dual was a
+        # sweep of its own (6). On the spectral chart, 9 at n = 4: the bundle,
+        # the weights of the Laplacians and divergence forms the families
+        # apply, and q-flat's whole Q_2 and Q_4.
+        sweeps, original = [], conformal.blocks
+
+        def spy(b):
+            sweeps.append(b.chart.derivative)
+            return original(b)
+
+        monkeypatch.setattr(conformal, "blocks", spy)
+        monkeypatch.setattr(holographic, "blocks", spy)
+        numeric_suite(n_values=(4,), size=64)
+        assert sweeps.count("stencil") == 5 and sweeps.count("spectral") == 9
 
     def test_numeric_suite_memory_peak(self, monkeypatch):
         # tracemalloc counts numpy's buffers, so the peak is deterministic.

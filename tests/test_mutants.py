@@ -4,6 +4,7 @@ fields they read, and at least one check of the sphere, numeric or
 critical-n4 suites must fail under it (DeMillo-Lipton-Sayward, "Hints on
 test data selection", 1978)."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,22 @@ SUITES = {
 }
 
 
+# case id -> (the ids its runs of the suites reported, the ids that failed),
+# recorded by failed_checks as each case runs, so that the kill matrix
+# (test_every_id_fails_under_a_mutant) needs no run of its own
+RECORDED = {}
+
+
 def failed_checks(suites=tuple(SUITES)):
     """Ids of the failing checks of the suites the generator feeds, at small
-    sizes."""
-    return {rep.id for name in suites for rep in SUITES[name]() if not rep.passed}
+    sizes, recorded under the running case."""
+    reports = [rep for name in suites for rep in SUITES[name]()]
+    failed = {rep.id for rep in reports if not rep.passed}
+    case = os.environ["PYTEST_CURRENT_TEST"].rsplit(" ", 1)[0]
+    seen, failing = RECORDED.setdefault(case, (set(), set()))
+    seen.update(rep.id for rep in reports)
+    failing.update(failed)
+    return failed
 
 
 def test_unmutated_passes():
@@ -322,3 +335,18 @@ def test_laplacian_asymmetric_by_a_billionth(monkeypatch):
     monkeypatch.setattr(conformal, "laplacian_flux", mutant)
     assert failed_checks() == {"adjoint-lap-n4", "adjoint-lap-n6",
                                "gjms-flat-n4-N1", "gjms-flat-n6-N1"}
+
+
+def test_every_id_fails_under_a_mutant(request):
+    # The kill matrix: the union of the cases' failing sets, as they ran
+    # above, is every id the unmutated suites report (243: sphere n = 3..8,
+    # numeric (4, 6) and critical-n4 at 32^2), with no id exempt. It is read
+    # only when every other case of this file has run before it.
+    cases = {item.nodeid for item in request.node.parent.collect()
+             if item.name != request.node.name}
+    if not cases <= set(RECORDED):
+        pytest.skip("needs every case of this file run before it")
+    all_ids, unmutated = RECORDED[next(c for c in cases if c.endswith("::test_unmutated_passes"))]
+    assert all_ids and not unmutated
+    killed = set().union(*(failing for _, failing in RECORDED.values()))
+    assert sorted(all_ids - killed) == [] and killed <= all_ids
