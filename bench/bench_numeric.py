@@ -1,13 +1,14 @@
 """Micro-benchmarks of the numeric layers on a 128x128 torus at n = 4: the
 stencil (also at 512x512, on both axes, there also of an operand given a
-block of cells at a time), the curvature bundle, one operator family
-(built, and formed on every block of cells) and the residue/volume
-polynomial checks; the n = 6 flat-base checks (gjms-flat and q-flat,
-N = 1..3) on the 32x32 spectral chart; and on a 512x512 torus at n = 6, the
-preset, the curvature bundle, the Laplacian (also at 1000x1000, where the
-blocks of cells cut rows), the adjoint pairings and the pointwise identity
-checks at N = 2, decided one block of cells at a time, alone and as the one
-merged pass a dimension runs.
+block of cells at a time), the curvature bundle's whole fields, one
+operator family (built, and formed on every block of cells) and the
+residue/volume polynomial checks; the n = 6 flat-base checks (gjms-flat and
+q-flat, N = 1..3) on the 32x32 spectral chart; and on a 512x512 torus at
+n = 6, the preset, the curvature bundle's whole fields, one block's window
+of them, the Laplacian (also at 1000x1000, where the blocks of cells cut
+rows), the adjoint pairings, the pointwise identity checks at N = 2,
+decided one block of cells at a time, alone and as the merged N = 2 part of
+a dimension's pass, and one whole dimension.
 
     python -m pytest bench/bench_numeric.py -q
 
@@ -17,11 +18,12 @@ Each benchmark also asserts its result, so a fast wrong answer fails.
 import numpy as np
 import pytest
 
-from holoq.conformal import blocks, curvature, laplacian
+from holoq.conformal import Window, blocks, curvature, laplacian
 from holoq.families import family, family_poly
-from holoq.grid import TorusChart, d1
+from holoq.grid import TorusChart, blocks as cell_blocks, d1
 from holoq.holographic import (
     _adjoint_reports,
+    _dimension_reports,
     _example_2_3,
     _flat_reports,
     _master3,
@@ -71,8 +73,10 @@ def test_d1_function_operand_512(benchmark, axis):
 
 
 def test_curvature(benchmark, chart_phi):
-    b = benchmark(curvature, *chart_phi)
-    assert np.all(np.isfinite(b.J))
+    # the bundle's six fields formed whole, from its blocks' windows, as a
+    # first whole read forms them
+    b = benchmark(lambda: curvature(*chart_phi).lap_v2)
+    assert np.all(np.isfinite(b))
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +96,20 @@ def test_preset_phi_512(benchmark, name):
 
 
 def test_curvature_512(benchmark, chart_phi_512):
-    b = benchmark(curvature, *chart_phi_512)
+    b = curvature(*chart_phi_512)
+    benchmark(lambda: curvature(*chart_phi_512).lap_v2)
     assert np.all(np.isfinite(b.J)) and np.all(np.isfinite(b.lap_v2))
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_window_512(benchmark, chart_phi_512, index):
+    # one block's window (32 rows and 4 more each side): J, P and
+    # p_inactive, and lap_v2 on the block, as a pass forms it once per
+    # block; block 0's rows wrap
+    b = curvature(*chart_phi_512)
+    cells = cell_blocks(b.phi.size)[index]
+    start, lap_v2 = benchmark(lambda: Window(b, cells).field("lap_v2"))
+    assert start == cells.start and lap_v2.tobytes() == b.lap_v2.reshape(-1)[cells].tobytes()
 
 
 @pytest.mark.parametrize("size", [512, 1000])
@@ -125,14 +141,14 @@ def test_flat_checks_n6(benchmark):
 def test_family_poly_t4_on_one(benchmark, bundle):
     # T*_4(lam)(1), rebuilt each round: the bundle's families and their
     # cached derivative words are cleared first; D0(v2), the one word it
-    # keeps, is read again from the bundle's lap_v2
+    # has, is each block's lap_v2, so none is kept whole
     def build():
         bundle.family_polys.clear()
         bundle.family_words.clear()
         return family(bundle, 2, 0)
 
     op, den = benchmark(build)
-    assert den == LAMBDA * (LAMBDA - 1) and list(bundle.family_words) == [("D0", "v2")]
+    assert den == LAMBDA * (LAMBDA - 1) and bundle.family_words == {}
 
 
 def test_family_poly_t4_on_one_formed(benchmark, bundle):
@@ -164,8 +180,15 @@ def test_block_pass_512(benchmark, chart_phi_512):
 def test_merged_pass_512(benchmark, chart_phi_512):
     # q4-dual, master-3, the residue/volume checks and Example 2.3 at N = 2,
     # as a dimension decides them: one pass over the blocks of cells, each
-    # block forming its families once
+    # block forming its window and its families once
     b = curvature(*chart_phi_512)
     reports = benchmark(lambda: _pass(b, [_q4_dual(b), _master3(b, 2), _poly(b, 2),
                                           _example_2_3(b)]))
     assert len(reports) == 8 and all(r.passed for r in reports)
+
+
+def test_dimension_512(benchmark):
+    # one n = 6 dimension of numeric_suite at 512^2: the flat-base checks on
+    # the spectral chart, the preset, and the run grid's one pass
+    reports = benchmark(_dimension_reports, 6, 512, "trig1", 7, None)
+    assert len(reports) == 22 and all(r.passed for r in reports)

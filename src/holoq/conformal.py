@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from . import grid
-from .grid import TorusChart, cell_view, d1, divergence, pairwise_sums, partials
+from .grid import TorusChart, cell_view, d1, pairwise_sums, partials
 
 
 # The per-read fields, of a bundle or of a block of its cells (Cells),
@@ -48,80 +48,67 @@ def _lapj(c):
     return -2.0 * c.lap_v2
 
 
+def _p(c):
+    return [[c.P00, c.P01], [c.P01, c.P11]]  # P[1][0] is P[0][1], one array
+
+
+# The fields a block forms on its Window, in _schouten's order.
+SCHOUTEN = ("J", "P00", "P01", "P11", "p_inactive")
+# The rows a window adds each side of its block: lap_v2's fluxes read v2 =
+# -J/2 two rows beyond the block and their partials two rows beyond those;
+# the adjoint sweep's Schouten fluxes read P two rows beyond it.
+HALO = 4
+# The word of the families (families.family) that the bundle forms as lap_v2.
+LAP_V2 = ("D0", "v2")
+
+
 @dataclass
 class CurvatureBundle:
-    """Curvature fields of one metric. It keeps whole only phi and the fields
-    a derivative made: J, P, p_inactive and lap_v2, the Laplacian of
-    v2 = -J/2. lap_v2 is D0(v2), the word ("D0", "v2") of the families
-    (families.family), and -2 lap_v2 is lap J, bit for bit but for a NaN's
-    sign: scaling an operand by -1/2 scales every operation of the
-    Laplacian exactly, so one kept field serves both. The conformal
-    weights, |P|^2 and lap J are formed per read from phi and those fields,
-    on the bundle or on a block of its cells (Cells), and never kept."""
+    """Curvature fields of one metric. It keeps only phi. J, P, p_inactive
+    and lap_v2, the Laplacian of v2 = -J/2, are formed a block of cells at
+    a time where they are read (Window); the first whole read of one forms
+    all of them whole and keeps them, as a grid of one block does when the
+    bundle is made. lap_v2 is D0(v2), the families' word LAP_V2, and
+    -2 lap_v2 is lap J, bit for bit but for a NaN's sign: scaling an
+    operand by -1/2 scales every operation of the Laplacian exactly. The
+    conformal weights, |P|^2 and lap J are formed per read."""
 
     chart: TorusChart
     phi: np.ndarray
     n: int = field(init=False)
-    J: np.ndarray = field(init=False)
-    # P[1][0] is P[0][1], one array
-    P: list = field(init=False)
-    p_inactive: np.ndarray = field(init=False)
-    lap_v2: np.ndarray = field(init=False)
     # (j, k) -> the (operator, den) pair of T*_{2j}(v_{2k}), filled by
     # families.family on first use; family_words holds the whole fields of
-    # those operators' words from their outermost D_k on, shared by every
-    # family (LambdaOperator.cache_words).
+    # those operators' words from their outermost D_k on but LAP_V2, shared
+    # by every family (LambdaOperator.cache_words).
     family_polys: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     family_words: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        ch, phi, n = self.chart, np.asarray(self.phi, dtype=float), self.chart.n
-        if phi.shape != ch.shape:
-            raise ValueError(f"phi shape {phi.shape} does not match chart {ch.shape}")
+        phi = np.asarray(self.phi, dtype=float)
+        if phi.shape != self.chart.shape:
+            raise ValueError(f"phi shape {phi.shape} does not match chart {self.chart.shape}")
         self.phi = phi
-        self.n = n
-        self.J, P00, P01, P11, self.p_inactive = (np.empty(ch.shape) for _ in range(5))
-        self.P = [[P00, P01], [P01, P11]]
+        self.n = self.chart.n
+        cells, *rest = grid.blocks(phi.size, self.chart.derivative == "spectral")
+        if not rest:  # one block, whose window is every cell: the fields are whole
+            window = Window(self, cells)
+            for key in SCHOUTEN + ("lap_v2",):
+                setattr(self, key, window.field(key)[1].reshape(self.chart.shape))
 
-        def dphi(cells):  # phi's partials on a flat range of cells
-            return tuple(partials(ch, phi, cells))
-
-        def form(c):
-            """J, P and p_inactive on a block of cells c (Cells), from phi's
-            partials on its rows and two more rows each side, and the
-            Hessian from them. Each operation is the one numpy runs on a
-            whole field of 2^15 cells or more, where it elides a temporary
-            into an in-place operation: the bits are those of the
-            whole-field expressions, NaN signs included."""
-            cells = c.cells
-            dp0, dp1, h00, h01, h11 = partials(
-                ch, dphi, cells, ((0, None), (1, None), (0, 0), (1, 0), (1, 1)))
-            dp, hess = (dp0, dp1), ((h00, h01), (h01, h11))
-            gradsq = dp0 * dp0 + dp1 * dp1
-            lap0 = h00 + h11
-            # J = -em2 * (lap0 + 0.5 (n - 2) gradsq)
-            j = np.multiply(0.5 * (n - 2.0), gradsq)
-            j += lap0
-            J = np.negative(_em2(c), out=self.J.reshape(-1)[cells])
-            J *= j
-            # P = -hess + dp dp - gradsq/2 on the diagonal; P[1][0] is
-            # P[0][1], one array, so P is symmetric bit for bit
-            for i, k in ((0, 0), (0, 1), (1, 1)):
-                p = np.negative(hess[i][k], out=self.P[i][k].reshape(-1)[cells])
-                p += dp[i] * dp[k]
-                if i == k:
-                    p -= 0.5 * gradsq
-            np.multiply(-0.5, gradsq, out=self.p_inactive.reshape(-1)[cells])
-
-        for c in blocks(self):
-            form(c)
-        self.lap_v2 = laplacian(self, lambda cells: holo_coeffs(Cells(self, cells), 1))
+    def __getattr__(self, name):  # reached only by names not yet set
+        names = SCHOUTEN + ("lap_v2",)
+        if name not in names:
+            raise AttributeError(name)
+        for key, whole in zip(names, assembled(self, lambda c: [getattr(c, k) for k in names])):
+            setattr(self, key, whole)
+        return getattr(self, name)
 
     # e^{-2 phi}: past the bundle, |P|^2, the D_k with k >= 1 and the v_{2k}
     # with k >= 3 read it
     em2 = property(_em2)
     en2 = property(_en2)
     emn = property(_emn)
+    P = property(_p)
     Psq = property(_psq)  # |P|^2 in the metric
     lapJ = property(_lapj)
 
@@ -132,29 +119,37 @@ class CurvatureBundle:
 
 class Cells:
     """A bundle on a flat range of its cells, which holo_coeffs and the
-    families read as they read the bundle: read-only views of its kept
-    fields, each taken on first read, from which the per-read fields are
-    formed (|P|^2, the one read most, once), the bundle's family cache, and
-    the families formed on these cells (families.family_poly)."""
+    families read as they read the bundle: read-only views of its fields,
+    each taken on first read, from which the per-read fields are formed
+    (|P|^2, the one read most, once), the bundle's family cache, and the
+    families formed on these cells (families.family_poly). A block of
+    blocks(b), and a range of its window's rows (on), reads the fields but
+    phi from the block's Window; Cells without one, or of a bundle that has
+    them whole, read the whole fields."""
 
     em2 = property(_em2)
     en2 = property(_en2)
     emn = property(_emn)
+    P = property(_p)
     Psq = cached_property(_psq)
     lapJ = property(_lapj)
 
-    def __init__(self, b: CurvatureBundle, cells):
+    def __init__(self, b: CurvatureBundle, cells, window=None):
         self.bundle, self.chart, self.n, self.cells = b, b.chart, b.n, cells
+        self.window = window
         self.family_polys, self.family_words = b.family_polys, b.family_words
         self.formed = {}
 
     def __getattr__(self, name):  # reached only by names not yet set
-        if name == "P":
-            value = [[self.view(p) for p in row] for row in self.bundle.P]
-        elif name in ("phi", "J", "p_inactive", "lap_v2"):
-            value = self.view(getattr(self.bundle, name))
-        else:
+        if name not in ("phi", "lap_v2") + SCHOUTEN:
             raise AttributeError(name)
+        b = self.bundle
+        if name == "phi" or self.window is None or "J" in vars(b):
+            value = self.view(getattr(b, name))
+        else:
+            start, f = self.window.field(name)
+            at = (self.cells.start - start) % b.phi.size
+            value = cell_view(f, slice(at, at + self.cells.stop - self.cells.start))
         setattr(self, name, value)
         return value
 
@@ -162,11 +157,75 @@ class Cells:
         """A whole field of the bundle on these cells, read-only."""
         return cell_view(f, self.cells)
 
+    def on(self, cells):
+        """The bundle on a flat range of cells of its window's rows."""
+        return Cells(self.bundle, cells, self.window)
+
+
+class Window:
+    """The fields of a block of a bundle's cells, formed on the first read
+    of one: J, P and p_inactive on the block's rows and HALO more each
+    side, taken mod the grid's rows (every row where those are as many, or
+    the chart is spectral), then lap_v2 on the block's cells from v2 = -J/2
+    on them."""
+
+    def __init__(self, b: CurvatureBundle, cells):
+        self.bundle, self.cells, self.fields = b, cells, {}
+
+    def field(self, name):
+        """(the flat cell of its first value, the flat array) of a field."""
+        b, cells, fields = self.bundle, self.cells, self.fields
+        if not fields:
+            nrows, cols = b.chart.shape
+            lo, hi = cells.start // cols - HALO, -(-cells.stop // cols) + HALO
+            if hi - lo >= nrows or b.chart.derivative == "spectral":
+                lo, hi = 0, nrows
+            arrays = grid.rows(b.chart, lambda run: _schouten(b, run), lo, hi)
+            fields.update((key, (lo * cols, a)) for key, a in zip(SCHOUTEN, arrays))
+            c = Cells(b, cells, self)
+            fields["lap_v2"] = cells.start, _operator(
+                c, laplacian_flux, lambda rows: holo_coeffs(c.on(rows), 1))
+        return fields[name]
+
+
+def _schouten(b: CurvatureBundle, cells):
+    """(J, P00, P01, P11, p_inactive) on a flat range of b's cells, from
+    phi's partials on its rows and two more rows each side, and the Hessian
+    from them. Each operation is the one numpy runs on a whole field of
+    2^15 cells or more, where it elides a temporary into an in-place
+    operation: the bits are those of the whole-field expressions, NaN signs
+    included."""
+    ch, n = b.chart, b.n
+
+    def dphi(rows):  # phi's partials on a flat range of cells
+        return tuple(partials(ch, b.phi, rows))
+
+    dp0, dp1, h00, h01, h11 = partials(
+        ch, dphi, cells, ((0, None), (1, None), (0, 0), (1, 0), (1, 1)))
+    dp, hess = (dp0, dp1), ((h00, h01), (h01, h11))
+    gradsq = dp0 * dp0 + dp1 * dp1
+    lap0 = h00 + h11
+    # J = -em2 * (lap0 + 0.5 (n - 2) gradsq)
+    j = np.multiply(0.5 * (n - 2.0), gradsq)
+    j += lap0
+    J = -_em2(Cells(b, cells))
+    J *= j
+    # P = -hess + dp dp - gradsq/2 on the diagonal, in the Hessian's place
+    P = []
+    for i, k in ((0, 0), (0, 1), (1, 1)):
+        P.append(np.negative(hess[i][k], out=hess[i][k]))
+        P[-1] += dp[i] * dp[k]
+        if i == k:
+            P[-1] -= 0.5 * gradsq
+    return (J, *P, np.multiply(-0.5, gradsq, out=gradsq))
+
 
 def blocks(b: CurvatureBundle):
-    """b on each range of its cells that grid.blocks gives, in order."""
-    spectral = b.chart.derivative == "spectral"
-    return (Cells(b, cells) for cells in grid.blocks(b.phi.size, spectral))
+    """b on each range of its cells that grid.blocks gives, in order, each
+    a block that reads its own Window; where there is one block, whose
+    window would be every cell, it reads the bundle's whole fields."""
+    cuts = grid.blocks(b.phi.size, b.chart.derivative == "spectral")
+    return (Cells(b, cells, Window(b, cells) if len(cuts) > 1 else None) for cells in cuts)
 
 
 def assembled(b: CurvatureBundle, read):
@@ -189,14 +248,6 @@ def assembled(b: CurvatureBundle, read):
 
 def curvature(chart: TorusChart, phi) -> CurvatureBundle:
     return CurvatureBundle(chart, phi)
-
-
-def _times_emn(b: CurvatureBundle, out):
-    """out * e^{-n phi} in out, e^{-n phi} formed a block of cells at a time."""
-    flat = out.reshape(-1)
-    for c in blocks(b):
-        np.multiply(flat[c.cells], _emn(c), out=flat[c.cells])
-    return out
 
 
 def laplacian_flux(c, g0, g1):
@@ -226,15 +277,36 @@ def contracted_flux(B, g0, g1):
     return first, second
 
 
+def _operator(c, fluxes, f, out=None):
+    """e^{-n phi} (d_0 F_0 + d_1 F_1) on a block c (Cells), in out where
+    given: the divergence of the fluxes (F_0, F_1) = fluxes(r, g0, g1), r
+    the bundle on a range of the block's widened rows (c.on) and g0, g1
+    f's partials there. f is a field or a function of a flat range of cells
+    (grid.partials); the fluxes, their partials and the weight are formed
+    on the block alone."""
+    ch = c.chart
+    out, second = partials(ch, lambda rows: fluxes(c.on(rows), *partials(ch, f, rows)),
+                           c.cells, ((0, 0), (1, 1)), out)
+    out += second
+    out *= _emn(c)
+    return out
+
+
+def _whole_operator(b: CurvatureBundle, fluxes, f):
+    """_operator on each block of b, into one whole field."""
+    out = np.empty(b.chart.shape)
+    for c in blocks(b):
+        _operator(c, fluxes, f, out.reshape(-1)[c.cells])
+    return out
+
+
 def laplacian(b: CurvatureBundle, f):
     """Laplace-Beltrami operator in conservative (divergence) form, of a
     field f or of a function of a flat range of cells giving f's values
     there (grid.d1). The fluxes (laplacian_flux), their weight and f's
-    partials are formed together a block at a time (grid.divergence), and
-    on the stencil chart are never whole; so is the weight e^{-n phi}."""
-    ch = b.chart
-    return _times_emn(b, divergence(
-        ch, lambda cells: laplacian_flux(Cells(b, cells), *partials(ch, f, cells))))
+    partials are formed together a block at a time (_operator), and on
+    the stencil chart are never whole; so is the weight e^{-n phi}."""
+    return _whole_operator(b, laplacian_flux, f)
 
 
 def divergence_form(b: CurvatureBundle, B, f):
@@ -244,15 +316,9 @@ def divergence_form(b: CurvatureBundle, B, f):
     list of its three entries there (schouten_flux, _flux); f is a field or
     a function of a flat range of cells (grid.d1). The fluxes
     (contracted_flux), B's entries and f's partials are formed together a
-    block at a time (grid.divergence), and on the stencil chart are never
-    whole; so is the weight e^{-n phi}."""
-    ch = b.chart
-
-    def flux(cells):
-        g0, g1 = partials(ch, f, cells)
-        return contracted_flux(B(Cells(b, cells)), g0, g1)
-
-    return _times_emn(b, divergence(ch, flux))
+    block at a time (_operator), and on the stencil chart are never whole;
+    so is the weight e^{-n phi}."""
+    return _whole_operator(b, lambda r, g0, g1: contracted_flux(B(r), g0, g1), f)
 
 
 def holo_coeffs(b, k: int):
@@ -347,45 +413,42 @@ def _on_cells(f, cells):
     return np.ravel(f)[cells] if np.ndim(f) else f
 
 
-def pairings(b: CurvatureBundle, f, g):
-    """(<f, g>, <L f, g>, <f, L g>, <S f, g>, <f, S g>) in inner's product,
-    L the Laplacian and S = divergence_form(b, schouten_flux, .), for f and g
+def pairing_sums(c, f, g):
+    """The sums on a block of cells c (Cells) of the products of
+    (<f, g>, <L f, g>, <f, L g>, <S f, g>, <f, S g>) in inner's product, L
+    the Laplacian and S = divergence_form(b, schouten_flux, .), for f and g
     each a field or a function of a flat range of cells: the pairings that
-    decide whether L and S are self-adjoint. One sweep over the blocks of
-    cells forms them all. On a block each of f and g is formed once, on the
-    block's rows and four more each side, and its partials feed the fluxes
-    of both operators, one after the other: the Schouten case's
-    (contracted_flux), which only reads them, then the Laplacian's in their
-    place (laplacian_flux). Each weight is formed once, and the five
-    products are summed there. The block sums combine as np.sum's
-    (grid.pairwise_sums), so each pairing has the bits of inner on the
-    operators' whole outputs, and no output is whole."""
-    ch = b.chart
+    decide whether L and S are self-adjoint. Each of f and g is formed
+    once, on the block's rows and four more each side, and its partials
+    feed the fluxes of both operators, one after the other: the Schouten
+    case's (contracted_flux), which only reads them, then the Laplacian's
+    in their place (laplacian_flux). Each weight is formed once. The sums
+    of a sweep over the blocks combine as np.sum's (grid.pairwise_sums), so
+    each pairing has the bits of inner on the operators' whole outputs, and
+    no output is whole."""
+    ch = c.chart
 
-    def outputs(h, cells):
-        """L h, S h and h on a block of cells."""
+    def outputs(h):
+        """L h, S h and h on the block."""
         def fluxes(rows):
-            r = Cells(b, rows)
+            r = c.on(rows)
             h0, h1, h_rows = partials(ch, h, rows, ((0, 0), (0, 1), (0, None)))
             s_flux = contracted_flux(schouten_flux(r), h0, h1)
             return (*laplacian_flux(r, h0, h1), *s_flux, h_rows)
 
-        l0, l1, s0, s1, h_cells = partials(ch, fluxes, cells, ((0, 0), (1, 1), (2, 0), (3, 1),
-                                                               (4, None)))
+        l0, l1, s0, s1, h_cells = partials(ch, fluxes, c.cells, ((0, 0), (1, 1), (2, 0), (3, 1),
+                                                                 (4, None)))
         l0 += l1
         s0 += s1
         return l0, s0, h_cells
 
-    def block_sums(c):
-        lf, sf, f_cells = outputs(f, c.cells)
-        lg, sg, g_cells = outputs(g, c.cells)
-        emn, w = _emn(c), volume_weight(c)
-        for out in (lf, lg, sf, sg):
-            out *= emn
-        return [_weighted_sum(x, y, w) for x, y in ((f_cells, g_cells), (lf, g_cells),
-                                                    (f_cells, lg), (sf, g_cells), (f_cells, sg))]
-
-    return tuple(float(s) for s in pairwise_sums([(c.cells, block_sums(c)) for c in blocks(b)]))
+    lf, sf, f_cells = outputs(f)
+    lg, sg, g_cells = outputs(g)
+    emn, w = _emn(c), volume_weight(c)
+    for out in (lf, lg, sf, sg):
+        out *= emn
+    return [_weighted_sum(x, y, w) for x, y in ((f_cells, g_cells), (lf, g_cells),
+                                                (f_cells, lg), (sf, g_cells), (f_cells, sg))]
 
 
 def apply_primitive(b: CurvatureBundle, name: str, f):

@@ -28,7 +28,7 @@ from math import factorial, isfinite
 
 import numpy as np
 
-from .conformal import Cells, CurvatureBundle, apply_primitive, assembled, holo_coeffs
+from .conformal import LAP_V2, Cells, CurvatureBundle, apply_primitive, assembled, holo_coeffs
 from .lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer, poly_gcd
 from .reports import max_abs
 
@@ -157,7 +157,7 @@ class LambdaOperator:
     def scale(self, factor) -> "LambdaOperator":
         return LambdaOperator({word: rat * factor for word, rat in self.terms.items()})
 
-    def field_poly(self, bundle, f, words=None):
+    def field_poly(self, bundle, f, words=False):
         """Action on f as (numerator FieldPoly, scalar denominator poly), on a
         bundle or on a block of its cells (conformal.Cells).
 
@@ -171,11 +171,11 @@ class LambdaOperator:
         primitive is a D_k are skipped; the denominator is still the lcm
         over all words.
 
-        words, when given, holds whole applications to f of words whose
-        outermost primitive is a D_k (cache_words): a suffix found there is
-        read from it, and the suffixes inside it are not applied. So on a
+        With words, the applications to f of words whose outermost
+        primitive is a D_k are read where the bundle or block keeps them
+        (_kept_word), and the suffixes inside them are not applied. So on a
         block of cells, where no derivative can be taken, field_poly forms
-        the numerator from the cached words and pointwise products only."""
+        the numerator from those words and pointwise products only."""
         f = np.asarray(f, dtype=float)
         den, cleared = self._cleared()
         num, scratch = [], None
@@ -194,16 +194,18 @@ class LambdaOperator:
             del arr  # before the fields no later term reads are dropped
         return FieldPoly(num), den
 
-    def cache_words(self, bundle: CurvatureBundle, f, words):
-        """Store in words the whole applications to f that field_poly reads
-        from there: for each term, its word from its outermost D_k on. Those
-        already in words are not applied again, so families that share such
-        a word share its field."""
+    def cache_words(self, bundle: CurvatureBundle, f):
+        """Store in bundle.family_words the whole applications to f that
+        field_poly reads from there: for each term, its word from its
+        outermost D_k on, but LAP_V2, which the bundle forms as lap_v2.
+        Those already kept are not applied again, so families that share
+        such a word share its field."""
         f = np.asarray(f, dtype=float)
         kept = dict.fromkeys(_from_derivative(word) for word in self._words_on(f))
-        kept.pop((), None)
-        for word, arr in _applications(bundle, f, list(kept), words):
-            words[word] = arr
+        for word in ((), LAP_V2):
+            kept.pop(word, None)
+        for word, arr in _applications(bundle, f, list(kept), True):
+            bundle.family_words[word] = arr
 
     def denominator(self):
         """The lcm of the denominators of the coefficients."""
@@ -245,11 +247,12 @@ def _from_derivative(word):
     return ()
 
 
-def _applications(bundle, f, word_list, words=None):
+def _applications(bundle, f, word_list, words=False):
     """Yield (word, its application to f) for each word of word_list in
     order, on a bundle or a block of its cells. A word applies its suffixes
-    not yet applied, from the longest one applied, or found in words, on;
-    an applied suffix is dropped after the last word that ends in it."""
+    not yet applied, from the longest one applied, or with words kept by
+    the bundle or block (_kept_word), on; an applied suffix is dropped
+    after the last word that ends in it."""
     last_read = {}  # suffix -> index of the last word that ends in it
     for t, word in enumerate(word_list):
         for i in range(len(word) + 1):
@@ -258,8 +261,9 @@ def _applications(bundle, f, word_list, words=None):
     for t, word in enumerate(word_list):
         start = len(word)
         for i in range(len(word) + 1):
-            if word[i:] not in applied and words is not None and word[i:] in words:
-                applied[word[i:]] = bundle.view(words[word[i:]])
+            kept = None if word[i:] in applied or not words else _kept_word(bundle, word[i:])
+            if kept is not None:
+                applied[word[i:]] = kept
             if word[i:] in applied:
                 start = i
                 break
@@ -268,6 +272,16 @@ def _applications(bundle, f, word_list, words=None):
         yield word, applied[word]
         for suffix in [s for s, u in last_read.items() if u == t]:
             applied.pop(suffix, None)
+
+
+def _kept_word(c, word):
+    """The application of a families' word to the ones field on a bundle or
+    a block of its cells, where it is kept: lap_v2 for LAP_V2, else the
+    bundle's family_words's, or None."""
+    if word == LAP_V2:
+        return c.lap_v2
+    whole = c.family_words.get(word)
+    return None if whole is None else c.view(whole)
 
 
 def _lcm(dens):
@@ -417,17 +431,17 @@ def family(b: CurvatureBundle, j: int, k: int):
     it acts on the ones field, as every family does: a word two families
     share has one application to it. That is how T*_2(lam)(v2) and
     T*_4(lam)(1) share D0(v2), since v2 times 1 is v2 bit for bit; and
-    D0(v2) is the bundle's own field lap_v2, which it keeps for lap J. The
-    whole fields of the words that end in a derivative are stored in
-    b.family_words when the pair is first cached (cache_words); every other
-    step of a word is pointwise, and field_poly forms it where it is read."""
+    D0(v2) is the bundle's own field lap_v2 (LAP_V2), formed on each block
+    for lap J. The whole fields of the other words that end in a derivative
+    are stored in b.family_words when the pair is first cached
+    (cache_words); every other step of a word is pointwise, and field_poly
+    forms it where it is read."""
     pair = b.family_polys.get((j, k))
     if pair is None:
-        b.family_words.setdefault(("D0", "v2"), b.lap_v2)
         op = build_T(b.n, j).adjoint()
         if k:
             op = LambdaOperator({word + (f"v{2 * k}",): rat for word, rat in op.terms.items()})
-        op.cache_words(b, holo_coeffs(b, 0), b.family_words)
+        op.cache_words(b, holo_coeffs(b, 0))
         pair = b.family_polys[(j, k)] = (op, op.denominator())
     return pair
 
@@ -443,7 +457,7 @@ def family_poly(c, j: int, k: int):
         pair = c.formed.get((j, k))
         if pair is None:
             op, den = c.family_polys[(j, k)]  # cached on the bundle first
-            pair = c.formed[(j, k)] = (op.field_poly(c, holo_coeffs(c, 0), c.family_words)[0], den)
+            pair = c.formed[(j, k)] = (op.field_poly(c, holo_coeffs(c, 0), True)[0], den)
         return pair
     den = family(c, j, k)[1]
     return FieldPoly(assembled(c, lambda block: family_poly(block, j, k)[0].coeffs)), den

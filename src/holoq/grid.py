@@ -105,7 +105,7 @@ def wavenumbers(size: int):
 def d1(chart: TorusChart, f, axis: int):
     """First derivative along an axis by the chart's derivative. f is a
     field, or a function of a flat range of cells giving f's values there
-    as a flat array (see _rows), so that f is never whole on the stencil
+    as a flat array (see rows), so that f is never whole on the stencil
     chart."""
     return _filled(chart, f, ((0, axis),))
 
@@ -118,38 +118,48 @@ def divergence(chart: TorusChart, flux):
     return _filled(chart, flux, ((0, 0), (1, 1)))
 
 
-def partials(chart: TorusChart, f, cells, terms=((0, 0), (0, 1))):
+def partials(chart: TorusChart, f, cells, terms=((0, 0), (0, 1)), out=None):
     """[d1(f_i, axis) for (i, axis) in terms] on a flat range of cells, as
     flat arrays; axis None gives f_i itself there. f is a field, or a
     function of a flat range of cells giving one field's values or a tuple
     of fields' values there (f_0, f_1, ...), read on the range's whole rows
-    widened by two (_rows): on the spectral chart, on every cell. Each f_i
-    is dropped after the last term that reads it."""
+    widened by two (rows): on the spectral chart, on every cell. Each f_i
+    is dropped after the last term that reads it, and the terms share one
+    scratch. With out, a flat array of the range's size, the first term is
+    formed in out, which is given in its place: where the range is whole
+    rows, by the stencil itself."""
     f = _operand(f)
     cols = chart.shape[1]
-    lo, hi = (0, chart.shape[0]) if chart.derivative == "spectral" else (
+    spectral = chart.derivative == "spectral"
+    lo, hi = (0, chart.shape[0]) if spectral else (
         cells.start // cols - 2, -(-cells.stop // cols) + 2)
-    operands = list(_rows(chart, f, lo, hi))
+    operands = list(rows(chart, f, lo, hi))
     last = {i: t for t, (i, _) in enumerate(terms)}
     start = cells.start - lo * cols
     stop = start + cells.stop - cells.start
-    out = []
+    size = (hi - lo - 4) * cols  # the range's whole rows
+    scratch = None if spectral else np.empty(size)
+    parts = []
     for t, (i, axis) in enumerate(terms):
         g = operands[i]
         if last[i] == t:
             operands[i] = None
         if axis is None:
-            out.append(g[start:stop])
-        elif chart.derivative == "spectral":
-            out.append(_spectral_d1(chart, g.reshape(chart.shape), axis).reshape(-1)[start:stop])
+            part = g[start:stop]
+        elif spectral:
+            part = _spectral_d1(chart, g.reshape(chart.shape), axis).reshape(-1)[start:stop]
+        elif t == 0 and out is not None and out.size == size:
+            part = _stencil(chart, g, axis, out, scratch)
         else:
-            part = np.empty(g.size - 4 * cols)
-            _stencil(chart, g, axis, part, np.empty_like(part))
-            out.append(part[start - 2 * cols:stop - 2 * cols])
-    return out
+            part = _stencil(chart, g, axis, np.empty(size), scratch)[start - 2 * cols:stop - 2 * cols]
+        if t == 0 and out is not None and part is not out:
+            out[...] = part
+            part = out
+        parts.append(part)
+    return parts
 
 
-def _rows(chart: TorusChart, f, lo: int, hi: int):
+def rows(chart: TorusChart, f, lo: int, hi: int):
     """The values of f on the grid's whole rows lo..hi-1, taken mod its
     number of rows, as a tuple of flat arrays. f is a field, read through
     views where the rows do not wrap, or a function of a flat range of
@@ -175,7 +185,7 @@ def _rows(chart: TorusChart, f, lo: int, hi: int):
 def _stencil(chart: TorusChart, g, axis: int, out, scratch):
     """4th-order first derivative (-f2 + 8 f1 - 8 f-1 + f-2) / 12h along an
     axis, on whole rows of a field, into out (flat), from g, the field's
-    values on those rows and two more above and below them (flat, as _rows
+    values on those rows and two more above and below them (flat, as rows
     gives them), through scratch, a flat array of out's size.
 
     In g a shift by k along the axis is a shift by k * step (step = cols on
@@ -211,10 +221,11 @@ def _stencil(chart: TorusChart, g, axis: int, out, scratch):
         wrapped = (-near(2) + 8.0 * near(1) - 8.0 * near(-1) + near(-2)) / h12
         out2d = out.reshape(-1, cols)
         out2d[:, -2:], out2d[:, :2] = wrapped[:2].T, wrapped[2:].T
+    return out
 
 
 def _operand(f):
-    """f as _rows reads it: a function as it is, a field C-ordered."""
+    """f as rows reads it: a function as it is, a field C-ordered."""
     return f if callable(f) else np.ascontiguousarray(f, dtype=float)
 
 
@@ -228,17 +239,15 @@ def _spectral_d1(chart: TorusChart, f, axis: int):
 
 def _filled(chart: TorusChart, f, terms):
     """The sum of the partials' terms (see partials) in order, as a whole
-    field, filled one range of blocks at a time: the bits of the whole
-    fields' sum."""
+    field, filled one range of blocks at a time, the first term formed in
+    the output: the bits of the whole fields' sum."""
     f = _operand(f)
     out = np.empty(chart.shape)
     flat = out.reshape(-1)
     for cells in blocks(flat.size, chart.derivative == "spectral"):
-        first, *rest = partials(chart, f, cells, terms)
-        o = flat[cells]
-        o[...] = first
+        first, *rest = partials(chart, f, cells, terms, flat[cells])
         for part in rest:
-            o += part
+            first += part
     return out
 
 

@@ -26,7 +26,7 @@ from .conformal import (
     blocks,
     curvature,
     holo_coeffs,
-    pairings,
+    pairing_sums,
 )
 from .families import (
     FieldPoly,
@@ -40,7 +40,7 @@ from .families import (
     pair_derivative,
     pair_value,
 )
-from .grid import TorusChart, wavenumbers
+from .grid import TorusChart, pairwise_sums, wavenumbers
 from .lambda_algebra import LAMBDA, LambdaPoly, pochhammer
 from .presets import preset_phi
 from .reports import CheckReport, exact_report, max_abs, tolerance_report
@@ -126,19 +126,18 @@ def _merged(readings):
 
 def _pass(b: CurvatureBundle, parts):
     """The reports of parts, each a (read, report) pair, from one pass over
-    the blocks of b's cells: read(block) gives a block's readings, and
-    report(merged readings, seconds) the part's reports."""
-    readings, seconds = [], [0.0] * len(parts)
+    the blocks of b's cells, each block's curvature formed once for them
+    all (conformal.Window): read(block) gives a block's readings, and
+    report(readings, seconds) the part's reports from the list of every
+    block's, in order."""
+    readings, seconds = [[] for _ in parts], [0.0] * len(parts)
     for block in blocks(b):
-        row = []
         for i, (read, _) in enumerate(parts):
             t0 = time.perf_counter()
-            row.append(read(block))
+            readings[i].append(read(block))
             seconds[i] += time.perf_counter() - t0
-        readings.append(row)
-    merged = _merged(readings)
-    return [rep for (_, report), reading, sec in zip(parts, merged, seconds)
-            for rep in report(reading, sec)]
+    return [rep for (_, report), reads, sec in zip(parts, readings, seconds)
+            for rep in report(reads, sec)]
 
 
 def _t_star_pairs(b, N: int):
@@ -185,7 +184,8 @@ def _cleared_check(b, checks, nums):
         return [tolerance_report(check_id, equation, params, max_abs(coeff_norms),
                                  IDENTITY_TOL, scale, details={"coeff_norms": coeff_norms},
                                  seconds=seconds)
-                for (check_id, equation, params, _), (coeff_norms, scale) in zip(checks, readings)]
+                for (check_id, equation, params, _), (coeff_norms, scale)
+                in zip(checks, _merged(readings))]
 
     return read, report
 
@@ -262,13 +262,13 @@ def _poly_reads(block: Cells, N: int, qres: FieldPoly, v: FieldPoly):
     a, c = float(4 ** (N - 1) * factorial(N - 1)), float(N - Fraction(block.n, 2))
     pairs = zip_longest([0.0] + v.coeffs, qres.coeffs if c else [], fillvalue=0.0)
     gap = max_abs([max_abs(a * x + c * y) for x, y in pairs])
-    slope = max_abs(qres.coeffs[1] - block.J) if N == 1 else 0.0
-    return qres.norms(), v.norms(), slope, gap
+    slope, j_norm = (max_abs(qres.coeffs[1] - block.J), max_abs(block.J)) if N == 1 else (0.0, 0.0)
+    return qres.norms(), v.norms(), slope, gap, j_norm
 
 
 def _poly_reports(b: CurvatureBundle, N: int, rem, reads, seconds):
     """poly_checks' reports from the remainder and the merged _poly_reads."""
-    qn, vn, slope, gap = reads
+    qn, vn, slope, gap, j_norm = reads
     scale = max_abs(qn + vn)
     n = b.n
     params = {"n": n, "N": N}
@@ -278,7 +278,7 @@ def _poly_reports(b: CurvatureBundle, N: int, rem, reads, seconds):
                                 scale, details={"coeff_norms": qn}, seconds=seconds)]
     if N == 1:
         reports.append(tolerance_report(f"qres-slope-n{n}", "Q-pol", params, slope,
-                                        IDENTITY_TOL, scale, details={"J_norm": max_abs(b.J)}))
+                                        IDENTITY_TOL, scale, details={"J_norm": j_norm}))
     reports.append(tolerance_report(f"vdeg-n{n}-N{N}", "V-pol-deg", params, vn[N],
                                     IDENTITY_TOL, scale, details={"coeff_norms": vn}))
     if n == 2 * N:
@@ -295,7 +295,7 @@ def _poly(b: CurvatureBundle, N: int):
     def read(block):
         return _poly_reads(block, N, *qres_and_v_polys(block, N, factors)[:2])
 
-    return read, lambda reads, seconds: _poly_reports(b, N, factors[2], reads, seconds)
+    return read, lambda reads, seconds: _poly_reports(b, N, factors[2], _merged(reads), seconds)
 
 
 def poly_checks(b: CurvatureBundle, N: int):
@@ -361,7 +361,7 @@ def critical_suite_n4(b: CurvatureBundle, with_poly_checks=False):
                 _poly_reads(block, 2, qres, v) if with_poly_checks else ())
 
     def report(reads, seconds):
-        a_gap, lhs_a_norm, qn, d_gap, e_gap, rhs_e_norm, poly = reads
+        a_gap, lhs_a_norm, qn, d_gap, e_gap, rhs_e_norm, poly = _merged(reads)
         q4_scale = max_abs([max_abs(q4), max_abs(qn)])
         out = [tolerance_report("crit-a", "holo-crit", {"n": 4}, a_gap, IDENTITY_TOL,
                                 max_abs([lhs_a_norm, max_abs(q4)]),
@@ -500,11 +500,13 @@ def probe_field(shape, key: int, stream: int, cells=None):
     return out.reshape(shape) if cells is None else out
 
 
-def _adjoint_reports(b: CurvatureBundle, seed: int):
-    """<L f, g> against <f, L g> for the Laplacian and the Schouten
-    divergence form, on the probes probe_field gives a block of cells at a
-    time, all four pairings and the scale's <f, g> from one sweep over the
-    blocks (conformal.pairings); each report takes half the sweep's time."""
+def _adjoints(b: CurvatureBundle, seed: int):
+    """The (read, report) part of _pass for <L f, g> against <f, L g>, the
+    Laplacian's and the Schouten divergence form's, on the probes
+    probe_field gives a block of cells at a time: a block reads the sums of
+    all four pairings and the scale's <f, g> (conformal.pairing_sums),
+    which combine as np.sum's (grid.pairwise_sums). Each report takes half
+    the part's time."""
     shape, key, n = b.chart.shape, seed + 211, b.n
     grow = (shape[0] / SPECTRAL_GRID) ** 1.25
     tols = {"lap": ADJOINT_TOL * grow, "pdiv": ADJOINT_PDIV_TOL * grow}
@@ -512,13 +514,22 @@ def _adjoint_reports(b: CurvatureBundle, seed: int):
     def probe(stream):  # a probe a block of cells at a time
         return lambda cells: probe_field(shape, key, stream, cells)
 
-    t0 = time.perf_counter()
-    fg, lap_fg, lap_gf, pdiv_fg, pdiv_gf = pairings(b, probe(0), probe(1))
-    seconds = (time.perf_counter() - t0) / 2
-    scale = abs(fg) + 1.0
-    return [tolerance_report(f"adjoint-{name}-n{n}", "self-adjointness", {"n": n},
-                             abs(lhs - rhs), tols[name], scale, seconds=seconds)
-            for name, lhs, rhs in (("lap", lap_fg, lap_gf), ("pdiv", pdiv_fg, pdiv_gf))]
+    def read(c):
+        return c.cells, pairing_sums(c, probe(0), probe(1))
+
+    def report(reads, seconds):
+        fg, lap_fg, lap_gf, pdiv_fg, pdiv_gf = (float(s) for s in pairwise_sums(reads))
+        scale = abs(fg) + 1.0
+        return [tolerance_report(f"adjoint-{name}-n{n}", "self-adjointness", {"n": n},
+                                 abs(lhs - rhs), tols[name], scale, seconds=seconds / 2)
+                for name, lhs, rhs in (("lap", lap_fg, lap_gf), ("pdiv", pdiv_fg, pdiv_gf))]
+
+    return read, report
+
+
+def _adjoint_reports(b: CurvatureBundle, seed: int):
+    """The adjoint checks (_adjoints) from a pass of their own."""
+    return _pass(b, [_adjoints(b, seed)])
 
 
 def _q4_dual(b: CurvatureBundle):
@@ -532,7 +543,7 @@ def _q4_dual(b: CurvatureBundle):
         return max_abs(q - q4), max_abs(q4)
 
     def report(reads, seconds):
-        dual_gap, scale = reads
+        dual_gap, scale = _merged(reads)
         return [tolerance_report(f"q4-dual-n{b.n}", "holo-Q4", {"n": b.n}, dual_gap,
                                  IDENTITY_TOL, scale, details=pole, seconds=seconds)]
 
@@ -543,13 +554,21 @@ def _dimension_reports(n: int, size: int, preset: str, seed: int, phi):
     """numeric_suite's checks at one dimension: geometry on the spectral chart,
     then algebra on the run's grid. Each bundle and its families end with
     the call that built them, so the suite holds one metric at a time. The
-    pointwise checks of each N read one pass over the cells."""
+    run grid's checks read one pass over its cells, in which each block
+    forms its curvature once (conformal.Window): the bundle keeps only phi
+    whole."""
     reports = _flat_reports(n, preset, seed, phi)
     b = _metric(TorusChart(n, (size, size)), preset, seed, phi)
-    reports.extend(_adjoint_reports(b, seed))
-    reports.extend(_pass(b, [_master3(b, 1), _poly(b, 1)]))
-    reports.extend(_pass(b, [_q4_dual(b), _master3(b, 2), _poly(b, 2), _example_2_3(b)]))
-    return reports
+    return reports + _pass(b, _run_grid_parts(b, seed))
+
+
+def _run_grid_parts(b: CurvatureBundle, seed: int):
+    """The parts of _pass of a dimension's checks on the run's grid, in
+    report order. No part after N = 1 reads its family T*_2(1), so each
+    block drops it there."""
+    drop = (lambda c: c.formed.clear(), lambda reads, seconds: [])
+    return [_adjoints(b, seed), _master3(b, 1), _poly(b, 1), drop,
+            _q4_dual(b), _master3(b, 2), _poly(b, 2), _example_2_3(b)]
 
 
 def numeric_suite(n_values=(4, 6), size: int = 64, preset: str = "trig1",

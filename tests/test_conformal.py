@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from holoq import conformal, families
+from holoq import conformal, holographic
 from holoq.conformal import (
     CurvatureBundle,
     _flux,
@@ -394,9 +394,9 @@ def reference_bundle(b):
 
 
 def bundle_fields(b):
-    """The fields reference_bundle names, as the bundle keeps or forms them."""
-    return {**vars(b), "em2": b.em2, "en2": b.en2, "emn": b.emn, "Psq": b.Psq,
-            "P00": b.P[0][0], "P01": b.P[0][1], "P11": b.P[1][1]}
+    """The fields reference_bundle names, as the bundle forms them whole."""
+    return {"J": b.J, "p_inactive": b.p_inactive, "em2": b.em2, "en2": b.en2, "emn": b.emn,
+            "Psq": b.Psq, "P00": b.P[0][0], "P01": b.P[0][1], "P11": b.P[1][1]}
 
 
 def whole_fields(b):
@@ -410,16 +410,23 @@ def whole_fields(b):
     return list(arrays.values())
 
 
-def test_bundle_keeps_seven_whole_fields():
-    # phi and the fields a derivative made: J, P00, P01 (which is P10),
-    # P11, p_inactive and lap_v2, which is D0(v2) and -lap J / 2 (it was
-    # lap J itself, beside a second whole field for D0(v2) in the families'
-    # words); the families' words add no field of their own up to N = 2
-    b = bundle(n=6, size=32)
-    for j, k in ((1, 0), (1, 1), (2, 0)):
-        families.family(b, j, k)
+def test_run_grid_bundle_keeps_only_phi(monkeypatch):
+    # a dimension's checks on the run's grid read J, P, p_inactive and
+    # lap_v2 from each block's window (conformal.Window), so after them the
+    # bundle holds phi alone, and the families' words add no field of their
+    # own up to N = 2. It kept 7 whole fields: phi, J, P00, P01 (which is
+    # P10), P11, p_inactive and lap_v2, which is D0(v2) and -lap J / 2
+    bundles = []
+    original = holographic._metric
+    monkeypatch.setattr(holographic, "_metric",
+                        lambda *args: bundles.append(original(*args)) or bundles[-1])
+    assert all(r.passed for r in holographic._dimension_reports(6, 256, "trig1", 7, None))
+    spectral, b = bundles
+    assert b.chart.derivative == "stencil" and set(b.family_polys) == {(1, 0), (1, 1), (2, 0)}
+    assert [id(a) for a in whole_fields(b)] == [id(b.phi)] and b.family_words == {}
+    # a whole read forms all of them whole, from the blocks, and keeps them
+    b.lap_v2
     kept = [b.phi, b.J, b.P[0][0], b.P[0][1], b.P[1][1], b.p_inactive, b.lap_v2]
-    assert list(b.family_words) == [("D0", "v2")] and b.family_words[("D0", "v2")] is b.lap_v2
     assert sorted(map(id, whole_fields(b))) == sorted(map(id, kept))
     assert all(a.shape == b.chart.shape for a in kept)
 

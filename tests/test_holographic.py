@@ -215,9 +215,9 @@ class TestFamilyPolys:
         calls = []
         original = LambdaOperator.cache_words
 
-        def spy(self, b, f, words):
+        def spy(self, b, f):
             calls.append((b.n, b.chart.derivative))
-            return original(self, b, f, words)
+            return original(self, b, f)
 
         monkeypatch.setattr(LambdaOperator, "cache_words", spy)
         numeric_suite(n_values=(4, 6), size=32)
@@ -535,10 +535,11 @@ class TestNonFinite:
         assert not rep.passed and rep.details["reason"] == "non-finite residual nan"
 
     def test_cleared_check_reads_nan_coefficient(self):
-        # one cell of the last, ragged block of the cached D0(v2), which
-        # T*_2(lam)(v2) and T*_4(lam)(1) read
+        # one cell of the last, ragged block of D0(v2), the bundle's lap_v2,
+        # which T*_2(lam)(v2) and T*_4(lam)(1) read; written whole, so the
+        # blocks read the whole fields
         b = _cached_bundle(RAGGED)
-        b.family_words[("D0", "v2")].reshape(-1)[-1] = np.nan
+        b.lap_v2.reshape(-1)[-1] = np.nan
         for rep in master_check_numeric(b, 2) + example_2_3_checks(b):
             assert not rep.passed and np.isnan(rep.residual), rep.id
             assert rep.details["reason"].startswith("non-finite residual nan"), rep.id
@@ -610,7 +611,9 @@ class TestCellBlocks:
         with pytest.raises(ValueError):
             block.J[0] = 0.0
         with pytest.raises(ValueError):
-            block.view(block.family_words[("D0", "v2")])[0] += 1.0
+            block.lap_v2[0] += 1.0
+        with pytest.raises(ValueError):
+            block.on(slice(0, 64)).P[0][1][0] = 0.0
 
 
 def parent_field_poly(op, b, f):
@@ -670,12 +673,16 @@ class TestBlockFormedFamilies:
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_only_derivative_words_are_kept(self, n):
-        # for N <= 2 that is D0(v2), read by T*_2(lam)(v2) and T*_4(lam)(1)
-        b = bundle(n=n, size=32)
+        # for N <= 2 that is D0(v2), read by T*_2(lam)(v2) and T*_4(lam)(1),
+        # which is the lap_v2 each block forms: no word is kept whole
+        b = bundle(n=n, size=RAGGED)
         for j, k in SUITE_PAIRS:
             families.family(b, j, k)
-        assert list(b.family_words) == [("D0", "v2")]
-        assert np.array_equal(b.family_words[("D0", "v2")], conformal.laplacian(b, -b.J / 2))
+        assert b.family_words == {}
+        words = [families._kept_word(block, conformal.LAP_V2).tobytes()
+                 for block in conformal.blocks(b)]
+        want = conformal.laplacian(b, -b.J / 2).reshape(-1)
+        assert words == [want[block.cells].tobytes() for block in conformal.blocks(b)]
         assert all(isinstance(op, LambdaOperator) for op, _ in b.family_polys.values())
 
 
@@ -803,6 +810,13 @@ def reference_pairings(b, f, g):
             inner(f, reference_divergence_form(b, pdiv, g)))
 
 
+def pairings(b, f, g):
+    """The five pairings of conformal.pairing_sums, summed over the blocks
+    of b as np.sum's."""
+    return tuple(float(s) for s in grid.pairwise_sums(
+        [(c.cells, conformal.pairing_sums(c, f, g)) for c in conformal.blocks(b)]))
+
+
 def reference_adjoint_residuals(b, seed):
     """_adjoint_reports' residuals and scale as first written: both probes
     whole, and reference_pairings."""
@@ -844,7 +858,7 @@ class TestAdjointPhase:
         f, g = rng.standard_normal(shape), rng.standard_normal(shape)
         want = [x.hex() for x in reference_pairings(b, f, g)]
         for operands in ((f, g), (by_cells(f), by_cells(g))):
-            assert [x.hex() for x in conformal.pairings(b, *operands)] == want
+            assert [x.hex() for x in pairings(b, *operands)] == want
 
 
 class TestBlocksThatCutRows:
@@ -870,7 +884,80 @@ class TestBlocksThatCutRows:
             assert fields[name].tobytes() == value.tobytes(), name
         assert b.lap_v2.tobytes() == reference_laplacian(b, -want["J"] / 2).tobytes()
         want = [x.hex() for x in reference_pairings(b, f, g)]
-        assert [x.hex() for x in conformal.pairings(b, f, g)] == want
+        assert [x.hex() for x in pairings(b, f, g)] == want
+
+
+# The window's cases: 16^2 and the spectral chart are one block, which
+# reads the whole fields; with BLOCK 1,001, at 16 x 128 the widened rows of
+# each of its two blocks wrap past the whole grid, and the blocks end inside
+# rows at 136^2 and 300 x 257 (at 48 x 80 on whole rows); at 512^2 a block
+# is 32 rows.
+WINDOW_CASES = [((16, 16), "stencil", None), ((16, 128), "stencil", 1001),
+                ((136, 136), "stencil", 1001), ((300, 257), "stencil", 1001),
+                ((48, 80), "stencil", 1001), ((512, 512), "stencil", None),
+                ((32, 32), "spectral", None)]
+
+
+def _window_bundle(case, nan, monkeypatch):
+    shape, derivative, block = case
+    if block:
+        monkeypatch.setattr(grid, "BLOCK", block)
+    ch = TorusChart(6, shape, derivative)
+    phi = preset_phi(ch, "trig3", seed=11)
+    if nan:
+        phi[5, 7] = np.nan
+    return curvature(ch, phi)
+
+
+def _same_cells(got, want):
+    """Equal bits, but NaN in the same cells with either sign."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestWindow:
+    """J, P, p_inactive and lap_v2 read on the blocks of a bundle that keeps
+    only phi (conformal.Window), on each block's cells and on its widened
+    rows, have the bits of the whole-field expressions, NaN cells NaN in
+    both; and a dimension's pass reports what it reports on a bundle that
+    has them whole."""
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize("case", WINDOW_CASES, ids=lambda c: f"{c[0][0]}x{c[0][1]}-{c[1]}")
+    def test_fields_on_blocks(self, case, nan, monkeypatch):
+        b = _window_bundle(case, nan, monkeypatch)
+        ch, cols = b.chart, b.chart.shape[1]
+        want = reference_bundle(b)
+        want["lap_v2"] = reference_laplacian(b, -want["J"] / 2)
+        names = conformal.SCHOUTEN + ("lap_v2",)
+        got = {name: [] for name in names}
+        for c in conformal.blocks(b):
+            for name in names:
+                got[name].append(getattr(c, name))
+            lo = c.cells.start // cols - conformal.HALO
+            hi = -(-c.cells.stop // cols) + conformal.HALO
+            widened = grid.rows(ch, lambda run: tuple(
+                getattr(c.on(run), name) for name in conformal.SCHOUTEN), lo, hi)
+            for name, value in zip(conformal.SCHOUTEN, widened):
+                _same_cells(value, grid.rows(ch, want[name], lo, hi)[0])
+        one_block = len(grid.blocks(b.phi.size, ch.derivative == "spectral")) == 1
+        assert ("J" in vars(b)) == one_block  # else the blocks formed no whole field
+        for name in names:
+            _same_cells(np.concatenate(got[name]), want[name].reshape(-1))
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize("case", WINDOW_CASES, ids=lambda c: f"{c[0][0]}x{c[0][1]}-{c[1]}")
+    def test_pass_reports(self, case, nan, monkeypatch):
+        reports = []
+        for whole in (False, True):
+            b = _window_bundle(case, nan, monkeypatch)
+            if whole:
+                b.J  # forms every field whole; the blocks read views of them
+            reports.append([_fields(r) for r in holographic._pass(
+                b, holographic._run_grid_parts(b, 7))])
+        assert repr(reports[0]) == repr(reports[1])  # a NaN equals itself in repr
+        assert all(r["passed"] for r in reports[0]) == (not nan)
 
 
 class TestProbeField:
@@ -926,10 +1013,12 @@ class TestMemoryBudget:
     FIELD = 256 * 256 * 8
 
     def test_dimension(self):
-        # 11.85 fields, in the merged N = 2 pass, which also reads q4-dual:
-        # the bundle's 7 kept fields, among them lap_v2, which is also
-        # D0(v2), and a block's families, cleared sums and residue and volume
-        # polynomials. With q4-dual a sweep of its own it was 11.84. With D0(v2) cached
+        # 7.51 fields, in the run grid's one pass: phi, a block's window of
+        # J, P, p_inactive (its 64 rows and 4 more each side) and lap_v2, and
+        # its families, cleared sums and residue and volume polynomials. With
+        # the bundle keeping J, P00, P01, P11, p_inactive and lap_v2 whole it
+        # was 11.85 (bound 12.3), in the merged N = 2 pass, which also read
+        # q4-dual; with q4-dual a sweep of its own, 11.84. With D0(v2) cached
         # as a field of its own it was 12.85 (bound 13.3); with whole
         # gradients, Hessian, fluxes and probes in the stencils and blocks of
         # 2^15 cells it was 17.58 (bound 18.0); with each family cached as its
@@ -943,7 +1032,7 @@ class TestMemoryBudget:
         reports, peak = traced_peak(
             lambda: holographic._dimension_reports(6, 256, "trig1", 7, None))
         assert all(r.passed for r in reports)
-        assert peak < 12.3 * self.FIELD, peak / self.FIELD
+        assert peak < 7.9 * self.FIELD, peak / self.FIELD
 
     @pytest.fixture(scope="class")
     def b(self):
@@ -952,11 +1041,17 @@ class TestMemoryBudget:
         holographic._adjoint_reports(b, 7)
         return b
 
-    # measured: 7.61 (the bundle's 6 kept fields besides phi among them), 2.67,
-    # 0.13, 2.01 (q4-dual's part of the merged pass, read alone) and 4.79.
-    # The adjoint sweep keeps no operator output whole, and here a block of
-    # it is a quarter of a field; T*_4(1) reads D0(v2) from the bundle's
-    # lap_v2 and applies no word. The adjoints were 3.47 (bound 3.8) with
+    # measured: 9.11 (the 6 whole fields besides phi, formed from the
+    # blocks' windows on a first whole read), 2.77 (the first block's
+    # window, which wraps: 72 rows of J, P and p_inactive, and lap_v2),
+    # 4.33, 0.13, 3.67 (q4-dual's part of the merged pass, read alone) and
+    # 6.45. Each pass past the first block's forms the windows, which the
+    # bundle formed whole before: the curvature was 7.61 (bound 8.0), the
+    # adjoints 2.67 (bound 3.1), q4-dual 2.01 (bound 2.5) and the merged
+    # pass 4.79 (bound 5.2) with the bundle's 6 fields whole. The adjoint
+    # sweep keeps no operator output whole, and here a block of it is a
+    # quarter of a field; T*_4(1) applies no word, since D0(v2) is each
+    # block's lap_v2. The adjoints were 3.47 (bound 3.8) with
     # the Schouten fluxes formed from a copy of the probe's partial and all
     # three entries alive to the end, and the wrapped runs of the first and
     # last blocks joined all at once; with each operator's output whole and
@@ -973,12 +1068,13 @@ class TestMemoryBudget:
     # and adjoint-only weights kept the curvature was 24.56; with the first
     # gradient pair alive while the second is built, the adjoints were 13.56;
     # with every applied word held, T*_4(1) 9.56.
-    BUDGETS = {"curvature": 8.0, "adjoints": 3.1, "T*_4(1)": 0.6, "q4-dual": 2.5,
-               "merged N = 2 pass": 5.2}
+    BUDGETS = {"curvature": 9.5, "window": 3.2, "adjoints": 4.8, "T*_4(1)": 0.6,
+               "q4-dual": 4.1, "merged N = 2 pass": 6.9}
 
     @pytest.mark.parametrize("phase,budget", list(BUDGETS.items()), ids=list(BUDGETS))
     def test_phase(self, b, phase, budget):
-        run = {"curvature": lambda: curvature(b.chart, b.phi),
+        run = {"curvature": lambda: curvature(b.chart, b.phi).lap_v2,
+               "window": lambda: next(conformal.blocks(b)).J,
                "adjoints": lambda: holographic._adjoint_reports(b, 7),
                "T*_4(1)": lambda: (b.family_polys.clear(), b.family_words.clear(),
                                    families.family(b, 2, 0)),
@@ -992,24 +1088,31 @@ class TestMemoryBudget:
 
 
 def test_no_whole_field_but_the_kept_ones_and_the_output():
-    # At 512^2 a block of cells is a sixteenth of a field, so a phase's
-    # blocks stay under one field: a peak under one field above what the
-    # phase keeps or returns means that no other whole-grid array was alive
-    # in it. The bundle keeps J, P00, P01, P11, p_inactive and lap_v2 (6.42
-    # fields; 10.0 with its gradient, Hessian and flat Laplacian whole), and
-    # the adjoint sweep keeps nothing whole, not even an operator's output
-    # (0.71; 0.92 with the Schouten fluxes' copy and the wrapped runs
-    # joined at once, 1.62 with each output whole, 4.5 with also a whole probe, its
-    # gradient pair and a flux).
+    # At 512^2 a block of cells is a sixteenth of a field, and its window
+    # (J, P and p_inactive on its 32 rows and 4 more each side, and lap_v2)
+    # 0.39 fields, so a pass's blocks stay under two fields: a peak under
+    # two fields above phi means that no whole-grid array was alive in it.
+    # The bundle keeps phi alone (it formed and kept J, P00, P01, P11,
+    # p_inactive and lap_v2, 6.42 fields, and 10.0 with its gradient,
+    # Hessian and flat Laplacian whole). The adjoint sweep, the first block's
+    # window formation included, peaks at 1.16 fields (0.71 with the
+    # bundle's fields whole; 0.92 with the Schouten fluxes' copy and the
+    # wrapped runs joined at once, 1.62 with each output whole, 4.5 with
+    # also a whole probe, its gradient pair and a flux), and a dimension's
+    # pass at 1.68 (8.22 above the heap before the bundle, phi and the
+    # bundle's 6 fields included, when they were kept).
     field = 512 * 512 * 8
     ch = TorusChart(6, (512, 512))
     phi = preset_phi(ch, "trig1", seed=7)
     b = curvature(ch, phi)
     _, peak = traced_peak(lambda: curvature(ch, phi))
-    assert 6 * field < peak < 7 * field, peak / field
-    holographic._adjoint_reports(b, 7)
-    _, peak = traced_peak(lambda: holographic._adjoint_reports(b, 7))
-    assert peak < field, peak / field
+    assert peak < 0.01 * field, peak / field
+    for run, bound in ((lambda: holographic._adjoint_reports(b, 7), 1.5),
+                       (lambda: holographic._pass(b, holographic._run_grid_parts(b, 7)), 2.0)):
+        run()
+        _, peak = traced_peak(run)
+        assert peak < bound * field, peak / field
+    assert set(vars(b)) == {"chart", "phi", "n", "family_polys", "family_words"}
 
 
 class TestSuites:
@@ -1041,34 +1144,36 @@ class TestSuites:
         assert alive == [[False] * k for k in range(4)]
 
     def test_numeric_suite_d1_calls(self, monkeypatch):
-        # The stencil passes over whole fields: each application of the
-        # Laplacian or a divergence form is one grid.divergence, which forms
-        # its operand's partials and both fluxes a block at a time,
-        # and no whole-field d1 is taken. Each field is differentiated
-        # once: the families of one bundle share the derivative words they
-        # have in common, and D0(v2) is the bundle's lap_v2. That is 1 pass
-        # per dimension on the run's grid (lap_v2; the adjoint pairings form
-        # their four operators in one sweep of grid.partials, pairings), and
-        # 6 (n = 4) and 23 (n = 6, with the longer words of N = 3) on the
-        # spectral chart. The count does not depend on the grid size. It was
-        # 6 on the run's grid, with lap J and D0(v2) apart and the four
-        # adjoint operators each a pass, and 7 and 24 on the spectral chart.
-        # With whole gradients shared by the operators, the same work took
-        # 184 whole-field d1 calls (four per operator, five for the bundle's
-        # gradient and Hessian, two per adjoint gradient pair), and 196
-        # before the families shared their words.
+        # The stencils pass over the blocks: each application of the
+        # Laplacian or a divergence form forms its operand's partials, both
+        # fluxes and the weight on each block (conformal._operator, once per
+        # block), and no whole-field d1 nor grid.divergence is taken. Each
+        # field is differentiated once: the families of one bundle share the
+        # derivative words they have in common, and D0(v2) is each block's
+        # lap_v2. That is 1 per dimension and block on the run's grid
+        # (lap_v2; the adjoint pairings form their four operators in one
+        # sweep of grid.partials, conformal.pairing_sums), and 6 (n = 4) and
+        # 23 (n = 6, with the longer words of N = 3) on the spectral chart,
+        # whose one block is every cell. The count does not depend on the
+        # grid size. It was 6 on the run's grid, with lap J and D0(v2) apart
+        # and the four adjoint operators each a pass, and 7 and 24 on the
+        # spectral chart. With whole gradients shared by the operators, the
+        # same work took 184 whole-field d1 calls (four per operator, five
+        # for the bundle's gradient and Hessian, two per adjoint gradient
+        # pair), and 196 before the families shared their words.
         passes, whole = [], []
-        original_pass, original_d1 = grid.divergence, grid.d1
+        original_operator, original_d1 = conformal._operator, grid.d1
 
-        def spy_pass(chart, flux):
-            passes.append(chart.shape)
-            return original_pass(chart, flux)
+        def spy_operator(c, *args, **kwargs):
+            passes.append(c.chart.shape)
+            return original_operator(c, *args, **kwargs)
 
         def spy_d1(chart, f, axis):
             whole.append(axis)
             return original_d1(chart, f, axis)
 
-        monkeypatch.setattr(conformal, "divergence", spy_pass)
+        monkeypatch.setattr(conformal, "_operator", spy_operator)
+        monkeypatch.setattr(grid, "divergence", lambda chart, flux: whole.append(flux))
         monkeypatch.setattr(conformal, "d1", spy_d1)
         monkeypatch.setattr(grid, "d1", spy_d1)
         numeric_suite(n_values=(4, 6), size=64)
@@ -1077,12 +1182,15 @@ class TestSuites:
 
     def test_numeric_suite_sweeps(self, monkeypatch):
         # Every blocked loop over a bundle's cells walks conformal.blocks.
-        # On the run's grid a dimension makes 5 sweeps: the bundle's fields,
-        # the weight of its lap_v2, the adjoint pairings, and the N = 1 and
-        # the merged N = 2 pass, which also reads q4-dual; q4-dual was a
-        # sweep of its own (6). On the spectral chart, 9 at n = 4: the bundle,
-        # the weights of the Laplacians and divergence forms the families
-        # apply, and q-flat's whole Q_2 and Q_4.
+        # On the run's grid a dimension makes one sweep, the pass in which
+        # each block forms its window once for the adjoint pairings and the
+        # N = 1 and N = 2 checks. It made 5: the bundle's fields, the
+        # weight of its lap_v2, the adjoint pairings, and the N = 1 and the
+        # merged N = 2 pass; 6 with q4-dual a sweep of its own. On the
+        # spectral chart, one block whose fields are whole, 7 at n = 4: the
+        # Laplacians and divergence forms the families apply, and q-flat's
+        # whole Q_2 and Q_4 (9 when the bundle formed its fields and the
+        # weight of its lap_v2 in sweeps of their own).
         sweeps, original = [], conformal.blocks
 
         def spy(b):
@@ -1092,14 +1200,17 @@ class TestSuites:
         monkeypatch.setattr(conformal, "blocks", spy)
         monkeypatch.setattr(holographic, "blocks", spy)
         numeric_suite(n_values=(4,), size=64)
-        assert sweeps.count("stencil") == 5 and sweeps.count("spectral") == 9
+        assert sweeps.count("stencil") == 1 and sweeps.count("spectral") == 7
 
     def test_numeric_suite_memory_peak(self, monkeypatch):
         # tracemalloc counts numpy's buffers, so the peak is deterministic.
         # A first call fills caches that outlive it, so the suite runs once
-        # untraced. At 128^2 (128 KiB a grid array, and one block of cells)
-        # the second call peaks at 3.30 MiB, whether this test runs alone or
-        # after the others; the bound adds under half a field. It was 3.43
+        # untraced. At 128^2 (128 KiB a grid array, and one block of cells,
+        # whose window is every row) the second call peaks at 3.31 MiB,
+        # whether this test runs alone or after the others; the bound adds
+        # under half a field. It was 3.30 MiB with the bundle's fields
+        # formed before the passes, and 3.56 MiB in one pass that kept
+        # T*_2(lam)(1) while the N = 2 parts formed theirs. It was 3.43
         # MiB (bound 3.45) with D0(v2) cached apart from lap J, each
         # adjoint operator's output whole and the presets formed on whole
         # coordinate fields, and 3.54 MiB with the families cached whole

@@ -1,16 +1,20 @@
 """Mutation harness for the family generator: each mutant injects a known
 defect into the Poincare-Einstein recursion, its primitives or the curvature
-fields they read, and at least one check of the sphere, numeric or
-critical-n4 suites must fail under it (DeMillo-Lipton-Sayward, "Hints on
-test data selection", 1978)."""
+fields they read, into the hypergeometric sums, or into the conformal
+weights, and at least one check of the sphere, numeric, critical-n4,
+hypergeom or conformal suites must fail under it (DeMillo-Lipton-Sayward,
+"Hints on test data selection", 1978)."""
 
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from holoq import conformal, families, holographic, lambda_algebra, sphere
-from holoq.holographic import critical_n4_suite, numeric_suite
+from holoq import conformal, families, holographic, hypergeom, lambda_algebra, sphere
+from holoq.holographic import conformal_suite, critical_n4_suite, numeric_suite
+from holoq.hypergeom import hypergeom_suite
 from holoq.sphere import sphere_suite
 
 MUTANT_FACTOR = Fraction(1001, 1000)
@@ -22,7 +26,12 @@ SUITES = {
     "sphere": lambda: sphere_suite(range(3, 9)),
     "numeric": lambda: numeric_suite((4, 6), size=32),
     "critical-n4": lambda: critical_n4_suite(size=32),
+    "hypergeom": lambda: hypergeom_suite(),
+    # the generic shift is critical-n4's
+    "conformal": lambda: conformal_suite(size=32, with_generic_shift=False),
 }
+# The suites the generator feeds, which a case runs unless it names others.
+GENERATOR = ("sphere", "numeric", "critical-n4")
 
 
 # case id -> (the ids its runs of the suites reported, the ids that failed),
@@ -31,9 +40,9 @@ SUITES = {
 RECORDED = {}
 
 
-def failed_checks(suites=tuple(SUITES)):
-    """Ids of the failing checks of the suites the generator feeds, at small
-    sizes, recorded under the running case."""
+def failed_checks(suites=GENERATOR):
+    """Ids of the failing checks of the suites, at small sizes, recorded
+    under the running case."""
     reports = [rep for name in suites for rep in SUITES[name]()]
     failed = {rep.id for rep in reports if not rep.passed}
     case = os.environ["PYTEST_CURRENT_TEST"].rsplit(" ", 1)[0]
@@ -44,7 +53,7 @@ def failed_checks(suites=tuple(SUITES)):
 
 
 def test_unmutated_passes():
-    assert failed_checks() == set()
+    assert failed_checks(tuple(SUITES)) == set()
 
 
 # The words of T_2 and T_4, outermost primitive first.
@@ -169,55 +178,63 @@ def test_master3_weight_off_by_a_billionth(monkeypatch):
         f"master3-n{n}-N{N}" for n in (4, 6) for N in (1, 2)}
 
 
-def _scaled(name):
-    return lambda b: setattr(b, name, getattr(b, name) * 1.001)
+def _built_psq(b, cells, fields):
+    """|P|^2 as the bundle forms it (conformal._psq) from the fields
+    conformal._schouten gives on a flat range of cells, before a mutant
+    scales one of them."""
+    J, P00, P01, P11, p_inactive = fields
+    return conformal._psq(SimpleNamespace(
+        P=[[P00, P01], [P01, P11]], em2=np.exp(-2.0 * b.phi.reshape(-1)[cells]), n=b.n,
+        p_inactive=p_inactive))
 
 
-def _scaled_p(i, k):
-    def scale(b):
-        b.P[i][k] *= 1.001  # in place: P[1][0] is P[0][1], one array
-    return scale
+def _scaled_where_formed(monkeypatch, name):
+    """Every bundle's field name (one of conformal.SCHOUTEN, or Psq) off by
+    1/1000 where a block forms it, on its window's rows (conformal._schouten),
+    and |P|^2 read, on the bundle and on its blocks, as the field built_psq
+    that the unscaled fields give. The bundle forms |P|^2 per read; read
+    from a scaled field it would carry its defect too, where these mutants
+    are defects of one field alone."""
+    original = conformal._schouten
 
+    def schouten(b, cells):
+        fields = original(b, cells)
+        if "built_psq" not in vars(b):
+            b.built_psq = np.empty(b.chart.shape)
+        psq = b.built_psq.reshape(-1)[cells]
+        psq[...] = _built_psq(b, cells, fields)
+        scaled = psq if name == "Psq" else fields[conformal.SCHOUTEN.index(name)]
+        np.multiply(scaled, 1.001, out=scaled)  # P01 is P10, one array
+        return fields
 
-def _psq_as_built(monkeypatch):
-    """|P|^2 read, on the bundle and on its blocks, as the field built_psq
-    that the bundle's P and p_inactive give before a mutant scales one of
-    them. The bundle forms |P|^2 per read; read from the scaled fields it
-    would carry their defect too, where these mutants are defects of one
-    field alone."""
-    monkeypatch.setattr(conformal.CurvatureBundle, "Psq", property(lambda b: b.built_psq))
-    monkeypatch.setattr(conformal.Cells, "Psq", property(lambda c: c.view(c.bundle.built_psq)))
+    monkeypatch.setattr(conformal, "_schouten", schouten)
+    monkeypatch.setattr(conformal.CurvatureBundle, "Psq", property(lambda b: (b.J, b.built_psq)[1]))
+    monkeypatch.setattr(conformal.Cells, "Psq",
+                        property(lambda c: (c.J, c.view(c.bundle.built_psq))[1]))
 
 
 P_FAILS = {"conformal-covariance-q4", "gjms-flat-n4-N2", "gjms-flat-n6-N2", "gjms-flat-n6-N3",
            "q-flat-n6-N3"}
 
 
-@pytest.mark.parametrize("scale,expected", [
-    # lap J and D0(v2) are one field built before J is scaled, so the checks
-    # that compare them agree; crit-b compares D0(v2) with the P_4 words
-    # applied to the scaled v2
-    (_scaled("J"), FLAT | {"conformal-covariance-q4", "crit-b", "crit-c"}),
-    (_scaled_p(0, 0), P_FAILS),
-    (_scaled_p(0, 1), P_FAILS),
-    (_scaled_p(1, 1), P_FAILS),
-    (_scaled("built_psq"), {"conformal-covariance-q4", "gjms-flat-n6-N2", "gjms-flat-n6-N3",
-                            "q-flat-n4-N2", "q-flat-n6-N2", "q-flat-n6-N3"}),
-    (_scaled("p_inactive"), {"q-flat-n6-N3"}),
+@pytest.mark.parametrize("name,expected", [
+    # lap_v2, and with it lap J and D0(v2), is formed from the scaled J on
+    # each block, so the checks comparing them with the words applied to
+    # v2 agree; crit-b and crit-c failed when J was scaled after lap_v2
+    # was built
+    ("J", FLAT | {"conformal-covariance-q4"}),
+    ("P00", P_FAILS),
+    ("P01", P_FAILS),
+    ("P11", P_FAILS),
+    ("Psq", {"conformal-covariance-q4", "gjms-flat-n6-N2", "gjms-flat-n6-N3", "q-flat-n4-N2",
+             "q-flat-n6-N2", "q-flat-n6-N3"}),
+    ("p_inactive", {"q-flat-n6-N3"}),
 ], ids=["J", "P00", "P01", "P11", "Psq", "p_inactive"])
-def test_curvature_field_off_by_a_thousandth(monkeypatch, scale, expected):
-    # one field of every CurvatureBundle scaled after it is built; the
+def test_curvature_field_off_by_a_thousandth(monkeypatch, name, expected):
+    # one field of every CurvatureBundle scaled where it is formed; the
     # algebra checks on the run's grid hold for any fields, so only the
     # geometry checks and those comparing with q4_direct see most of these
-    original = conformal.CurvatureBundle.__post_init__
-
-    def post_init(self):
-        original(self)
-        self.built_psq = conformal._psq(self)
-        scale(self)
-
-    monkeypatch.setattr(conformal.CurvatureBundle, "__post_init__", post_init)
-    _psq_as_built(monkeypatch)
+    _scaled_where_formed(monkeypatch, name)
     assert failed_checks() == expected
 
 
@@ -337,11 +354,55 @@ def test_laplacian_asymmetric_by_a_billionth(monkeypatch):
                                "gjms-flat-n4-N1", "gjms-flat-n6-N1"}
 
 
+# The ids of hypergeom_suite that read hyper_terminating.
+TERMINATING = {"hg-eval-3f2", "hg-claim-red", "hg-ps-named", "hg-shep-named", "hg-conn-named",
+               "hg-ps-batch", "hg-shep-batch", "hg-conn-batch"}
+
+
+def test_terminating_ratio_off_by_a_thousandth(monkeypatch):
+    # r_0 of the nested sum 1 + r_0 (1 + r_1 (...)) off by 1/1000, which is
+    # the sum S read as 1 + (S - 1) 1001/1000. Sheppard's and the connection
+    # formula's two sides are both sums, so a uniform factor would cancel;
+    # this one does not
+    original = hypergeom.hyper_terminating
+    monkeypatch.setattr(hypergeom, "hyper_terminating",
+                        lambda spec: 1 + (original(spec) - 1) * MUTANT_FACTOR)
+    assert failed_checks(("hypergeom",)) == TERMINATING
+
+
+def test_2f1_coefficient_off_by_a_thousandth(monkeypatch):
+    # the s^1 coefficient ab/c of the Gauss series off by 1/1000, on both
+    # sides of the quadratic transformation, numeric and symbolic in a
+    original = hypergeom.hyper_2f1_series
+
+    def mutant(a, b, c, order):
+        series = original(a, b, c, order)
+        series.coeffs[1] = series.coeffs[1] * MUTANT_FACTOR
+        return series
+
+    monkeypatch.setattr(hypergeom, "hyper_2f1_series", mutant)
+    assert failed_checks(("hypergeom",)) == {"hg-quadratic", "hg-quadratic-symbolic"}
+
+
+def test_conformal_weight_off_by_a_thousandth(monkeypatch):
+    # e^{-2 phi}, the conformal weight of J and P, read as e^{-2.002 phi}:
+    # a constant shift w then scales J by e^{-2.002 w}, not e^{-2 w}
+    def em2(c):
+        x = -2.002 * c.phi
+        return np.exp(x, out=x)
+
+    monkeypatch.setattr(conformal, "_em2", em2)
+    for cls in (conformal.CurvatureBundle, conformal.Cells):
+        monkeypatch.setattr(cls, "em2", property(em2))
+    assert failed_checks(("conformal",)) == {"conformal-const"}
+
+
 def test_every_id_fails_under_a_mutant(request):
     # The kill matrix: the union of the cases' failing sets, as they ran
-    # above, is every id the unmutated suites report (243: sphere n = 3..8,
-    # numeric (4, 6) and critical-n4 at 32^2), with no id exempt. It is read
-    # only when every other case of this file has run before it.
+    # above, is every id the unmutated suites report (254: sphere n = 3..8,
+    # numeric (4, 6), critical-n4 and conformal at 32^2, and hypergeom),
+    # with no id exempt. It is read only when every other case of this file
+    # has run before it.
     cases = {item.nodeid for item in request.node.parent.collect()
              if item.name != request.node.name}
     if not cases <= set(RECORDED):
