@@ -52,7 +52,7 @@ def test_poly_gcd(benchmark):
 def test_rat_normal_form(benchmark):
     num, den = P * COMMON, Q * COMMON
     r = benchmark(LambdaRat, num, den)
-    assert r.den.leading() == 1 and r.den.degree == Q.degree
+    assert r.den.coeffs[-1] == 1 and r.den.degree == Q.degree
 
 
 def test_hyper_terminating_symbolic(benchmark):

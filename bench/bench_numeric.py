@@ -22,7 +22,7 @@ from holoq.conformal import Window, blocks, curvature, laplacian
 from holoq.families import family, family_poly
 from holoq.grid import TorusChart, blocks as cell_blocks, d1
 from holoq.holographic import (
-    _adjoint_reports,
+    _adjoints,
     _dimension_reports,
     _example_2_3,
     _flat_reports,
@@ -128,7 +128,7 @@ def test_adjoint_reports_512(benchmark, chart_phi_512):
     # <L f, g> and <f, L g> for the Laplacian and the Schouten divergence
     # form, and <f, g>, from one sweep over the blocks of cells
     b = curvature(*chart_phi_512)
-    reports = benchmark(_adjoint_reports, b, 7)
+    reports = benchmark(lambda: _pass(b, [_adjoints(b, 7)]))
     assert len(reports) == 2 and all(r.passed for r in reports)
 
 
@@ -139,16 +139,15 @@ def test_flat_checks_n6(benchmark):
 
 
 def test_family_poly_t4_on_one(benchmark, bundle):
-    # T*_4(lam)(1), rebuilt each round: the bundle's families and their
-    # cached derivative words are cleared first; D0(v2), the one word it
-    # has, is each block's lap_v2, so none is kept whole
+    # T*_4(lam)(1), rebuilt each round: the bundle's families are cleared
+    # first, and it caches the operator alone; D0(v2), the one derivative
+    # word it reads, is each block's lap_v2
     def build():
         bundle.family_polys.clear()
-        bundle.family_words.clear()
         return family(bundle, 2, 0)
 
     op, den = benchmark(build)
-    assert den == LAMBDA * (LAMBDA - 1) and bundle.family_words == {}
+    assert den == LAMBDA * (LAMBDA - 1) and list(bundle.family_polys) == [(2, 0)]
 
 
 def test_family_poly_t4_on_one_formed(benchmark, bundle):

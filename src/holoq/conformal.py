@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from . import grid
-from .grid import TorusChart, cell_view, d1, pairwise_sums, partials
+from .grid import TorusChart, cell_view, d1, partials
 
 
 # The per-read fields, of a bundle or of a block of its cells (Cells),
@@ -77,11 +77,8 @@ class CurvatureBundle:
     phi: np.ndarray
     n: int = field(init=False)
     # (j, k) -> the (operator, den) pair of T*_{2j}(v_{2k}), filled by
-    # families.family on first use; family_words holds the whole fields of
-    # those operators' words from their outermost D_k on but LAP_V2, shared
-    # by every family (LambdaOperator.cache_words).
+    # families.family on first use
     family_polys: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    family_words: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
@@ -121,11 +118,11 @@ class Cells:
     """A bundle on a flat range of its cells, which holo_coeffs and the
     families read as they read the bundle: read-only views of its fields,
     each taken on first read, from which the per-read fields are formed
-    (|P|^2, the one read most, once), the bundle's family cache, and the
-    families formed on these cells (families.family_poly). A block of
-    blocks(b), and a range of its window's rows (on), reads the fields but
-    phi from the block's Window; Cells without one, or of a bundle that has
-    them whole, read the whole fields."""
+    (|P|^2, the one read most, once), and the families formed on these
+    cells (families.family_poly). A block of blocks(b), and a range of its
+    window's rows (on), reads the fields but phi from the block's Window;
+    Cells without one, or of a bundle that has them whole, read the whole
+    fields."""
 
     em2 = property(_em2)
     en2 = property(_en2)
@@ -137,7 +134,6 @@ class Cells:
     def __init__(self, b: CurvatureBundle, cells, window=None):
         self.bundle, self.chart, self.n, self.cells = b, b.chart, b.n, cells
         self.window = window
-        self.family_polys, self.family_words = b.family_polys, b.family_words
         self.formed = {}
 
     def __getattr__(self, name):  # reached only by names not yet set
@@ -363,8 +359,9 @@ def _flux(c, k: int):
 
 
 def volume_weight(c):
-    """e^{n phi} times the cell volume, the weight of inner, on a bundle or
-    a block of its cells. Built per use, never kept."""
+    """e^{n phi} times the cell volume, the weight of the metric's L^2
+    product, on a bundle or a block of its cells. Built per use, never
+    kept."""
     return np.exp(float(c.n) * c.phi) * c.chart.cell_volume()
 
 
@@ -385,19 +382,6 @@ def schouten_flux(c):
     return [w * c.P[0][0], w * c.P[0][1], np.multiply(w, c.P[1][1], out=w)]
 
 
-def inner(b: CurvatureBundle, f, g) -> float:
-    """sum f g W over b's cells, W = volume_weight: the metric's L^2 product
-    of f and g. Each of f and g is a field, a number, or a function of a
-    flat range of cells giving its values there. The product and its weight
-    are formed a block of cells at a time and summed there; the block sums
-    combine as np.sum's (grid.pairwise_sums), so the bits are those of
-    np.sum over the whole product."""
-    def block_sum(c):
-        return [_weighted_sum(_on_cells(f, c.cells), _on_cells(g, c.cells), volume_weight(c))]
-
-    return float(pairwise_sums([(c.cells, block_sum(c)) for c in blocks(b)])[0])
-
-
 def _weighted_sum(x, y, w):
     """np.sum of (x y) w on a block of cells."""
     xyw = np.multiply(x, y)
@@ -405,27 +389,20 @@ def _weighted_sum(x, y, w):
     return np.sum(xyw)
 
 
-def _on_cells(f, cells):
-    """A field, a number or a function of a flat range of cells (see inner)
-    on those cells."""
-    if callable(f):
-        return f(cells)
-    return np.ravel(f)[cells] if np.ndim(f) else f
-
-
 def pairing_sums(c, f, g):
     """The sums on a block of cells c (Cells) of the products of
-    (<f, g>, <L f, g>, <f, L g>, <S f, g>, <f, S g>) in inner's product, L
-    the Laplacian and S = divergence_form(b, schouten_flux, .), for f and g
-    each a field or a function of a flat range of cells: the pairings that
-    decide whether L and S are self-adjoint. Each of f and g is formed
-    once, on the block's rows and four more each side, and its partials
-    feed the fluxes of both operators, one after the other: the Schouten
-    case's (contracted_flux), which only reads them, then the Laplacian's
-    in their place (laplacian_flux). Each weight is formed once. The sums
-    of a sweep over the blocks combine as np.sum's (grid.pairwise_sums), so
-    each pairing has the bits of inner on the operators' whole outputs, and
-    no output is whole."""
+    (<f, g>, <L f, g>, <f, L g>, <S f, g>, <f, S g>) in the metric's L^2
+    product (weight volume_weight), L the Laplacian and S =
+    divergence_form(b, schouten_flux, .), for f and g each a field or a
+    function of a flat range of cells: the pairings that decide whether L
+    and S are self-adjoint. Each of f and g is formed once, on the block's
+    rows and four more each side, and its partials feed the fluxes of both
+    operators, one after the other: the Schouten case's (contracted_flux),
+    which only reads them, then the Laplacian's in their place
+    (laplacian_flux). Each weight is formed once. The sums of a sweep over
+    the blocks combine as np.sum's (grid.pairwise_sums), so each pairing
+    has the bits of np.sum over the whole weighted product of the
+    operators' whole outputs, and no output is whole."""
     ch = c.chart
 
     def outputs(h):

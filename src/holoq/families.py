@@ -16,9 +16,8 @@ vanishes. field_poly gives the action on an input field as a polynomial in
 the parameter with field coefficients over one scalar denominator. Evaluate
 that pair with pair_value and pair_derivative, which divide removable poles
 out exactly, or combine pairs with over_lcm. A torus bundle caches the
-families T*_{2j}(lambda)(v_{2k}) as their operators and the whole fields of
-their words that end in a derivative (family), and forms their numerators
-on the bundle or a block of its cells (family_poly).
+families T*_{2j}(lambda)(v_{2k}) as their operators (family), and their
+numerators are formed on the bundle or a block of its cells (family_poly).
 """
 
 from __future__ import annotations
@@ -171,15 +170,18 @@ class LambdaOperator:
         primitive is a D_k are skipped; the denominator is still the lcm
         over all words.
 
-        With words, the applications to f of words whose outermost
-        primitive is a D_k are read where the bundle or block keeps them
-        (_kept_word), and the suffixes inside them are not applied. So on a
-        block of cells, where no derivative can be taken, field_poly forms
-        the numerator from those words and pointwise products only."""
+        With words, on the ones field, the application of a word from its
+        outermost primitive D_k on is read as _kept_word gives it, and the
+        suffixes inside it are not applied there. So on a block of cells,
+        where no derivative can be taken, field_poly forms the numerator
+        from those words and pointwise products only."""
         f = np.asarray(f, dtype=float)
         den, cleared = self._cleared()
+        word_list = list(self.terms)
+        if any(word and word[-1][0] == "D" for word in word_list) and np.all(f == 1.0):
+            word_list = [word for word in word_list if not word or word[-1][0] != "D"]
         num, scratch = [], None
-        for word, arr in _applications(bundle, f, self._words_on(f), words):
+        for word, arr in _applications(bundle, f, word_list, words):
             # as FieldPoly([arr]).mul_poly(p) added into num: a vanishing
             # coefficient of p contributes a zero field
             for k, fk in enumerate(cleared[word]):
@@ -193,19 +195,6 @@ class LambdaOperator:
                     num[k] += 0.0
             del arr  # before the fields no later term reads are dropped
         return FieldPoly(num), den
-
-    def cache_words(self, bundle: CurvatureBundle, f):
-        """Store in bundle.family_words the whole applications to f that
-        field_poly reads from there: for each term, its word from its
-        outermost D_k on, but LAP_V2, which the bundle forms as lap_v2.
-        Those already kept are not applied again, so families that share
-        such a word share its field."""
-        f = np.asarray(f, dtype=float)
-        kept = dict.fromkeys(_from_derivative(word) for word in self._words_on(f))
-        for word in ((), LAP_V2):
-            kept.pop(word, None)
-        for word, arr in _applications(bundle, f, list(kept), True):
-            bundle.family_words[word] = arr
 
     def denominator(self):
         """The lcm of the denominators of the coefficients."""
@@ -222,14 +211,6 @@ class LambdaOperator:
                 for word, rat in self.terms.items()}
         return self._over_den
 
-    def _words_on(self, f):
-        """The words of the terms, but on the ones field those whose
-        innermost primitive is a D_k, which kills constants."""
-        words = list(self.terms)
-        if any(word and word[-1][0] == "D" for word in words) and np.all(f == 1.0):
-            return [word for word in words if not word or word[-1][0] != "D"]
-        return words
-
     def apply_at(self, bundle: CurvatureBundle, f, lam):
         """Evaluate at a rational parameter value, dividing out removable poles."""
         return pair_value(self.field_poly(bundle, f), lam)
@@ -239,20 +220,12 @@ class LambdaOperator:
         return pair_derivative(self.field_poly(bundle, f), lam)
 
 
-def _from_derivative(word):
-    """The part of a word from its outermost D_k on, () if it has none."""
-    for i, name in enumerate(word):
-        if name[0] == "D":
-            return word[i:]
-    return ()
-
-
 def _applications(bundle, f, word_list, words=False):
     """Yield (word, its application to f) for each word of word_list in
     order, on a bundle or a block of its cells. A word applies its suffixes
-    not yet applied, from the longest one applied, or with words kept by
-    the bundle or block (_kept_word), on; an applied suffix is dropped
-    after the last word that ends in it."""
+    not yet applied, from the longest one applied, or with words the
+    longest one _kept_word gives, on; an applied suffix is dropped after
+    the last word that ends in it."""
     last_read = {}  # suffix -> index of the last word that ends in it
     for t, word in enumerate(word_list):
         for i in range(len(word) + 1):
@@ -275,13 +248,23 @@ def _applications(bundle, f, word_list, words=False):
 
 
 def _kept_word(c, word):
-    """The application of a families' word to the ones field on a bundle or
-    a block of its cells, where it is kept: lap_v2 for LAP_V2, else the
-    bundle's family_words's, or None."""
+    """The application to the ones field of a families' word from its
+    outermost D_k on, where field_poly reads it with words: lap_v2 for
+    LAP_V2, D0(v2), which every block forms. Cells that read the bundle's
+    whole fields (no Window, as on a grid of one block) read any other such
+    word applied on the bundle, by the apply_primitive calls field_poly
+    makes there; a block of a grid of several blocks forms none, and raises
+    ValueError. On the bundle, None: field_poly applies it."""
     if word == LAP_V2:
         return c.lap_v2
-    whole = c.family_words.get(word)
-    return None if whole is None else c.view(whole)
+    if not isinstance(c, Cells) or word[0][0] != "D":
+        return None
+    if c.window is not None:
+        raise ValueError(f"the word {word} is formed on no block of a grid of several "
+                         "blocks: D0(v2) is the only derivative word a block reads")
+    b = c.bundle
+    _, whole = next(_applications(b, holo_coeffs(b, 0), [word], True))
+    return c.view(whole)
 
 
 def _lcm(dens):
@@ -428,20 +411,16 @@ def family(b: CurvatureBundle, j: int, k: int):
     """The (operator, den) pair of T*_{2j}(lam)(v_{2k}), cached on the bundle.
 
     The operator is T*_{2j}(lam) after the multiplication by v_{2k}, so that
-    it acts on the ones field, as every family does: a word two families
-    share has one application to it. That is how T*_2(lam)(v2) and
-    T*_4(lam)(1) share D0(v2), since v2 times 1 is v2 bit for bit; and
-    D0(v2) is the bundle's own field lap_v2 (LAP_V2), formed on each block
-    for lap J. The whole fields of the other words that end in a derivative
-    are stored in b.family_words when the pair is first cached
-    (cache_words); every other step of a word is pointwise, and field_poly
-    forms it where it is read."""
+    it acts on the ones field, as every family does. That is how
+    T*_2(lam)(v2) and T*_4(lam)(1) both read D0(v2), since v2 times 1 is v2
+    bit for bit: the bundle's own field lap_v2 (LAP_V2), formed on each
+    block for lap J. Every other step of a word is applied where field_poly
+    reads it."""
     pair = b.family_polys.get((j, k))
     if pair is None:
         op = build_T(b.n, j).adjoint()
         if k:
             op = LambdaOperator({word + (f"v{2 * k}",): rat for word, rat in op.terms.items()})
-        op.cache_words(b, holo_coeffs(b, 0))
         pair = b.family_polys[(j, k)] = (op, op.denominator())
     return pair
 
@@ -449,14 +428,14 @@ def family(b: CurvatureBundle, j: int, k: int):
 def family_poly(c, j: int, k: int):
     """T*_{2j}(lam)(v_{2k}) as a field_poly (num, den) pair in lam, formed on
     a bundle or on a block of its cells from the family cached on the
-    bundle; evaluate it with pair_value or pair_derivative. A block forms
-    each family once and keeps it. The bundle keeps no numerator field: it
-    forms the whole numerator a block at a time, for the readers of whole
-    fields. The families a block reads must be cached on the bundle first."""
+    bundle (family); evaluate it with pair_value or pair_derivative. A block
+    forms each family once and keeps it. The bundle keeps no numerator
+    field: it forms the whole numerator a block at a time, for the readers
+    of whole fields."""
     if isinstance(c, Cells):
         pair = c.formed.get((j, k))
         if pair is None:
-            op, den = c.family_polys[(j, k)]  # cached on the bundle first
+            op, den = family(c.bundle, j, k)
             pair = c.formed[(j, k)] = (op.field_poly(c, holo_coeffs(c, 0), True)[0], den)
         return pair
     den = family(c, j, k)[1]

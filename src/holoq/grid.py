@@ -106,16 +106,13 @@ def d1(chart: TorusChart, f, axis: int):
     """First derivative along an axis by the chart's derivative. f is a
     field, or a function of a flat range of cells giving f's values there
     as a flat array (see rows), so that f is never whole on the stencil
-    chart."""
-    return _filled(chart, f, ((0, axis),))
-
-
-def divergence(chart: TorusChart, flux):
-    """d1(F0, 0) + d1(F1, 1), with the bits of that sum, for flux a function
-    of a flat range of cells giving the pair (F0, F1) there: the two are
-    formed together, a block at a time, so that what they share is formed
-    once, and are never whole on the stencil chart."""
-    return _filled(chart, flux, ((0, 0), (1, 1)))
+    chart. The output is filled a block at a time (partials)."""
+    f = _operand(f)
+    out = np.empty(chart.shape)
+    flat = out.reshape(-1)
+    for cells in blocks(flat.size, chart.derivative == "spectral"):
+        partials(chart, f, cells, ((0, axis),), flat[cells])
+    return out
 
 
 def partials(chart: TorusChart, f, cells, terms=((0, 0), (0, 1)), out=None):
@@ -235,20 +232,6 @@ def _spectral_d1(chart: TorusChart, f, axis: int):
     shape[axis] = -1
     ik = 1j * wavenumbers(chart.shape[axis]).reshape(shape)
     return np.fft.ifft(ik * np.fft.fft(f, axis=axis), axis=axis).real
-
-
-def _filled(chart: TorusChart, f, terms):
-    """The sum of the partials' terms (see partials) in order, as a whole
-    field, filled one range of blocks at a time, the first term formed in
-    the output: the bits of the whole fields' sum."""
-    f = _operand(f)
-    out = np.empty(chart.shape)
-    flat = out.reshape(-1)
-    for cells in blocks(flat.size, chart.derivative == "spectral"):
-        first, *rest = partials(chart, f, cells, terms, flat[cells])
-        for part in rest:
-            first += part
-    return out
 
 
 def save_field(path, chart: TorusChart, f) -> None:

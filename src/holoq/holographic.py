@@ -527,11 +527,6 @@ def _adjoints(b: CurvatureBundle, seed: int):
     return read, report
 
 
-def _adjoint_reports(b: CurvatureBundle, seed: int):
-    """The adjoint checks (_adjoints) from a pass of their own."""
-    return _pass(b, [_adjoints(b, seed)])
-
-
 def _q4_dual(b: CurvatureBundle):
     """The (read, report) part of _pass for q4-dual: Q4 by the holographic
     formula (torus_q) against the direct Q4 on each block of cells."""

@@ -222,47 +222,31 @@ def _rand_fraction(rng):
     return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
 
 
-def random_ps_instances(count: int, seed: int, mmax: int = 10):
-    """Seeded Pfaff-Saalschutz parameter tuples with valid denominators."""
+# The random batches' draws, by equation: the number of random fractions
+# after m, and whether a draw (m, x_1, ...) has valid Pochhammer
+# denominators on both sides.
+_DRAWS = {
+    "pfaff-saalschutz": (3, lambda m, a, b, c: all(
+        _poch_ok(x, m) for x in (c, 1 + a + b - c - m, c - a - b))),
+    "sheppard": (4, lambda m, a, b, d, e: all(
+        _poch_ok(x, m) for x in (d, e, a - m - d + 1, a - m - e + 1))),
+    "connection-terminating": (3, lambda m, b, c, x: all(
+        _poch_ok(y, m) for y in (c, -m + b - c + 1))),
+}
+
+
+def random_instances(equation: str, count: int, seed: int, mmax: int = 10):
+    """count seeded argument tuples (m, x_1, ...) of the equation's check,
+    by rejection sampling: m uniform in 1..mmax, then the random fractions,
+    drawn from random.Random(seed) in that order; a draw with an invalid
+    Pochhammer denominator is dropped and the next one drawn."""
+    arity, valid = _DRAWS[equation]
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        m = rng.randint(1, mmax)
-        a, b, c = (_rand_fraction(rng) for _ in range(3))
-        d2 = 1 + a + b - c - m
-        if not (_poch_ok(c, m) and _poch_ok(d2, m) and _poch_ok(c - a - b, m)):
-            continue
-        out.append((m, a, b, c))
-    return out
-
-
-def random_sheppard_instances(count: int, seed: int, mmax: int = 10):
-    """Seeded Sheppard parameter tuples with valid denominators on both sides."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        m = rng.randint(1, mmax)
-        a, b, d, e = (_rand_fraction(rng) for _ in range(4))
-        if not (_poch_ok(d, m) and _poch_ok(e, m)):
-            continue
-        if not (_poch_ok(a - m - d + 1, m) and _poch_ok(a - m - e + 1, m)):
-            continue
-        out.append((m, a, b, d, e))
-    return out
-
-
-def random_connection_instances(count: int, seed: int, mmax: int = 10):
-    """Seeded terminating connection-formula instances."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        m = rng.randint(1, mmax)
-        b = _rand_fraction(rng)
-        c = _rand_fraction(rng)
-        x = _rand_fraction(rng)
-        if not (_poch_ok(c, m) and _poch_ok(-m + b - c + 1, m)):
-            continue
-        out.append((m, b, c, x))
+        draw = (rng.randint(1, mmax), *(_rand_fraction(rng) for _ in range(arity)))
+        if valid(*draw):
+            out.append(draw)
     return out
 
 
@@ -340,17 +324,12 @@ def hypergeom_suite(instances: int = 200, seed: int = 1, order: int = 20):
     rep.id = "hg-quadratic-symbolic"
     reports.append(rep)
 
-    reports.append(_tally_report(
-        "hg-ps-batch", "pfaff-saalschutz",
-        random_ps_instances(instances, seed), check_pfaff_saalschutz,
-        {"seed": seed, "mmax": 10}))
-    reports.append(_tally_report(
-        "hg-shep-batch", "sheppard",
-        random_sheppard_instances(instances, seed + 1), check_sheppard,
-        {"seed": seed + 1, "mmax": 10}))
-    reports.append(_tally_report(
-        "hg-conn-batch", "connection-terminating",
-        random_connection_instances(max(1, instances // 4), seed + 2),
-        check_connection_terminating,
-        {"seed": seed + 2, "mmax": 10}))
+    for check_id, equation, check, batch_seed, count in (
+            ("hg-ps-batch", "pfaff-saalschutz", check_pfaff_saalschutz, seed, instances),
+            ("hg-shep-batch", "sheppard", check_sheppard, seed + 1, instances),
+            ("hg-conn-batch", "connection-terminating", check_connection_terminating, seed + 2,
+             max(1, instances // 4))):
+        reports.append(_tally_report(check_id, equation,
+                                     random_instances(equation, count, batch_seed), check,
+                                     {"seed": batch_seed, "mmax": 10}))
     return reports

@@ -121,11 +121,6 @@ class LambdaPoly:
     def is_zero(self) -> bool:
         return not self._num
 
-    def leading(self) -> Fraction:
-        if not self._num:
-            return Fraction(0)
-        return Fraction(self._num[-1], self._den)
-
     def __bool__(self):
         return bool(self._num)
 

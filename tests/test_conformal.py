@@ -11,7 +11,6 @@ from holoq.conformal import (
     curvature,
     divergence_form,
     holo_coeffs,
-    inner,
     laplacian,
     oracle_curvature,
     schouten_weight,
@@ -19,7 +18,7 @@ from holoq.conformal import (
 )
 from holoq.grid import TorusChart, d1
 from holoq.presets import preset_phi
-from helpers import mesh
+from helpers import inner, mesh
 
 
 def gradient(chart, f):
@@ -413,8 +412,8 @@ def whole_fields(b):
 def test_run_grid_bundle_keeps_only_phi(monkeypatch):
     # a dimension's checks on the run's grid read J, P, p_inactive and
     # lap_v2 from each block's window (conformal.Window), so after them the
-    # bundle holds phi alone, and the families' words add no field of their
-    # own up to N = 2. It kept 7 whole fields: phi, J, P00, P01 (which is
+    # bundle holds phi alone and the families as operators. It kept 7 whole
+    # fields: phi, J, P00, P01 (which is
     # P10), P11, p_inactive and lap_v2, which is D0(v2) and -lap J / 2
     bundles = []
     original = holographic._metric
@@ -423,7 +422,8 @@ def test_run_grid_bundle_keeps_only_phi(monkeypatch):
     assert all(r.passed for r in holographic._dimension_reports(6, 256, "trig1", 7, None))
     spectral, b = bundles
     assert b.chart.derivative == "stencil" and set(b.family_polys) == {(1, 0), (1, 1), (2, 0)}
-    assert [id(a) for a in whole_fields(b)] == [id(b.phi)] and b.family_words == {}
+    assert [id(a) for a in whole_fields(b)] == [id(b.phi)]
+    assert set(vars(b)) == {"chart", "phi", "n", "family_polys"}
     # a whole read forms all of them whole, from the blocks, and keeps them
     b.lap_v2
     kept = [b.phi, b.J, b.P[0][0], b.P[0][1], b.P[1][1], b.p_inactive, b.lap_v2]

@@ -11,7 +11,6 @@ from holoq.conformal import (
     curvature,
     divergence_form,
     holo_coeffs,
-    inner,
     laplacian,
     schouten_flux,
 )
@@ -31,7 +30,7 @@ from holoq.lambda_algebra import LAMBDA, LambdaPoly, LambdaRat
 from holoq.presets import preset_phi
 from holoq.sphere import SphereContext, sphere_T_on_one, sphere_v
 from holoq import families
-from helpers import mesh
+from helpers import inner, mesh
 
 
 def bundle(n=4, size=32, preset="trig1", seed=7):

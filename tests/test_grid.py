@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from holoq import grid
 from holoq.grid import TorusChart, d1, load_field, partials, save_field
 from holoq.presets import preset_phi
-from helpers import mesh
+from helpers import divergence, mesh
 
 
 def chart(n=4, size=64):
@@ -99,7 +99,7 @@ class TestStencils:
         try:
             with np.errstate(invalid="ignore"):
                 want = d1_roll(ch, f, 0) + d1_roll(ch, g, 1)
-                got = grid.divergence(ch, lambda cells: (f_cells(cells), g_cells(cells)))
+                got = divergence(ch, lambda cells: (f_cells(cells), g_cells(cells)))
             assert same_bits(got, want)
         finally:
             grid.BLOCK = default
@@ -162,7 +162,7 @@ class TestAddedIntoOut:
         if derivative == "stencil":
             f1[size // 2, 3] = f1[size - 1, size // 3] = f1[4, 1] = np.nan
         want = d1(ch, f0, 0) + d1(ch, f1, 1)
-        got = grid.divergence(ch, lambda cells: (f0.reshape(-1)[cells], f1.reshape(-1)[cells]))
+        got = divergence(ch, lambda cells: (f0.reshape(-1)[cells], f1.reshape(-1)[cells]))
         assert same_bits(got, want)
         assert 0 < np.isnan(got).sum() < size * size / 4
 
@@ -235,7 +235,7 @@ class TestFunctionOperands:
         f0_cells, f1_cells = by_cells(f0), by_cells(f1)
         with np.errstate(invalid="ignore"):
             want = d1(ch, f0, 0) + d1(ch, f1, 1)
-            got = grid.divergence(ch, lambda cells: (f0_cells(cells), f1_cells(cells)))
+            got = divergence(ch, lambda cells: (f0_cells(cells), f1_cells(cells)))
         assert same_bits(got, want)
 
     def test_divergence_is_the_sum_of_its_two_d1(self):
@@ -245,7 +245,7 @@ class TestFunctionOperands:
         f0[3, 5] = f1[-1, -2] = np.nan
         want = d1(ch, f0, 0) + d1(ch, f1, 1)
         pair = lambda cells: (f0.reshape(-1)[cells].copy(), f1.reshape(-1)[cells].copy())  # noqa: E731
-        assert same_bits(grid.divergence(ch, pair), want)
+        assert same_bits(divergence(ch, pair), want)
 
     @pytest.mark.parametrize("shape", [(32, 32), (24, 15)])
     def test_spectral_chart(self, shape):

@@ -50,6 +50,7 @@ from test_conformal import (
     reference_laplacian,
 )
 from test_grid import d1_roll
+from helpers import divergence
 
 
 def bundle(n=4, size=64, preset="trig1", seed=7):
@@ -210,20 +211,25 @@ class TestFamilyPolys:
             pair_value(family_poly(b, 1, 1), Fraction(1))
 
     def test_numeric_suite_builds_each_pair_once(self, monkeypatch):
-        # a pair is built by caching its derivative words on the bundle;
-        # field_poly then forms its numerator wherever it is read
-        calls = []
-        original = LambdaOperator.cache_words
+        # a pair is built on first use, by the bundle or by a block of it,
+        # and cached on the bundle as an operator; field_poly then forms its
+        # numerator wherever it is read
+        built = []
+        original = families.family
 
-        def spy(self, b, f):
-            calls.append((b.n, b.chart.derivative))
-            return original(self, b, f)
+        def spy(b, j, k):
+            if (j, k) not in b.family_polys:
+                built.append((b.n, b.chart.derivative, j, k))
+            return original(b, j, k)
 
-        monkeypatch.setattr(LambdaOperator, "cache_words", spy)
+        monkeypatch.setattr(families, "family", spy)
+        monkeypatch.setattr(holographic, "family", spy)
         numeric_suite(n_values=(4, 6), size=32)
+        assert len(built) == len(set(built))
         # on the run's grid; the spectral chart's metric is a metric of its own
-        assert 0 < calls.count((4, "stencil")) <= 3
-        assert 0 < calls.count((6, "stencil")) <= 3
+        for n in (4, 6):
+            assert {(j, k) for m, kind, j, k in built if (m, kind) == (n, "stencil")} == {
+                (1, 0), (1, 1), (2, 0)}
 
 
 def _all_pass(reports):
@@ -455,15 +461,14 @@ class TestStreamedSums:
             assert rep.residual == whole.max_norm(), (n, N)
 
     def test_bundle_cache_is_not_written(self):
-        # neither the cached derivative words nor the families formed from
-        # them change
+        # neither the cached families nor the numerators formed from them
+        # change
         b = bundle(n=6, size=32, preset="trig2")
         for j in (1, 2, 3):
             for k in range(4 - j):
                 family_poly(b, j, k)
         cached = {key: [c.copy() for c in family_poly(b, *key)[0].coeffs]
                   for key in b.family_polys}
-        words = {word: np.copy(value) for word, value in b.family_words.items()}
         fields = {name: np.copy(value) for name, value in vars(b).items()
                   if isinstance(value, np.ndarray)}
         for N in (1, 2, 3):
@@ -475,9 +480,6 @@ class TestStreamedSums:
             num, _ = family_poly(b, *key)
             assert len(num.coeffs) == len(cached[key]), key
             assert all(np.array_equal(c, w) for c, w in zip(num.coeffs, cached[key])), key
-        assert set(b.family_words) == set(words)
-        for word, value in words.items():
-            assert np.array_equal(b.family_words[word], value), word
         for name, value in fields.items():
             assert np.array_equal(getattr(b, name), value), name
 
@@ -593,9 +595,8 @@ class TestCellBlocks:
         b = _cached_bundle(RAGGED)
 
         def cached():
-            return ({key: [c.tobytes() for c in family_poly(b, *key)[0].coeffs]
-                     for key in b.family_polys},
-                    {word: value.tobytes() for word, value in b.family_words.items()})
+            return {key: [c.tobytes() for c in family_poly(b, *key)[0].coeffs]
+                    for key in b.family_polys}
 
         before = cached()
         for N in (1, 2):
@@ -673,17 +674,51 @@ class TestBlockFormedFamilies:
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_only_derivative_words_are_kept(self, n):
-        # for N <= 2 that is D0(v2), read by T*_2(lam)(v2) and T*_4(lam)(1),
-        # which is the lap_v2 each block forms: no word is kept whole
+        # for N <= 2 the one derivative word is D0(v2), read by
+        # T*_2(lam)(v2) and T*_4(lam)(1), which is the lap_v2 each block
+        # forms: the bundle caches the families as operators alone
         b = bundle(n=n, size=RAGGED)
         for j, k in SUITE_PAIRS:
             families.family(b, j, k)
-        assert b.family_words == {}
+        assert set(vars(b)) == {"chart", "phi", "n", "family_polys"}
         words = [families._kept_word(block, conformal.LAP_V2).tobytes()
                  for block in conformal.blocks(b)]
         want = conformal.laplacian(b, -b.J / 2).reshape(-1)
         assert words == [want[block.cells].tobytes() for block in conformal.blocks(b)]
         assert all(isinstance(op, LambdaOperator) for op, _ in b.family_polys.values())
+
+    @pytest.mark.parametrize("size", [32, RAGGED])
+    def test_a_block_fetches_its_family(self, size):
+        # no family(b, ...) call comes first: the block caches the operator
+        # on its bundle itself. The reference reads whole fields, so the
+        # blocks are those of a fresh bundle, which read their windows.
+        b = bundle(n=4, size=size)
+        want = parent_field_poly(build_T(4, 2).adjoint(), b, holo_coeffs(b, 0))[0]
+        for block in conformal.blocks(bundle(n=4, size=size)):
+            num, den = family_poly(block, 2, 0)
+            assert den == LAMBDA * (LAMBDA - 1)
+            assert list(block.bundle.family_polys) == [(2, 0)]
+            assert [c.tobytes() for c in num.coeffs] == [
+                c.reshape(-1)[block.cells].tobytes() for c in want.coeffs]
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_spectral_words_applied_by_the_family(self, n):
+        # on a grid of one block a family applies its derivative words but
+        # D0(v2) on the bundle, by the calls field_poly makes there: T*_2(v4)
+        # reads D0(v4), and T*_4(v2) D0(v2 v2), D0(D0(v2)) and D1(v2)
+        ch = TorusChart(n, (32, 32), "spectral")
+        b = curvature(ch, preset_phi(ch, "trig3", seed=7))
+        for j, k in ((1, 2), (2, 1)):
+            op, den = families.family(b, j, k)
+            want = op.field_poly(b, holo_coeffs(b, 0))[0]
+            num, _ = family_poly(b, j, k)
+            assert [c.tobytes() for c in num.coeffs] == [c.tobytes() for c in want.coeffs], (j, k)
+
+    def test_no_other_derivative_word_on_a_block_of_several(self):
+        b = bundle(n=6, size=RAGGED)
+        for block in conformal.blocks(b):
+            with pytest.raises(ValueError, match=r"D0\(v2\) is the only derivative word"):
+                family_poly(block, 1, 2)
 
 
 class TestSixthOrder:
@@ -818,7 +853,7 @@ def pairings(b, f, g):
 
 
 def reference_adjoint_residuals(b, seed):
-    """_adjoint_reports' residuals and scale as first written: both probes
+    """The adjoint checks' residuals and scale as first written: both probes
     whole, and reference_pairings."""
     f = holographic.probe_field(b.chart.shape, seed + 211, 0)
     g = holographic.probe_field(b.chart.shape, seed + 211, 1)
@@ -836,7 +871,7 @@ class TestAdjointPhase:
         cached = [a.tobytes() for a in family_poly(b, 2, 0)[0].coeffs]
         for a in family_poly(b, 2, 0)[0].coeffs:
             a.flags.writeable = False
-        reports = holographic._adjoint_reports(b, 11)
+        reports = holographic._pass(b, [holographic._adjoints(b, 11)])
         residuals, scale = reference_adjoint_residuals(b, 11)
         assert [r.id for r in reports] == ["adjoint-lap-n6", "adjoint-pdiv-n6"]
         for rep in reports:
@@ -876,7 +911,7 @@ class TestBlocksThatCutRows:
         assert cut == (shape != (48, 80))
         for axis in range(2):
             assert grid.d1(ch, f, axis).tobytes() == d1_roll(ch, f, axis).tobytes(), axis
-        got = grid.divergence(ch, lambda cells: (f.reshape(-1)[cells], g.reshape(-1)[cells]))
+        got = divergence(ch, lambda cells: (f.reshape(-1)[cells], g.reshape(-1)[cells]))
         assert got.tobytes() == (d1_roll(ch, f, 0) + d1_roll(ch, g, 1)).tobytes()
         b = read_only(curvature(ch, preset_phi(ch, "trig3", seed=11)))
         want, fields = reference_bundle(b), bundle_fields(b)
@@ -1038,7 +1073,7 @@ class TestMemoryBudget:
     def b(self):
         ch = TorusChart(6, (256, 256))
         b = curvature(ch, preset_phi(ch, "trig1", seed=7))
-        holographic._adjoint_reports(b, 7)
+        holographic._pass(b, [holographic._adjoints(b, 7)])
         return b
 
     # measured: 9.11 (the 6 whole fields besides phi, formed from the
@@ -1051,7 +1086,9 @@ class TestMemoryBudget:
     # pass 4.79 (bound 5.2) with the bundle's 6 fields whole. The adjoint
     # sweep keeps no operator output whole, and here a block of it is a
     # quarter of a field; T*_4(1) applies no word, since D0(v2) is each
-    # block's lap_v2. The adjoints were 3.47 (bound 3.8) with
+    # block's lap_v2, and builds its operator alone, which reads 0.01 now
+    # that the bundle caches no word (0.13 when family passed the ones
+    # field through the word cache). The adjoints were 3.47 (bound 3.8) with
     # the Schouten fluxes formed from a copy of the probe's partial and all
     # three entries alive to the end, and the wrapped runs of the first and
     # last blocks joined all at once; with each operator's output whole and
@@ -1075,9 +1112,8 @@ class TestMemoryBudget:
     def test_phase(self, b, phase, budget):
         run = {"curvature": lambda: curvature(b.chart, b.phi).lap_v2,
                "window": lambda: next(conformal.blocks(b)).J,
-               "adjoints": lambda: holographic._adjoint_reports(b, 7),
-               "T*_4(1)": lambda: (b.family_polys.clear(), b.family_words.clear(),
-                                   families.family(b, 2, 0)),
+               "adjoints": lambda: holographic._pass(b, [holographic._adjoints(b, 7)]),
+               "T*_4(1)": lambda: (b.family_polys.clear(), families.family(b, 2, 0)),
                "q4-dual": lambda: holographic._pass(b, [holographic._q4_dual(b)]),
                "merged N = 2 pass": lambda: holographic._pass(b, [
                    holographic._q4_dual(b), holographic._master3(b, 2), holographic._poly(b, 2),
@@ -1107,12 +1143,12 @@ def test_no_whole_field_but_the_kept_ones_and_the_output():
     b = curvature(ch, phi)
     _, peak = traced_peak(lambda: curvature(ch, phi))
     assert peak < 0.01 * field, peak / field
-    for run, bound in ((lambda: holographic._adjoint_reports(b, 7), 1.5),
+    for run, bound in ((lambda: holographic._pass(b, [holographic._adjoints(b, 7)]), 1.5),
                        (lambda: holographic._pass(b, holographic._run_grid_parts(b, 7)), 2.0)):
         run()
         _, peak = traced_peak(run)
         assert peak < bound * field, peak / field
-    assert set(vars(b)) == {"chart", "phi", "n", "family_polys", "family_words"}
+    assert set(vars(b)) == {"chart", "phi", "n", "family_polys"}
 
 
 class TestSuites:
@@ -1147,10 +1183,10 @@ class TestSuites:
         # The stencils pass over the blocks: each application of the
         # Laplacian or a divergence form forms its operand's partials, both
         # fluxes and the weight on each block (conformal._operator, once per
-        # block), and no whole-field d1 nor grid.divergence is taken. Each
-        # field is differentiated once: the families of one bundle share the
-        # derivative words they have in common, and D0(v2) is each block's
-        # lap_v2. That is 1 per dimension and block on the run's grid
+        # block), and no whole-field d1 is taken. Each field is
+        # differentiated once: the families read here have no derivative
+        # word in common but D0(v2), which is each block's lap_v2. That is 1
+        # per dimension and block on the run's grid
         # (lap_v2; the adjoint pairings form their four operators in one
         # sweep of grid.partials, conformal.pairing_sums), and 6 (n = 4) and
         # 23 (n = 6, with the longer words of N = 3) on the spectral chart,
@@ -1173,7 +1209,6 @@ class TestSuites:
             return original_d1(chart, f, axis)
 
         monkeypatch.setattr(conformal, "_operator", spy_operator)
-        monkeypatch.setattr(grid, "divergence", lambda chart, flux: whole.append(flux))
         monkeypatch.setattr(conformal, "d1", spy_d1)
         monkeypatch.setattr(grid, "d1", spy_d1)
         numeric_suite(n_values=(4, 6), size=64)
