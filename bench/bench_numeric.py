@@ -5,10 +5,11 @@ operator family (built, and formed on every block of cells) and the
 residue/volume polynomial checks; the n = 6 flat-base checks (gjms-flat and
 q-flat, N = 1..3) on the 32x32 spectral chart; and on a 512x512 torus at
 n = 6, the preset, the curvature bundle's whole fields, one block's window
-of them, the Laplacian (also at 1000x1000, where the blocks of cells cut
-rows), the adjoint pairings, the pointwise identity checks at N = 2,
-decided one block of cells at a time, alone and as the merged N = 2 part of
-a dimension's pass, and one whole dimension.
+of them and its D0(v2), the derivative word D0(v4) on every block, the
+Laplacian (also at 1000x1000, where the blocks of cells cut rows), the
+adjoint pairings, the pointwise identity checks at N = 2, decided one block
+of cells at a time, alone and as the merged N = 2 part of a dimension's
+pass, and one whole dimension.
 
     python -m pytest bench/bench_numeric.py -q
 
@@ -18,8 +19,8 @@ Each benchmark also asserts its result, so a fast wrong answer fails.
 import numpy as np
 import pytest
 
-from holoq.conformal import Window, blocks, curvature, laplacian
-from holoq.families import family, family_poly
+from holoq.conformal import Cells, Window, blocks, curvature, holo_coeffs, laplacian
+from holoq.families import _applied, family, family_poly
 from holoq.grid import TorusChart, blocks as cell_blocks, d1
 from holoq.holographic import (
     _adjoints,
@@ -30,7 +31,6 @@ from holoq.holographic import (
     _pass,
     _poly,
     _q4_dual,
-    master_check_numeric,
     poly_checks,
 )
 from holoq.lambda_algebra import LAMBDA
@@ -104,12 +104,27 @@ def test_curvature_512(benchmark, chart_phi_512):
 @pytest.mark.parametrize("index", [0, 1])
 def test_window_512(benchmark, chart_phi_512, index):
     # one block's window (32 rows and 4 more each side): J, P and
-    # p_inactive, and lap_v2 on the block, as a pass forms it once per
-    # block; block 0's rows wrap
+    # p_inactive, and the block's D0(v2), lap_v2, from v2 on them, as a
+    # pass forms them once per block; block 0's rows wrap
     b = curvature(*chart_phi_512)
     cells = cell_blocks(b.phi.size)[index]
-    start, lap_v2 = benchmark(lambda: Window(b, cells).field("lap_v2"))
-    assert start == cells.start and lap_v2.tobytes() == b.lap_v2.reshape(-1)[cells].tobytes()
+    lap_v2 = benchmark(lambda: Cells(b, cells, Window(b, cells)).lap_v2)
+    assert lap_v2.tobytes() == b.lap_v2.reshape(-1)[cells].tobytes()
+
+
+def test_block_word_512(benchmark, chart_phi_512):
+    # D0(v4), the derivative word of T*_2(lam)(v4), on each of the 16
+    # blocks of cells, from v4 on its window's rows; the windows are formed
+    # first, and the word is not kept
+    b = curvature(*chart_phi_512)
+    cells = list(blocks(b))
+    for c in cells:
+        c.J
+    words = benchmark(lambda: [_applied(c, ("D0", "v4"), {(): holo_coeffs(c, 0)})
+                               for c in cells])
+    want = laplacian(b, holo_coeffs(b, 2)).reshape(-1)
+    assert len(cells) == 16
+    assert [w.tobytes() for w in words] == [want[c.cells].tobytes() for c in cells]
 
 
 @pytest.mark.parametrize("size", [512, 1000])
@@ -167,12 +182,13 @@ def test_poly_checks(benchmark, bundle):
 
 def test_block_pass_512(benchmark, chart_phi_512):
     # master-3 and the residue/volume checks at N = 2 from the cached
-    # families: the cleared polynomials of each block of cells are built
-    # and read, and only their norms are kept
+    # families, in one pass as a dimension runs them: the cleared
+    # polynomials of each block of cells are built and read, and only
+    # their norms are kept
     b = curvature(*chart_phi_512)
     for j in (1, 2):
         family(b, j, 2 - j)
-    reports = benchmark(lambda: master_check_numeric(b, 2) + poly_checks(b, 2))
+    reports = benchmark(lambda: _pass(b, [_master3(b, 2), _poly(b, 2)]))
     assert len(reports) == 5 and all(r.passed for r in reports)
 
 

@@ -54,24 +54,25 @@ def _p(c):
 
 # The fields a block forms on its Window, in _schouten's order.
 SCHOUTEN = ("J", "P00", "P01", "P11", "p_inactive")
-# The rows a window adds each side of its block: lap_v2's fluxes read v2 =
-# -J/2 two rows beyond the block and their partials two rows beyond those;
-# the adjoint sweep's Schouten fluxes read P two rows beyond it.
+# The rows a window adds each side of its block: a D_k forms its fluxes two
+# rows beyond the block from its operand's partials, which read the operand
+# two rows beyond those (_operator), so a word of one D_k, as D0(v2), reads
+# the window alone; the adjoint sweep's Schouten fluxes read P two rows out.
 HALO = 4
-# The word of the families (families.family) that the bundle forms as lap_v2.
+# The word of the families (families.family) that each block forms as lap_v2.
 LAP_V2 = ("D0", "v2")
 
 
 @dataclass
 class CurvatureBundle:
-    """Curvature fields of one metric. It keeps only phi. J, P, p_inactive
-    and lap_v2, the Laplacian of v2 = -J/2, are formed a block of cells at
-    a time where they are read (Window); the first whole read of one forms
-    all of them whole and keeps them, as a grid of one block does when the
-    bundle is made. lap_v2 is D0(v2), the families' word LAP_V2, and
-    -2 lap_v2 is lap J, bit for bit but for a NaN's sign: scaling an
-    operand by -1/2 scales every operation of the Laplacian exactly. The
-    conformal weights, |P|^2 and lap J are formed per read."""
+    """Curvature fields of one metric. It keeps only phi. J, P and p_inactive
+    are formed a block of cells at a time where they are read (Window), and
+    lap_v2, the Laplacian of v2 = -J/2, on the block from them; the first
+    whole read of one forms all of them whole and keeps them, as a grid of
+    one block does when the bundle is made. lap_v2 is D0(v2), the families'
+    word LAP_V2, and -2 lap_v2 is lap J, bit for bit but for a NaN's sign:
+    scaling an operand by -1/2 scales every operation of the Laplacian
+    exactly. The conformal weights, |P|^2 and lap J are formed per read."""
 
     chart: TorusChart
     phi: np.ndarray
@@ -88,9 +89,10 @@ class CurvatureBundle:
         self.n = self.chart.n
         cells, *rest = grid.blocks(phi.size, self.chart.derivative == "spectral")
         if not rest:  # one block, whose window is every cell: the fields are whole
-            window = Window(self, cells)
-            for key in SCHOUTEN + ("lap_v2",):
-                setattr(self, key, window.field(key)[1].reshape(self.chart.shape))
+            c = Cells(self, cells, Window(self, cells))
+            for key in SCHOUTEN:
+                setattr(self, key, c.window.field(key)[1].reshape(self.chart.shape))
+            self.lap_v2 = _lap_v2(c).reshape(self.chart.shape)
 
     def __getattr__(self, name):  # reached only by names not yet set
         names = SCHOUTEN + ("lap_v2",)
@@ -120,9 +122,9 @@ class Cells:
     each taken on first read, from which the per-read fields are formed
     (|P|^2, the one read most, once), and the families formed on these
     cells (families.family_poly). A block of blocks(b), and a range of its
-    window's rows (on), reads the fields but phi from the block's Window;
-    Cells without one, or of a bundle that has them whole, read the whole
-    fields."""
+    window's rows (on), reads J, P and p_inactive from the block's Window,
+    never past its rows, and forms lap_v2 on its cells; Cells without one,
+    or of a bundle that has them whole, read the whole fields."""
 
     em2 = property(_em2)
     en2 = property(_en2)
@@ -142,10 +144,15 @@ class Cells:
         b = self.bundle
         if name == "phi" or self.window is None or "J" in vars(b):
             value = self.view(getattr(b, name))
+        elif name == "lap_v2":
+            value = cell_view(_lap_v2(self), slice(None))
         else:
             start, f = self.window.field(name)
             at = (self.cells.start - start) % b.phi.size
-            value = cell_view(f, slice(at, at + self.cells.stop - self.cells.start))
+            stop = at + self.cells.stop - self.cells.start
+            if stop > f.size:
+                raise ValueError(f"cells {self.cells} lie outside the window (HALO = {HALO})")
+            value = cell_view(f, slice(at, stop))
         setattr(self, name, value)
         return value
 
@@ -162,8 +169,7 @@ class Window:
     """The fields of a block of a bundle's cells, formed on the first read
     of one: J, P and p_inactive on the block's rows and HALO more each
     side, taken mod the grid's rows (every row where those are as many, or
-    the chart is spectral), then lap_v2 on the block's cells from v2 = -J/2
-    on them."""
+    the chart is spectral)."""
 
     def __init__(self, b: CurvatureBundle, cells):
         self.bundle, self.cells, self.fields = b, cells, {}
@@ -178,10 +184,13 @@ class Window:
                 lo, hi = 0, nrows
             arrays = grid.rows(b.chart, lambda run: _schouten(b, run), lo, hi)
             fields.update((key, (lo * cols, a)) for key, a in zip(SCHOUTEN, arrays))
-            c = Cells(b, cells, self)
-            fields["lap_v2"] = cells.start, _operator(
-                c, laplacian_flux, lambda rows: holo_coeffs(c.on(rows), 1))
         return fields[name]
+
+
+def _lap_v2(c: Cells):
+    """lap_v2 on a block of cells c, the families' word LAP_V2: D0 reads
+    v2 = -J/2 as a function of cells on the window's rows."""
+    return laplacian(c, lambda rows: holo_coeffs(c.on(rows), 1))
 
 
 def _schouten(b: CurvatureBundle, cells):
@@ -288,29 +297,32 @@ def _operator(c, fluxes, f, out=None):
     return out
 
 
-def _whole_operator(b: CurvatureBundle, fluxes, f):
-    """_operator on each block of b, into one whole field."""
+def _whole_operator(b, fluxes, f):
+    """_operator on a block of cells (Cells), or on each block of a bundle."""
+    if isinstance(b, Cells):
+        return _operator(b, fluxes, f)
     out = np.empty(b.chart.shape)
     for c in blocks(b):
         _operator(c, fluxes, f, out.reshape(-1)[c.cells])
     return out
 
 
-def laplacian(b: CurvatureBundle, f):
-    """Laplace-Beltrami operator in conservative (divergence) form, of a
-    field f or of a function of a flat range of cells giving f's values
-    there (grid.d1). The fluxes (laplacian_flux), their weight and f's
-    partials are formed together a block at a time (_operator), and on
-    the stencil chart are never whole; so is the weight e^{-n phi}."""
+def laplacian(b, f):
+    """Laplace-Beltrami operator in conservative (divergence) form, on a
+    bundle or a block of its cells (Cells), of a function of a flat range
+    of cells giving f's values there (grid.d1), or on a bundle of a field.
+    The fluxes (laplacian_flux), their weight and f's partials are formed
+    together a block at a time (_operator), never whole on the stencil
+    chart; so is the weight e^{-n phi}."""
     return _whole_operator(b, laplacian_flux, f)
 
 
-def divergence_form(b: CurvatureBundle, B, f):
+def divergence_form(b, B, f):
     """e^{-n phi} d_a(B^{ab} d_b f) for a symmetric field B = (B00, B01, B11),
-    self-adjoint in the weighted inner product since d1 is antisymmetric.
-    B is a function of a bundle or a block of its cells (Cells) giving the
-    list of its three entries there (schouten_flux, _flux); f is a field or
-    a function of a flat range of cells (grid.d1). The fluxes
+    self-adjoint in the weighted inner product since d1 is antisymmetric,
+    on a bundle or a block of its cells (Cells), of f as laplacian reads
+    it. B is a function of a bundle or a block of its cells giving the
+    list of its three entries there (schouten_flux, _flux). The fluxes
     (contracted_flux), B's entries and f's partials are formed together a
     block at a time (_operator), and on the stencil chart are never whole;
     so is the weight e^{-n phi}."""
@@ -428,9 +440,10 @@ def pairing_sums(c, f, g):
                                                 (f_cells, lg), (sf, g_cells), (f_cells, sg))]
 
 
-def apply_primitive(b: CurvatureBundle, name: str, f):
-    """Apply one self-adjoint primitive to a field: 'v<2k>' multiplies by
-    v_{2k}, 'D0' is the Laplacian, 'D<k>' the divergence form of B_k."""
+def apply_primitive(b, name: str, f):
+    """Apply one self-adjoint primitive to a field, on a bundle or a block
+    of its cells (Cells): 'v<2k>' multiplies by v_{2k}, 'D0' is the
+    Laplacian, 'D<k>' the divergence form of B_k, each as laplacian reads f."""
     kind, k = name[0], int(name[1:])
     if kind == "v":
         return holo_coeffs(b, k // 2) * f

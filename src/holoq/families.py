@@ -27,7 +27,7 @@ from math import factorial, isfinite
 
 import numpy as np
 
-from .conformal import LAP_V2, Cells, CurvatureBundle, apply_primitive, assembled, holo_coeffs
+from .conformal import HALO, LAP_V2, Cells, CurvatureBundle, apply_primitive, assembled, holo_coeffs
 from .lambda_algebra import LAMBDA, LambdaPoly, LambdaRat, pochhammer, poly_gcd
 from .reports import max_abs
 
@@ -156,9 +156,10 @@ class LambdaOperator:
     def scale(self, factor) -> "LambdaOperator":
         return LambdaOperator({word: rat * factor for word, rat in self.terms.items()})
 
-    def field_poly(self, bundle, f, words=False):
+    def field_poly(self, bundle, f):
         """Action on f as (numerator FieldPoly, scalar denominator poly), on a
-        bundle or on a block of its cells (conformal.Cells).
+        bundle, or on a block of its cells (conformal.Cells) for f the ones
+        field there.
 
         Each word is applied to f once, words sharing a suffix share its
         application, and the coefficients enter over the lcm of their
@@ -168,20 +169,17 @@ class LambdaOperator:
         buffer, and drops the applied fields no later term reads. Every D_k
         kills constants, so on the ones field the words whose innermost
         primitive is a D_k are skipped; the denominator is still the lcm
-        over all words.
-
-        With words, on the ones field, the application of a word from its
-        outermost primitive D_k on is read as _kept_word gives it, and the
-        suffixes inside it are not applied there. So on a block of cells,
-        where no derivative can be taken, field_poly forms the numerator
-        from those words and pointwise products only."""
+        over all words."""
         f = np.asarray(f, dtype=float)
         den, cleared = self._cleared()
         word_list = list(self.terms)
         if any(word and word[-1][0] == "D" for word in word_list) and np.all(f == 1.0):
             word_list = [word for word in word_list if not word or word[-1][0] != "D"]
-        num, scratch = [], None
-        for word, arr in _applications(bundle, f, word_list, words):
+        # suffix -> index of the last word that ends in it
+        last_read = {word[i:]: t for t, word in enumerate(word_list) for i in range(len(word) + 1)}
+        applied, num, scratch = {(): f}, [], None
+        for t, word in enumerate(word_list):
+            arr = _applied(bundle, word, applied)
             # as FieldPoly([arr]).mul_poly(p) added into num: a vanishing
             # coefficient of p contributes a zero field
             for k, fk in enumerate(cleared[word]):
@@ -194,6 +192,8 @@ class LambdaOperator:
                 else:
                     num[k] += 0.0
             del arr  # before the fields no later term reads are dropped
+            for suffix in [s for s, u in last_read.items() if u == t]:
+                applied.pop(suffix, None)
         return FieldPoly(num), den
 
     def denominator(self):
@@ -220,51 +220,36 @@ class LambdaOperator:
         return pair_derivative(self.field_poly(bundle, f), lam)
 
 
-def _applications(bundle, f, word_list, words=False):
-    """Yield (word, its application to f) for each word of word_list in
-    order, on a bundle or a block of its cells. A word applies its suffixes
-    not yet applied, from the longest one applied, or with words the
-    longest one _kept_word gives, on; an applied suffix is dropped after
-    the last word that ends in it."""
-    last_read = {}  # suffix -> index of the last word that ends in it
-    for t, word in enumerate(word_list):
-        for i in range(len(word) + 1):
-            last_read[word[i:]] = t
-    applied = {(): f}
-    for t, word in enumerate(word_list):
-        start = len(word)
-        for i in range(len(word) + 1):
-            kept = None if word[i:] in applied or not words else _kept_word(bundle, word[i:])
-            if kept is not None:
-                applied[word[i:]] = kept
-            if word[i:] in applied:
-                start = i
-                break
-        for i in range(start - 1, -1, -1):
-            applied[word[i:]] = apply_primitive(bundle, word[i], applied[word[i + 1:]])
-        yield word, applied[word]
-        for suffix in [s for s, u in last_read.items() if u == t]:
-            applied.pop(suffix, None)
-
-
-def _kept_word(c, word):
-    """The application to the ones field of a families' word from its
-    outermost D_k on, where field_poly reads it with words: lap_v2 for
-    LAP_V2, D0(v2), which every block forms. Cells that read the bundle's
-    whole fields (no Window, as on a grid of one block) read any other such
-    word applied on the bundle, by the apply_primitive calls field_poly
-    makes there; a block of a grid of several blocks forms none, and raises
-    ValueError. On the bundle, None: field_poly applies it."""
-    if word == LAP_V2:
-        return c.lap_v2
+def _applied(c, word, applied):
+    """The application of word, its outermost primitive applied to the
+    rest's, on a bundle or a block of its cells (Cells), from and into
+    applied, the applications of its suffixes. On a block, where applied
+    holds them on the ones field, the word D0(v2) is the block's lap_v2
+    (LAP_V2), and a D_k reads its operand on the window's rows: the rest of
+    word applied there, or on the block's own cells (a grid of one block)
+    the rest's application in applied. A word whose nested D_k read past
+    the window's HALO rows raises ValueError."""
+    if word in applied:
+        return applied[word]
     if not isinstance(c, Cells) or word[0][0] != "D":
-        return None
-    if c.window is not None:
-        raise ValueError(f"the word {word} is formed on no block of a grid of several "
-                         "blocks: D0(v2) is the only derivative word a block reads")
-    b = c.bundle
-    _, whole = next(_applications(b, holo_coeffs(b, 0), [word], True))
-    return c.view(whole)
+        out = apply_primitive(c, word[0], _applied(c, word[1:], applied))
+    elif word == LAP_V2:
+        out = c.lap_v2
+    else:
+        reach = 4 * sum(name[0] == "D" for name in word)  # rows beyond the block
+        if c.window is not None and reach > HALO:
+            raise ValueError(f"the word {word} reads its innermost operand {reach} rows "
+                             f"beyond its block, past the window's HALO = {HALO} rows")
+
+        def operand(rows):  # the rest of word applied to the ones field on rows
+            if rows == c.cells:
+                return _applied(c, word[1:], applied)
+            r = c.on(rows)
+            return _applied(r, word[1:], {(): holo_coeffs(r, 0)})
+
+        out = apply_primitive(c, word[0], operand)
+    applied[word] = out
+    return out
 
 
 def _lcm(dens):
@@ -413,9 +398,7 @@ def family(b: CurvatureBundle, j: int, k: int):
     The operator is T*_{2j}(lam) after the multiplication by v_{2k}, so that
     it acts on the ones field, as every family does. That is how
     T*_2(lam)(v2) and T*_4(lam)(1) both read D0(v2), since v2 times 1 is v2
-    bit for bit: the bundle's own field lap_v2 (LAP_V2), formed on each
-    block for lap J. Every other step of a word is applied where field_poly
-    reads it."""
+    bit for bit: each block's lap_v2 (LAP_V2), which lap J reads too."""
     pair = b.family_polys.get((j, k))
     if pair is None:
         op = build_T(b.n, j).adjoint()
@@ -436,7 +419,7 @@ def family_poly(c, j: int, k: int):
         pair = c.formed.get((j, k))
         if pair is None:
             op, den = family(c.bundle, j, k)
-            pair = c.formed[(j, k)] = (op.field_poly(c, holo_coeffs(c, 0), True)[0], den)
+            pair = c.formed[(j, k)] = (op.field_poly(c, holo_coeffs(c, 0))[0], den)
         return pair
     den = family(c, j, k)[1]
     return FieldPoly(assembled(c, lambda block: family_poly(block, j, k)[0].coeffs)), den

@@ -410,8 +410,9 @@ def whole_fields(b):
 
 
 def test_run_grid_bundle_keeps_only_phi(monkeypatch):
-    # a dimension's checks on the run's grid read J, P, p_inactive and
-    # lap_v2 from each block's window (conformal.Window), so after them the
+    # a dimension's checks on the run's grid read J, P and p_inactive from
+    # each block's window (conformal.Window), and lap_v2 formed on each
+    # block from them, so after them the
     # bundle holds phi alone and the families as operators. It kept 7 whole
     # fields: phi, J, P00, P01 (which is
     # P10), P11, p_inactive and lap_v2, which is D0(v2) and -lap J / 2

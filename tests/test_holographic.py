@@ -292,8 +292,8 @@ class _Perturbed(LambdaOperator):
         super().__init__(op.terms)
         self.extra = extra
 
-    def field_poly(self, bundle, f, words=None):
-        num, den = super().field_poly(bundle, f, words)
+    def field_poly(self, bundle, f):
+        num, den = super().field_poly(bundle, f)
         num += FieldPoly([bundle.view(c) for c in self.extra.coeffs])
         return num, den
 
@@ -681,7 +681,7 @@ class TestBlockFormedFamilies:
         for j, k in SUITE_PAIRS:
             families.family(b, j, k)
         assert set(vars(b)) == {"chart", "phi", "n", "family_polys"}
-        words = [families._kept_word(block, conformal.LAP_V2).tobytes()
+        words = [families._applied(block, conformal.LAP_V2, {(): holo_coeffs(block, 0)}).tobytes()
                  for block in conformal.blocks(b)]
         want = conformal.laplacian(b, -b.J / 2).reshape(-1)
         assert words == [want[block.cells].tobytes() for block in conformal.blocks(b)]
@@ -703,9 +703,10 @@ class TestBlockFormedFamilies:
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_spectral_words_applied_by_the_family(self, n):
-        # on a grid of one block a family applies its derivative words but
-        # D0(v2) on the bundle, by the calls field_poly makes there: T*_2(v4)
-        # reads D0(v4), and T*_4(v2) D0(v2 v2), D0(D0(v2)) and D1(v2)
+        # on a grid of one block a family applies its derivative words on
+        # that block, as on a block of a larger grid, with the bits of the
+        # words applied on the bundle: T*_2(v4) reads D0(v4), and T*_4(v2)
+        # D0(v2 v2), D0(D0(v2)) and D1(v2); D0(v2) is the bundle's lap_v2
         ch = TorusChart(n, (32, 32), "spectral")
         b = curvature(ch, preset_phi(ch, "trig3", seed=7))
         for j, k in ((1, 2), (2, 1)):
@@ -714,11 +715,77 @@ class TestBlockFormedFamilies:
             num, _ = family_poly(b, j, k)
             assert [c.tobytes() for c in num.coeffs] == [c.tobytes() for c in want.coeffs], (j, k)
 
-    def test_no_other_derivative_word_on_a_block_of_several(self):
+    def test_stencil_words_applied_by_the_family(self):
+        # on a stencil grid of one block a D_k reads its operand on the
+        # block's rows widened past the grid's, in runs that wrap: the run
+        # of every row reads the block's own application, the others apply
+        # the word's rest on theirs
+        b = bundle(n=6, size=64, preset="trig3", seed=7)
+        (block,) = conformal.blocks(b)
+        assert block.window is None
+        for j, k in ((1, 2), (2, 1)):
+            op, den = families.family(b, j, k)
+            want = op.field_poly(b, holo_coeffs(b, 0))[0]
+            num, _ = family_poly(block, j, k)
+            assert [c.tobytes() for c in num.coeffs] == [
+                c.reshape(-1).tobytes() for c in want.coeffs], (j, k)
+
+    def test_shared_suffixes_applied_once_on_one_block(self, monkeypatch):
+        # The primitives _flat_reports(6, trig1, 7) applies: gjms-flat's on
+        # the spectral chart's bundle, and q-flat's families on its one
+        # block, where the words D0(v2 v2) and D1(v2) of T*_4(v2) read the
+        # applications of v2 and v2 v2 that its pointwise words share, and
+        # D0(v2) is the bundle's lap_v2. Applied apart, as when each
+        # derivative word was applied on the bundle alone, the block's
+        # words took v2 three more times and v4 once more (v2 23, v4 7).
+        calls = {}
+        original = families.apply_primitive
+
+        def spy(c, name, f):
+            key = ("block" if isinstance(c, conformal.Cells) else "bundle", name)
+            calls[key] = calls.get(key, 0) + 1
+            return original(c, name, f)
+
+        monkeypatch.setattr(families, "apply_primitive", spy)
+        holographic._flat_reports(6, "trig1", 7, None)
+        assert calls == {("bundle", "v2"): 13, ("bundle", "D0"): 13, ("bundle", "D1"): 4,
+                         ("bundle", "D2"): 1, ("bundle", "v4"): 4, ("bundle", "v6"): 1,
+                         ("block", "v2"): 7, ("block", "v4"): 2, ("block", "D0"): 3,
+                         ("block", "D1"): 1}
+
+    def test_a_derivative_word_on_every_block(self):
+        # T*_2(lam)(v4) reads D0(v4), which each block of a grid of several
+        # forms from v4 on its window's rows, as lap_v2 from v2
+        b = bundle(n=6, size=RAGGED)
+        want = parent_field_poly(build_T(6, 1).adjoint(), b, holo_coeffs(b, 2))[0]
+        fresh = bundle(n=6, size=RAGGED)
+        for block in conformal.blocks(fresh):
+            assert block.window is not None
+            num, _ = family_poly(block, 1, 2)
+            assert [c.tobytes() for c in num.coeffs] == [
+                c.reshape(-1)[block.cells].tobytes() for c in want.coeffs], block.cells
+
+    def test_a_word_nested_past_the_halo_raises(self):
+        # T*_4(lam)(v2) reads D0(D0(v2)), whose inner D0 reads v2 eight rows
+        # beyond the block: one error naming the word and HALO, on every
+        # block, and no view of rows the window does not hold
         b = bundle(n=6, size=RAGGED)
         for block in conformal.blocks(b):
-            with pytest.raises(ValueError, match=r"D0\(v2\) is the only derivative word"):
-                family_poly(block, 1, 2)
+            with pytest.raises(ValueError, match=r"\('D0', 'D0', 'v2'\).*HALO = 4"):
+                family_poly(block, 2, 1)
+
+    def test_a_read_outside_the_window_raises(self):
+        # a block's window holds its rows and HALO more each side: at 136^2
+        # the first block's 68 rows read rows -4..71, and rows 72 on raise
+        b = bundle(n=6, size=RAGGED)
+        block = next(conformal.blocks(b))
+        last = (68 + conformal.HALO) * RAGGED
+        assert block.cells == slice(0, 68 * RAGGED)
+        assert block.on(slice(last - RAGGED, last)).J.size == RAGGED
+        for rows in (slice(last - RAGGED, last + 1), slice(last, last + RAGGED),
+                     slice(100 * RAGGED, 120 * RAGGED)):
+            with pytest.raises(ValueError, match="outside the window"):
+                block.on(rows).P
 
 
 class TestSixthOrder:
@@ -1078,9 +1145,11 @@ class TestMemoryBudget:
 
     # measured: 9.11 (the 6 whole fields besides phi, formed from the
     # blocks' windows on a first whole read), 2.77 (the first block's
-    # window, which wraps: 72 rows of J, P and p_inactive, and lap_v2),
-    # 4.33, 0.13, 3.67 (q4-dual's part of the merged pass, read alone) and
-    # 6.45. Each pass past the first block's forms the windows, which the
+    # window, which wraps: 72 rows of J, P and p_inactive; 2.78 with the
+    # block's lap_v2), 4.08, 0.01, 3.78 (q4-dual's part of the merged
+    # pass, read alone, which forms each block's lap_v2) and 6.45; the
+    # adjoints were 4.33 and q4-dual 3.67 when each window formed lap_v2
+    # with J. Each pass past the first block's forms the windows, which the
     # bundle formed whole before: the curvature was 7.61 (bound 8.0), the
     # adjoints 2.67 (bound 3.1), q4-dual 2.01 (bound 2.5) and the merged
     # pass 4.79 (bound 5.2) with the bundle's 6 fields whole. The adjoint
@@ -1125,13 +1194,14 @@ class TestMemoryBudget:
 
 def test_no_whole_field_but_the_kept_ones_and_the_output():
     # At 512^2 a block of cells is a sixteenth of a field, and its window
-    # (J, P and p_inactive on its 32 rows and 4 more each side, and lap_v2)
+    # (J, P and p_inactive on its 32 rows and 4 more each side) and lap_v2
     # 0.39 fields, so a pass's blocks stay under two fields: a peak under
     # two fields above phi means that no whole-grid array was alive in it.
     # The bundle keeps phi alone (it formed and kept J, P00, P01, P11,
     # p_inactive and lap_v2, 6.42 fields, and 10.0 with its gradient,
     # Hessian and flat Laplacian whole). The adjoint sweep, the first block's
-    # window formation included, peaks at 1.16 fields (0.71 with the
+    # window formation included, peaks at 1.10 fields (1.16 when the window
+    # formed lap_v2 too; 0.71 with the
     # bundle's fields whole; 0.92 with the Schouten fluxes' copy and the
     # wrapped runs joined at once, 1.62 with each output whole, 4.5 with
     # also a whole probe, its gradient pair and a flux), and a dimension's
